@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check chaos-smoke bench clean
+.PHONY: all build test check chaos-smoke alloc-gate bench clean
 
 all: build
 
@@ -45,7 +45,8 @@ test:
 # link-down failover and the forced heal probe all on the hot path, gated
 # on goodput; the partition bench (exactly-once vs naive resend vs direct
 # calls through the same partition, BENCH_partition.json, a CI artifact)
-# runs twice and must be byte-identical across runs.
+# runs twice and must be byte-identical across runs. The allocation gate
+# bounds host-side allocation per DFG-construction item (see alloc-gate).
 check: build test
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 2000 --requests 50 --iters 100
@@ -93,6 +94,7 @@ check: build test
 	dune exec bench/main.exe -- partition --json BENCH_partition_rerun.json
 	cmp BENCH_partition.json BENCH_partition_rerun.json
 	$(MAKE) chaos-smoke
+	$(MAKE) alloc-gate
 	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
 	dune exec bench/main.exe -- chaos --json BENCH_chaos_rerun.json
 	cmp BENCH_chaos.json BENCH_chaos_rerun.json
@@ -109,6 +111,22 @@ check: build test
 chaos-smoke: build
 	dune exec bin/acrobatc.exe -- chaos --seed 42 --runs 60 --fault-prob 0.5 \
 	  --shrink --repro CHAOS_repro.txt --trace CHAOS_trace.json
+
+# Host allocation gate: a short traced offline-treelstm run of the host-time
+# benchmark (~5 s), failing if gc.minor_words_per_item exceeds 100,000. The
+# metric is exact for a fixed binary (no timing noise). It reads ~26k with
+# node plans (DESIGN.md §17); the bound leaves room for ordinary growth but
+# catches a return to deriving shapes and costs per DFG node (~419k).
+alloc-gate: build
+	@out=$$(mktemp -d) && \
+	dune exec bench/perf/main.exe -- --workload offline-treelstm --seed 1 --seconds 2 \
+	  --trace 1 --out $$out > $$out/stdout.txt && \
+	awk -v max=100000 \
+	  '$$1 == "gc.minor_words_per_item" { seen = 1; words = $$2 } \
+	   END { if (!seen) { print "alloc-gate: gc.minor_words_per_item not reported"; exit 1 } \
+	         printf "alloc-gate: gc.minor_words_per_item %.0f (max %d)\n", words, max; \
+	         exit (words > max) }' $$out/stdout.txt; \
+	status=$$?; rm -rf $$out; exit $$status
 
 bench:
 	dune exec bench/main.exe

@@ -59,56 +59,75 @@ let tmp_shapes t (arg_shapes : Shape.t array) : Shape.t array =
     t.groups;
   tmps
 
-let out_shapes t arg_shapes =
-  let tmps = tmp_shapes t arg_shapes in
-  Array.map (fun i -> tmps.(i)) t.out_tmps
+(** Everything one invocation of a kernel produces and costs that follows
+    from its argument shapes alone. The runtime shares one plan between
+    every DFG node with the same kernel and argument shapes, so the
+    instruction walk in {!plan} runs once per distinct shape vector, not
+    once per node. *)
+type plan = {
+  kernel : t;
+  arg_shapes : Shape.t array;
+  out_shapes : Shape.t array;
+  group_flops : float list;  (** Per-instance FLOPs of each group. *)
+  group_bytes : float list;
+      (** Per-instance {e internal} memory traffic (bytes) of each group:
+          every instruction output plus every cross-group temporary read.
+          Temporaries consumed within their own group stay in
+          registers/shared memory — this is the data-movement saving kernel
+          fusion buys. Reads of kernel {e arguments} are excluded here: the
+          executor attributes them per batch (once for shared weights, per
+          instance for batched inputs). *)
+  flops : float;  (** Sum of [group_flops]. *)
+  shared_elems : int;  (** Elements of the largest [Shared] argument. *)
+  signature : string;
+      (** ACROBAT's batching signature: kernel identity + argument shapes. *)
+}
 
-(** Per-instance FLOPs of each group. *)
-let group_flops t (arg_shapes : Shape.t array) : float list =
+(** Build the plan of [t] at [arg_shapes] in one pass over the
+    instructions. Raises {!Op.Shape_error} if the shapes do not fit. *)
+let plan t (arg_shapes : Shape.t array) : plan =
   let tmps = Array.make t.ntmps [] in
-  let shape_of = function Arg i -> arg_shapes.(i) | Tmp j -> tmps.(j) in
-  List.map
-    (fun g ->
-      List.fold_left
-        (fun acc i ->
-          let shapes = List.map shape_of i.srcs in
-          tmps.(i.dst) <- Op.out_shape i.op shapes;
-          acc +. Op.flops i.op shapes)
-        0.0 g.instrs)
-    t.groups
-
-(** Per-instance {e internal} memory traffic (bytes) of each group: every
-    instruction output plus every cross-group temporary read. Temporaries
-    consumed within their own group stay in registers/shared memory — this
-    is the data-movement saving kernel fusion buys. Reads of kernel
-    {e arguments} are excluded here: the executor attributes them per batch
-    (once for shared weights, per instance for batched inputs). *)
-let group_traffic t (arg_shapes : Shape.t array) : float list =
-  let tmps = Array.make t.ntmps [] in
-  let group_of_tmp = Hashtbl.create 16 in
-  List.iteri
-    (fun gi g -> List.iter (fun i -> Hashtbl.replace group_of_tmp i.dst gi) g.instrs)
-    t.groups;
+  let group_of_tmp = Array.make t.ntmps (-1) in
   let shape_of = function Arg i -> arg_shapes.(i) | Tmp j -> tmps.(j) in
   let bytes_per = 4.0 in
-  List.mapi
-    (fun gi g ->
-      List.fold_left
-        (fun acc i ->
-          let shapes = List.map shape_of i.srcs in
-          let out = Op.out_shape i.op shapes in
-          tmps.(i.dst) <- out;
-          let reads =
-            List.fold_left2
-              (fun acc src shape ->
-                match src with
-                | Arg _ -> acc
-                | Tmp j -> if Hashtbl.find group_of_tmp j <> gi then acc + Shape.numel shape else acc)
-              0 i.srcs shapes
-          in
-          acc +. (bytes_per *. float_of_int (reads + Shape.numel out)))
-        0.0 g.instrs)
-    t.groups
+  let costs =
+    List.mapi
+      (fun gi g ->
+        List.fold_left
+          (fun (flops, bytes) i ->
+            let shapes = List.map shape_of i.srcs in
+            let out = Op.out_shape i.op shapes in
+            tmps.(i.dst) <- out;
+            group_of_tmp.(i.dst) <- gi;
+            let reads =
+              List.fold_left2
+                (fun acc src shape ->
+                  match src with
+                  | Tmp j when group_of_tmp.(j) <> gi -> acc + Shape.numel shape
+                  | Arg _ | Tmp _ -> acc)
+                0 i.srcs shapes
+            in
+            ( flops +. Op.flops i.op shapes,
+              bytes +. (bytes_per *. float_of_int (reads + Shape.numel out)) ))
+          (0.0, 0.0) g.instrs)
+      t.groups
+  in
+  let group_flops = List.map fst costs in
+  let shared_elems = ref 0 in
+  Array.iteri
+    (fun i role ->
+      if role = Shared then shared_elems := max !shared_elems (Shape.numel arg_shapes.(i)))
+    t.roles;
+  {
+    kernel = t;
+    arg_shapes = Array.copy arg_shapes;
+    out_shapes = Array.map (fun i -> tmps.(i)) t.out_tmps;
+    group_flops;
+    group_bytes = List.map snd costs;
+    flops = List.fold_left ( +. ) 0.0 group_flops;
+    shared_elems = !shared_elems;
+    signature = Fmt.str "k%d|%a" t.id Fmt.(array ~sep:(any ";") Shape.pp) arg_shapes;
+  }
 
 (** Per group, the (deduplicated) kernel-argument indices it reads. *)
 let group_arg_reads t : int list list =
@@ -215,16 +234,24 @@ let horizontal_merge ~horizontal groups =
     merge groups
   end
 
-(* Structural key for deduplication. *)
+(* Structural key for deduplication. Constants are keyed on their exact
+   bits and shapes: [Op.name] rounds values to 6 significant digits, which
+   would merge kernels computing different results. *)
 let canonical_key ~roles ~shared_binds ~outs instrs =
   let src_str = function Arg i -> Fmt.str "a%d" i | Tmp j -> Fmt.str "t%d" j in
+  let bits = Int64.bits_of_float in
+  let op_str = function
+    | Op.Constant { shape; value } -> Fmt.str "const:%a:%Lx" Shape.pp shape (bits value)
+    | Op.Random { shape } -> Fmt.str "random:%a" Shape.pp shape
+    | op -> Op.name op
+  in
   let instr_str i =
-    Fmt.str "%s(%a)>%d" (Op.name i.op) Fmt.(list ~sep:(any ",") string)
+    Fmt.str "%s(%a)>%d" (op_str i.op) Fmt.(list ~sep:(any ",") string)
       (List.map src_str i.srcs) i.dst
   in
   let bind_str = function
     | i, Bparam p -> Fmt.str "%d=p:%s" i p
-    | i, Bconst { shape; value } -> Fmt.str "%d=c:%a:%g" i Shape.pp shape value
+    | i, Bconst { shape; value } -> Fmt.str "%d=c:%a:%Lx" i Shape.pp shape (bits value)
   in
   Fmt.str "%a|%a|%a|%a"
     Fmt.(list ~sep:(any ";") string)

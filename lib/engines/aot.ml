@@ -146,12 +146,12 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let c_f = compile st scope c and a_f = compile st scope a and b_f = compile st scope b in
     fun env ictx -> if to_bool (c_f env ictx) then a_f env ictx else b_f env ictx
   | L.Lblock (b, cont) ->
-    let arg_fs = List.map (compile st scope) b.args in
+    let arg_fs = Array.of_list (List.map (compile st scope) b.args) in
     let out_slots = List.map (fresh_slot scope) b.outs in
     let cont_f = compile st scope cont in
     let kernel = b.kernel in
     fun env ictx ->
-      let args = Array.of_list (List.map (fun f -> to_handle (f env ictx)) arg_fs) in
+      let args = Array.map (fun f -> to_handle (f env ictx)) arg_fs in
       let depth =
         match b.depth with
         | L.Static d -> d
@@ -160,9 +160,10 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           ictx.ictx_depth <- d + 1;
           d
       in
-      let sig_key = st.policy.Policy.sig_of kernel args in
+      let plan = Runtime.plan st.rt kernel args in
+      let sig_key = st.policy.Policy.sig_of ~base:plan.signature kernel args in
       let outs =
-        Runtime.invoke st.rt ~kernel ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
+        Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
           ~sig_key
       in
       if st.policy.Policy.eager then Runtime.flush st.rt;

@@ -9,7 +9,9 @@ open Acrobat_runtime
 open Acrobat_compiler
 
 type t = {
-  sig_of : Kernel.t -> Value.handle array -> string;
+  sig_of : base:string -> Kernel.t -> Value.handle array -> string;
+      (** A node's batching signature, given [base], ACROBAT's signature
+          of its plan (kernel identity + argument shapes). *)
   allow_fork : bool;  (** Fork fibers at [concurrent]/[map] (§4.2). *)
   eager : bool;  (** Flush after every node (no batching: PyTorch). *)
   batched_io : bool;  (** Batch host<->device transfers (§D.3). *)
@@ -21,12 +23,10 @@ type t = {
           (§C.1) matter. *)
 }
 
-let shapes_of args = Array.map Value.handle_shape args
-
 (** ACROBAT: kernel identity + shapes. All reuse knowledge is static. *)
 let acrobat_policy =
   {
-    sig_of = (fun kernel args -> Runtime.acrobat_sig kernel (shapes_of args));
+    sig_of = (fun ~base _ _ -> base);
     allow_fork = true;
     eager = false;
     batched_io = true;
@@ -38,11 +38,11 @@ let acrobat_policy =
    pointer check of DyNet's matmul heuristic. *)
 let arg_identity (h : Value.handle) =
   match h with
-  | Value.Hmat o -> Fmt.str "a%d" o.addr
+  | Value.Hmat o -> "a" ^ string_of_int o.addr
   | Value.Hnode (n, i) -> begin
     match n.outs with
-    | Some outs -> Fmt.str "a%d" outs.(i).addr
-    | None -> Fmt.str "n%d.%d" n.id i
+    | Some outs -> "a" ^ string_of_int outs.(i).addr
+    | None -> "n" ^ string_of_int n.id ^ "." ^ string_of_int i
   end
 
 (* How DyNet's vendor-library batching treats a (composite) kernel given
@@ -103,23 +103,23 @@ let classify_for_dynet ~improved_matmul (kernel : Kernel.t)
 let dynet_sig ?(improved_matmul = false) () =
   let unique = ref 0 in
   let classes : (string, dynet_class) Hashtbl.t = Hashtbl.create 64 in
-  fun (kernel : Kernel.t) (args : Value.handle array) ->
-    let shapes = shapes_of args in
-    let base = Runtime.acrobat_sig kernel shapes in
+  fun ~base (kernel : Kernel.t) (args : Value.handle array) ->
     let cls =
       match Hashtbl.find_opt classes base with
       | Some c -> c
       | None ->
-        let c = classify_for_dynet ~improved_matmul kernel shapes in
+        let c =
+          classify_for_dynet ~improved_matmul kernel (Array.map Value.handle_shape args)
+        in
         Hashtbl.replace classes base c;
         c
     in
     match cls with
     | Dplain -> base
-    | Dmatmul_key j -> Fmt.str "%s|wt=%s" base (arg_identity args.(j))
+    | Dmatmul_key j -> base ^ "|wt=" ^ arg_identity args.(j)
     | Dunbatchable ->
       incr unique;
-      Fmt.str "%s|u%d" base !unique
+      base ^ "|u" ^ string_of_int !unique
 
 (** DyNet baseline. [improved] applies the paper's §E.4 fixes (DN++):
     a relaxed matmul heuristic, and manually exposed instance
@@ -136,7 +136,7 @@ let dynet_policy ?(improved = false) () =
 (** PyTorch-like eager execution: one kernel per op, no batching at all. *)
 let pytorch_policy =
   {
-    sig_of = (fun kernel args -> Runtime.acrobat_sig kernel (shapes_of args));
+    sig_of = (fun ~base _ _ -> base);
     allow_fork = false;
     eager = true;
     batched_io = false;

@@ -105,10 +105,11 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
         ictx.ictx_depth <- d + 1;
         d
     in
-    let sig_key = st.policy.Policy.sig_of b.kernel args in
+    let plan = Runtime.plan st.rt b.kernel args in
+    let sig_key = st.policy.Policy.sig_of ~base:plan.signature b.kernel args in
     let outs =
-      Runtime.invoke st.rt ~kernel:b.kernel ~args ~instance:ictx.ictx_instance
-        ~phase:ictx.ictx_phase ~depth ~sig_key
+      Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
+        ~sig_key
     in
     if st.policy.Policy.eager then Runtime.flush st.rt;
     let env' =

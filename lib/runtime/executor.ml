@@ -34,21 +34,21 @@ let arg_out nd pos =
     let dep =
       match nd.args.(pos) with
       | Hnode (m, _) ->
-        Fmt.str "dep node %d kernel %s phase %d depth %d" m.id m.kernel.Kernel.name m.phase
+        Fmt.str "dep node %d kernel %s phase %d depth %d" m.id m.plan.kernel.Kernel.name m.phase
           m.depth
       | Hmat _ -> "materialized?"
     in
     fail
       "kernel %s: argument %d of node %d (phase %d depth %d) not materialized (scheduling \
        bug; %s)"
-      nd.kernel.Kernel.name pos nd.id nd.phase nd.depth dep
+      nd.plan.kernel.Kernel.name pos nd.id nd.phase nd.depth dep
 
 (** Execute one batch (same signature, same kernel). *)
 let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
     (batch : node list) : unit =
   let nodes = Array.of_list batch in
   let n0 = nodes.(0) in
-  let kernel = n0.kernel in
+  let kernel = n0.plan.kernel in
   let scattered = ref false in
   let arg_shared = Array.make kernel.Kernel.nargs false in
   (* Per-argument gather handling. *)
@@ -80,8 +80,8 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
      launches produced contiguously. *)
   let batch_group_flops =
     Array.fold_left
-      (fun acc nd -> List.map2 ( +. ) acc nd.group_flops)
-      (List.map (fun _ -> 0.0) n0.group_flops)
+      (fun acc nd -> List.map2 ( +. ) acc nd.plan.group_flops)
+      (List.map (fun _ -> 0.0) n0.plan.group_flops)
       nodes
   in
   (* Internal traffic sums per instance; argument reads count once per
@@ -94,8 +94,8 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   in
   let batch_group_bytes =
     Array.fold_left
-      (fun acc nd -> List.map2 ( +. ) acc nd.group_bytes)
-      (List.map (fun _ -> 0.0) n0.group_bytes)
+      (fun acc nd -> List.map2 ( +. ) acc nd.plan.group_bytes)
+      (List.map (fun _ -> 0.0) n0.plan.group_bytes)
       nodes
     |> List.map2
          (fun reads internal ->
@@ -118,13 +118,13 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   let node_outs = Array.map (fun _nd -> Array.make out_arity None) nodes in
   for slot = 0 to out_arity - 1 do
     let total =
-      Array.fold_left (fun acc (nd : node) -> acc + Shape.numel nd.out_shapes.(slot)) 0 nodes
+      Array.fold_left (fun acc (nd : node) -> acc + Shape.numel nd.plan.out_shapes.(slot)) 0 nodes
     in
     let base = Device.alloc device ~elems:total in
     let cursor = ref base in
     Array.iteri
       (fun i (nd : node) ->
-        let shape = nd.out_shapes.(slot) in
+        let shape = nd.plan.out_shapes.(slot) in
         node_outs.(i).(slot) <- Some { tensor = None; addr = !cursor; shape };
         cursor := !cursor + Shape.numel shape)
       nodes
@@ -153,10 +153,10 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
               | Some t -> t
               | None ->
                 fail "kernel %s: value computation requested but argument %d has no value"
-                  nd.kernel.Kernel.name pos)
+                  nd.plan.kernel.Kernel.name pos)
             nd.args
         in
-        let results = Kernel.execute ~rand:(rand_for nd.instance) nd.kernel args in
+        let results = Kernel.execute ~rand:(rand_for nd.instance) nd.plan.kernel args in
         let results = if corrupting then Array.map perturb results else results in
         Array.iteri
           (fun slot t ->

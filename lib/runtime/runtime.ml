@@ -15,7 +15,11 @@ type t = {
   mutable pending : node list;  (** Reversed insertion order. *)
   mutable next_id : int;
   weights : (string, handle) Hashtbl.t;
-  consts : (string, handle) Hashtbl.t;
+  consts : (Shape.t * int64, handle) Hashtbl.t;
+      (** Keyed on the exact bits of the value. *)
+  plans : (int, Kernel.plan list) Hashtbl.t;
+      (** kernel id -> the plans built for it, one per argument-shape
+          vector seen. *)
   mutable rngs : Rng.t array;  (** Per-instance decision streams (§E.1). *)
   profile : (int, int ref * float ref * int ref) Hashtbl.t;
       (** kernel id -> (invocations, total flops, max shared-arg elems):
@@ -32,6 +36,7 @@ let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
     next_id = 0;
     weights = Hashtbl.create 16;
     consts = Hashtbl.create 16;
+    plans = Hashtbl.create 32;
     rngs = Array.init instances (fun i -> Rng.create ((seed * 1_000_003) + i));
     profile = Hashtbl.create 32;
     flushes = 0;
@@ -68,7 +73,7 @@ let weight t name =
 
 (** Reusable constant tensors are materialized once (§E.4). *)
 let const_handle t ~shape ~value =
-  let key = Fmt.str "%a=%g" Shape.pp shape value in
+  let key = shape, Int64.bits_of_float value in
   match Hashtbl.find_opt t.consts key with
   | Some h -> h
   | None ->
@@ -109,55 +114,53 @@ let download t ~batched (hs : handle list) =
 
 (* --- DFG construction --- *)
 
-(** Standard batching signature: kernel identity + argument shapes. *)
-let acrobat_sig (kernel : Kernel.t) (arg_shapes : Shape.t array) =
-  Fmt.str "k%d|%a" kernel.id Fmt.(array ~sep:(any ";") Shape.pp) arg_shapes
+(* [find_plan] allocates nothing on a hit: it runs once per DFG node. *)
+let rec fits (shapes : Shape.t array) (args : handle array) i =
+  i = Array.length args
+  || (Shape.equal shapes.(i) (handle_shape args.(i)) && fits shapes args (i + 1))
 
-(** Append one DFG node; returns handles on its outputs. *)
-let invoke t ~(kernel : Kernel.t) ~(args : handle array) ~instance ~phase ~depth
+let rec find_plan kernel args = function
+  | [] -> raise Not_found
+  | (p : Kernel.plan) :: rest ->
+    if
+      p.kernel == kernel
+      && Array.length p.arg_shapes = Array.length args
+      && fits p.arg_shapes args 0
+    then p
+    else find_plan kernel args rest
+
+(** The plan of [kernel] at the shapes of [args]: built on first use,
+    then shared by every node with the same kernel and argument shapes.
+    A shape error propagates and is never cached. *)
+let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
+  let known = try Hashtbl.find t.plans kernel.id with Not_found -> [] in
+  try find_plan kernel args known
+  with Not_found ->
+    let p = Kernel.plan kernel (Array.map handle_shape args) in
+    Hashtbl.replace t.plans kernel.id (p :: known);
+    p
+
+(** Append one DFG node; returns handles on its outputs. [plan] must be
+    [plan t kernel args]. *)
+let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
     ~(sig_key : string) : handle array =
   Device.charge_dfg_node t.device;
-  let arg_shapes = Array.map handle_shape args in
-  let out_shapes = Kernel.out_shapes kernel arg_shapes in
-  let group_flops = Kernel.group_flops kernel arg_shapes in
-  let group_bytes = Kernel.group_traffic kernel arg_shapes in
   let node =
-    {
-      id = t.next_id;
-      kernel;
-      args;
-      phase;
-      depth;
-      instance;
-      group_flops;
-      group_bytes;
-      sig_key;
-      seq = t.next_id;
-      out_shapes;
-      outs = None;
-    }
+    { id = t.next_id; plan; args; phase; depth; instance; sig_key; seq = t.next_id; outs = None }
   in
   t.next_id <- t.next_id + 1;
   t.pending <- node :: t.pending;
   (match t.scheduler with
   | Config.Inline_depth -> Device.charge_bucket_push t.device
   | Config.Runtime_depth | Config.Agenda -> ());
-  let shared_elems =
-    Array.to_list (Array.mapi (fun i role -> role, arg_shapes.(i)) kernel.roles)
-    |> List.fold_left
-         (fun acc (role, shape) ->
-           if role = Kernel.Shared then max acc (Shape.numel shape) else acc)
-         0
-  in
-  (match Hashtbl.find_opt t.profile kernel.id with
-  | Some (count, fl, se) ->
+  (match Hashtbl.find t.profile plan.kernel.id with
+  | count, fl, se ->
     incr count;
-    fl := !fl +. List.fold_left ( +. ) 0.0 group_flops;
-    se := max !se shared_elems
-  | None ->
-    Hashtbl.replace t.profile kernel.id
-      (ref 1, ref (List.fold_left ( +. ) 0.0 group_flops), ref shared_elems));
-  Array.mapi (fun i _ -> Hnode (node, i)) out_shapes
+    fl := !fl +. plan.flops;
+    se := max !se plan.shared_elems
+  | exception Not_found ->
+    Hashtbl.replace t.profile plan.kernel.id (ref 1, ref plan.flops, ref plan.shared_elems));
+  Array.init (Array.length plan.out_shapes) (fun i -> Hnode (node, i))
 
 (** Schedule and execute everything pending. *)
 let flush t =

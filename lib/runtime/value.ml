@@ -27,19 +27,19 @@ let out_elems o = Shape.numel o.shape
 
 type node = {
   id : int;
-  kernel : Kernel.t;
+  plan : Kernel.plan;
+      (** The kernel with its output shapes and per-group costs at this
+          node's argument shapes; shared by every node with the same
+          kernel and argument shapes. *)
   args : handle array;  (** All kernel arguments, shared ones included. *)
   phase : int;
   depth : int;
   instance : int;
-  group_flops : float list;  (** Per-launch-group FLOPs for this node. *)
-  group_bytes : float list;  (** Per-launch-group memory traffic (bytes). *)
   sig_key : string;
       (** Batching signature: nodes batch together only when equal. Engines
           control its contents (ACROBAT: kernel id + shapes; DyNet adds its
           heuristics' constraints). *)
   seq : int;  (** Insertion order (a valid dependency order, obs. O.1). *)
-  out_shapes : Shape.t array;
   mutable outs : out array option;  (** Set once the node has executed. *)
 }
 
@@ -49,7 +49,7 @@ and handle =
 
 let node_executed n = n.outs <> None
 
-let handle_shape = function Hmat o -> o.shape | Hnode (n, i) -> n.out_shapes.(i)
+let handle_shape = function Hmat o -> o.shape | Hnode (n, i) -> n.plan.out_shapes.(i)
 
 (** The materialized output behind a handle, if executed. *)
 let handle_out = function

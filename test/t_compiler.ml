@@ -341,6 +341,31 @@ let test_kernel_dedup () =
   in
   check_true "few distinct kernels" (List.length ids <= 4)
 
+(* Structural dedup keys constants on their exact bits and the shapes of
+   constant and random tensors. *)
+let test_kernel_dedup_exact_constants () =
+  let reg = Kernel.registry () in
+  let source op =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b op [] in
+    Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
+      ~fusion:true ~horizontal:false
+  in
+  let const shape value = source (Op.Constant { shape; value }) in
+  let bound value =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
+    Kernel.finish reg b ~name:"bias" ~nargs:2 ~roles:[| Kernel.Batched; Kernel.Shared |]
+      ~shared_binds:[ 1, Kernel.Bconst { shape = [ 1; 4 ]; value } ]
+      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  check_true "equal constants dedup" (const [ 1; 4 ] 1.0 == const [ 1; 4 ] 1.0);
+  check_true "close constant values" (const [ 1; 4 ] 1.0000001 != const [ 1; 4 ] 1.0000003);
+  check_true "constant shapes" (const [ 1; 4 ] 3.0 != const [ 2; 4 ] 3.0);
+  check_true "close bound constants" (bound 1.0000001 != bound 1.0000003);
+  check_true "random shapes"
+    (source (Op.Random { shape = [ 1; 4 ] }) != source (Op.Random { shape = [ 2; 4 ] }))
+
 let test_kernel_execute_matches_ops () =
   (* Build a fused kernel x @ w + b |> sigmoid by hand and compare with
      direct evaluation. *)
@@ -362,7 +387,7 @@ let test_kernel_execute_matches_ops () =
   let got = (Kernel.execute k [| x; w; bias |]).(0) in
   check_tensor "kernel body = ops composition" expected got;
   Alcotest.(check (list int)) "out shape" [ 1; 4 ]
-    (Kernel.out_shapes k [| [ 1; 4 ]; [ 4; 4 ]; [ 1; 4 ] |]).(0);
+    (Kernel.plan k [| [ 1; 4 ]; [ 4; 4 ]; [ 1; 4 ] |]).out_shapes.(0);
   check_int "fused into one launch" 1 (Kernel.launches k)
 
 let test_kernel_flops_positive () =
@@ -432,6 +457,8 @@ let suite =
     Alcotest.test_case "fusion: horizontal" `Quick test_horizontal_fusion_merges_gates;
     Alcotest.test_case "fusion: dependency order" `Quick test_fusion_groups_respect_dependencies;
     Alcotest.test_case "kernel: dedup" `Quick test_kernel_dedup;
+    Alcotest.test_case "kernel: dedup keys constants exactly" `Quick
+      test_kernel_dedup_exact_constants;
     Alcotest.test_case "kernel: execute semantics" `Quick test_kernel_execute_matches_ops;
     Alcotest.test_case "kernel: registry walk" `Quick test_kernel_flops_positive;
     Alcotest.test_case "autosched: monotone" `Quick test_autosched_monotone_in_iters;

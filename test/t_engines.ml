@@ -115,6 +115,104 @@ let test_fingerprints_cross_engine id () =
   Alcotest.check int64s "pytorch = acrobat" reference
     (run_fps ~framework:Frameworks.Pytorch id)
 
+(* Constant tensors and kernels are keyed on a constant's exact bits and
+   on the shapes of constant and random tensors, so none of these programs
+   shares one tensor or kernel between [%a] and [%b]. *)
+let test_constant_keys_exact () =
+  let run_src framework src =
+    let compiled = compile ~framework ~inputs:[] src in
+    run ~compute_values:true compiled ~weights:[] ~instances:[ [] ] ()
+  in
+  let frameworks = [ acrobat_kind; Frameworks.Pytorch; dynet_kind ] in
+  let close =
+    {|
+def @main() -> Tensor[(1, 4)] {
+  let %a = const((1, 4), 1.0000001);
+  let %b = const((1, 4), 1.0000003);
+  (%a - %b) * const((1, 4), 10000000.0)
+}
+|}
+  in
+  let reference = run_src acrobat_kind close in
+  Alcotest.(check (list (float 1e-6))) "(a - b) * 1e7" [ -2.0; -2.0; -2.0; -2.0 ]
+    (output_values reference);
+  List.iter
+    (fun framework ->
+      Alcotest.check int64s (Frameworks.name framework ^ " = acrobat")
+        (Array.to_list (Driver.fingerprints reference))
+        (Array.to_list (Driver.fingerprints (run_src framework close))))
+    frameworks;
+  let shaped (name, tensor) =
+    ( name,
+      Fmt.str
+        {|
+def @main() -> Tensor[(1, 4)] {
+  let %%a = %s;
+  let %%s = sigmoid(%%a);
+  let %%b = %s;
+  %%b
+}
+|}
+        (tensor "(2, 4)") (tensor "(1, 4)") )
+  in
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun framework ->
+          let r = run_src framework src in
+          Alcotest.(check (list (list int)))
+            (Fmt.str "%s under %s: (1, 4)" name (Frameworks.name framework))
+            [ [ 1; 4 ] ]
+            (List.map Value.handle_shape (List.concat_map (Value.handles []) r.Driver.outputs)))
+        frameworks)
+    (List.map shaped
+       [ "const", (fun s -> "const(" ^ s ^ ", 3.0)"); "random", (fun s -> "random(" ^ s ^ ")") ])
+
+(* The DyNet signature builds on the plan's base string; its extensions
+   are pinned so batching decisions never drift. *)
+let test_dynet_signatures_pinned () =
+  let reg = Kernel.registry () in
+  let kernel name op =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b op [ Kernel.Arg 0; Kernel.Arg 1 ] in
+    Kernel.finish reg b ~name ~nargs:2 ~roles:[| Kernel.Batched; Kernel.Batched |]
+      ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  let add = kernel "add" Ir.Op.Add and matmul = kernel "matmul" Ir.Op.Matmul in
+  let mat addr shape = Value.Hmat { tensor = None; addr; shape } in
+  let signature k args = (Kernel.plan k (Array.map Value.handle_shape args)).signature in
+  let sig_of = Policy.dynet_sig () in
+  let dynet k args = sig_of ~base:(signature k args) k args in
+  let row = [| mat 0 [ 1; 4 ]; mat 8 [ 1; 4 ] |] in
+  Alcotest.(check string) "plain" "k0|(1, 4);(1, 4)" (dynet add row);
+  Alcotest.(check string) "matmul keyed on the weight's address" "k1|(1, 4);(4, 4)|wt=a42"
+    (dynet matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |]);
+  let device = Device.create () in
+  let policy =
+    { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
+      compute_values = false; detect_dynamic_sharing = true }
+  in
+  let rt =
+    Acrobat_runtime.Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1
+  in
+  let plan = Acrobat_runtime.Runtime.plan rt add row in
+  let pending =
+    Acrobat_runtime.Runtime.invoke rt ~plan ~args:row ~instance:0 ~phase:0 ~depth:0
+      ~sig_key:plan.signature
+  in
+  Alcotest.(check string) "matmul keyed on a pending node's slot" "k1|(1, 1);(1, 4)|wt=n0.0"
+    (dynet matmul [| mat 0 [ 1; 1 ]; pending.(0) |]);
+  let argmax =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b Ir.Op.Argmax [ Kernel.Arg 0 ] in
+    Kernel.finish reg b ~name:"argmax" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  let x = [| mat 0 [ 1; 4 ] |] in
+  Alcotest.(check (list string)) "unbatchable ops get unique signatures"
+    [ "k2|(1, 4)|u1"; "k2|(1, 4)|u2" ]
+    (List.map (fun _ -> dynet argmax x) [ 1; 2 ])
+
 let test_fingerprint_batch_invariant () =
   (* Batched and unbatched execution of the same request digest the same
      fingerprint when decision streams are keyed by stable request ids —
@@ -237,6 +335,8 @@ let suite =
       Alcotest.test_case "determinism" `Quick test_run_deterministic;
       Alcotest.test_case "fingerprint batch invariance" `Quick
         test_fingerprint_batch_invariant;
+      Alcotest.test_case "constant keys are exact" `Quick test_constant_keys_exact;
+      Alcotest.test_case "dynet signatures pinned" `Quick test_dynet_signatures_pinned;
       Alcotest.test_case "ablations preserve semantics" `Quick test_ablation_preserves_semantics;
       Alcotest.test_case "acrobat batches better" `Quick test_acrobat_batches_better;
       Alcotest.test_case "dynet mvrnn heuristic" `Quick test_dynet_mvrnn_unbatched_matmuls;

@@ -102,10 +102,12 @@ let test_executor_reports_dependency_violation () =
   in
   (* Producer recorded at depth 5, consumer at depth 0: inverted. *)
   let producer =
-    Runtime.invoke rt ~kernel:src_k ~args:[||] ~instance:0 ~phase:0 ~depth:5 ~sig_key:"s"
+    Runtime.invoke rt ~plan:(Runtime.plan rt src_k [||]) ~args:[||] ~instance:0 ~phase:0
+      ~depth:5 ~sig_key:"s"
   in
+  let args = [| producer.(0) |] in
   let _ =
-    Runtime.invoke rt ~kernel:sig_k ~args:[| producer.(0) |] ~instance:0 ~phase:0 ~depth:0
+    Runtime.invoke rt ~plan:(Runtime.plan rt sig_k args) ~args ~instance:0 ~phase:0 ~depth:0
       ~sig_key:"c"
   in
   expect_runtime_error "not materialized" (fun () -> Runtime.flush rt)

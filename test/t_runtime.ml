@@ -87,6 +87,9 @@ let test_fiber_deadlock_detection () =
 
 let reg = Kernel.registry ()
 
+(* Append a node the way the engines do: look up the plan, then invoke. *)
+let invoke rt ~kernel ~args = Runtime.invoke rt ~plan:(Runtime.plan rt kernel args) ~args
+
 let unit_kernel =
   let b = Kernel.builder () in
   let t = Kernel.add_instr b Op.Sigmoid [ Kernel.Arg 0 ] in
@@ -117,11 +120,11 @@ let build_random_dfg ~scheduler ~seed n =
   for i = 0 to n - 1 do
     let outs =
       if !handles = [] || Rng.bool rng then
-        Runtime.invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:0
+        invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:0
           ~sig_key:"src"
       else begin
         let prev = List.nth !handles (Rng.int rng (List.length !handles)) in
-        Runtime.invoke rt ~kernel:unit_kernel ~args:[| prev |] ~instance:0 ~phase:0
+        invoke rt ~kernel:unit_kernel ~args:[| prev |] ~instance:0 ~phase:0
           ~depth:(i + 1) ~sig_key:"sig"
       end
     in
@@ -149,7 +152,7 @@ let test_inline_depth_batches_by_depth () =
   (* 4 instances x same kernel at same depth -> one batch. *)
   for i = 0 to 3 do
     ignore
-      (Runtime.invoke rt ~kernel:source_kernel ~args:[||] ~instance:i ~phase:0 ~depth:0
+      (invoke rt ~kernel:source_kernel ~args:[||] ~instance:i ~phase:0 ~depth:0
          ~sig_key:"src")
   done;
   Runtime.flush rt;
@@ -167,11 +170,11 @@ let test_phase_ordering () =
   in
   let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:1 in
   let a =
-    Runtime.invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:9
+    invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:9
       ~sig_key:"src"
   in
   let b =
-    Runtime.invoke rt ~kernel:unit_kernel ~args:[| a.(0) |] ~instance:0 ~phase:1 ~depth:0
+    invoke rt ~kernel:unit_kernel ~args:[| a.(0) |] ~instance:0 ~phase:1 ~depth:0
       ~sig_key:"sig"
   in
   Runtime.flush rt;
@@ -189,11 +192,17 @@ let test_executor_gathers_on_scattered () =
     let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:2 in
     (* Three producer batches allocate three consecutive slabs; consuming
        slabs 0 and 2 leaves a hole, so the inputs are scattered. *)
-    let a = Runtime.invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:0 ~sig_key:"s0" in
-    let _skip = Runtime.invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:1 ~sig_key:"s1" in
-    let b = Runtime.invoke rt ~kernel:source_kernel ~args:[||] ~instance:1 ~phase:0 ~depth:2 ~sig_key:"s2" in
-    let _ = Runtime.invoke rt ~kernel:unit_kernel ~args:[| a.(0) |] ~instance:0 ~phase:0 ~depth:3 ~sig_key:"c" in
-    let _ = Runtime.invoke rt ~kernel:unit_kernel ~args:[| b.(0) |] ~instance:1 ~phase:0 ~depth:3 ~sig_key:"c" in
+    let src ~instance ~depth sig_key =
+      (invoke rt ~kernel:source_kernel ~args:[||] ~instance ~phase:0 ~depth ~sig_key).(0)
+    in
+    let a = src ~instance:0 ~depth:0 "s0" in
+    let _skip = src ~instance:0 ~depth:1 "s1" in
+    let b = src ~instance:1 ~depth:2 "s2" in
+    let consume ~instance h =
+      ignore (invoke rt ~kernel:unit_kernel ~args:[| h |] ~instance ~phase:0 ~depth:3 ~sig_key:"c")
+    in
+    consume ~instance:0 a;
+    consume ~instance:1 b;
     Runtime.flush rt;
     Device.profiler device
   in
@@ -250,6 +259,139 @@ let test_upload_accounting () =
   check_int "one transfer when batched" 1 (Device.profiler device).Profiler.memcpy_calls;
   ignore (Runtime.upload_inputs rt ~batched:false tensors);
   check_int "per-tensor otherwise" 11 (Device.profiler device).Profiler.memcpy_calls
+
+(* --- Node plans --- *)
+
+(* Reference for [Kernel.plan]'s single pass: output shapes, per-group
+   FLOPs and per-group internal traffic, each from its own walk over the
+   instructions, summed in the same order. *)
+let reference_plan (k : Kernel.t) (arg_shapes : Shape.t array) =
+  let tmps = Kernel.tmp_shapes k arg_shapes in
+  let shape_of = function Kernel.Arg i -> arg_shapes.(i) | Kernel.Tmp j -> tmps.(j) in
+  let group_of = Hashtbl.create 16 in
+  List.iteri
+    (fun gi (g : Kernel.group) ->
+      List.iter (fun (i : Kernel.instr) -> Hashtbl.replace group_of i.dst gi) g.instrs)
+    k.groups;
+  let per_group f =
+    List.mapi
+      (fun gi (g : Kernel.group) -> List.fold_left (fun acc i -> acc +. f gi i) 0.0 g.instrs)
+      k.groups
+  in
+  let flops = per_group (fun _ (i : Kernel.instr) -> Op.flops i.op (List.map shape_of i.srcs)) in
+  let bytes =
+    per_group (fun gi (i : Kernel.instr) ->
+        let reads =
+          List.fold_left
+            (fun acc src ->
+              match src with
+              | Kernel.Tmp j when Hashtbl.find group_of j <> gi -> acc + Shape.numel tmps.(j)
+              | Kernel.Arg _ | Kernel.Tmp _ -> acc)
+            0 i.srcs
+        in
+        4.0 *. float_of_int (reads + Shape.numel tmps.(i.dst)))
+  in
+  Array.map (fun i -> tmps.(i)) k.out_tmps, flops, bytes
+
+(* Every node a catalog model's batch builds is reachable from the
+   arguments of a later node or from the outputs — except nodes read only
+   as scalars, which a tensor-dependent decision consumes. *)
+let test_plans_match_fresh_computation () =
+  List.iter
+    (fun id ->
+      let model = Models.tiny id in
+      let compiled = compile ~inputs:model.Model.inputs model.Model.source in
+      let seen = Hashtbl.create 256 in
+      let rec visit = function
+        | Value.Hnode (n, _) when not (Hashtbl.mem seen n.Value.id) ->
+          Hashtbl.replace seen n.Value.id n;
+          Array.iter visit n.Value.args
+        | Value.Hnode _ | Value.Hmat _ -> ()
+      in
+      let policy =
+        {
+          Policy.acrobat_policy with
+          sig_of =
+            (fun ~base k args ->
+              Array.iter visit args;
+              Policy.acrobat_policy.sig_of ~base k args);
+        }
+      in
+      let r =
+        Driver.run_batch ~mode:Driver.Aot_mode ~policy ~quality:compiled.quality
+          ~lprog:compiled.lprog ~weights:(model.Model.gen_weights 1)
+          ~instances:(gen_batch model ~batch:4 ~seed:3) ()
+      in
+      List.iter (fun v -> List.iter visit (Value.handles [] v)) r.Driver.outputs;
+      check_true (id ^ ": nodes seen") (Hashtbl.length seen > 0);
+      Hashtbl.iter
+        (fun _ (n : Value.node) ->
+          let shapes = Array.map Value.handle_shape n.args in
+          let fresh = Kernel.plan n.plan.kernel shapes in
+          let outs, flops, bytes = reference_plan n.plan.kernel shapes in
+          let what = Fmt.str "%s node %d" id n.id in
+          let same field planned fresh reference =
+            check_true (what ^ ": " ^ field) (planned = fresh && fresh = reference)
+          in
+          same "out_shapes" n.plan.out_shapes fresh.out_shapes outs;
+          same "group_flops" n.plan.group_flops fresh.group_flops flops;
+          same "group_bytes" n.plan.group_bytes fresh.group_bytes bytes;
+          check_true (what ^ ": flops") (n.plan.flops = List.fold_left ( +. ) 0.0 flops);
+          Alcotest.(check string) (what ^ ": sig_key") fresh.signature n.sig_key)
+        seen)
+    Models.tiny_ids
+
+let accounting_runtime ~instances =
+  let policy =
+    { Executor.gather_fusion = true; quality = (fun _ -> 0.8); compute_values = false;
+      detect_dynamic_sharing = false }
+  in
+  Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth ~policy ~seed:1
+    ~instances
+
+let input shape = Value.Hmat { tensor = None; addr = 0; shape }
+
+let test_plans_per_shape () =
+  let rt = accounting_runtime ~instances:2 in
+  let narrow = [| input [ 1; 2 ] |] and wide = [| input [ 1; 3 ] |] in
+  let p_narrow = Runtime.plan rt unit_kernel narrow and p_wide = Runtime.plan rt unit_kernel wide in
+  check_true "one plan per shape" (p_narrow != p_wide);
+  check_true "plans are shared" (Runtime.plan rt unit_kernel [| input [ 1; 2 ] |] == p_narrow);
+  check_true "distinct signatures" (p_narrow.signature <> p_wide.signature);
+  let outs =
+    List.concat_map
+      (fun instance ->
+        List.map
+          (fun (plan, args) ->
+            (Runtime.invoke rt ~plan ~args ~instance ~phase:0 ~depth:0 ~sig_key:plan.signature).(0))
+          [ p_narrow, narrow; p_wide, wide ])
+      [ 0; 1 ]
+  in
+  Runtime.flush rt;
+  check_int "one batch per shape" 2 (Runtime.profiler rt).Profiler.batches_executed;
+  Alcotest.(check (list (list int))) "output shapes follow the plan"
+    [ [ 1; 2 ]; [ 1; 3 ]; [ 1; 2 ]; [ 1; 3 ] ]
+    (List.map Value.handle_shape outs)
+
+let test_plan_shape_error_every_time () =
+  let rt = accounting_runtime ~instances:1 in
+  let slice =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b (Op.Slice { lo = 0; hi = 4 }) [ Kernel.Arg 0 ] in
+    Kernel.finish reg b ~name:"slice" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  let slice_of shape =
+    invoke rt ~kernel:slice ~args:[| input shape |] ~instance:0 ~phase:0 ~depth:0 ~sig_key:"s"
+  in
+  for attempt = 1 to 3 do
+    match slice_of [ 1; 2 ] with
+    | _ -> Alcotest.failf "attempt %d: expected a shape error" attempt
+    | exception Op.Shape_error _ -> ()
+  done;
+  check_true "nothing appended" (not (Runtime.has_pending rt));
+  let outs = slice_of [ 1; 8 ] in
+  Alcotest.(check (list int)) "a fitting shape still plans" [ 1; 4 ] (Value.handle_shape outs.(0))
 
 (* --- Result fingerprints (the integrity layer's detector) --- *)
 
@@ -311,6 +453,12 @@ let suite =
     Alcotest.test_case "runtime: constant memoization" `Quick test_runtime_constants_memoized;
     Alcotest.test_case "runtime: decision determinism" `Quick test_runtime_decisions_deterministic;
     Alcotest.test_case "runtime: upload accounting" `Quick test_upload_accounting;
+    Alcotest.test_case "plans: match a fresh computation on every catalog model" `Quick
+      test_plans_match_fresh_computation;
+    Alcotest.test_case "plans: one per argument shape, never batched together" `Quick
+      test_plans_per_shape;
+    Alcotest.test_case "plans: shape errors raise on every invoke" `Quick
+      test_plan_shape_error_every_time;
     prop_fingerprint_detects_perturbation;
     prop_fingerprint_shape_sensitive;
     prop_fingerprint_component_order_invariant;
