@@ -39,7 +39,11 @@ test:
 # additionally requires the regenerated BENCH_cluster.json and
 # BENCH_tenants.json to be byte-identical to the committed pre-refactor
 # outputs (git diff --exit-code), proving the heap rewrite changed
-# nothing but speed on legacy-sized configs. The network smoke routes a
+# nothing but speed on legacy-sized configs. The same gate holds the
+# committed BENCH_overload.json, BENCH_integrity.json and
+# BENCH_partition.json, which pin the single server's fault and
+# resilience path, the replica's audit and quarantine path and the
+# cluster's net path through the shared batch-recovery loop. The network smoke routes a
 # 3-replica round-robin cluster through the lossy virtual transport with a
 # mid-run partition of one replica — exactly-once dedup, timeout-driven
 # link-down failover and the forced heal probe all on the hot path, gated
@@ -93,6 +97,7 @@ check: build test
 	dune exec bench/main.exe -- partition --json BENCH_partition.json
 	dune exec bench/main.exe -- partition --json BENCH_partition_rerun.json
 	cmp BENCH_partition.json BENCH_partition_rerun.json
+	git diff --exit-code -- BENCH_overload.json BENCH_integrity.json BENCH_partition.json
 	$(MAKE) chaos-smoke
 	$(MAKE) alloc-gate
 	dune exec bench/main.exe -- chaos --json BENCH_chaos.json

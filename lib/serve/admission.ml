@@ -195,6 +195,11 @@ let oldest_arrival_us t =
       surface ()
     end
 
+(** Age of the oldest queued request at [now_us] (0 when empty): the
+    queue-delay signal the limiter, brownout and autoscaler key on. *)
+let queue_delay_us t ~now_us =
+  match oldest_arrival_us t with Some t0 -> now_us -. t0 | None -> 0.0
+
 let expired_at ~now_us (r : 'a request) =
   match r.rq_deadline_us with Some d -> now_us > d | None -> false
 

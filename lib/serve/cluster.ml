@@ -745,9 +745,9 @@ let on_poisoned st ~replica:_ (r : 'a Admission.request) =
   if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
   else copy_lost st ent ~terminal:`Poisoned
 
-let on_down st ~replica (requeue : 'a Admission.request list) =
-  ignore replica;
-  st.stats.Stats.failovers <- st.stats.Stats.failovers + 1;
+(* A failed-over or quarantined replica hands its queued and in-flight
+   copies back: budgeted re-dispatch, parked when nowhere is healthy. *)
+let requeue st ~replica (rs : 'a Admission.request list) =
   List.iter
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
@@ -762,35 +762,18 @@ let on_down st ~replica (requeue : 'a Admission.request list) =
             ~tid:(Server.req_tid r.Admission.rq_id)
             ~ts_us:(Event_loop.now st.loop)
             ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int replica ];
-          (* The down replica is no longer Up, so [dispatch] naturally
-             routes elsewhere (or parks the request when nowhere is). *)
+          (* The replica is no longer Up, so [dispatch] naturally routes
+             elsewhere (or parks the request when nowhere is). *)
           dispatch st r
         end
       end)
-    requeue
+    rs
 
-(* Quarantine drain: the same requeue discipline as failover (budgeted
-   re-dispatch, parked when nowhere is healthy), but the transition itself
-   is counted by the replica's integrity scoreboard, not as a failover. *)
-let on_quarantined st ~replica (requeue : 'a Admission.request list) =
-  List.iter
-    (fun (r : 'a Admission.request) ->
-      let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then copy_cancelled st ent
-      else begin
-        ent.ent_requeues <- ent.ent_requeues + 1;
-        if ent.ent_requeues > st.cfg.c_requeue_budget then
-          copy_lost st ent ~terminal:`Budget
-        else begin
-          st.stats.Stats.requeued <- st.stats.Stats.requeued + 1;
-          Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
-            ~tid:(Server.req_tid r.Admission.rq_id)
-            ~ts_us:(Event_loop.now st.loop)
-            ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int replica ];
-          dispatch st r
-        end
-      end)
-    requeue
+(* Only a failover counts here; a quarantine is counted by the replica's
+   integrity scoreboard. *)
+let on_down st ~replica rs =
+  st.stats.Stats.failovers <- st.stats.Stats.failovers + 1;
+  requeue st ~replica rs
 
 let on_probe_ready st ~replica:_ = drain_pending st
 
@@ -923,7 +906,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       cb_retry_shed = (fun ~replica rs -> on_retry_shed st ~replica rs);
       cb_poisoned = (fun ~replica r -> on_poisoned st ~replica r);
       cb_down = (fun ~replica rs -> on_down st ~replica rs);
-      cb_quarantined = (fun ~replica rs -> on_quarantined st ~replica rs);
+      cb_quarantined = (fun ~replica rs -> requeue st ~replica rs);
       cb_probe_ready = (fun ~replica -> on_probe_ready st ~replica);
       cb_up = (fun ~replica -> on_up st ~replica);
     }
@@ -944,17 +927,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       in
       Event_loop.schedule loop ~at (fun () -> on_arrival st r))
     arrivals;
-  (* Periodic metric snapshots; the chain stops rescheduling once it is the
-     only pending work, so the loop still drains. *)
-  if Metrics.enabled metrics then begin
-    let rec snap () =
-      Stats.to_metrics st.stats metrics;
-      Metrics.snapshot metrics ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending loop > 0 then
-        Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-    in
-    Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-  end;
+  Stats.snapshot_periodically st.stats metrics loop ~every_us:snapshot_every_us;
   Event_loop.run loop;
   (* Anything still parked when the event loop drained could not be placed
      before the end of the run; account it as dropped so the per-request
@@ -968,7 +941,6 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     st.pending;
   Queue.clear st.pending;
   let end_us = Event_loop.now loop in
-  st.stats.Stats.end_us <- end_us;
   (* Aggregate device-side activity: every batch any replica executed,
      every profiler sample, every recovery action. Terminal per-request
      counters (shed/expired/poisoned/budget) are cluster-owned and already
@@ -1015,7 +987,5 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
            { rv_id = Replica.id rep; rv_stats = rs; rv_health = Replica.health rep })
          st.replicas)
   in
-  st.stats.Stats.clamped_schedules <- Event_loop.clamped_count loop;
-  st.stats.Stats.loop_events <- Event_loop.dispatched loop;
-  Stats.to_metrics st.stats metrics;
+  Stats.finish st.stats metrics loop;
   { cluster_stats = st.stats; replica_views = views }

@@ -2,10 +2,11 @@
     queue, batcher and recovery machinery, coordinating with the cluster
     through callbacks instead of owning terminal request accounting.
 
-    A replica reuses the single server's per-batch resolution state machine
-    (retry with seeded backoff jitter, bisection to isolate poison, OOM
-    batch-cap shrinking, pressure degradation — see {!Server}), with two
-    structural differences:
+    A replica is a {!Server.device} — the same queue, batcher, batch-size
+    cap, degradation and pressure state the single server holds — whose
+    batches resolve through the shared {!Recovery} loop (retry with seeded
+    backoff jitter, bisection to isolate poison). Its own policy differs
+    from the single server's in two ways:
 
     - {e Terminal outcomes are reported, not owned.} Completions, expiries,
       poison drops and cancellations flow to the cluster through
@@ -27,13 +28,9 @@
     retries). Stale events from an aborted resolution are fenced by an
     epoch counter rather than cancellation. *)
 
-module Rng = Acrobat_tensor.Rng
 module Trace = Acrobat_obs.Trace
 module Json = Acrobat_obs.Json
-module Resilience = Acrobat_resilience.Policy
 module Budget = Acrobat_resilience.Budget
-module Limiter = Acrobat_resilience.Limiter
-module Brownout = Acrobat_resilience.Brownout
 
 (** Health as the cluster's dispatcher sees it. {!Quarantined} is the
     integrity analogue of {!Down}: the replica is {e functionally} alive —
@@ -86,24 +83,14 @@ type 'a callbacks = {
 
 type 'a t = {
   id : int;
-  loop : Event_loop.t;
-  config : Server.config;
+  dev : 'a Server.device;
+      (** Queue, batcher, stats ({e this} replica's view: everything it
+          ran), jitter stream and degradation state; traces on pid
+          [id + 1] (pid 0 is the dispatcher). *)
   reset_threshold : int;  (** Consecutive device resets that force failover. *)
-  queue : 'a Admission.t;
-  batcher : Batcher.t;
-  stats : Stats.t;  (** Per-replica view: everything {e this} replica ran. *)
-  execute : degraded:bool -> 'a list -> Server.exec_result;
   cb : 'a callbacks;
-  auditor : 'a Server.auditor option;
-  audit_rng : Rng.t;  (** Audit sampling; drawn from only when an auditor is armed. *)
-  ft_rng : Rng.t;  (** Backoff jitter; drawn from only on retries. *)
-  policy_max_batch : int;
-  mutable cur_max_batch : int;  (** Effective cap; shrinks under OOM. *)
-  mutable degraded : bool;
-  mutable device_busy : bool;
   mutable busy_until_us : float;  (** Estimated device-free time (for LEL dispatch). *)
   mutable health : health;
-  mutable consecutive_failures : int;
   mutable consecutive_resets : int;
   mutable health_score : float;  (** EWMA of batch-attempt success in [0, 1]. *)
   mutable corrupt_score : float;
@@ -118,14 +105,8 @@ type 'a t = {
   mutable outstanding : 'a Admission.request list;
       (** The in-flight batch's unresolved requests; requeued on failover. *)
   mutable epoch : int;  (** Bumped on failover; stale continuations no-op. *)
-  tracer : Trace.t;
-      (** Shared cluster tracer; this replica emits under pid [id + 1]
-          (pid 0 is the dispatcher). *)
-  (* Per-replica overload-resilience mechanisms; [None] (no-ops) unless
-     armed via [config.resilience]. *)
-  budget : Budget.t option;
-  limiter : Limiter.t option;
-  brownout : Brownout.t option;
+  recovery : ('a Admission.request, 'a) Recovery.owner Lazy.t;
+      (** Built once: every hook reads the state it needs when it runs. *)
 }
 
 (* Trace pid convention (cluster runs): dispatcher-level events are pid 0,
@@ -143,64 +124,14 @@ let corrupt_alpha = 0.3
 let corrupt_threshold = 0.5
 let quarantine_clean_probes = 2
 
-let create ?(tracer = Trace.null) ?auditor ~id ~loop ~(config : Server.config)
-    ~reset_threshold ~(execute : degraded:bool -> 'a list -> Server.exec_result)
-    ~(cb : 'a callbacks) () : 'a t =
-  let pmax = Server.policy_max_batch config.Server.policy in
-  let rs = config.Server.resilience in
-  {
-    id;
-    loop;
-    config;
-    reset_threshold;
-    queue =
-      Admission.create
-        ~eager_sweep:(Resilience.active rs)
-        ~capacity:config.Server.queue_capacity ();
-    batcher = Batcher.create ~cost:config.Server.cost config.Server.policy;
-    stats = Stats.create ();
-    execute;
-    cb;
-    auditor;
-    audit_rng =
-      Rng.create
-        (match auditor with
-        | Some a -> a.Server.au_seed + (id * 104729)
-        | None -> 0);
-    (* Replica 0 draws the exact stream the single server would, which is
-       what makes a 1-replica cluster byte-identical to it. *)
-    ft_rng = Rng.create (config.Server.tolerance.Server.ft_seed + (id * 7919));
-    policy_max_batch = pmax;
-    cur_max_batch = pmax;
-    degraded = false;
-    device_busy = false;
-    busy_until_us = 0.0;
-    health = Up;
-    consecutive_failures = 0;
-    consecutive_resets = 0;
-    health_score = 1.0;
-    corrupt_score = 0.0;
-    quarantine_probing = false;
-    clean_probes = 0;
-    outstanding = [];
-    epoch = 0;
-    tracer;
-    budget = Option.map (fun frac -> Budget.create ~frac) rs.Resilience.rs_retry_budget;
-    limiter =
-      Option.map
-        (fun target_us -> Limiter.create ~target_us ())
-        rs.Resilience.rs_target_delay_us;
-    brownout = Option.map Brownout.create rs.Resilience.rs_brownout;
-  }
-
 let id t = t.id
 let health t = t.health
 let health_score t = t.health_score
 let corrupt_score t = t.corrupt_score
-let stats t = t.stats
-let admission t = t.queue
-let queue_length t = Admission.length t.queue
-let is_busy t = t.device_busy
+let stats t = t.dev.Server.stats
+let admission t = t.dev.Server.queue
+let queue_length t = Admission.length t.dev.Server.queue
+let is_busy t = t.dev.Server.busy
 
 (** Fencing epoch: bumped on every failover, so each Down transition is
     observable and stale continuations from the aborted resolution no-op.
@@ -211,59 +142,27 @@ let epoch t = t.epoch
     busy time plus the batcher's learned latency for the queue it would
     join. The least-expected-latency dispatch policy minimizes this. *)
 let expected_latency_us t ~now_us =
-  let residual = if t.device_busy then Float.max 0.0 (t.busy_until_us -. now_us) else 0.0 in
+  let d = t.dev in
+  let residual = if d.Server.busy then Float.max 0.0 (t.busy_until_us -. now_us) else 0.0 in
   residual
-  +. Batcher.estimated_latency_us t.batcher ~batch:(Admission.length t.queue + 1)
+  +. Batcher.estimated_latency_us d.Server.batcher
+       ~batch:(Admission.length d.Server.queue + 1)
 
 (** Can the dispatcher hand this replica a probe right now? One request at
     a time: an occupied probing replica already has its verdict pending. *)
 let wants_probe t =
-  t.health = Probing && (not t.device_busy) && Admission.is_empty t.queue
-
-(* Feed the queue-delay signal into the limiter's AIMD loop and the
-   brownout controller, exactly as the single server does at each batch
-   launch. A no-op unless the resilience layer armed one of them. *)
-let observe_pressure (t : 'a t) ~now_us =
-  match t.limiter, t.brownout with
-  | None, None -> ()
-  | _ ->
-    let delay_us =
-      match Admission.oldest_arrival_us t.queue with
-      | Some t0 -> now_us -. t0
-      | None -> 0.0
-    in
-    Option.iter (fun lim -> Limiter.observe lim ~delay_us) t.limiter;
-    Option.iter
-      (fun b ->
-        match Brownout.observe b ~now_us ~delay_us with
-        | Brownout.Stay -> ()
-        | Brownout.Engage ->
-          t.stats.Stats.brownouts <- t.stats.Stats.brownouts + 1;
-          Trace.instant t.tracer ~name:"brownout_degrade" ~cat:"resilience"
-            ~pid:(trace_pid t) ~tid:0 ~ts_us:now_us
-            ~args:[ "delay_us", Json.Float delay_us ]
-        | Brownout.Restore ->
-          t.stats.Stats.brownout_restores <- t.stats.Stats.brownout_restores + 1;
-          Trace.instant t.tracer ~name:"brownout_restore" ~cat:"resilience"
-            ~pid:(trace_pid t) ~tid:0 ~ts_us:now_us
-            ~args:[ "delay_us", Json.Float delay_us ])
-      t.brownout
-
-let browned_out (t : 'a t) =
-  match t.brownout with Some b -> Brownout.engaged b | None -> false
+  t.health = Probing && (not t.dev.Server.busy) && Admission.is_empty t.dev.Server.queue
 
 let note_attempt t ~ok =
   t.health_score <-
     ((1.0 -. score_alpha) *. t.health_score) +. (score_alpha *. if ok then 1.0 else 0.0)
 
-(* OOM is deterministic for a given batch size: halve the cap before the
-   batch is re-resolved, exactly as the single server does. *)
-let shrink_batches t =
-  t.degraded <- true;
-  t.cur_max_batch <- max t.config.Server.tolerance.Server.min_max_batch (t.cur_max_batch / 2)
+let drop_outstanding t batch =
+  t.outstanding <-
+    List.filter (fun (r : _ Admission.request) -> not (List.memq r batch)) t.outstanding
 
 let note_success t =
-  t.consecutive_failures <- 0;
+  t.dev.Server.consecutive_failures <- 0;
   t.consecutive_resets <- 0;
   note_attempt t ~ok:true;
   (* A quarantine probe proves nothing by merely completing — corruption is
@@ -271,53 +170,42 @@ let note_success t =
      verdicts (see [note_audit]), never here. *)
   if t.health = Probing && not t.quarantine_probing then begin
     t.health <- Up;
-    t.stats.Stats.readmitted <- t.stats.Stats.readmitted + 1;
-    Trace.instant t.tracer ~name:"readmit" ~cat:"cluster" ~pid:(trace_pid t) ~tid:0
-      ~ts_us:(Event_loop.now t.loop);
+    t.dev.Server.stats.Stats.readmitted <- t.dev.Server.stats.Stats.readmitted + 1;
+    Trace.instant t.dev.Server.tracer ~name:"readmit" ~cat:"cluster" ~pid:(trace_pid t)
+      ~tid:0
+      ~ts_us:(Event_loop.now t.dev.Server.loop);
     t.cb.cb_up ~replica:t.id
   end;
-  if t.degraded then begin
-    let tol = t.config.Server.tolerance in
-    let occupancy =
-      float_of_int (Admission.length t.queue)
-      /. float_of_int t.config.Server.queue_capacity
-    in
-    if occupancy <= tol.Server.degrade_low_frac then begin
-      if t.cur_max_batch < t.policy_max_batch then
-        t.cur_max_batch <- min t.policy_max_batch (t.cur_max_batch * 2);
-      if t.cur_max_batch >= t.policy_max_batch then t.degraded <- false
-    end
-  end
+  Server.relieve t.dev
 
 (* --- The launch / recovery state machine --- *)
 
-(* Mirrors Server.maybe_launch, with health gating: Down and Quarantined
-   replicas never launch; Probing replicas launch a single-request probe. *)
+(* The shared launch step, gated by health where the single server gates
+   by its breaker: Down and Quarantined replicas never launch; Probing
+   replicas launch a single-request probe. *)
 let rec maybe_launch (t : 'a t) =
+  let d = t.dev in
   if
-    (not t.device_busy)
+    (not d.Server.busy)
     && t.health <> Down && t.health <> Quarantined
-    && not (Admission.is_empty t.queue)
+    && not (Admission.is_empty d.Server.queue)
   then begin
-    let now_us = Event_loop.now t.loop in
+    let now_us = Event_loop.now d.Server.loop in
     match t.health with
     | Down | Quarantined -> ()
     | Probing -> flush t ~now_us ~limit:1
     | Up -> (
       match
-        Batcher.decide t.batcher ~now_us ~queue_len:(Admission.length t.queue)
-          ~oldest_arrival_us:(Option.get (Admission.oldest_arrival_us t.queue))
+        Recovery.decide_launch d.Server.batcher d.Server.queue ~now_us
+          ~cap:d.Server.cur_max_batch
       with
-      | Batcher.Wait_until at when at > now_us ->
-        Event_loop.schedule t.loop ~at (fun () -> maybe_launch t)
-      | Batcher.Wait_until _ ->
-        flush t ~now_us ~limit:(min (Admission.length t.queue) t.cur_max_batch)
-      | Batcher.Flush limit -> flush t ~now_us ~limit:(min limit t.cur_max_batch))
+      | Batcher.Wait_until at ->
+        Event_loop.schedule d.Server.loop ~at (fun () -> maybe_launch t)
+      | Batcher.Flush limit -> flush t ~now_us ~limit)
   end
 
 and flush (t : 'a t) ~now_us ~limit =
-  observe_pressure t ~now_us;
-  let live, expired = Admission.take_with_expired t.queue ~now_us ~limit in
+  let live, expired = Server.take t.dev ~now_us ~limit in
   if expired <> [] then t.cb.cb_expired ~replica:t.id expired;
   (* Lazy hedge cancellation: copies whose winner already completed are
      dropped here, unexecuted — the cheap form of "cancel". *)
@@ -326,211 +214,109 @@ and flush (t : 'a t) ~now_us ~limit =
   match live with
   | [] -> maybe_launch t (* the queue may still hold work *)
   | batch ->
-    t.device_busy <- true;
+    t.dev.Server.busy <- true;
     t.outstanding <- batch;
-    resolve t batch ~k:(fun () ->
-        t.device_busy <- false;
+    Recovery.resolve (Lazy.force t.recovery) batch ~k:(fun () ->
+        t.dev.Server.busy <- false;
         t.outstanding <- [];
         maybe_launch t)
 
-(* Drive [batch] to a resolution, reporting terminal outcomes to the
-   cluster. Scheduled continuations are fenced by the epoch captured here:
-   a failover bumps the epoch, so events from the aborted resolution no-op
-   instead of corrupting the next one. *)
-and resolve (t : 'a t) (batch : 'a Admission.request list) ~(k : unit -> unit) =
-  let tol = t.config.Server.tolerance in
-  let epoch = t.epoch in
-  let guard f () = if t.epoch = epoch then f () in
-  (* Extract payloads once per resolution, not per retry attempt (the
-     batch is fixed for the whole retry/backoff cycle). *)
-  let payloads = List.map (fun (r : _ Admission.request) -> r.Admission.rq_payload) batch in
-  let rec attempt ~retries_left ~backoff_us () =
-    let now_us = Event_loop.now t.loop in
-    let degraded = t.degraded || browned_out t in
-    (* Anchor the executor's fresh per-batch device clock at this attempt's
-       launch time, on this replica's pid. *)
-    Trace.set_context t.tracer ~pid:(trace_pid t) ~tid:0 ~base_us:now_us;
-    match t.execute ~degraded payloads with
-    | Server.Exec_ok outcome ->
-      let size = List.length batch in
-      let done_us = now_us +. Float.max 0.0 outcome.Server.ex_latency_us in
+(* The replica's recovery policy: terminal outcomes go to the cluster
+   through the callbacks, health counters replace the breaker, and crossing
+   the failure (or reset) threshold fails over. Continuations are fenced by
+   the failover epoch. *)
+and recovery (t : 'a t) =
+  let d = t.dev in
+  Server.device_owner d
+    ~epoch:(fun () -> t.epoch)
+    ~deliver:(fun batch outcome ~now_us ~done_us ->
       t.busy_until_us <- done_us;
-      Batcher.observe_batch t.batcher ~size ~latency_us:outcome.Server.ex_latency_us;
-      Stats.note_batch t.stats ~size ~profiler:outcome.Server.ex_profiler;
-      if degraded then
-        t.stats.Stats.degraded_batches <- t.stats.Stats.degraded_batches + 1;
-      if outcome.Server.ex_corrupted then
-        t.stats.Stats.corrupted_batches <- t.stats.Stats.corrupted_batches + 1;
-      Trace.complete t.tracer ~name:"batch" ~cat:"serve" ~pid:(trace_pid t) ~tid:0
-        ~ts_us:now_us ~dur_us:outcome.Server.ex_latency_us
-        ~args:[ "size", Json.Int size; "degraded", Json.Bool degraded ];
-      (* Sampled (or, on quarantine probes, forced) audits decide each
-         request's delivery: a mismatch swaps in the reference result and
-         adds the re-execution latency. With no auditor this is draw-free
-         and every delivery is the legacy one. *)
-      let forced = t.quarantine_probing in
+      let size = List.length batch in
       let deliveries =
-        List.mapi
-          (fun i (r : _ Admission.request) ->
-            ( r,
-              Server.audit_request t.auditor ~audit_rng:t.audit_rng ~stats:t.stats
-                ~forced ~outcome ~index:i r ))
-          batch
+        Server.deliver d batch outcome ~now_us ~done_us ~forced:t.quarantine_probing
+          ~each:(fun _ _ -> ())
       in
-      List.iter
-        (fun ((r : _ Admission.request), (d : Server.audit_delivery)) ->
-          Server.note_delivery t.stats ~outcome d;
-          if d.Server.ad_audited then
-            Trace.instant t.tracer
-              ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
-              ~cat:"integrity" ~pid:(trace_pid t)
-              ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
-              ~args:[ "id", Json.Int r.Admission.rq_id ];
-          Stats.record_fields t.stats ~id:r.Admission.rq_id
-            ~arrival_us:r.Admission.rq_arrival_us ~start_us:now_us
-            ~done_us:(done_us +. d.Server.ad_extra_us) ~batch_size:size;
-          Trace.complete t.tracer ~name:"queue" ~cat:"request" ~pid:(trace_pid t)
-            ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
-            ~dur_us:(now_us -. r.Admission.rq_arrival_us))
-        deliveries;
-      (* Report the completion at [done_us], not at launch: the cluster
-         must consider these requests in flight until the device actually
+      (* Report the completion at [done_us], not at launch: the cluster must
+         consider these requests in flight until the device actually
          finishes, or a hedge could never outrun a straggling batch. *)
-      Event_loop.schedule t.loop ~at:done_us
-        (guard (fun () ->
-             t.outstanding <-
-               List.filter
-                 (fun (r : _ Admission.request) -> not (List.memq r batch))
-                 t.outstanding;
-             (match t.auditor with
-             | None ->
-               t.cb.cb_completed ~replica:t.id batch ~size ~start_us:now_us ~done_us
-             | Some _ ->
-               (* Audited requests deliver later by their audit latency;
-                  report per request so the cluster records true end-to-end
-                  times. *)
-               List.iter
-                 (fun (r, (d : Server.audit_delivery)) ->
-                   t.cb.cb_completed ~replica:t.id [ r ] ~size ~start_us:now_us
-                     ~done_us:(done_us +. d.Server.ad_extra_us))
-                 deliveries);
-             note_success t;
-             (* Feed the verdicts to the corruption scoreboard only after
-                the (audit-corrected) results left the replica: containment
-                fences future work, never a delivery the audit saved. *)
-             List.iter
-               (fun (_, (d : Server.audit_delivery)) ->
-                 if d.Server.ad_audited then note_audit t ~clean:d.Server.ad_clean)
-               deliveries;
-             k ()))
-    | Server.Exec_fault f ->
-      t.stats.Stats.fault_batches <- t.stats.Stats.fault_batches + 1;
+      fun () ->
+        drop_outstanding t batch;
+        (match d.Server.auditor with
+        | None -> t.cb.cb_completed ~replica:t.id batch ~size ~start_us:now_us ~done_us
+        | Some _ ->
+          (* Audited requests deliver later by their audit latency; report
+             per request so the cluster records true end-to-end times. *)
+          List.iter
+            (fun (r, (a : Server.audit_delivery)) ->
+              t.cb.cb_completed ~replica:t.id [ r ] ~size ~start_us:now_us
+                ~done_us:(done_us +. a.Server.ad_extra_us))
+            deliveries);
+        note_success t;
+        (* Feed the verdicts to the corruption scoreboard only after the
+           (audit-corrected) results left the replica: containment fences
+           future work, never a delivery the audit saved. *)
+        List.iter
+          (fun (_, (a : Server.audit_delivery)) ->
+            if a.Server.ad_audited then note_audit t ~clean:a.Server.ad_clean)
+          deliveries)
+    ~on_fault:(fun ~oom ~reset ~freed_us ->
       note_attempt t ~ok:false;
-      t.consecutive_failures <- t.consecutive_failures + 1;
-      if f.ef_reset then t.consecutive_resets <- t.consecutive_resets + 1;
-      if f.ef_oom then shrink_batches t;
-      let freed_us = now_us +. Float.max 0.0 f.ef_latency_us in
-      t.busy_until_us <- freed_us;
-      Trace.complete t.tracer ~name:"batch_fault" ~cat:"fault" ~pid:(trace_pid t) ~tid:0
-        ~ts_us:now_us ~dur_us:f.ef_latency_us
-        ~args:
-          [
-            "reason", Json.Str f.ef_reason;
-            "transient", Json.Bool f.ef_transient;
-            "size", Json.Int (List.length batch);
-          ];
-      let must_fail_over =
+      d.Server.consecutive_failures <- d.Server.consecutive_failures + 1;
+      if reset then t.consecutive_resets <- t.consecutive_resets + 1;
+      if oom then Server.shrink_batches d;
+      t.busy_until_us <- freed_us)
+    ~escalate:(fun ~freed_us:_ ->
+      let tol = d.Server.config.Server.tolerance in
+      if
         t.health = Probing (* a failed probe downs the replica immediately *)
-        || t.consecutive_failures >= tol.Server.breaker_threshold
+        || d.Server.consecutive_failures >= tol.Server.breaker_threshold
         || t.consecutive_resets >= t.reset_threshold
-      in
-      if must_fail_over then
-        Event_loop.schedule t.loop ~at:freed_us (guard (fun () -> go_down t))
-      else if f.ef_transient && retries_left > 0 then begin
-        let size = List.length batch in
-        (* The retry-budget check precedes the jitter draw: with no budget
-           configured the RNG stream is untouched relative to the
-           budget-less replica, and a denied retry draws nothing. *)
-        match t.budget with
-        | Some b when not (Budget.try_spend b size) ->
-          t.stats.Stats.retry_shed <- t.stats.Stats.retry_shed + size;
-          t.outstanding <-
-            List.filter
-              (fun (r : _ Admission.request) -> not (List.memq r batch))
-              t.outstanding;
-          Event_loop.schedule t.loop ~at:freed_us
-            (guard (fun () ->
-                 t.cb.cb_retry_shed ~replica:t.id batch;
-                 k ()))
-        | budget ->
-          if Option.is_some budget then
-            t.stats.Stats.retried_requests <- t.stats.Stats.retried_requests + size;
-          t.stats.Stats.retries <- t.stats.Stats.retries + 1;
-          let jitter =
-            1.0 +. (tol.Server.jitter_frac *. ((2.0 *. Rng.float t.ft_rng) -. 1.0))
-          in
-          let at = freed_us +. Float.max 0.0 (backoff_us *. jitter) in
-          Trace.instant t.tracer ~name:"retry" ~cat:"fault" ~pid:(trace_pid t) ~tid:0
-            ~ts_us:at
-            ~args:[ "attempt", Json.Int (tol.Server.max_retries - retries_left + 1) ];
-          Event_loop.schedule t.loop ~at
-            (guard
-               (attempt ~retries_left:(retries_left - 1)
-                  ~backoff_us:(backoff_us *. tol.Server.backoff_mult)))
-      end
-      else Event_loop.schedule t.loop ~at:freed_us (guard (fun () -> bisect t batch ~k))
-  in
-  attempt ~retries_left:tol.Server.max_retries ~backoff_us:tol.Server.backoff_base_us ()
+      then Some (fun () -> go_down t)
+      else None)
+    ~retry_shed:(fun batch ~freed_us:_ ->
+      drop_outstanding t batch;
+      fun () -> t.cb.cb_retry_shed ~replica:t.id batch)
+    ~poison:(fun r ->
+      drop_outstanding t [ r ];
+      t.cb.cb_poisoned ~replica:t.id r)
 
-(* Binary fault isolation, as in the single server; the lone survivor of
-   repeated failure is reported poisoned and dropped. *)
-and bisect (t : 'a t) (batch : 'a Admission.request list) ~k =
-  match batch with
-  | [] -> k ()
-  | [ r ] ->
-    t.stats.Stats.poisoned <- t.stats.Stats.poisoned + 1;
-    t.outstanding <- List.filter (fun r' -> not (r' == r)) t.outstanding;
-    t.cb.cb_poisoned ~replica:t.id r;
-    k ()
-  | _ ->
-    t.stats.Stats.bisections <- t.stats.Stats.bisections + 1;
-    Trace.instant t.tracer ~name:"bisect" ~cat:"fault" ~pid:(trace_pid t) ~tid:0
-      ~ts_us:(Event_loop.now t.loop)
-      ~args:[ "size", Json.Int (List.length batch) ];
-    let half = List.length batch / 2 in
-    let left = List.filteri (fun i _ -> i < half) batch in
-    let right = List.filteri (fun i _ -> i >= half) batch in
-    resolve t left ~k:(fun () -> resolve t right ~k)
-
-(* Failover: abort the in-flight resolution, drain the queue, hand every
-   unresolved request back to the cluster, and schedule the re-admission
-   probe window. *)
-and go_down (t : 'a t) =
-  let now_us = Event_loop.now t.loop in
+(* Failover and quarantine fence the replica alike: bump the epoch so the
+   aborted resolution's continuations no-op, drain the queue, hand every
+   unresolved request back through [requeue], and after the cooldown turn
+   Probing ([probe_ready] runs first) if still in [health]. *)
+and fence (t : 'a t) ~health ~requeue ~probe_ready =
+  let d = t.dev in
+  let now_us = Event_loop.now d.Server.loop in
   t.epoch <- t.epoch + 1;
-  t.health <- Down;
-  t.device_busy <- false;
-  t.consecutive_failures <- 0;
+  t.health <- health;
+  d.Server.busy <- false;
+  d.Server.consecutive_failures <- 0;
   t.consecutive_resets <- 0;
-  t.stats.Stats.breaker_opens <- t.stats.Stats.breaker_opens + 1;
-  t.stats.Stats.failovers <- t.stats.Stats.failovers + 1;
-  Trace.instant t.tracer ~name:"failover" ~cat:"cluster" ~pid:(trace_pid t) ~tid:0
-    ~ts_us:now_us
-    ~args:[ "replica", Json.Int t.id ];
-  let queued, expired = Admission.drain t.queue ~now_us in
+  let queued, expired = Admission.drain d.Server.queue ~now_us in
   if expired <> [] then t.cb.cb_expired ~replica:t.id expired;
-  let requeue = t.outstanding @ queued in
+  let unresolved = t.outstanding @ queued in
   t.outstanding <- [];
-  t.cb.cb_down ~replica:t.id requeue;
-  let at = now_us +. t.config.Server.tolerance.Server.breaker_cooldown_us in
-  Event_loop.schedule t.loop ~at (fun () ->
-      if t.health = Down then begin
+  requeue ~replica:t.id unresolved;
+  let at = now_us +. d.Server.config.Server.tolerance.Server.breaker_cooldown_us in
+  Event_loop.schedule d.Server.loop ~at (fun () ->
+      if t.health = health then begin
         t.health <- Probing;
-        Trace.instant t.tracer ~name:"probe_ready" ~cat:"cluster" ~pid:(trace_pid t)
-          ~tid:0
-          ~ts_us:(Event_loop.now t.loop);
+        probe_ready (Event_loop.now d.Server.loop);
         t.cb.cb_probe_ready ~replica:t.id
       end)
+
+(* Failover: the replica's threshold response to device faults. *)
+and go_down (t : 'a t) =
+  let stats = t.dev.Server.stats in
+  stats.Stats.breaker_opens <- stats.Stats.breaker_opens + 1;
+  stats.Stats.failovers <- stats.Stats.failovers + 1;
+  Trace.instant t.dev.Server.tracer ~name:"failover" ~cat:"cluster" ~pid:(trace_pid t)
+    ~tid:0
+    ~ts_us:(Event_loop.now t.dev.Server.loop)
+    ~args:[ "replica", Json.Int t.id ];
+  fence t ~health:Down ~requeue:t.cb.cb_down ~probe_ready:(fun ts_us ->
+      Trace.instant t.dev.Server.tracer ~name:"probe_ready" ~cat:"cluster"
+        ~pid:(trace_pid t) ~tid:0 ~ts_us)
 
 (* --- Corruption containment --- *)
 
@@ -551,86 +337,79 @@ and note_audit (t : 'a t) ~clean =
     else go_quarantine t
   | _ -> ()
 
-(* Quarantine: structurally a failover (epoch fence, drain, requeue via the
-   cluster, cooldown then probe), but triggered by integrity evidence on a
-   replica that is otherwise completing batches happily — and exited only
-   through force-audited probes, not a merely-successful one. *)
+(* Quarantine: fenced like a failover, but triggered by integrity evidence
+   on a replica that is otherwise completing batches happily — and exited
+   only through force-audited probes, not a merely-successful one. *)
 and go_quarantine (t : 'a t) =
-  let now_us = Event_loop.now t.loop in
-  t.epoch <- t.epoch + 1;
-  t.health <- Quarantined;
-  t.device_busy <- false;
-  t.consecutive_failures <- 0;
-  t.consecutive_resets <- 0;
   t.quarantine_probing <- false;
   t.clean_probes <- 0;
-  t.stats.Stats.quarantines <- t.stats.Stats.quarantines + 1;
-  Trace.instant t.tracer ~name:"quarantine" ~cat:"integrity" ~pid:(trace_pid t) ~tid:0
-    ~ts_us:now_us
+  t.dev.Server.stats.Stats.quarantines <- t.dev.Server.stats.Stats.quarantines + 1;
+  Trace.instant t.dev.Server.tracer ~name:"quarantine" ~cat:"integrity" ~pid:(trace_pid t)
+    ~tid:0
+    ~ts_us:(Event_loop.now t.dev.Server.loop)
     ~args:[ "replica", Json.Int t.id; "score", Json.Float t.corrupt_score ];
-  let queued, expired = Admission.drain t.queue ~now_us in
-  if expired <> [] then t.cb.cb_expired ~replica:t.id expired;
-  let requeue = t.outstanding @ queued in
-  t.outstanding <- [];
-  t.cb.cb_quarantined ~replica:t.id requeue;
-  let at = now_us +. t.config.Server.tolerance.Server.breaker_cooldown_us in
-  Event_loop.schedule t.loop ~at (fun () ->
-      if t.health = Quarantined then begin
-        t.health <- Probing;
-        t.quarantine_probing <- true;
-        t.clean_probes <- 0;
-        Trace.instant t.tracer ~name:"quarantine_probe_ready" ~cat:"integrity"
-          ~pid:(trace_pid t) ~tid:0
-          ~ts_us:(Event_loop.now t.loop);
-        t.cb.cb_probe_ready ~replica:t.id
-      end)
+  fence t ~health:Quarantined ~requeue:t.cb.cb_quarantined ~probe_ready:(fun ts_us ->
+      t.quarantine_probing <- true;
+      t.clean_probes <- 0;
+      Trace.instant t.dev.Server.tracer ~name:"quarantine_probe_ready" ~cat:"integrity"
+        ~pid:(trace_pid t) ~tid:0 ~ts_us)
 
 and quarantine_restore (t : 'a t) =
   t.health <- Up;
   t.quarantine_probing <- false;
   t.clean_probes <- 0;
   t.corrupt_score <- 0.0;
-  t.stats.Stats.quarantine_restores <- t.stats.Stats.quarantine_restores + 1;
-  Trace.instant t.tracer ~name:"quarantine_restore" ~cat:"integrity" ~pid:(trace_pid t)
-    ~tid:0
-    ~ts_us:(Event_loop.now t.loop)
+  t.dev.Server.stats.Stats.quarantine_restores <-
+    t.dev.Server.stats.Stats.quarantine_restores + 1;
+  Trace.instant t.dev.Server.tracer ~name:"quarantine_restore" ~cat:"integrity"
+    ~pid:(trace_pid t) ~tid:0
+    ~ts_us:(Event_loop.now t.dev.Server.loop)
     ~args:[ "replica", Json.Int t.id ];
   t.cb.cb_up ~replica:t.id
 
+let create ?(tracer = Trace.null) ?auditor ~id ~loop ~(config : Server.config)
+    ~reset_threshold ~(execute : degraded:bool -> 'a list -> Server.exec_result)
+    ~(cb : 'a callbacks) () : 'a t =
+  let rec t =
+    {
+      id;
+      dev = Server.create_device ~pid:(id + 1) ?auditor ~id ~loop ~tracer config ~execute;
+      reset_threshold;
+      cb;
+      busy_until_us = 0.0;
+      health = Up;
+      consecutive_resets = 0;
+      health_score = 1.0;
+      corrupt_score = 0.0;
+      quarantine_probing = false;
+      clean_probes = 0;
+      outstanding = [];
+      epoch = 0;
+      recovery = lazy (recovery t);
+    }
+  in
+  t
+
 (** How {!enqueue} disposed of an offered request; the cluster maps the two
     rejection flavours to distinct terminal outcomes. *)
-type admit = Admitted | Shed_queue | Shed_limit
+type admit = Server.admit = Admitted | Shed_queue | Shed_limit
 
 (** Credit this replica's retry budget for one fresh admitted request. The
     cluster calls it once per {e logical} request (not per copy), so hedge
     duplicates and failover requeues never inflate the budget and fleet-wide
     re-executions stay bounded by [frac * offered]. *)
-let deposit_budget (t : 'a t) = Option.iter Budget.deposit t.budget
+let deposit_budget (t : 'a t) = Option.iter Budget.deposit t.dev.Server.budget
 
-(** Offer a request to this replica's queue; any requests the full-queue
-    sweep expired are reported through [cb_expired]. Schedules the launch
-    check as a same-time event so simultaneous dispatches coalesce into one
-    batch (same invariant as the single server). *)
+(** Offer a request to this replica's device ({!Server.offer}: limiter gate,
+    bounded queue, degradation trigger); any requests the full-queue sweep
+    expired are reported through [cb_expired]. Schedules the launch check as
+    a same-time event so simultaneous dispatches coalesce into one batch. *)
 let enqueue (t : 'a t) (r : 'a Admission.request) : admit =
-  let now_us = Event_loop.now t.loop in
-  Batcher.observe_arrival t.batcher ~now_us;
-  match t.limiter with
-  | Some lim when not (Limiter.admits lim ~queued:(Admission.length t.queue)) ->
-    (* The adaptive concurrency limiter gates ahead of the bounded queue,
-       as in the single server. *)
-    t.stats.Stats.limit_shed <- t.stats.Stats.limit_shed + 1;
-    Shed_limit
-  | _ ->
-    let admitted, swept = Admission.offer_swept t.queue ~now_us r in
-    if swept <> [] then t.cb.cb_expired ~replica:t.id swept;
-    if admitted then begin
-      let tol = t.config.Server.tolerance in
-      if
-        (not t.degraded)
-        && float_of_int (Admission.length t.queue)
-           >= tol.Server.degrade_high_frac *. float_of_int t.config.Server.queue_capacity
-      then t.degraded <- true;
-      Event_loop.schedule t.loop ~at:now_us (fun () -> maybe_launch t);
-      Admitted
-    end
-    else Shed_queue
+  let d = t.dev in
+  let now_us = Event_loop.now d.Server.loop in
+  Batcher.observe_arrival d.Server.batcher ~now_us;
+  let admit, swept = Server.offer d r ~now_us in
+  if swept <> [] then t.cb.cb_expired ~replica:t.id swept;
+  if admit = Admitted then
+    Event_loop.schedule d.Server.loop ~at:now_us (fun () -> maybe_launch t);
+  admit

@@ -17,22 +17,20 @@
     seeded from the config and drawn from only on failures).
 
     {b Fault tolerance.} An executor may report {!Exec_fault} instead of an
-    outcome; the server then drives the batch to a resolution in which every
-    request either completes or is provably poisonous:
+    outcome; the shared {!Recovery} loop then retries with jittered backoff
+    and bisects to isolate poison. The server's own policy on top of it:
 
-    - {e retry}: transient failures re-execute after exponential backoff
-      with seeded jitter, up to [max_retries] attempts;
-    - {e bisection}: a batch that keeps failing is split in half and each
-      half resolved independently (with a fresh retry budget), isolating a
-      deterministic poison request in O(log n) extra launches so only it is
-      dropped while the rest of the batch completes;
     - {e circuit breaker}: after [breaker_threshold] consecutive failed
       attempts the server stops launching and sheds arrivals at admission
       until a cooldown passes; the first batch after cooldown is a probe
       whose success closes the breaker (and whose failure re-opens it);
     - {e graceful degradation}: a device OOM halves the effective batch-size
       cap, and sustained queue pressure switches the executor to its
-      degraded (e.g. early-exit) variant; both restore as pressure clears. *)
+      degraded (e.g. early-exit) variant; both restore as pressure clears.
+
+    The device-side half of this — queue, batcher, batch-size cap,
+    degradation, pressure signals and the success path — is the {!device}
+    core, which each cluster {!Replica} holds too. *)
 
 module Profiler = Acrobat_device.Profiler
 module Cost_model = Acrobat_device.Cost_model
@@ -45,38 +43,9 @@ module Budget = Acrobat_resilience.Budget
 module Limiter = Acrobat_resilience.Limiter
 module Brownout = Acrobat_resilience.Brownout
 
-(** Knobs of the recovery machinery. The defaults keep every behaviour that
-    could alter a fault-free run disabled ([degrade_high_frac = infinity]),
-    so a simulation that never sees a fault is bit-identical to one run
-    against a server without the fault layer. *)
-type tolerance = {
-  max_retries : int;  (** Re-executions of a failed batch before bisecting. *)
-  backoff_base_us : float;  (** First retry delay. *)
-  backoff_mult : float;  (** Delay multiplier per subsequent retry. *)
-  jitter_frac : float;  (** Uniform +/- fraction applied to each delay. *)
-  breaker_threshold : int;  (** Consecutive failures that open the breaker. *)
-  breaker_cooldown_us : float;  (** Open time before the probe launch. *)
-  degrade_high_frac : float;
-      (** Queue occupancy (fraction of capacity) that enters degraded mode;
-          [infinity] disables pressure-triggered degradation. *)
-  degrade_low_frac : float;  (** Occupancy below which degradation lifts. *)
-  min_max_batch : int;  (** Floor for OOM-driven batch shrinking. *)
-  ft_seed : int;  (** Seeds the jitter RNG. *)
-}
-
-let default_tolerance =
-  {
-    max_retries = 2;
-    backoff_base_us = 200.0;
-    backoff_mult = 2.0;
-    jitter_frac = 0.25;
-    breaker_threshold = 4;
-    breaker_cooldown_us = 20_000.0;
-    degrade_high_frac = infinity;
-    degrade_low_frac = 0.25;
-    min_max_batch = 1;
-    ft_seed = 0x5eed;
-  }
+(** [tolerance], [default_tolerance], [exec_outcome] and [exec_result]
+    (with [Exec_ok] / [Exec_fault]); see {!Recovery.Executor}. *)
+include Recovery.Executor
 
 type config = {
   policy : Batcher.policy;
@@ -101,38 +70,6 @@ let default_config =
     tolerance = default_tolerance;
     resilience = Resilience.off;
   }
-
-(** What one successful batch execution reports back. *)
-type exec_outcome = {
-  ex_latency_us : float;  (** Simulated device busy time for the batch. *)
-  ex_profiler : Profiler.t option;  (** Merged into the run's profile. *)
-  ex_fingerprints : int64 array option;
-      (** Per-request result fingerprints, in batch order (raw
-          {!Acrobat_runtime.Fingerprint} words — the serve layer stays
-          engine-agnostic). [None] when the executor does not compute
-          values; the audit path then falls back to [ex_corrupted]. *)
-  ex_corrupted : bool;
-      (** Injector ground truth: this attempt's outputs were silently
-          corrupted. Only a fault-injecting executor can set it. Feeds the
-          delivered-corruption accounting the audit-shield oracle checks;
-          detection itself uses fingerprints whenever they are present. *)
-}
-
-(** Verdict of one batch execution attempt. *)
-type exec_result =
-  | Exec_ok of exec_outcome
-  | Exec_fault of {
-      ef_latency_us : float;  (** Device time the failed attempt burned. *)
-      ef_reason : string;
-      ef_transient : bool;
-          (** A retry may succeed. [false] (a deterministic failure such as
-              OOM or a poison request) skips straight to bisection. *)
-      ef_oom : bool;  (** Out-of-memory: shrink the batch-size cap. *)
-      ef_reset : bool;
-          (** A full device reset. The single server treats it like any
-              transient fault; the cluster's health monitor weighs
-              consecutive resets as a stronger down signal. *)
-    }
 
 (** Sampled audit re-execution: the detection arm of the silent-data-
     corruption defense. Each delivered request is, with probability
@@ -189,28 +126,39 @@ let note_delivery (stats : Stats.t) ~(outcome : exec_outcome) (d : audit_deliver
   if outcome.ex_corrupted && not (d.ad_audited && not d.ad_clean) then
     stats.Stats.corrupted_delivered <- stats.Stats.corrupted_delivered + 1
 
-type breaker_state =
-  | Closed
-  | Open of { until_us : float }  (** Shedding; probe allowed from [until_us]. *)
-  | Half_open  (** Probe in flight; its verdict closes or re-opens. *)
+(* Trace track convention: tid 0 is the device/batch track of each server's
+   pid; request [i] rides on tid [i + 1]. *)
+let req_tid id = id + 1
 
-type 'a state = {
+let policy_max_batch = function
+  | Batcher.Batch1 -> 1
+  | Batcher.Fixed { max_batch; _ } | Batcher.Adaptive { max_batch; _ } -> max_batch
+
+(* --- The device core, shared with {!Replica} --- *)
+
+(** How {!offer} disposed of an arriving request. *)
+type admit = Admitted | Shed_queue | Shed_limit
+
+(** One serially executing device behind its own admission queue and
+    batcher: the state the single server and every cluster replica hold
+    alike. *)
+type 'a device = {
   config : config;
   loop : Event_loop.t;
   queue : 'a Admission.t;
   batcher : Batcher.t;
-  stats : Stats.t;
+  stats : Stats.t;  (** Everything this device executed. *)
   execute : degraded:bool -> 'a list -> exec_result;
   auditor : 'a auditor option;
   audit_rng : Rng.t;  (** Audit sampling; drawn from only when an auditor is armed. *)
-  mutable device_busy : bool;
   ft_rng : Rng.t;  (** Backoff jitter; drawn from only on retries. *)
-  mutable consecutive_failures : int;
-  mutable breaker : breaker_state;
+  tracer : Trace.t;  (** Lifecycle span sink; {!Trace.null} when off. *)
+  pid : int option;  (** Trace process; [None] keeps the tracer's ambient one. *)
   policy_max_batch : int;  (** The policy's own cap (1 for batch1). *)
   mutable cur_max_batch : int;  (** Effective cap; shrinks under OOM. *)
   mutable degraded : bool;
-  tracer : Trace.t;  (** Lifecycle span sink; {!Trace.null} when off. *)
+  mutable busy : bool;
+  mutable consecutive_failures : int;
   (* Overload-resilience mechanisms; all [None] (no-ops) unless armed via
      [config.resilience]. *)
   budget : Budget.t option;
@@ -219,61 +167,69 @@ type 'a state = {
   limit_gauge : Metrics.gauge;  (** Limiter trajectory export. *)
 }
 
-(* Trace track convention: tid 0 is the device/batch track of each server's
-   pid; request [i] rides on tid [i + 1]. *)
-let req_tid id = id + 1
+(** A fresh device. [id] offsets the audit and jitter seeds, so device 0
+    draws exactly the streams the single server does — which is what makes
+    a 1-replica cluster byte-identical to it. The limiter gauge is
+    registered in [metrics] only when the limiter is armed: a legacy run's
+    metrics export must not grow a new instrument. *)
+let create_device ?pid ?(metrics = Metrics.null) ?auditor ~id ~loop ~tracer
+    (config : config) ~execute =
+  let pmax = policy_max_batch config.policy in
+  let rs = config.resilience in
+  {
+    config;
+    loop;
+    queue =
+      Admission.create ~eager_sweep:(Resilience.active rs) ~capacity:config.queue_capacity ();
+    batcher = Batcher.create ~cost:config.cost config.policy;
+    stats = Stats.create ();
+    execute;
+    auditor;
+    audit_rng =
+      Rng.create (match auditor with Some a -> a.au_seed + (id * 104729) | None -> 0);
+    ft_rng = Rng.create (config.tolerance.ft_seed + (id * 7919));
+    tracer;
+    pid;
+    policy_max_batch = pmax;
+    cur_max_batch = pmax;
+    degraded = false;
+    busy = false;
+    consecutive_failures = 0;
+    budget = Option.map (fun frac -> Budget.create ~frac) rs.Resilience.rs_retry_budget;
+    limiter =
+      Option.map
+        (fun target_us -> Limiter.create ~target_us ())
+        rs.Resilience.rs_target_delay_us;
+    brownout = Option.map Brownout.create rs.Resilience.rs_brownout;
+    limit_gauge =
+      Metrics.gauge
+        (if rs.Resilience.rs_target_delay_us <> None then metrics else Metrics.null)
+        "resilience.limit";
+  }
 
-(* Request-terminal instant: every admitted id ends in exactly one of
-   done / expired / poisoned (shed ids terminate at admission). *)
-let trace_terminal (st : 'a state) ~name ~ts_us (r : _ Admission.request) =
-  Trace.instant st.tracer ~name ~cat:"request" ~ts_us ~tid:(req_tid r.Admission.rq_id)
-    ~args:[ "id", Json.Int r.Admission.rq_id ]
+let browned_out d = match d.brownout with Some b -> Brownout.engaged b | None -> false
 
-let policy_max_batch = function
-  | Batcher.Batch1 -> 1
-  | Batcher.Fixed { max_batch; _ } | Batcher.Adaptive { max_batch; _ } -> max_batch
+(** The flag the executor runs under: OOM/pressure degradation or brownout. *)
+let is_degraded d = d.degraded || browned_out d
 
-(* --- Breaker and degradation transitions --- *)
+(** OOM is deterministic for a given batch size: retrying the same size
+    would fail forever, so halve the cap before the batch is re-resolved. *)
+let shrink_batches d =
+  d.degraded <- true;
+  d.cur_max_batch <- max d.config.tolerance.min_max_batch (d.cur_max_batch / 2)
 
-let open_breaker (st : 'a state) ~wake =
-  let until_us = Event_loop.now st.loop +. st.config.tolerance.breaker_cooldown_us in
-  st.breaker <- Open { until_us };
-  st.stats.Stats.breaker_opens <- st.stats.Stats.breaker_opens + 1;
-  Trace.instant st.tracer ~name:"breaker_open" ~cat:"fault" ~tid:0
-    ~ts_us:(Event_loop.now st.loop)
-    ~args:[ "until_us", Json.Float until_us ];
-  (* Self-wake at cooldown expiry: with arrivals shed while open, no other
-     event may exist to trigger the probe. *)
-  Event_loop.schedule st.loop ~at:until_us wake
-
-let note_failure (st : 'a state) ~wake =
-  st.consecutive_failures <- st.consecutive_failures + 1;
-  match st.breaker with
-  | Half_open -> open_breaker st ~wake (* failed probe: back to shedding *)
-  | Closed when st.consecutive_failures >= st.config.tolerance.breaker_threshold ->
-    open_breaker st ~wake
-  | Closed | Open _ -> ()
-
-(* OOM is deterministic for a given batch size: retrying the same size would
-   fail forever, so halve the cap before the batch is re-resolved. *)
-let shrink_batches (st : 'a state) =
-  st.degraded <- true;
-  st.cur_max_batch <- max st.config.tolerance.min_max_batch (st.cur_max_batch / 2)
-
-let note_success (st : 'a state) =
-  st.consecutive_failures <- 0;
-  (match st.breaker with Closed -> () | Open _ | Half_open -> st.breaker <- Closed);
-  (* Pressure-relief: once the queue is quiet again, double the batch cap
-     back toward full strength; degraded mode lifts when fully restored. *)
-  if st.degraded then begin
-    let tol = st.config.tolerance in
+(** Pressure relief after a success: once the queue is quiet again, double
+    the batch cap back toward full strength; degraded mode lifts when fully
+    restored. *)
+let relieve d =
+  if d.degraded then begin
     let occupancy =
-      float_of_int (Admission.length st.queue) /. float_of_int st.config.queue_capacity
+      float_of_int (Admission.length d.queue) /. float_of_int d.config.queue_capacity
     in
-    if occupancy <= tol.degrade_low_frac then begin
-      if st.cur_max_batch < st.policy_max_batch then
-        st.cur_max_batch <- min st.policy_max_batch (st.cur_max_batch * 2);
-      if st.cur_max_batch >= st.policy_max_batch then st.degraded <- false
+    if occupancy <= d.config.tolerance.degrade_low_frac then begin
+      if d.cur_max_batch < d.policy_max_batch then
+        d.cur_max_batch <- min d.policy_max_batch (d.cur_max_batch * 2);
+      if d.cur_max_batch >= d.policy_max_batch then d.degraded <- false
     end
   end
 
@@ -281,248 +237,261 @@ let note_success (st : 'a state) =
    limiter's AIMD loop and the brownout controller. Called at each batch
    launch: both mechanisms key on the delay the queue actually produced.
    A no-op unless the resilience layer armed one of them. *)
-let observe_pressure (st : 'a state) ~now_us =
-  match st.limiter, st.brownout with
+let observe_pressure d ~now_us =
+  match d.limiter, d.brownout with
   | None, None -> ()
   | _ ->
-    let delay_us =
-      match Admission.oldest_arrival_us st.queue with
-      | Some t0 -> now_us -. t0
-      | None -> 0.0
-    in
+    let delay_us = Admission.queue_delay_us d.queue ~now_us in
     Option.iter
       (fun lim ->
         Limiter.observe lim ~delay_us;
-        Metrics.set st.limit_gauge (Limiter.limit lim))
-      st.limiter;
+        Metrics.set d.limit_gauge (Limiter.limit lim))
+      d.limiter;
+    let note name =
+      Trace.instant d.tracer ?pid:d.pid ~name ~cat:"resilience" ~tid:0 ~ts_us:now_us
+        ~args:[ "delay_us", Json.Float delay_us ]
+    in
     Option.iter
       (fun b ->
         match Brownout.observe b ~now_us ~delay_us with
         | Brownout.Stay -> ()
         | Brownout.Engage ->
-          st.stats.Stats.brownouts <- st.stats.Stats.brownouts + 1;
-          Trace.instant st.tracer ~name:"brownout_degrade" ~cat:"resilience" ~tid:0
-            ~ts_us:now_us
-            ~args:[ "delay_us", Json.Float delay_us ]
+          d.stats.Stats.brownouts <- d.stats.Stats.brownouts + 1;
+          note "brownout_degrade"
         | Brownout.Restore ->
-          st.stats.Stats.brownout_restores <- st.stats.Stats.brownout_restores + 1;
-          Trace.instant st.tracer ~name:"brownout_restore" ~cat:"resilience" ~tid:0
-            ~ts_us:now_us
-            ~args:[ "delay_us", Json.Float delay_us ])
-      st.brownout
+          d.stats.Stats.brownout_restores <- d.stats.Stats.brownout_restores + 1;
+          note "brownout_restore")
+      d.brownout
 
-let browned_out (st : 'a state) =
-  match st.brownout with Some b -> Brownout.engaged b | None -> false
+(** Offer an arriving request to the queue. The adaptive concurrency limiter
+    gates ahead of the bounded queue — admitting past the limit would only
+    grow the delay it is trying to control — and an admission that fills
+    the queue past [degrade_high_frac] enters degraded mode. Also returns
+    the requests the full-queue sweep expired. *)
+let offer d (r : 'a Admission.request) ~now_us : admit * 'a Admission.request list =
+  match d.limiter with
+  | Some lim when not (Limiter.admits lim ~queued:(Admission.length d.queue)) ->
+    d.stats.Stats.limit_shed <- d.stats.Stats.limit_shed + 1;
+    Shed_limit, []
+  | _ ->
+    let admitted, swept = Admission.offer_swept d.queue ~now_us r in
+    if
+      admitted && (not d.degraded)
+      && float_of_int (Admission.length d.queue)
+         >= d.config.tolerance.degrade_high_frac *. float_of_int d.config.queue_capacity
+    then d.degraded <- true;
+    (if admitted then Admitted else Shed_queue), swept
 
-(* --- The launch / recovery state machine --- *)
+(** Start a launch: feed the pressure signal, then pop up to [limit] live
+    requests and the expired ones skipped on the way. *)
+let take d ~now_us ~limit =
+  observe_pressure d ~now_us;
+  Admission.take_with_expired d.queue ~now_us ~limit
+
+(** The success path: learn the latency, count the batch, then audit and
+    record each request. Sampled (or [forced]) audits decide each
+    delivery: a mismatch swaps in the reference result and adds the
+    re-execution latency; with no auditor this is draw-free. [each] sees
+    every request's verdict in batch order, right after its queue span.
+    Returns the verdicts. *)
+let deliver d batch (outcome : exec_outcome) ~now_us ~done_us ~forced ~each =
+  let size = List.length batch in
+  let degraded = is_degraded d in
+  Batcher.observe_batch d.batcher ~size ~latency_us:outcome.ex_latency_us;
+  Stats.note_batch d.stats ~size ~profiler:outcome.ex_profiler;
+  if degraded then d.stats.Stats.degraded_batches <- d.stats.Stats.degraded_batches + 1;
+  if outcome.ex_corrupted then
+    d.stats.Stats.corrupted_batches <- d.stats.Stats.corrupted_batches + 1;
+  Trace.complete d.tracer ?pid:d.pid ~name:"batch" ~cat:"serve" ~tid:0 ~ts_us:now_us
+    ~dur_us:outcome.ex_latency_us
+    ~args:[ "size", Json.Int size; "degraded", Json.Bool degraded ];
+  let deliveries =
+    List.mapi
+      (fun i r ->
+        ( r,
+          audit_request d.auditor ~audit_rng:d.audit_rng ~stats:d.stats ~forced ~outcome
+            ~index:i r ))
+      batch
+  in
+  List.iter
+    (fun ((r : _ Admission.request), a) ->
+      let id = r.Admission.rq_id in
+      note_delivery d.stats ~outcome a;
+      if a.ad_audited then
+        Trace.instant d.tracer ?pid:d.pid
+          ~name:(if a.ad_clean then "audit_ok" else "audit_mismatch")
+          ~cat:"integrity" ~tid:(req_tid id) ~ts_us:done_us
+          ~args:[ "id", Json.Int id ];
+      Stats.record_fields d.stats ~id ~arrival_us:r.Admission.rq_arrival_us ~start_us:now_us
+        ~done_us:(done_us +. a.ad_extra_us) ~batch_size:size;
+      Trace.complete d.tracer ?pid:d.pid ~name:"queue" ~cat:"request" ~tid:(req_tid id)
+        ~ts_us:r.Admission.rq_arrival_us
+        ~dur_us:(now_us -. r.Admission.rq_arrival_us);
+      each r a)
+    deliveries;
+  deliveries
+
+(** The {!Recovery} owner of a device: its jitter stream, retry budget and
+    stats, executing under its current degraded flag. Retry sheds and
+    poison are counted on the device before the engine's own hooks run. *)
+let device_owner d ~epoch ~deliver ~on_fault ~escalate ~retry_shed ~poison :
+    ('a Admission.request, 'a) Recovery.owner =
+  {
+    Recovery.loop = d.loop;
+    tracer = d.tracer;
+    pid = d.pid;
+    tol = d.config.tolerance;
+    rng = d.ft_rng;
+    budget = d.budget;
+    counters = [ d.stats ];
+    epoch;
+    payload = (fun r -> r.Admission.rq_payload);
+    execute = (fun payloads -> d.execute ~degraded:(is_degraded d) payloads);
+    deliver;
+    on_fault;
+    escalate;
+    retry_shed =
+      (fun batch ~freed_us ->
+        d.stats.Stats.retry_shed <- d.stats.Stats.retry_shed + List.length batch;
+        retry_shed batch ~freed_us);
+    poison =
+      (fun r ->
+        d.stats.Stats.poisoned <- d.stats.Stats.poisoned + 1;
+        poison r);
+  }
+
+(* --- The single server: a device behind a circuit breaker --- *)
+
+type breaker_state =
+  | Closed
+  | Open of { until_us : float }  (** Shedding; probe allowed from [until_us]. *)
+  | Half_open  (** Probe in flight; its verdict closes or re-opens. *)
+
+type 'a state = {
+  dev : 'a device;
+  mutable breaker : breaker_state;
+  recovery : ('a Admission.request, 'a) Recovery.owner Lazy.t;
+      (** Built once: every hook reads the state it needs when it runs. *)
+}
+
+(* Request-terminal instant: every admitted id ends in exactly one of
+   done / expired / poisoned / retry_budget (shed ids terminate at
+   admission). *)
+let trace_terminal (st : 'a state) ~name ~ts_us (r : _ Admission.request) =
+  Trace.instant st.dev.tracer ~name ~cat:"request" ~ts_us ~tid:(req_tid r.Admission.rq_id)
+    ~args:[ "id", Json.Int r.Admission.rq_id ]
+
+let open_breaker (st : 'a state) ~wake =
+  let d = st.dev in
+  let now_us = Event_loop.now d.loop in
+  let until_us = now_us +. d.config.tolerance.breaker_cooldown_us in
+  st.breaker <- Open { until_us };
+  d.stats.Stats.breaker_opens <- d.stats.Stats.breaker_opens + 1;
+  Trace.instant d.tracer ~name:"breaker_open" ~cat:"fault" ~tid:0 ~ts_us:now_us
+    ~args:[ "until_us", Json.Float until_us ];
+  (* Self-wake at cooldown expiry: with arrivals shed while open, no other
+     event may exist to trigger the probe. *)
+  Event_loop.schedule d.loop ~at:until_us wake
+
+let note_failure (st : 'a state) ~wake =
+  st.dev.consecutive_failures <- st.dev.consecutive_failures + 1;
+  match st.breaker with
+  | Half_open -> open_breaker st ~wake (* failed probe: back to shedding *)
+  | Closed when st.dev.consecutive_failures >= st.dev.config.tolerance.breaker_threshold ->
+    open_breaker st ~wake
+  | Closed | Open _ -> ()
+
+let note_success (st : 'a state) =
+  st.dev.consecutive_failures <- 0;
+  (match st.breaker with Closed -> () | Open _ | Half_open -> st.breaker <- Closed);
+  relieve st.dev
 
 (* One pass of the launch decision; called whenever the device frees up, a
    request arrives, a batcher timeout fires, or the breaker cooldown ends.
    Idempotent: spurious wakes fall through. *)
 let rec maybe_launch (st : 'a state) =
-  if not st.device_busy then begin
-    let now_us = Event_loop.now st.loop in
+  let d = st.dev in
+  if not d.busy then begin
+    let now_us = Event_loop.now d.loop in
     match st.breaker with
-    | Half_open -> () (* unreachable while device_busy is accurate; be safe *)
+    | Half_open -> () (* unreachable while [busy] is accurate; be safe *)
     | Open { until_us } ->
-      if now_us >= until_us && not (Admission.is_empty st.queue) then begin
+      if now_us >= until_us && not (Admission.is_empty d.queue) then begin
         (* Probe: a single request tests whether the device recovered. *)
         st.breaker <- Half_open;
-        Trace.instant st.tracer ~name:"breaker_probe" ~cat:"fault" ~tid:0 ~ts_us:now_us;
+        Trace.instant d.tracer ~name:"breaker_probe" ~cat:"fault" ~tid:0 ~ts_us:now_us;
         flush st ~now_us ~limit:1
       end
     | Closed ->
-      if not (Admission.is_empty st.queue) then begin
-        match
-          Batcher.decide st.batcher ~now_us ~queue_len:(Admission.length st.queue)
-            ~oldest_arrival_us:(Option.get (Admission.oldest_arrival_us st.queue))
-        with
-        | Batcher.Wait_until at when at > now_us ->
-          Event_loop.schedule st.loop ~at (fun () -> maybe_launch st)
-        | Batcher.Wait_until _ ->
-          (* A wait that is already due would re-fire at this same virtual
-             instant forever; treat it as a flush of whatever is queued. *)
-          flush st ~now_us ~limit:(min (Admission.length st.queue) st.cur_max_batch)
-        | Batcher.Flush limit -> flush st ~now_us ~limit:(min limit st.cur_max_batch)
+      if not (Admission.is_empty d.queue) then begin
+        match Recovery.decide_launch d.batcher d.queue ~now_us ~cap:d.cur_max_batch with
+        | Batcher.Wait_until at -> Event_loop.schedule d.loop ~at (fun () -> maybe_launch st)
+        | Batcher.Flush limit -> flush st ~now_us ~limit
       end
   end
 
 and flush (st : 'a state) ~now_us ~limit =
-  observe_pressure st ~now_us;
-  let batch, dropped = Admission.take_with_expired st.queue ~now_us ~limit in
+  let d = st.dev in
+  let batch, dropped = take d ~now_us ~limit in
   List.iter (trace_terminal st ~name:"expired" ~ts_us:now_us) dropped;
   match batch with
   | [] ->
     (* Everything popped had expired; the queue may still hold work. *)
     maybe_launch st
   | batch ->
-    st.device_busy <- true;
-    resolve st batch ~k:(fun () ->
-        st.device_busy <- false;
+    d.busy <- true;
+    Recovery.resolve (Lazy.force st.recovery) batch ~k:(fun () ->
+        d.busy <- false;
         maybe_launch st)
 
-(* Drive [batch] to a resolution — every request completes or is dropped as
-   poison — then run [k] at the virtual time the last attempt finished. The
-   device stays busy throughout (retries, backoff waits and bisection
-   sub-batches execute serially, preserving determinism). *)
-and resolve (st : 'a state) (batch : 'a Admission.request list) ~(k : unit -> unit) =
-  let tol = st.config.tolerance in
-  let wake () = maybe_launch st in
-  (* Extract payloads once per resolution, not per retry attempt: the
-     batch is fixed for the whole retry/backoff cycle, so re-mapping it
-     on every attempt only allocated garbage on the failure path. *)
-  let payloads = List.map (fun (r : _ Admission.request) -> r.Admission.rq_payload) batch in
-  let rec attempt ~retries_left ~backoff_us () =
-    let now_us = Event_loop.now st.loop in
-    let degraded = st.degraded || browned_out st in
-    (* The executor builds a fresh device whose profiler clock starts at
-       zero; anchor its trace spans at this attempt's launch time. *)
-    Trace.set_context st.tracer ~tid:0 ~base_us:now_us;
-    match st.execute ~degraded payloads with
-    | Exec_ok outcome ->
-      let size = List.length batch in
-      let done_us = now_us +. Float.max 0.0 outcome.ex_latency_us in
-      Batcher.observe_batch st.batcher ~size ~latency_us:outcome.ex_latency_us;
-      Stats.note_batch st.stats ~size ~profiler:outcome.ex_profiler;
-      if degraded then
-        st.stats.Stats.degraded_batches <- st.stats.Stats.degraded_batches + 1;
-      if outcome.ex_corrupted then
-        st.stats.Stats.corrupted_batches <- st.stats.Stats.corrupted_batches + 1;
-      Trace.complete st.tracer ~name:"batch" ~cat:"serve" ~tid:0 ~ts_us:now_us
-        ~dur_us:outcome.ex_latency_us
-        ~args:[ "size", Json.Int size; "degraded", Json.Bool degraded ];
-      List.iteri
-        (fun i (r : _ Admission.request) ->
-          (* Sampled audit before delivery: a mismatch swaps in the
-             reference result (the request is saved), at the cost of the
-             unbatched re-execution's latency. With no auditor armed this
-             is draw-free and delivery is exactly the legacy path. *)
-          let d =
-            audit_request st.auditor ~audit_rng:st.audit_rng ~stats:st.stats
-              ~forced:false ~outcome ~index:i r
-          in
-          note_delivery st.stats ~outcome d;
-          let r_done_us = done_us +. d.ad_extra_us in
-          if d.ad_audited then
-            Trace.instant st.tracer
-              ~name:(if d.ad_clean then "audit_ok" else "audit_mismatch")
-              ~cat:"integrity" ~tid:(req_tid r.Admission.rq_id) ~ts_us:done_us
-              ~args:[ "id", Json.Int r.Admission.rq_id ];
-          Stats.record_fields st.stats ~id:r.Admission.rq_id
-            ~arrival_us:r.Admission.rq_arrival_us ~start_us:now_us ~done_us:r_done_us
-            ~batch_size:size;
-          Trace.complete st.tracer ~name:"queue" ~cat:"request"
-            ~tid:(req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
-            ~dur_us:(now_us -. r.Admission.rq_arrival_us);
-          trace_terminal st ~name:"done" ~ts_us:r_done_us r)
-        batch;
-      Event_loop.schedule st.loop ~at:done_us (fun () ->
-          note_success st;
-          k ())
-    | Exec_fault f ->
-      st.stats.Stats.fault_batches <- st.stats.Stats.fault_batches + 1;
-      note_failure st ~wake;
-      if f.ef_oom then shrink_batches st;
-      let freed_us = now_us +. Float.max 0.0 f.ef_latency_us in
-      Trace.complete st.tracer ~name:"batch_fault" ~cat:"fault" ~tid:0 ~ts_us:now_us
-        ~dur_us:f.ef_latency_us
-        ~args:
-          [
-            "reason", Json.Str f.ef_reason;
-            "transient", Json.Bool f.ef_transient;
-            "size", Json.Int (List.length batch);
-          ];
-      if f.ef_transient && retries_left > 0 then begin
-        let size = List.length batch in
-        (* The retry-budget check precedes the jitter draw: with no budget
-           configured the RNG stream is untouched relative to the
-           budget-less server, and a denied retry draws nothing. *)
-        match st.budget with
-        | Some b when not (Budget.try_spend b size) ->
-          (* Budget dry: retrying would amplify load the device already
-             cannot absorb. Shed the batch instead of bisecting — bisection
-             is itself re-offered load. *)
-          st.stats.Stats.retry_shed <- st.stats.Stats.retry_shed + size;
-          List.iter (trace_terminal st ~name:"retry_budget" ~ts_us:freed_us) batch;
-          Event_loop.schedule st.loop ~at:freed_us k
-        | budget ->
-          if Option.is_some budget then
-            st.stats.Stats.retried_requests <- st.stats.Stats.retried_requests + size;
-          st.stats.Stats.retries <- st.stats.Stats.retries + 1;
-          let jitter = 1.0 +. (tol.jitter_frac *. ((2.0 *. Rng.float st.ft_rng) -. 1.0)) in
-          let at = freed_us +. Float.max 0.0 (backoff_us *. jitter) in
-          Trace.instant st.tracer ~name:"retry" ~cat:"fault" ~tid:0 ~ts_us:at
-            ~args:[ "attempt", Json.Int (tol.max_retries - retries_left + 1) ];
-          Event_loop.schedule st.loop ~at
-            (attempt ~retries_left:(retries_left - 1)
-               ~backoff_us:(backoff_us *. tol.backoff_mult))
-      end
-      else
-        (* Retries exhausted (or the failure is deterministic): isolate. *)
-        Event_loop.schedule st.loop ~at:freed_us (fun () -> bisect st batch ~k)
-  in
-  attempt ~retries_left:tol.max_retries ~backoff_us:tol.backoff_base_us ()
-
-(* Binary fault isolation. A single survivor of repeated failure is the
-   poison: drop it alone. Larger batches split in half; each half gets a
-   fresh retry budget so transient noise during isolation does not condemn
-   innocent requests. *)
-and bisect (st : 'a state) (batch : 'a Admission.request list) ~k =
-  match batch with
-  | [] -> k ()
-  | [ r ] ->
-    st.stats.Stats.poisoned <- st.stats.Stats.poisoned + 1;
-    trace_terminal st ~name:"poisoned" ~ts_us:(Event_loop.now st.loop) r;
-    k ()
-  | _ ->
-    st.stats.Stats.bisections <- st.stats.Stats.bisections + 1;
-    Trace.instant st.tracer ~name:"bisect" ~cat:"fault" ~tid:0
-      ~ts_us:(Event_loop.now st.loop)
-      ~args:[ "size", Json.Int (List.length batch) ];
-    let half = List.length batch / 2 in
-    let left = List.filteri (fun i _ -> i < half) batch in
-    let right = List.filteri (fun i _ -> i >= half) batch in
-    resolve st left ~k:(fun () -> resolve st right ~k)
+(* The server's recovery policy: breaker and OOM shrink on a fault, the
+   breaker closing on success, terminal trace instants for every outcome. *)
+and recovery (st : 'a state) =
+  let d = st.dev in
+  device_owner d
+    ~epoch:(fun () -> 0)
+    ~deliver:(fun batch outcome ~now_us ~done_us ->
+      ignore
+        (deliver d batch outcome ~now_us ~done_us ~forced:false ~each:(fun r a ->
+             trace_terminal st ~name:"done" ~ts_us:(done_us +. a.ad_extra_us) r));
+      fun () -> note_success st)
+    ~on_fault:(fun ~oom ~reset:_ ~freed_us:_ ->
+      note_failure st ~wake:(fun () -> maybe_launch st);
+      if oom then shrink_batches d)
+    ~escalate:(fun ~freed_us:_ -> None)
+    ~retry_shed:(fun batch ~freed_us ->
+      List.iter (trace_terminal st ~name:"retry_budget" ~ts_us:freed_us) batch;
+      ignore)
+    ~poison:(fun r -> trace_terminal st ~name:"poisoned" ~ts_us:(Event_loop.now d.loop) r)
 
 let on_arrival (st : 'a state) (r : 'a Admission.request) =
-  let now_us = Event_loop.now st.loop in
-  Batcher.observe_arrival st.batcher ~now_us;
-  Trace.instant st.tracer ~name:"admit" ~cat:"request" ~tid:(req_tid r.Admission.rq_id)
+  let d = st.dev in
+  let now_us = Event_loop.now d.loop in
+  Batcher.observe_arrival d.batcher ~now_us;
+  Trace.instant d.tracer ~name:"admit" ~cat:"request" ~tid:(req_tid r.Admission.rq_id)
     ~ts_us:now_us
     ~args:[ "id", Json.Int r.Admission.rq_id ];
   match st.breaker with
   | Open { until_us } when now_us < until_us ->
     (* Breaker open: shed at the door without queueing — launching is
        pointless while the device is presumed down. *)
-    st.stats.Stats.breaker_shed <- st.stats.Stats.breaker_shed + 1;
+    d.stats.Stats.breaker_shed <- d.stats.Stats.breaker_shed + 1;
     trace_terminal st ~name:"shed_breaker" ~ts_us:now_us r
   | Closed | Half_open | Open _ -> (
-    match st.limiter with
-    | Some lim when not (Limiter.admits lim ~queued:(Admission.length st.queue)) ->
-      (* The adaptive concurrency limiter gates ahead of the bounded queue:
-         admitting past the limit would only grow the delay it is trying to
-         control. *)
-      st.stats.Stats.limit_shed <- st.stats.Stats.limit_shed + 1;
-      trace_terminal st ~name:"shed_limit" ~ts_us:now_us r
-    | _ ->
-    let admitted, swept = Admission.offer_swept st.queue ~now_us r in
-    List.iter (trace_terminal st ~name:"expired" ~ts_us:now_us) swept;
-    if not admitted then trace_terminal st ~name:"shed" ~ts_us:now_us r
-    else begin
-      Option.iter Budget.deposit st.budget;
-      let tol = st.config.tolerance in
-      if
-        (not st.degraded)
-        && float_of_int (Admission.length st.queue)
-           >= tol.degrade_high_frac *. float_of_int st.config.queue_capacity
-      then st.degraded <- true;
-      (* Defer the launch check to a same-time event rather than deciding
-         inline: events tie-break in scheduling order, so every arrival at
-         this virtual instant is queued before the check runs and
-         simultaneous requests coalesce into one batch instead of the first
-         one launching alone. *)
-      Event_loop.schedule st.loop ~at:now_us (fun () -> maybe_launch st)
-    end)
+    match offer d r ~now_us with
+    | Shed_limit, _ -> trace_terminal st ~name:"shed_limit" ~ts_us:now_us r
+    | admit, swept ->
+      List.iter (trace_terminal st ~name:"expired" ~ts_us:now_us) swept;
+      if admit = Shed_queue then trace_terminal st ~name:"shed" ~ts_us:now_us r
+      else begin
+        Option.iter Budget.deposit d.budget;
+        (* Defer the launch check to a same-time event rather than deciding
+           inline: events tie-break in scheduling order, so every arrival
+           at this virtual instant is queued before the check runs and
+           simultaneous requests coalesce into one batch instead of the
+           first one launching alone. *)
+        Event_loop.schedule d.loop ~at:now_us (fun () -> maybe_launch st)
+      end)
 
 (** Run the simulation to completion.
 
@@ -542,41 +511,11 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     ~(arrivals : float array) ~(payload : int -> 'a)
     ~(execute : degraded:bool -> 'a list -> exec_result) : Stats.t =
   let loop = Event_loop.create (Clock.create ()) in
-  let pmax = policy_max_batch config.policy in
-  let rs = config.resilience in
-  let st =
+  let rec st =
     {
-      config;
-      loop;
-      queue =
-        Admission.create
-          ~eager_sweep:(Resilience.active rs)
-          ~capacity:config.queue_capacity ();
-      batcher = Batcher.create ~cost:config.cost config.policy;
-      stats = Stats.create ();
-      execute;
-      auditor;
-      audit_rng = Rng.create (match auditor with Some a -> a.au_seed | None -> 0);
-      device_busy = false;
-      ft_rng = Rng.create config.tolerance.ft_seed;
-      consecutive_failures = 0;
+      dev = create_device ~metrics ?auditor ~id:0 ~loop ~tracer config ~execute;
       breaker = Closed;
-      policy_max_batch = pmax;
-      cur_max_batch = pmax;
-      degraded = false;
-      tracer;
-      budget = Option.map (fun frac -> Budget.create ~frac) rs.Resilience.rs_retry_budget;
-      limiter =
-        Option.map
-          (fun target_us -> Limiter.create ~target_us ())
-          rs.Resilience.rs_target_delay_us;
-      brownout = Option.map Brownout.create rs.Resilience.rs_brownout;
-      limit_gauge =
-        (* Register only when the limiter is armed: a legacy run's metrics
-           export must not grow a new instrument. *)
-        (if rs.Resilience.rs_target_delay_us <> None then
-           Metrics.gauge metrics "resilience.limit"
-         else Metrics.gauge Metrics.null "resilience.limit");
+      recovery = lazy (recovery st);
     }
   in
   if Trace.enabled tracer then begin
@@ -595,25 +534,13 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       in
       Event_loop.schedule loop ~at (fun () -> on_arrival st r))
     arrivals;
-  (* Periodic metric snapshots ride the event loop itself; the chain stops
-     rescheduling once it is the only pending work, so the loop drains. *)
-  if Metrics.enabled metrics then begin
-    let rec snap () =
-      Stats.to_metrics st.stats metrics;
-      Metrics.snapshot metrics ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending loop > 0 then
-        Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-    in
-    Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-  end;
+  let stats = st.dev.stats in
+  Stats.snapshot_periodically stats metrics loop ~every_us:snapshot_every_us;
   Event_loop.run loop;
-  st.stats.Stats.shed <- Admission.shed_count st.queue;
-  st.stats.Stats.expired <- Admission.expired_count st.queue;
-  st.stats.Stats.end_us <- Event_loop.now loop;
-  st.stats.Stats.clamped_schedules <- Event_loop.clamped_count loop;
-  st.stats.Stats.loop_events <- Event_loop.dispatched loop;
-  Stats.to_metrics st.stats metrics;
-  st.stats
+  stats.Stats.shed <- Admission.shed_count st.dev.queue;
+  stats.Stats.expired <- Admission.expired_count st.dev.queue;
+  Stats.finish stats metrics loop;
+  stats
 
 (** Lift a plain (infallible) executor into the fault-aware signature;
     convenience for tests and fault-free callers. *)

@@ -808,3 +808,24 @@ let to_metrics (t : t) (m : Acrobat_obs.Metrics.t) =
         ];
     Profiler.to_metrics t.profiler m
   end
+
+(** Periodic virtual-clock snapshots of [t] into [m], every [every_us].
+    The chain rides [loop] itself and stops rescheduling once it is the only
+    pending work, so the loop still drains. A no-op when [m] is disabled. *)
+let snapshot_periodically (t : t) (m : Acrobat_obs.Metrics.t) loop ~every_us =
+  if Acrobat_obs.Metrics.enabled m then begin
+    let rec snap () =
+      to_metrics t m;
+      Acrobat_obs.Metrics.snapshot m ~ts_us:(Event_loop.now loop);
+      if Event_loop.pending loop > 0 then Event_loop.schedule_after loop ~delay:every_us snap
+    in
+    Event_loop.schedule_after loop ~delay:every_us snap
+  end
+
+(** End-of-run bookkeeping once [loop] has drained: the run's end time and
+    the loop's own counters, then the final metrics export. *)
+let finish (t : t) (m : Acrobat_obs.Metrics.t) loop =
+  t.end_us <- Event_loop.now loop;
+  t.clamped_schedules <- Event_loop.clamped_count loop;
+  t.loop_events <- Event_loop.dispatched loop;
+  to_metrics t m

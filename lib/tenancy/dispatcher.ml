@@ -23,9 +23,11 @@
     in-flight batch completes (conservation holds across scale events —
     the chaos campaign's invariant checker runs over exactly this layer).
 
-    Faulty executors are driven to resolution with the single-server
-    machinery's retry-then-bisect path (per-replica jitter streams seeded
-    by the same [ft_seed + id * 7919] convention). When the resilience
+    Faulty executors are driven to resolution by the shared
+    {!Acrobat_serve.Recovery} loop (retry, budget shed, bisection), on
+    per-replica jitter streams seeded by the same [ft_seed + id * 7919]
+    convention; the dispatcher plugs in swap billing, per-tenant breakers,
+    fair-share charging and hedge dedup as its policy. When the resilience
     layer is armed ([t_resilience]), each tenant additionally gets a
     retry-token {!Acrobat_resilience.Budget} (retries charged to the
     batch's lead tenant; a dry budget sheds the batch instead of
@@ -68,6 +70,7 @@ module Metrics = Acrobat_obs.Metrics
 module Json = Acrobat_obs.Json
 module Cluster = Acrobat_serve.Cluster
 module Replica = Acrobat_serve.Replica
+module Recovery = Acrobat_serve.Recovery
 module Resilience = Acrobat_resilience.Policy
 module Budget = Acrobat_resilience.Budget
 module Limiter = Acrobat_resilience.Limiter
@@ -236,16 +239,36 @@ let copy_drop_terminal st (r : 'a Admission.request) =
       true
     end
 
-(* A queued request left without executing (swept or popped past deadline). *)
+(* A copy of [r] left without completing. When that drop is the request's
+   terminal outcome, [count] it on the [ledgers] and trace it as [name]. *)
+let drop_copy st (ts : 'a tstate) ~ledgers ~count ~name ~ts_us r =
+  if copy_drop_terminal st r then begin
+    List.iter count ledgers;
+    ts.ts_inflight <- ts.ts_inflight - 1;
+    trace_terminal st ts ~name ~ts_us r
+  end
+
+(* A queued request left without executing (swept or popped past deadline).
+   Only the aggregate counts it here: a tenant's own expiries are its
+   queue's count. *)
 let drop_expired st (ts : 'a tstate) ~ts_us dropped =
   List.iter
-    (fun r ->
-      if copy_drop_terminal st r then begin
-        st.stats.Stats.expired <- st.stats.Stats.expired + 1;
-        ts.ts_inflight <- ts.ts_inflight - 1;
-        trace_terminal st ts ~name:"expired" ~ts_us r
-      end)
+    (drop_copy st ts ~ledgers:[ st.stats ] ~name:"expired" ~ts_us ~count:(fun s ->
+         s.Stats.expired <- s.Stats.expired + 1))
     dropped
+
+(* Stale hedge duplicates whose winner already completed leave the queue
+   unexecuted, counted as cancels. *)
+let drop_cancelled st (live : 'a Admission.request list) =
+  List.filter
+    (fun (r : 'a Admission.request) ->
+      match Hashtbl.find_opt st.entries r.Admission.rq_id with
+      | Some e when e.he_done ->
+        e.he_copies <- e.he_copies - 1;
+        st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
+        false
+      | _ -> true)
+    live
 
 (* --- Launch path --- *)
 
@@ -333,17 +356,7 @@ let fill_batch st ~lead ~model ~room ~now =
             Admission.take_with_expired ts.ts_queue ~now_us:now ~limit:!room
           in
           drop_expired st ts ~ts_us:now dropped;
-          let live =
-            List.filter
-              (fun (r : 'a Admission.request) ->
-                match Hashtbl.find_opt st.entries r.Admission.rq_id with
-                | Some e when e.he_done ->
-                  e.he_copies <- e.he_copies - 1;
-                  st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
-                  false
-                | _ -> true)
-              live
-          in
+          let live = drop_cancelled st live in
           if live = [] then None
           else begin
             room := !room - List.length live;
@@ -353,255 +366,162 @@ let fill_batch st ~lead ~model ~room ~now =
       order
   end
 
-(* Drive one batch to resolution on [rp]: every request completes or is
-   dropped as poison, then [k] runs at the time the device frees up. The
-   batch is a list of [(owner_tenant, request)] pairs — bisection halves
-   keep their owners, so per-tenant accounting survives fault isolation. *)
-let rec resolve st rp (batch : (int * 'a Admission.request) list) ~lead ~model ~swap_us
-    ~(k : unit -> unit) =
-  let tol = st.cfg.t_server.Server.tolerance in
-  (* Extract payloads once per resolution, not per retry attempt (the
-     batch is fixed for the whole retry/backoff cycle). *)
-  let payloads =
-    List.map (fun ((_, r) : int * 'a Admission.request) -> r.Admission.rq_payload) batch
-  in
-  let rec attempt ~swap_us ~retries_left ~backoff_us () =
-    let now = now_us st in
-    if swap_us > 0.0 then
-      (* Load the incoming model's weights before executing; the device is
-         occupied for the duration, then the attempt proper starts. *)
-      Event_loop.schedule st.loop ~at:(now +. swap_us)
-        (attempt ~swap_us:0.0 ~retries_left ~backoff_us)
-    else begin
-      Trace.set_context st.tracer ~pid:(rp_pid rp) ~tid:0 ~base_us:now;
-      match st.execute rp.rp_id ~model payloads with
-      | Server.Exec_ok outcome ->
-        let size = List.length batch in
-        let done_us = now +. Float.max 0.0 outcome.Server.ex_latency_us in
-        let lead_ts = st.tenants.(lead) in
-        if Resilience.active st.cfg.t_resilience then begin
-          lead_ts.ts_consec_failures <- 0;
-          if lead_ts.ts_breaker = Half_open then lead_ts.ts_breaker <- Closed
-        end;
-        Batcher.observe_batch lead_ts.ts_batcher ~size
-          ~latency_us:outcome.Server.ex_latency_us;
-        Stats.note_batch st.stats ~size ~profiler:outcome.Server.ex_profiler;
-        Stats.note_batch lead_ts.ts_stats ~size ~profiler:None;
-        if outcome.Server.ex_corrupted then begin
-          st.stats.Stats.corrupted_batches <- st.stats.Stats.corrupted_batches + 1;
-          lead_ts.ts_stats.Stats.corrupted_batches <-
-            lead_ts.ts_stats.Stats.corrupted_batches + 1
-        end;
-        rp.rp_batches <- rp.rp_batches + 1;
-        Trace.complete st.tracer ~name:"batch" ~cat:"serve" ~pid:(rp_pid rp) ~tid:0
-          ~ts_us:now ~dur_us:outcome.Server.ex_latency_us
-          ~args:
-            (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
-               [ "size", Json.Int size; "replica", Json.Int rp.rp_id ]);
-        (* Charge each participating tenant its share of the device time
-           (the lead's swap was billed at launch). *)
-        let busy = Float.max 0.0 outcome.Server.ex_latency_us in
-        let counts = Array.make (Array.length st.tenants) 0 in
-        List.iter (fun (ti, _) -> counts.(ti) <- counts.(ti) + 1) batch;
-        Array.iteri
-          (fun ti c ->
-            if c > 0 then
-              Fairshare.charge st.fair ti
-                ~work:(busy *. float_of_int c /. float_of_int size))
-          counts;
-        (* Hedge dedup: only the first completing copy of a request is a
-           completion; the rest are wasted work. With hedging off the entry
-           table is empty and [fresh] is the whole batch. Each survivor
-           keeps its batch position so the audit gate can look up its
-           fingerprint. *)
-        let _, fresh_rev =
-          List.fold_left
-            (fun (bi, acc) ((ti, r) : int * 'a Admission.request) ->
-              let keep =
-                match Hashtbl.find_opt st.entries r.Admission.rq_id with
-                | None -> true
-                | Some e when e.he_done ->
-                  e.he_copies <- e.he_copies - 1;
-                  st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
-                  false
-                | Some e ->
-                  e.he_done <- true;
-                  e.he_copies <- e.he_copies - 1;
-                  record_latency st (done_us -. r.Admission.rq_arrival_us);
-                  (match e.he_hedge_copy with
-                  | Some hc when hc == r ->
-                    st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
-                  | _ -> ());
-                  true
-              in
-              bi + 1, if keep then (bi, ti, r) :: acc else acc)
-            (0, []) batch
+(* A success on [rp]: the lead tenant's breaker closes, every participating
+   tenant is charged its share of the device time, hedge duplicates are
+   deduplicated, and each fresh request passes the audit gate before
+   delivery. Returns what runs at [done_us]: the inflight releases. *)
+let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
+    (outcome : Server.exec_outcome) ~now_us:now ~done_us =
+  let size = List.length batch in
+  let lead_ts = st.tenants.(lead) in
+  if Resilience.active st.cfg.t_resilience then begin
+    lead_ts.ts_consec_failures <- 0;
+    if lead_ts.ts_breaker = Half_open then lead_ts.ts_breaker <- Closed
+  end;
+  Batcher.observe_batch lead_ts.ts_batcher ~size ~latency_us:outcome.Server.ex_latency_us;
+  Stats.note_batch st.stats ~size ~profiler:outcome.Server.ex_profiler;
+  Stats.note_batch lead_ts.ts_stats ~size ~profiler:None;
+  if outcome.Server.ex_corrupted then begin
+    st.stats.Stats.corrupted_batches <- st.stats.Stats.corrupted_batches + 1;
+    lead_ts.ts_stats.Stats.corrupted_batches <- lead_ts.ts_stats.Stats.corrupted_batches + 1
+  end;
+  rp.rp_batches <- rp.rp_batches + 1;
+  Trace.complete st.tracer ~name:"batch" ~cat:"serve" ~pid:(rp_pid rp) ~tid:0 ~ts_us:now
+    ~dur_us:outcome.Server.ex_latency_us
+    ~args:
+      (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
+         [ "size", Json.Int size; "replica", Json.Int rp.rp_id ]);
+  (* Charge each participating tenant its share of the device time (the
+     lead's swap was billed at launch). *)
+  let busy = Float.max 0.0 outcome.Server.ex_latency_us in
+  let counts = Array.make (Array.length st.tenants) 0 in
+  List.iter (fun (ti, _) -> counts.(ti) <- counts.(ti) + 1) batch;
+  Array.iteri
+    (fun ti c ->
+      if c > 0 then
+        Fairshare.charge st.fair ti ~work:(busy *. float_of_int c /. float_of_int size))
+    counts;
+  (* Hedge dedup: only the first completing copy of a request is a
+     completion; the rest are wasted work. With hedging off the entry table
+     is empty and [fresh] is the whole batch. Each survivor keeps its batch
+     position so the audit gate can look up its fingerprint. *)
+  let _, fresh_rev =
+    List.fold_left
+      (fun (bi, acc) ((ti, r) : int * 'a Admission.request) ->
+        let keep =
+          match Hashtbl.find_opt st.entries r.Admission.rq_id with
+          | None -> true
+          | Some e when e.he_done ->
+            e.he_copies <- e.he_copies - 1;
+            st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
+            false
+          | Some e ->
+            e.he_done <- true;
+            e.he_copies <- e.he_copies - 1;
+            record_latency st (done_us -. r.Admission.rq_arrival_us);
+            (match e.he_hedge_copy with
+            | Some hc when hc == r ->
+              st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
+            | _ -> ());
+            true
         in
-        let fresh = List.rev fresh_rev in
-        List.iter
-          (fun ((bi, ti, r) : int * int * 'a Admission.request) ->
-            let ts = st.tenants.(ti) in
-            (* Sampled audit gate ahead of delivery; a mismatch delivers
-               the reference result (the request is saved) and feeds the
-               serving replica's corruption score. *)
-            let d =
-              Server.audit_request st.auditor ~audit_rng:rp.rp_audit_rng
-                ~stats:st.stats ~forced:false ~outcome ~index:bi r
-            in
-            if d.Server.ad_audited then begin
-              ts.ts_stats.Stats.audits <- ts.ts_stats.Stats.audits + 1;
-              if not d.Server.ad_clean then
-                ts.ts_stats.Stats.audit_mismatches <-
-                  ts.ts_stats.Stats.audit_mismatches + 1;
-              Trace.instant st.tracer
-                ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
-                ~cat:"integrity" ~pid:0 ~tid:(Server.req_tid r.Admission.rq_id)
-                ~ts_us:done_us
-                ~args:[ "replica", Json.Int rp.rp_id ];
-              rp.rp_corrupt_score <-
-                ((1.0 -. Replica.corrupt_alpha) *. rp.rp_corrupt_score)
-                +. (if d.Server.ad_clean then 0.0 else Replica.corrupt_alpha);
-              if
-                (not d.Server.ad_clean)
-                && rp.rp_corrupt_score >= Replica.corrupt_threshold
-                && rp.rp_state = Active
-              then quarantine st rp ~ts_us:done_us
-            end;
-            Server.note_delivery st.stats ~outcome d;
-            Server.note_delivery ts.ts_stats ~outcome d;
-            let r_done_us = done_us +. d.Server.ad_extra_us in
-            Stats.record_fields st.stats ~id:r.Admission.rq_id
-              ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
-              ~done_us:r_done_us ~batch_size:size;
-            Stats.record_fields ts.ts_stats ~id:r.Admission.rq_id
-              ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
-              ~done_us:r_done_us ~batch_size:size;
-            (match r.Admission.rq_deadline_us with
-            | Some d when r_done_us > d -> ()
-            | Some _ | None ->
-              st.stats.Stats.slo_ok <- st.stats.Stats.slo_ok + 1;
-              ts.ts_stats.Stats.slo_ok <- ts.ts_stats.Stats.slo_ok + 1);
-            Trace.complete st.tracer ~name:"queue" ~cat:"request" ~pid:0
-              ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
-              ~dur_us:(now -. r.Admission.rq_arrival_us);
-            trace_terminal st ts ~name:"done" ~ts_us:r_done_us r)
-          fresh;
-        Event_loop.schedule st.loop ~at:done_us (fun () ->
-            List.iter
-              (fun ((_, ti, _) : int * int * 'a Admission.request) ->
-                st.tenants.(ti).ts_inflight <- st.tenants.(ti).ts_inflight - 1)
-              fresh;
-            k ())
-      | Server.Exec_fault { ef_latency_us; ef_reason; ef_transient; ef_oom = _; ef_reset = _ }
-        ->
-        let lead_ts = st.tenants.(lead) in
-        st.stats.Stats.fault_batches <- st.stats.Stats.fault_batches + 1;
-        lead_ts.ts_stats.Stats.fault_batches <- lead_ts.ts_stats.Stats.fault_batches + 1;
-        let freed_us = now +. Float.max 0.0 ef_latency_us in
-        Trace.complete st.tracer ~name:"batch_fault" ~cat:"fault" ~pid:(rp_pid rp)
-          ~tid:0 ~ts_us:now ~dur_us:ef_latency_us
-          ~args:
-            [
-              "reason", Json.Str ef_reason;
-              "transient", Json.Bool ef_transient;
-              "size", Json.Int (List.length batch);
-            ];
-        if Resilience.active st.cfg.t_resilience then begin
-          (* The lead tenant owns the batch's outcome: its breaker counts
-             the failure, and a half-open trial that fails reopens at once. *)
-          lead_ts.ts_consec_failures <- lead_ts.ts_consec_failures + 1;
-          if
-            lead_ts.ts_breaker = Half_open
-            || lead_ts.ts_consec_failures >= tol.Server.breaker_threshold
-          then begin
-            lead_ts.ts_breaker <-
-              Open { until_us = freed_us +. tol.Server.breaker_cooldown_us };
-            lead_ts.ts_consec_failures <- 0;
-            st.stats.Stats.breaker_opens <- st.stats.Stats.breaker_opens + 1;
-            lead_ts.ts_stats.Stats.breaker_opens <-
-              lead_ts.ts_stats.Stats.breaker_opens + 1;
-            Trace.instant st.tracer ~name:"breaker_open" ~cat:"resilience" ~pid:0
-              ~tid:0 ~ts_us:freed_us
-              ~args:
-                (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
-                   [ "replica", Json.Int rp.rp_id ])
-          end
-        end;
-        (* The retry-budget check (and the [retries_left = 0] guard around
-           it) precedes the jitter draw: a run that never retries — whether
-           fault-free, retry-exhausted or budget-denied — leaves the
-           replica's RNG stream untouched. *)
-        if ef_transient && retries_left > 0 then begin
-          let size = List.length batch in
-          match lead_ts.ts_budget with
-          | Some b when not (Budget.try_spend b size) ->
-            (* Budget dry: retrying would amplify load the pool already
-               cannot absorb. Shed the batch instead of bisecting —
-               bisection is itself re-offered load. *)
-            List.iter
-              (fun (ti, (r : 'a Admission.request)) ->
-                let ts = st.tenants.(ti) in
-                if copy_drop_terminal st r then begin
-                  st.stats.Stats.retry_shed <- st.stats.Stats.retry_shed + 1;
-                  ts.ts_stats.Stats.retry_shed <- ts.ts_stats.Stats.retry_shed + 1;
-                  ts.ts_inflight <- ts.ts_inflight - 1;
-                  trace_terminal st ts ~name:"retry_budget" ~ts_us:freed_us r
-                end)
-              batch;
-            Event_loop.schedule st.loop ~at:freed_us (fun () -> k ())
-          | budget ->
-            if Option.is_some budget then begin
-              st.stats.Stats.retried_requests <-
-                st.stats.Stats.retried_requests + size;
-              lead_ts.ts_stats.Stats.retried_requests <-
-                lead_ts.ts_stats.Stats.retried_requests + size
-            end;
-            st.stats.Stats.retries <- st.stats.Stats.retries + 1;
-            lead_ts.ts_stats.Stats.retries <- lead_ts.ts_stats.Stats.retries + 1;
-            let jitter =
-              1.0 +. (tol.Server.jitter_frac *. ((2.0 *. Rng.float rp.rp_rng) -. 1.0))
-            in
-            let at = freed_us +. Float.max 0.0 (backoff_us *. jitter) in
-            Trace.instant st.tracer ~name:"retry" ~cat:"fault" ~pid:(rp_pid rp) ~tid:0
-              ~ts_us:at
-              ~args:[ "attempt", Json.Int (tol.Server.max_retries - retries_left + 1) ];
-            Event_loop.schedule st.loop ~at
-              (attempt ~swap_us:0.0 ~retries_left:(retries_left - 1)
-                 ~backoff_us:(backoff_us *. tol.Server.backoff_mult))
-        end
-        else
-          Event_loop.schedule st.loop ~at:freed_us (fun () ->
-              bisect st rp batch ~lead ~model ~k)
-    end
+        bi + 1, if keep then (bi, ti, r) :: acc else acc)
+      (0, []) batch
   in
-  attempt ~swap_us ~retries_left:tol.Server.max_retries ~backoff_us:tol.Server.backoff_base_us ()
+  let fresh = List.rev fresh_rev in
+  List.iter
+    (fun ((bi, ti, r) : int * int * 'a Admission.request) ->
+      let ts = st.tenants.(ti) in
+      (* Sampled audit gate ahead of delivery; a mismatch delivers the
+         reference result (the request is saved) and feeds the serving
+         replica's corruption score. *)
+      let d =
+        Server.audit_request st.auditor ~audit_rng:rp.rp_audit_rng ~stats:st.stats
+          ~forced:false ~outcome ~index:bi r
+      in
+      if d.Server.ad_audited then begin
+        ts.ts_stats.Stats.audits <- ts.ts_stats.Stats.audits + 1;
+        if not d.Server.ad_clean then
+          ts.ts_stats.Stats.audit_mismatches <- ts.ts_stats.Stats.audit_mismatches + 1;
+        Trace.instant st.tracer
+          ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
+          ~cat:"integrity" ~pid:0 ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
+          ~args:[ "replica", Json.Int rp.rp_id ];
+        rp.rp_corrupt_score <-
+          ((1.0 -. Replica.corrupt_alpha) *. rp.rp_corrupt_score)
+          +. (if d.Server.ad_clean then 0.0 else Replica.corrupt_alpha);
+        if
+          (not d.Server.ad_clean)
+          && rp.rp_corrupt_score >= Replica.corrupt_threshold
+          && rp.rp_state = Active
+        then quarantine st rp ~ts_us:done_us
+      end;
+      Server.note_delivery st.stats ~outcome d;
+      Server.note_delivery ts.ts_stats ~outcome d;
+      let r_done_us = done_us +. d.Server.ad_extra_us in
+      Stats.record_fields st.stats ~id:r.Admission.rq_id ~arrival_us:r.Admission.rq_arrival_us
+        ~start_us:now ~done_us:r_done_us ~batch_size:size;
+      Stats.record_fields ts.ts_stats ~id:r.Admission.rq_id
+        ~arrival_us:r.Admission.rq_arrival_us ~start_us:now ~done_us:r_done_us
+        ~batch_size:size;
+      (match r.Admission.rq_deadline_us with
+      | Some d when r_done_us > d -> ()
+      | Some _ | None ->
+        st.stats.Stats.slo_ok <- st.stats.Stats.slo_ok + 1;
+        ts.ts_stats.Stats.slo_ok <- ts.ts_stats.Stats.slo_ok + 1);
+      Trace.complete st.tracer ~name:"queue" ~cat:"request" ~pid:0
+        ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
+        ~dur_us:(now -. r.Admission.rq_arrival_us);
+      trace_terminal st ts ~name:"done" ~ts_us:r_done_us r)
+    fresh;
+  fun () ->
+    List.iter
+      (fun ((_, ti, _) : int * int * 'a Admission.request) ->
+        st.tenants.(ti).ts_inflight <- st.tenants.(ti).ts_inflight - 1)
+      fresh
 
-(* Binary fault isolation, same shape as the single server's: halves get a
-   fresh retry budget (and no swap — the model is already resident). *)
-and bisect st rp (batch : (int * 'a Admission.request) list) ~lead ~model ~k =
-  match batch with
-  | [] -> k ()
-  | [ (ti, r) ] ->
-    let ts = st.tenants.(ti) in
-    if copy_drop_terminal st r then begin
-      st.stats.Stats.poisoned <- st.stats.Stats.poisoned + 1;
-      ts.ts_stats.Stats.poisoned <- ts.ts_stats.Stats.poisoned + 1;
-      ts.ts_inflight <- ts.ts_inflight - 1;
-      trace_terminal st ts ~name:"poisoned" ~ts_us:(now_us st) r
-    end;
-    k ()
-  | _ ->
-    let lead_ts = st.tenants.(lead) in
-    st.stats.Stats.bisections <- st.stats.Stats.bisections + 1;
-    lead_ts.ts_stats.Stats.bisections <- lead_ts.ts_stats.Stats.bisections + 1;
-    Trace.instant st.tracer ~name:"bisect" ~cat:"fault" ~pid:(rp_pid rp) ~tid:0
-      ~ts_us:(now_us st)
-      ~args:[ "size", Json.Int (List.length batch) ];
-    let half = List.length batch / 2 in
-    let left = List.filteri (fun i _ -> i < half) batch in
-    let right = List.filteri (fun i _ -> i >= half) batch in
-    resolve st rp left ~lead ~model ~swap_us:0.0 ~k:(fun () ->
-        resolve st rp right ~lead ~model ~swap_us:0.0 ~k)
+(* The lead tenant owns a failed attempt: its breaker counts the failure,
+   and a half-open trial that fails reopens at once. Runs after the fault
+   is traced; never abandons the resolution. *)
+and escalate st rp ~lead ~model ~freed_us =
+  let lead_ts = st.tenants.(lead) in
+  let tol = st.cfg.t_server.Server.tolerance in
+  if Resilience.active st.cfg.t_resilience then begin
+    lead_ts.ts_consec_failures <- lead_ts.ts_consec_failures + 1;
+    if
+      lead_ts.ts_breaker = Half_open
+      || lead_ts.ts_consec_failures >= tol.Server.breaker_threshold
+    then begin
+      lead_ts.ts_breaker <- Open { until_us = freed_us +. tol.Server.breaker_cooldown_us };
+      lead_ts.ts_consec_failures <- 0;
+      st.stats.Stats.breaker_opens <- st.stats.Stats.breaker_opens + 1;
+      lead_ts.ts_stats.Stats.breaker_opens <- lead_ts.ts_stats.Stats.breaker_opens + 1;
+      Trace.instant st.tracer ~name:"breaker_open" ~cat:"resilience" ~pid:0 ~tid:0
+        ~ts_us:freed_us
+        ~args:
+          (Trace.tag ~tenant:lead_ts.ts_tenant.Tenant.tn_name ~model
+             [ "replica", Json.Int rp.rp_id ])
+    end
+  end;
+  None
+
+(* The lead tenant's retry budget ran dry: retrying would amplify load the
+   pool already cannot absorb, so each copy's tenant sheds it. *)
+and retry_shed st batch ~freed_us =
+  List.iter
+    (fun (ti, r) ->
+      let ts = st.tenants.(ti) in
+      drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"retry_budget" ~ts_us:freed_us
+        ~count:(fun s -> s.Stats.retry_shed <- s.Stats.retry_shed + 1)
+        r)
+    batch;
+  ignore
+
+and poison st (ti, r) =
+  let ts = st.tenants.(ti) in
+  drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"poisoned" ~ts_us:(now_us st)
+    ~count:(fun s -> s.Stats.poisoned <- s.Stats.poisoned + 1)
+    r
 
 (* Put one free replica to work: offer it to backlogged tenants in
    fair-share order; the first whose batcher wants to flush launches. A
@@ -620,19 +540,11 @@ and try_launch st rp =
         Event_loop.schedule st.loop ~at:!wake (fun () -> pass st)
     | ti :: rest -> (
       let ts = st.tenants.(ti) in
-      match
-        Batcher.decide ts.ts_batcher ~now_us:now
-          ~queue_len:(Admission.length ts.ts_queue)
-          ~oldest_arrival_us:(Option.get (Admission.oldest_arrival_us ts.ts_queue))
-      with
-      | Batcher.Wait_until at when at > now ->
+      match Recovery.decide_launch ts.ts_batcher ts.ts_queue ~now_us:now ~cap:st.pmax with
+      | Batcher.Wait_until at ->
         if at < !wake then wake := at;
         go rest
-      | Batcher.Wait_until _ ->
-        if not (flush st rp ti ~now ~limit:(min (Admission.length ts.ts_queue) st.pmax))
-        then try_launch st rp
-      | Batcher.Flush limit ->
-        if not (flush st rp ti ~now ~limit:(min limit st.pmax)) then try_launch st rp)
+      | Batcher.Flush limit -> if not (flush st rp ti ~now ~limit) then try_launch st rp)
   in
   go order
 
@@ -641,32 +553,15 @@ and try_launch st rp =
 and flush st rp ti ~now ~limit =
   let ts = st.tenants.(ti) in
   (* Feed the tenant's queue-delay signal into its AIMD admission limiter
-     at each launch attempt, mirroring the single server. *)
-  (match ts.ts_limiter with
-  | None -> ()
-  | Some lim ->
-    let delay_us =
-      match Admission.oldest_arrival_us ts.ts_queue with
-      | Some a -> now -. a
-      | None -> 0.0
-    in
-    Limiter.observe lim ~delay_us);
+     at each launch attempt (a device's own limiter is fed the same way by
+     [Server.observe_pressure]). *)
+  Option.iter
+    (fun lim ->
+      Limiter.observe lim ~delay_us:(Admission.queue_delay_us ts.ts_queue ~now_us:now))
+    ts.ts_limiter;
   let live, dropped = Admission.take_with_expired ts.ts_queue ~now_us:now ~limit in
   drop_expired st ts ~ts_us:now dropped;
-  (* Stale hedge duplicates whose winner already completed are dropped
-     unexecuted (counted inside [copy_drop_terminal] as cancels). *)
-  let live =
-    List.filter
-      (fun (r : 'a Admission.request) ->
-        match Hashtbl.find_opt st.entries r.Admission.rq_id with
-        | Some e when e.he_done ->
-          e.he_copies <- e.he_copies - 1;
-          st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
-          false
-        | _ -> true)
-      live
-  in
-  match live with
+  match drop_cancelled st live with
   | [] -> false
   | live ->
     Fairshare.serve st.fair ti;
@@ -698,14 +593,41 @@ and flush st rp ti ~now ~limit =
         d
       end
     in
-    let epoch = rp.rp_epoch in
-    resolve st rp batch ~lead:ti ~model ~swap_us ~k:(fun () ->
-        if rp.rp_epoch = epoch then begin
+    (* The batch resolves through the shared loop on [rp]'s jitter stream,
+       charged to the lead tenant's retry budget and counters; bisection
+       halves keep their owners, so per-tenant accounting survives fault
+       isolation. The dispatcher ignores OOM and reset flags: its replicas
+       have no batch-size cap or health monitor of their own. *)
+    let owner =
+      {
+        Recovery.loop = st.loop;
+        tracer = st.tracer;
+        pid = Some (rp_pid rp);
+        tol = st.cfg.t_server.Server.tolerance;
+        rng = rp.rp_rng;
+        budget = ts.ts_budget;
+        counters = [ st.stats; ts.ts_stats ];
+        epoch = (fun () -> rp.rp_epoch);
+        payload = (fun ((_, r) : int * 'a Admission.request) -> r.Admission.rq_payload);
+        execute = st.execute rp.rp_id ~model;
+        deliver = deliver st rp ~lead:ti ~model;
+        on_fault = (fun ~oom:_ ~reset:_ ~freed_us:_ -> ());
+        escalate = escalate st rp ~lead:ti ~model;
+        retry_shed = retry_shed st;
+        poison = poison st;
+      }
+    in
+    let resolve () =
+      Recovery.resolve owner batch ~k:(fun () ->
           rp.rp_busy <- false;
           rp.rp_busy_us <- rp.rp_busy_us +. (now_us st -. launch_us);
-          if rp.rp_state = Draining then retire st rp else ();
-          pass st
-        end);
+          if rp.rp_state = Draining then retire st rp;
+          pass st)
+    in
+    (* Load the incoming model's weights before executing; the device is
+       occupied for the duration, then the first attempt starts. *)
+    if swap_us > 0.0 then Event_loop.schedule st.loop ~at:(now +. swap_us) resolve
+    else resolve ();
     true
 
 (* Offer every free, warmed-up, active, reachable replica to the tenants. *)
@@ -809,8 +731,8 @@ let on_arrival st (ts : 'a tstate) (r : 'a Admission.request) =
   else begin
     match ts.ts_limiter with
     | Some lim when not (Limiter.admits lim ~queued:(Admission.length ts.ts_queue)) ->
-      (* The adaptive concurrency limiter gates ahead of the bounded
-         queue, exactly as in the single server. *)
+      (* The tenant's adaptive concurrency limiter gates ahead of its
+         bounded queue (the gate {!Server.offer} applies per device). *)
       st.stats.Stats.limit_shed <- st.stats.Stats.limit_shed + 1;
       ts.ts_stats.Stats.limit_shed <- ts.ts_stats.Stats.limit_shed + 1;
       trace_terminal st ts ~name:"shed_limit" ~ts_us:now r
@@ -879,11 +801,7 @@ let rec tick st () =
   let max_delay = ref 0.0 in
   Array.iter
     (fun ts ->
-      let age =
-        match Admission.oldest_arrival_us ts.ts_queue with
-        | Some a -> now -. a
-        | None -> 0.0
-      in
+      let age = Admission.queue_delay_us ts.ts_queue ~now_us:now in
       ts.ts_delay_ewma_us <- (0.5 *. ts.ts_delay_ewma_us) +. (0.5 *. age);
       if ts.ts_delay_ewma_us > !max_delay then max_delay := ts.ts_delay_ewma_us)
     st.tenants;
@@ -1057,15 +975,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     | Some (_, t1) -> Event_loop.schedule loop ~at:t1 (fun () -> pass st)
     | None -> ())
   | None -> ());
-  if Metrics.enabled metrics then begin
-    let rec snap () =
-      Stats.to_metrics st.stats metrics;
-      Metrics.snapshot metrics ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending loop > 0 then
-        Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-    in
-    Event_loop.schedule_after loop ~delay:snapshot_every_us snap
-  end;
+  Stats.snapshot_periodically st.stats metrics loop ~every_us:snapshot_every_us;
   Event_loop.run loop;
   let end_us = Event_loop.now loop in
   (* Anything still queued when the run drains is conserved as a
@@ -1075,13 +985,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       let leftovers, dropped = Admission.drain ts.ts_queue ~now_us:end_us in
       drop_expired st ts ~ts_us:end_us dropped;
       List.iter
-        (fun (r : 'a Admission.request) ->
-          if copy_drop_terminal st r then begin
-            st.stats.Stats.breaker_shed <- st.stats.Stats.breaker_shed + 1;
-            ts.ts_stats.Stats.breaker_shed <- ts.ts_stats.Stats.breaker_shed + 1;
-            ts.ts_inflight <- ts.ts_inflight - 1;
-            trace_terminal st ts ~name:"budget_exhausted" ~ts_us:end_us r
-          end)
+        (drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"budget_exhausted"
+           ~ts_us:end_us ~count:(fun s -> s.Stats.breaker_shed <- s.Stats.breaker_shed + 1))
         leftovers)
     st.tenants;
   let views =
@@ -1098,10 +1003,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
            })
          st.tenants)
   in
-  st.stats.Stats.end_us <- end_us;
-  st.stats.Stats.clamped_schedules <- Event_loop.clamped_count loop;
-  st.stats.Stats.loop_events <- Event_loop.dispatched loop;
-  Stats.to_metrics st.stats metrics;
+  Stats.finish st.stats metrics loop;
   {
     tn_stats = st.stats;
     tn_tenants = views;

@@ -12,4 +12,5 @@ let () =
       "failures", T_failures.suite;
       "chaos", T_chaos.suite;
       "tenancy", T_tenancy.suite;
+      "recovery", T_recovery.suite;
     ]
