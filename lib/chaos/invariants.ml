@@ -6,8 +6,8 @@
     already produces — so future subsystems get checked for free by running
     under the chaos campaign. The invariants:
 
-    - {b conservation}: offered = completed + shed + expired + poisoned +
-      budget-exhausted, and offered equals the number of generated arrivals
+    - {b conservation}: offered equals the number of generated arrivals and
+      [completed] plus every terminal row of {!Acrobat_serve.Stats.counters}
       (no request vanishes, none is double-counted);
     - {b terminal_once}: exactly one terminal trace instant per request id
       (dispatcher pid 0, tid = id + 1), and none for unknown ids;
@@ -43,11 +43,9 @@
     - {b net_partition}: no request or ack delivery lands on a cut link
       inside an active partition window (the window is half-open, so a
       landing exactly at the heal instant is lawful);
-    - {b net_conservation}: every copy put on the wire lands in exactly one
-      bucket — sends + dups = deliveries + drops + partition cuts, live
-      deliveries split into fresh + dedup hits, and acks split into
-      delivered + dropped + gray-eaten. Checked on every run: with the
-      transport off all nine counters are zero and the laws hold trivially.
+    - {b net_conservation}: each of {!Acrobat_serve.Stats.laws} holds —
+      every copy put on the wire lands in exactly one bucket. Checked on
+      every run: with the transport off every term is zero.
 
     Replay determinism (same seed, byte-identical summary + trace) needs a
     second run, so it lives in {!Campaign.check_scenario} and reports here
@@ -114,13 +112,14 @@ let check (i : input) : violation list =
   let s = i.in_summary in
   let out = ref [] in
   let add x = out := x :: !out in
-  if s.Stats.s_offered <> i.in_requests then
+  let terms cs =
+    String.concat " + " (List.map (fun c -> Fmt.str "%s %d" c.Stats.name (c.Stats.read s)) cs)
+  in
+  let outcomes = s.Stats.s_completed + Stats.dropped s in
+  if s.Stats.s_offered <> i.in_requests || outcomes <> s.Stats.s_offered then
     add
-      (v "conservation"
-         "offered %d but %d requests arrived (completed %d + shed %d + expired %d + \
-          poisoned %d + budget %d)"
-         s.Stats.s_offered i.in_requests s.Stats.s_completed s.Stats.s_shed
-         s.Stats.s_expired s.Stats.s_poisoned s.Stats.s_breaker_shed);
+      (v "conservation" "offered %d, %d requests arrived, outcomes sum to %d (completed %d + %s)"
+         s.Stats.s_offered i.in_requests outcomes s.Stats.s_completed (terms Stats.terminals));
   (* Index the dispatcher's per-request instants: terminal outcomes,
      completions and requeues, keyed by request id (tid - 1). *)
   let terminals = Hashtbl.create 64 in
@@ -281,32 +280,11 @@ let check (i : input) : violation list =
     add
       (v "quarantine_flow" "%d restores exceed %d quarantines"
          s.Stats.s_quarantine_restores s.Stats.s_quarantines);
-  (* Net conservation: every copy put on the wire lands in exactly one
-     bucket, live deliveries split into fresh + dedup hits, and acks split
-     into delivered + dropped + gray-eaten. With the transport off all
-     counters are zero and the laws hold trivially, so this runs on every
-     scenario for free. *)
-  if
-    s.Stats.s_net_sends + s.Stats.s_net_dups
-    <> s.Stats.s_net_deliveries + s.Stats.s_net_drops + s.Stats.s_net_partition_drops
-  then
-    add
-      (v "net_conservation"
-         "%d sends + %d dups but %d deliveries + %d drops + %d cuts"
-         s.Stats.s_net_sends s.Stats.s_net_dups s.Stats.s_net_deliveries
-         s.Stats.s_net_drops s.Stats.s_net_partition_drops);
-  if s.Stats.s_net_deliveries <> s.Stats.s_net_fresh + s.Stats.s_net_dedup_hits then
-    add
-      (v "net_conservation" "%d deliveries but %d fresh + %d dedup hits"
-         s.Stats.s_net_deliveries s.Stats.s_net_fresh s.Stats.s_net_dedup_hits);
-  if
-    s.Stats.s_net_acks
-    <> s.Stats.s_net_ack_deliveries + s.Stats.s_net_ack_drops + s.Stats.s_net_gray_drops
-  then
-    add
-      (v "net_conservation" "%d acks but %d delivered + %d dropped + %d gray-eaten"
-         s.Stats.s_net_acks s.Stats.s_net_ack_deliveries s.Stats.s_net_ack_drops
-         s.Stats.s_net_gray_drops);
+  List.iter
+    (fun (lhs, rhs) ->
+      if Stats.total s lhs <> Stats.total s rhs then
+        add (v "net_conservation" "%s <> %s" (terms lhs) (terms rhs)))
+    Stats.laws;
   Option.iter
     (fun (plan : Net.plan) ->
       let n = max 1 i.in_peak_replicas in

@@ -188,30 +188,17 @@ let copy_lost st (ent : 'a entry) ~terminal =
   ent.ent_copies <- ent.ent_copies - 1;
   if (not ent.ent_done) && ent.ent_copies <= 0 then begin
     ent.ent_done <- true;
-    let name =
+    let counter, name =
       match terminal with
-      | `Shed ->
-        st.stats.Stats.shed <- st.stats.Stats.shed + 1;
-        "shed"
-      | `Expired ->
-        st.stats.Stats.expired <- st.stats.Stats.expired + 1;
-        "expired"
-      | `Poisoned ->
-        st.stats.Stats.poisoned <- st.stats.Stats.poisoned + 1;
-        "poisoned"
-      | `Budget ->
-        st.stats.Stats.breaker_shed <- st.stats.Stats.breaker_shed + 1;
-        "budget_exhausted"
-      | `Limit ->
-        st.stats.Stats.limit_shed <- st.stats.Stats.limit_shed + 1;
-        "shed_limit"
-      | `Retry_budget ->
-        st.stats.Stats.retry_shed <- st.stats.Stats.retry_shed + 1;
-        "retry_budget"
-      | `Net ->
-        st.stats.Stats.net_shed <- st.stats.Stats.net_shed + 1;
-        "net_shed"
+      | `Shed -> Stats.shed, "shed"
+      | `Expired -> Stats.expired, "expired"
+      | `Poisoned -> Stats.poisoned, "poisoned"
+      | `Budget -> Stats.breaker_shed, "budget_exhausted"
+      | `Limit -> Stats.limit_shed, "shed_limit"
+      | `Retry_budget -> Stats.retry_shed, "retry_budget"
+      | `Net -> Stats.net_shed, "net_shed"
     in
+    Stats.incr st.stats counter;
     let id = ent.ent_req.Admission.rq_id in
     Trace.instant st.tracer ~name ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
       ~ts_us:(Event_loop.now st.loop)
@@ -222,7 +209,7 @@ let copy_lost st (ent : 'a entry) ~terminal =
    cheap hedge "cancellation". *)
 let copy_cancelled st (ent : 'a entry) =
   ent.ent_copies <- ent.ent_copies - 1;
-  st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1
+  Stats.incr st.stats Stats.hedge_cancels
 
 (* The tracked (primary) copy reached a terminal on the net path. A hedge
    copy rides the transport untracked — no timeout of its own — so its ack
@@ -310,7 +297,7 @@ let link_trace st ~name i =
 let deliver_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_us =
   let id = ent.ent_req.Admission.rq_id in
   let now_us = Event_loop.now st.loop in
-  st.stats.Stats.net_ack_deliveries <- st.stats.Stats.net_ack_deliveries + 1;
+  Stats.incr st.stats Stats.net_ack_deliveries;
   net_trace st ~name:"net_recv" ~replica id;
   Net.observe_delay ns.nt (now_us -. di_done_us);
   Hashtbl.remove ns.attempts id;
@@ -324,7 +311,7 @@ let deliver_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_u
       ~ts_us:now_us
       ~args:[ "id", Json.Int id; "replica", Json.Int replica ];
     if ent.ent_hedged && replica = ent.ent_hedge_replica then
-      st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
+      Stats.incr st.stats Stats.hedge_wins
   end;
   ent.ent_copies <- ent.ent_copies - 1
 
@@ -335,16 +322,16 @@ let send_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_us =
   let id = ent.ent_req.Admission.rq_id in
   let now_us = Event_loop.now st.loop in
   let n = Array.length st.replicas in
-  st.stats.Stats.net_acks <- st.stats.Stats.net_acks + 1;
+  Stats.incr st.stats Stats.net_acks;
   match Net.recv ns.nt ~now_us ~replica ~n with
   | Net.Recv_partitioned ->
-    st.stats.Stats.net_ack_drops <- st.stats.Stats.net_ack_drops + 1;
+    Stats.incr st.stats Stats.net_ack_drops;
     net_trace st ~name:"net_cut" ~replica id
   | Net.Recv_dropped ->
-    st.stats.Stats.net_ack_drops <- st.stats.Stats.net_ack_drops + 1;
+    Stats.incr st.stats Stats.net_ack_drops;
     net_trace st ~name:"net_drop" ~replica id
   | Net.Recv_gray ->
-    st.stats.Stats.net_gray_drops <- st.stats.Stats.net_gray_drops + 1;
+    Stats.incr st.stats Stats.net_gray_drops;
     net_trace st ~name:"net_gray" ~replica id
   | Net.Recv_deliver d ->
     Event_loop.schedule_after st.loop ~delay:d (fun () ->
@@ -355,7 +342,7 @@ let send_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_us =
    nack is recovered by the sender's timeout like any other silence. *)
 let deliver_nack st ns ~replica (ent : 'a entry) ~terminal =
   let id = ent.ent_req.Admission.rq_id in
-  st.stats.Stats.net_ack_deliveries <- st.stats.Stats.net_ack_deliveries + 1;
+  Stats.incr st.stats Stats.net_ack_deliveries;
   net_trace st ~name:"net_recv" ~replica id;
   ns.consec_timeouts.(replica) <- 0;
   if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
@@ -368,16 +355,16 @@ let send_nack st ns ~replica (ent : 'a entry) ~terminal =
   let id = ent.ent_req.Admission.rq_id in
   let now_us = Event_loop.now st.loop in
   let n = Array.length st.replicas in
-  st.stats.Stats.net_acks <- st.stats.Stats.net_acks + 1;
+  Stats.incr st.stats Stats.net_acks;
   match Net.recv ns.nt ~now_us ~replica ~n with
   | Net.Recv_partitioned ->
-    st.stats.Stats.net_ack_drops <- st.stats.Stats.net_ack_drops + 1;
+    Stats.incr st.stats Stats.net_ack_drops;
     net_trace st ~name:"net_cut" ~replica id
   | Net.Recv_dropped ->
-    st.stats.Stats.net_ack_drops <- st.stats.Stats.net_ack_drops + 1;
+    Stats.incr st.stats Stats.net_ack_drops;
     net_trace st ~name:"net_drop" ~replica id
   | Net.Recv_gray ->
-    st.stats.Stats.net_gray_drops <- st.stats.Stats.net_gray_drops + 1;
+    Stats.incr st.stats Stats.net_gray_drops;
     net_trace st ~name:"net_gray" ~replica id
   | Net.Recv_deliver d ->
     Event_loop.schedule_after st.loop ~delay:d (fun () ->
@@ -395,26 +382,26 @@ let net_deliver st ns (ent : 'a entry) (r : 'a Admission.request) i =
   | Replica.Down | Replica.Quarantined ->
     (* Delivered into a dead endpoint: indistinguishable from loss; the
        sender's timeout recovers. *)
-    st.stats.Stats.net_drops <- st.stats.Stats.net_drops + 1;
+    Stats.incr st.stats Stats.net_drops;
     net_trace st ~name:"net_drop" ~replica:i id
   | Replica.Up | Replica.Probing -> (
-    st.stats.Stats.net_deliveries <- st.stats.Stats.net_deliveries + 1;
+    Stats.incr st.stats Stats.net_deliveries;
     net_trace st ~name:"net_deliver" ~replica:i id;
     let ep = Replica.epoch rep in
     let key = (id, ep) in
     let window = ns.dedups.(i) in
     match (if ns.n_plan.Net.np_dedup then Net.Dedup.find window key else None) with
     | Some Dd_pending ->
-      st.stats.Stats.net_dedup_hits <- st.stats.Stats.net_dedup_hits + 1;
+      Stats.incr st.stats Stats.net_dedup_hits;
       net_trace st ~name:"net_dedup" ~replica:i id
     | Some (Dd_done { di_size; di_start_us; di_done_us }) ->
-      st.stats.Stats.net_dedup_hits <- st.stats.Stats.net_dedup_hits + 1;
+      Stats.incr st.stats Stats.net_dedup_hits;
       net_trace st ~name:"net_dedup" ~replica:i id;
       (* The result is already known: re-ack it instead of re-executing —
          how a lost ack is recovered without double execution. *)
       send_ack st ns ~replica:i ent ~di_size ~di_start_us ~di_done_us
     | None -> (
-      st.stats.Stats.net_fresh <- st.stats.Stats.net_fresh + 1;
+      Stats.incr st.stats Stats.net_fresh;
       if ns.n_plan.Net.np_dedup then Net.Dedup.note window key Dd_pending;
       match Replica.enqueue rep r with
       | Replica.Admitted ->
@@ -439,15 +426,14 @@ let net_transmit st ns (ent : 'a entry) (r : 'a Admission.request) i ~resend =
   let id = r.Admission.rq_id in
   let now_us = Event_loop.now st.loop in
   let n = Array.length st.replicas in
-  st.stats.Stats.net_sends <- st.stats.Stats.net_sends + 1;
-  if resend then st.stats.Stats.net_resends <- st.stats.Stats.net_resends + 1;
+  Stats.incr st.stats Stats.net_sends;
+  if resend then Stats.incr st.stats Stats.net_resends;
   net_trace st ~name:"net_send" ~replica:i id;
   let snt = Net.send ns.nt ~now_us ~replica:i ~n in
   let copies = List.length snt.Net.sn_delays + snt.Net.sn_dropped + snt.Net.sn_cut in
-  st.stats.Stats.net_dups <- st.stats.Stats.net_dups + copies - 1;
-  st.stats.Stats.net_drops <- st.stats.Stats.net_drops + snt.Net.sn_dropped;
-  st.stats.Stats.net_partition_drops <-
-    st.stats.Stats.net_partition_drops + snt.Net.sn_cut;
+  Stats.add st.stats Stats.net_dups (copies - 1);
+  Stats.add st.stats Stats.net_drops snt.Net.sn_dropped;
+  Stats.add st.stats Stats.net_partition_drops snt.Net.sn_cut;
   if snt.Net.sn_dropped > 0 then net_trace st ~name:"net_drop" ~replica:i id;
   if snt.Net.sn_cut > 0 then net_trace st ~name:"net_cut" ~replica:i id;
   List.iter
@@ -468,7 +454,7 @@ let rec dispatch st (r : 'a Admission.request) =
       Array.iteri (fun i down -> if down then net_kick_probe st ns i) ns.unreachable
     | None -> ())
   | Some (i, is_probe) ->
-    if is_probe then st.stats.Stats.probes <- st.stats.Stats.probes + 1;
+    if is_probe then Stats.incr st.stats Stats.probes;
     ent.ent_home <- i;
     (match st.net with
     | None -> (
@@ -524,7 +510,7 @@ and net_requeue st ns (ent : 'a entry) (r : 'a Admission.request) ~from =
   if ent.ent_requeues > st.cfg.c_requeue_budget then
     primary_lost st ent ~terminal:`Budget
   else begin
-    st.stats.Stats.requeued <- st.stats.Stats.requeued + 1;
+    Stats.incr st.stats Stats.requeued;
     Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
       ~tid:(Server.req_tid r.Admission.rq_id)
       ~ts_us:(Event_loop.now st.loop)
@@ -542,7 +528,7 @@ and net_timeout st ns (ent : 'a entry) (r : 'a Admission.request) my_no =
   | Some at when at.at_no <> my_no || ent.ent_done -> ()
   | Some at ->
     let i = at.at_replica in
-    st.stats.Stats.net_timeouts <- st.stats.Stats.net_timeouts + 1;
+    Stats.incr st.stats Stats.net_timeouts;
     net_trace st ~name:"net_timeout" ~replica:i r.Admission.rq_id;
     ns.consec_timeouts.(i) <- ns.consec_timeouts.(i) + 1;
     if ns.consec_timeouts.(i) >= link_down_threshold && not ns.unreachable.(i) then
@@ -568,7 +554,7 @@ and net_timeout st ns (ent : 'a entry) (r : 'a Admission.request) my_no =
    time so the link re-admits even with no request traffic outstanding. *)
 and net_link_down st ns i =
   ns.unreachable.(i) <- true;
-  st.stats.Stats.net_link_downs <- st.stats.Stats.net_link_downs + 1;
+  Stats.incr st.stats Stats.net_link_downs;
   link_trace st ~name:"net_link_down" i;
   net_kick_probe st ns i;
   match Net.partition_window ns.n_plan with
@@ -599,7 +585,7 @@ and net_probe st ns i ~force =
   else begin
     let now_us = Event_loop.now st.loop in
     let n = Array.length st.replicas in
-    st.stats.Stats.net_probes <- st.stats.Stats.net_probes + 1;
+    Stats.incr st.stats Stats.net_probes;
     link_trace st ~name:"net_probe" i;
     let retry () =
       Event_loop.schedule_after st.loop ~delay:ns.n_plan.Net.np_timeout_us (fun () ->
@@ -624,7 +610,7 @@ and net_heal st ns i =
     ns.unreachable.(i) <- false;
     ns.consec_timeouts.(i) <- 0;
     ns.probing.(i) <- false;
-    st.stats.Stats.net_heals <- st.stats.Stats.net_heals + 1;
+    Stats.incr st.stats Stats.net_heals;
     link_trace st ~name:"net_heal" i;
     drain_pending st
   end
@@ -655,7 +641,7 @@ let maybe_hedge st (ent : 'a entry) =
       ent.ent_hedged <- true;
       ent.ent_hedge_replica <- i;
       ent.ent_copies <- ent.ent_copies + 1;
-      st.stats.Stats.hedges <- st.stats.Stats.hedges + 1;
+      Stats.incr st.stats Stats.hedges;
       Trace.instant st.tracer ~name:"hedge" ~cat:"cluster" ~pid:0
         ~tid:(Server.req_tid ent.ent_req.Admission.rq_id)
         ~ts_us:now_us
@@ -693,11 +679,11 @@ let on_completed st ~replica (batch : 'a Admission.request list) ~size ~start_us
           ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
           ~args:[ "id", Json.Int r.Admission.rq_id; "replica", Json.Int replica ];
         if ent.ent_hedged && replica = ent.ent_hedge_replica then
-          st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
+          Stats.incr st.stats Stats.hedge_wins
       end
       else
         (* The other copy already won; this execution was duplicated work. *)
-        st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
+        Stats.incr st.stats Stats.hedge_wasted;
       ent.ent_copies <- ent.ent_copies - 1)
     batch
 
@@ -716,7 +702,7 @@ let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~size ~s
           (r.Admission.rq_id, ep)
           (Dd_done { di_size = size; di_start_us = start_us; di_done_us = done_us });
       if ent.ent_done && ent.ent_hedged then
-        st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
+        Stats.incr st.stats Stats.hedge_wasted;
       send_ack st ns ~replica ent ~di_size:size ~di_start_us:start_us
         ~di_done_us:done_us)
     batch
@@ -757,7 +743,7 @@ let requeue st ~replica (rs : 'a Admission.request list) =
         if ent.ent_requeues > st.cfg.c_requeue_budget then
           copy_lost st ent ~terminal:`Budget
         else begin
-          st.stats.Stats.requeued <- st.stats.Stats.requeued + 1;
+          Stats.incr st.stats Stats.requeued;
           Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
             ~tid:(Server.req_tid r.Admission.rq_id)
             ~ts_us:(Event_loop.now st.loop)
@@ -772,13 +758,13 @@ let requeue st ~replica (rs : 'a Admission.request list) =
 (* Only a failover counts here; a quarantine is counted by the replica's
    integrity scoreboard. *)
 let on_down st ~replica rs =
-  st.stats.Stats.failovers <- st.stats.Stats.failovers + 1;
+  Stats.incr st.stats Stats.failovers;
   requeue st ~replica rs
 
 let on_probe_ready st ~replica:_ = drain_pending st
 
 let on_up st ~replica:_ =
-  st.stats.Stats.readmitted <- st.stats.Stats.readmitted + 1;
+  Stats.incr st.stats Stats.readmitted;
   drain_pending st
 
 (* --- Arrivals --- *)
@@ -828,6 +814,17 @@ type report = {
           the cluster counters. *)
   replica_views : replica_view list;
 }
+
+(* Counters a replica charges to its own stats (recovery, brownout and
+   integrity actions run where the batch ran); the aggregate is their sum,
+   like batches. Every other counter is cluster-owned. *)
+let replica_owned =
+  Stats.
+    [
+      fault_batches; retries; bisections; breaker_opens; degraded_batches;
+      retried_requests; brownouts; brownout_restores; corrupted_batches;
+      corrupted_delivered; audits; audit_mismatches; quarantines; quarantine_restores;
+    ]
 
 (** Run the cluster simulation to completion. [executors.(i)] runs a batch
     on replica [i]'s device (wrap with a per-replica fault injector to make
@@ -942,48 +939,23 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
   Queue.clear st.pending;
   let end_us = Event_loop.now loop in
   (* Aggregate device-side activity: every batch any replica executed,
-     every profiler sample, every recovery action. Terminal per-request
-     counters (shed/expired/poisoned/budget) are cluster-owned and already
-     in [st.stats]; per-replica admission counters would double-count
-     hedged and requeued copies. *)
+     every profiler sample, every [replica_owned] counter. Terminal
+     per-request counters (shed/expired/poisoned/budget) are cluster-owned
+     and already in [st.stats]; per-replica admission counters would
+     double-count hedged and requeued copies. *)
   let views =
     Array.to_list
       (Array.map
          (fun rep ->
            let rs = Replica.stats rep in
-           rs.Stats.shed <- Admission.shed_count (Replica.admission rep);
-           rs.Stats.expired <- Admission.expired_count (Replica.admission rep);
+           Stats.set rs Stats.shed (Admission.shed_count (Replica.admission rep));
+           Stats.set rs Stats.expired (Admission.expired_count (Replica.admission rep));
            rs.Stats.end_us <- end_us;
            st.stats.Stats.batches <- st.stats.Stats.batches + rs.Stats.batches;
            st.stats.Stats.batched_requests <-
              st.stats.Stats.batched_requests + rs.Stats.batched_requests;
            Stats.Profiler.merge ~into:st.stats.Stats.profiler rs.Stats.profiler;
-           st.stats.Stats.fault_batches <-
-             st.stats.Stats.fault_batches + rs.Stats.fault_batches;
-           st.stats.Stats.retries <- st.stats.Stats.retries + rs.Stats.retries;
-           st.stats.Stats.bisections <- st.stats.Stats.bisections + rs.Stats.bisections;
-           st.stats.Stats.breaker_opens <-
-             st.stats.Stats.breaker_opens + rs.Stats.breaker_opens;
-           st.stats.Stats.degraded_batches <-
-             st.stats.Stats.degraded_batches + rs.Stats.degraded_batches;
-           st.stats.Stats.retried_requests <-
-             st.stats.Stats.retried_requests + rs.Stats.retried_requests;
-           st.stats.Stats.brownouts <- st.stats.Stats.brownouts + rs.Stats.brownouts;
-           st.stats.Stats.brownout_restores <-
-             st.stats.Stats.brownout_restores + rs.Stats.brownout_restores;
-           (* Integrity counters are replica-owned (audits run where the
-              batch ran); the aggregate is their sum, like batches. *)
-           st.stats.Stats.corrupted_batches <-
-             st.stats.Stats.corrupted_batches + rs.Stats.corrupted_batches;
-           st.stats.Stats.corrupted_delivered <-
-             st.stats.Stats.corrupted_delivered + rs.Stats.corrupted_delivered;
-           st.stats.Stats.audits <- st.stats.Stats.audits + rs.Stats.audits;
-           st.stats.Stats.audit_mismatches <-
-             st.stats.Stats.audit_mismatches + rs.Stats.audit_mismatches;
-           st.stats.Stats.quarantines <-
-             st.stats.Stats.quarantines + rs.Stats.quarantines;
-           st.stats.Stats.quarantine_restores <-
-             st.stats.Stats.quarantine_restores + rs.Stats.quarantine_restores;
+           List.iter (fun c -> Stats.add st.stats c (Stats.count rs c)) replica_owned;
            { rv_id = Replica.id rep; rv_stats = rs; rv_health = Replica.health rep })
          st.replicas)
   in

@@ -153,7 +153,7 @@ type ('r, 'a) owner = {
   poison : 'r -> unit;  (** Bisection isolated this element as the poison. *)
 }
 
-let charge o f = List.iter f o.counters
+let charge ?(n = 1) o c = List.iter (fun s -> Stats.add s c n) o.counters
 
 (** Drive [batch] to a resolution — every element completes, is shed by
     the retry budget, or is dropped as poison — then run [k] at the
@@ -179,7 +179,7 @@ let rec resolve (o : ('r, 'a) owner) (batch : 'r list) ~(k : unit -> unit) =
              at_done ();
              k ()))
     | Exec_fault f -> (
-      charge o (fun s -> s.Stats.fault_batches <- s.Stats.fault_batches + 1);
+      charge o Stats.fault_batches;
       let freed_us = now_us +. Float.max 0.0 f.ef_latency_us in
       o.on_fault ~oom:f.ef_oom ~reset:f.ef_reset ~freed_us;
       Trace.complete o.tracer ?pid:o.pid ~name:"batch_fault" ~cat:"fault" ~tid:0
@@ -204,9 +204,8 @@ let rec resolve (o : ('r, 'a) owner) (batch : 'r list) ~(k : unit -> unit) =
                  at_freed ();
                  k ()))
         | budget ->
-          if Option.is_some budget then
-            charge o (fun s -> s.Stats.retried_requests <- s.Stats.retried_requests + size);
-          charge o (fun s -> s.Stats.retries <- s.Stats.retries + 1);
+          if Option.is_some budget then charge o Stats.retried_requests ~n:size;
+          charge o Stats.retries;
           let jitter = 1.0 +. (o.tol.jitter_frac *. ((2.0 *. Rng.float o.rng) -. 1.0)) in
           let at = freed_us +. Float.max 0.0 (backoff_us *. jitter) in
           Trace.instant o.tracer ?pid:o.pid ~name:"retry" ~cat:"fault" ~tid:0 ~ts_us:at
@@ -232,7 +231,7 @@ and bisect o batch ~k =
     o.poison r;
     k ()
   | _ ->
-    charge o (fun s -> s.Stats.bisections <- s.Stats.bisections + 1);
+    charge o Stats.bisections;
     Trace.instant o.tracer ?pid:o.pid ~name:"bisect" ~cat:"fault" ~tid:0
       ~ts_us:(Event_loop.now o.loop)
       ~args:[ "size", Json.Int (List.length batch) ];

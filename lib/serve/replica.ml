@@ -170,7 +170,7 @@ let note_success t =
      verdicts (see [note_audit]), never here. *)
   if t.health = Probing && not t.quarantine_probing then begin
     t.health <- Up;
-    t.dev.Server.stats.Stats.readmitted <- t.dev.Server.stats.Stats.readmitted + 1;
+    Stats.incr t.dev.Server.stats Stats.readmitted;
     Trace.instant t.dev.Server.tracer ~name:"readmit" ~cat:"cluster" ~pid:(trace_pid t)
       ~tid:0
       ~ts_us:(Event_loop.now t.dev.Server.loop);
@@ -308,8 +308,8 @@ and fence (t : 'a t) ~health ~requeue ~probe_ready =
 (* Failover: the replica's threshold response to device faults. *)
 and go_down (t : 'a t) =
   let stats = t.dev.Server.stats in
-  stats.Stats.breaker_opens <- stats.Stats.breaker_opens + 1;
-  stats.Stats.failovers <- stats.Stats.failovers + 1;
+  Stats.incr stats Stats.breaker_opens;
+  Stats.incr stats Stats.failovers;
   Trace.instant t.dev.Server.tracer ~name:"failover" ~cat:"cluster" ~pid:(trace_pid t)
     ~tid:0
     ~ts_us:(Event_loop.now t.dev.Server.loop)
@@ -343,7 +343,7 @@ and note_audit (t : 'a t) ~clean =
 and go_quarantine (t : 'a t) =
   t.quarantine_probing <- false;
   t.clean_probes <- 0;
-  t.dev.Server.stats.Stats.quarantines <- t.dev.Server.stats.Stats.quarantines + 1;
+  Stats.incr t.dev.Server.stats Stats.quarantines;
   Trace.instant t.dev.Server.tracer ~name:"quarantine" ~cat:"integrity" ~pid:(trace_pid t)
     ~tid:0
     ~ts_us:(Event_loop.now t.dev.Server.loop)
@@ -359,8 +359,7 @@ and quarantine_restore (t : 'a t) =
   t.quarantine_probing <- false;
   t.clean_probes <- 0;
   t.corrupt_score <- 0.0;
-  t.dev.Server.stats.Stats.quarantine_restores <-
-    t.dev.Server.stats.Stats.quarantine_restores + 1;
+  Stats.incr t.dev.Server.stats Stats.quarantine_restores;
   Trace.instant t.dev.Server.tracer ~name:"quarantine_restore" ~cat:"integrity"
     ~pid:(trace_pid t) ~tid:0
     ~ts_us:(Event_loop.now t.dev.Server.loop)

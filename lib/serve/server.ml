@@ -108,14 +108,14 @@ let audit_request (auditor : 'a auditor option) ~audit_rng ~(stats : Stats.t) ~f
     ~(outcome : exec_outcome) ~index (r : 'a Admission.request) : audit_delivery =
   match auditor with
   | Some a when forced || (a.au_rate > 0.0 && Rng.float audit_rng < a.au_rate) ->
-    stats.Stats.audits <- stats.Stats.audits + 1;
+    Stats.incr stats Stats.audits;
     let ref_fp, ref_latency_us = a.au_reference r.Admission.rq_id r.Admission.rq_payload in
     let clean =
       match outcome.ex_fingerprints with
       | Some fps -> Int64.equal fps.(index) ref_fp
       | None -> not outcome.ex_corrupted
     in
-    if not clean then stats.Stats.audit_mismatches <- stats.Stats.audit_mismatches + 1;
+    if not clean then Stats.incr stats Stats.audit_mismatches;
     { ad_extra_us = Float.max 0.0 ref_latency_us; ad_audited = true; ad_clean = clean }
   | _ -> no_audit
 
@@ -124,7 +124,7 @@ let audit_request (auditor : 'a auditor option) ~audit_rng ~(stats : Stats.t) ~f
     audit did not intercept this particular request. *)
 let note_delivery (stats : Stats.t) ~(outcome : exec_outcome) (d : audit_delivery) =
   if outcome.ex_corrupted && not (d.ad_audited && not d.ad_clean) then
-    stats.Stats.corrupted_delivered <- stats.Stats.corrupted_delivered + 1
+    Stats.incr stats Stats.corrupted_delivered
 
 (* Trace track convention: tid 0 is the device/batch track of each server's
    pid; request [i] rides on tid [i + 1]. *)
@@ -256,10 +256,10 @@ let observe_pressure d ~now_us =
         match Brownout.observe b ~now_us ~delay_us with
         | Brownout.Stay -> ()
         | Brownout.Engage ->
-          d.stats.Stats.brownouts <- d.stats.Stats.brownouts + 1;
+          Stats.incr d.stats Stats.brownouts;
           note "brownout_degrade"
         | Brownout.Restore ->
-          d.stats.Stats.brownout_restores <- d.stats.Stats.brownout_restores + 1;
+          Stats.incr d.stats Stats.brownout_restores;
           note "brownout_restore")
       d.brownout
 
@@ -271,7 +271,7 @@ let observe_pressure d ~now_us =
 let offer d (r : 'a Admission.request) ~now_us : admit * 'a Admission.request list =
   match d.limiter with
   | Some lim when not (Limiter.admits lim ~queued:(Admission.length d.queue)) ->
-    d.stats.Stats.limit_shed <- d.stats.Stats.limit_shed + 1;
+    Stats.incr d.stats Stats.limit_shed;
     Shed_limit, []
   | _ ->
     let admitted, swept = Admission.offer_swept d.queue ~now_us r in
@@ -299,9 +299,9 @@ let deliver d batch (outcome : exec_outcome) ~now_us ~done_us ~forced ~each =
   let degraded = is_degraded d in
   Batcher.observe_batch d.batcher ~size ~latency_us:outcome.ex_latency_us;
   Stats.note_batch d.stats ~size ~profiler:outcome.ex_profiler;
-  if degraded then d.stats.Stats.degraded_batches <- d.stats.Stats.degraded_batches + 1;
+  if degraded then Stats.incr d.stats Stats.degraded_batches;
   if outcome.ex_corrupted then
-    d.stats.Stats.corrupted_batches <- d.stats.Stats.corrupted_batches + 1;
+    Stats.incr d.stats Stats.corrupted_batches;
   Trace.complete d.tracer ?pid:d.pid ~name:"batch" ~cat:"serve" ~tid:0 ~ts_us:now_us
     ~dur_us:outcome.ex_latency_us
     ~args:[ "size", Json.Int size; "degraded", Json.Bool degraded ];
@@ -352,11 +352,11 @@ let device_owner d ~epoch ~deliver ~on_fault ~escalate ~retry_shed ~poison :
     escalate;
     retry_shed =
       (fun batch ~freed_us ->
-        d.stats.Stats.retry_shed <- d.stats.Stats.retry_shed + List.length batch;
+        Stats.add d.stats Stats.retry_shed (List.length batch);
         retry_shed batch ~freed_us);
     poison =
       (fun r ->
-        d.stats.Stats.poisoned <- d.stats.Stats.poisoned + 1;
+        Stats.incr d.stats Stats.poisoned;
         poison r);
   }
 
@@ -386,7 +386,7 @@ let open_breaker (st : 'a state) ~wake =
   let now_us = Event_loop.now d.loop in
   let until_us = now_us +. d.config.tolerance.breaker_cooldown_us in
   st.breaker <- Open { until_us };
-  d.stats.Stats.breaker_opens <- d.stats.Stats.breaker_opens + 1;
+  Stats.incr d.stats Stats.breaker_opens;
   Trace.instant d.tracer ~name:"breaker_open" ~cat:"fault" ~tid:0 ~ts_us:now_us
     ~args:[ "until_us", Json.Float until_us ];
   (* Self-wake at cooldown expiry: with arrivals shed while open, no other
@@ -475,7 +475,7 @@ let on_arrival (st : 'a state) (r : 'a Admission.request) =
   | Open { until_us } when now_us < until_us ->
     (* Breaker open: shed at the door without queueing — launching is
        pointless while the device is presumed down. *)
-    d.stats.Stats.breaker_shed <- d.stats.Stats.breaker_shed + 1;
+    Stats.incr d.stats Stats.breaker_shed;
     trace_terminal st ~name:"shed_breaker" ~ts_us:now_us r
   | Closed | Half_open | Open _ -> (
     match offer d r ~now_us with
@@ -537,8 +537,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
   let stats = st.dev.stats in
   Stats.snapshot_periodically stats metrics loop ~every_us:snapshot_every_us;
   Event_loop.run loop;
-  stats.Stats.shed <- Admission.shed_count st.dev.queue;
-  stats.Stats.expired <- Admission.expired_count st.dev.queue;
+  Stats.set stats Stats.shed (Admission.shed_count st.dev.queue);
+  Stats.set stats Stats.expired (Admission.expired_count st.dev.queue);
   Stats.finish stats metrics loop;
   stats
 

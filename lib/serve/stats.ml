@@ -52,6 +52,264 @@ let reservoir_capacity = 8192
 
 let reservoir_seed = 0x5eed
 
+type summary = {
+  s_offered : int;  (** Arrivals: [s_completed] plus every terminal counter. *)
+  s_completed : int;
+  s_makespan_ms : float;  (** First arrival to last completion. *)
+  s_throughput_rps : float;  (** Completions per (virtual) second. *)
+  s_p50_ms : float;
+  s_p95_ms : float;
+  s_p99_ms : float;
+  s_mean_ms : float;
+  s_mean_queue_ms : float;  (** Mean arrival -> batch-launch wait. *)
+  s_mean_compute_ms : float;  (** Mean batch-launch -> completion time. *)
+  s_batches : int;
+  s_mean_batch : float;  (** Mean executed batch size. *)
+  (* One field per row of {!counters}, which documents each. *)
+  s_shed : int;
+  s_expired : int;
+  s_fault_batches : int;
+  s_retries : int;
+  s_bisections : int;
+  s_poisoned : int;
+  s_breaker_opens : int;
+  s_breaker_shed : int;
+  s_degraded_batches : int;
+  s_failovers : int;
+  s_requeued : int;
+  s_probes : int;
+  s_readmitted : int;
+  s_hedges : int;
+  s_hedge_wins : int;
+  s_hedge_cancels : int;
+  s_hedge_wasted : int;
+  s_clamped_schedules : int;
+  s_quota_shed : int;
+  s_swaps : int;
+  s_slo_ok : int;
+  s_limit_shed : int;
+  s_retry_shed : int;
+  s_retried_requests : int;
+  s_brownouts : int;
+  s_brownout_restores : int;
+  s_corrupted_batches : int;
+  s_corrupted_delivered : int;
+  s_audits : int;
+  s_audit_mismatches : int;
+  s_quarantines : int;
+  s_quarantine_restores : int;
+  s_net_sends : int;
+  s_net_resends : int;
+  s_net_dups : int;
+  s_net_drops : int;
+  s_net_partition_drops : int;
+  s_net_deliveries : int;
+  s_net_fresh : int;
+  s_net_dedup_hits : int;
+  s_net_acks : int;
+  s_net_ack_drops : int;
+  s_net_gray_drops : int;
+  s_net_ack_deliveries : int;
+  s_net_timeouts : int;
+  s_net_shed : int;
+  s_net_link_downs : int;
+  s_net_heals : int;
+  s_net_probes : int;
+}
+
+(** Availability: the fraction of offered requests actually answered. *)
+let goodput (s : summary) =
+  if s.s_offered = 0 then 1.0 else float_of_int s.s_completed /. float_of_int s.s_offered
+
+(** Fraction of completions that met their SLO deadline (1 when nothing
+    completed — an empty stream violated nothing). *)
+let slo_attainment (s : summary) =
+  if s.s_completed = 0 then 1.0 else float_of_int s.s_slo_ok /. float_of_int s.s_completed
+
+(* --- The counter table ---
+
+   Every serving counter is declared exactly once below. Its row drives
+   storage (one [int array] slot per row), the JSON and metrics key, the
+   [pp_summary] line, the activity gate of its group, the terminal-outcome
+   sum behind [s_offered] and [drop_rate], and the chaos invariants'
+   conservation checks. Declaration order is metrics order; JSON and pp
+   emit the same rows group by group, with the anomaly group last.
+
+   Every group but [Core] is gated: its rows (and trailer) are emitted only
+   when at least one of them is nonzero, so a run that never engaged a
+   subsystem prints and serializes exactly what it did before that
+   subsystem existed. [Core] rows always appear, in the summary header. *)
+
+type group =
+  | Core  (** Admission outcomes; always emitted. *)
+  | Fault  (** Fault tolerance: retries, bisection, breaker, degraded mode. *)
+  | Cluster  (** Failover, probing and hedging; zero on single-server runs. *)
+  | Anomaly  (** Simulator bugs; zero on every correct run. *)
+  | Tenancy  (** Multi-tenant dispatcher only. *)
+  | Resilience  (** Overload controls (lib/resilience), when armed. *)
+  | Integrity  (** Silent-corruption injection and the audit layer. *)
+  | Net  (** The lossy transport (lib/net), when a plan is armed. *)
+
+type counter = {
+  index : int;  (** Slot in {!t}'s count array. *)
+  name : string;  (** JSON and metrics key. *)
+  group : group;
+  label : string option;  (** [pp_summary] label; [None] = not printed. *)
+  terminal : bool;  (** A request's terminal outcome: joins the offered sum. *)
+  doc : string;
+  read : summary -> int;  (** The counter's summary field. *)
+}
+
+let declared = ref []
+
+(* A row's pp label is its name with spaces for underscores unless [pp]
+   says otherwise; [quiet] rows are never printed. *)
+let row ?pp ?(quiet = false) ?(terminal = false) group name read doc =
+  let label =
+    if quiet then None
+    else Some (Option.value pp ~default:(String.map (function '_' -> ' ' | c -> c) name))
+  in
+  let c = { index = List.length !declared; name; group; label; terminal; doc; read } in
+  declared := c :: !declared;
+  c
+
+let shed = row Core "shed" ~pp:"shed (queue full)" ~terminal:true (fun s -> s.s_shed)
+    "Load-shed at admission (queue full)."
+let expired = row Core "expired" ~pp:"expired (deadline)" ~terminal:true (fun s -> s.s_expired)
+    "Deadline passed while queued."
+
+let fault_batches = row Fault "fault_batches" ~pp:"failed batches" (fun s -> s.s_fault_batches)
+    "Batch attempts that failed."
+let retries = row Fault "retries" (fun s -> s.s_retries)
+    "Re-executions after a transient failure."
+let bisections = row Fault "bisections" (fun s -> s.s_bisections)
+    "Failed batches split to isolate poison."
+let poisoned = row Fault "poisoned" ~pp:"poisoned (dropped)" ~terminal:true (fun s -> s.s_poisoned)
+    "Requests dropped as poison after isolation."
+let breaker_opens = row Fault "breaker_opens" (fun s -> s.s_breaker_opens)
+    "Circuit-breaker open transitions."
+let breaker_shed = row Fault "breaker_shed" ~terminal:true (fun s -> s.s_breaker_shed)
+    "Requests refused while the breaker was open, or unplaced when the run drained."
+let degraded_batches = row Fault "degraded_batches" (fun s -> s.s_degraded_batches)
+    "Batches served in degraded mode."
+
+let failovers = row Cluster "failovers" (fun s -> s.s_failovers)
+    "Replicas marked down by the health monitor."
+let requeued = row Cluster "requeued" (fun s -> s.s_requeued)
+    "Requests drained off a dead replica and re-dispatched."
+let probes = row Cluster "probes" (fun s -> s.s_probes)
+    "Re-admission probe requests routed to a down replica."
+let readmitted = row Cluster "readmitted" (fun s -> s.s_readmitted)
+    "Probes that restored their replica to healthy."
+let hedges = row Cluster "hedges" ~pp:"hedges issued" (fun s -> s.s_hedges)
+    "Speculative duplicate requests issued."
+let hedge_wins = row Cluster "hedge_wins" (fun s -> s.s_hedge_wins)
+    "Requests whose hedge copy finished first."
+let hedge_cancels = row Cluster "hedge_cancels" (fun s -> s.s_hedge_cancels)
+    "Hedge copies cancelled before execution."
+let hedge_wasted = row Cluster "hedge_wasted" (fun s -> s.s_hedge_wasted)
+    "Late completions of an already-answered hedged request: duplicated device work."
+
+let clamped_schedules = row Anomaly "clamped_schedules" (fun s -> s.s_clamped_schedules)
+    "Past-time event-loop schedules (Event_loop.clamped_count); nonzero flags a bug."
+
+let quota_shed = row Tenancy "quota_shed" ~terminal:true (fun s -> s.s_quota_shed)
+    "Requests refused at their tenant's inflight quota."
+let swaps = row Tenancy "swaps" ~pp:"model swaps" (fun s -> s.s_swaps)
+    "Resident-model swaps this stream's batches paid for."
+let slo_ok = row Tenancy "slo_ok" ~quiet:true (fun s -> s.s_slo_ok)
+    "Completions that landed within their SLO deadline."
+
+let limit_shed =
+  row Resilience "limit_shed" ~pp:"limiter shed" ~terminal:true (fun s -> s.s_limit_shed)
+    "Refused by the adaptive concurrency limiter."
+let retry_shed =
+  row Resilience "retry_shed" ~pp:"retry-budget shed" ~terminal:true (fun s -> s.s_retry_shed)
+    "Requests dropped when the retry budget ran dry."
+let retried_requests = row Resilience "retried_requests" (fun s -> s.s_retried_requests)
+    "Requests re-executed under the retry budget (the retry-amplification numerator)."
+let brownouts = row Resilience "brownouts" (fun s -> s.s_brownouts)
+    "Brownout engage transitions."
+let brownout_restores = row Resilience "brownout_restores" (fun s -> s.s_brownout_restores)
+    "Brownout restore transitions."
+
+let corrupted_batches = row Integrity "corrupted_batches" (fun s -> s.s_corrupted_batches)
+    "Batch attempts whose outputs were silently corrupted (injector ground truth)."
+let corrupted_delivered = row Integrity "corrupted_delivered" (fun s -> s.s_corrupted_delivered)
+    "Corrupted results that reached a client undetected; auditing drives this to zero."
+let audits = row Integrity "audits" (fun s -> s.s_audits)
+    "Requests re-executed unbatched for verification."
+let audit_mismatches = row Integrity "audit_mismatches" (fun s -> s.s_audit_mismatches)
+    "Audits whose reference fingerprint disagreed with the delivered candidate."
+let quarantines = row Integrity "quarantines" (fun s -> s.s_quarantines)
+    "Replicas quarantined on corruption evidence."
+let quarantine_restores = row Integrity "quarantine_restores" (fun s -> s.s_quarantine_restores)
+    "Quarantined replicas re-admitted after clean audited probes."
+
+let net_sends = row Net "net_sends" (fun s -> s.s_net_sends)
+    "Logical request sends entering the link (including resends)."
+let net_resends = row Net "net_resends" (fun s -> s.s_net_resends)
+    "Timeout-driven retransmissions (a subset of sends)."
+let net_dups = row Net "net_dups" ~pp:"net dups delivered" (fun s -> s.s_net_dups)
+    "Extra delivered copies beyond each send's first."
+let net_drops = row Net "net_drops" (fun s -> s.s_net_drops)
+    "Request sends lost to random loss."
+let net_partition_drops = row Net "net_partition_drops" (fun s -> s.s_net_partition_drops)
+    "Request sends blocked by an active partition."
+let net_deliveries = row Net "net_deliveries" (fun s -> s.s_net_deliveries)
+    "Request copies that reached a replica."
+let net_fresh = row Net "net_fresh" ~quiet:true (fun s -> s.s_net_fresh)
+    "Deliveries handed to the replica (not deduplicated)."
+let net_dedup_hits = row Net "net_dedup_hits" (fun s -> s.s_net_dedup_hits)
+    "Deliveries filtered by the idempotency window."
+let net_acks = row Net "net_acks" ~quiet:true (fun s -> s.s_net_acks)
+    "Completions entering the return link."
+let net_ack_drops = row Net "net_ack_drops" ~pp:"net acks lost" (fun s -> s.s_net_ack_drops)
+    "Completions lost to random loss or a partition."
+let net_gray_drops = row Net "net_gray_drops" ~pp:"net gray losses" (fun s -> s.s_net_gray_drops)
+    "Completions lost to the gray link."
+let net_ack_deliveries = row Net "net_ack_deliveries" ~quiet:true (fun s -> s.s_net_ack_deliveries)
+    "Completions that reached the dispatcher."
+let net_timeouts = row Net "net_timeouts" (fun s -> s.s_net_timeouts)
+    "Per-attempt timeouts that fired live."
+let net_shed = row Net "net_shed" ~pp:"net deadline shed" ~terminal:true (fun s -> s.s_net_shed)
+    "Requests shed at the sender: the remaining deadline cannot cover the delay EWMA."
+let net_link_downs = row Net "net_link_downs" (fun s -> s.s_net_link_downs)
+    "Links declared unreachable on consecutive timeouts."
+let net_heals = row Net "net_heals" (fun s -> s.s_net_heals)
+    "Unreachable links restored by a probe round-trip."
+let net_probes = row Net "net_probes" ~quiet:true (fun s -> s.s_net_probes)
+    "Link-probe messages issued while unreachable."
+
+(** Every counter, in declaration order. *)
+let counters = List.rev !declared
+
+(** The terminal outcomes besides completion: each request ends in exactly
+    one, so [s_offered = s_completed + dropped s]. *)
+let terminals = List.filter (fun c -> c.terminal) counters
+
+(** The net conservation laws, each [(lhs, rhs)] with equal sums on every
+    run: every request copy put on the wire lands in exactly one bucket,
+    live deliveries split into fresh + dedup hits, and acks split into
+    delivered + dropped + gray-eaten. With the transport off every term is
+    zero and the laws hold trivially. *)
+let laws =
+  [
+    [ net_sends; net_dups ], [ net_deliveries; net_drops; net_partition_drops ];
+    [ net_deliveries ], [ net_fresh; net_dedup_hits ];
+    [ net_acks ], [ net_ack_deliveries; net_ack_drops; net_gray_drops ];
+  ]
+
+(** Sum of [cs] as read off [s]. *)
+let total (s : summary) cs = List.fold_left (fun acc c -> acc + c.read s) 0 cs
+
+(** Requests that ended in a terminal outcome other than completion. *)
+let dropped (s : summary) = total s terminals
+
+(** True when any counter of group [g] is nonzero ([Core] is always on). *)
+let active (s : summary) g =
+  g = Core || List.exists (fun c -> c.group = g && c.read s > 0) counters
+
 type t = {
   mutable records : record list;  (** Reverse completion order (exact mode). *)
   mutable n_records : int;  (** Completions recorded, exact + streamed. *)
@@ -64,93 +322,15 @@ type t = {
   mutable reservoir : float array;  (** Latency samples (ms); allocated lazily. *)
   mutable reservoir_len : int;
   res_rng : Rng.t;
+  counts : int array;  (** One slot per {!counters} row. *)
   mutable batches : int;
   mutable batched_requests : int;
-  mutable shed : int;
-  mutable expired : int;
   mutable end_us : float;  (** Virtual time when the simulation drained. *)
-  profiler : Profiler.t;  (** Merged across every executed batch. *)
-  (* Fault-tolerance accounting; all zero on a fault-free run. *)
-  mutable fault_batches : int;  (** Batch attempts that failed. *)
-  mutable retries : int;  (** Re-executions after a transient failure. *)
-  mutable bisections : int;  (** Failed batches split to isolate poison. *)
-  mutable poisoned : int;  (** Requests dropped after isolation. *)
-  mutable breaker_opens : int;  (** Circuit-breaker open transitions. *)
-  mutable breaker_shed : int;  (** Requests refused while the breaker was open. *)
-  mutable degraded_batches : int;  (** Batches served in degraded mode. *)
-  (* Cluster accounting; all zero on single-server runs. *)
-  mutable failovers : int;  (** Replicas marked down by the health monitor. *)
-  mutable requeued : int;  (** Requests drained off a dead replica and re-dispatched. *)
-  mutable probes : int;  (** Re-admission probe requests routed to a down replica. *)
-  mutable readmitted : int;  (** Probes that restored their replica to healthy. *)
-  mutable hedges : int;  (** Speculative duplicate requests issued. *)
-  mutable hedge_wins : int;  (** Requests whose hedge copy finished first. *)
-  mutable hedge_cancels : int;  (** Hedge copies cancelled before execution. *)
-  mutable hedge_wasted : int;
-      (** Completions of a hedged request that arrived after its winner —
-          duplicated device work, whichever copy was late. *)
-  mutable clamped_schedules : int;
-      (** Event-loop schedules whose requested time was in the past (see
-          {!Event_loop.clamped_count}); always zero for a correct
-          simulation, so any nonzero value flags a scheduling bug. *)
   mutable loop_events : int;
       (** Total event-loop dispatches the simulation performed — the
           simulator-throughput numerator [bench scale] divides by wall
           time. Diagnostic only: never serialized or printed. *)
-  (* Multi-tenant accounting; all zero outside the tenancy dispatcher. *)
-  mutable quota_shed : int;  (** Requests refused at their tenant's inflight quota. *)
-  mutable swaps : int;  (** Resident-model swaps this stream's batches paid for. *)
-  mutable slo_ok : int;  (** Completions that landed within their SLO deadline. *)
-  (* Overload-resilience accounting (lib/resilience); all zero unless the
-     resilience layer is armed. *)
-  mutable limit_shed : int;  (** Refused by the adaptive concurrency limiter. *)
-  mutable retry_shed : int;  (** Requests dropped when the retry budget ran dry. *)
-  mutable retried_requests : int;
-      (** Requests re-executed under the retry budget — the numerator of the
-          retry-amplification bound the chaos invariants check. *)
-  mutable brownouts : int;  (** Brownout engage transitions. *)
-  mutable brownout_restores : int;  (** Brownout restore transitions. *)
-  (* Result-integrity accounting (silent-data-corruption defense); all zero
-     unless corruption injection or the audit layer is armed. *)
-  mutable corrupted_batches : int;
-      (** Batch attempts whose outputs were silently corrupted (injector
-          ground truth — the serving layer cannot observe this directly). *)
-  mutable corrupted_delivered : int;
-      (** Corrupted results that reached a client undetected — the number
-          the audit layer exists to drive to zero. *)
-  mutable audits : int;  (** Requests re-executed unbatched for verification. *)
-  mutable audit_mismatches : int;
-      (** Audits whose reference fingerprint disagreed with the delivered
-          candidate — detected corruption. *)
-  mutable quarantines : int;  (** Replicas quarantined on corruption evidence. *)
-  mutable quarantine_restores : int;
-      (** Quarantined replicas re-admitted after clean audited probes. *)
-  (* Network fault-domain accounting (lib/net); all zero unless a net plan
-     is armed, so direct-call runs stay byte-stable. The counters are laid
-     out so the chaos conservation oracles close from the summary alone:
-     [sends = partition_drops + drops + (deliveries - dups)] on the request
-     link, [deliveries = fresh + dedup_hits] at the replica ingress, and
-     [acks = ack_deliveries + ack_drops + gray_drops] on the return link. *)
-  mutable net_sends : int;  (** Logical request sends entering the link (incl. resends). *)
-  mutable net_resends : int;  (** Timeout-driven retransmissions (subset of sends). *)
-  mutable net_dups : int;  (** Extra delivered copies beyond each send's first. *)
-  mutable net_drops : int;  (** Request sends lost to random loss. *)
-  mutable net_partition_drops : int;  (** Request sends blocked by an active partition. *)
-  mutable net_deliveries : int;  (** Request copies that reached a replica. *)
-  mutable net_fresh : int;  (** Deliveries handed to the replica (not deduped). *)
-  mutable net_dedup_hits : int;  (** Deliveries filtered by the idempotency window. *)
-  mutable net_acks : int;  (** Completions entering the return link. *)
-  mutable net_ack_drops : int;  (** Completions lost (random loss or partition). *)
-  mutable net_gray_drops : int;  (** Completions lost to the gray link. *)
-  mutable net_ack_deliveries : int;  (** Completions that reached the dispatcher. *)
-  mutable net_timeouts : int;  (** Per-attempt timeouts that fired live. *)
-  mutable net_shed : int;
-      (** Requests shed at the sender because the remaining deadline budget
-          could not cover the observed one-way delay EWMA — a terminal
-          (joins offered/drop-rate conservation). *)
-  mutable net_link_downs : int;  (** Links declared unreachable on consecutive timeouts. *)
-  mutable net_heals : int;  (** Unreachable links restored by a probe round-trip. *)
-  mutable net_probes : int;  (** Link-probe messages issued while unreachable. *)
+  profiler : Profiler.t;  (** Merged across every executed batch. *)
 }
 
 let create () =
@@ -166,61 +346,18 @@ let create () =
     reservoir = [||];
     reservoir_len = 0;
     res_rng = Rng.create reservoir_seed;
+    counts = Array.make (List.length counters) 0;
     batches = 0;
     batched_requests = 0;
-    shed = 0;
-    expired = 0;
     end_us = 0.0;
-    profiler = Profiler.create ();
-    fault_batches = 0;
-    retries = 0;
-    bisections = 0;
-    poisoned = 0;
-    breaker_opens = 0;
-    breaker_shed = 0;
-    degraded_batches = 0;
-    failovers = 0;
-    requeued = 0;
-    probes = 0;
-    readmitted = 0;
-    hedges = 0;
-    hedge_wins = 0;
-    hedge_cancels = 0;
-    hedge_wasted = 0;
-    clamped_schedules = 0;
     loop_events = 0;
-    quota_shed = 0;
-    swaps = 0;
-    slo_ok = 0;
-    limit_shed = 0;
-    retry_shed = 0;
-    retried_requests = 0;
-    brownouts = 0;
-    brownout_restores = 0;
-    corrupted_batches = 0;
-    corrupted_delivered = 0;
-    audits = 0;
-    audit_mismatches = 0;
-    quarantines = 0;
-    quarantine_restores = 0;
-    net_sends = 0;
-    net_resends = 0;
-    net_dups = 0;
-    net_drops = 0;
-    net_partition_drops = 0;
-    net_deliveries = 0;
-    net_fresh = 0;
-    net_dedup_hits = 0;
-    net_acks = 0;
-    net_ack_drops = 0;
-    net_gray_drops = 0;
-    net_ack_deliveries = 0;
-    net_timeouts = 0;
-    net_shed = 0;
-    net_link_downs = 0;
-    net_heals = 0;
-    net_probes = 0;
+    profiler = Profiler.create ();
   }
+
+let count t c = t.counts.(c.index)
+let add t c n = t.counts.(c.index) <- t.counts.(c.index) + n
+let incr t c = t.counts.(c.index) <- t.counts.(c.index) + 1
+let set t c n = t.counts.(c.index) <- n
 
 let streaming_active t = t.streaming
 
@@ -315,124 +452,6 @@ let percentile (xs : float array) (p : float) : float =
   Array.sort Float.compare sorted;
   percentile_sorted sorted p
 
-type summary = {
-  s_offered : int;  (** Arrivals, including dropped ones. *)
-  s_completed : int;
-  s_shed : int;  (** Load-shed at admission (queue full). *)
-  s_expired : int;  (** Deadline passed while queued. *)
-  s_makespan_ms : float;  (** First arrival to last completion. *)
-  s_throughput_rps : float;  (** Completions per (virtual) second. *)
-  s_p50_ms : float;
-  s_p95_ms : float;
-  s_p99_ms : float;
-  s_mean_ms : float;
-  s_mean_queue_ms : float;  (** Mean arrival -> batch-launch wait. *)
-  s_mean_compute_ms : float;  (** Mean batch-launch -> completion time. *)
-  s_batches : int;
-  s_mean_batch : float;  (** Mean executed batch size. *)
-  (* Fault-tolerance block; all zero (and omitted from output) when the run
-     saw no faults. *)
-  s_fault_batches : int;
-  s_retries : int;
-  s_bisections : int;
-  s_poisoned : int;  (** Requests dropped as poison after bisection. *)
-  s_breaker_opens : int;
-  s_breaker_shed : int;
-  s_degraded_batches : int;
-  (* Cluster block; all zero (and omitted from output) on single-server
-     runs, so single-server output stays byte-stable. *)
-  s_failovers : int;
-  s_requeued : int;
-  s_probes : int;
-  s_readmitted : int;
-  s_hedges : int;
-  s_hedge_wins : int;
-  s_hedge_cancels : int;
-  s_hedge_wasted : int;
-  s_clamped_schedules : int;
-      (** Past-time event-loop schedules; nonzero flags a scheduling bug
-          (printed/serialized only when it fires, so healthy output is
-          unchanged). *)
-  (* Tenancy block; all zero (and omitted from output) outside the
-     multi-tenant dispatcher, so pre-tenancy output stays byte-stable. *)
-  s_quota_shed : int;  (** Refused at the tenant's inflight quota. *)
-  s_swaps : int;  (** Resident-model swaps charged to this stream. *)
-  s_slo_ok : int;  (** Completions within their SLO deadline. *)
-  (* Resilience block; all zero (and omitted from output) unless the
-     overload-resilience layer is armed, so legacy output stays
-     byte-stable. *)
-  s_limit_shed : int;  (** Refused by the adaptive concurrency limiter. *)
-  s_retry_shed : int;  (** Dropped when the retry budget ran dry. *)
-  s_retried_requests : int;  (** Requests re-executed under the budget. *)
-  s_brownouts : int;
-  s_brownout_restores : int;
-  (* Integrity block; all zero (and omitted from output) unless corruption
-     injection or the audit layer engaged, so legacy output stays
-     byte-stable. *)
-  s_corrupted_batches : int;  (** Corrupted batch attempts (injector ground truth). *)
-  s_corrupted_delivered : int;  (** Corrupted results delivered undetected. *)
-  s_audits : int;  (** Requests re-executed unbatched for verification. *)
-  s_audit_mismatches : int;  (** Audits that caught a corrupted result. *)
-  s_quarantines : int;  (** Replicas quarantined on corruption evidence. *)
-  s_quarantine_restores : int;  (** Quarantined replicas re-admitted. *)
-  (* Network block; all zero (and omitted from output) unless a net plan
-     is armed, so direct-call output stays byte-stable. *)
-  s_net_sends : int;
-  s_net_resends : int;
-  s_net_dups : int;
-  s_net_drops : int;
-  s_net_partition_drops : int;
-  s_net_deliveries : int;
-  s_net_fresh : int;
-  s_net_dedup_hits : int;
-  s_net_acks : int;
-  s_net_ack_drops : int;
-  s_net_gray_drops : int;
-  s_net_ack_deliveries : int;
-  s_net_timeouts : int;
-  s_net_shed : int;  (** Sender-side deadline sheds (terminal). *)
-  s_net_link_downs : int;
-  s_net_heals : int;
-  s_net_probes : int;
-}
-
-(** Availability: the fraction of offered requests actually answered. *)
-let goodput (s : summary) =
-  if s.s_offered = 0 then 1.0 else float_of_int s.s_completed /. float_of_int s.s_offered
-
-(** True when any fault-tolerance machinery engaged during the run. *)
-let fault_active (s : summary) =
-  s.s_fault_batches > 0 || s.s_retries > 0 || s.s_bisections > 0 || s.s_poisoned > 0
-  || s.s_breaker_opens > 0 || s.s_breaker_shed > 0 || s.s_degraded_batches > 0
-
-(** True when any cluster machinery (failover, probing, hedging) engaged. *)
-let cluster_active (s : summary) =
-  s.s_failovers > 0 || s.s_requeued > 0 || s.s_probes > 0 || s.s_readmitted > 0
-  || s.s_hedges > 0 || s.s_hedge_wins > 0 || s.s_hedge_cancels > 0 || s.s_hedge_wasted > 0
-
-(** True when the multi-tenant dispatcher produced this stream. *)
-let tenancy_active (s : summary) = s.s_quota_shed > 0 || s.s_swaps > 0 || s.s_slo_ok > 0
-
-(** True when the overload-resilience layer engaged during the run. *)
-let resilience_active (s : summary) =
-  s.s_limit_shed > 0 || s.s_retry_shed > 0 || s.s_retried_requests > 0
-  || s.s_brownouts > 0 || s.s_brownout_restores > 0
-
-(** True when corruption injection or the audit layer engaged. *)
-let integrity_active (s : summary) =
-  s.s_corrupted_batches > 0 || s.s_corrupted_delivered > 0 || s.s_audits > 0
-  || s.s_audit_mismatches > 0 || s.s_quarantines > 0 || s.s_quarantine_restores > 0
-
-(** True when the network fault domain carried any traffic. *)
-let net_active (s : summary) =
-  s.s_net_sends > 0 || s.s_net_acks > 0 || s.s_net_shed > 0 || s.s_net_timeouts > 0
-  || s.s_net_probes > 0
-
-(** Fraction of completions that met their SLO deadline (1 when nothing
-    completed — an empty stream violated nothing). *)
-let slo_attainment (s : summary) =
-  if s.s_completed = 0 then 1.0 else float_of_int s.s_slo_ok /. float_of_int s.s_completed
-
 let summarize (t : t) : summary =
   let n, p50, p95, p99, mean_ms, mean_queue_ms, mean_compute_ms, makespan_us =
     if t.streaming then begin
@@ -492,13 +511,10 @@ let summarize (t : t) : summary =
         makespan_us )
     end
   in
+  let c = count t in
   {
-    s_offered =
-      n + t.shed + t.expired + t.poisoned + t.breaker_shed + t.quota_shed
-      + t.limit_shed + t.retry_shed + t.net_shed;
+    s_offered = List.fold_left (fun acc r -> acc + c r) n terminals;
     s_completed = n;
-    s_shed = t.shed;
-    s_expired = t.expired;
     s_makespan_ms = makespan_us /. 1000.0;
     s_throughput_rps =
       (if makespan_us > 0.0 then float_of_int n /. (makespan_us /. 1.0e6) else 0.0);
@@ -512,300 +528,141 @@ let summarize (t : t) : summary =
     s_mean_batch =
       (if t.batches = 0 then 0.0
        else float_of_int t.batched_requests /. float_of_int t.batches);
-    s_fault_batches = t.fault_batches;
-    s_retries = t.retries;
-    s_bisections = t.bisections;
-    s_poisoned = t.poisoned;
-    s_breaker_opens = t.breaker_opens;
-    s_breaker_shed = t.breaker_shed;
-    s_degraded_batches = t.degraded_batches;
-    s_failovers = t.failovers;
-    s_requeued = t.requeued;
-    s_probes = t.probes;
-    s_readmitted = t.readmitted;
-    s_hedges = t.hedges;
-    s_hedge_wins = t.hedge_wins;
-    s_hedge_cancels = t.hedge_cancels;
-    s_hedge_wasted = t.hedge_wasted;
-    s_clamped_schedules = t.clamped_schedules;
-    s_quota_shed = t.quota_shed;
-    s_swaps = t.swaps;
-    s_slo_ok = t.slo_ok;
-    s_limit_shed = t.limit_shed;
-    s_retry_shed = t.retry_shed;
-    s_retried_requests = t.retried_requests;
-    s_brownouts = t.brownouts;
-    s_brownout_restores = t.brownout_restores;
-    s_corrupted_batches = t.corrupted_batches;
-    s_corrupted_delivered = t.corrupted_delivered;
-    s_audits = t.audits;
-    s_audit_mismatches = t.audit_mismatches;
-    s_quarantines = t.quarantines;
-    s_quarantine_restores = t.quarantine_restores;
-    s_net_sends = t.net_sends;
-    s_net_resends = t.net_resends;
-    s_net_dups = t.net_dups;
-    s_net_drops = t.net_drops;
-    s_net_partition_drops = t.net_partition_drops;
-    s_net_deliveries = t.net_deliveries;
-    s_net_fresh = t.net_fresh;
-    s_net_dedup_hits = t.net_dedup_hits;
-    s_net_acks = t.net_acks;
-    s_net_ack_drops = t.net_ack_drops;
-    s_net_gray_drops = t.net_gray_drops;
-    s_net_ack_deliveries = t.net_ack_deliveries;
-    s_net_timeouts = t.net_timeouts;
-    s_net_shed = t.net_shed;
-    s_net_link_downs = t.net_link_downs;
-    s_net_heals = t.net_heals;
-    s_net_probes = t.net_probes;
+    s_shed = c shed;
+    s_expired = c expired;
+    s_fault_batches = c fault_batches;
+    s_retries = c retries;
+    s_bisections = c bisections;
+    s_poisoned = c poisoned;
+    s_breaker_opens = c breaker_opens;
+    s_breaker_shed = c breaker_shed;
+    s_degraded_batches = c degraded_batches;
+    s_failovers = c failovers;
+    s_requeued = c requeued;
+    s_probes = c probes;
+    s_readmitted = c readmitted;
+    s_hedges = c hedges;
+    s_hedge_wins = c hedge_wins;
+    s_hedge_cancels = c hedge_cancels;
+    s_hedge_wasted = c hedge_wasted;
+    s_clamped_schedules = c clamped_schedules;
+    s_quota_shed = c quota_shed;
+    s_swaps = c swaps;
+    s_slo_ok = c slo_ok;
+    s_limit_shed = c limit_shed;
+    s_retry_shed = c retry_shed;
+    s_retried_requests = c retried_requests;
+    s_brownouts = c brownouts;
+    s_brownout_restores = c brownout_restores;
+    s_corrupted_batches = c corrupted_batches;
+    s_corrupted_delivered = c corrupted_delivered;
+    s_audits = c audits;
+    s_audit_mismatches = c audit_mismatches;
+    s_quarantines = c quarantines;
+    s_quarantine_restores = c quarantine_restores;
+    s_net_sends = c net_sends;
+    s_net_resends = c net_resends;
+    s_net_dups = c net_dups;
+    s_net_drops = c net_drops;
+    s_net_partition_drops = c net_partition_drops;
+    s_net_deliveries = c net_deliveries;
+    s_net_fresh = c net_fresh;
+    s_net_dedup_hits = c net_dedup_hits;
+    s_net_acks = c net_acks;
+    s_net_ack_drops = c net_ack_drops;
+    s_net_gray_drops = c net_gray_drops;
+    s_net_ack_deliveries = c net_ack_deliveries;
+    s_net_timeouts = c net_timeouts;
+    s_net_shed = c net_shed;
+    s_net_link_downs = c net_link_downs;
+    s_net_heals = c net_heals;
+    s_net_probes = c net_probes;
   }
 
 let drop_rate (s : summary) =
-  if s.s_offered = 0 then 0.0
-  else
-    float_of_int
-      (s.s_shed + s.s_expired + s.s_poisoned + s.s_breaker_shed + s.s_quota_shed
-      + s.s_limit_shed + s.s_retry_shed + s.s_net_shed)
-    /. float_of_int s.s_offered
+  if s.s_offered = 0 then 0.0 else float_of_int (dropped s) /. float_of_int s.s_offered
 
-(* The fault block is emitted only when the machinery engaged: a fault-free
-   run prints (and serializes) exactly what it did before the fault layer
-   existed, keeping clean-path output byte-stable across versions. *)
+(* Gated groups in JSON and pp order, and what each emits after its rows. *)
+let emitted = [ Fault; Cluster; Tenancy; Resilience; Integrity; Net; Anomaly ]
+
+let trailer = function
+  | Fault -> [ "goodput", "goodput", goodput ]
+  | Tenancy -> [ "slo_attainment", "slo attained", slo_attainment ]
+  | _ -> []
+
+let rows_of g = List.filter (fun c -> c.group = g) counters
+
+let json_rows (s : summary) g =
+  if not (active s g) then []
+  else
+    List.map (fun c -> c.name, Json.Int (c.read s)) (rows_of g)
+    @ List.map (fun (key, _, f) -> key, Json.Float (f s)) (trailer g)
+
 let summary_to_json (s : summary) : Json.t =
-  let base =
-    [
-      "offered", Json.Int s.s_offered;
-      "completed", Json.Int s.s_completed;
-      "shed", Json.Int s.s_shed;
-      "expired", Json.Int s.s_expired;
-      "makespan_ms", Json.Float s.s_makespan_ms;
-      "throughput_rps", Json.Float s.s_throughput_rps;
-      "p50_ms", Json.Float s.s_p50_ms;
-      "p95_ms", Json.Float s.s_p95_ms;
-      "p99_ms", Json.Float s.s_p99_ms;
-      "mean_ms", Json.Float s.s_mean_ms;
-      "mean_queue_ms", Json.Float s.s_mean_queue_ms;
-      "mean_compute_ms", Json.Float s.s_mean_compute_ms;
-      "batches", Json.Int s.s_batches;
-      "mean_batch", Json.Float s.s_mean_batch;
-      "drop_rate", Json.Float (drop_rate s);
-    ]
-  in
-  let faults =
-    if not (fault_active s) then []
-    else
-      [
-        "fault_batches", Json.Int s.s_fault_batches;
-        "retries", Json.Int s.s_retries;
-        "bisections", Json.Int s.s_bisections;
-        "poisoned", Json.Int s.s_poisoned;
-        "breaker_opens", Json.Int s.s_breaker_opens;
-        "breaker_shed", Json.Int s.s_breaker_shed;
-        "degraded_batches", Json.Int s.s_degraded_batches;
-        "goodput", Json.Float (goodput s);
+  let header =
+    [ "offered", Json.Int s.s_offered; "completed", Json.Int s.s_completed ]
+    @ json_rows s Core
+    @ [
+        "makespan_ms", Json.Float s.s_makespan_ms;
+        "throughput_rps", Json.Float s.s_throughput_rps;
+        "p50_ms", Json.Float s.s_p50_ms;
+        "p95_ms", Json.Float s.s_p95_ms;
+        "p99_ms", Json.Float s.s_p99_ms;
+        "mean_ms", Json.Float s.s_mean_ms;
+        "mean_queue_ms", Json.Float s.s_mean_queue_ms;
+        "mean_compute_ms", Json.Float s.s_mean_compute_ms;
+        "batches", Json.Int s.s_batches;
+        "mean_batch", Json.Float s.s_mean_batch;
+        "drop_rate", Json.Float (drop_rate s);
       ]
   in
-  let cluster =
-    if not (cluster_active s) then []
-    else
-      [
-        "failovers", Json.Int s.s_failovers;
-        "requeued", Json.Int s.s_requeued;
-        "probes", Json.Int s.s_probes;
-        "readmitted", Json.Int s.s_readmitted;
-        "hedges", Json.Int s.s_hedges;
-        "hedge_wins", Json.Int s.s_hedge_wins;
-        "hedge_cancels", Json.Int s.s_hedge_cancels;
-        "hedge_wasted", Json.Int s.s_hedge_wasted;
-      ]
-  in
-  let tenancy =
-    if not (tenancy_active s) then []
-    else
-      [
-        "quota_shed", Json.Int s.s_quota_shed;
-        "swaps", Json.Int s.s_swaps;
-        "slo_ok", Json.Int s.s_slo_ok;
-        "slo_attainment", Json.Float (slo_attainment s);
-      ]
-  in
-  let resilience =
-    if not (resilience_active s) then []
-    else
-      [
-        "limit_shed", Json.Int s.s_limit_shed;
-        "retry_shed", Json.Int s.s_retry_shed;
-        "retried_requests", Json.Int s.s_retried_requests;
-        "brownouts", Json.Int s.s_brownouts;
-        "brownout_restores", Json.Int s.s_brownout_restores;
-      ]
-  in
-  let integrity =
-    if not (integrity_active s) then []
-    else
-      [
-        "corrupted_batches", Json.Int s.s_corrupted_batches;
-        "corrupted_delivered", Json.Int s.s_corrupted_delivered;
-        "audits", Json.Int s.s_audits;
-        "audit_mismatches", Json.Int s.s_audit_mismatches;
-        "quarantines", Json.Int s.s_quarantines;
-        "quarantine_restores", Json.Int s.s_quarantine_restores;
-      ]
-  in
-  let net =
-    if not (net_active s) then []
-    else
-      [
-        "net_sends", Json.Int s.s_net_sends;
-        "net_resends", Json.Int s.s_net_resends;
-        "net_dups", Json.Int s.s_net_dups;
-        "net_drops", Json.Int s.s_net_drops;
-        "net_partition_drops", Json.Int s.s_net_partition_drops;
-        "net_deliveries", Json.Int s.s_net_deliveries;
-        "net_fresh", Json.Int s.s_net_fresh;
-        "net_dedup_hits", Json.Int s.s_net_dedup_hits;
-        "net_acks", Json.Int s.s_net_acks;
-        "net_ack_drops", Json.Int s.s_net_ack_drops;
-        "net_gray_drops", Json.Int s.s_net_gray_drops;
-        "net_ack_deliveries", Json.Int s.s_net_ack_deliveries;
-        "net_timeouts", Json.Int s.s_net_timeouts;
-        "net_shed", Json.Int s.s_net_shed;
-        "net_link_downs", Json.Int s.s_net_link_downs;
-        "net_heals", Json.Int s.s_net_heals;
-        "net_probes", Json.Int s.s_net_probes;
-      ]
-  in
-  let anomalies =
-    if s.s_clamped_schedules = 0 then []
-    else [ "clamped_schedules", Json.Int s.s_clamped_schedules ]
-  in
-  Json.Obj (base @ faults @ cluster @ tenancy @ resilience @ integrity @ net @ anomalies)
+  Json.Obj (header @ List.concat_map (json_rows s) emitted)
+
+let pp_rows ppf (s : summary) g =
+  if active s g then begin
+    List.iter
+      (fun c ->
+        Option.iter
+          (fun label ->
+            Fmt.pf ppf "@,%-19s%8d%s" label (c.read s)
+              (if g = Anomaly then "  (scheduling bug?)" else ""))
+          c.label)
+      (rows_of g);
+    List.iter
+      (fun (_, label, f) -> Fmt.pf ppf "@,%-19s%8.1f %%" label (100.0 *. f s))
+      (trailer g)
+  end
 
 let pp_summary ppf (s : summary) =
+  Fmt.pf ppf "@[<v>offered            %8d@,completed          %8d" s.s_offered s.s_completed;
+  pp_rows ppf s Core;
   Fmt.pf ppf
-    "@[<v>offered            %8d@,completed          %8d@,shed (queue full)  %8d@,\
-     expired (deadline) %8d@,makespan           %8.2f ms@,throughput         %8.1f req/s@,\
+    "@,makespan           %8.2f ms@,throughput         %8.1f req/s@,\
      latency p50        %8.2f ms@,latency p95        %8.2f ms@,latency p99        %8.2f ms@,\
      latency mean       %8.2f ms@,queue wait (mean)  %8.2f ms@,compute (mean)     %8.2f ms@,\
      batches            %8d@,mean batch size    %8.2f"
-    s.s_offered s.s_completed s.s_shed s.s_expired s.s_makespan_ms s.s_throughput_rps
-    s.s_p50_ms s.s_p95_ms s.s_p99_ms s.s_mean_ms s.s_mean_queue_ms s.s_mean_compute_ms
-    s.s_batches s.s_mean_batch;
-  if fault_active s then
-    Fmt.pf ppf
-      "@,failed batches     %8d@,retries            %8d@,bisections         %8d@,\
-       poisoned (dropped) %8d@,breaker opens      %8d@,breaker shed       %8d@,\
-       degraded batches   %8d@,goodput            %8.1f %%"
-      s.s_fault_batches s.s_retries s.s_bisections s.s_poisoned s.s_breaker_opens
-      s.s_breaker_shed s.s_degraded_batches
-      (100.0 *. goodput s);
-  if cluster_active s then
-    Fmt.pf ppf
-      "@,failovers          %8d@,requeued           %8d@,probes             %8d@,\
-       readmitted         %8d@,hedges issued      %8d@,hedge wins         %8d@,\
-       hedge cancels      %8d@,hedge wasted       %8d"
-      s.s_failovers s.s_requeued s.s_probes s.s_readmitted s.s_hedges s.s_hedge_wins
-      s.s_hedge_cancels s.s_hedge_wasted;
-  if tenancy_active s then
-    Fmt.pf ppf
-      "@,quota shed         %8d@,model swaps        %8d@,slo attained       %8.1f %%"
-      s.s_quota_shed s.s_swaps
-      (100.0 *. slo_attainment s);
-  if resilience_active s then
-    Fmt.pf ppf
-      "@,limiter shed       %8d@,retry-budget shed  %8d@,retried requests   %8d@,\
-       brownouts          %8d@,brownout restores  %8d"
-      s.s_limit_shed s.s_retry_shed s.s_retried_requests s.s_brownouts
-      s.s_brownout_restores;
-  if integrity_active s then
-    Fmt.pf ppf
-      "@,corrupted batches  %8d@,corrupted delivered%8d@,audits             %8d@,\
-       audit mismatches   %8d@,quarantines        %8d@,quarantine restores%8d"
-      s.s_corrupted_batches s.s_corrupted_delivered s.s_audits s.s_audit_mismatches
-      s.s_quarantines s.s_quarantine_restores;
-  if net_active s then
-    Fmt.pf ppf
-      "@,net sends          %8d@,net resends        %8d@,net dups delivered %8d@,\
-       net drops          %8d@,net partition drops%8d@,net deliveries     %8d@,\
-       net dedup hits     %8d@,net acks lost      %8d@,net gray losses    %8d@,\
-       net timeouts       %8d@,net deadline shed  %8d@,net link downs     %8d@,\
-       net heals          %8d"
-      s.s_net_sends s.s_net_resends s.s_net_dups s.s_net_drops s.s_net_partition_drops
-      s.s_net_deliveries s.s_net_dedup_hits s.s_net_ack_drops s.s_net_gray_drops
-      s.s_net_timeouts s.s_net_shed s.s_net_link_downs s.s_net_heals;
-  if s.s_clamped_schedules > 0 then
-    Fmt.pf ppf "@,clamped schedules  %8d  (scheduling bug?)" s.s_clamped_schedules;
+    s.s_makespan_ms s.s_throughput_rps s.s_p50_ms s.s_p95_ms s.s_p99_ms s.s_mean_ms
+    s.s_mean_queue_ms s.s_mean_compute_ms s.s_batches s.s_mean_batch;
+  List.iter (pp_rows ppf s) emitted;
   Fmt.pf ppf "@]"
 
 (** Mirror the run's counters (and the merged device profiler's) into a
     metrics registry — the unification point between [Serve.Stats] and
-    [Device.Profiler] telemetry. *)
+    [Device.Profiler] telemetry. Every row is exported in declaration
+    order, except that net keys appear only while the net group is active,
+    so metrics snapshots from direct-call runs keep their exact key set. *)
 let to_metrics (t : t) (m : Acrobat_obs.Metrics.t) =
-  if not (Acrobat_obs.Metrics.enabled m) then ()
-  else begin
-  let s = summarize t in
-  Acrobat_obs.Metrics.set_counters m "serve."
-    [
-      "offered", s.s_offered;
-      "completed", s.s_completed;
-      "shed", s.s_shed;
-      "expired", s.s_expired;
-      "batches", s.s_batches;
-      "fault_batches", s.s_fault_batches;
-      "retries", s.s_retries;
-      "bisections", s.s_bisections;
-      "poisoned", s.s_poisoned;
-      "breaker_opens", s.s_breaker_opens;
-      "breaker_shed", s.s_breaker_shed;
-      "degraded_batches", s.s_degraded_batches;
-      "failovers", s.s_failovers;
-      "requeued", s.s_requeued;
-      "probes", s.s_probes;
-      "readmitted", s.s_readmitted;
-      "hedges", s.s_hedges;
-      "hedge_wins", s.s_hedge_wins;
-      "hedge_cancels", s.s_hedge_cancels;
-      "hedge_wasted", s.s_hedge_wasted;
-      "clamped_schedules", s.s_clamped_schedules;
-      "quota_shed", s.s_quota_shed;
-      "swaps", s.s_swaps;
-      "slo_ok", s.s_slo_ok;
-      "limit_shed", s.s_limit_shed;
-      "retry_shed", s.s_retry_shed;
-      "retried_requests", s.s_retried_requests;
-      "brownouts", s.s_brownouts;
-      "brownout_restores", s.s_brownout_restores;
-      "corrupted_batches", s.s_corrupted_batches;
-      "corrupted_delivered", s.s_corrupted_delivered;
-      "audits", s.s_audits;
-      "audit_mismatches", s.s_audit_mismatches;
-      "quarantines", s.s_quarantines;
-      "quarantine_restores", s.s_quarantine_restores;
-    ];
-    (* Net counters appear only when the net layer carried traffic, so
-       metrics snapshots from direct-call runs keep their exact key set. *)
-    if net_active s then
-      Acrobat_obs.Metrics.set_counters m "serve."
-        [
-          "net_sends", s.s_net_sends;
-          "net_resends", s.s_net_resends;
-          "net_dups", s.s_net_dups;
-          "net_drops", s.s_net_drops;
-          "net_partition_drops", s.s_net_partition_drops;
-          "net_deliveries", s.s_net_deliveries;
-          "net_fresh", s.s_net_fresh;
-          "net_dedup_hits", s.s_net_dedup_hits;
-          "net_acks", s.s_net_acks;
-          "net_ack_drops", s.s_net_ack_drops;
-          "net_gray_drops", s.s_net_gray_drops;
-          "net_ack_deliveries", s.s_net_ack_deliveries;
-          "net_timeouts", s.s_net_timeouts;
-          "net_shed", s.s_net_shed;
-          "net_link_downs", s.s_net_link_downs;
-          "net_heals", s.s_net_heals;
-          "net_probes", s.s_net_probes;
-        ];
+  if Acrobat_obs.Metrics.enabled m then begin
+    let s = summarize t in
+    let pairs keep =
+      List.filter_map (fun c -> if keep c then Some (c.name, c.read s) else None) counters
+    in
+    let net_on = active s Net in
+    Acrobat_obs.Metrics.set_counters m "serve."
+      ([ "offered", s.s_offered; "completed", s.s_completed ]
+      @ pairs (fun c -> c.group = Core)
+      @ ("batches", s.s_batches)
+        :: pairs (fun c -> c.group <> Core && (c.group <> Net || net_on)));
     Profiler.to_metrics t.profiler m
   end
 
@@ -826,6 +683,6 @@ let snapshot_periodically (t : t) (m : Acrobat_obs.Metrics.t) loop ~every_us =
     the loop's own counters, then the final metrics export. *)
 let finish (t : t) (m : Acrobat_obs.Metrics.t) loop =
   t.end_us <- Event_loop.now loop;
-  t.clamped_schedules <- Event_loop.clamped_count loop;
+  set t clamped_schedules (Event_loop.clamped_count loop);
   t.loop_events <- Event_loop.dispatched loop;
   to_metrics t m

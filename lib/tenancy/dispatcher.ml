@@ -230,7 +230,7 @@ let copy_drop_terminal st (r : 'a Admission.request) =
   | Some e ->
     e.he_copies <- e.he_copies - 1;
     if e.he_done then begin
-      st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
+      Stats.incr st.stats Stats.hedge_cancels;
       false
     end
     else if e.he_copies > 0 then false
@@ -240,10 +240,11 @@ let copy_drop_terminal st (r : 'a Admission.request) =
     end
 
 (* A copy of [r] left without completing. When that drop is the request's
-   terminal outcome, [count] it on the [ledgers] and trace it as [name]. *)
-let drop_copy st (ts : 'a tstate) ~ledgers ~count ~name ~ts_us r =
+   terminal outcome, count it as [counter] on the [ledgers] and trace it as
+   [name]. *)
+let drop_copy st (ts : 'a tstate) ~ledgers ~counter ~name ~ts_us r =
   if copy_drop_terminal st r then begin
-    List.iter count ledgers;
+    List.iter (fun s -> Stats.incr s counter) ledgers;
     ts.ts_inflight <- ts.ts_inflight - 1;
     trace_terminal st ts ~name ~ts_us r
   end
@@ -253,8 +254,7 @@ let drop_copy st (ts : 'a tstate) ~ledgers ~count ~name ~ts_us r =
    queue's count. *)
 let drop_expired st (ts : 'a tstate) ~ts_us dropped =
   List.iter
-    (drop_copy st ts ~ledgers:[ st.stats ] ~name:"expired" ~ts_us ~count:(fun s ->
-         s.Stats.expired <- s.Stats.expired + 1))
+    (drop_copy st ts ~ledgers:[ st.stats ] ~name:"expired" ~ts_us ~counter:Stats.expired)
     dropped
 
 (* Stale hedge duplicates whose winner already completed leave the queue
@@ -265,7 +265,7 @@ let drop_cancelled st (live : 'a Admission.request list) =
       match Hashtbl.find_opt st.entries r.Admission.rq_id with
       | Some e when e.he_done ->
         e.he_copies <- e.he_copies - 1;
-        st.stats.Stats.hedge_cancels <- st.stats.Stats.hedge_cancels + 1;
+        Stats.incr st.stats Stats.hedge_cancels;
         false
       | _ -> true)
     live
@@ -287,14 +287,14 @@ let net_reachable st rp ~now =
     let cut = Net.partitioned plan ~replica:rp.rp_id ~n ~now_us:now in
     if cut && not rp.rp_net_cut then begin
       rp.rp_net_cut <- true;
-      st.stats.Stats.net_link_downs <- st.stats.Stats.net_link_downs + 1;
+      Stats.incr st.stats Stats.net_link_downs;
       Trace.instant st.tracer ~name:"net_link_down" ~cat:"net" ~pid:(rp_pid rp)
         ~tid:0 ~ts_us:now
         ~args:[ "replica", Json.Int rp.rp_id ]
     end
     else if (not cut) && rp.rp_net_cut then begin
       rp.rp_net_cut <- false;
-      st.stats.Stats.net_heals <- st.stats.Stats.net_heals + 1;
+      Stats.incr st.stats Stats.net_heals;
       Trace.instant st.tracer ~name:"net_heal" ~cat:"net" ~pid:(rp_pid rp) ~tid:0
         ~ts_us:now
         ~args:[ "replica", Json.Int rp.rp_id ]
@@ -382,8 +382,8 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
   Stats.note_batch st.stats ~size ~profiler:outcome.Server.ex_profiler;
   Stats.note_batch lead_ts.ts_stats ~size ~profiler:None;
   if outcome.Server.ex_corrupted then begin
-    st.stats.Stats.corrupted_batches <- st.stats.Stats.corrupted_batches + 1;
-    lead_ts.ts_stats.Stats.corrupted_batches <- lead_ts.ts_stats.Stats.corrupted_batches + 1
+    Stats.incr st.stats Stats.corrupted_batches;
+    Stats.incr lead_ts.ts_stats Stats.corrupted_batches
   end;
   rp.rp_batches <- rp.rp_batches + 1;
   Trace.complete st.tracer ~name:"batch" ~cat:"serve" ~pid:(rp_pid rp) ~tid:0 ~ts_us:now
@@ -413,7 +413,7 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
           | None -> true
           | Some e when e.he_done ->
             e.he_copies <- e.he_copies - 1;
-            st.stats.Stats.hedge_wasted <- st.stats.Stats.hedge_wasted + 1;
+            Stats.incr st.stats Stats.hedge_wasted;
             false
           | Some e ->
             e.he_done <- true;
@@ -421,7 +421,7 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
             record_latency st (done_us -. r.Admission.rq_arrival_us);
             (match e.he_hedge_copy with
             | Some hc when hc == r ->
-              st.stats.Stats.hedge_wins <- st.stats.Stats.hedge_wins + 1
+              Stats.incr st.stats Stats.hedge_wins
             | _ -> ());
             true
         in
@@ -440,9 +440,9 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
           ~forced:false ~outcome ~index:bi r
       in
       if d.Server.ad_audited then begin
-        ts.ts_stats.Stats.audits <- ts.ts_stats.Stats.audits + 1;
+        Stats.incr ts.ts_stats Stats.audits;
         if not d.Server.ad_clean then
-          ts.ts_stats.Stats.audit_mismatches <- ts.ts_stats.Stats.audit_mismatches + 1;
+          Stats.incr ts.ts_stats Stats.audit_mismatches;
         Trace.instant st.tracer
           ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
           ~cat:"integrity" ~pid:0 ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
@@ -467,8 +467,8 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
       (match r.Admission.rq_deadline_us with
       | Some d when r_done_us > d -> ()
       | Some _ | None ->
-        st.stats.Stats.slo_ok <- st.stats.Stats.slo_ok + 1;
-        ts.ts_stats.Stats.slo_ok <- ts.ts_stats.Stats.slo_ok + 1);
+        Stats.incr st.stats Stats.slo_ok;
+        Stats.incr ts.ts_stats Stats.slo_ok);
       Trace.complete st.tracer ~name:"queue" ~cat:"request" ~pid:0
         ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:r.Admission.rq_arrival_us
         ~dur_us:(now -. r.Admission.rq_arrival_us);
@@ -494,8 +494,8 @@ and escalate st rp ~lead ~model ~freed_us =
     then begin
       lead_ts.ts_breaker <- Open { until_us = freed_us +. tol.Server.breaker_cooldown_us };
       lead_ts.ts_consec_failures <- 0;
-      st.stats.Stats.breaker_opens <- st.stats.Stats.breaker_opens + 1;
-      lead_ts.ts_stats.Stats.breaker_opens <- lead_ts.ts_stats.Stats.breaker_opens + 1;
+      Stats.incr st.stats Stats.breaker_opens;
+      Stats.incr lead_ts.ts_stats Stats.breaker_opens;
       Trace.instant st.tracer ~name:"breaker_open" ~cat:"resilience" ~pid:0 ~tid:0
         ~ts_us:freed_us
         ~args:
@@ -512,7 +512,7 @@ and retry_shed st batch ~freed_us =
     (fun (ti, r) ->
       let ts = st.tenants.(ti) in
       drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"retry_budget" ~ts_us:freed_us
-        ~count:(fun s -> s.Stats.retry_shed <- s.Stats.retry_shed + 1)
+        ~counter:Stats.retry_shed
         r)
     batch;
   ignore
@@ -520,7 +520,7 @@ and retry_shed st batch ~freed_us =
 and poison st (ti, r) =
   let ts = st.tenants.(ti) in
   drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"poisoned" ~ts_us:(now_us st)
-    ~count:(fun s -> s.Stats.poisoned <- s.Stats.poisoned + 1)
+    ~counter:Stats.poisoned
     r
 
 (* Put one free replica to work: offer it to backlogged tenants in
@@ -579,8 +579,8 @@ and flush st rp ti ~now ~limit =
         let d = Cost_model.model_swap_time st.cfg.t_swap_cost ~param_bytes in
         rp.rp_resident <- Some model;
         rp.rp_swaps <- rp.rp_swaps + 1;
-        st.stats.Stats.swaps <- st.stats.Stats.swaps + 1;
-        ts.ts_stats.Stats.swaps <- ts.ts_stats.Stats.swaps + 1;
+        Stats.incr st.stats Stats.swaps;
+        Stats.incr ts.ts_stats Stats.swaps;
         if d > 0.0 then
           Trace.complete st.tracer ~name:"swap" ~cat:"tenancy" ~pid:(rp_pid rp) ~tid:0
             ~ts_us:now ~dur_us:d
@@ -650,7 +650,7 @@ and pass st =
    probe-based re-admission is the fixed-pool {!Replica} machine's job. *)
 and quarantine st rp ~ts_us =
   rp.rp_state <- Draining;
-  st.stats.Stats.quarantines <- st.stats.Stats.quarantines + 1;
+  Stats.incr st.stats Stats.quarantines;
   Trace.instant st.tracer ~name:"quarantine" ~cat:"integrity" ~pid:(rp_pid rp) ~tid:0
     ~ts_us
     ~args:[ "replica", Json.Int rp.rp_id; "score", Json.Float rp.rp_corrupt_score ];
@@ -677,7 +677,7 @@ let maybe_hedge st (ts : 'a tstate) (e : 'a hentry) (r : 'a Admission.request) =
     e.he_hedged <- true;
     e.he_hedge_copy <- Some copy;
     e.he_copies <- e.he_copies + 1;
-    st.stats.Stats.hedges <- st.stats.Stats.hedges + 1;
+    Stats.incr st.stats Stats.hedges;
     Trace.instant st.tracer ~name:"hedge" ~cat:"tenancy" ~pid:0
       ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:now
       ~args:
@@ -717,15 +717,15 @@ let on_arrival st (ts : 'a tstate) (r : 'a Admission.request) =
      constraint after a scale-up. *)
   let quota = ts.ts_tenant.Tenant.tn_quota * max 1 (active_replicas st) in
   if breaker_open then begin
-    st.stats.Stats.breaker_shed <- st.stats.Stats.breaker_shed + 1;
-    ts.ts_stats.Stats.breaker_shed <- ts.ts_stats.Stats.breaker_shed + 1;
+    Stats.incr st.stats Stats.breaker_shed;
+    Stats.incr ts.ts_stats Stats.breaker_shed;
     trace_terminal st ts ~name:"shed_breaker" ~ts_us:now r
   end
   else if ts.ts_inflight >= quota then begin
     (* Over quota: refuse before admission so the queue (and the cluster
        behind it) never sees the excess. *)
-    st.stats.Stats.quota_shed <- st.stats.Stats.quota_shed + 1;
-    ts.ts_stats.Stats.quota_shed <- ts.ts_stats.Stats.quota_shed + 1;
+    Stats.incr st.stats Stats.quota_shed;
+    Stats.incr ts.ts_stats Stats.quota_shed;
     trace_terminal st ts ~name:"shed_quota" ~ts_us:now r
   end
   else begin
@@ -733,14 +733,14 @@ let on_arrival st (ts : 'a tstate) (r : 'a Admission.request) =
     | Some lim when not (Limiter.admits lim ~queued:(Admission.length ts.ts_queue)) ->
       (* The tenant's adaptive concurrency limiter gates ahead of its
          bounded queue (the gate {!Server.offer} applies per device). *)
-      st.stats.Stats.limit_shed <- st.stats.Stats.limit_shed + 1;
-      ts.ts_stats.Stats.limit_shed <- ts.ts_stats.Stats.limit_shed + 1;
+      Stats.incr st.stats Stats.limit_shed;
+      Stats.incr ts.ts_stats Stats.limit_shed;
       trace_terminal st ts ~name:"shed_limit" ~ts_us:now r
     | _ ->
       let admitted, swept = Admission.offer_swept ts.ts_queue ~now_us:now r in
       drop_expired st ts ~ts_us:now swept;
       if not admitted then begin
-        st.stats.Stats.shed <- st.stats.Stats.shed + 1;
+        Stats.incr st.stats Stats.shed;
         trace_terminal st ts ~name:"shed" ~ts_us:now r
       end
       else begin
@@ -986,15 +986,15 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       drop_expired st ts ~ts_us:end_us dropped;
       List.iter
         (drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"budget_exhausted"
-           ~ts_us:end_us ~count:(fun s -> s.Stats.breaker_shed <- s.Stats.breaker_shed + 1))
+           ~ts_us:end_us ~counter:Stats.breaker_shed)
         leftovers)
     st.tenants;
   let views =
     Array.to_list
       (Array.map
          (fun ts ->
-           ts.ts_stats.Stats.shed <- Admission.shed_count ts.ts_queue;
-           ts.ts_stats.Stats.expired <- Admission.expired_count ts.ts_queue;
+           Stats.set ts.ts_stats Stats.shed (Admission.shed_count ts.ts_queue);
+           Stats.set ts.ts_stats Stats.expired (Admission.expired_count ts.ts_queue);
            ts.ts_stats.Stats.end_us <- end_us;
            {
              tv_tenant = ts.ts_tenant;

@@ -93,6 +93,22 @@ let test_invariant_conservation () =
   check_true "phantom arrival trips conservation" (List.mem "conservation" names);
   check_true "phantom arrival also lacks a terminal" (List.mem "terminal_once" names)
 
+let test_invariant_conservation_names_every_outcome () =
+  (* A quota shed the offered count never saw: the outcomes no longer sum
+     to offered, and the evidence names every terminal outcome. *)
+  let input = healthy_input () in
+  let s = input.Invariants.in_summary in
+  let tampered =
+    { input with Invariants.in_summary = { s with Stats.s_quota_shed = s.Stats.s_quota_shed + 1 } }
+  in
+  match List.filter (fun x -> x.Invariants.vi_name = "conservation") (Invariants.check tampered) with
+  | [ x ] ->
+    List.iter
+      (fun name -> check_true ("detail lists " ^ name) (contains x.Invariants.vi_detail name))
+      [ "completed"; "shed"; "expired"; "poisoned"; "breaker_shed"; "quota_shed";
+        "limit_shed"; "retry_shed"; "net_shed" ]
+  | _ -> Alcotest.fail "a tampered quota_shed must trip conservation exactly once"
+
 let test_invariant_terminal_once () =
   let input = healthy_input () in
   (* Erase the trace: every request now lacks its terminal instant, and the
@@ -683,6 +699,8 @@ let suite =
     Alcotest.test_case "invariants: clean run passes" `Quick test_invariants_healthy;
     Alcotest.test_case "invariants: conservation oracle fires" `Quick
       test_invariant_conservation;
+    Alcotest.test_case "invariants: conservation names every terminal outcome" `Quick
+      test_invariant_conservation_names_every_outcome;
     Alcotest.test_case "invariants: terminal-once oracle fires" `Quick
       test_invariant_terminal_once;
     Alcotest.test_case "invariants: duplicate-completion oracle fires" `Quick

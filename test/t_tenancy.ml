@@ -565,6 +565,11 @@ let test_dispatcher_partition_failover () =
     (s.Stats.s_completed >= 190);
   check_int "the cut was detected once" 1 s.Stats.s_net_link_downs;
   check_int "the link healed once" 1 s.Stats.s_net_heals;
+  (* The cut and heal reach every output channel, not just the counters. *)
+  check_true "net block in the summary JSON"
+    (contains (Json.to_string (Stats.summary_to_json s)) {|"net_link_downs":1|});
+  check_true "net block in the printed summary"
+    (contains (Fmt.str "%a" Stats.pp_summary s) "net link downs");
   (* Determinism through partition and heal: the same seed replays the
      whole report byte-identically. *)
   let json rep =

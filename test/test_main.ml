@@ -12,5 +12,6 @@ let () =
       "failures", T_failures.suite;
       "chaos", T_chaos.suite;
       "tenancy", T_tenancy.suite;
+      "stats", T_stats.suite;
       "recovery", T_recovery.suite;
     ]
