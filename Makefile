@@ -50,7 +50,8 @@ test:
 # on goodput; the partition bench (exactly-once vs naive resend vs direct
 # calls through the same partition, BENCH_partition.json, a CI artifact)
 # runs twice and must be byte-identical across runs. The allocation gate
-# bounds host-side allocation per DFG-construction item (see alloc-gate).
+# bounds host-side allocation per item of DFG construction and of tensor
+# value computation (see alloc-gate).
 check: build test
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 2000 --requests 50 --iters 100
@@ -117,21 +118,29 @@ chaos-smoke: build
 	dune exec bin/acrobatc.exe -- chaos --seed 42 --runs 60 --fault-prob 0.5 \
 	  --shrink --repro CHAOS_repro.txt --trace CHAOS_trace.json
 
-# Host allocation gate: a short traced offline-treelstm run of the host-time
-# benchmark (~5 s), failing if gc.minor_words_per_item exceeds 100,000. The
-# metric is exact for a fixed binary (no timing noise). It reads ~26k with
-# node plans (DESIGN.md §17); the bound leaves room for ordinary growth but
+# Host allocation gate: short traced runs of the host-time benchmark
+# (~5 s each), failing if gc.minor_words_per_item exceeds the workload's
+# bound. The metric is exact for a fixed binary (no timing noise).
+# offline-treelstm reads ~26k with node plans (DESIGN.md §17); its bound
 # catches a return to deriving shapes and costs per DFG node (~419k).
+# offline-stackrnn-values reads ~82k with the tight host kernels
+# (DESIGN.md §18); its bound catches a return to boxing a float per
+# element in the tensor kernels (~212k).
+ALLOC_GATES = offline-treelstm:100000 offline-stackrnn-values:120000
+
 alloc-gate: build
-	@out=$$(mktemp -d) && \
-	dune exec bench/perf/main.exe -- --workload offline-treelstm --seed 1 --seconds 2 \
-	  --trace 1 --out $$out > $$out/stdout.txt && \
-	awk -v max=100000 \
-	  '$$1 == "gc.minor_words_per_item" { seen = 1; words = $$2 } \
-	   END { if (!seen) { print "alloc-gate: gc.minor_words_per_item not reported"; exit 1 } \
-	         printf "alloc-gate: gc.minor_words_per_item %.0f (max %d)\n", words, max; \
-	         exit (words > max) }' $$out/stdout.txt; \
-	status=$$?; rm -rf $$out; exit $$status
+	@for gate in $(ALLOC_GATES); do \
+	  workload=$${gate%%:*}; max=$${gate##*:}; \
+	  out=$$(mktemp -d) && \
+	  dune exec bench/perf/main.exe -- --workload $$workload --seed 1 --seconds 2 \
+	    --trace 1 --out $$out > $$out/stdout.txt && \
+	  awk -v max=$$max -v workload=$$workload \
+	    '$$1 == "gc.minor_words_per_item" { seen = 1; words = $$2 } \
+	     END { if (!seen) { print "alloc-gate: gc.minor_words_per_item not reported"; exit 1 } \
+	           printf "alloc-gate: %s gc.minor_words_per_item %.0f (max %d)\n", workload, words, max; \
+	           exit (words > max) }' $$out/stdout.txt; \
+	  status=$$?; rm -rf $$out; [ $$status -eq 0 ] || exit $$status; \
+	done
 
 bench:
 	dune exec bench/main.exe

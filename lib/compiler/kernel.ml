@@ -146,7 +146,7 @@ let execute ?rand t (args : Tensor.t array) : Tensor.t array =
   List.iter
     (fun g ->
       List.iter
-        (fun i -> tmps.(i.dst) <- Op.eval ?rand i.op (List.map value_of i.srcs))
+        (fun i -> tmps.(i.dst) <- Op.eval ?rand i.op value_of i.srcs)
         g.instrs)
     t.groups;
   Array.map (fun i -> tmps.(i)) t.out_tmps

@@ -244,7 +244,11 @@ let tokenize (src : string) : located list =
         in
         emit (FLOAT (float_of_string (intpart ^ "." ^ frac ^ expo))) l c
       end
-      else emit (INT (int_of_string intpart)) l c
+      else begin
+        match int_of_string_opt intpart with
+        | Some n -> emit (INT n) l c
+        | None -> fail l c "integer literal %s out of range" intpart
+      end
     | c0 when is_ident_start c0 -> emit (IDENT (read_while is_ident_char)) l c
     | c0 -> fail l c "unexpected character %C" c0
   done;

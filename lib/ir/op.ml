@@ -98,10 +98,13 @@ let out_shape op (inputs : Shape.t list) : Shape.t =
     | [] | [ _ ] -> [ 1 ]
     | s -> List.filteri (fun i _ -> i < Shape.rank s - 1) s
   end
-  | Concat n ->
+  | Concat n -> begin
     if List.length inputs <> n then shape_fail op "expected %d inputs" n;
-    let axis = Shape.rank (List.hd inputs) - 1 in
-    Shape.concat ~axis inputs
+    match inputs with
+    | [] -> shape_fail op "expected at least 1 input"
+    | [] :: _ -> shape_fail op "cannot concatenate rank-0 tensors"
+    | first :: _ -> Shape.concat ~axis:(Shape.rank first - 1) inputs
+  end
   | Slice { lo; hi } ->
     let s = unary () in
     let w = match List.rev s with d :: _ -> d | [] -> 0 in
@@ -119,7 +122,12 @@ let out_shape op (inputs : Shape.t list) : Shape.t =
   | Reduce_sum | Reduce_mean | Entropy -> [ 1 ]
   | Layernorm -> begin
     match inputs with
-    | [ x; _; _ ] -> x
+    | [ x; g; b ] ->
+      let w, _ = Shape.rows x in
+      if Shape.numel g <> w || Shape.numel b <> w then
+        shape_fail op "gain %a and bias %a must have %d elements (the last dim of %a)"
+          Shape.pp g Shape.pp b w Shape.pp x;
+      x
     | _ -> shape_fail op "expected 3 inputs"
   end
 
@@ -145,35 +153,36 @@ let flops op (inputs : Shape.t list) : float =
     float_of_int (List.fold_left (fun acc s -> acc + Shape.numel s) 0 inputs)
   | Layernorm -> 8.0 *. float_of_int (Shape.numel (List.hd inputs))
 
-(** Reference semantics on concrete tensors. [rand] supplies values for
-    {!Random} nodes. *)
-let eval ?rand op (args : Tensor.t list) : Tensor.t =
+(** Reference semantics on concrete tensors: [eval op get args] applies [op]
+    to [get] of each argument, so a caller holding argument references
+    builds no tensor list. [rand] supplies values for {!Random} nodes. *)
+let eval ?rand op (get : 'a -> Tensor.t) (args : 'a list) : Tensor.t =
   match op, args with
-  | Add, [ a; b ] -> Ops.add a b
-  | Sub, [ a; b ] -> Ops.sub a b
-  | Mul, [ a; b ] -> Ops.mul a b
-  | Div, [ a; b ] -> Ops.div a b
-  | Matmul, [ a; b ] -> Ops.matmul a b
-  | Sigmoid, [ a ] -> Ops.sigmoid a
-  | Tanh, [ a ] -> Ops.tanh a
-  | Relu, [ a ] -> Ops.relu a
-  | Gelu, [ a ] -> Ops.gelu a
-  | Exp, [ a ] -> Ops.exp a
-  | Softmax, [ a ] -> Ops.softmax a
-  | Argmax, [ a ] -> Ops.argmax a
-  | Concat _, args -> Ops.concat args
-  | Slice { lo; hi }, [ a ] -> Ops.slice a ~lo ~hi
+  | Add, [ a; b ] -> Ops.add (get a) (get b)
+  | Sub, [ a; b ] -> Ops.sub (get a) (get b)
+  | Mul, [ a; b ] -> Ops.mul (get a) (get b)
+  | Div, [ a; b ] -> Ops.div (get a) (get b)
+  | Matmul, [ a; b ] -> Ops.matmul (get a) (get b)
+  | Sigmoid, [ a ] -> Ops.sigmoid (get a)
+  | Tanh, [ a ] -> Ops.tanh (get a)
+  | Relu, [ a ] -> Ops.relu (get a)
+  | Gelu, [ a ] -> Ops.gelu (get a)
+  | Exp, [ a ] -> Ops.exp (get a)
+  | Softmax, [ a ] -> Ops.softmax (get a)
+  | Argmax, [ a ] -> Ops.argmax (get a)
+  | Concat _, args -> Ops.concat (List.map get args)
+  | Slice { lo; hi }, [ a ] -> Ops.slice (get a) ~lo ~hi
   | Constant { shape; value }, [] -> Tensor.full shape value
   | Random { shape }, [] -> begin
     match rand with
     | Some rng -> Tensor.init shape (fun _ -> Rng.float rng)
     | None -> Tensor.zeros shape
   end
-  | Transpose, [ a ] -> Ops.transpose a
-  | Reduce_sum, [ a ] -> Ops.reduce_sum a
-  | Reduce_mean, [ a ] -> Ops.reduce_mean a
-  | Layernorm, [ x; g; b ] -> Ops.layernorm x g b
-  | Entropy, [ a ] -> Ops.entropy a
+  | Transpose, [ a ] -> Ops.transpose (get a)
+  | Reduce_sum, [ a ] -> Ops.reduce_sum (get a)
+  | Reduce_mean, [ a ] -> Ops.reduce_mean (get a)
+  | Layernorm, [ x; g; b ] -> Ops.layernorm (get x) (get g) (get b)
+  | Entropy, [ a ] -> Ops.entropy (get a)
   | ( ( Add | Sub | Mul | Div | Matmul | Sigmoid | Tanh | Relu | Gelu | Exp | Softmax
       | Argmax | Slice _ | Constant _ | Random _ | Transpose | Reduce_sum | Reduce_mean
       | Layernorm | Entropy ),

@@ -28,6 +28,17 @@ let def_signature (d : Ast.def) = Ty.Fn (List.map snd d.params, d.ret)
 
 let is_tensor = function Ty.Tensor _ -> true | _ -> false
 
+(* Kernels index tensors up to [Shape.numel], which rejects shapes whose
+   element count overflows [int]; reject them here, where they are written. *)
+let rec check_ty : Ty.t -> unit = function
+  | Ty.Tensor s -> (
+    try ignore (Acrobat_tensor.Shape.numel s)
+    with Acrobat_tensor.Shape.Mismatch m -> fail "%s" m)
+  | Ty.Int | Ty.Bool | Ty.Float -> ()
+  | Ty.List t | Ty.Tree t -> check_ty t
+  | Ty.Tup ts -> List.iter check_ty ts
+  | Ty.Fn (ts, t) -> List.iter check_ty (t :: ts)
+
 let binop_prim : Ast.binop -> Op.t option = function
   | Ast.Add -> Some Op.Add
   | Ast.Sub -> Some Op.Sub
@@ -64,6 +75,7 @@ let rec infer env (e : Ast.expr) : Ast.expr * Ty.t =
     | t -> fail "calling a non-function of type %a" Ty.pp t
   end
   | Ast.Fn (params, body) ->
+    List.iter (fun (_, t) -> check_ty t) params;
     let env' = List.fold_left (fun e (x, t) -> bind e x t) env params in
     let body', tb = infer env' body in
     Ast.Fn (params, body'), Ty.Fn (List.map snd params, tb)
@@ -145,6 +157,7 @@ and infer_prim env op args =
     | Op.Shape_error m -> fail "%s" m
     | Acrobat_tensor.Shape.Mismatch m -> fail "%s" m
   in
+  check_ty (Ty.Tensor out);
   Ast.Prim (op, args'), Ty.Tensor out
 
 and infer_binop env op a b =
@@ -224,7 +237,9 @@ let program (p : Ast.program) : Ast.program =
   | n :: _ -> fail "duplicate definition of @%s" n);
   let check_def (d : Ast.def) =
     let env = { vars = d.params; globals } in
-    try { d with body = check env d.body d.ret }
+    try
+      check_ty (def_signature d);
+      { d with body = check env d.body d.ret }
     with Type_error m -> fail "in @%s: %s" d.name m
   in
   { Ast.defs = List.map check_def p.defs }

@@ -4,8 +4,6 @@ type t = int list
 
 let equal (a : t) (b : t) = a = b
 
-let numel (s : t) = List.fold_left ( * ) 1 s
-
 let rank = List.length
 
 let pp ppf s =
@@ -17,6 +15,21 @@ exception Mismatch of string
 
 let fail fmt = Fmt.kstr (fun m -> raise (Mismatch m)) fmt
 
+(* [nz] is the product of the non-zero dims so far. Bounding it keeps every
+   stride and offset derived from the shape within [int], also when a zero
+   dim makes the element count 0. *)
+let rec count s nz zero = function
+  | [] -> if zero then 0 else nz
+  | d :: rest ->
+    if d < 0 then fail "negative dimension in %a" pp s
+    else if d = 0 then count s nz true rest
+    else if nz > max_int / d then fail "element count of %a overflows int" pp s
+    else count s (nz * d) zero rest
+
+(** Number of elements. Raises {!Mismatch} on a negative dimension or when
+    the count overflows [int], so a shape that passes can index an array. *)
+let numel (s : t) = count s 1 false s
+
 (** Row-major strides for a shape. *)
 let strides (s : t) : int array =
   let dims = Array.of_list s in
@@ -26,6 +39,12 @@ let strides (s : t) : int array =
     st.(i) <- st.(i + 1) * dims.(i + 1)
   done;
   st
+
+(** Width of the last axis (1 for a scalar) and the number of rows of that
+    width (0 when the width is 0). *)
+let rows s =
+  let w = match List.rev s with d :: _ -> d | [] -> 1 in
+  w, if w = 0 then 0 else numel s / w
 
 (** Shape of [a @ b] for 2-D matrix multiplication. *)
 let matmul a b =
@@ -54,6 +73,8 @@ let concat ~axis shapes =
   match shapes with
   | [] -> fail "concat: empty shape list"
   | first :: rest ->
+    if axis < 0 || axis >= rank first then
+      fail "concat: axis %d out of range for %a" axis pp first;
     let check_compatible s =
       if rank s <> rank first then
         fail "concat: rank mismatch %a vs %a" pp first pp s;

@@ -1,16 +1,12 @@
-(** Dense row-major float tensors.
-
-    This is the numeric substrate underneath the simulated accelerator: all
-    "device kernels" ultimately compute with these, so control-flow decisions
-    that depend on tensor values (early exit, parser actions, ...) are
-    genuinely value-dependent rather than scripted. *)
-
 type t = { shape : Shape.t; data : float array }
 
 let shape t = t.shape
 let data t = t.data
 let numel t = Array.length t.data
 
+(* Every builder sizes or checks [data] by [Shape.numel], so a tensor's
+   dimensions are non-negative, their product fits in [int], and its
+   [numel] is its array length. *)
 let create shape data =
   if Shape.numel shape <> Array.length data then
     Shape.fail "create: shape %a does not match %d elements" Shape.pp shape
@@ -27,7 +23,6 @@ let scalar v = { shape = []; data = [| v |] }
 
 let of_array shape a = create shape (Array.copy a)
 
-(** Xavier-style random initialisation. *)
 let random rng shape =
   let n = Shape.numel shape in
   let fan = float_of_int (max 1 (match shape with d :: _ -> d | [] -> 1)) in
@@ -48,21 +43,19 @@ let reshape t shape =
     Shape.fail "reshape: %a -> %a changes element count" Shape.pp t.shape Shape.pp shape;
   { t with shape }
 
-let map f t = { t with data = Array.map f t.data }
-
-let map2 f a b =
-  if not (Shape.equal a.shape b.shape) then
-    Shape.fail "map2: shape mismatch %a vs %a" Shape.pp a.shape Shape.pp b.shape;
-  { a with data = Array.init (numel a) (fun i -> f a.data.(i) b.data.(i)) }
-
 let fold f init t = Array.fold_left f init t.data
 
-let sum t = fold ( +. ) 0.0 t
+let sum t =
+  let s = ref 0.0 in
+  for i = 0 to numel t - 1 do
+    s := !s +. Array.unsafe_get t.data i
+  done;
+  !s
+
 let mean t = sum t /. float_of_int (max 1 (numel t))
 
 let max_value t = fold Float.max neg_infinity t
 
-(** Index of the maximum element (flattened). *)
 let argmax t =
   let best = ref 0 in
   for i = 1 to numel t - 1 do
@@ -85,38 +78,73 @@ let pp ppf t =
 
 (* --- Broadcasting --- *)
 
-(** Apply a binary elementwise op with numpy broadcasting. *)
-let broadcast_op2 f a b =
-  if Shape.equal a.shape b.shape then map2 f a b
+type binop = Add | Sub | Mul | Div
+
+(* [x] is the first operand, as in [( +. ) x y]: when both are nan, x86
+   returns the first one's payload and sign (see [Ops.matmul]). *)
+let[@inline] apply op x y =
+  match op with Add -> x +. y | Sub -> x -. y | Mul -> x *. y | Div -> x /. y
+
+(* Reads are unchecked: equal shapes give equal lengths, and once
+   {!Shape.broadcast} accepts the shapes every operand offset stays below
+   the operand's [numel]. *)
+let broadcast_op2 op a b =
+  if Shape.equal a.shape b.shape then begin
+    let da = a.data and db = b.data in
+    let n = Array.length da in
+    let dc = Array.create_float n in
+    for i = 0 to n - 1 do
+      Array.unsafe_set dc i (apply op (Array.unsafe_get da i) (Array.unsafe_get db i))
+    done;
+    { shape = a.shape; data = dc }
+  end
   else begin
     let out_shape = Shape.broadcast a.shape b.shape in
-    let out = zeros out_shape in
-    let out_dims = Array.of_list out_shape in
-    let nd = Array.length out_dims in
-    let pad s =
-      let d = Array.of_list s in
-      Array.append (Array.make (nd - Array.length d) 1) d
-    in
-    let da = pad a.shape and db = pad b.shape in
-    let sa = Shape.strides (Array.to_list da) and sb = Shape.strides (Array.to_list db) in
-    let idx = Array.make nd 0 in
-    let offset dims strides =
-      let o = ref 0 in
-      for k = 0 to nd - 1 do
-        let i = if dims.(k) = 1 then 0 else idx.(k) in
-        o := !o + (i * strides.(k))
+    let dims = Array.of_list out_shape in
+    (* Shapes differ, so the output has rank >= 1. *)
+    let nd = Array.length dims in
+    (* An operand's stride along each output dimension, 0 where it broadcasts. *)
+    let strides s =
+      let ds = Array.of_list s in
+      let pad = nd - Array.length ds in
+      let st = Array.make nd 0 and acc = ref 1 in
+      for k = nd - 1 downto pad do
+        let d = ds.(k - pad) in
+        if d <> 1 then st.(k) <- !acc;
+        acc := !acc * d
       done;
-      !o
+      st
     in
-    let n = Shape.numel out_shape in
-    for flat = 0 to n - 1 do
-      (* Decode flat index into [idx]. *)
-      let r = ref flat in
-      for k = nd - 1 downto 0 do
-        idx.(k) <- !r mod out_dims.(k);
-        r := !r / out_dims.(k)
+    let sa = strides a.shape and sb = strides b.shape in
+    let da = a.data and db = b.data in
+    let dc = Array.create_float (Shape.numel out_shape) in
+    let w = dims.(nd - 1) and wa = sa.(nd - 1) and wb = sb.(nd - 1) in
+    let rows = if w = 0 then 0 else Array.length dc / w in
+    (* [idx] counts over the outer dimensions; [oa]/[ob] are the operand
+       offsets of the current row's first element. *)
+    let idx = Array.make nd 0 and oa = ref 0 and ob = ref 0 in
+    for r = 0 to rows - 1 do
+      let base = r * w and oa0 = !oa and ob0 = !ob in
+      for j = 0 to w - 1 do
+        Array.unsafe_set dc (base + j)
+          (apply op
+             (Array.unsafe_get da (oa0 + (j * wa)))
+             (Array.unsafe_get db (ob0 + (j * wb))))
       done;
-      out.data.(flat) <- f a.data.(offset da sa) b.data.(offset db sb)
+      let k = ref (nd - 2) in
+      while !k >= 0 do
+        let kk = !k in
+        idx.(kk) <- idx.(kk) + 1;
+        oa := !oa + sa.(kk);
+        ob := !ob + sb.(kk);
+        if idx.(kk) < dims.(kk) then k := -1
+        else begin
+          idx.(kk) <- 0;
+          oa := !oa - (dims.(kk) * sa.(kk));
+          ob := !ob - (dims.(kk) * sb.(kk));
+          decr k
+        end
+      done
     done;
-    out
+    { shape = out_shape; data = dc }
   end

@@ -48,6 +48,12 @@ let test_lex_error_position () =
   | exception Lexer.Error msg -> check_true "mentions line 2" (T_util.contains msg "line 2")
   | _ -> Alcotest.fail "expected lexer error"
 
+let test_lex_int_overflow () =
+  match Lexer.tokenize "Tensor[(99999999999999999999)]" with
+  | exception Lexer.Error msg ->
+    check_true "out of range" (T_util.contains msg "col 9: integer literal 99999999999999999999 out of range")
+  | _ -> Alcotest.fail "expected lexer error"
+
 (* --- Parser --- *)
 
 let test_parse_precedence () =
@@ -263,6 +269,33 @@ let test_typecheck_duplicate_def () =
 let test_typecheck_mod_on_float () =
   check_type_error "def @main(%x: Float) -> Float { %x % 2.0 }" "Int"
 
+let test_typecheck_layernorm_params () =
+  check_type_error
+    "def @main(%x: Tensor[(1, 8)], %g: Tensor[(1, 4)], %b: Tensor[(1, 4)]) -> Tensor[(1, 8)] \
+     { layernorm(%x, %g, %b) }"
+    "in @main: layernorm: gain (1, 4) and bias (1, 4) must have 8 elements"
+
+let test_typecheck_concat_rank0 () =
+  check_type_error
+    "def @main(%a: Tensor[()], %b: Tensor[()]) -> Tensor[(2)] { concat(%a, %b) }"
+    "in @main: concat2: cannot concatenate rank-0 tensors"
+
+(* 2^32 * 2^32 wraps to 0 in [int]: an unchecked count would give [%x] an
+   empty array that the kernels then index far past its end. *)
+let test_typecheck_shape_overflow () =
+  check_type_error
+    "def @main(%x: Tensor[(4294967296, 4294967296)]) -> Tensor[(4294967296, 4294967296)] \
+     { transpose(%x) }"
+    "in @main: element count of (4294967296, 4294967296) overflows int";
+  check_type_error
+    "def @main(%a: Tensor[(4294967296, 0)], %b: Tensor[(0, 4294967296)]) -> Tensor[(1)] \
+     { reduce_sum(matmul(%a, %b)) }"
+    "in @main: element count of (4294967296, 4294967296) overflows int";
+  check_type_error
+    "def @main(%x: Tensor[(1)]) -> Tensor[(1)] \
+     { let %f = fn(%y: Tensor[(4294967296, 4294967296)]) { %y }; %x }"
+    "in @main: element count of (4294967296, 4294967296) overflows int"
+
 let test_all_models_typecheck () =
   List.iter
     (fun id ->
@@ -283,6 +316,7 @@ let suite =
     Alcotest.test_case "lexer: comments" `Quick test_lex_comments;
     Alcotest.test_case "lexer: floats" `Quick test_lex_floats;
     Alcotest.test_case "lexer: error position" `Quick test_lex_error_position;
+    Alcotest.test_case "lexer: int literal overflow" `Quick test_lex_int_overflow;
     Alcotest.test_case "parser: precedence" `Quick test_parse_precedence;
     Alcotest.test_case "parser: unary minus" `Quick test_parse_unary_minus;
     Alcotest.test_case "parser: primitive ops" `Quick test_parse_prim_ops;
@@ -306,6 +340,9 @@ let suite =
     Alcotest.test_case "typecheck: scalar shape" `Quick test_typecheck_scalar_requires_single_element;
     Alcotest.test_case "typecheck: map" `Quick test_typecheck_map;
     Alcotest.test_case "typecheck: duplicate defs" `Quick test_typecheck_duplicate_def;
+    Alcotest.test_case "typecheck: layernorm gain/bias width" `Quick test_typecheck_layernorm_params;
+    Alcotest.test_case "typecheck: rank-0 concat" `Quick test_typecheck_concat_rank0;
+    Alcotest.test_case "typecheck: shape overflow" `Quick test_typecheck_shape_overflow;
     Alcotest.test_case "typecheck: mod on float" `Quick test_typecheck_mod_on_float;
     Alcotest.test_case "typecheck: all models" `Quick test_all_models_typecheck;
   ]

@@ -88,7 +88,17 @@ let test_rng_normal_moments () =
 let test_shape_numel () =
   check_int "scalar" 1 (Shape.numel []);
   check_int "vector" 7 (Shape.numel [ 7 ]);
-  check_int "matrix" 12 (Shape.numel [ 3; 4 ])
+  check_int "matrix" 12 (Shape.numel [ 3; 4 ]);
+  check_int "zero dim" 0 (Shape.numel [ 1 lsl 40; 0; 1 lsl 20 ]);
+  Alcotest.check_raises "negative" (Shape.Mismatch "negative dimension in (3, -1)") (fun () ->
+      ignore (Shape.numel [ 3; -1 ]));
+  (* 2^32 * 2^32 wraps to 0 in [int]; the count must be refused, not wrapped. *)
+  Alcotest.check_raises "overflow"
+    (Shape.Mismatch "element count of (4294967296, 4294967296) overflows int") (fun () ->
+      ignore (Shape.numel [ 4294967296; 4294967296 ]));
+  Alcotest.check_raises "overflow past a zero dim"
+    (Shape.Mismatch "element count of (0, 4294967296, 4294967296) overflows int") (fun () ->
+      ignore (Shape.numel [ 0; 4294967296; 4294967296 ]))
 
 let test_shape_strides () =
   Alcotest.(check (array int)) "strides" [| 12; 4; 1 |] (Shape.strides [ 2; 3; 4 ])
@@ -123,7 +133,12 @@ let test_shape_concat () =
 
 let test_tensor_create_mismatch () =
   Alcotest.check_raises "bad size" (Shape.Mismatch "create: shape (2, 2) does not match 3 elements")
-    (fun () -> ignore (Tensor.create [ 2; 2 ] [| 1.0; 2.0; 3.0 |]))
+    (fun () -> ignore (Tensor.create [ 2; 2 ] [| 1.0; 2.0; 3.0 |]));
+  Alcotest.check_raises "negative dims" (Shape.Mismatch "negative dimension in (-1, -2)")
+    (fun () -> ignore (Tensor.create [ -1; -2 ] [| 1.0; 2.0 |]));
+  Alcotest.check_raises "overflowing dims"
+    (Shape.Mismatch "element count of (4294967296, 4294967296) overflows int") (fun () ->
+      ignore (Tensor.create [ 4294967296; 4294967296 ] [||]))
 
 let test_tensor_full_and_item () =
   let t = Tensor.full [ 1; 1 ] 5.0 in
@@ -202,7 +217,7 @@ let prop_softmax_shift_invariant =
   qtest ~count:50 "ops: softmax(x+c) = softmax(x)" QCheck2.Gen.(pair int (float_range (-5.0) 5.0))
     (fun (s, c) ->
       let x = Tensor.random (Rng.create s) [ 1; 6 ] in
-      let shifted = Tensor.map (fun v -> v +. c) x in
+      let shifted = Ref_ops.map (fun v -> v +. c) x in
       Tensor.approx_equal ~eps:1e-9 (Ops.softmax x) (Ops.softmax shifted))
 
 let test_sigmoid_range_and_symmetry () =
@@ -262,6 +277,133 @@ let test_gelu_known () =
   check_float ~eps:1e-3 "gelu(0)=0" 0.0 (Tensor.item (Ops.gelu (Tensor.scalar 0.0)));
   check_float ~eps:1e-2 "gelu(2)~1.95" 1.95 (Tensor.item (Ops.gelu (Tensor.scalar 2.0)))
 
+(* --- Bit identity with the reference kernels (Ref_ops) --- *)
+
+(* Mostly ordinary values, plus the IEEE specials every kernel must carry
+   through exactly as the reference does: signed zeros, two nans that differ
+   in sign (when two nans meet, which one survives depends on the operand
+   order), infinities, huge and subnormal. *)
+let gen_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, float_range (-3.0) 3.0);
+        (1, oneofl [ 0.0; -0.0; nan; -.nan; infinity; neg_infinity; 1e300; 4e-320 ]);
+      ])
+
+let gen_values shape =
+  QCheck2.Gen.(map (Tensor.create shape) (array_size (return (Shape.numel shape)) gen_value))
+
+(* Widths up to 11, so the unrolled loops' remainders run. *)
+let gen_width = QCheck2.Gen.int_range 1 11
+
+(* Rank 0 to 3; the last axis takes [gen_width]. *)
+let gen_any_shape =
+  QCheck2.Gen.(
+    int_range 0 3 >>= function
+    | 0 -> return []
+    | r -> map2 (fun lead w -> lead @ [ w ]) (list_repeat (r - 1) (int_range 1 4)) gen_width)
+
+let bits_equal a b =
+  Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Tensor.data a) (Tensor.data b)
+
+let prop_unary_bits =
+  let kernels k =
+    [
+      (Ops.scale k, Ref_ops.scale k); (Ops.neg, Ref_ops.neg);
+      (Ops.sigmoid, Ref_ops.sigmoid); (Ops.tanh, Ref_ops.tanh); (Ops.relu, Ref_ops.relu);
+      (Ops.gelu, Ref_ops.gelu); (Ops.exp, Ref_ops.exp); (Ops.sqrt, Ref_ops.sqrt);
+      (Ops.softmax, Ref_ops.softmax); (Ops.argmax, Ref_ops.argmax);
+      (Ops.entropy, Ref_ops.entropy); (Ops.reduce_sum, Ref_ops.reduce_sum);
+      (Ops.reduce_mean, Ref_ops.reduce_mean);
+    ]
+  in
+  qtest "ops: unary and row kernels bit-identical to reference"
+    QCheck2.Gen.(pair gen_value (gen_any_shape >>= gen_values))
+    (fun (k, t) -> List.for_all (fun (f, g) -> bits_equal (f t) (g t)) (kernels k))
+
+(* Two operand shapes that broadcast: each drops leading dims of a common
+   shape and sets some of the rest to 1 (often neither, so same-shape pairs
+   are covered too). *)
+let gen_broadcast_pair =
+  let operand s =
+    QCheck2.Gen.(
+      int_range 0 (List.length s) >>= fun drop ->
+      flatten_l
+        (List.filteri (fun i _ -> i >= drop) s
+        |> List.map (fun d -> map (fun one -> if one then 1 else d) (frequencyl [ (2, false); (1, true) ]))))
+  in
+  QCheck2.Gen.(
+    gen_any_shape >>= fun s ->
+    pair (operand s) (operand s) >>= fun (sa, sb) -> pair (gen_values sa) (gen_values sb))
+
+let prop_binary_bits =
+  let kernels =
+    [ (Ops.add, Ref_ops.add); (Ops.sub, Ref_ops.sub); (Ops.mul, Ref_ops.mul); (Ops.div, Ref_ops.div) ]
+  in
+  qtest "ops: add/sub/mul/div (with broadcasting) bit-identical to reference" gen_broadcast_pair
+    (fun (a, b) ->
+      List.for_all (fun (f, g) -> bits_equal (f a b) (g a b) && bits_equal (f b a) (g b a)) kernels)
+
+let prop_matmul_bits =
+  qtest "ops: matmul bit-identical to reference"
+    QCheck2.Gen.(
+      triple (int_range 1 4) (int_range 1 9) gen_width >>= fun (m, k, n) ->
+      pair (gen_values [ m; k ]) (gen_values [ k; n ]))
+    (fun (a, b) -> bits_equal (Ops.matmul a b) (Ref_ops.matmul a b))
+
+let prop_layout_bits =
+  qtest "ops: concat/slice/transpose/layernorm bit-identical to reference"
+    QCheck2.Gen.(
+      list_size (int_range 0 1) (int_range 1 4) >>= fun lead ->
+      list_size (int_range 1 3) gen_width >>= fun widths ->
+      let w = List.hd widths in
+      quad
+        (flatten_l (List.map (fun w -> gen_values (lead @ [ w ])) widths))
+        (pair (int_range 0 (w - 1)) (int_range 1 w))
+        (gen_values [ 1; w ])
+        (gen_values [ w ]))
+    (fun (ts, (lo, hi), gain, bias) ->
+      let t = List.hd ts in
+      let lo, hi = (min lo (hi - 1), hi) in
+      bits_equal (Ops.concat ts) (Ref_ops.concat ts)
+      && bits_equal (Ops.slice t ~lo ~hi) (Ref_ops.slice t ~lo ~hi)
+      && bits_equal (Ops.layernorm t gain bias) (Ref_ops.layernorm t gain bias)
+      && (Shape.rank (Tensor.shape t) <> 2 || bits_equal (Ops.transpose t) (Ref_ops.transpose t)))
+
+(* The zero skip: a zero (or negative-zero) element of [a] adds nothing, so
+   an infinite or nan row of [b] it would multiply leaves the output finite,
+   where IEEE arithmetic would give nan. *)
+let test_matmul_zero_skip () =
+  let b =
+    Tensor.of_array [ 3; 5 ]
+      [| infinity; nan; neg_infinity; nan; infinity; 1.0; 2.0; 3.0; 4.0; 5.0;
+         nan; nan; nan; nan; nan |]
+  in
+  let a = Tensor.of_array [ 1; 3 ] [| 0.0; 2.0; -0.0 |] in
+  let expected = Tensor.of_array [ 1; 5 ] [| 2.0; 4.0; 6.0; 8.0; 10.0 |] in
+  check_true "0 * inf and 0 * nan contribute nothing" (bits_equal expected (Ops.matmul a b));
+  check_true "as in the reference" (bits_equal (Ref_ops.matmul a b) (Ops.matmul a b))
+
+let test_kernel_shape_checks () =
+  Alcotest.check_raises "layernorm gain width"
+    (Shape.Mismatch "layernorm: gain (1, 4) and bias (1, 4) must have 8 elements") (fun () ->
+      ignore (Ops.layernorm (Tensor.zeros [ 1; 8 ]) (Tensor.ones [ 1; 4 ]) (Tensor.zeros [ 1; 4 ])));
+  Alcotest.check_raises "rank-0 concat"
+    (Shape.Mismatch "concat: axis -1 out of range for ()") (fun () ->
+      ignore (Ops.concat [ Tensor.scalar 1.0; Tensor.scalar 2.0 ]));
+  (* Both operands are empty, but the (2^32, 2^32) product is not. *)
+  let big = 1 lsl 32 in
+  Alcotest.check_raises "matmul output overflows"
+    (Shape.Mismatch "element count of (4294967296, 4294967296) overflows int") (fun () ->
+      ignore (Ops.matmul (Tensor.zeros [ big; 0 ]) (Tensor.zeros [ 0; big ])));
+  Alcotest.check_raises "broadcast output overflows"
+    (Shape.Mismatch "element count of (0, 4294967296, 4294967296) overflows int") (fun () ->
+      ignore (Ops.add (Tensor.zeros [ 0; big; 1 ]) (Tensor.zeros [ 0; 1; big ])))
+
 let suite =
   [
     Alcotest.test_case "rng: deterministic" `Quick test_rng_deterministic;
@@ -300,4 +442,10 @@ let suite =
     Alcotest.test_case "ops: entropy" `Quick test_entropy_uniform_max;
     Alcotest.test_case "ops: argmax rows" `Quick test_argmax_rows;
     Alcotest.test_case "ops: gelu" `Quick test_gelu_known;
+    prop_unary_bits;
+    prop_binary_bits;
+    prop_matmul_bits;
+    prop_layout_bits;
+    Alcotest.test_case "ops: matmul zero skip" `Quick test_matmul_zero_skip;
+    Alcotest.test_case "ops: kernel shape checks" `Quick test_kernel_shape_checks;
   ]
