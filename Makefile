@@ -120,13 +120,17 @@ chaos-smoke: build
 
 # Host allocation gate: short traced runs of the host-time benchmark
 # (~5 s each), failing if gc.minor_words_per_item exceeds the workload's
-# bound. The metric is exact for a fixed binary (no timing noise).
-# offline-treelstm reads ~26k with node plans (DESIGN.md §17); its bound
-# catches a return to deriving shapes and costs per DFG node (~419k).
-# offline-stackrnn-values reads ~82k with the tight host kernels
-# (DESIGN.md §18); its bound catches a return to boxing a float per
-# element in the tensor kernels (~212k).
-ALLOC_GATES = offline-treelstm:100000 offline-stackrnn-values:120000
+# bound. The metric is exact for a fixed binary (no timing noise). Each
+# bound sits ~20% above its reading with the allocation-lean DFG and
+# executor (DESIGN.md §19), so a return to per-node lists, closures or
+# boxed floats in DFG construction or batch execution fails it.
+# offline-treelstm reads ~9.2k (25.6k before §19, ~419k before node
+# plans, §17). offline-stackrnn-values reads ~71.7k (81.9k before §19,
+# ~212k before the tight host kernels, §18). serve-birnn reads ~22.5k
+# (35.5k before §19) and fleet-overload ~2.2k per request (2.4k before
+# §19; most of the rest is the serving core).
+ALLOC_GATES = offline-treelstm:11000 offline-stackrnn-values:86000 \
+  serve-birnn:27000 fleet-overload:2600
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \

@@ -68,8 +68,8 @@ type plan = {
   kernel : t;
   arg_shapes : Shape.t array;
   out_shapes : Shape.t array;
-  group_flops : float list;  (** Per-instance FLOPs of each group. *)
-  group_bytes : float list;
+  group_flops : float array;  (** Per-instance FLOPs of each group. *)
+  group_bytes : float array;
       (** Per-instance {e internal} memory traffic (bytes) of each group:
           every instruction output plus every cross-group temporary read.
           Temporaries consumed within their own group stay in
@@ -77,6 +77,9 @@ type plan = {
           fusion buys. Reads of kernel {e arguments} are excluded here: the
           executor attributes them per batch (once for shared weights, per
           instance for batched inputs). *)
+  group_arg_reads : int array array;
+      (** Per group, the distinct kernel-argument indices it reads, in
+          ascending order: the executor's per-batch argument traffic. *)
   flops : float;  (** Sum of [group_flops]. *)
   shared_elems : int;  (** Elements of the largest [Shared] argument. *)
   signature : string;
@@ -112,7 +115,7 @@ let plan t (arg_shapes : Shape.t array) : plan =
           (0.0, 0.0) g.instrs)
       t.groups
   in
-  let group_flops = List.map fst costs in
+  let group_flops = Array.of_list (List.map fst costs) in
   let shared_elems = ref 0 in
   Array.iteri
     (fun i role ->
@@ -123,21 +126,20 @@ let plan t (arg_shapes : Shape.t array) : plan =
     arg_shapes = Array.copy arg_shapes;
     out_shapes = Array.map (fun i -> tmps.(i)) t.out_tmps;
     group_flops;
-    group_bytes = List.map snd costs;
-    flops = List.fold_left ( +. ) 0.0 group_flops;
+    group_bytes = Array.of_list (List.map snd costs);
+    group_arg_reads =
+      Array.of_list
+        (List.map
+           (fun g ->
+             List.concat_map
+               (fun i -> List.filter_map (function Arg a -> Some a | Tmp _ -> None) i.srcs)
+               g.instrs
+             |> List.sort_uniq compare |> Array.of_list)
+           t.groups);
+    flops = Array.fold_left ( +. ) 0.0 group_flops;
     shared_elems = !shared_elems;
     signature = Fmt.str "k%d|%a" t.id Fmt.(array ~sep:(any ";") Shape.pp) arg_shapes;
   }
-
-(** Per group, the (deduplicated) kernel-argument indices it reads. *)
-let group_arg_reads t : int list list =
-  List.map
-    (fun g ->
-      List.concat_map
-        (fun i -> List.filter_map (function Arg a -> Some a | Tmp _ -> None) i.srcs)
-        g.instrs
-      |> List.sort_uniq compare)
-    t.groups
 
 (** Execute the kernel body for one instance on concrete tensors. *)
 let execute ?rand t (args : Tensor.t array) : Tensor.t array =

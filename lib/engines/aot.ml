@@ -14,13 +14,24 @@ module Ast = Acrobat_ir.Ast
 module L = Lowered
 module Device = Acrobat_device.Device
 
+(* A staged definition. Every definition gets its cell before any body is
+   compiled, so each call site — self and mutually recursive ones included
+   — resolves its callee once, at staging time, and reads the fields
+   staging fills in when it runs. *)
+type staged = {
+  def : L.ldef;
+  mutable nslots : int;  (** Frame size: one slot per binding occurrence. *)
+  mutable params : int array;  (** Frame slot of each parameter, in order. *)
+  mutable body : value array -> ictx -> value;
+}
+
 type t = {
   rt : Runtime.t;
   policy : Policy.t;
   lprog : L.t;
   fibers : bool;  (** Run instances as fibers (TDC present and enabled). *)
   base_depth : int;  (** Initial dynamic depth (above all static depths). *)
-  table : (string, value list -> ictx -> value) Hashtbl.t;
+  defs : (string, staged) Hashtbl.t;  (** Every definition, staged. *)
 }
 
 (* Compile-time scope: variable name -> environment slot. Every binding
@@ -120,12 +131,56 @@ let run_parallel st ictx (n : int) (thunk_of : int -> ictx -> value) : value arr
   ictx.ictx_depth <- maxd;
   results
 
+(* Call a staged definition with a list of arguments: the path of
+   first-class globals and of @main. *)
+let apply (d : staged) (args : value list) ictx =
+  let frame = Array.make d.nslots Vnil in
+  let nparams = Array.length d.params in
+  let rec bind k = function
+    | a :: rest when k < nparams ->
+      frame.(d.params.(k)) <- a;
+      bind (k + 1) rest
+    | [] when k = nparams -> ()
+    | _ ->
+      fail "arity mismatch calling %s (%d args for %d params)" d.def.L.lname (List.length args)
+        nparams
+  in
+  bind 0 args;
+  d.body frame ictx
+
+(* Calls of a known definition with the right number of arguments are
+   direct; any other call takes the general path through a [Vfun], which
+   raises the arity or missing-definition error when it is applied. *)
+let direct_call st g args =
+  match Hashtbl.find_opt st.defs g with
+  | Some d -> List.compare_length_with args (List.length d.def.L.lparams) = 0
+  | None -> false
+
+(* [Array.map (fun f -> conv (f env ictx)) fs] without allocating the
+   closure: left to right, since argument order decides DFG node order. *)
+let eval_array conv (fs : (value array -> ictx -> value) array) env ictx =
+  let n = Array.length fs in
+  if n = 0 then [||]
+  else begin
+    let out = Array.make n (conv (fs.(0) env ictx)) in
+    for k = 1 to n - 1 do
+      out.(k) <- conv (fs.(k) env ictx)
+    done;
+    out
+  end
+
 let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> value =
   match e with
   | L.Lvar x ->
     let i = slot_of scope x in
     fun env _ -> env.(i)
-  | L.Lglobal g -> fun _ _ -> Vfun (fun ictx args -> call st g args ictx)
+  | L.Lglobal g ->
+    let v =
+      match Hashtbl.find_opt st.defs g with
+      | Some d -> Vfun (fun ictx args -> apply d args ictx)
+      | None -> Vfun (fun _ _ -> fail "no definition %s" g)
+    in
+    fun _ _ -> v
   | L.Lint n ->
     let v = Vint n in
     fun _ _ -> v
@@ -147,11 +202,11 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     fun env ictx -> if to_bool (c_f env ictx) then a_f env ictx else b_f env ictx
   | L.Lblock (b, cont) ->
     let arg_fs = Array.of_list (List.map (compile st scope) b.args) in
-    let out_slots = List.map (fresh_slot scope) b.outs in
+    let out_slots = Array.of_list (List.map (fresh_slot scope) b.outs) in
     let cont_f = compile st scope cont in
     let kernel = b.kernel in
     fun env ictx ->
-      let args = Array.map (fun f -> to_handle (f env ictx)) arg_fs in
+      let args = eval_array to_handle arg_fs env ictx in
       let depth =
         match b.depth with
         | L.Static d -> d
@@ -167,8 +222,23 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           ~sig_key
       in
       if st.policy.Policy.eager then Runtime.flush st.rt;
-      List.iteri (fun k slot -> env.(slot) <- Vtensor outs.(k)) out_slots;
+      for k = 0 to Array.length out_slots - 1 do
+        env.(out_slots.(k)) <- Vtensor outs.(k)
+      done;
       cont_f env ictx
+  | L.Lcall (L.Lglobal g, args) when direct_call st g args ->
+    (* A direct call: the callee's frame is allocated at its final size
+       and the arguments, evaluated left to right, go straight into its
+       parameter slots — no argument list, no [Vfun], no table lookup. *)
+    let d = Hashtbl.find st.defs g in
+    let arg_fs = Array.of_list (List.map (compile st scope) args) in
+    fun env ictx ->
+      let frame = Array.make d.nslots Vnil in
+      let params = d.params in
+      for k = 0 to Array.length arg_fs - 1 do
+        frame.(params.(k)) <- arg_fs.(k) env ictx
+      done;
+      d.body frame ictx
   | L.Lcall (f, args) ->
     let f_f = compile st scope f in
     let arg_fs = List.map (compile st scope) args in
@@ -245,7 +315,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
       Vnode (av, b_f env ictx)
   | L.Ltuple es ->
     let fs = Array.of_list (List.map (compile st scope) es) in
-    fun env ictx -> Vtuple (Array.map (fun f -> f env ictx) fs)
+    fun env ictx -> Vtuple (eval_array Fun.id fs env ictx)
   | L.Lproj (a, k) ->
     let a_f = compile st scope a in
     fun env ictx -> begin
@@ -314,32 +384,10 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
         v
     end
 
-and compile_def (st : t) (d : L.ldef) : value list -> ictx -> value =
-  let scope = { slots = []; next = 0 } in
-  let param_slots = List.map (fresh_slot scope) d.lparams in
-  let body_f = compile st scope d.lbody in
-  let nslots = scope.next in
-  fun args ictx ->
-    let env = Array.make nslots Vnil in
-    (try List.iter2 (fun slot a -> env.(slot) <- a) param_slots args
-     with Invalid_argument _ ->
-       fail "arity mismatch calling %s (%d args for %d params)" d.lname (List.length args)
-         (List.length d.lparams));
-    body_f env ictx
+let unstaged _ _ = fail "AOT: definition called before it was staged"
 
-and call st name args ictx =
-  match Hashtbl.find_opt st.table name with
-  | Some f -> f args ictx
-  | None -> begin
-    match Hashtbl.find_opt st.lprog.L.defs name with
-    | None -> fail "no definition %s" name
-    | Some d ->
-      let f = compile_def st d in
-      Hashtbl.replace st.table name f;
-      f args ictx
-  end
-
-(** Stage the whole program. *)
+(** Stage the whole program: a cell for every definition first, then every
+    body, so compilation cost is not on the execution path. *)
 let create ~rt ~policy ~fibers (lprog : L.t) : t =
   let st =
     {
@@ -348,14 +396,22 @@ let create ~rt ~policy ~fibers (lprog : L.t) : t =
       lprog;
       fibers;
       base_depth = lprog.L.max_static_depth + 1;
-      table = Hashtbl.create 16;
+      defs = Hashtbl.create 16;
     }
   in
-  (* Compile eagerly so compilation cost is not on the execution path. *)
   Hashtbl.iter
-    (fun name d ->
-      if not (Hashtbl.mem st.table name) then Hashtbl.replace st.table name (compile_def st d))
+    (fun name def ->
+      Hashtbl.replace st.defs name { def; nslots = 0; params = [||]; body = unstaged })
     lprog.L.defs;
+  Hashtbl.iter
+    (fun _ (d : staged) ->
+      let scope = { slots = []; next = 0 } in
+      let params = Array.of_list (List.map (fresh_slot scope) d.def.L.lparams) in
+      let body = compile st scope d.def.L.lbody in
+      d.nslots <- scope.next;
+      d.params <- params;
+      d.body <- body)
+    st.defs;
   st
 
 (** Fresh per-instance context. *)
@@ -363,4 +419,6 @@ let new_ictx st ~instance = { ictx_instance = instance; ictx_depth = st.base_dep
 
 (** Run @main for one instance. *)
 let run_main st ~instance (args : value list) : value =
-  call st st.lprog.L.entry args (new_ictx st ~instance)
+  match Hashtbl.find_opt st.defs st.lprog.L.entry with
+  | Some d -> apply d args (new_ictx st ~instance)
+  | None -> fail "no definition %s" st.lprog.L.entry

@@ -27,107 +27,126 @@ type policy = {
           runtime check); statically generated kernels do not do this. *)
 }
 
+(* Allocates nothing on the hot path: [handle_out] would box a [Some]. *)
 let arg_out nd pos =
-  match handle_out nd.args.(pos) with
-  | Some o -> o
-  | None ->
-    let dep =
-      match nd.args.(pos) with
-      | Hnode (m, _) ->
-        Fmt.str "dep node %d kernel %s phase %d depth %d" m.id m.plan.kernel.Kernel.name m.phase
-          m.depth
-      | Hmat _ -> "materialized?"
-    in
-    fail
-      "kernel %s: argument %d of node %d (phase %d depth %d) not materialized (scheduling \
-       bug; %s)"
-      nd.plan.kernel.Kernel.name pos nd.id nd.phase nd.depth dep
+  match nd.args.(pos) with
+  | Hmat o -> o
+  | Hnode (m, slot) -> (
+    match m.outs with
+    | Some outs -> outs.(slot)
+    | None ->
+      fail
+        "kernel %s: argument %d of node %d (phase %d depth %d) not materialized (scheduling \
+         bug; dep node %d kernel %s phase %d depth %d)"
+        nd.plan.kernel.Kernel.name pos nd.id nd.phase nd.depth m.id m.plan.kernel.Kernel.name
+        m.phase m.depth)
 
-(** Execute one batch (same signature, same kernel). *)
+let no_out = { tensor = None; addr = 0; shape = [] }
+
+(** Execute one batch (same signature, same kernel).
+
+    Every per-node step is a loop over the batch in node order, with no
+    intermediate lists: per-group FLOPs and bytes accumulate in two float
+    arrays in exactly the order the sums were always taken, so the launch
+    costs — and the simulated time charged for them — keep their bits. *)
 let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
     (batch : node list) : unit =
   let nodes = Array.of_list batch in
+  let n = Array.length nodes in
   let n0 = nodes.(0) in
-  let kernel = n0.plan.kernel in
-  let scattered = ref false in
-  let arg_shared = Array.make kernel.Kernel.nargs false in
-  (* Per-argument gather handling. *)
-  for pos = 0 to kernel.Kernel.nargs - 1 do
-    let outs = Array.map (fun nd -> arg_out nd pos) nodes in
-    let statically_shared = kernel.Kernel.roles.(pos) = Kernel.Shared in
-    let dynamically_shared =
-      (* A fully dynamic system detects pointer-identical arguments at
-         batch time; a static system has already compiled the decision. *)
-      policy.detect_dynamic_sharing
-      && Array.length outs > 0
-      && Array.for_all (fun (o : out) -> o.addr = outs.(0).addr) outs
-    in
-    arg_shared.(pos) <- statically_shared || dynamically_shared;
-    if not arg_shared.(pos) then begin
-      let chunks = Array.to_list (Array.map (fun o -> o.addr, out_elems o) outs) in
-      if not (Memory.contiguous chunks) then begin
-        if policy.gather_fusion then scattered := true
+  let plan0 = n0.plan in
+  let kernel = plan0.kernel in
+  (* Per-argument gather handling. One pass over the batch, node by node
+     (a node's arguments sit together in memory), finds for every batched
+     position whether its inputs share one address, whether they lie back
+     to back ({!Memory.contiguous}), and how many elements they hold.
+     Shared positions are read once per batch, whatever the addresses:
+     they are only checked to exist. *)
+  let nargs = kernel.Kernel.nargs in
+  let batched pos =
+    match kernel.Kernel.roles.(pos) with Kernel.Batched -> true | Kernel.Shared -> false
+  in
+  let first = Array.make nargs 0 and next = Array.make nargs 0 and elems = Array.make nargs 0 in
+  let same_addr = Array.make nargs true and contiguous = Array.make nargs true in
+  for i = 0 to n - 1 do
+    let nd = nodes.(i) in
+    for pos = 0 to nargs - 1 do
+      let o = arg_out nd pos in
+      if batched pos then begin
+        if i = 0 then first.(pos) <- o.addr
         else begin
-          let elems = List.fold_left (fun acc (_, e) -> acc + e) 0 chunks in
-          let bytes = elems * Cost_model.bytes_per_elem in
-          ignore (Device.launch_gather device ~bytes ~elems)
-        end
+          if o.addr <> first.(pos) then same_addr.(pos) <- false;
+          if o.addr <> next.(pos) then contiguous.(pos) <- false
+        end;
+        let e = out_elems o in
+        next.(pos) <- o.addr + e;
+        elems.(pos) <- elems.(pos) + e
+      end
+    done
+  done;
+  (* A fully dynamic system detects pointer-identical arguments at batch
+     time; a static system has already compiled the decision. *)
+  let arg_shared =
+    Array.init nargs (fun pos ->
+        (not (batched pos)) || (policy.detect_dynamic_sharing && same_addr.(pos)))
+  in
+  let scattered = ref false in
+  for pos = 0 to nargs - 1 do
+    if not (arg_shared.(pos) || contiguous.(pos)) then begin
+      if policy.gather_fusion then scattered := true
+      else begin
+        let bytes = elems.(pos) * Cost_model.bytes_per_elem in
+        ignore (Device.launch_gather device ~bytes ~elems:elems.(pos))
       end
     end
+  done;
+  (* Internal traffic sums per instance; argument reads count once per
+     batch for shared tensors (read once, cached) and per instance for
+     batched inputs. *)
+  let ngroups = Array.length plan0.group_flops in
+  let flops = Array.make ngroups 0.0 and bytes = Array.make ngroups 0.0 in
+  for i = 0 to n - 1 do
+    let p = nodes.(i).plan in
+    for g = 0 to ngroups - 1 do
+      flops.(g) <- flops.(g) +. p.group_flops.(g);
+      bytes.(g) <- bytes.(g) +. p.group_bytes.(g)
+    done
+  done;
+  let nbatch = float_of_int n in
+  for g = 0 to ngroups - 1 do
+    let reads = plan0.group_arg_reads.(g) in
+    for r = 0 to Array.length reads - 1 do
+      let pos = reads.(r) in
+      let arg_bytes =
+        float_of_int (Shape.numel plan0.arg_shapes.(pos) * Cost_model.bytes_per_elem)
+      in
+      bytes.(g) <- bytes.(g) +. (arg_bytes *. if arg_shared.(pos) then 1.0 else nbatch)
+    done
   done;
   (* Launch the kernel's groups; only the first reads the (possibly
      scattered) batch inputs — later groups read intermediates the earlier
      launches produced contiguously. *)
-  let batch_group_flops =
-    Array.fold_left
-      (fun acc nd -> List.map2 ( +. ) acc nd.plan.group_flops)
-      (List.map (fun _ -> 0.0) n0.plan.group_flops)
-      nodes
-  in
-  (* Internal traffic sums per instance; argument reads count once per
-     batch for shared tensors (read once, cached) and per instance for
-     batched inputs. *)
-  let nbatch = float_of_int (Array.length nodes) in
-  let arg_bytes pos =
-    float_of_int
-      (Shape.numel (Value.handle_shape n0.args.(pos)) * Cost_model.bytes_per_elem)
-  in
-  let batch_group_bytes =
-    Array.fold_left
-      (fun acc nd -> List.map2 ( +. ) acc nd.plan.group_bytes)
-      (List.map (fun _ -> 0.0) n0.plan.group_bytes)
-      nodes
-    |> List.map2
-         (fun reads internal ->
-           List.fold_left
-             (fun acc pos ->
-               acc +. (arg_bytes pos *. if arg_shared.(pos) then 1.0 else nbatch))
-             internal reads)
-         (Kernel.group_arg_reads kernel)
-  in
-  List.iteri
-    (fun gi flops ->
-      Device.launch_kernel device ~quality:(policy.quality kernel.Kernel.id)
-        ~scattered_inputs:(!scattered && gi = 0) ~flops
-        ~bytes:(List.nth batch_group_bytes gi))
-    batch_group_flops;
+  let quality = policy.quality kernel.Kernel.id in
+  for g = 0 to ngroups - 1 do
+    Device.launch_kernel device ~quality ~scattered_inputs:(!scattered && g = 0)
+      ~flops:flops.(g) ~bytes:bytes.(g)
+  done;
   Device.note_batch device;
-  if Array.length nodes = 1 then Device.note_unbatched device;
+  if n = 1 then Device.note_unbatched device;
   (* Allocate outputs: one contiguous slab per output slot. *)
   let out_arity = Kernel.out_arity kernel in
-  let node_outs = Array.map (fun _nd -> Array.make out_arity None) nodes in
+  let node_outs = Array.init n (fun _ -> Array.make out_arity no_out) in
   for slot = 0 to out_arity - 1 do
-    let total =
-      Array.fold_left (fun acc (nd : node) -> acc + Shape.numel nd.plan.out_shapes.(slot)) 0 nodes
-    in
-    let base = Device.alloc device ~elems:total in
-    let cursor = ref base in
-    Array.iteri
-      (fun i (nd : node) ->
-        let shape = nd.plan.out_shapes.(slot) in
-        node_outs.(i).(slot) <- Some { tensor = None; addr = !cursor; shape };
-        cursor := !cursor + Shape.numel shape)
-      nodes
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      total := !total + Shape.numel nodes.(i).plan.out_shapes.(slot)
+    done;
+    let cursor = ref (Device.alloc device ~elems:!total) in
+    for i = 0 to n - 1 do
+      let shape = nodes.(i).plan.out_shapes.(slot) in
+      node_outs.(i).(slot) <- { tensor = None; addr = !cursor; shape };
+      cursor := !cursor + Shape.numel shape
+    done
   done;
   (* Concrete values, when requested. On a silently-corrupting attempt
      (fault injection, {!Device.corrupting}) every kernel result is
@@ -158,14 +177,8 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
         in
         let results = Kernel.execute ~rand:(rand_for nd.instance) nd.plan.kernel args in
         let results = if corrupting then Array.map perturb results else results in
-        Array.iteri
-          (fun slot t ->
-            match node_outs.(i).(slot) with
-            | Some o -> o.tensor <- Some t
-            | None -> assert false)
-          results)
+        Array.iteri (fun slot t -> node_outs.(i).(slot).tensor <- Some t) results)
       nodes;
-  Array.iteri
-    (fun i nd ->
-      nd.outs <- Some (Array.map (function Some o -> o | None -> assert false) node_outs.(i)))
-    nodes
+  for i = 0 to n - 1 do
+    nodes.(i).outs <- Some node_outs.(i)
+  done

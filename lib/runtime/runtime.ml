@@ -8,6 +8,20 @@ module Device = Acrobat_device.Device
 module Cost_model = Acrobat_device.Cost_model
 open Acrobat_compiler
 
+(* A float-only record: adding to [total] stores an unboxed float instead
+   of allocating one per DFG node. *)
+type flop_total = { mutable total : float }
+
+(* What the runtime keeps per kernel: the plans built for it, one per
+   argument-shape vector seen, and its PGO statistics (invocations, total
+   flops, max shared-argument elements). *)
+type kernel_entry = {
+  mutable plans : Kernel.plan list;
+  mutable calls : int;
+  flops : flop_total;
+  mutable max_shared : int;
+}
+
 type t = {
   device : Device.t;
   scheduler : Config.scheduler;
@@ -17,13 +31,10 @@ type t = {
   weights : (string, handle) Hashtbl.t;
   consts : (Shape.t * int64, handle) Hashtbl.t;
       (** Keyed on the exact bits of the value. *)
-  plans : (int, Kernel.plan list) Hashtbl.t;
-      (** kernel id -> the plans built for it, one per argument-shape
-          vector seen. *)
+  mutable kernels : kernel_entry array;
+      (** Indexed by kernel id (dense per registry): every DFG node reaches
+          its kernel's plans and profile with one array load, no hashing. *)
   mutable rngs : Rng.t array;  (** Per-instance decision streams (§E.1). *)
-  profile : (int, int ref * float ref * int ref) Hashtbl.t;
-      (** kernel id -> (invocations, total flops, max shared-arg elems):
-          the PGO profile. *)
   mutable flushes : int;
 }
 
@@ -36,9 +47,8 @@ let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
     next_id = 0;
     weights = Hashtbl.create 16;
     consts = Hashtbl.create 16;
-    plans = Hashtbl.create 32;
+    kernels = [||];
     rngs = Array.init instances (fun i -> Rng.create ((seed * 1_000_003) + i));
-    profile = Hashtbl.create 32;
     flushes = 0;
   }
 
@@ -114,10 +124,15 @@ let download t ~batched (hs : handle list) =
 
 (* --- DFG construction --- *)
 
-(* [find_plan] allocates nothing on a hit: it runs once per DFG node. *)
+(* [find_plan] allocates nothing on a hit: it runs once per DFG node. A
+   plan's shapes are usually the very lists its arguments carry (weights,
+   and outputs of nodes with the same plan), so physical equality settles
+   most comparisons before [Shape.equal] walks them. *)
 let rec fits (shapes : Shape.t array) (args : handle array) i =
   i = Array.length args
-  || (Shape.equal shapes.(i) (handle_shape args.(i)) && fits shapes args (i + 1))
+  ||
+  let s = handle_shape args.(i) in
+  (shapes.(i) == s || Shape.equal shapes.(i) s) && fits shapes args (i + 1)
 
 let rec find_plan kernel args = function
   | [] -> raise Not_found
@@ -129,15 +144,28 @@ let rec find_plan kernel args = function
     then p
     else find_plan kernel args rest
 
+let kernel_entry t (kernel : Kernel.t) =
+  let id = kernel.id in
+  if id >= Array.length t.kernels then begin
+    let old = t.kernels in
+    t.kernels <-
+      Array.init
+        (max (id + 1) (2 * Array.length old))
+        (fun i ->
+          if i < Array.length old then old.(i)
+          else { plans = []; calls = 0; flops = { total = 0.0 }; max_shared = 0 })
+  end;
+  t.kernels.(id)
+
 (** The plan of [kernel] at the shapes of [args]: built on first use,
     then shared by every node with the same kernel and argument shapes.
     A shape error propagates and is never cached. *)
 let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
-  let known = try Hashtbl.find t.plans kernel.id with Not_found -> [] in
-  try find_plan kernel args known
+  let e = kernel_entry t kernel in
+  try find_plan kernel args e.plans
   with Not_found ->
     let p = Kernel.plan kernel (Array.map handle_shape args) in
-    Hashtbl.replace t.plans kernel.id (p :: known);
+    e.plans <- p :: e.plans;
     p
 
 (** Append one DFG node; returns handles on its outputs. [plan] must be
@@ -145,22 +173,25 @@ let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
 let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
     ~(sig_key : string) : handle array =
   Device.charge_dfg_node t.device;
-  let node =
-    { id = t.next_id; plan; args; phase; depth; instance; sig_key; seq = t.next_id; outs = None }
-  in
+  let node = { id = t.next_id; plan; args; phase; depth; instance; sig_key; outs = None } in
   t.next_id <- t.next_id + 1;
   t.pending <- node :: t.pending;
   (match t.scheduler with
   | Config.Inline_depth -> Device.charge_bucket_push t.device
   | Config.Runtime_depth | Config.Agenda -> ());
-  (match Hashtbl.find t.profile plan.kernel.id with
-  | count, fl, se ->
-    incr count;
-    fl := !fl +. plan.flops;
-    se := max !se plan.shared_elems
-  | exception Not_found ->
-    Hashtbl.replace t.profile plan.kernel.id (ref 1, ref plan.flops, ref plan.shared_elems));
-  Array.init (Array.length plan.out_shapes) (fun i -> Hnode (node, i))
+  let e = kernel_entry t plan.kernel in
+  e.calls <- e.calls + 1;
+  e.flops.total <- e.flops.total +. plan.flops;
+  if plan.shared_elems > e.max_shared then e.max_shared <- plan.shared_elems;
+  let arity = Array.length plan.out_shapes in
+  if arity = 0 then [||]
+  else begin
+    let outs = Array.make arity (Hnode (node, 0)) in
+    for i = 1 to arity - 1 do
+      outs.(i) <- Hnode (node, i)
+    done;
+    outs
+  end
 
 (** Schedule and execute everything pending. *)
 let flush t =
@@ -205,8 +236,10 @@ let decision_bool t ~instance p = Rng.bernoulli (rng_for t instance) p
 (** Observed per-kernel statistics: (kernel id, invocation count, mean
     per-invocation flops, max shared-argument elements). *)
 let profile t : (int * float * float * int) list =
-  Hashtbl.fold
-    (fun id (count, fl, se) acc ->
-      (id, float_of_int !count, !fl /. float_of_int !count, !se) :: acc)
-    t.profile []
-  |> List.sort compare
+  let acc = ref [] in
+  for id = Array.length t.kernels - 1 downto 0 do
+    let e = t.kernels.(id) in
+    if e.calls > 0 then
+      acc := (id, float_of_int e.calls, e.flops.total /. float_of_int e.calls, e.max_shared) :: !acc
+  done;
+  !acc

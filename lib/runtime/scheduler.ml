@@ -31,9 +31,9 @@ let group_by_depth ?(depth_of = fun n -> n.depth) (nodes : node list) : batch li
       let key = n.phase, depth_of n, n.sig_key in
       match Hashtbl.find_opt tbl key with
       | Some (_, cell) -> cell := n :: !cell
-      | None -> Hashtbl.replace tbl key (n.seq, ref [ n ]))
+      | None -> Hashtbl.replace tbl key (n.id, ref [ n ]))
     nodes;
-  Hashtbl.fold (fun (phase, depth, _) (seq0, cell) acc -> ((phase, depth, seq0), List.rev !cell) :: acc) tbl []
+  Hashtbl.fold (fun (phase, depth, _) (id0, cell) acc -> ((phase, depth, id0), List.rev !cell) :: acc) tbl []
   |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
   |> List.map snd
 

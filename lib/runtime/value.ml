@@ -26,7 +26,7 @@ type out = {
 let out_elems o = Shape.numel o.shape
 
 type node = {
-  id : int;
+  id : int;  (** Insertion order (a valid dependency order, obs. O.1). *)
   plan : Kernel.plan;
       (** The kernel with its output shapes and per-group costs at this
           node's argument shapes; shared by every node with the same
@@ -39,7 +39,6 @@ type node = {
       (** Batching signature: nodes batch together only when equal. Engines
           control its contents (ACROBAT: kernel id + shapes; DyNet adds its
           heuristics' constraints). *)
-  seq : int;  (** Insertion order (a valid dependency order, obs. O.1). *)
   mutable outs : out array option;  (** Set once the node has executed. *)
 }
 

@@ -1,0 +1,271 @@
+(** Virtual-clock golden pins.
+
+    Every catalog model at tiny size, batch 4, under each framework preset
+    (ACROBAT AOT, ACROBAT VM, DyNet, DN++, PyTorch), in accounting-only and
+    in value mode. A pin holds the exact bits of every
+    {!Profiler.times_us} entry, every {!Profiler.counters} value, the
+    flush count and a digest of the PGO profile's bits. ACROBAT presets
+    are tuned first, so the profile's float sums feed the kernel qualities
+    the timed run charges.
+
+    Host-side speed work must leave every pin unchanged: a mismatch means
+    simulated time (or the DFG it is charged for) moved. *)
+
+open Acrobat
+
+let presets =
+  [
+    "acrobat-aot", Frameworks.Acrobat Config.acrobat, Driver.Aot_mode;
+    "acrobat-vm", Frameworks.Acrobat Config.acrobat, Driver.Vm_mode;
+    "dynet", Frameworks.Dynet { improved = false; scheduler = Config.Agenda }, Driver.Aot_mode;
+    "dynet++", Frameworks.Dynet { improved = true; scheduler = Config.Agenda }, Driver.Aot_mode;
+    "pytorch", Frameworks.Pytorch, Driver.Vm_mode;
+  ]
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+(* One line per run: times, counters, flushes, profile digest. *)
+let fingerprint (r : Driver.result) =
+  let prof = r.Driver.stats.Driver.profiler in
+  let profile =
+    List.map
+      (fun (id, count, mean, se) -> Printf.sprintf "%d:%s:%s:%d" id (bits count) (bits mean) se)
+      r.Driver.profile
+    |> String.concat ";" |> Digest.string |> Digest.to_hex
+  in
+  Printf.sprintf "t=%s c=%s f=%d p=%s"
+    (String.concat "," (Array.to_list (Array.map bits prof.Profiler.times_us)))
+    (String.concat "," (List.map (fun (_, n) -> string_of_int n) (Profiler.counters prof)))
+    r.Driver.stats.Driver.flushes (String.sub profile 0 12)
+
+let run_case id (framework, mode) ~compute_values =
+  let model = Models.tiny id in
+  let compiled, weights = compile_model ~framework model ~batch:4 ~seed:1 in
+  Driver.run ~compute_values ~mode ~policy:(Frameworks.policy framework)
+    ~quality:compiled.quality ~lprog:compiled.lprog ~weights
+    ~instances:(gen_batch model ~batch:4 ~seed:3) ()
+  |> fingerprint
+
+(* Captured on the list-based executor and list-based AOT calls that
+   DESIGN.md §19 replaced. A pin moves only with a change that means to
+   change simulated time, and says so. *)
+let pins : ((string * string * string) * string) list =
+  [
+    ("rnn", "acrobat-aot", "acct"),
+    "t=4049bd70a3d70a27,4027666666666678,400e3d70a3d70a3e,4052b920c370f5e4,404d000000000000,0,0 c=27,0,0,2,234,27,6,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "acrobat-aot", "values"),
+    "t=4049bd70a3d70a27,4027666666666678,400e3d70a3d70a3e,4052b920c370f5e4,404d000000000000,0,0 c=27,0,0,2,234,27,6,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "acrobat-vm", "acct"),
+    "t=4049bd70a3d70a27,4027666666666678,400e3d70a3d70a3e,4052b920c370f5e4,404d000000000000,4085219999999a70,0 c=27,0,0,2,234,27,6,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "acrobat-vm", "values"),
+    "t=4049bd70a3d70a27,4027666666666678,400e3d70a3d70a3e,4052b920c370f5e4,404d000000000000,4085219999999a70,0 c=27,0,0,2,234,27,6,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "dynet", "acct"),
+    "t=4049bd70a3d70a27,40610851eb851eec,405dd1eb851eb84a,4061e2186584b4dc,4072400000000000,0,0 c=67,28,8960,79,234,39,6,0 f=1 p=b1f91611acfa";
+    ("rnn", "dynet", "values"),
+    "t=4049bd70a3d70a27,40610851eb851eec,405dd1eb851eb84a,4061e2186584b4dc,4072400000000000,0,0 c=67,28,8960,79,234,39,6,0 f=1 p=b1f91611acfa";
+    ("rnn", "dynet++", "acct"),
+    "t=4049bd70a3d70a27,406136666666669d,405dd1eb851eb84a,4062f7493abdc73a,4072a00000000000,0,0 c=70,19,4608,79,234,51,12,0 f=1 p=b1f91611acfa";
+    ("rnn", "dynet++", "values"),
+    "t=4049bd70a3d70a27,406136666666669d,405dd1eb851eb84a,4062f7493abdc73a,4072a00000000000,0,0 c=70,19,4608,79,234,51,12,0 f=1 p=b1f91611acfa";
+    ("rnn", "pytorch", "acct"),
+    "t=406128f5c28f5c14,407927ae147ae179,405dd1eb851eb84a,4095aeab0e87f2bd,4095f80000000000,408d9e66666667d8,0 c=624,0,0,79,624,624,624,0 f=624 p=b12f2b373ee8";
+    ("rnn", "pytorch", "values"),
+    "t=406128f5c28f5c14,407927ae147ae179,405dd1eb851eb84a,4095aeab0e87f2bd,4095f80000000000,408d9e66666667d8,0 c=624,0,0,79,624,624,624,0 f=624 p=b12f2b373ee8";
+    ("treelstm", "acrobat-aot", "acct"),
+    "t=4048a3d70a3d708f,4026666666666674,400a7ae147ae147b,40707b5b114d9a84,406a000000000000,0,0 c=102,0,0,2,224,13,3,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "acrobat-aot", "values"),
+    "t=4048a3d70a3d708f,4026666666666674,400a7ae147ae147b,40707b5b114d9a84,406a000000000000,0,0 c=102,0,0,2,224,13,3,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "acrobat-vm", "acct"),
+    "t=4048a3d70a3d708f,4026666666666674,400a7ae147ae147b,40707b5b114d9a84,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,224,13,3,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "acrobat-vm", "values"),
+    "t=4048a3d70a3d708f,4026666666666674,400a7ae147ae147b,40707b5b114d9a84,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,224,13,3,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "dynet", "acct"),
+    "t=408055c28f5c2a0e,40a71947ae146f22,405cf3d70a3d70ad,408bda6fd4415768,408ee00000000000,0,0 c=417,168,102528,77,2376,249,157,0 f=1 p=a39ba12c1676";
+    ("treelstm", "dynet", "values"),
+    "t=408055c28f5c2a0e,40a71947ae146f22,405cf3d70a3d70ad,408bda6fd4415768,408ee00000000000,0,0 c=417,168,102528,77,2376,249,157,0 f=1 p=a39ba12c1676";
+    ("treelstm", "dynet++", "acct"),
+    "t=407ea28f5c28f7ac,409390f5c28f5a60,405cf3d70a3d70ad,407a5e51389022ab,4081800000000000,0,0 c=203,159,666624,77,2228,44,5,0 f=1 p=c105b279f352";
+    ("treelstm", "dynet++", "values"),
+    "t=407ea28f5c28f7ac,409390f5c28f5a60,405cf3d70a3d70ad,407a5e51389022ab,4081800000000000,0,0 c=203,159,666624,77,2228,44,5,0 f=1 p=c105b279f352";
+    ("treelstm", "pytorch", "acct"),
+    "t=4095eae147ae16e7,40b018a3d70a3617,405cf3d70a3d70ad,40cbae91d8cba265,40c9350000000000,40c26d4cccccd71a,0 c=6376,0,0,77,6376,6376,6376,0 f=6376 p=8fa6038041de";
+    ("treelstm", "pytorch", "values"),
+    "t=4095eae147ae16e7,40b018a3d70a3617,405cf3d70a3d70ad,40cbae91d8cba265,40c9350000000000,40c26d4cccccd71a,0 c=6376,0,0,77,6376,6376,6376,0 f=6376 p=8fa6038041de";
+    ("mvrnn", "acrobat-aot", "acct"),
+    "t=4030b851eb851ebd,400e66666666665a,4016f7ced916872c,406104914eba6c2b,405c000000000000,0,0 c=54,0,0,2,76,11,3,0 f=1 p=811a37ef954f";
+    ("mvrnn", "acrobat-aot", "values"),
+    "t=4030b851eb851ebd,400e66666666665a,4016f7ced916872c,406104914eba6c2b,405c000000000000,0,0 c=54,0,0,2,76,11,3,0 f=1 p=811a37ef954f";
+    ("mvrnn", "acrobat-vm", "acct"),
+    "t=4030b851eb851ebd,400e66666666665a,4016f7ced916872c,406104914eba6c2b,405c000000000000,4091accccccccd21,0 c=54,0,0,2,76,11,3,0 f=1 p=811a37ef954f";
+    ("mvrnn", "acrobat-vm", "values"),
+    "t=4030b851eb851ebd,400e66666666665a,4016f7ced916872c,406104914eba6c2b,405c000000000000,4091accccccccd21,0 c=54,0,0,2,76,11,3,0 f=1 p=811a37ef954f";
+    ("mvrnn", "dynet", "acct"),
+    "t=4058333333333318,408282e147ae1508,406d07be76c8b43d,407cb9920192c95f,4086a00000000000,0,0 c=209,27,40800,153,440,182,152,0 f=1 p=a9b8ff09a130";
+    ("mvrnn", "dynet", "values"),
+    "t=4058333333333318,408282e147ae1508,406d07be76c8b43d,407cb9920192c95f,4086a00000000000,0,0 c=209,27,40800,153,440,182,152,0 f=1 p=a9b8ff09a130";
+    ("mvrnn", "dynet++", "acct"),
+    "t=4058333333333318,406ec51eb851ebed,406d07be76c8b43d,4068ff88123a324e,407ee00000000000,0,0 c=94,46,82048,153,440,48,9,0 f=1 p=a9b8ff09a130";
+    ("mvrnn", "dynet++", "values"),
+    "t=4058333333333318,406ec51eb851ebed,406d07be76c8b43d,4068ff88123a324e,407ee00000000000,0,0 c=94,46,82048,153,440,48,9,0 f=1 p=a9b8ff09a130";
+    ("mvrnn", "pytorch", "acct"),
+    "t=40602b851eb851d8,4077cae147ae14b2,406d07be76c8b43d,40946f3e54a9e64f,4097280000000000,4096e19999999871,0 c=588,0,0,153,588,588,588,0 f=588 p=cd9ba79ba833";
+    ("mvrnn", "pytorch", "values"),
+    "t=40602b851eb851d8,4077cae147ae14b2,406d07be76c8b43d,40946f3e54a9e64f,4097280000000000,4096e19999999871,0 c=588,0,0,153,588,588,588,0 f=588 p=cd9ba79ba833";
+    ("birnn", "acrobat-aot", "acct"),
+    "t=405573333333331c,4033800000000028,400bbe76c8b43958,4062398c292bd58e,405c000000000000,0,0 c=54,0,0,2,390,53,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "acrobat-aot", "values"),
+    "t=405573333333331c,4033800000000028,400bbe76c8b43958,4062398c292bd58e,405c000000000000,0,0 c=54,0,0,2,390,53,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "acrobat-vm", "acct"),
+    "t=405573333333331c,4033800000000028,400bbe76c8b43958,4062398c292bd58e,405c000000000000,40a05f999999979d,0 c=54,0,0,2,390,53,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "acrobat-vm", "values"),
+    "t=405573333333331c,4033800000000028,400bbe76c8b43958,4062398c292bd58e,405c000000000000,40a05f999999979d,0 c=54,0,0,2,390,53,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "dynet", "acct"),
+    "t=4059bd70a3d70a20,4071e51eb851ebc3,405dbdf3b645a1d5,40748cc24210a1d1,407d400000000000,0,0 c=155,72,12928,79,468,83,12,0 f=1 p=81b0dbee8db0";
+    ("birnn", "dynet", "values"),
+    "t=4059bd70a3d70a20,4071e51eb851ebc3,405dbdf3b645a1d5,40748cc24210a1d1,407d400000000000,0,0 c=155,72,12928,79,468,83,12,0 f=1 p=81b0dbee8db0";
+    ("birnn", "dynet++", "acct"),
+    "t=4059bd70a3d70a20,4070a0a3d70a3da1,405dbdf3b645a1d5,406e182cf30a2c21,4078400000000000,0,0 c=115,71,99840,79,468,44,0,0 f=1 p=81b0dbee8db0";
+    ("birnn", "dynet++", "values"),
+    "t=4059bd70a3d70a20,4070a0a3d70a3da1,405dbdf3b645a1d5,406e182cf30a2c21,4078400000000000,0,0 c=115,71,99840,79,468,44,0,0 f=1 p=81b0dbee8db0";
+    ("birnn", "pytorch", "acct"),
+    "t=406e07ae147ae120,408608f5c28f5bf3,405dbdf3b645a1d5,40a2f6c788a17fde,40a24c0000000000,40a4286666666355,0 c=1092,0,0,79,1092,1092,1092,0 f=1092 p=591b6a1f090d";
+    ("birnn", "pytorch", "values"),
+    "t=406e07ae147ae120,408608f5c28f5bf3,405dbdf3b645a1d5,40a2f6c788a17fde,40a24c0000000000,40a4286666666355,0 c=1092,0,0,79,1092,1092,1092,0 f=1092 p=591b6a1f090d";
+    ("nestedrnn", "acrobat-aot", "acct"),
+    "t=4087fe666666688a,4065d000000000bf,40084189374bc6a8,40b2c114c962da36,40abf00000000000,0,405119999999999e c=1786,0,0,2,3490,1281,312,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "acrobat-aot", "values"),
+    "t=4087fe666666688a,4065d000000000bf,40084189374bc6a8,40b2c114c962da36,40abf00000000000,0,405119999999999e c=1786,0,0,2,3490,1281,312,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "acrobat-vm", "acct"),
+    "t=4087fe666666688a,4065d000000000bf,40084189374bc6a8,40b2c114c962da36,40abf00000000000,40d48959999991c5,405119999999999e c=1786,0,0,2,3490,1281,312,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "acrobat-vm", "values"),
+    "t=4087fe666666688a,4065d000000000bf,40084189374bc6a8,40b2c114c962da36,40abf00000000000,40d48959999991c5,405119999999999e c=1786,0,0,2,3490,1281,312,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "dynet", "acct"),
+    "t=408c9d1eb851ee4a,40a5277ae147a5ac,401e20c49ba5e354,40b0e29e6c52bd7e,40aea00000000000,0,405119999999999e c=1955,117,9472,5,4162,1838,766,114 f=34 p=7beabea20151";
+    ("nestedrnn", "dynet", "values"),
+    "t=408c9d1eb851ee4a,40a5277ae147a5ac,401e20c49ba5e354,40b0e29e6c52bd7e,40aea00000000000,0,405119999999999e c=1955,117,9472,5,4162,1838,766,114 f=34 p=7beabea20151";
+    ("nestedrnn", "dynet++", "acct"),
+    "t=408bd800000002aa,40a37b8f5c28eea0,401e20c49ba5e354,40aecd87040f9653,40ac2c0000000000,0,405119999999999e c=1798,258,100640,5,4050,1540,423,114 f=34 p=23b4b5fed9e8";
+    ("nestedrnn", "dynet++", "values"),
+    "t=408bd800000002aa,40a37b8f5c28eea0,401e20c49ba5e354,40aecd87040f9653,40ac2c0000000000,0,405119999999999e c=1798,258,100640,5,4050,1540,423,114 f=34 p=23b4b5fed9e8";
+    ("nestedrnn", "pytorch", "acct"),
+    "t=40a575d70a3d6d14,40bf6523d70a40c5,401e20c49ba5e354,40db1aa17bb153db,40d8658000000000,40dacd0ccccca855,0 c=12486,0,0,5,12486,12486,12486,0 f=12486 p=6fc556b00a5d";
+    ("nestedrnn", "pytorch", "values"),
+    "t=40a575d70a3d6d14,40bf6523d70a40c5,401e20c49ba5e354,40db1aa17bb153db,40d8658000000000,40dacd0ccccca855,0 c=12486,0,0,5,12486,12486,12486,0 f=12486 p=6fc556b00a5d";
+    ("drnn", "acrobat-aot", "acct"),
+    "t=401deb851eb851e9,3ffb333333333337,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,0,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "acrobat-aot", "values"),
+    "t=401deb851eb851e9,3ffb333333333337,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,0,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "acrobat-vm", "acct"),
+    "t=401deb851eb851e9,3ffb333333333337,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,407faccccccccdb8,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "acrobat-vm", "values"),
+    "t=401deb851eb851e9,3ffb333333333337,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,407faccccccccdb8,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "dynet", "acct"),
+    "t=403db33333333325,4057847ae147ae1e,401eac083126e979,406efc101d54bc83,406dc00000000000,0,4036ccccccccccd0 c=114,25,2464,5,135,89,67,38 f=15 p=7eab7a93e557";
+    ("drnn", "dynet", "values"),
+    "t=403db33333333325,4057847ae147ae1e,401eac083126e979,406efc101d54bc83,406dc00000000000,0,4036ccccccccccd0 c=114,25,2464,5,135,89,67,38 f=15 p=7eab7a93e557";
+    ("drnn", "dynet++", "acct"),
+    "t=403670a3d70a3d6d,4052533333333343,401e9ba5e353f7cf,405c760b560f14bb,405c800000000000,0,4034666666666668 c=52,8,1920,5,102,44,34,34 f=5 p=4a13565a4ab0";
+    ("drnn", "dynet++", "values"),
+    "t=403670a3d70a3d6d,4052533333333343,401e9ba5e353f7cf,405c760b560f14bb,405c800000000000,0,4034666666666668 c=52,8,1920,5,102,44,34,34 f=5 p=4a13565a4ab0";
+    ("drnn", "pytorch", "acct"),
+    "t=4051dfffffffffee,406a1c7ae147aeb1,401eac083126e979,4086930dc0382c6b,4084a00000000000,4087c4666666676d,0 c=325,0,0,5,325,325,325,0 f=325 p=b018b8483692";
+    ("drnn", "pytorch", "values"),
+    "t=4051dfffffffffee,406a1c7ae147aeb1,401eac083126e979,4086930dc0382c6b,4084a00000000000,4087c4666666676d,0 c=325,0,0,5,325,325,325,0 f=325 p=b018b8483692";
+    ("berxit", "acrobat-aot", "acct"),
+    "t=400a666666666669,3fe8000000000001,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,0,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "acrobat-aot", "values"),
+    "t=400a666666666669,3fe8000000000001,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,0,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "acrobat-vm", "acct"),
+    "t=400a666666666669,3fe8000000000001,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,4073e80000000014,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "acrobat-vm", "values"),
+    "t=400a666666666669,3fe8000000000001,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,4073e80000000014,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "dynet", "acct"),
+    "t=4043ccccccccccbf,405c87ae147ae166,40200624dd2f1aa0,4066b06b6aa7eb9e,4065c00000000000,0,4021ffffffffffff c=82,12,23040,5,180,70,30,15 f=4 p=041247548577";
+    ("berxit", "dynet", "values"),
+    "t=4043ccccccccccbf,405c87ae147ae166,40200624dd2f1aa0,4066b06b6aa7eb9e,4065c00000000000,0,4021ffffffffffff c=82,12,23040,5,180,70,30,15 f=4 p=041247548577";
+    ("berxit", "dynet++", "acct"),
+    "t=4043ccccccccccbf,40595999999999bc,40200624dd2f1aa0,4060a42156cf385c,4060800000000000,0,4021ffffffffffff c=61,21,93696,5,180,40,0,15 f=4 p=041247548577";
+    ("berxit", "dynet++", "values"),
+    "t=4043ccccccccccbf,40595999999999bc,40200624dd2f1aa0,4060a42156cf385c,4060800000000000,0,4021ffffffffffff c=61,21,93696,5,180,40,0,15 f=4 p=041247548577";
+    ("berxit", "pytorch", "acct"),
+    "t=404c0cccccccccb3,4064ae66666666bc,40200624dd2f1aa0,4081c77139a2f657,4080400000000000,407fb800000000ec,0 c=255,0,0,5,255,255,255,0 f=255 p=558d6605d491";
+    ("berxit", "pytorch", "values"),
+    "t=404c0cccccccccb3,4064ae66666666bc,40200624dd2f1aa0,4081c77139a2f657,4080400000000000,407fb800000000ec,0 c=255,0,0,5,255,255,255,0 f=255 p=558d6605d491";
+    ("stackrnn", "acrobat-aot", "acct"),
+    "t=405510a3d70a3d5a,403326666666668d,400a9fbe76c8b43a,4084e2136b47e961,4080300000000000,0,404fccccccccccdc c=257,0,0,2,383,188,87,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "acrobat-aot", "values"),
+    "t=405510a3d70a3d5a,403326666666668d,400a9fbe76c8b43a,4084e2136b47e961,4080300000000000,0,404fccccccccccdc c=257,0,0,2,383,188,87,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "acrobat-vm", "acct"),
+    "t=405510a3d70a3d5a,403326666666668d,400a9fbe76c8b43a,4084e2136b47e961,4080300000000000,40a0cb666666644b,404fccccccccccdc c=257,0,0,2,383,188,87,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "acrobat-vm", "values"),
+    "t=405510a3d70a3d5a,403326666666668d,400a9fbe76c8b43a,4084e2136b47e961,4080300000000000,40a0cb666666644b,404fccccccccccdc c=257,0,0,2,383,188,87,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "dynet", "acct"),
+    "t=405d428f5c28f5a0,40778947ae147b31,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
+    ("stackrnn", "dynet", "values"),
+    "t=405d428f5c28f5a0,40778947ae147b31,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
+    ("stackrnn", "dynet++", "acct"),
+    "t=405d428f5c28f5a0,4076f199999999e3,405db4fdf3b645ac,408b3f90ea382c06,408e300000000000,0,404fccccccccccdc c=404,119,44416,79,532,285,166,106 f=39 p=5ec44fae982d";
+    ("stackrnn", "dynet++", "values"),
+    "t=405d428f5c28f5a0,4076f199999999e3,405db4fdf3b645ac,408b3f90ea382c06,408e300000000000,0,404fccccccccccdc c=404,119,44416,79,532,285,166,106 f=39 p=5ec44fae982d";
+    ("stackrnn", "pytorch", "acct"),
+    "t=4069933333333312,4082a6b851eb8511,405db4fdf3b645ac,40a0268afcd8c382,409f880000000000,40a3ab19999996ac,0 c=930,0,0,79,930,930,930,0 f=930 p=2f841d7bb7ac";
+    ("stackrnn", "pytorch", "values"),
+    "t=4069933333333312,4082a6b851eb8511,405db4fdf3b645ac,40a0268afcd8c382,409f880000000000,40a3ab19999996ac,0 c=930,0,0,79,930,930,930,0 f=930 p=2f841d7bb7ac";
+    ("beamsearch", "acrobat-aot", "acct"),
+    "t=402fae147ae147b9,400cccccccccccc2,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,0,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "acrobat-aot", "values"),
+    "t=402fae147ae147b9,400cccccccccccc2,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,0,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "acrobat-vm", "acct"),
+    "t=402fae147ae147b9,400cccccccccccc2,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,40813ccccccccd5c,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "acrobat-vm", "values"),
+    "t=402fae147ae147b9,400cccccccccccc2,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,40813ccccccccd5c,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "dynet", "acct"),
+    "t=4053ccccccccccb8,406cfae147ae1539,4033989374bc6a7e,4070ed189e2cbe32,4070e00000000000,0,4030333333333332 c=122,2,672,13,360,120,72,27 f=12 p=21b864a89d87";
+    ("beamsearch", "dynet", "values"),
+    "t=4053ccccccccccb8,406cfae147ae1539,4033989374bc6a7e,4070ed189e2cbe32,4070e00000000000,0,4030333333333332 c=122,2,672,13,360,120,72,27 f=12 p=21b864a89d87";
+    ("beamsearch", "dynet++", "acct"),
+    "t=4053ccccccccccb8,406cfae147ae1548,4033989374bc6a7e,4070cd12538fe1ed,4070c00000000000,0,402cccccccccccca c=121,1,288,13,360,120,72,24 f=12 p=21b864a89d87";
+    ("beamsearch", "dynet++", "values"),
+    "t=4053ccccccccccb8,406cfae147ae1548,4033989374bc6a7e,4070cd12538fe1ed,4070c00000000000,0,402cccccccccccca c=121,1,288,13,360,120,72,24 f=12 p=21b864a89d87";
+    ("beamsearch", "pytorch", "acct"),
+    "t=405fae147ae14788,40770a3d70a3d751,4033989374bc6a7e,40940177a9661b8e,4092680000000000,408c43333333348c,0 c=576,0,0,13,576,576,576,0 f=576 p=aff70d415144";
+    ("beamsearch", "pytorch", "values"),
+    "t=405fae147ae14788,40770a3d70a3d751,4033989374bc6a7e,40940177a9661b8e,4092680000000000,408c43333333348c,0 c=576,0,0,13,576,576,576,0 f=576 p=aff70d415144";
+    ("moe", "acrobat-aot", "acct"),
+    "t=40051eb851eb8520,3fe3333333333333,40084189374bc6a8,403504c74f02ad1a,4034000000000000,0,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "acrobat-aot", "values"),
+    "t=40051eb851eb8520,3fe3333333333333,40084189374bc6a8,403504c74f02ad1a,4034000000000000,0,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "acrobat-vm", "acct"),
+    "t=40051eb851eb8520,3fe3333333333333,40084189374bc6a8,403504c74f02ad1a,4034000000000000,4047ccccccccccdd,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "acrobat-vm", "values"),
+    "t=40051eb851eb8520,3fe3333333333333,40084189374bc6a8,403504c74f02ad1a,4034000000000000,4047ccccccccccdd,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "dynet", "acct"),
+    "t=40151eb851eb851f,402e51eb851eb840,401e20c49ba5e354,403c76612506ed64,4042000000000000,0,4003333333333333 c=13,2,224,5,24,11,6,4 f=2 p=ae33cc09b7ff";
+    ("moe", "dynet", "values"),
+    "t=40151eb851eb851f,402e51eb851eb840,401e20c49ba5e354,403c76612506ed64,4042000000000000,0,4003333333333333 c=13,2,224,5,24,11,6,4 f=2 p=ae33cc09b7ff";
+    ("moe", "dynet++", "acct"),
+    "t=40151eb851eb851f,402ce147ae147ad2,401e20c49ba5e354,403a0ad7dd164564,4041000000000000,0,4003333333333333 c=12,3,4224,5,24,9,4,4 f=2 p=ae33cc09b7ff";
+    ("moe", "dynet++", "values"),
+    "t=40151eb851eb851f,402ce147ae147ad2,401e20c49ba5e354,403a0ad7dd164564,4041000000000000,0,4003333333333333 c=12,3,4224,5,24,9,4,4 f=2 p=ae33cc09b7ff";
+    ("moe", "pytorch", "acct"),
+    "t=401fae147ae147ab,4037147ae147ae11,401e20c49ba5e354,405401db65646ac2,4054800000000000,40501999999999a6,0 c=36,0,0,5,36,36,36,0 f=36 p=da3f47471fee";
+    ("moe", "pytorch", "values"),
+    "t=401fae147ae147ab,4037147ae147ae11,401e20c49ba5e354,405401db65646ac2,4054800000000000,40501999999999a6,0 c=36,0,0,5,36,36,36,0 f=36 p=da3f47471fee"
+  ]
+
+let test_model id () =
+  List.iter
+    (fun (preset, framework, mode) ->
+      List.iter
+        (fun (label, compute_values) ->
+          let key = id, preset, label in
+          let actual = run_case id (framework, mode) ~compute_values in
+          let expected = try List.assoc key pins with Not_found -> "<no pin>" in
+          Alcotest.(check string) (Fmt.str "%s %s %s" id preset label) expected actual)
+        [ "acct", false; "values", true ])
+    presets
+
+let suite =
+  List.map
+    (fun id -> Alcotest.test_case ("virtual clock golden: " ^ id) `Quick (test_model id))
+    Models.tiny_ids

@@ -320,6 +320,119 @@ let test_tune_improves_quality () =
   let t c = (run c ~weights ~instances ()).Driver.stats.latency_ms in
   check_true "tuned kernels are faster" (t tuned < t compiled)
 
+(* --- AOT calls: direct, recursive, first-class --- *)
+
+(* Self recursion (@count), mutual recursion (@even/@odd) and a global
+   used as a value (map(@act, ...)): the three ways a definition is
+   reached. *)
+let calls_source =
+  {|
+def @act(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] {
+  sigmoid(%x)
+}
+
+def @even(%xs: List[Tensor[(1, 4)]], %h: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  match (%xs) {
+    Nil => %h,
+    Cons(%x, %rest) => @odd(%rest, tanh(%h + matmul(%x, %w)), %w)
+  }
+}
+
+def @odd(%xs: List[Tensor[(1, 4)]], %h: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  match (%xs) {
+    Nil => %h,
+    Cons(%x, %rest) => @even(%rest, sigmoid(%x + matmul(%h, %w)), %w)
+  }
+}
+
+def @count(%xs: List[Tensor[(1, 4)]], %n: Int) -> Int {
+  match (%xs) {
+    Nil => %n,
+    Cons(%x, %rest) => @count(%rest, %n + 1)
+  }
+}
+
+def @main(%w: Tensor[(4, 4)], %h0: Tensor[(1, 4)], %inps: List[Tensor[(1, 4)]])
+    -> (Tensor[(1, 4)], Int, List[Tensor[(1, 4)]]) {
+  let %ys = map(@act, %inps);
+  (@even(%ys, %h0, %w), @count(%ys, 0), %ys)
+}
+|}
+
+let test_aot_calls_match_vm () =
+  let compiled = compile ~inputs:[ "h0"; "inps" ] calls_source in
+  let rng = Rng.create 5 in
+  let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
+  let weights = [ "w", Tensor.random rng [ 4; 4 ] ] in
+  let lengths = [ 0; 1; 2; 3; 4 ] in
+  let instances =
+    List.map (fun n -> [ "h0", tensor (); "inps", Driver.Hlist (List.init n (fun _ -> tensor ())) ])
+      lengths
+  in
+  let run mode =
+    Driver.run ~compute_values:true ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
+      ~lprog:compiled.lprog ~weights ~instances ()
+  in
+  let aot = run Driver.Aot_mode in
+  List.iter2
+    (fun n v ->
+      match v with
+      | Value.Vtuple [| _; Value.Vint count; ys |] ->
+        check_int "self recursion counts the list" n count;
+        check_int "map(@act, ...) keeps the length" n (List.length (Value.to_list ys))
+      | _ -> Alcotest.fail "unexpected @main result")
+    lengths aot.Driver.outputs;
+  Alcotest.(check (array int64)) "aot = vm fingerprints" (Driver.fingerprints (run Driver.Vm_mode))
+    (Driver.fingerprints aot)
+
+let test_aot_call_errors () =
+  (* Ill-formed calls the typechecker rules out, built by hand: each must
+     surface as a runtime error, never as [Invalid_argument]. *)
+  let compiled = compile ~inputs:[ "h0"; "inps" ] calls_source in
+  let module L = Lowered in
+  let defs =
+    [
+      { L.lname = "one"; lparams = [ "y" ]; lbody = L.Lvar "y" };
+      { L.lname = "two"; lparams = [ "a"; "b" ]; lbody = L.Lvar "a" };
+      { L.lname = "call_one_with_two";
+        lparams = [ "x" ];
+        lbody = L.Lcall (L.Lglobal "one", [ L.Lvar "x"; L.Lvar "x" ]) };
+      { L.lname = "call_two_with_one"; lparams = [ "x" ]; lbody = L.Lcall (L.Lglobal "two", [ L.Lvar "x" ]) };
+      { L.lname = "map_two"; lparams = [ "x" ]; lbody = L.Lmap (L.Lglobal "two", L.Lcons (L.Lvar "x", L.Lnil)) };
+      { L.lname = "call_missing"; lparams = [ "x" ]; lbody = L.Lcall (L.Lglobal "nowhere", [ L.Lvar "x" ]) };
+    ]
+  in
+  let table = Hashtbl.create 8 in
+  List.iter (fun (d : L.ldef) -> Hashtbl.replace table d.lname d) defs;
+  let run entry args =
+    let policy =
+      { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
+        compute_values = false; detect_dynamic_sharing = false }
+    in
+    let rt =
+      Acrobat_runtime.Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth
+        ~policy ~seed:1 ~instances:1
+    in
+    let lprog = { compiled.lprog with L.defs = table; entry } in
+    let eng = Acrobat_engines.Aot.create ~rt ~policy:Policy.acrobat_policy ~fibers:false lprog in
+    Acrobat_engines.Aot.run_main eng ~instance:0 args
+  in
+  check_true "well-formed call runs" (run "one" [ Value.Vint 7 ] = Value.Vint 7);
+  List.iter
+    (fun (entry, args) ->
+      match run entry args with
+      | _ -> Alcotest.failf "%s: expected a runtime error" entry
+      | exception Value.Runtime_error _ -> ())
+    [
+      "call_one_with_two", [ Value.Vint 1 ];
+      "call_two_with_one", [ Value.Vint 1 ];
+      "map_two", [ Value.Vint 1 ];
+      "call_missing", [ Value.Vint 1 ];
+      "one", [];
+      "one", [ Value.Vint 1; Value.Vint 2 ];
+      "absent_entry", [ Value.Vint 1 ];
+    ]
+
 let suite =
   List.map
     (fun id ->
@@ -346,4 +459,8 @@ let suite =
       Alcotest.test_case "TDC flush pattern" `Quick test_tdc_flushes;
       Alcotest.test_case "VM slower than AOT" `Quick test_vm_slower_than_aot;
       Alcotest.test_case "auto-scheduling helps" `Quick test_tune_improves_quality;
+      Alcotest.test_case "aot calls: recursion and globals as values match the VM" `Quick
+        test_aot_calls_match_vm;
+      Alcotest.test_case "aot calls: ill-formed calls raise runtime errors" `Quick
+        test_aot_call_errors;
     ]

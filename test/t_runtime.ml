@@ -213,6 +213,142 @@ let test_executor_gathers_on_scattered () =
   check_true "fused run cheaper in kernel calls"
     (fused.Profiler.kernel_calls < explicit.Profiler.kernel_calls)
 
+(* --- The executor against the list-based reference (Ref_exec) --- *)
+
+(* A cost model under which a launch lasts exactly its byte count, doubled
+   when its inputs are scattered: no launch latency, an effectively
+   infinite FLOP rate, one byte per microsecond. Every kernel span then
+   carries the exact bits of its FLOPs (its args) and of its bytes (its
+   duration); gather spans carry their bytes as an int. *)
+let bytes_revealing_cost =
+  {
+    Cost_model.default with
+    kernel_launch_us = 0.0;
+    peak_flops_per_us = 1e300;
+    min_rate_flops_per_us = 1e300;
+    hbm_bandwidth_bytes_per_us = 1.0;
+    indirection_penalty = 1.0;
+  }
+
+(* A random batch of one random kernel: 1-3 arguments with random roles,
+   1-6 sigmoid/add instructions with or without fusion, one or two
+   outputs. Each node gets its own mix of [2; 1] and [2; w] argument
+   shapes (so one batch spans several plans), and each argument position
+   lies contiguous, scattered or at one address shared by the whole
+   batch. Each node's plan then gets random fractional group costs: real
+   plans hold small integers, whose float sums are exact in any order,
+   and the oracle must see the summation order. Returns every node's
+   plan and arguments, and the policy. *)
+let random_exec_batch seed =
+  let rs = Random.State.make [| seed |] in
+  let int n = Random.State.int rs n and bool () = Random.State.bool rs in
+  let nargs = 1 + int 3 in
+  let b = Kernel.builder () in
+  let arg () = Kernel.Arg (int nargs) in
+  let last = ref None in
+  for _ = 0 to int 5 do
+    let srcs =
+      match !last with
+      | Some t when bool () -> [ Kernel.Tmp t; arg () ]
+      | _ -> if bool () then [ arg () ] else [ arg (); arg () ]
+    in
+    let op = if List.length srcs = 1 then Op.Sigmoid else Op.Add in
+    last := Some (Kernel.add_instr b op srcs)
+  done;
+  let last = Option.get !last in
+  let kernel =
+    Kernel.finish reg b ~name:"oracle" ~nargs
+      ~roles:(Array.init nargs (fun _ -> if int 3 = 0 then Kernel.Shared else Kernel.Batched))
+      ~shared_binds:[]
+      ~out_tmps:(if bool () then [| last |] else [| last; 0 |])
+      ~fusion:(bool ()) ~horizontal:false
+  in
+  let n = 1 + int 6 and w = 2 + int 3 in
+  let shape () = [ 2; (if bool () then w else 1) ] in
+  let mat addr shape = Value.Hmat { tensor = None; addr; shape } in
+  let columns =
+    Array.init nargs (fun _ ->
+        match int 3 with
+        | 0 ->
+          let h = mat (int 1000) (shape ()) in
+          Array.make n h
+        | 1 ->
+          let cursor = ref (int 1000) in
+          Array.init n (fun _ ->
+              let s = shape () in
+              let h = mat !cursor s in
+              cursor := !cursor + Shape.numel s;
+              h)
+        | _ -> Array.init n (fun _ -> mat (int 1000) (shape ())))
+  in
+  let policy =
+    {
+      Executor.gather_fusion = bool ();
+      quality = (fun id -> 1.0 /. float_of_int (1 + (id mod 4)));
+      compute_values = false;
+      detect_dynamic_sharing = bool ();
+    }
+  in
+  let node_args = Array.init n (fun i -> Array.map (fun col -> col.(i)) columns) in
+  let cost _ = Random.State.float rs 1e4 in
+  let plans =
+    Array.map
+      (fun args ->
+        let p = Kernel.plan kernel (Array.map Value.handle_shape args) in
+        { p with group_flops = Array.map cost p.group_flops; group_bytes = Array.map cost p.group_bytes })
+      node_args
+  in
+  Array.combine plans node_args, policy
+
+(* Run one executor on fresh nodes and record everything it did: every
+   span with its exact bits, the profiler, the arena and each node's
+   output addresses and shapes. *)
+let observe_exec exec (nodes, policy) =
+  let tracer = Trace.create () in
+  let device = Device.create ~cost:bytes_revealing_cost ~tracer () in
+  let nodes =
+    Array.to_list
+      (Array.mapi
+         (fun id (plan, args) ->
+           { Value.id; plan; args; phase = 0; depth = 0; instance = 0; sig_key = ""; outs = None })
+         nodes)
+  in
+  exec device policy ~rand_for:(fun _ -> Rng.create 0) nodes;
+  let bits = Int64.bits_of_float in
+  let arg = function
+    | Obs.Json.Float f -> Fmt.str "%Lx" (bits f)
+    | Obs.Json.Int i -> string_of_int i
+    | _ -> "?"
+  in
+  let spans =
+    List.map
+      (fun (ev : Trace.event) ->
+        Fmt.str "%s ts=%Lx dur=%Lx %s" ev.ev_name (bits ev.ev_ts_us) (bits ev.ev_dur_us)
+          (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ arg v) ev.ev_args)))
+      (Trace.events tracer)
+  in
+  let prof = Device.profiler device in
+  let outs =
+    List.map
+      (fun (nd : Value.node) ->
+        match nd.outs with
+        | Some outs -> Array.to_list (Array.map (fun (o : Value.out) -> o.addr, o.shape) outs)
+        | None -> [])
+      nodes
+  in
+  ( spans,
+    Array.map bits prof.Profiler.times_us,
+    Profiler.counters prof,
+    Memory.used_elems (Device.memory device),
+    outs )
+
+let prop_executor_matches_reference =
+  qtest ~count:300 "executor: same gathers, launches, bits and outputs as the list-based reference"
+    QCheck2.Gen.int
+    (fun seed ->
+      let batch = random_exec_batch seed in
+      observe_exec Executor.exec_batch batch = observe_exec Ref_exec.exec_batch batch)
+
 let test_runtime_constants_memoized () =
   let device = Device.create () in
   let policy =
@@ -277,6 +413,7 @@ let reference_plan (k : Kernel.t) (arg_shapes : Shape.t array) =
     List.mapi
       (fun gi (g : Kernel.group) -> List.fold_left (fun acc i -> acc +. f gi i) 0.0 g.instrs)
       k.groups
+    |> Array.of_list
   in
   let flops = per_group (fun _ (i : Kernel.instr) -> Op.flops i.op (List.map shape_of i.srcs)) in
   let bytes =
@@ -336,7 +473,9 @@ let test_plans_match_fresh_computation () =
           same "out_shapes" n.plan.out_shapes fresh.out_shapes outs;
           same "group_flops" n.plan.group_flops fresh.group_flops flops;
           same "group_bytes" n.plan.group_bytes fresh.group_bytes bytes;
-          check_true (what ^ ": flops") (n.plan.flops = List.fold_left ( +. ) 0.0 flops);
+          same "group_arg_reads" n.plan.group_arg_reads fresh.group_arg_reads
+            (Array.of_list (List.map Array.of_list (Ref_exec.group_arg_reads n.plan.kernel)));
+          check_true (what ^ ": flops") (n.plan.flops = Array.fold_left ( +. ) 0.0 flops);
           Alcotest.(check string) (what ^ ": sig_key") fresh.signature n.sig_key)
         seen)
     Models.tiny_ids
@@ -450,6 +589,7 @@ let suite =
     Alcotest.test_case "scheduler: inline batches by depth" `Quick test_inline_depth_batches_by_depth;
     Alcotest.test_case "scheduler: phase ordering" `Quick test_phase_ordering;
     Alcotest.test_case "executor: gather behaviour" `Quick test_executor_gathers_on_scattered;
+    prop_executor_matches_reference;
     Alcotest.test_case "runtime: constant memoization" `Quick test_runtime_constants_memoized;
     Alcotest.test_case "runtime: decision determinism" `Quick test_runtime_decisions_deterministic;
     Alcotest.test_case "runtime: upload accounting" `Quick test_upload_accounting;

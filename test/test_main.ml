@@ -14,4 +14,5 @@ let () =
       "tenancy", T_tenancy.suite;
       "stats", T_stats.suite;
       "recovery", T_recovery.suite;
+      "vclock", T_accounting.suite;
     ]
