@@ -141,6 +141,31 @@ let plan t (arg_shapes : Shape.t array) : plan =
     signature = Fmt.str "k%d|%a" t.id Fmt.(array ~sep:(any ";") Shape.pp) arg_shapes;
   }
 
+(** The plans built so far for the kernels of one {!registry}, indexed by
+    kernel id: one list per kernel, one plan per argument-shape vector
+    seen. A plan is a pure function of its kernel and argument shapes, so
+    every runtime executing one compiled program can share them; the
+    runtime looks them up and adds to them ([Runtime.plan]). Plans live
+    beside the kernels, not in them: {!all_kernels} compares kernels
+    structurally, and a plan points back at its kernel. *)
+type plan_table = { mutable by_kernel : plan list array }
+
+let plan_table () = { by_kernel = [||] }
+
+(** The plans [tbl] holds for [k]. *)
+let plans tbl k = if k.id < Array.length tbl.by_kernel then tbl.by_kernel.(k.id) else []
+
+(** Remember [p] for its kernel. *)
+let add_plan tbl (p : plan) =
+  let id = p.kernel.id in
+  let n = Array.length tbl.by_kernel in
+  if id >= n then begin
+    let bigger = Array.make (max (id + 1) (2 * n)) [] in
+    Array.blit tbl.by_kernel 0 bigger 0 n;
+    tbl.by_kernel <- bigger
+  end;
+  tbl.by_kernel.(id) <- p :: tbl.by_kernel.(id)
+
 (** Execute the kernel body for one instance on concrete tensors. *)
 let execute ?rand t (args : Tensor.t array) : Tensor.t array =
   let tmps = Array.make t.ntmps (Tensor.scalar 0.0) in
@@ -265,10 +290,15 @@ let canonical_key ~roles ~shared_binds ~outs instrs =
     Fmt.(array ~sep:(any ",") int)
     outs
 
-(** A registry deduplicates kernels within one compilation. *)
-type registry = { table : (string, t) Hashtbl.t; mutable next_id : int }
+(** A registry deduplicates kernels within one compilation, and holds the
+    plan table every run of that compilation shares. *)
+type registry = {
+  table : (string, t) Hashtbl.t;
+  mutable next_id : int;
+  plan_table : plan_table;
+}
 
-let registry () = { table = Hashtbl.create 64; next_id = 0 }
+let registry () = { table = Hashtbl.create 64; next_id = 0; plan_table = plan_table () }
 
 let all_kernels r = Hashtbl.fold (fun _ k acc -> k :: acc) r.table [] |> List.sort compare
 

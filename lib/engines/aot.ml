@@ -389,6 +389,7 @@ let unstaged _ _ = fail "AOT: definition called before it was staged"
 (** Stage the whole program: a cell for every definition first, then every
     body, so compilation cost is not on the execution path. *)
 let create ~rt ~policy ~fibers (lprog : L.t) : t =
+  Runtime.share_plans rt lprog.L.registry.Kernel.plan_table;
   let st =
     {
       rt;

@@ -23,6 +23,7 @@ type t = {
 }
 
 let create ~rt ~policy ~fibers (lprog : L.t) : t =
+  Runtime.share_plans rt lprog.L.registry.Kernel.plan_table;
   { rt; policy; lprog; fibers; base_depth = lprog.L.max_static_depth + 1 }
 
 type env = (string * value) list

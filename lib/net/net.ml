@@ -415,6 +415,21 @@ module Dedup = struct
         evict t
     end
 
+  (* Drop every stale queue entry, keeping the live ones in order. Eviction
+     skips stale entries anyway, so which live key goes next is unchanged;
+     this only bounds the queue when keys are removed out-of-band faster
+     than eviction drains them (a shed-and-nack storm). *)
+  let compact t =
+    let live = Queue.create () in
+    Queue.iter
+      (fun ((k, g) as e) ->
+        match Hashtbl.find_opt t.gen k with
+        | Some g' when g' = g -> Queue.push e live
+        | _ -> ())
+      t.order;
+    Queue.clear t.order;
+    Queue.transfer live t.order
+
   (** Insert or update [k]. Updating an existing key refreshes its value
       without consuming a window slot. *)
   let note t k v =
@@ -424,8 +439,16 @@ module Dedup = struct
       t.tick <- t.tick + 1;
       Hashtbl.replace t.gen k t.tick;
       Queue.push (k, t.tick) t.order;
-      evict t
+      evict t;
+      (* Live entries number at most [capacity], so a queue past twice that
+         is mostly stale: compacting costs O(capacity) at most once per
+         [capacity] notes. *)
+      if Queue.length t.order - t.capacity > t.capacity then compact t
     end
+
+  (** Entries in the insertion-order queue, stale ones included; at most
+      twice the capacity. *)
+  let queued t = Queue.length t.order
 
   (** Forget [k] (e.g. a delivery the replica shed without executing —
       a later retransmission must be allowed to execute). *)

@@ -12,11 +12,9 @@ open Acrobat_compiler
    of allocating one per DFG node. *)
 type flop_total = { mutable total : float }
 
-(* What the runtime keeps per kernel: the plans built for it, one per
-   argument-shape vector seen, and its PGO statistics (invocations, total
-   flops, max shared-argument elements). *)
+(* What the runtime keeps per kernel: its PGO statistics (invocations,
+   total flops, max shared-argument elements). *)
 type kernel_entry = {
-  mutable plans : Kernel.plan list;
   mutable calls : int;
   flops : flop_total;
   mutable max_shared : int;
@@ -31,9 +29,13 @@ type t = {
   weights : (string, handle) Hashtbl.t;
   consts : (Shape.t * int64, handle) Hashtbl.t;
       (** Keyed on the exact bits of the value. *)
+  mutable plans : Kernel.plan_table;
+      (** Where {!plan} finds and adds plans: the compiled program's shared
+          table once an engine attached it ({!share_plans}), else a private
+          one. *)
   mutable kernels : kernel_entry array;
       (** Indexed by kernel id (dense per registry): every DFG node reaches
-          its kernel's plans and profile with one array load, no hashing. *)
+          its kernel's profile with one array load, no hashing. *)
   mutable rngs : Rng.t array;  (** Per-instance decision streams (§E.1). *)
   mutable flushes : int;
 }
@@ -47,6 +49,7 @@ let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
     next_id = 0;
     weights = Hashtbl.create 16;
     consts = Hashtbl.create 16;
+    plans = Kernel.plan_table ();
     kernels = [||];
     rngs = Array.init instances (fun i -> Rng.create ((seed * 1_000_003) + i));
     flushes = 0;
@@ -153,19 +156,23 @@ let kernel_entry t (kernel : Kernel.t) =
         (max (id + 1) (2 * Array.length old))
         (fun i ->
           if i < Array.length old then old.(i)
-          else { plans = []; calls = 0; flops = { total = 0.0 }; max_shared = 0 })
+          else { calls = 0; flops = { total = 0.0 }; max_shared = 0 })
   end;
   t.kernels.(id)
+
+(** Plan from [table] — the plan table of the program [t] runs — from now
+    on. Engines attach their program's table at creation, so every batch
+    of one compiled program shares its plans. *)
+let share_plans t table = t.plans <- table
 
 (** The plan of [kernel] at the shapes of [args]: built on first use,
     then shared by every node with the same kernel and argument shapes.
     A shape error propagates and is never cached. *)
 let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
-  let e = kernel_entry t kernel in
-  try find_plan kernel args e.plans
+  try find_plan kernel args (Kernel.plans t.plans kernel)
   with Not_found ->
     let p = Kernel.plan kernel (Array.map handle_shape args) in
-    e.plans <- p :: e.plans;
+    Kernel.add_plan t.plans p;
     p
 
 (** Append one DFG node; returns handles on its outputs. [plan] must be

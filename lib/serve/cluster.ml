@@ -111,6 +111,14 @@ type 'a entry = {
   mutable ent_requeues : int;
   mutable ent_deposited : bool;
       (** Retry-budget tokens credited (once per logical request). *)
+  mutable ent_at_replica : int;
+      (** Net path: target of the one {e tracked} in-flight attempt (hedge
+          copies ride untracked — the primary's timeout is their
+          recovery). *)
+  mutable ent_at_no : int;
+      (** Net path: sends this attempt cycle, [0] when no attempt is live.
+          A stale timeout (bumped [ent_at_no]) no-ops, which is the
+          sender-side fence. *)
 }
 
 (* --- Network fault-domain state (armed only when [c_net] is) --- *)
@@ -122,12 +130,6 @@ type dedup_state =
       (** Executed; a duplicate delivery re-acks this result instead of
           re-executing (exactly-once under dup+resend). *)
 
-(** Sender-side tracking of the one {e tracked} in-flight attempt per
-    logical request (hedge copies ride untracked — the primary's timeout
-    is their recovery). [at_no] counts sends this attempt cycle; a stale
-    timeout (bumped [at_no]) no-ops, which is the sender-side fence. *)
-type attempt = { mutable at_replica : int; mutable at_no : int }
-
 type netstate = {
   nt : Net.t;  (** The seeded transport (RNG + delay EWMA). *)
   n_plan : Net.plan;
@@ -135,7 +137,7 @@ type netstate = {
       (** Per-replica idempotency windows keyed [(request id, replica
           epoch)] — the epoch fence lets a recovered replica re-execute
           requeued work without tripping exactly-once. *)
-  attempts : (int, attempt) Hashtbl.t;  (** Live tracked attempts by id. *)
+  mutable live_attempts : int;  (** Entries with a live tracked attempt. *)
   unreachable : bool array;  (** Links declared down on consecutive timeouts. *)
   consec_timeouts : int array;
   probing : bool array;  (** A link-probe loop is in flight. *)
@@ -150,7 +152,9 @@ type 'a t = {
   loop : Event_loop.t;
   mutable replicas : 'a Replica.t array;  (** Filled once during [simulate]. *)
   stats : Stats.t;  (** Cluster aggregate; terminal outcomes only. *)
-  entries : (int, 'a entry) Hashtbl.t;
+  mutable entries : 'a entry array;
+      (** Indexed by request id (ids are [0..n-1]); filled once during
+          [simulate]. An entry is untouched until its arrival. *)
   pending : 'a Admission.request Queue.t;
       (** Requests with no healthy replica to go to; drained on probe
           windows and re-admissions. *)
@@ -180,7 +184,14 @@ let hedge_delay_us st =
   | None -> None
   | Some p -> hedge_delay ~percentile:p st.lat_ring ~count:st.lat_count
 
-let entry st rq_id = Hashtbl.find st.entries rq_id
+let entry st rq_id = st.entries.(rq_id)
+
+(* Retire the entry's tracked attempt, if one is live. *)
+let drop_attempt ns (ent : 'a entry) =
+  if ent.ent_at_no > 0 then begin
+    ent.ent_at_no <- 0;
+    ns.live_attempts <- ns.live_attempts - 1
+  end
 
 (* A copy vanished without completing. When it was the last live copy of an
    unresolved request, that request's terminal outcome is [terminal]. *)
@@ -199,10 +210,12 @@ let copy_lost st (ent : 'a entry) ~terminal =
       | `Net -> Stats.net_shed, "net_shed"
     in
     Stats.incr st.stats counter;
-    let id = ent.ent_req.Admission.rq_id in
-    Trace.instant st.tracer ~name ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
-      ~ts_us:(Event_loop.now st.loop)
-      ~args:[ "id", Json.Int id ]
+    if Trace.enabled st.tracer then begin
+      let id = ent.ent_req.Admission.rq_id in
+      Trace.instant st.tracer ~name ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
+        ~ts_us:(Event_loop.now st.loop)
+        ~args:[ "id", Json.Int id ]
+    end
   end
 
 (* A still-queued copy of an already-resolved request was discarded — the
@@ -272,21 +285,24 @@ let select st ~now_us =
 
 (* --- The virtual transport (armed only when [c_net] is) --- *)
 
-(* Per-request net event on the link's trace track. *)
+(* Per-request net event on the link's trace track. Guarded, like every
+   per-request emission here, so a disabled tracer builds no arguments. *)
 let net_trace st ~name ~replica ?(extra = []) id =
-  Trace.instant st.tracer ~name ~cat:"net"
-    ~pid:(Net.link_pid ~n:(Array.length st.replicas) ~replica)
-    ~tid:(Server.req_tid id)
-    ~ts_us:(Event_loop.now st.loop)
-    ~args:(("id", Json.Int id) :: ("replica", Json.Int replica) :: extra)
+  if Trace.enabled st.tracer then
+    Trace.instant st.tracer ~name ~cat:"net"
+      ~pid:(Net.link_pid ~n:(Array.length st.replicas) ~replica)
+      ~tid:(Server.req_tid id)
+      ~ts_us:(Event_loop.now st.loop)
+      ~args:(("id", Json.Int id) :: ("replica", Json.Int replica) :: extra)
 
 (* Link-level net event (no request attached). *)
 let link_trace st ~name i =
-  Trace.instant st.tracer ~name ~cat:"net"
-    ~pid:(Net.link_pid ~n:(Array.length st.replicas) ~replica:i)
-    ~tid:0
-    ~ts_us:(Event_loop.now st.loop)
-    ~args:[ "replica", Json.Int i ]
+  if Trace.enabled st.tracer then
+    Trace.instant st.tracer ~name ~cat:"net"
+      ~pid:(Net.link_pid ~n:(Array.length st.replicas) ~replica:i)
+      ~tid:0
+      ~ts_us:(Event_loop.now st.loop)
+      ~args:[ "replica", Json.Int i ]
 
 (* A completion (ack) crossed the return link. The first ack to land
    resolves the request — [r_done_us] is the ack's arrival, so latency
@@ -300,16 +316,17 @@ let deliver_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_u
   Stats.incr st.stats Stats.net_ack_deliveries;
   net_trace st ~name:"net_recv" ~replica id;
   Net.observe_delay ns.nt (now_us -. di_done_us);
-  Hashtbl.remove ns.attempts id;
+  drop_attempt ns ent;
   ns.consec_timeouts.(replica) <- 0;
   if not ent.ent_done then begin
     ent.ent_done <- true;
     Stats.record_fields st.stats ~id ~arrival_us:ent.ent_req.Admission.rq_arrival_us
       ~start_us:di_start_us ~done_us:now_us ~batch_size:di_size;
     record_latency st (now_us -. ent.ent_req.Admission.rq_arrival_us);
-    Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
-      ~ts_us:now_us
-      ~args:[ "id", Json.Int id; "replica", Json.Int replica ];
+    if Trace.enabled st.tracer then
+      Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
+        ~ts_us:now_us
+        ~args:[ "id", Json.Int id; "replica", Json.Int replica ];
     if ent.ent_hedged && replica = ent.ent_hedge_replica then
       Stats.incr st.stats Stats.hedge_wins
   end;
@@ -348,7 +365,7 @@ let deliver_nack st ns ~replica (ent : 'a entry) ~terminal =
   if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
   else begin
     copy_lost st ent ~terminal;
-    if ent.ent_done then Hashtbl.remove ns.attempts id
+    if ent.ent_done then drop_attempt ns ent
   end
 
 let send_nack st ns ~replica (ent : 'a entry) ~terminal =
@@ -405,7 +422,8 @@ let net_deliver st ns (ent : 'a entry) (r : 'a Admission.request) i =
       if ns.n_plan.Net.np_dedup then Net.Dedup.note window key Dd_pending;
       match Replica.enqueue rep r with
       | Replica.Admitted ->
-        net_trace st ~name:"net_exec" ~replica:i ~extra:[ "epoch", Json.Int ep ] id;
+        if Trace.enabled st.tracer then
+          net_trace st ~name:"net_exec" ~replica:i ~extra:[ "epoch", Json.Int ep ] id;
         if not ent.ent_deposited then begin
           ent.ent_deposited <- true;
           Replica.deposit_budget rep
@@ -470,10 +488,9 @@ let rec dispatch st (r : 'a Admission.request) =
 
 (* Net-mode dispatch of the tracked (primary) copy to replica [i]:
    deadline propagation first, then transmit and arm the per-attempt
-   timeout. Also the resend path — the attempt record persists across
-   sends of one cycle, and each send re-checks the deadline. *)
+   timeout. Also the resend path — the entry's attempt fields persist
+   across sends of one cycle, and each send re-checks the deadline. *)
 and net_dispatch st ns (ent : 'a entry) (r : 'a Admission.request) i =
-  let id = r.Admission.rq_id in
   let now_us = Event_loop.now st.loop in
   let ewma = Net.ewma_us ns.nt in
   match r.Admission.rq_deadline_us with
@@ -481,22 +498,15 @@ and net_dispatch st ns (ent : 'a entry) (r : 'a Admission.request) i =
     (* Sender-side deadline propagation: the remaining budget cannot cover
        even the observed one-way transit, so shed here instead of burning
        link and replica capacity on a result nobody can use. *)
-    Hashtbl.remove ns.attempts id;
+    drop_attempt ns ent;
     primary_lost st ent ~terminal:`Net
   | _ ->
-    let at =
-      match Hashtbl.find_opt ns.attempts id with
-      | Some at -> at
-      | None ->
-        let at = { at_replica = i; at_no = 0 } in
-        Hashtbl.replace ns.attempts id at;
-        at
-    in
-    at.at_replica <- i;
-    at.at_no <- at.at_no + 1;
-    net_transmit st ns ent r i ~resend:(at.at_no > 1);
+    if ent.ent_at_no = 0 then ns.live_attempts <- ns.live_attempts + 1;
+    ent.ent_at_replica <- i;
+    ent.ent_at_no <- ent.ent_at_no + 1;
+    net_transmit st ns ent r i ~resend:(ent.ent_at_no > 1);
     if ns.n_plan.Net.np_timeout_us > 0.0 then begin
-      let my_no = at.at_no in
+      let my_no = ent.ent_at_no in
       Event_loop.schedule_after st.loop ~delay:ns.n_plan.Net.np_timeout_us (fun () ->
           net_timeout st ns ent r my_no)
     end
@@ -505,16 +515,17 @@ and net_dispatch st ns (ent : 'a entry) (r : 'a Admission.request) i =
    discipline (budgeted re-dispatch, parked when nowhere is healthy), so
    termination survives even a fully-lossy link. *)
 and net_requeue st ns (ent : 'a entry) (r : 'a Admission.request) ~from =
-  Hashtbl.remove ns.attempts r.Admission.rq_id;
+  drop_attempt ns ent;
   ent.ent_requeues <- ent.ent_requeues + 1;
   if ent.ent_requeues > st.cfg.c_requeue_budget then
     primary_lost st ent ~terminal:`Budget
   else begin
     Stats.incr st.stats Stats.requeued;
-    Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
-      ~tid:(Server.req_tid r.Admission.rq_id)
-      ~ts_us:(Event_loop.now st.loop)
-      ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int from ];
+    if Trace.enabled st.tracer then
+      Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
+        ~tid:(Server.req_tid r.Admission.rq_id)
+        ~ts_us:(Event_loop.now st.loop)
+        ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int from ];
     dispatch st r
   end
 
@@ -523,29 +534,27 @@ and net_requeue st ns (ent : 'a entry) (r : 'a Admission.request) ~from =
    silence feeds the link-health counter and triggers an epoch-consistent
    resend — same replica while it looks reachable, else re-selection. *)
 and net_timeout st ns (ent : 'a entry) (r : 'a Admission.request) my_no =
-  match Hashtbl.find_opt ns.attempts r.Admission.rq_id with
-  | None -> ()
-  | Some at when at.at_no <> my_no || ent.ent_done -> ()
-  | Some at ->
-    let i = at.at_replica in
+  if ent.ent_at_no = my_no && not ent.ent_done then begin
+    let i = ent.ent_at_replica in
     Stats.incr st.stats Stats.net_timeouts;
     net_trace st ~name:"net_timeout" ~replica:i r.Admission.rq_id;
     ns.consec_timeouts.(i) <- ns.consec_timeouts.(i) + 1;
     if ns.consec_timeouts.(i) >= link_down_threshold && not ns.unreachable.(i) then
       net_link_down st ns i;
-    if at.at_no > ns.n_plan.Net.np_resends then net_requeue st ns ent r ~from:i
+    if ent.ent_at_no > ns.n_plan.Net.np_resends then net_requeue st ns ent r ~from:i
     else begin
       match ns.n_budget with
       | Some b when not (Budget.try_spend b 1) ->
         (* Resends compose with the retry budget: when the bucket is dry,
            the resend converts into a counted shed (DESIGN.md §13). *)
-        Hashtbl.remove ns.attempts r.Admission.rq_id;
+        drop_attempt ns ent;
         primary_lost st ent ~terminal:`Retry_budget
       | _ ->
         if link_up st i && Replica.health st.replicas.(i) = Replica.Up then
           net_dispatch st ns ent r i
         else net_requeue st ns ent r ~from:i
     end
+  end
 
 (* Consecutive timeouts declared the link dead (a partition is
    indistinguishable from a dead replica). Routing already skips it via
@@ -580,7 +589,7 @@ and net_force_probe st ns i =
    appears), so the event loop always drains. *)
 and net_probe st ns i ~force =
   if not ns.unreachable.(i) then ns.probing.(i) <- false
-  else if (not force) && Queue.is_empty st.pending && Hashtbl.length ns.attempts = 0
+  else if (not force) && Queue.is_empty st.pending && ns.live_attempts = 0
   then ns.probing.(i) <- false
   else begin
     let now_us = Event_loop.now st.loop in
@@ -642,11 +651,12 @@ let maybe_hedge st (ent : 'a entry) =
       ent.ent_hedge_replica <- i;
       ent.ent_copies <- ent.ent_copies + 1;
       Stats.incr st.stats Stats.hedges;
-      Trace.instant st.tracer ~name:"hedge" ~cat:"cluster" ~pid:0
-        ~tid:(Server.req_tid ent.ent_req.Admission.rq_id)
-        ~ts_us:now_us
-        ~args:
-          [ "id", Json.Int ent.ent_req.Admission.rq_id; "replica", Json.Int i ];
+      if Trace.enabled st.tracer then
+        Trace.instant st.tracer ~name:"hedge" ~cat:"cluster" ~pid:0
+          ~tid:(Server.req_tid ent.ent_req.Admission.rq_id)
+          ~ts_us:now_us
+          ~args:
+            [ "id", Json.Int ent.ent_req.Admission.rq_id; "replica", Json.Int i ];
       (match st.net with
       | None -> (
         match Replica.enqueue st.replicas.(i) ent.ent_req with
@@ -675,9 +685,10 @@ let on_completed st ~replica (batch : 'a Admission.request list) ~size ~start_us
         Stats.record_fields st.stats ~id:r.Admission.rq_id
           ~arrival_us:r.Admission.rq_arrival_us ~start_us ~done_us ~batch_size:size;
         record_latency st (done_us -. r.Admission.rq_arrival_us);
-        Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0
-          ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
-          ~args:[ "id", Json.Int r.Admission.rq_id; "replica", Json.Int replica ];
+        if Trace.enabled st.tracer then
+          Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0
+            ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
+            ~args:[ "id", Json.Int r.Admission.rq_id; "replica", Json.Int replica ];
         if ent.ent_hedged && replica = ent.ent_hedge_replica then
           Stats.incr st.stats Stats.hedge_wins
       end
@@ -744,10 +755,11 @@ let requeue st ~replica (rs : 'a Admission.request list) =
           copy_lost st ent ~terminal:`Budget
         else begin
           Stats.incr st.stats Stats.requeued;
-          Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
-            ~tid:(Server.req_tid r.Admission.rq_id)
-            ~ts_us:(Event_loop.now st.loop)
-            ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int replica ];
+          if Trace.enabled st.tracer then
+            Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
+              ~tid:(Server.req_tid r.Admission.rq_id)
+              ~ts_us:(Event_loop.now st.loop)
+              ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int replica ];
           (* The replica is no longer Up, so [dispatch] naturally routes
              elsewhere (or parks the request when nowhere is). *)
           dispatch st r
@@ -769,29 +781,18 @@ let on_up st ~replica:_ =
 
 (* --- Arrivals --- *)
 
-let on_arrival st (r : 'a Admission.request) =
-  let ent =
-    {
-      ent_req = r;
-      ent_copies = 1;
-      ent_done = false;
-      ent_home = -1;
-      ent_hedged = false;
-      ent_hedge_replica = -1;
-      ent_requeues = 0;
-      ent_deposited = false;
-    }
-  in
-  Hashtbl.replace st.entries r.Admission.rq_id ent;
+let on_arrival st (ent : 'a entry) =
+  let r = ent.ent_req in
   (* Fresh admission credits the dispatcher-side resend budget, mirroring
      the replica-side deposit discipline (once per logical request). *)
   (match st.net with
   | Some { n_budget = Some b; _ } -> Budget.deposit b
   | _ -> ());
-  Trace.instant st.tracer ~name:"admit" ~cat:"request" ~pid:0
-    ~tid:(Server.req_tid r.Admission.rq_id)
-    ~ts_us:(Event_loop.now st.loop)
-    ~args:[ "id", Json.Int r.Admission.rq_id ];
+  if Trace.enabled st.tracer then
+    Trace.instant st.tracer ~name:"admit" ~cat:"request" ~pid:0
+      ~tid:(Server.req_tid r.Admission.rq_id)
+      ~ts_us:(Event_loop.now st.loop)
+      ~args:[ "id", Json.Int r.Admission.rq_id ];
   (* Arm the hedge timer from the delay estimate at arrival time; when the
      request resolves first, the timer no-ops. *)
   (match hedge_delay_us st with
@@ -864,7 +865,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
           dedups =
             Array.init cfg.c_replicas (fun _ ->
                 Net.Dedup.create ~capacity:plan.Net.np_window);
-          attempts = Hashtbl.create 256;
+          live_attempts = 0;
           unreachable = Array.make cfg.c_replicas false;
           consec_timeouts = Array.make cfg.c_replicas 0;
           probing = Array.make cfg.c_replicas false;
@@ -881,7 +882,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       loop;
       replicas = [||];
       stats = Stats.create ();
-      entries = Hashtbl.create 1024;
+      entries = [||];
       pending = Queue.create ();
       rr_next = 0;
       lat_ring = Array.make hedge_window 0.0;
@@ -912,18 +913,29 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     Array.init cfg.c_replicas (fun i ->
         Replica.create ~tracer ?auditor ~id:i ~loop ~config:cfg.c_server
           ~reset_threshold:cfg.c_reset_threshold ~execute:executors.(i) ~cb ());
-  Array.iteri
-    (fun i at ->
-      let r =
+  st.entries <-
+    Array.mapi
+      (fun i at ->
         {
-          Admission.rq_id = i;
-          rq_payload = payload i;
-          rq_arrival_us = at;
-          rq_deadline_us = Option.map (fun d -> at +. d) cfg.c_server.Server.deadline_us;
-        }
-      in
-      Event_loop.schedule loop ~at (fun () -> on_arrival st r))
-    arrivals;
+          ent_req =
+            {
+              Admission.rq_id = i;
+              rq_payload = payload i;
+              rq_arrival_us = at;
+              rq_deadline_us = Option.map (fun d -> at +. d) cfg.c_server.Server.deadline_us;
+            };
+          ent_copies = 1;
+          ent_done = false;
+          ent_home = -1;
+          ent_hedged = false;
+          ent_hedge_replica = -1;
+          ent_requeues = 0;
+          ent_deposited = false;
+          ent_at_replica = -1;
+          ent_at_no = 0;
+        })
+      arrivals;
+  Event_loop.feed loop arrivals (fun i -> on_arrival st st.entries.(i));
   Stats.snapshot_periodically st.stats metrics loop ~every_us:snapshot_every_us;
   Event_loop.run loop;
   (* Anything still parked when the event loop drained could not be placed

@@ -7,17 +7,24 @@
     schedule further events (at or after the current time); the loop runs
     until the queue drains.
 
+    A simulation's arrivals are known before it starts, so they need not
+    live in the queue: {!feed} hands the loop the whole arrival array as
+    one sorted stream, and {!run} merges its head with the queue's top by
+    (time, seq). The dispatch order is exactly the one scheduling every
+    arrival upfront would give, but the queue only ever holds the live
+    events handlers scheduled.
+
     Two queue backends implement the same (time, seq) dispatch order:
 
     - [Heap] (the default): an array-backed binary min-heap. Push and pop
-      are O(log n) with no per-event allocation beyond the entry itself,
-      and a million-entry agenda is a single flat array — this is the
-      production backend for 10⁶+-request campaigns.
+      are O(log n) with no per-event allocation, and a million-entry
+      agenda is three flat arrays — this is the production backend for
+      10⁶+-request campaigns.
     - [Map_reference]: the original [Map.Make]-based queue, kept verbatim
       as an executable specification. The QCheck equivalence suite and
       [bench scale] run both backends on identical schedules and demand
       identical dispatch sequences, so the heap is provably a pure
-      speedup. *)
+      speedup. Both merge a fed stream the same way. *)
 
 module Key = struct
   type t = float * int  (* fire time (us), scheduling sequence *)
@@ -30,21 +37,30 @@ module Q = Map.Make (Key)
 
 type backend = Heap | Map_reference
 
-(* Heap slots. [ev_seq = -1] marks the unused-slot dummy; live sequence
-   numbers start at 0. *)
-type event = { ev_at : float; ev_seq : int; ev_run : unit -> unit }
-
-let dummy_event = { ev_at = 0.0; ev_seq = -1; ev_run = ignore }
-
 type t = {
   clock : Clock.t;
   backend : backend;
-  mutable heap : event array;  (* binary min-heap on (ev_at, ev_seq) *)
+  (* [Heap] backend: a binary min-heap on (time, seq), stored as parallel
+     arrays so a push allocates nothing and comparisons read unboxed
+     floats. Slots at and past [heap_len] hold [ignore]. *)
+  mutable h_at : float array;
+  mutable h_seq : int array;
+  mutable h_run : (unit -> unit) array;
   mutable heap_len : int;
   mutable queue : (unit -> unit) Q.t;  (* Map_reference backend *)
+  (* The fed arrival stream ({!feed}): clamped fire times in dispatch
+     order, the original index of each, the sequence number of index 0,
+     and the next position to dispatch. It stays outside the queue, so
+     the queue holds only events scheduled by handlers. *)
+  mutable s_at : float array;
+  mutable s_idx : int array;
+  mutable s_base : int;
+  mutable s_pos : int;
+  mutable s_run : int -> unit;
   mutable next_seq : int;
   mutable dispatched : int;
   mutable clamped : int;
+  mutable daemons : int;  (* Pending events scheduled by {!schedule_daemon}. *)
 }
 
 (* Global default so harnesses ([bench scale], the equivalence tests) can
@@ -60,12 +76,20 @@ let create ?backend clock =
   {
     clock;
     backend;
-    heap = Array.make 64 dummy_event;
+    h_at = Array.make 64 0.0;
+    h_seq = Array.make 64 0;
+    h_run = Array.make 64 ignore;
     heap_len = 0;
     queue = Q.empty;
+    s_at = [||];
+    s_idx = [||];
+    s_base = 0;
+    s_pos = 0;
+    s_run = ignore;
     next_seq = 0;
     dispatched = 0;
     clamped = 0;
+    daemons = 0;
   }
 
 (* Debug-only dispatch-order checking. The loop's correctness rests on
@@ -87,8 +111,17 @@ let debug_checks_enabled () = !debug_checks
 let clock t = t.clock
 let now t = Clock.now t.clock
 
+let stream_left t = Array.length t.s_at - t.s_pos
+
+(** Events not yet dispatched: the queue plus the unfed rest of the
+    arrival stream. *)
 let pending t =
-  match t.backend with Heap -> t.heap_len | Map_reference -> Q.cardinal t.queue
+  stream_left t
+  + match t.backend with Heap -> t.heap_len | Map_reference -> Q.cardinal t.queue
+
+(** Pending events other than daemons ({!schedule_daemon}): the work
+    that keeps a simulation going. *)
+let pending_work t = pending t - t.daemons
 
 let dispatched t = t.dispatched
 
@@ -97,70 +130,76 @@ let dispatched t = t.dispatched
     scheduling bug that clamping would otherwise hide. *)
 let clamped_count t = t.clamped
 
-(* --- binary heap primitives (min on (ev_at, ev_seq)) --- *)
+(* --- binary heap primitives (min on (time, seq)) --- *)
 
-let ev_before a b =
-  a.ev_at < b.ev_at || (a.ev_at = b.ev_at && a.ev_seq < b.ev_seq)
+let[@inline] before (at : float) (seq : int) at' seq' = at < at' || (at = at' && seq < seq')
 
-let heap_push t e =
+let heap_grow t =
   let n = t.heap_len in
-  if n = Array.length t.heap then begin
-    let bigger = Array.make (2 * n) dummy_event in
-    Array.blit t.heap 0 bigger 0 n;
-    t.heap <- bigger
-  end;
-  let a = t.heap in
+  let grow a fill =
+    let bigger = Array.make (2 * n) fill in
+    Array.blit a 0 bigger 0 n;
+    bigger
+  in
+  t.h_at <- grow t.h_at 0.0;
+  t.h_seq <- grow t.h_seq 0;
+  t.h_run <- grow t.h_run ignore
+
+let heap_push t at seq f =
+  let n = t.heap_len in
+  if n = Array.length t.h_at then heap_grow t;
+  let ha = t.h_at and hs = t.h_seq and hr = t.h_run in
   (* Sift up. *)
   let i = ref n in
-  a.(n) <- e;
   while
     !i > 0
     &&
     let p = (!i - 1) / 2 in
-    if ev_before e a.(p) then begin
-      a.(!i) <- a.(p);
+    before at seq ha.(p) hs.(p)
+    && begin
+      ha.(!i) <- ha.(p);
+      hs.(!i) <- hs.(p);
+      hr.(!i) <- hr.(p);
       i := p;
       true
     end
-    else false
   do
     ()
   done;
-  a.(!i) <- e;
+  ha.(!i) <- at;
+  hs.(!i) <- seq;
+  hr.(!i) <- f;
   t.heap_len <- n + 1
 
-let heap_pop t =
-  let n = t.heap_len in
-  if n = 0 then None
-  else begin
-    let a = t.heap in
-    let top = a.(0) in
-    let n = n - 1 in
-    t.heap_len <- n;
-    let last = a.(n) in
-    a.(n) <- dummy_event;
-    if n > 0 then begin
-      (* Sift [last] down from the root. *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        let best = ref last in
-        if l < n && ev_before a.(l) !best then begin
-          smallest := l;
-          best := a.(l)
-        end;
-        if r < n && ev_before a.(r) !best then smallest := r;
-        if !smallest = !i then continue := false
-        else begin
-          a.(!i) <- a.(!smallest);
-          i := !smallest
+(* Remove the root (the caller has read it). *)
+let heap_drop_top t =
+  let n = t.heap_len - 1 in
+  t.heap_len <- n;
+  let ha = t.h_at and hs = t.h_seq and hr = t.h_run in
+  let at = ha.(n) and seq = hs.(n) and f = hr.(n) in
+  hr.(n) <- ignore;
+  if n > 0 then begin
+    (* Sift the last slot down from the root. *)
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c = if r < n && before ha.(r) hs.(r) ha.(l) hs.(l) then r else l in
+        if before ha.(c) hs.(c) at seq then begin
+          ha.(!i) <- ha.(c);
+          hs.(!i) <- hs.(c);
+          hr.(!i) <- hr.(c);
+          i := c
         end
-      done;
-      a.(!i) <- last
-    end;
-    Some top
+        else continue := false
+      end
+    done;
+    ha.(!i) <- at;
+    hs.(!i) <- seq;
+    hr.(!i) <- f
   end
 
 (** Schedule [f] to run at virtual time [at] (clamped to the present: the
@@ -177,8 +216,48 @@ let schedule t ~at f =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   match t.backend with
-  | Heap -> heap_push t { ev_at = at; ev_seq = seq; ev_run = f }
+  | Heap -> heap_push t at seq f
   | Map_reference -> t.queue <- Q.add (at, seq) f t.queue
+
+(** Feed an arrival stream: event [i] runs [f i] at virtual time
+    [times.(i)]. Exactly equivalent to [schedule t ~at:times.(i)
+    (fun () -> f i)] for every [i] in index order — the stream reserves
+    the next [Array.length times] sequence numbers, clamps (and counts)
+    past times and rejects non-finite ones the same way — but the events
+    stay in one sorted array beside the queue instead of in it, so the
+    queue holds only live handler-scheduled events and a million-request
+    run pays no per-arrival push or pop. [times] need not be sorted: a
+    stable sort of the indices by time is the (time, seq) order, since
+    seq follows the index. One stream at a time: feeding while an
+    earlier stream still has undispatched events is an error. *)
+let feed t (times : float array) (f : int -> unit) =
+  if stream_left t > 0 then invalid_arg "Event_loop.feed: a fed stream is still pending";
+  Array.iter
+    (fun at ->
+      if not (Float.is_finite at) then
+        Fmt.invalid_arg "Event_loop.feed: non-finite time %f" at)
+    times;
+  let now = now t in
+  let n = Array.length times in
+  let at =
+    Array.map
+      (fun at ->
+        if at < now then t.clamped <- t.clamped + 1;
+        Float.max at now)
+      times
+  in
+  let idx = Array.init n Fun.id in
+  let rec sorted i = i >= n || (at.(i - 1) <= at.(i) && sorted (i + 1)) in
+  if sorted 1 then t.s_at <- at
+  else begin
+    Array.stable_sort (fun a b -> Float.compare at.(a) at.(b)) idx;
+    t.s_at <- Array.map (fun i -> at.(i)) idx
+  end;
+  t.s_idx <- idx;
+  t.s_base <- t.next_seq;
+  t.s_pos <- 0;
+  t.s_run <- f;
+  t.next_seq <- t.next_seq + n
 
 (** Schedule [f] to run [delay] microseconds from now. A negative delay is
     a request for the past, exactly like a past [~at]: it is clamped to
@@ -190,31 +269,70 @@ let schedule_after t ~delay f =
   if delay < 0.0 then t.clamped <- t.clamped + 1;
   schedule t ~at:(now t +. Float.max 0.0 delay) f
 
-let pop_next t =
+(** {!schedule_after} for the next step of a periodic observer (metrics
+    snapshots, the autoscaler tick) that continues only while
+    {!pending_work} is nonzero. The event does not count as work, so two
+    such chains cannot keep each other — and the loop — alive forever. *)
+let schedule_daemon t ~delay f =
+  t.daemons <- t.daemons + 1;
+  schedule_after t ~delay (fun () ->
+      t.daemons <- t.daemons - 1;
+      f ())
+
+(* Does the stream head dispatch before everything queued? Assumes a
+   non-empty stream. *)
+let stream_first t =
+  let at = t.s_at.(t.s_pos) and seq = t.s_base + t.s_idx.(t.s_pos) in
   match t.backend with
-  | Heap -> (
-    match heap_pop t with Some e -> Some (e.ev_at, e.ev_run) | None -> None)
+  | Heap -> t.heap_len = 0 || before at seq t.h_at.(0) t.h_seq.(0)
   | Map_reference -> (
     match Q.min_binding_opt t.queue with
-    | Some (((at, _) as key), f) ->
-      t.queue <- Q.remove key t.queue;
-      Some (at, f)
-    | None -> None)
+    | None -> true
+    | Some (key, _) -> Key.compare (at, seq) key < 0)
 
-(** Dispatch events in (time, seq) order until none remain. *)
-let run t =
-  let rec step () =
-    match pop_next t with
-    | None -> ()
-    | Some (at, f) ->
-      if !debug_checks && at < now t then
-        Fmt.invalid_arg
-          "Event_loop.run: dispatch order regression (event due at %.3fus, clock already \
-           at %.3fus)"
-          at (now t);
-      Clock.advance_to t.clock at;
-      t.dispatched <- t.dispatched + 1;
-      f ();
-      step ()
-  in
-  step ()
+(* Move the clock to a dispatching event's fire time. *)
+let advance t at =
+  if !debug_checks && at < now t then
+    Fmt.invalid_arg
+      "Event_loop.run: dispatch order regression (event due at %.3fus, clock already \
+       at %.3fus)"
+      at (now t);
+  Clock.advance_to t.clock at;
+  t.dispatched <- t.dispatched + 1
+
+(** Dispatch events in (time, seq) order — the fed stream merged with the
+    queue — until none remain. *)
+let rec run t =
+  if stream_left t > 0 && stream_first t then begin
+    let k = t.s_pos in
+    t.s_pos <- k + 1;
+    let at = t.s_at.(k) and i = t.s_idx.(k) and f = t.s_run in
+    if t.s_pos = Array.length t.s_at then begin
+      (* Exhausted: let go of the arrays and the handler. *)
+      t.s_at <- [||];
+      t.s_idx <- [||];
+      t.s_pos <- 0;
+      t.s_run <- ignore
+    end;
+    advance t at;
+    f i;
+    run t
+  end
+  else
+    match t.backend with
+    | Heap ->
+      if t.heap_len > 0 then begin
+        let at = t.h_at.(0) and f = t.h_run.(0) in
+        heap_drop_top t;
+        advance t at;
+        f ();
+        run t
+      end
+    | Map_reference -> (
+      match Q.min_binding_opt t.queue with
+      | None -> ()
+      | Some (((at, _) as key), f) ->
+        t.queue <- Q.remove key t.queue;
+        advance t at;
+        f ();
+        run t)

@@ -171,9 +171,10 @@ let note_success t =
   if t.health = Probing && not t.quarantine_probing then begin
     t.health <- Up;
     Stats.incr t.dev.Server.stats Stats.readmitted;
-    Trace.instant t.dev.Server.tracer ~name:"readmit" ~cat:"cluster" ~pid:(trace_pid t)
-      ~tid:0
-      ~ts_us:(Event_loop.now t.dev.Server.loop);
+    if Trace.enabled t.dev.Server.tracer then
+      Trace.instant t.dev.Server.tracer ~name:"readmit" ~cat:"cluster" ~pid:(trace_pid t)
+        ~tid:0
+        ~ts_us:(Event_loop.now t.dev.Server.loop);
     t.cb.cb_up ~replica:t.id
   end;
   Server.relieve t.dev
@@ -310,10 +311,11 @@ and go_down (t : 'a t) =
   let stats = t.dev.Server.stats in
   Stats.incr stats Stats.breaker_opens;
   Stats.incr stats Stats.failovers;
-  Trace.instant t.dev.Server.tracer ~name:"failover" ~cat:"cluster" ~pid:(trace_pid t)
-    ~tid:0
-    ~ts_us:(Event_loop.now t.dev.Server.loop)
-    ~args:[ "replica", Json.Int t.id ];
+  if Trace.enabled t.dev.Server.tracer then
+    Trace.instant t.dev.Server.tracer ~name:"failover" ~cat:"cluster" ~pid:(trace_pid t)
+      ~tid:0
+      ~ts_us:(Event_loop.now t.dev.Server.loop)
+      ~args:[ "replica", Json.Int t.id ];
   fence t ~health:Down ~requeue:t.cb.cb_down ~probe_ready:(fun ts_us ->
       Trace.instant t.dev.Server.tracer ~name:"probe_ready" ~cat:"cluster"
         ~pid:(trace_pid t) ~tid:0 ~ts_us)
@@ -344,10 +346,11 @@ and go_quarantine (t : 'a t) =
   t.quarantine_probing <- false;
   t.clean_probes <- 0;
   Stats.incr t.dev.Server.stats Stats.quarantines;
-  Trace.instant t.dev.Server.tracer ~name:"quarantine" ~cat:"integrity" ~pid:(trace_pid t)
-    ~tid:0
-    ~ts_us:(Event_loop.now t.dev.Server.loop)
-    ~args:[ "replica", Json.Int t.id; "score", Json.Float t.corrupt_score ];
+  if Trace.enabled t.dev.Server.tracer then
+    Trace.instant t.dev.Server.tracer ~name:"quarantine" ~cat:"integrity"
+      ~pid:(trace_pid t) ~tid:0
+      ~ts_us:(Event_loop.now t.dev.Server.loop)
+      ~args:[ "replica", Json.Int t.id; "score", Json.Float t.corrupt_score ];
   fence t ~health:Quarantined ~requeue:t.cb.cb_quarantined ~probe_ready:(fun ts_us ->
       t.quarantine_probing <- true;
       t.clean_probes <- 0;
@@ -360,10 +363,11 @@ and quarantine_restore (t : 'a t) =
   t.clean_probes <- 0;
   t.corrupt_score <- 0.0;
   Stats.incr t.dev.Server.stats Stats.quarantine_restores;
-  Trace.instant t.dev.Server.tracer ~name:"quarantine_restore" ~cat:"integrity"
-    ~pid:(trace_pid t) ~tid:0
-    ~ts_us:(Event_loop.now t.dev.Server.loop)
-    ~args:[ "replica", Json.Int t.id ];
+  if Trace.enabled t.dev.Server.tracer then
+    Trace.instant t.dev.Server.tracer ~name:"quarantine_restore" ~cat:"integrity"
+      ~pid:(trace_pid t) ~tid:0
+      ~ts_us:(Event_loop.now t.dev.Server.loop)
+      ~args:[ "replica", Json.Int t.id ];
   t.cb.cb_up ~replica:t.id
 
 let create ?(tracer = Trace.null) ?auditor ~id ~loop ~(config : Server.config)

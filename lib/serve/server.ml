@@ -302,9 +302,11 @@ let deliver d batch (outcome : exec_outcome) ~now_us ~done_us ~forced ~each =
   if degraded then Stats.incr d.stats Stats.degraded_batches;
   if outcome.ex_corrupted then
     Stats.incr d.stats Stats.corrupted_batches;
-  Trace.complete d.tracer ?pid:d.pid ~name:"batch" ~cat:"serve" ~tid:0 ~ts_us:now_us
-    ~dur_us:outcome.ex_latency_us
-    ~args:[ "size", Json.Int size; "degraded", Json.Bool degraded ];
+  let traced = Trace.enabled d.tracer in
+  if traced then
+    Trace.complete d.tracer ?pid:d.pid ~name:"batch" ~cat:"serve" ~tid:0 ~ts_us:now_us
+      ~dur_us:outcome.ex_latency_us
+      ~args:[ "size", Json.Int size; "degraded", Json.Bool degraded ];
   let deliveries =
     List.mapi
       (fun i r ->
@@ -317,16 +319,17 @@ let deliver d batch (outcome : exec_outcome) ~now_us ~done_us ~forced ~each =
     (fun ((r : _ Admission.request), a) ->
       let id = r.Admission.rq_id in
       note_delivery d.stats ~outcome a;
-      if a.ad_audited then
+      if traced && a.ad_audited then
         Trace.instant d.tracer ?pid:d.pid
           ~name:(if a.ad_clean then "audit_ok" else "audit_mismatch")
           ~cat:"integrity" ~tid:(req_tid id) ~ts_us:done_us
           ~args:[ "id", Json.Int id ];
       Stats.record_fields d.stats ~id ~arrival_us:r.Admission.rq_arrival_us ~start_us:now_us
         ~done_us:(done_us +. a.ad_extra_us) ~batch_size:size;
-      Trace.complete d.tracer ?pid:d.pid ~name:"queue" ~cat:"request" ~tid:(req_tid id)
-        ~ts_us:r.Admission.rq_arrival_us
-        ~dur_us:(now_us -. r.Admission.rq_arrival_us);
+      if traced then
+        Trace.complete d.tracer ?pid:d.pid ~name:"queue" ~cat:"request" ~tid:(req_tid id)
+          ~ts_us:r.Admission.rq_arrival_us
+          ~dur_us:(now_us -. r.Admission.rq_arrival_us);
       each r a)
     deliveries;
   deliveries
@@ -378,8 +381,10 @@ type 'a state = {
    done / expired / poisoned / retry_budget (shed ids terminate at
    admission). *)
 let trace_terminal (st : 'a state) ~name ~ts_us (r : _ Admission.request) =
-  Trace.instant st.dev.tracer ~name ~cat:"request" ~ts_us ~tid:(req_tid r.Admission.rq_id)
-    ~args:[ "id", Json.Int r.Admission.rq_id ]
+  if Trace.enabled st.dev.tracer then
+    Trace.instant st.dev.tracer ~name ~cat:"request" ~ts_us
+      ~tid:(req_tid r.Admission.rq_id)
+      ~args:[ "id", Json.Int r.Admission.rq_id ]
 
 let open_breaker (st : 'a state) ~wake =
   let d = st.dev in
@@ -468,9 +473,10 @@ let on_arrival (st : 'a state) (r : 'a Admission.request) =
   let d = st.dev in
   let now_us = Event_loop.now d.loop in
   Batcher.observe_arrival d.batcher ~now_us;
-  Trace.instant d.tracer ~name:"admit" ~cat:"request" ~tid:(req_tid r.Admission.rq_id)
-    ~ts_us:now_us
-    ~args:[ "id", Json.Int r.Admission.rq_id ];
+  if Trace.enabled d.tracer then
+    Trace.instant d.tracer ~name:"admit" ~cat:"request" ~tid:(req_tid r.Admission.rq_id)
+      ~ts_us:now_us
+      ~args:[ "id", Json.Int r.Admission.rq_id ];
   match st.breaker with
   | Open { until_us } when now_us < until_us ->
     (* Breaker open: shed at the door without queueing — launching is
@@ -522,18 +528,18 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     Trace.name_process tracer ~pid:0 ~name:"server";
     Trace.name_thread tracer ~pid:0 ~tid:0 ~name:"device"
   end;
-  Array.iteri
-    (fun i at ->
-      let r =
+  let requests =
+    Array.mapi
+      (fun i at ->
         {
           Admission.rq_id = i;
           rq_payload = payload i;
           rq_arrival_us = at;
           rq_deadline_us = Option.map (fun d -> at +. d) config.deadline_us;
-        }
-      in
-      Event_loop.schedule loop ~at (fun () -> on_arrival st r))
-    arrivals;
+        })
+      arrivals
+  in
+  Event_loop.feed loop arrivals (fun i -> on_arrival st requests.(i));
   let stats = st.dev.stats in
   Stats.snapshot_periodically stats metrics loop ~every_us:snapshot_every_us;
   Event_loop.run loop;

@@ -667,16 +667,18 @@ let to_metrics (t : t) (m : Acrobat_obs.Metrics.t) =
   end
 
 (** Periodic virtual-clock snapshots of [t] into [m], every [every_us].
-    The chain rides [loop] itself and stops rescheduling once it is the only
-    pending work, so the loop still drains. A no-op when [m] is disabled. *)
+    The chain rides [loop] itself as a daemon and stops rescheduling once
+    no work is pending, so the loop still drains. A no-op when [m] is
+    disabled. *)
 let snapshot_periodically (t : t) (m : Acrobat_obs.Metrics.t) loop ~every_us =
   if Acrobat_obs.Metrics.enabled m then begin
     let rec snap () =
       to_metrics t m;
       Acrobat_obs.Metrics.snapshot m ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending loop > 0 then Event_loop.schedule_after loop ~delay:every_us snap
+      if Event_loop.pending_work loop > 0 then
+        Event_loop.schedule_daemon loop ~delay:every_us snap
     in
-    Event_loop.schedule_after loop ~delay:every_us snap
+    Event_loop.schedule_daemon loop ~delay:every_us snap
   end
 
 (** End-of-run bookkeeping once [loop] has drained: the run's end time and

@@ -812,10 +812,10 @@ let rec tick st () =
   | Autoscaler.Hold -> ()
   | Autoscaler.Scale_up -> scale_up st
   | Autoscaler.Scale_down -> scale_down st);
-  (* The control loop rides the event queue and stops rescheduling once it
-     is the only pending work, so the simulation drains. *)
-  if Event_loop.pending st.loop > 0 then
-    Event_loop.schedule_after st.loop ~delay:st.cfg.t_autoscale.Autoscaler.as_interval_us
+  (* The control loop rides the event queue as a daemon and stops
+     rescheduling once no work is pending, so the simulation drains. *)
+  if Event_loop.pending_work st.loop > 0 then
+    Event_loop.schedule_daemon st.loop ~delay:st.cfg.t_autoscale.Autoscaler.as_interval_us
       (tick st)
 
 (* --- Reports --- *)
@@ -948,23 +948,26 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
         | c -> c)
       !merged
   in
-  List.iteri
-    (fun id (at, ti, k) ->
-      let ts = st.tenants.(ti) in
-      let r =
-        {
-          Admission.rq_id = id;
-          rq_payload = payload ~tenant:ti ~index:k ~id;
-          rq_arrival_us = at;
-          rq_deadline_us =
-            Option.map (fun d -> at +. d) (Tenant.slo_us ts.ts_tenant);
-        }
-      in
-      Event_loop.schedule loop ~at (fun () -> on_arrival st ts r))
-    merged;
+  let merged = Array.of_list merged in
+  let requests =
+    Array.mapi
+      (fun id (at, ti, k) ->
+        let ts = st.tenants.(ti) in
+        ( ts,
+          {
+            Admission.rq_id = id;
+            rq_payload = payload ~tenant:ti ~index:k ~id;
+            rq_arrival_us = at;
+            rq_deadline_us = Option.map (fun d -> at +. d) (Tenant.slo_us ts.ts_tenant);
+          } ))
+      merged
+  in
+  Event_loop.feed loop (Array.map (fun (at, _, _) -> at) merged) (fun id ->
+      let ts, r = requests.(id) in
+      on_arrival st ts r);
   (* The control loop only matters when the pool can actually change. *)
   if cfg.t_autoscale.Autoscaler.as_max > cfg.t_autoscale.Autoscaler.as_min then
-    Event_loop.schedule_after loop ~delay:cfg.t_autoscale.Autoscaler.as_interval_us
+    Event_loop.schedule_daemon loop ~delay:cfg.t_autoscale.Autoscaler.as_interval_us
       (tick st);
   (* A launch pass at the heal instant re-admits partitioned replicas even
      when no completion or arrival lands right then. *)

@@ -532,6 +532,75 @@ let test_plan_shape_error_every_time () =
   let outs = slice_of [ 1; 8 ] in
   Alcotest.(check (list int)) "a fitting shape still plans" [ 1; 4 ] (Value.handle_shape outs.(0))
 
+(* Plans are shared per compiled program: both engines attach the
+   registry's plan table, so a later batch — on either engine — reuses
+   every plan an earlier one built instead of planning again. *)
+let test_plans_shared_per_program () =
+  List.iter
+    (fun id ->
+      let model = Models.tiny id in
+      let compiled = compile ~inputs:model.Model.inputs model.Model.source in
+      let table = compiled.lprog.Lowered.registry.Kernel.plan_table in
+      let run mode =
+        Driver.run_batch ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
+          ~lprog:compiled.lprog ~weights:(model.Model.gen_weights 1)
+          ~instances:(gen_batch model ~batch:4 ~seed:3) ()
+      in
+      let output_plans (r : Driver.result) =
+        List.concat_map
+          (fun v ->
+            List.filter_map
+              (function Value.Hnode (n, _) -> Some n.Value.plan | Value.Hmat _ -> None)
+              (Value.handles [] v))
+          r.Driver.outputs
+      in
+      let first = run Driver.Aot_mode in
+      let built = Array.copy table.Kernel.by_kernel in
+      check_true (id ^ ": the first batch planned") (Array.exists (( <> ) []) built);
+      let again = run Driver.Aot_mode and vm = run Driver.Vm_mode in
+      check_true (id ^ ": later batches built no plan")
+        (Array.length built = Array.length table.Kernel.by_kernel
+        && Array.for_all2 ( == ) built table.Kernel.by_kernel);
+      List.iter
+        (fun r ->
+          check_true (id ^ ": output nodes share the first batch's plans")
+            (List.for_all2 ( == ) (output_plans first) (output_plans r)))
+        [ again; vm ];
+      Array.iteri
+        (fun k plans ->
+          List.iter
+            (fun (p : Kernel.plan) ->
+              check_int (Fmt.str "%s kernel %d: one plan per shape vector" id k) 1
+                (List.length
+                   (List.filter (fun (q : Kernel.plan) -> q.arg_shapes = p.arg_shapes) plans));
+              check_int (Fmt.str "%s kernel %d: filed under its kernel" id k) k p.kernel.id)
+            plans)
+        table.Kernel.by_kernel)
+    Models.tiny_ids
+
+(* A shared table never caches a shape error: a failing plan leaves it
+   untouched, and the first fitting shape adds exactly one plan. *)
+let test_plan_table_skips_shape_errors () =
+  let rt = accounting_runtime ~instances:1 in
+  let table = Kernel.plan_table () in
+  Runtime.share_plans rt table;
+  let b = Kernel.builder () in
+  let t = Kernel.add_instr b (Op.Slice { lo = 0; hi = 4 }) [ Kernel.Arg 0 ] in
+  let slice =
+    Kernel.finish (Kernel.registry ()) b ~name:"slice" ~nargs:1 ~roles:[| Kernel.Batched |]
+      ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  for attempt = 1 to 2 do
+    match Runtime.plan rt slice [| input [ 1; 2 ] |] with
+    | _ -> Alcotest.failf "attempt %d: expected a shape error" attempt
+    | exception Op.Shape_error _ -> ()
+  done;
+  check_int "nothing cached" 0 (List.length (Kernel.plans table slice));
+  let p = Runtime.plan rt slice [| input [ 1; 8 ] |] in
+  check_true "the fitting plan is cached"
+    (match Kernel.plans table slice with [ q ] -> q == p | _ -> false);
+  check_true "and found again" (Runtime.plan rt slice [| input [ 1; 8 ] |] == p)
+
 (* --- Result fingerprints (the integrity layer's detector) --- *)
 
 module Fingerprint = Acrobat_runtime.Fingerprint
@@ -599,6 +668,10 @@ let suite =
       test_plans_per_shape;
     Alcotest.test_case "plans: shape errors raise on every invoke" `Quick
       test_plan_shape_error_every_time;
+    Alcotest.test_case "plans: shared by every batch of one compiled program" `Quick
+      test_plans_shared_per_program;
+    Alcotest.test_case "plans: a shared table never caches a shape error" `Quick
+      test_plan_table_skips_shape_errors;
     prop_fingerprint_detects_perturbation;
     prop_fingerprint_shape_sensitive;
     prop_fingerprint_component_order_invariant;

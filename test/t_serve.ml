@@ -705,6 +705,109 @@ let event_loop_backend_prop script =
   in
   run Event_loop.Heap = run Event_loop.Map_reference
 
+(* --- Fed arrival streams: dispatch order --- *)
+
+(* Events scheduled before the feed, the fed stream (unsorted, tied and
+   past times; the clock starts at [start], so anything earlier is
+   clamped) and events scheduled after it; every event may schedule a
+   child. The fed run must match scheduling each stream event upfront in
+   index order, on both backends, in every observable: dispatch order and
+   times, [pending] as each event runs, and the final counts. *)
+let gen_feed_script =
+  let events n =
+    QCheck2.Gen.(list_size (int_range 0 n) (pair (int_range 0 20) (option (int_range 0 8))))
+  in
+  QCheck2.Gen.(
+    quad (int_range 0 6) (events 6)
+      (list_size (int_range 0 40) (pair (int_range (-5) 20) (option (int_range 0 8))))
+      (events 6))
+
+let feed_run ~backend ~fed (start, before, stream, after) =
+  let clock = Clock.create () in
+  Clock.advance_to clock (float_of_int start);
+  let loop = Event_loop.create ~backend clock in
+  let log = ref [] in
+  let event tag child () =
+    log := (tag, Event_loop.now loop, Event_loop.pending loop) :: !log;
+    match child with
+    | Some d ->
+      Event_loop.schedule_after loop ~delay:(float_of_int d) (fun () ->
+          log := (tag + 10_000, Event_loop.now loop, Event_loop.pending loop) :: !log)
+    | None -> ()
+  in
+  let schedule_all base =
+    List.iteri (fun i (at, child) ->
+        Event_loop.schedule loop ~at:(float_of_int at) (event (base + i) child))
+  in
+  schedule_all 0 before;
+  let times = Array.of_list (List.map (fun (at, _) -> float_of_int at) stream) in
+  let children = Array.of_list (List.map snd stream) in
+  if fed then Event_loop.feed loop times (fun i -> event (100 + i) children.(i) ())
+  else
+    Array.iteri
+      (fun i at -> Event_loop.schedule loop ~at (event (100 + i) children.(i)))
+      times;
+  schedule_all 1_000 after;
+  let pending = Event_loop.pending loop in
+  Event_loop.run loop;
+  ( List.rev !log,
+    pending,
+    Event_loop.dispatched loop,
+    Event_loop.pending loop,
+    Event_loop.clamped_count loop )
+
+let feed_order_prop script =
+  let reference = feed_run ~backend:Event_loop.Map_reference ~fed:false script in
+  List.for_all
+    (fun (backend, fed) -> feed_run ~backend ~fed script = reference)
+    [ Event_loop.Heap, false; Event_loop.Heap, true; Event_loop.Map_reference, true ]
+
+let test_event_loop_feed_counts () =
+  List.iter
+    (fun backend ->
+      let clock = Clock.create () in
+      Clock.advance_to clock 2.0;
+      let loop = Event_loop.create ~backend clock in
+      let seen = ref [] in
+      Event_loop.feed loop [| 5.0; 1.0; 3.0; 1.0 |] (fun i ->
+          seen := (i, Event_loop.now loop, Event_loop.pending loop) :: !seen);
+      check_int "fed events are pending" 4 (Event_loop.pending loop);
+      check_int "past times clamped and counted" 2 (Event_loop.clamped_count loop);
+      Alcotest.check_raises "one stream at a time"
+        (Invalid_argument "Event_loop.feed: a fed stream is still pending") (fun () ->
+          Event_loop.feed loop [| 1.0 |] ignore);
+      Event_loop.run loop;
+      Alcotest.(check (list (triple int (float 0.0) int)))
+        "clamped ties keep index order; pending counts the stream"
+        [ 1, 2.0, 3; 3, 2.0, 2; 2, 3.0, 1; 0, 5.0, 0 ]
+        (List.rev !seen);
+      check_int "every fed event dispatched" 4 (Event_loop.dispatched loop);
+      check_int "nothing left" 0 (Event_loop.pending loop);
+      (* A drained stream makes room for the next one. *)
+      Event_loop.feed loop [| 0.0 |] ignore;
+      check_int "past time counted" 3 (Event_loop.clamped_count loop);
+      Event_loop.run loop;
+      check_int "second stream dispatched" 5 (Event_loop.dispatched loop))
+    [ Event_loop.Heap; Event_loop.Map_reference ]
+
+let test_event_loop_feed_nonfinite () =
+  let loop = Event_loop.create (Clock.create ()) in
+  Alcotest.check_raises "NaN time rejected"
+    (Invalid_argument "Event_loop.feed: non-finite time nan") (fun () ->
+      Event_loop.feed loop [| 1.0; Float.nan |] ignore);
+  Alcotest.check_raises "infinite time rejected"
+    (Invalid_argument "Event_loop.feed: non-finite time inf") (fun () ->
+      Event_loop.feed loop [| Float.infinity |] ignore);
+  check_int "nothing fed" 0 (Event_loop.pending loop);
+  check_int "no clamps" 0 (Event_loop.clamped_count loop);
+  (* No sequence numbers were reserved either: a later schedule at the
+     same time still runs before a later feed's event. *)
+  let log = ref [] in
+  Event_loop.schedule loop ~at:1.0 (fun () -> log := "scheduled" :: !log);
+  Event_loop.feed loop [| 1.0 |] (fun _ -> log := "fed" :: !log);
+  Event_loop.run loop;
+  Alcotest.(check (list string)) "order" [ "scheduled"; "fed" ] (List.rev !log)
+
 (* Same random offer/take scripts as [admission_prop], but run against both
    backends recording every observable — admit/shed decisions, swept and
    dropped request ids, pop order, and the per-tick probes ([length],
@@ -1839,9 +1942,197 @@ let dedup_window_prop (capacity, script) =
         QCheck2.Test.fail_reportf "a live key was evicted early";
       if Net.Dedup.length w <> List.length !model then
         QCheck2.Test.fail_reportf "window holds %d keys, model %d" (Net.Dedup.length w)
-          (List.length !model))
+          (List.length !model);
+      (* Stale entries of removed keys never pile up past the bound. *)
+      if Net.Dedup.queued w > 2 * capacity then
+        QCheck2.Test.fail_reportf "%d queued entries for capacity %d" (Net.Dedup.queued w)
+          capacity)
     script;
   true
+
+(* The shed-nack storm: every delivery is noted and then removed. The
+   window ends empty, and its insertion queue stays within twice the
+   capacity instead of growing with every key ever seen. *)
+let test_dedup_remove_storm_bounded () =
+  let capacity = 512 in
+  let w = Net.Dedup.create ~capacity in
+  let worst = ref 0 in
+  for k = 1 to 200_000 do
+    Net.Dedup.note w k ();
+    Net.Dedup.remove w k;
+    worst := max !worst (Net.Dedup.queued w)
+  done;
+  check_int "no live keys" 0 (Net.Dedup.length w);
+  check_true "queue bounded by twice the capacity" (!worst <= 2 * capacity)
+
+(* Two self-rescheduling observers that each continue only while work is
+   pending: as daemons they stop once the real work is done instead of
+   keeping each other alive. *)
+let test_event_loop_daemons_drain () =
+  let loop = Event_loop.create (Clock.create ()) in
+  let steps = ref 0 in
+  let rec chain every () =
+    incr steps;
+    if !steps > 1_000 then Alcotest.fail "daemon chains never drained";
+    if Event_loop.pending_work loop > 0 then
+      Event_loop.schedule_daemon loop ~delay:every (chain every)
+  in
+  Event_loop.feed loop [| 10.0; 35.0 |] ignore;
+  Event_loop.schedule_daemon loop ~delay:4.0 (chain 4.0);
+  Event_loop.schedule_daemon loop ~delay:7.0 (chain 7.0);
+  check_int "daemons are pending but not work" 2
+    (Event_loop.pending loop - Event_loop.pending_work loop);
+  Event_loop.run loop;
+  check_int "nothing left" 0 (Event_loop.pending loop);
+  (* The 4us chain fires at 4..36, the 7us one at 7..35 (the first step
+     past the last arrival sees no work). *)
+  check_int "both chains stopped after the work" (9 + 5) !steps;
+  check_float "the clock stops at the last daemon step" 36.0 (Event_loop.now loop)
+
+(* A live metrics registry and a movable autoscaler: the snapshot chain
+   and the tick are both daemons, so neither keeps the other pending and
+   the run drains. The metrics do not change what was served. *)
+let test_tenancy_metrics_with_autoscaler_drains () =
+  let module Tenant = Tenancy.Tenant in
+  let module Dispatcher = Tenancy.Dispatcher in
+  let module Autoscaler = Tenancy.Autoscaler in
+  let tenant ~index name : Tenant.t =
+    {
+      Tenant.tn_name = name;
+      tn_model = "treelstm";
+      tn_rate_per_s = 6_000.0;
+      tn_bursty = true;
+      tn_seed = Tenant.derived_seed ~seed:8 ~index;
+      tn_slo_ms = 0.0;
+      tn_quota = 256;
+      tn_weight = 1.0;
+      tn_requests = 300;
+    }
+  in
+  let run metrics =
+    Dispatcher.simulate ~metrics ~snapshot_every_us:5_000.0
+      {
+        Dispatcher.default_config with
+        Dispatcher.t_autoscale = Autoscaler.default ~min_replicas:1 ~max_replicas:3;
+      }
+      ~tenants:[| tenant ~index:0 "alpha"; tenant ~index:1 "beta" |]
+      ~payload:(fun ~tenant:_ ~index:_ ~id -> id)
+      ~execute:(fun _ ~model:_ batch ->
+        Server.Exec_ok
+          {
+            Server.ex_latency_us = 1_500.0 +. (150.0 *. float_of_int (List.length batch));
+            ex_profiler = None;
+            ex_fingerprints = None;
+            ex_corrupted = false;
+          })
+      ~model_bytes:(fun _ -> 0)
+  in
+  let metrics = Metrics.create () in
+  let observed = run metrics and plain = run Metrics.null in
+  check_true "snapshots were taken" (Metrics.snapshot_count metrics > 1);
+  check_true "the fleet scaled" (plain.Dispatcher.tn_scale_events <> []);
+  check_true "same scale trajectory"
+    (observed.Dispatcher.tn_scale_events = plain.Dispatcher.tn_scale_events);
+  let served (r : Dispatcher.report) =
+    let s = Stats.summarize r.Dispatcher.tn_stats in
+    s.Stats.s_offered, s.Stats.s_completed, s.Stats.s_batches
+  in
+  check_true "same requests served" (served observed = served plain)
+
+(* --- Fed arrival streams: byte-identical metrics exports --- *)
+
+(* Periodic metrics snapshots reschedule themselves only while work is
+   pending, so the export pins [Event_loop.pending_work] across the whole
+   run — fed arrivals included. The digests come from scheduling every
+   arrival into the queue upfront, which a fed run must reproduce. *)
+let metrics_digest metrics =
+  Digest.to_hex (Digest.string (Json.to_string (Metrics.to_json metrics)))
+
+let hedged_cluster_metrics () =
+  let metrics = Metrics.create () in
+  let arrivals =
+    Traffic.arrivals ~rng:(Rng.create 17) (Traffic.Poisson { rate_per_s = 6000.0 }) ~n:300
+  in
+  let straggler i ~degraded:_ batch =
+    Server.Exec_ok
+      {
+        Server.ex_latency_us =
+          (if i = 2 then 900.0 else 150.0) +. (20.0 *. float_of_int (List.length batch));
+        ex_profiler = None;
+        ex_fingerprints = None;
+        ex_corrupted = false;
+      }
+  in
+  let _report =
+    Cluster.simulate ~metrics ~snapshot_every_us:2_000.0
+      {
+        Cluster.default_config with
+        Cluster.c_replicas = 3;
+        c_hedge_percentile = Some 80.0;
+        c_server = { Server.default_config with Server.deadline_us = Some 20_000.0 };
+      }
+      ~arrivals ~payload:Fun.id
+      ~executors:(Array.init 3 straggler)
+  in
+  check_true "cluster: periodic snapshots were captured" (Metrics.snapshot_count metrics > 1);
+  metrics_digest metrics
+
+let tenancy_metrics () =
+  let module Tenant = Tenancy.Tenant in
+  let module Dispatcher = Tenancy.Dispatcher in
+  let module Autoscaler = Tenancy.Autoscaler in
+  let metrics = Metrics.create () in
+  let tenant ~index ~model ~rate ~bursty name : Tenant.t =
+    {
+      Tenant.tn_name = name;
+      tn_model = model;
+      tn_rate_per_s = rate;
+      tn_bursty = bursty;
+      tn_seed = Tenant.derived_seed ~seed:4 ~index;
+      tn_slo_ms = 30.0;
+      tn_quota = 32;
+      tn_weight = 1.0 +. float_of_int index;
+      tn_requests = 150;
+    }
+  in
+  let cfg =
+    {
+      Dispatcher.default_config with
+      Dispatcher.t_server =
+        {
+          Server.default_config with
+          Server.policy = Batcher.Adaptive { max_batch = 8; max_wait_us = 400.0 };
+          queue_capacity = 64;
+        };
+      t_autoscale = Autoscaler.fixed 2;
+    }
+  in
+  let _report =
+    Dispatcher.simulate ~metrics ~snapshot_every_us:2_000.0 cfg
+      ~tenants:
+        [|
+          tenant ~index:0 ~model:"treelstm" ~rate:4_000.0 ~bursty:false "alpha";
+          tenant ~index:1 ~model:"birnn" ~rate:2_500.0 ~bursty:true "beta";
+        |]
+      ~payload:(fun ~tenant:_ ~index:_ ~id -> id)
+      ~execute:(fun _ ~model:_ batch ->
+        Server.Exec_ok
+          {
+            Server.ex_latency_us = 400.0 +. (60.0 *. float_of_int (List.length batch));
+            ex_profiler = None;
+            ex_fingerprints = None;
+            ex_corrupted = false;
+          })
+      ~model_bytes:(fun m -> if m = "treelstm" then 1_000_000 else 400_000)
+  in
+  check_true "tenancy: periodic snapshots were captured" (Metrics.snapshot_count metrics > 1);
+  metrics_digest metrics
+
+let test_fed_metrics_identical () =
+  Alcotest.(check string) "hedged cluster export" "e414dd6aec3959d8752e93a6184640e6"
+    (hedged_cluster_metrics ());
+  Alcotest.(check string) "two-tenant export" "5e92cc6de9694812592396e3b4d63d43"
+    (tenancy_metrics ())
 
 let suite =
   [
@@ -1965,4 +2256,18 @@ let suite =
       test_net_naive_reexecutes;
     qtest ~count:500 "net: dedup window vs ordered-list model" gen_dedup_script
       dedup_window_prop;
+    Alcotest.test_case "net: dedup queue bounded under a remove storm" `Quick
+      test_dedup_remove_storm_bounded;
+    qtest ~count:300 "event loop: a fed stream dispatches like scheduling it upfront"
+      gen_feed_script feed_order_prop;
+    Alcotest.test_case "event loop: fed stream pending, dispatched and clamp counts" `Quick
+      test_event_loop_feed_counts;
+    Alcotest.test_case "event loop: non-finite fed times rejected" `Quick
+      test_event_loop_feed_nonfinite;
+    Alcotest.test_case "event loop: fed runs export byte-identical metrics" `Quick
+      test_fed_metrics_identical;
+    Alcotest.test_case "event loop: daemon chains drain with the work" `Quick
+      test_event_loop_daemons_drain;
+    Alcotest.test_case "tenancy: metrics with a movable autoscaler drain" `Quick
+      test_tenancy_metrics_with_autoscaler_drains;
   ]
