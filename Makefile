@@ -122,16 +122,18 @@ chaos-smoke: build
 # (~5 s each), failing if gc.minor_words_per_item exceeds the workload's
 # bound. The metric is exact for a fixed binary (no timing noise). Each
 # bound sits ~20% above its reading with the allocation-lean DFG and
-# executor (DESIGN.md §19) and the constant-cost serving path (§20), so a
-# return to per-node lists, closures or boxed floats in DFG construction
-# or batch execution, to per-batch kernel plans, or to per-event boxing
-# in the event loop fails it. offline-treelstm reads ~8.9k (25.6k before
-# §19, ~419k before node plans, §17). offline-stackrnn-values reads
-# ~71.7k (81.9k before §19, ~212k before the tight host kernels, §18).
-# serve-birnn reads ~17.9k (22.5k before §20, 35.5k before §19) and
-# fleet-overload ~1.34k per request (2.19k before §20, 2.4k before §19).
-ALLOC_GATES = offline-treelstm:11000 offline-stackrnn-values:86000 \
-  serve-birnn:21500 fleet-overload:1600
+# executor (DESIGN.md §19), the constant-cost serving path (§20) and
+# batched-only DFG nodes (§21), so a return to per-node lists, closures or
+# boxed floats in DFG construction or batch execution, to per-batch kernel
+# plans, to shared arguments on every node, or to per-event boxing in the
+# event loop fails it. offline-treelstm reads ~7.64k (8.86k before §21,
+# 25.6k before §19, ~419k before node plans, §17). offline-stackrnn-values
+# reads ~70.6k (71.7k before §21, 81.9k before §19, ~212k before the tight
+# host kernels, §18). serve-birnn reads ~16.8k (17.9k before §21, 22.5k
+# before §20, 35.5k before §19) and fleet-overload ~1.28k per request
+# (1.34k before §21, 2.19k before §20, 2.4k before §19).
+ALLOC_GATES = offline-treelstm:9200 offline-stackrnn-values:86000 \
+  serve-birnn:20100 fleet-overload:1530
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \

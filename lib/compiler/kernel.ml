@@ -34,13 +34,29 @@ type t = {
   name : string;
   nargs : int;
   roles : role array;
-  shared_binds : (int * shared_bind) list;  (** arg index -> binding *)
+  shared_binds : (int * shared_bind) list;
+      (** arg index -> binding, one per [Shared] argument, in index order. *)
+  batched : int array;
+      (** The indices of the [Batched] arguments, ascending: the arguments
+          a DFG node carries, in this order. *)
+  slots : int array;
+      (** Per argument index, its position among the node's batched
+          arguments or among the shared ones (in [shared_binds] order),
+          as its role says. *)
   groups : group list;
   ntmps : int;
   out_tmps : int array;
 }
 
 let out_arity t = Array.length t.out_tmps
+
+(** The argument at index [pos] of an invocation whose [Batched] arguments
+    are [batched] (in [t.batched] order) and whose [Shared] ones are
+    [shared] (in [shared_binds] order). *)
+let arg t ~batched ~shared pos =
+  match t.roles.(pos) with
+  | Batched -> batched.(t.slots.(pos))
+  | Shared -> shared.(t.slots.(pos))
 
 (** Number of device launches one batch of this kernel issues. *)
 let launches t = List.length t.groups
@@ -65,8 +81,14 @@ let tmp_shapes t (arg_shapes : Shape.t array) : Shape.t array =
     instruction walk in {!plan} runs once per distinct shape vector, not
     once per node. *)
 type plan = {
+  id : int;
+      (** Unique across every plan table: the batching signature ACROBAT
+          interns a node to ({!signature} is its printed form). *)
   kernel : t;
-  arg_shapes : Shape.t array;
+  arg_shapes : Shape.t array;  (** Every argument's shape, shared ones included. *)
+  batched_shapes : Shape.t array;
+      (** The shapes of the [Batched] arguments, in [kernel.batched] order:
+          what a node's own arguments must match to use this plan. *)
   out_shapes : Shape.t array;
   group_flops : float array;  (** Per-instance FLOPs of each group. *)
   group_bytes : float array;
@@ -85,6 +107,8 @@ type plan = {
   signature : string;
       (** ACROBAT's batching signature: kernel identity + argument shapes. *)
 }
+
+let next_plan_id = Atomic.make 0
 
 (** Build the plan of [t] at [arg_shapes] in one pass over the
     instructions. Raises {!Op.Shape_error} if the shapes do not fit. *)
@@ -122,8 +146,10 @@ let plan t (arg_shapes : Shape.t array) : plan =
       if role = Shared then shared_elems := max !shared_elems (Shape.numel arg_shapes.(i)))
     t.roles;
   {
+    id = Atomic.fetch_and_add next_plan_id 1;
     kernel = t;
     arg_shapes = Array.copy arg_shapes;
+    batched_shapes = Array.map (fun i -> arg_shapes.(i)) t.batched;
     out_shapes = Array.map (fun i -> tmps.(i)) t.out_tmps;
     group_flops;
     group_bytes = Array.of_list (List.map snd costs);
@@ -153,7 +179,7 @@ type plan_table = { mutable by_kernel : plan list array }
 let plan_table () = { by_kernel = [||] }
 
 (** The plans [tbl] holds for [k]. *)
-let plans tbl k = if k.id < Array.length tbl.by_kernel then tbl.by_kernel.(k.id) else []
+let plans tbl (k : t) = if k.id < Array.length tbl.by_kernel then tbl.by_kernel.(k.id) else []
 
 (** Remember [p] for its kernel. *)
 let add_plan tbl (p : plan) =
@@ -314,6 +340,17 @@ let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
   match Hashtbl.find_opt r.table key with
   | Some k -> k
   | None ->
+    let positions role =
+      List.filter (fun i -> roles.(i) = role) (List.init nargs Fun.id) |> Array.of_list
+    in
+    let batched = positions Batched and shared = positions Shared in
+    if Array.length roles <> nargs || Array.to_list shared <> List.map fst shared_binds then
+      invalid_arg
+        (Fmt.str "Kernel.finish %s: shared_binds must bind exactly the Shared arguments, in order"
+           name);
+    let slots = Array.make nargs 0 in
+    Array.iteri (fun j i -> slots.(i) <- j) batched;
+    Array.iteri (fun j i -> slots.(i) <- j) shared;
     let groups =
       vertical_groups ~fusion instrs
       |> horizontal_merge ~horizontal
@@ -326,6 +363,8 @@ let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
         nargs;
         roles;
         shared_binds;
+        batched;
+        slots;
         groups;
         ntmps = b.next_tmp;
         out_tmps;
@@ -335,7 +374,7 @@ let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
     Hashtbl.replace r.table key k;
     k
 
-let pp ppf t =
+let pp ppf (t : t) =
   Fmt.pf ppf "kernel %d %s: %d args (%a), %d groups, %d outs" t.id t.name t.nargs
     Fmt.(array ~sep:(any "") (fmt "%s"))
     (Array.map (function Shared -> "S" | Batched -> "B") t.roles)

@@ -302,7 +302,8 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
         (match Hashtbl.find_opt st.hints kernel.Kernel.id with
         | Some w when w >= weight -> ()
         | _ -> Hashtbl.replace st.hints kernel.Kernel.id weight);
-        { L.kernel; args; depth; outs; site })
+        let batched_args = List.filteri (fun i _ -> roles.(i) = Kernel.Batched) args in
+        { L.kernel; args; batched_args; depth; outs; site })
       pieces
   in
   let outs_all = List.concat_map (fun b -> b.L.outs) blocks in

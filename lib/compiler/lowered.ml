@@ -14,9 +14,13 @@ type depth_spec =
 
 type block = {
   kernel : Kernel.t;
-  args : lexpr list;  (** Expressions for the {e batched} arguments, in
-                          argument-index order (shared ones are resolved from
-                          [Kernel.shared_binds] by the executor). *)
+  args : lexpr list;
+      (** Every argument, in index order: an [Lshared] of the kernel's
+          binding at each [Shared] index. *)
+  batched_args : lexpr list;
+      (** The [Batched] arguments alone, in index order: what a DFG node
+          carries (the runtime resolves shared ones from
+          [Kernel.shared_binds], once per kernel). *)
   depth : depth_spec;
   outs : string list;  (** Variables bound to the kernel outputs. *)
   site : int;  (** Source site id (profiling / PGO attribution). *)

@@ -201,7 +201,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let c_f = compile st scope c and a_f = compile st scope a and b_f = compile st scope b in
     fun env ictx -> if to_bool (c_f env ictx) then a_f env ictx else b_f env ictx
   | L.Lblock (b, cont) ->
-    let arg_fs = Array.of_list (List.map (compile st scope) b.args) in
+    let arg_fs = Array.of_list (List.map (compile st scope) b.batched_args) in
     let out_slots = Array.of_list (List.map (fresh_slot scope) b.outs) in
     let cont_f = compile st scope cont in
     let kernel = b.kernel in
@@ -216,7 +216,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           d
       in
       let plan = Runtime.plan st.rt kernel args in
-      let sig_key = st.policy.Policy.sig_of ~base:plan.signature kernel args in
+      let sig_key = st.policy.Policy.sig_of st.rt plan args in
       let outs =
         Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
           ~sig_key

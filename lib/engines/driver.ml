@@ -123,19 +123,26 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
       h
     | [] -> fail "input handle underflow"
   in
-  let entry = L.entry_def lprog in
+  (* @main's parameters, classified once per batch. A weight's handle is
+     looked up at its first use, so an unknown weight fails where it
+     always did: at the first instance that reaches it, after that
+     instance's earlier parameters, and not at all without instances. *)
+  let params = Array.of_list (L.entry_def lprog).L.lparams in
+  let is_weight = Array.map (fun p -> List.mem p lprog.L.weight_params) params in
+  let weight_args = Array.make (Array.length params) Vnil in
+  let arg inputs k =
+    let pname = params.(k) in
+    if is_weight.(k) then begin
+      if weight_args.(k) == Vnil then weight_args.(k) <- Vtensor (Runtime.weight rt pname);
+      weight_args.(k)
+    end
+    else
+      match List.assoc_opt pname inputs with
+      | Some hv -> hval_to_value next_handle hv
+      | None -> fail "missing input %S for an instance" pname
+  in
   let instance_args =
-    List.map
-      (fun inputs ->
-        List.map
-          (fun pname ->
-            if List.mem pname lprog.L.weight_params then Vtensor (Runtime.weight rt pname)
-            else
-              match List.assoc_opt pname inputs with
-              | Some hv -> hval_to_value next_handle hv
-              | None -> fail "missing input %S for an instance" pname)
-          entry.L.lparams)
-      instances
+    List.map (fun inputs -> List.init (Array.length params) (arg inputs)) instances
   in
   (* Execute. *)
   let outputs = Array.make n_instances Vnil in

@@ -9,9 +9,11 @@ open Acrobat_runtime
 open Acrobat_compiler
 
 type t = {
-  sig_of : base:string -> Kernel.t -> Value.handle array -> string;
-      (** A node's batching signature, given [base], ACROBAT's signature
-          of its plan (kernel identity + argument shapes). *)
+  sig_of : Runtime.t -> Kernel.plan -> Value.handle array -> int;
+      (** A node's batching signature, given the runtime building it, its
+          plan and its batched arguments. ACROBAT's is the plan's id
+          (kernel identity + argument shapes); other signatures are
+          interned by the runtime ({!Runtime.intern_signature}). *)
   allow_fork : bool;  (** Fork fibers at [concurrent]/[map] (§4.2). *)
   eager : bool;  (** Flush after every node (no batching: PyTorch). *)
   batched_io : bool;  (** Batch host<->device transfers (§D.3). *)
@@ -23,10 +25,13 @@ type t = {
           (§C.1) matter. *)
 }
 
+(* Kernel identity + shapes: the plan's id. *)
+let plan_sig _ (plan : Kernel.plan) _ = plan.id
+
 (** ACROBAT: kernel identity + shapes. All reuse knowledge is static. *)
 let acrobat_policy =
   {
-    sig_of = (fun ~base _ _ -> base);
+    sig_of = plan_sig;
     allow_fork = true;
     eager = false;
     batched_io = true;
@@ -102,24 +107,24 @@ let classify_for_dynet ~improved_matmul (kernel : Kernel.t)
       unique signature and executes alone. *)
 let dynet_sig ?(improved_matmul = false) () =
   let unique = ref 0 in
-  let classes : (string, dynet_class) Hashtbl.t = Hashtbl.create 64 in
-  fun ~base (kernel : Kernel.t) (args : Value.handle array) ->
+  let classes : (int, dynet_class) Hashtbl.t = Hashtbl.create 64 in
+  fun rt (plan : Kernel.plan) (args : Value.handle array) ->
     let cls =
-      match Hashtbl.find_opt classes base with
+      match Hashtbl.find_opt classes plan.id with
       | Some c -> c
       | None ->
-        let c =
-          classify_for_dynet ~improved_matmul kernel (Array.map Value.handle_shape args)
-        in
-        Hashtbl.replace classes base c;
+        let c = classify_for_dynet ~improved_matmul plan.kernel plan.arg_shapes in
+        Hashtbl.replace classes plan.id c;
         c
     in
     match cls with
-    | Dplain -> base
-    | Dmatmul_key j -> base ^ "|wt=" ^ arg_identity args.(j)
+    | Dplain -> plan.id
+    | Dmatmul_key j ->
+      Runtime.intern_signature rt
+        (plan.signature ^ "|wt=" ^ arg_identity (Runtime.kernel_arg rt plan.kernel args j))
     | Dunbatchable ->
       incr unique;
-      base ^ "|u" ^ string_of_int !unique
+      Runtime.intern_signature rt (plan.signature ^ "|u" ^ string_of_int !unique)
 
 (** DyNet baseline. [improved] applies the paper's §E.4 fixes (DN++):
     a relaxed matmul heuristic, and manually exposed instance
@@ -136,7 +141,7 @@ let dynet_policy ?(improved = false) () =
 (** PyTorch-like eager execution: one kernel per op, no batching at all. *)
 let pytorch_policy =
   {
-    sig_of = (fun ~base _ _ -> base);
+    sig_of = plan_sig;
     allow_fork = false;
     eager = true;
     batched_io = false;

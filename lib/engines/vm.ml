@@ -97,7 +97,10 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
   | L.Lif (c, a, b) ->
     if to_bool (eval st env ictx c) then eval st env ictx a else eval st env ictx b
   | L.Lblock (b, cont) ->
-    let args = Array.of_list (List.map (fun a -> to_handle (eval st env ictx a)) b.args) in
+    (* Every argument expression is evaluated, and pays its dispatch; the
+       node keeps the batched ones. *)
+    let all = Array.of_list (List.map (fun a -> to_handle (eval st env ictx a)) b.args) in
+    let args = Array.map (fun pos -> all.(pos)) b.kernel.Kernel.batched in
     let depth =
       match b.depth with
       | L.Static d -> d
@@ -107,7 +110,7 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
         d
     in
     let plan = Runtime.plan st.rt b.kernel args in
-    let sig_key = st.policy.Policy.sig_of ~base:plan.signature b.kernel args in
+    let sig_key = st.policy.Policy.sig_of st.rt plan args in
     let outs =
       Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
         ~sig_key

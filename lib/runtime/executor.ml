@@ -27,9 +27,10 @@ type policy = {
           runtime check); statically generated kernels do not do this. *)
 }
 
-(* Allocates nothing on the hot path: [handle_out] would box a [Some]. *)
-let arg_out nd pos =
-  match nd.args.(pos) with
+(* The materialized output behind [h], argument [pos] of [nd]. Allocates
+   nothing on the hot path: [handle_out] would box a [Some]. *)
+let out_exn nd pos h =
+  match h with
   | Hmat o -> o
   | Hnode (m, slot) -> (
     match m.outs with
@@ -58,45 +59,42 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   let kernel = plan0.kernel in
   (* Per-argument gather handling. One pass over the batch, node by node
      (a node's arguments sit together in memory), finds for every batched
-     position whether its inputs share one address, whether they lie back
+     argument whether its inputs share one address, whether they lie back
      to back ({!Memory.contiguous}), and how many elements they hold.
-     Shared positions are read once per batch, whatever the addresses:
-     they are only checked to exist. *)
+     Nodes carry only their batched arguments: shared ones are read once
+     per batch, whatever their addresses, so they are not scanned. *)
   let nargs = kernel.Kernel.nargs in
-  let batched pos =
-    match kernel.Kernel.roles.(pos) with Kernel.Batched -> true | Kernel.Shared -> false
-  in
-  let first = Array.make nargs 0 and next = Array.make nargs 0 and elems = Array.make nargs 0 in
-  let same_addr = Array.make nargs true and contiguous = Array.make nargs true in
+  let batched = kernel.Kernel.batched in
+  let nb = Array.length batched in
+  let first = Array.make nb 0 and next = Array.make nb 0 and elems = Array.make nb 0 in
+  let same_addr = Array.make nb true and contiguous = Array.make nb true in
   for i = 0 to n - 1 do
     let nd = nodes.(i) in
-    for pos = 0 to nargs - 1 do
-      let o = arg_out nd pos in
-      if batched pos then begin
-        if i = 0 then first.(pos) <- o.addr
-        else begin
-          if o.addr <> first.(pos) then same_addr.(pos) <- false;
-          if o.addr <> next.(pos) then contiguous.(pos) <- false
-        end;
-        let e = out_elems o in
-        next.(pos) <- o.addr + e;
-        elems.(pos) <- elems.(pos) + e
-      end
+    for j = 0 to nb - 1 do
+      let o = out_exn nd batched.(j) nd.args.(j) in
+      if i = 0 then first.(j) <- o.addr
+      else begin
+        if o.addr <> first.(j) then same_addr.(j) <- false;
+        if o.addr <> next.(j) then contiguous.(j) <- false
+      end;
+      let e = out_elems o in
+      next.(j) <- o.addr + e;
+      elems.(j) <- elems.(j) + e
     done
   done;
   (* A fully dynamic system detects pointer-identical arguments at batch
      time; a static system has already compiled the decision. *)
-  let arg_shared =
-    Array.init nargs (fun pos ->
-        (not (batched pos)) || (policy.detect_dynamic_sharing && same_addr.(pos)))
-  in
+  let arg_shared = Array.make nargs true in
+  for j = 0 to nb - 1 do
+    arg_shared.(batched.(j)) <- policy.detect_dynamic_sharing && same_addr.(j)
+  done;
   let scattered = ref false in
-  for pos = 0 to nargs - 1 do
-    if not (arg_shared.(pos) || contiguous.(pos)) then begin
+  for j = 0 to nb - 1 do
+    if not (arg_shared.(batched.(j)) || contiguous.(j)) then begin
       if policy.gather_fusion then scattered := true
       else begin
-        let bytes = elems.(pos) * Cost_model.bytes_per_elem in
-        ignore (Device.launch_gather device ~bytes ~elems:elems.(pos))
+        let bytes = elems.(j) * Cost_model.bytes_per_elem in
+        ignore (Device.launch_gather device ~bytes ~elems:elems.(j))
       end
     end
   done;
@@ -166,14 +164,12 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
     Array.iteri
       (fun i (nd : node) ->
         let args =
-          Array.mapi
-            (fun pos _ ->
-              match (arg_out nd pos).tensor with
+          Array.init nargs (fun pos ->
+              match (out_exn nd pos (node_arg nd pos)).tensor with
               | Some t -> t
               | None ->
                 fail "kernel %s: value computation requested but argument %d has no value"
                   nd.plan.kernel.Kernel.name pos)
-            nd.args
         in
         let results = Kernel.execute ~rand:(rand_for nd.instance) nd.plan.kernel args in
         let results = if corrupting then Array.map perturb results else results in

@@ -13,11 +13,22 @@ open Acrobat_compiler
 type flop_total = { mutable total : float }
 
 (* What the runtime keeps per kernel: its PGO statistics (invocations,
-   total flops, max shared-argument elements). *)
+   total flops, max shared-argument elements), and the kernel's shared
+   arguments and plans as this runtime resolved them. Entries are indexed
+   by kernel id, which is dense per registry; [bound] names the kernel the
+   resolved fields belong to, so a kernel of another registry with the
+   same id re-resolves them instead of reading another kernel's. *)
 type kernel_entry = {
   mutable calls : int;
   flops : flop_total;
   mutable max_shared : int;
+  mutable bound : Kernel.t option;
+  mutable shared : handle array;
+      (** [bound]'s shared arguments in [shared_binds] order, resolved once:
+          every node of the kernel points at this one array. *)
+  mutable plans : Kernel.plan list;
+      (** The plans of [bound] this runtime has used. All fit [shared], so
+          a node is matched on its batched shapes alone. *)
 }
 
 type t = {
@@ -38,6 +49,10 @@ type t = {
           its kernel's profile with one array load, no hashing. *)
   mutable rngs : Rng.t array;  (** Per-instance decision streams (§E.1). *)
   mutable flushes : int;
+  mutable sig_ids : (string, int) Hashtbl.t option;
+      (** Signatures interned by name ({!intern_signature}); created on
+          first use, which only DyNet's composite signatures make. *)
+  mutable sig_names : string array;  (** Name of interned id [-(i + 1)] at [i]. *)
 }
 
 let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
@@ -53,6 +68,8 @@ let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
     kernels = [||];
     rngs = Array.init instances (fun i -> Rng.create ((seed * 1_000_003) + i));
     flushes = 0;
+    sig_ids = None;
+    sig_names = [||];
   }
 
 (** Re-key the per-instance decision streams before execution. By default
@@ -72,12 +89,17 @@ let rng_for t instance = t.rngs.(instance)
 
 (* --- Materialization of non-DFG tensors --- *)
 
+(* Forget every kernel's resolved shared arguments and plans: the next
+   node of each kernel resolves them again. *)
+let unbind_kernels t = Array.iter (fun e -> e.bound <- None) t.kernels
+
 (** Register a model weight (resident on the device; not charged per run). *)
 let set_weight t name tensor =
   let elems = Tensor.numel tensor in
   let addr = Device.alloc t.device ~elems in
   Hashtbl.replace t.weights name
-    (Hmat { tensor = Some tensor; addr; shape = Tensor.shape tensor })
+    (Hmat { tensor = Some tensor; addr; shape = Tensor.shape tensor });
+  unbind_kernels t
 
 let weight t name =
   match Hashtbl.find_opt t.weights name with
@@ -127,26 +149,6 @@ let download t ~batched (hs : handle list) =
 
 (* --- DFG construction --- *)
 
-(* [find_plan] allocates nothing on a hit: it runs once per DFG node. A
-   plan's shapes are usually the very lists its arguments carry (weights,
-   and outputs of nodes with the same plan), so physical equality settles
-   most comparisons before [Shape.equal] walks them. *)
-let rec fits (shapes : Shape.t array) (args : handle array) i =
-  i = Array.length args
-  ||
-  let s = handle_shape args.(i) in
-  (shapes.(i) == s || Shape.equal shapes.(i) s) && fits shapes args (i + 1)
-
-let rec find_plan kernel args = function
-  | [] -> raise Not_found
-  | (p : Kernel.plan) :: rest ->
-    if
-      p.kernel == kernel
-      && Array.length p.arg_shapes = Array.length args
-      && fits p.arg_shapes args 0
-    then p
-    else find_plan kernel args rest
-
 let kernel_entry t (kernel : Kernel.t) =
   let id = kernel.id in
   if id >= Array.length t.kernels then begin
@@ -156,37 +158,107 @@ let kernel_entry t (kernel : Kernel.t) =
         (max (id + 1) (2 * Array.length old))
         (fun i ->
           if i < Array.length old then old.(i)
-          else { calls = 0; flops = { total = 0.0 }; max_shared = 0 })
+          else
+            {
+              calls = 0;
+              flops = { total = 0.0 };
+              max_shared = 0;
+              bound = None;
+              shared = [||];
+              plans = [];
+            })
   end;
   t.kernels.(id)
+
+(* [kernel]'s entry with its shared arguments resolved: once per kernel
+   per runtime, from [shared_binds], in argument order (the order the
+   engines used to evaluate them in, so constants materialize in the same
+   order at the same addresses). *)
+let bound_entry t (kernel : Kernel.t) =
+  let e = kernel_entry t kernel in
+  (match e.bound with
+  | Some k when k == kernel -> ()
+  | Some _ | None ->
+    e.shared <- Array.of_list (List.map (fun (_, b) -> shared_handle t b) kernel.shared_binds);
+    e.plans <- [];
+    e.bound <- Some kernel);
+  e
+
+(** The argument at index [pos] of a node of [kernel] whose batched
+    arguments are [args]. *)
+let kernel_arg t kernel (args : handle array) pos =
+  Kernel.arg kernel ~batched:args ~shared:(bound_entry t kernel).shared pos
 
 (** Plan from [table] — the plan table of the program [t] runs — from now
     on. Engines attach their program's table at creation, so every batch
     of one compiled program shares its plans. *)
-let share_plans t table = t.plans <- table
+let share_plans t table =
+  t.plans <- table;
+  unbind_kernels t
 
-(** The plan of [kernel] at the shapes of [args]: built on first use,
-    then shared by every node with the same kernel and argument shapes.
-    A shape error propagates and is never cached. *)
-let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
-  try find_plan kernel args (Kernel.plans t.plans kernel)
-  with Not_found ->
-    let p = Kernel.plan kernel (Array.map handle_shape args) in
+(* [find_plan] allocates nothing on a hit: it runs once per DFG node, and
+   compares the node's batched arguments only (every plan of an entry fits
+   its shared ones). A plan's shapes are usually the very lists its
+   arguments carry (outputs of nodes with the same plan), so physical
+   equality settles most comparisons before [Shape.equal] walks them. *)
+let rec fits (shapes : Shape.t array) (args : handle array) i =
+  i = Array.length args
+  ||
+  let s = handle_shape args.(i) in
+  (shapes.(i) == s || Shape.equal shapes.(i) s) && fits shapes args (i + 1)
+
+let rec find_plan args = function
+  | [] -> raise Not_found
+  | (p : Kernel.plan) :: rest ->
+    if Array.length p.batched_shapes = Array.length args && fits p.batched_shapes args 0 then p
+    else find_plan args rest
+
+(* The plan of [kernel] at [shapes] from the program's table, or a new one
+   added to it: once per kernel and shape vector per runtime. *)
+let table_plan t (kernel : Kernel.t) (shapes : Shape.t array) =
+  match
+    List.find_opt
+      (fun (p : Kernel.plan) -> p.kernel == kernel && Array.for_all2 Shape.equal p.arg_shapes shapes)
+      (Kernel.plans t.plans kernel)
+  with
+  | Some p -> p
+  | None ->
+    let p = Kernel.plan kernel shapes in
     Kernel.add_plan t.plans p;
     p
 
-(** Append one DFG node; returns handles on its outputs. [plan] must be
-    [plan t kernel args]. *)
+(** The plan of [kernel] for a node whose batched arguments are [args]:
+    built on first use, then shared by every node with the same kernel and
+    argument shapes. A shape error propagates and is never cached. *)
+let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
+  let e = bound_entry t kernel in
+  try find_plan args e.plans
+  with Not_found ->
+    if Array.length args <> Array.length kernel.batched then
+      fail "kernel %s: %d batched arguments given, %d expected" kernel.name
+        (Array.length args) (Array.length kernel.batched);
+    let shapes =
+      Array.init kernel.nargs (fun pos ->
+          handle_shape (Kernel.arg kernel ~batched:args ~shared:e.shared pos))
+    in
+    let p = table_plan t kernel shapes in
+    e.plans <- p :: e.plans;
+    p
+
+(** Append one DFG node; returns handles on its outputs. [args] are the
+    node's batched arguments and [plan] must be [plan t kernel args]. *)
 let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
-    ~(sig_key : string) : handle array =
+    ~(sig_key : int) : handle array =
   Device.charge_dfg_node t.device;
-  let node = { id = t.next_id; plan; args; phase; depth; instance; sig_key; outs = None } in
+  let e = bound_entry t plan.kernel in
+  let node =
+    { id = t.next_id; plan; args; shared = e.shared; phase; depth; instance; sig_key; outs = None }
+  in
   t.next_id <- t.next_id + 1;
   t.pending <- node :: t.pending;
   (match t.scheduler with
   | Config.Inline_depth -> Device.charge_bucket_push t.device
   | Config.Runtime_depth | Config.Agenda -> ());
-  let e = kernel_entry t plan.kernel in
   e.calls <- e.calls + 1;
   e.flops.total <- e.flops.total +. plan.flops;
   if plan.shared_elems > e.max_shared then e.max_shared <- plan.shared_elems;
@@ -200,6 +272,41 @@ let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~dept
     outs
   end
 
+(* --- Batching signatures --- *)
+
+(** An id for the batching signature [name], equal for equal names within
+    this runtime. Interned ids are negative, so they never equal a plan's
+    id (ACROBAT's signatures). *)
+let intern_signature t name =
+  let ids =
+    match t.sig_ids with
+    | Some ids -> ids
+    | None ->
+      let ids = Hashtbl.create 64 in
+      t.sig_ids <- Some ids;
+      ids
+  in
+  match Hashtbl.find_opt ids name with
+  | Some id -> id
+  | None ->
+    let i = Hashtbl.length ids in
+    if i = Array.length t.sig_names then begin
+      let bigger = Array.make (max 16 (2 * i)) "" in
+      Array.blit t.sig_names 0 bigger 0 i;
+      t.sig_names <- bigger
+    end;
+    t.sig_names.(i) <- name;
+    Hashtbl.replace ids name (-(i + 1));
+    -(i + 1)
+
+(** The printed form of [sig_key], a signature of a node planned as
+    [plan]: the plan's own, or the name it was interned from. *)
+let signature_name t (plan : Kernel.plan) sig_key =
+  let interned = match t.sig_ids with Some ids -> Hashtbl.length ids | None -> 0 in
+  if sig_key = plan.id then plan.signature
+  else if sig_key < 0 && -sig_key <= interned then t.sig_names.(-sig_key - 1)
+  else fail "signature %d is neither plan %d's nor interned by this runtime" sig_key plan.id
+
 (** Schedule and execute everything pending. *)
 let flush t =
   match t.pending with
@@ -207,7 +314,11 @@ let flush t =
   | pending ->
     t.pending <- [];
     t.flushes <- t.flushes + 1;
-    let batches = Scheduler.schedule t.scheduler t.device (List.rev pending) in
+    let batches =
+      Scheduler.schedule
+        ~sig_name:(fun n -> signature_name t n.plan n.sig_key)
+        t.scheduler t.device (List.rev pending)
+    in
     List.iter (Executor.exec_batch t.device t.policy ~rand_for:(rng_for t)) batches
 
 let flush_count t = t.flushes

@@ -21,39 +21,79 @@ module Device = Acrobat_device.Device
 
 type batch = node list
 
+module Itbl = Hashtbl.Make (Int)
+
+(* One batch in the making: the nodes of one (phase, depth, signature). *)
+type group = {
+  g_phase : int;
+  g_depth : int;
+  g_sig : int;
+  g_first : int;  (** Id of the first node. *)
+  mutable members : node list;  (** Reversed. *)
+}
+
+(* The groups at one depth, all phases: a handful, so a list. *)
+type bucket = { mutable groups : group list }
+
+(* Add [n], at [depth], to its group among [b]'s, opening one if none
+   matches. *)
+let rec join b (n : node) depth = function
+  | [] ->
+    b.groups <-
+      { g_phase = n.phase; g_depth = depth; g_sig = n.sig_key; g_first = n.id; members = [ n ] }
+      :: b.groups
+  | g :: rest ->
+    if g.g_sig = n.sig_key && g.g_phase = n.phase then g.members <- n :: g.members
+    else join b n depth rest
+
 (* Group [nodes] by (phase, depth, signature); batches ordered by
    (phase, depth, first insertion). [depth_of] lets runtime-depth scheduling
-   override the node's recorded depth. *)
+   override the node's recorded depth. Per node this is one int-keyed
+   lookup of its depth's bucket and a scan of that bucket's groups,
+   comparing ints: no key is allocated and no signature is hashed. *)
 let group_by_depth ?(depth_of = fun n -> n.depth) (nodes : node list) : batch list =
-  let tbl : (int * int * string, (int * node list ref)) Hashtbl.t = Hashtbl.create 64 in
+  let buckets : bucket Itbl.t = Itbl.create 64 in
   List.iter
     (fun n ->
-      let key = n.phase, depth_of n, n.sig_key in
-      match Hashtbl.find_opt tbl key with
-      | Some (_, cell) -> cell := n :: !cell
-      | None -> Hashtbl.replace tbl key (n.id, ref [ n ]))
+      let depth = depth_of n in
+      let b =
+        match Itbl.find buckets depth with
+        | b -> b
+        | exception Not_found ->
+          let b = { groups = [] } in
+          Itbl.add buckets depth b;
+          b
+      in
+      join b n depth b.groups)
     nodes;
-  Hashtbl.fold (fun (phase, depth, _) (id0, cell) acc -> ((phase, depth, id0), List.rev !cell) :: acc) tbl []
-  |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-  |> List.map snd
+  Itbl.fold (fun _ b acc -> List.rev_append b.groups acc) buckets []
+  |> List.sort (fun g1 g2 ->
+         if g1.g_phase <> g2.g_phase then Int.compare g1.g_phase g2.g_phase
+         else if g1.g_depth <> g2.g_depth then Int.compare g1.g_depth g2.g_depth
+         else Int.compare g1.g_first g2.g_first)
+  |> List.map (fun g -> List.rev g.members)
 
 let inline_depth (_device : Device.t) nodes =
   (* Depths were computed inline during construction; insertion already
      charged the O(1) bucket push per node. *)
   group_by_depth nodes
 
-let runtime_depth (device : Device.t) nodes =
-  (* Nodes arrive in insertion order, which is a valid dependency order
-     (obs. O.1), so one forward pass suffices — but the traversal itself
-     costs per node and per edge. *)
+(* Topological depths over the pending subgraph. Nodes arrive in insertion
+   order, which is a valid dependency order (obs. O.1), so one forward pass
+   suffices — but the traversal itself costs: one heap operation per node
+   and a step per kernel argument, shared ones included (a dynamic
+   framework's graph holds an edge per argument). *)
+let topo_depths (device : Device.t) nodes =
   let depths : (int, int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun n ->
       Device.charge_heap_op device;
+      for _ = 1 to n.plan.kernel.Acrobat_compiler.Kernel.nargs do
+        Device.charge_scheduling device 0.02
+      done;
       let d =
         Array.fold_left
           (fun acc h ->
-            Device.charge_scheduling device 0.02;
             match h with
             | Hnode (m, _) when not (node_executed m) ->
               max acc (1 + Option.value ~default:0 (Hashtbl.find_opt depths m.id))
@@ -62,30 +102,20 @@ let runtime_depth (device : Device.t) nodes =
       in
       Hashtbl.replace depths n.id d)
     nodes;
+  depths
+
+let runtime_depth (device : Device.t) nodes =
+  let depths = topo_depths device nodes in
   group_by_depth ~depth_of:(fun n -> Hashtbl.find depths n.id) nodes
 
-let agenda (device : Device.t) nodes =
+let agenda ~sig_name (device : Device.t) nodes =
   (* Kahn's algorithm over the pending subgraph with DyNet's agenda
      heuristic (Neubig et al. 2017b): among the signature classes with
      ready nodes, launch the one whose ready nodes have the lowest average
      topological depth — executing shallow work first lets deeper same-type
-     nodes accumulate into bigger batches. *)
-  let topo_depth : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      Device.charge_heap_op device;
-      let d =
-        Array.fold_left
-          (fun acc h ->
-            Device.charge_scheduling device 0.02;
-            match h with
-            | Hnode (m, _) when not (node_executed m) ->
-              max acc (1 + Option.value ~default:0 (Hashtbl.find_opt topo_depth m.id))
-            | Hnode _ | Hmat _ -> acc)
-          0 n.args
-      in
-      Hashtbl.replace topo_depth n.id d)
-    nodes;
+     nodes accumulate into bigger batches. Classes are keyed by their
+     printed signatures, whose hash order breaks ties. *)
+  let topo_depth = topo_depths device nodes in
   let pending : (int, node) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace pending n.id n) nodes;
   let indegree : (int, int) Hashtbl.t = Hashtbl.create 64 in
@@ -114,12 +144,13 @@ let agenda (device : Device.t) nodes =
     Device.charge_signature_hash device;
     Device.charge_heap_op device;
     let d = Hashtbl.find topo_depth n.id in
-    match Hashtbl.find_opt ready n.sig_key with
+    let name = sig_name n in
+    match Hashtbl.find_opt ready name with
     | Some (cell, sum, count) ->
       cell := n :: !cell;
       sum := !sum + d;
       incr count
-    | None -> Hashtbl.replace ready n.sig_key (ref [ n ], ref d, ref 1)
+    | None -> Hashtbl.replace ready name (ref [ n ], ref d, ref 1)
   in
   List.iter (fun n -> if Hashtbl.find indegree n.id = 0 then push n) nodes;
   let batches = ref [] in
@@ -159,8 +190,17 @@ let agenda (device : Device.t) nodes =
   done;
   List.rev !batches
 
-let schedule (kind : Acrobat_compiler.Config.scheduler) device nodes =
+(* The printed signature of a node signed by its plan's id. Signatures a
+   runtime interned have names only that runtime knows
+   ([Runtime.signature_name]). *)
+let plan_signature n =
+  if n.sig_key = n.plan.Acrobat_compiler.Kernel.id then n.plan.signature
+  else Value.fail "agenda scheduler: signature %d of node %d has no name" n.sig_key n.id
+
+(** Order [nodes] into batches. [sig_name] prints a node's signature for
+    the agenda scheduler's tie-breaks. *)
+let schedule ?(sig_name = plan_signature) (kind : Acrobat_compiler.Config.scheduler) device nodes =
   match kind with
   | Acrobat_compiler.Config.Inline_depth -> inline_depth device nodes
   | Acrobat_compiler.Config.Runtime_depth -> runtime_depth device nodes
-  | Acrobat_compiler.Config.Agenda -> agenda device nodes
+  | Acrobat_compiler.Config.Agenda -> agenda ~sig_name device nodes

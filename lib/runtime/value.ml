@@ -31,20 +31,30 @@ type node = {
       (** The kernel with its output shapes and per-group costs at this
           node's argument shapes; shared by every node with the same
           kernel and argument shapes. *)
-  args : handle array;  (** All kernel arguments, shared ones included. *)
+  args : handle array;
+      (** The [Batched] arguments only, in [kernel.batched] order: what
+          differs between the instances of a batch. *)
+  shared : handle array;
+      (** The kernel's [Shared] arguments in [shared_binds] order, as the
+          runtime resolved them once for every node of the kernel (one
+          array, not a copy per node). *)
   phase : int;
   depth : int;
   instance : int;
-  sig_key : string;
+  sig_key : int;
       (** Batching signature: nodes batch together only when equal. Engines
-          control its contents (ACROBAT: kernel id + shapes; DyNet adds its
-          heuristics' constraints). *)
+          choose it (ACROBAT: the plan's id; DyNet interns its heuristics'
+          constraints to fresh ids). *)
   mutable outs : out array option;  (** Set once the node has executed. *)
 }
 
 and handle =
   | Hmat of out  (** Materialized: inputs, weights, constants, or executed. *)
   | Hnode of node * int  (** Output slot [i] of a (possibly pending) node. *)
+
+(** The kernel argument at index [pos] of a node's kernel, from its own
+    arguments or the shared ones as the argument's role says. *)
+let node_arg n pos = Kernel.arg n.plan.Kernel.kernel ~batched:n.args ~shared:n.shared pos
 
 let node_executed n = n.outs <> None
 

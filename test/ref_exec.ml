@@ -3,9 +3,12 @@
     This is the list-based [Executor.exec_batch] that the in-place loops
     replaced (DESIGN.md §19), kept as it was except that it reads the
     plan's per-group cost arrays through [Array.to_list] and derives the
-    per-group argument reads from the kernel itself, as it used to. The
-    live executor must issue the same gathers and launches, with the same
-    FLOP and byte bits, and assign the same output addresses. *)
+    per-group argument reads from the kernel itself, as it used to. It
+    reads nodes whose [args] hold every kernel argument, shared ones
+    included (the layout before DESIGN.md §21). The live executor, given
+    the same batch as batched-only nodes, must issue the same gathers and
+    launches, with the same FLOP and byte bits, and assign the same output
+    addresses. *)
 
 open Acrobat
 open Acrobat_runtime.Value

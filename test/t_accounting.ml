@@ -1,7 +1,9 @@
 (** Virtual-clock golden pins.
 
     Every catalog model at tiny size, batch 4, under each framework preset
-    (ACROBAT AOT, ACROBAT VM, DyNet, DN++, PyTorch), in accounting-only and
+    (ACROBAT AOT and VM, ACROBAT under [Config.baseline] and under the
+    agenda scheduler in AOT and VM, DyNet, DN++, PyTorch), in
+    accounting-only and
     in value mode. A pin holds the exact bits of every
     {!Profiler.times_us} entry, every {!Profiler.counters} value, the
     flush count and a digest of the PGO profile's bits. ACROBAT presets
@@ -13,6 +15,12 @@
 
 open Acrobat
 
+(* ACROBAT scheduled by DyNet's agenda: the agenda and runtime-depth
+   schedulers walk node arguments, so these presets (and
+   [Config.baseline], which schedules by runtime depth) pin what those
+   walks charge with shared arguments present. *)
+let agenda = { Config.acrobat with scheduler = Config.Agenda }
+
 let presets =
   [
     "acrobat-aot", Frameworks.Acrobat Config.acrobat, Driver.Aot_mode;
@@ -20,6 +28,10 @@ let presets =
     "dynet", Frameworks.Dynet { improved = false; scheduler = Config.Agenda }, Driver.Aot_mode;
     "dynet++", Frameworks.Dynet { improved = true; scheduler = Config.Agenda }, Driver.Aot_mode;
     "pytorch", Frameworks.Pytorch, Driver.Vm_mode;
+    "acrobat-baseline-aot", Frameworks.Acrobat Config.baseline, Driver.Aot_mode;
+    "acrobat-baseline-vm", Frameworks.Acrobat Config.baseline, Driver.Vm_mode;
+    "acrobat-agenda-aot", Frameworks.Acrobat agenda, Driver.Aot_mode;
+    "acrobat-agenda-vm", Frameworks.Acrobat agenda, Driver.Vm_mode;
   ]
 
 let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
@@ -47,8 +59,9 @@ let run_case id (framework, mode) ~compute_values =
   |> fingerprint
 
 (* Captured on the list-based executor and list-based AOT calls that
-   DESIGN.md §19 replaced. A pin moves only with a change that means to
-   change simulated time, and says so. *)
+   DESIGN.md §19 replaced; the baseline and agenda pins on the
+   full-argument DFG nodes that DESIGN.md §21 replaced. A pin moves only
+   with a change that means to change simulated time, and says so. *)
 let pins : ((string * string * string) * string) list =
   [
     ("rnn", "acrobat-aot", "acct"),
@@ -250,7 +263,167 @@ let pins : ((string * string * string) * string) list =
     ("moe", "pytorch", "acct"),
     "t=401fae147ae147ab,4037147ae147ae11,401e20c49ba5e354,405401db65646ac2,4054800000000000,40501999999999a6,0 c=36,0,0,5,36,36,36,0 f=36 p=da3f47471fee";
     ("moe", "pytorch", "values"),
-    "t=401fae147ae147ab,4037147ae147ae11,401e20c49ba5e354,405401db65646ac2,4054800000000000,40501999999999a6,0 c=36,0,0,5,36,36,36,0 f=36 p=da3f47471fee"
+    "t=401fae147ae147ab,4037147ae147ae11,401e20c49ba5e354,405401db65646ac2,4054800000000000,40501999999999a6,0 c=36,0,0,5,36,36,36,0 f=36 p=da3f47471fee";
+    ("rnn", "acrobat-baseline-aot", "acct"),
+    "t=406128f5c28f5c14,40582e147ae147b1,400e3d70a3d70a3e,407e40ed8e922272,4075c00000000000,0,0 c=172,20,4864,2,624,152,36,0 f=1 p=2f576b7576b3";
+    ("rnn", "acrobat-baseline-aot", "values"),
+    "t=406128f5c28f5c14,40582e147ae147b1,400e3d70a3d70a3e,407e40ed8e922272,4075c00000000000,0,0 c=172,20,4864,2,624,152,36,0 f=1 p=2f576b7576b3";
+    ("rnn", "acrobat-baseline-vm", "acct"),
+    "t=406128f5c28f5c14,40582e147ae147b1,400e3d70a3d70a3e,407e40ed8e922272,4075c00000000000,408d9e66666667d8,0 c=172,20,4864,2,624,152,36,0 f=1 p=2f576b7576b3";
+    ("rnn", "acrobat-baseline-vm", "values"),
+    "t=406128f5c28f5c14,40582e147ae147b1,400e3d70a3d70a3e,407e40ed8e922272,4075c00000000000,408d9e66666667d8,0 c=172,20,4864,2,624,152,36,0 f=1 p=2f576b7576b3";
+    ("rnn", "acrobat-agenda-aot", "acct"),
+    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,0,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "acrobat-agenda-aot", "values"),
+    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,0,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "acrobat-agenda-vm", "acct"),
+    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,4085219999999a70,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    ("rnn", "acrobat-agenda-vm", "values"),
+    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,4085219999999a70,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    ("treelstm", "acrobat-baseline-aot", "acct"),
+    "t=409568a3d70a3fcb,408e951eb851e78a,400a7ae147ae147b,40a2d2945e59951a,4095b00000000000,0,0 c=692,250,178400,2,6228,442,181,0 f=1 p=9ee188b0a428";
+    ("treelstm", "acrobat-baseline-aot", "values"),
+    "t=409568a3d70a3fcb,408e951eb851e78a,400a7ae147ae147b,40a2d2945e59951a,4095b00000000000,0,0 c=692,250,178400,2,6228,442,181,0 f=1 p=9ee188b0a428";
+    ("treelstm", "acrobat-baseline-vm", "acct"),
+    "t=409568a3d70a3fcb,408e951eb851e78a,400a7ae147ae147b,40a2d2945e59951a,4095b00000000000,40c2873333333d9e,0 c=692,250,178400,2,6228,442,181,0 f=1 p=9ee188b0a428";
+    ("treelstm", "acrobat-baseline-vm", "values"),
+    "t=409568a3d70a3fcb,408e951eb851e78a,400a7ae147ae147b,40a2d2945e59951a,4095b00000000000,40c2873333333d9e,0 c=692,250,178400,2,6228,442,181,0 f=1 p=9ee188b0a428";
+    ("treelstm", "acrobat-agenda-aot", "acct"),
+    "t=4048a3d70a3d708f,40681fffffffffbc,400a7ae147ae147b,406fd4880992b4c6,4069800000000000,0,0 c=100,0,0,2,224,12,2,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "acrobat-agenda-aot", "values"),
+    "t=4048a3d70a3d708f,40681fffffffffbc,400a7ae147ae147b,406fd4880992b4c6,4069800000000000,0,0 c=100,0,0,2,224,12,2,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "acrobat-agenda-vm", "acct"),
+    "t=4048a3d70a3d708f,40681fffffffffbc,400a7ae147ae147b,406fd4880992b4c6,4069800000000000,40b29acccccccc8d,0 c=100,0,0,2,224,12,2,0 f=1 p=87ac6d6138fa";
+    ("treelstm", "acrobat-agenda-vm", "values"),
+    "t=4048a3d70a3d708f,40681fffffffffbc,400a7ae147ae147b,406fd4880992b4c6,4069800000000000,40b29acccccccc8d,0 c=100,0,0,2,224,12,2,0 f=1 p=87ac6d6138fa";
+    ("mvrnn", "acrobat-baseline-aot", "acct"),
+    "t=40602b851eb851d8,405723d70a3d70a9,4016f7ced916872c,407205218b62e2c2,406e000000000000,0,0 c=118,48,81472,2,588,70,15,0 f=1 p=4817149911cf";
+    ("mvrnn", "acrobat-baseline-aot", "values"),
+    "t=40602b851eb851d8,405723d70a3d70a9,4016f7ced916872c,407205218b62e2c2,406e000000000000,0,0 c=118,48,81472,2,588,70,15,0 f=1 p=4817149911cf";
+    ("mvrnn", "acrobat-baseline-vm", "acct"),
+    "t=40602b851eb851d8,405723d70a3d70a9,4016f7ced916872c,407205218b62e2c2,406e000000000000,4096e19999999871,0 c=118,48,81472,2,588,70,15,0 f=1 p=4817149911cf";
+    ("mvrnn", "acrobat-baseline-vm", "values"),
+    "t=40602b851eb851d8,405723d70a3d70a9,4016f7ced916872c,407205218b62e2c2,406e000000000000,4096e19999999871,0 c=118,48,81472,2,588,70,15,0 f=1 p=4817149911cf";
+    ("mvrnn", "acrobat-agenda-aot", "acct"),
+    "t=4030b851eb851ebd,4049f0a3d70a3d38,4016f7ced916872c,40602e08a8b11b8f,405b000000000000,0,0 c=52,0,0,2,76,10,2,0 f=1 p=811a37ef954f";
+    ("mvrnn", "acrobat-agenda-aot", "values"),
+    "t=4030b851eb851ebd,4049f0a3d70a3d38,4016f7ced916872c,40602e08a8b11b8f,405b000000000000,0,0 c=52,0,0,2,76,10,2,0 f=1 p=811a37ef954f";
+    ("mvrnn", "acrobat-agenda-vm", "acct"),
+    "t=4030b851eb851ebd,4049f0a3d70a3d38,4016f7ced916872c,40602e08a8b11b8f,405b000000000000,4091accccccccd21,0 c=52,0,0,2,76,10,2,0 f=1 p=811a37ef954f";
+    ("mvrnn", "acrobat-agenda-vm", "values"),
+    "t=4030b851eb851ebd,4049f0a3d70a3d38,4016f7ced916872c,40602e08a8b11b8f,405b000000000000,4091accccccccd21,0 c=52,0,0,2,76,10,2,0 f=1 p=811a37ef954f";
+    ("birnn", "acrobat-baseline-aot", "acct"),
+    "t=406e07ae147ae120,40654147ae147ba9,400bbe76c8b43958,40882c5fdfc1d14a,4082700000000000,0,0 c=293,117,21632,2,1092,176,16,0 f=1 p=0299d8a34e6b";
+    ("birnn", "acrobat-baseline-aot", "values"),
+    "t=406e07ae147ae120,40654147ae147ba9,400bbe76c8b43958,40882c5fdfc1d14a,4082700000000000,0,0 c=293,117,21632,2,1092,176,16,0 f=1 p=0299d8a34e6b";
+    ("birnn", "acrobat-baseline-vm", "acct"),
+    "t=406e07ae147ae120,40654147ae147ba9,400bbe76c8b43958,40882c5fdfc1d14a,4082700000000000,40a4286666666355,0 c=293,117,21632,2,1092,176,16,0 f=1 p=0299d8a34e6b";
+    ("birnn", "acrobat-baseline-vm", "values"),
+    "t=406e07ae147ae120,40654147ae147ba9,400bbe76c8b43958,40882c5fdfc1d14a,4082700000000000,40a4286666666355,0 c=293,117,21632,2,1092,176,16,0 f=1 p=0299d8a34e6b";
+    ("birnn", "acrobat-agenda-aot", "acct"),
+    "t=405573333333331c,406d870a3d70a44a,400bbe76c8b43958,406f58256b2755f5,4065800000000000,0,0 c=84,0,0,2,390,68,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "acrobat-agenda-aot", "values"),
+    "t=405573333333331c,406d870a3d70a44a,400bbe76c8b43958,406f58256b2755f5,4065800000000000,0,0 c=84,0,0,2,390,68,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "acrobat-agenda-vm", "acct"),
+    "t=405573333333331c,406d870a3d70a44a,400bbe76c8b43958,406f58256b2755f5,4065800000000000,40a05f999999979d,0 c=84,0,0,2,390,68,12,0 f=1 p=c38c551db9c2";
+    ("birnn", "acrobat-agenda-vm", "values"),
+    "t=405573333333331c,406d870a3d70a44a,400bbe76c8b43958,406f58256b2755f5,4065800000000000,40a05f999999979d,0 c=84,0,0,2,390,68,12,0 f=1 p=c38c551db9c2";
+    ("nestedrnn", "acrobat-baseline-aot", "acct"),
+    "t=40a5448f5c28f264,409dc63d70a3c750,40084189374bc6a8,40cc6afe778e424d,40c5980000000000,0,405119999999999e c=5526,310,27360,2,12374,5216,1927,114 f=34 p=a435e30b5b9c";
+    ("nestedrnn", "acrobat-baseline-aot", "values"),
+    "t=40a5448f5c28f264,409dc63d70a3c750,40084189374bc6a8,40cc6afe778e424d,40c5980000000000,0,405119999999999e c=5526,310,27360,2,12374,5216,1927,114 f=34 p=a435e30b5b9c";
+    ("nestedrnn", "acrobat-baseline-vm", "acct"),
+    "t=40a5448f5c28f264,409dc63d70a3c750,40084189374bc6a8,40cc6afe778e424d,40c5980000000000,40dad6d9999974f5,405119999999999e c=5526,310,27360,2,12374,5216,1927,114 f=34 p=a435e30b5b9c";
+    ("nestedrnn", "acrobat-baseline-vm", "values"),
+    "t=40a5448f5c28f264,409dc63d70a3c750,40084189374bc6a8,40cc6afe778e424d,40c5980000000000,40dad6d9999974f5,405119999999999e c=5526,310,27360,2,12374,5216,1927,114 f=34 p=a435e30b5b9c";
+    ("nestedrnn", "acrobat-agenda-aot", "acct"),
+    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,0,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "acrobat-agenda-aot", "values"),
+    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,0,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "acrobat-agenda-vm", "acct"),
+    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,40d48959999991c5,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    ("nestedrnn", "acrobat-agenda-vm", "values"),
+    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,40d48959999991c5,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    ("drnn", "acrobat-baseline-aot", "acct"),
+    "t=404deb851eb851cf,4045147ae147ae26,4009374bc6a7ef9e,405ef694a3e48a82,4059800000000000,0,4034666666666668 c=49,9,2048,2,272,40,0,34 f=5 p=c91c8325c2d0";
+    ("drnn", "acrobat-baseline-aot", "values"),
+    "t=404deb851eb851cf,4045147ae147ae26,4009374bc6a7ef9e,405ef694a3e48a82,4059800000000000,0,4034666666666668 c=49,9,2048,2,272,40,0,34 f=5 p=c91c8325c2d0";
+    ("drnn", "acrobat-baseline-vm", "acct"),
+    "t=404deb851eb851cf,4045147ae147ae26,4009374bc6a7ef9e,405ef694a3e48a82,4059800000000000,40856a6666666742,4034666666666668 c=49,9,2048,2,272,40,0,34 f=5 p=c91c8325c2d0";
+    ("drnn", "acrobat-baseline-vm", "values"),
+    "t=404deb851eb851cf,4045147ae147ae26,4009374bc6a7ef9e,405ef694a3e48a82,4059800000000000,40856a6666666742,4034666666666668 c=49,9,2048,2,272,40,0,34 f=5 p=c91c8325c2d0";
+    ("drnn", "acrobat-agenda-aot", "acct"),
+    "t=401deb851eb851e9,4035570a3d70a3c7,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,0,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "acrobat-agenda-aot", "values"),
+    "t=401deb851eb851e9,4035570a3d70a3c7,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,0,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "acrobat-agenda-vm", "acct"),
+    "t=401deb851eb851e9,4035570a3d70a3c7,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,407faccccccccdb8,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("drnn", "acrobat-agenda-vm", "values"),
+    "t=401deb851eb851e9,4035570a3d70a3c7,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,407faccccccccdb8,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
+    ("berxit", "acrobat-baseline-aot", "acct"),
+    "t=404c0cccccccccb3,4044400000000010,400c189374bc6a7f,406e00ce3c5de5ae,4062800000000000,0,4021ffffffffffff c=72,4,6144,2,255,68,0,15 f=4 p=208d906a90bb";
+    ("berxit", "acrobat-baseline-aot", "values"),
+    "t=404c0cccccccccb3,4044400000000010,400c189374bc6a7f,406e00ce3c5de5ae,4062800000000000,0,4021ffffffffffff c=72,4,6144,2,255,68,0,15 f=4 p=208d906a90bb";
+    ("berxit", "acrobat-baseline-vm", "acct"),
+    "t=404c0cccccccccb3,4044400000000010,400c189374bc6a7f,406e00ce3c5de5ae,4062800000000000,407fb800000000ec,4021ffffffffffff c=72,4,6144,2,255,68,0,15 f=4 p=208d906a90bb";
+    ("berxit", "acrobat-baseline-vm", "values"),
+    "t=404c0cccccccccb3,4044400000000010,400c189374bc6a7f,406e00ce3c5de5ae,4062800000000000,407fb800000000ec,4021ffffffffffff c=72,4,6144,2,255,68,0,15 f=4 p=208d906a90bb";
+    ("berxit", "acrobat-agenda-aot", "acct"),
+    "t=400a666666666669,402775c28f5c28d6,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,0,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "acrobat-agenda-aot", "values"),
+    "t=400a666666666669,402775c28f5c28d6,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,0,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "acrobat-agenda-vm", "acct"),
+    "t=400a666666666669,402775c28f5c28d6,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,4073e80000000014,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("berxit", "acrobat-agenda-vm", "values"),
+    "t=400a666666666669,402775c28f5c28d6,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,4073e80000000014,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
+    ("stackrnn", "acrobat-baseline-aot", "acct"),
+    "t=4069933333333312,4061a47ae147ae49,400a9fbe76c8b43a,4097d8d626c588fd,4090c80000000000,0,404fccccccccccdc c=535,73,6048,2,930,462,185,106 f=39 p=8443a378c974";
+    ("stackrnn", "acrobat-baseline-aot", "values"),
+    "t=4069933333333312,4061a47ae147ae49,400a9fbe76c8b43a,4097d8d626c588fd,4090c80000000000,0,404fccccccccccdc c=535,73,6048,2,930,462,185,106 f=39 p=8443a378c974";
+    ("stackrnn", "acrobat-baseline-vm", "acct"),
+    "t=4069933333333312,4061a47ae147ae49,400a9fbe76c8b43a,4097d8d626c588fd,4090c80000000000,40a3ab19999996ac,404fccccccccccdc c=535,73,6048,2,930,462,185,106 f=39 p=8443a378c974";
+    ("stackrnn", "acrobat-baseline-vm", "values"),
+    "t=4069933333333312,4061a47ae147ae49,400a9fbe76c8b43a,4097d8d626c588fd,4090c80000000000,40a3ab19999996ac,404fccccccccccdc c=535,73,6048,2,930,462,185,106 f=39 p=8443a378c974";
+    ("stackrnn", "acrobat-agenda-aot", "acct"),
+    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,0,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "acrobat-agenda-aot", "values"),
+    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,0,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "acrobat-agenda-vm", "acct"),
+    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,40a0cb666666644b,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    ("stackrnn", "acrobat-agenda-vm", "values"),
+    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,40a0cb666666644b,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    ("beamsearch", "acrobat-baseline-aot", "acct"),
+    "t=405fae147ae14788,40559999999999a7,4008c49ba5e353f8,4070977fd6e51c18,4068c00000000000,0,402cccccccccccca c=97,1,288,2,576,96,0,24 f=12 p=8e28dc3f6970";
+    ("beamsearch", "acrobat-baseline-aot", "values"),
+    "t=405fae147ae14788,40559999999999a7,4008c49ba5e353f8,4070977fd6e51c18,4068c00000000000,0,402cccccccccccca c=97,1,288,2,576,96,0,24 f=12 p=8e28dc3f6970";
+    ("beamsearch", "acrobat-baseline-vm", "acct"),
+    "t=405fae147ae14788,40559999999999a7,4008c49ba5e353f8,4070977fd6e51c18,4068c00000000000,408c43333333348c,402cccccccccccca c=97,1,288,2,576,96,0,24 f=12 p=8e28dc3f6970";
+    ("beamsearch", "acrobat-baseline-vm", "values"),
+    "t=405fae147ae14788,40559999999999a7,4008c49ba5e353f8,4070977fd6e51c18,4068c00000000000,408c43333333348c,402cccccccccccca c=97,1,288,2,576,96,0,24 f=12 p=8e28dc3f6970";
+    ("beamsearch", "acrobat-agenda-aot", "acct"),
+    "t=402fae147ae147b9,4045f5c28f5c2903,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,0,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "acrobat-agenda-aot", "values"),
+    "t=402fae147ae147b9,4045f5c28f5c2903,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,0,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "acrobat-agenda-vm", "acct"),
+    "t=402fae147ae147b9,4045f5c28f5c2903,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,40813ccccccccd5c,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("beamsearch", "acrobat-agenda-vm", "values"),
+    "t=402fae147ae147b9,4045f5c28f5c2903,4008c49ba5e353f8,40615ce1af3821b1,405f000000000000,40813ccccccccd5c,402cccccccccccca c=60,0,0,2,72,12,0,24 f=12 p=864ac7024480";
+    ("moe", "acrobat-baseline-aot", "acct"),
+    "t=401fae147ae147ab,4015c28f5c28f5be,40084189374bc6a8,404923aa10c828de,4042000000000000,0,4003333333333333 c=16,4,672,2,36,12,3,4 f=2 p=19509c6208e7";
+    ("moe", "acrobat-baseline-aot", "values"),
+    "t=401fae147ae147ab,4015c28f5c28f5be,40084189374bc6a8,404923aa10c828de,4042000000000000,0,4003333333333333 c=16,4,672,2,36,12,3,4 f=2 p=19509c6208e7";
+    ("moe", "acrobat-baseline-vm", "acct"),
+    "t=401fae147ae147ab,4015c28f5c28f5be,40084189374bc6a8,404923aa10c828de,4042000000000000,40501999999999a6,4003333333333333 c=16,4,672,2,36,12,3,4 f=2 p=19509c6208e7";
+    ("moe", "acrobat-baseline-vm", "values"),
+    "t=401fae147ae147ab,4015c28f5c28f5be,40084189374bc6a8,404923aa10c828de,4042000000000000,40501999999999a6,4003333333333333 c=16,4,672,2,36,12,3,4 f=2 p=19509c6208e7";
+    ("moe", "acrobat-agenda-aot", "acct"),
+    "t=40051eb851eb8520,401cf5c28f5c28fa,40084189374bc6a8,403504c74f02ad1a,4034000000000000,0,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "acrobat-agenda-aot", "values"),
+    "t=40051eb851eb8520,401cf5c28f5c28fa,40084189374bc6a8,403504c74f02ad1a,4034000000000000,0,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "acrobat-agenda-vm", "acct"),
+    "t=40051eb851eb8520,401cf5c28f5c28fa,40084189374bc6a8,403504c74f02ad1a,4034000000000000,4047ccccccccccdd,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa";
+    ("moe", "acrobat-agenda-vm", "values"),
+    "t=40051eb851eb8520,401cf5c28f5c28fa,40084189374bc6a8,403504c74f02ad1a,4034000000000000,4047ccccccccccdd,4003333333333333 c=8,0,0,2,12,4,1,4 f=2 p=b9608a3fdbaa"
   ]
 
 let test_model id () =

@@ -377,7 +377,8 @@ let test_kernel_execute_matches_ops () =
   let k =
     Kernel.finish reg b ~name:"dense_sigmoid" ~nargs:3
       ~roles:[| Kernel.Batched; Kernel.Shared; Kernel.Shared |]
-      ~shared_binds:[] ~out_tmps:[| t2 |] ~fusion:true ~horizontal:false
+      ~shared_binds:[ 1, Kernel.Bparam "w"; 2, Kernel.Bparam "b" ]
+      ~out_tmps:[| t2 |] ~fusion:true ~horizontal:false
   in
   let rng = Rng.create 3 in
   let x = Tensor.random rng [ 1; 4 ]

@@ -168,8 +168,10 @@ def @main() -> Tensor[(1, 4)] {
     (List.map shaped
        [ "const", (fun s -> "const(" ^ s ^ ", 3.0)"); "random", (fun s -> "random(" ^ s ^ ")") ])
 
-(* The DyNet signature builds on the plan's base string; its extensions
-   are pinned so batching decisions never drift. *)
+(* The DyNet signature builds on the plan's printed signature; its
+   extensions are pinned so batching decisions never drift. A plain
+   signature is the plan's id; the others are interned by the runtime,
+   equal names to equal ids. *)
 let test_dynet_signatures_pinned () =
   let reg = Kernel.registry () in
   let kernel name op =
@@ -180,13 +182,6 @@ let test_dynet_signatures_pinned () =
   in
   let add = kernel "add" Ir.Op.Add and matmul = kernel "matmul" Ir.Op.Matmul in
   let mat addr shape = Value.Hmat { tensor = None; addr; shape } in
-  let signature k args = (Kernel.plan k (Array.map Value.handle_shape args)).signature in
-  let sig_of = Policy.dynet_sig () in
-  let dynet k args = sig_of ~base:(signature k args) k args in
-  let row = [| mat 0 [ 1; 4 ]; mat 8 [ 1; 4 ] |] in
-  Alcotest.(check string) "plain" "k0|(1, 4);(1, 4)" (dynet add row);
-  Alcotest.(check string) "matmul keyed on the weight's address" "k1|(1, 4);(4, 4)|wt=a42"
-    (dynet matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |]);
   let device = Device.create () in
   let policy =
     { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
@@ -195,10 +190,30 @@ let test_dynet_signatures_pinned () =
   let rt =
     Acrobat_runtime.Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1
   in
-  let plan = Acrobat_runtime.Runtime.plan rt add row in
+  let sig_of = Policy.dynet_sig () in
+  let sign k args =
+    let plan = Acrobat_runtime.Runtime.plan rt k args in
+    plan, sig_of rt plan args
+  in
+  let dynet k args =
+    let plan, id = sign k args in
+    Acrobat_runtime.Runtime.signature_name rt plan id
+  in
+  let row = [| mat 0 [ 1; 4 ]; mat 8 [ 1; 4 ] |] in
+  Alcotest.(check string) "plain" "k0|(1, 4);(1, 4)" (dynet add row);
+  let plan, id = sign add row in
+  check_int "a plain signature is the plan's id" plan.id id;
+  Alcotest.(check string) "matmul keyed on the weight's address" "k1|(1, 4);(4, 4)|wt=a42"
+    (dynet matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |]);
+  check_int "equal names intern to one id"
+    (snd (sign matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |]))
+    (snd (sign matmul [| mat 16 [ 1; 4 ]; mat 42 [ 4; 4 ] |]));
+  check_true "another weight, another id"
+    (snd (sign matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |])
+    <> snd (sign matmul [| mat 0 [ 1; 4 ]; mat 64 [ 4; 4 ] |]));
   let pending =
     Acrobat_runtime.Runtime.invoke rt ~plan ~args:row ~instance:0 ~phase:0 ~depth:0
-      ~sig_key:plan.signature
+      ~sig_key:plan.id
   in
   Alcotest.(check string) "matmul keyed on a pending node's slot" "k1|(1, 1);(1, 4)|wt=n0.0"
     (dynet matmul [| mat 0 [ 1; 1 ]; pending.(0) |]);

@@ -46,6 +46,21 @@ let test_missing_weight_fails () =
   expect_runtime_error "unknown weight" (fun () ->
       run_src src ~inputs:[ "x" ] ~weights:[] ~instances:[ tensor_input rng ])
 
+(* @main's parameters resolve in order, instance by instance: the first
+   unresolvable one names the error, and a batch without instances
+   resolves none. *)
+let test_parameter_errors_in_order () =
+  let src =
+    "def @main(%x: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] { matmul(%x, %w) }"
+  in
+  let rng = Rng.create 1 in
+  expect_runtime_error "missing input \"x\"" (fun () ->
+      run_src src ~inputs:[ "x" ] ~weights:[] ~instances:[ [] ]);
+  expect_runtime_error "unknown weight \"w\"" (fun () ->
+      run_src src ~inputs:[ "x" ] ~weights:[] ~instances:[ tensor_input rng; [] ]);
+  let r = run_src src ~inputs:[ "x" ] ~weights:[] ~instances:[] in
+  check_int "no instances, no outputs" 0 (List.length r.Driver.outputs)
+
 let test_wrong_input_shape_fails () =
   (* Declared Tensor[(1,4)] but the caller supplies (1,5): the kernel's
      shape rules reject it at invocation. *)
@@ -101,15 +116,12 @@ let test_executor_reports_dependency_violation () =
       ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
   (* Producer recorded at depth 5, consumer at depth 0: inverted. *)
-  let producer =
-    Runtime.invoke rt ~plan:(Runtime.plan rt src_k [||]) ~args:[||] ~instance:0 ~phase:0
-      ~depth:5 ~sig_key:"s"
+  let invoke kernel args ~depth =
+    let plan = Runtime.plan rt kernel args in
+    Runtime.invoke rt ~plan ~args ~instance:0 ~phase:0 ~depth ~sig_key:plan.id
   in
-  let args = [| producer.(0) |] in
-  let _ =
-    Runtime.invoke rt ~plan:(Runtime.plan rt sig_k args) ~args ~instance:0 ~phase:0 ~depth:0
-      ~sig_key:"c"
-  in
+  let producer = invoke src_k [||] ~depth:5 in
+  let _ = invoke sig_k [| producer.(0) |] ~depth:0 in
   expect_runtime_error "not materialized" (fun () -> Runtime.flush rt)
 
 let test_closure_arity_mismatch () =
@@ -165,4 +177,5 @@ let suite =
       test_executor_reports_dependency_violation;
     Alcotest.test_case "closures through function params" `Quick test_closure_arity_mismatch;
     Alcotest.test_case "scalar() in accounting mode" `Quick test_scalar_accounting_mode_is_zero;
+    Alcotest.test_case "parameter errors in order" `Quick test_parameter_errors_in_order;
   ]

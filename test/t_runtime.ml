@@ -87,8 +87,11 @@ let test_fiber_deadlock_detection () =
 
 let reg = Kernel.registry ()
 
-(* Append a node the way the engines do: look up the plan, then invoke. *)
-let invoke rt ~kernel ~args = Runtime.invoke rt ~plan:(Runtime.plan rt kernel args) ~args
+(* Append a node the way the engines do: look up the plan, then invoke,
+   signed as ACROBAT signs it (by the plan's id). *)
+let invoke rt ~kernel ~args =
+  let plan = Runtime.plan rt kernel args in
+  Runtime.invoke rt ~plan ~args ~sig_key:plan.id
 
 let unit_kernel =
   let b = Kernel.builder () in
@@ -121,11 +124,9 @@ let build_random_dfg ~scheduler ~seed n =
     let outs =
       if !handles = [] || Rng.bool rng then
         invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:0
-          ~sig_key:"src"
       else begin
         let prev = List.nth !handles (Rng.int rng (List.length !handles)) in
-        invoke rt ~kernel:unit_kernel ~args:[| prev |] ~instance:0 ~phase:0
-          ~depth:(i + 1) ~sig_key:"sig"
+        invoke rt ~kernel:unit_kernel ~args:[| prev |] ~instance:0 ~phase:0 ~depth:(i + 1)
       end
     in
     handles := outs.(0) :: !handles
@@ -152,8 +153,7 @@ let test_inline_depth_batches_by_depth () =
   (* 4 instances x same kernel at same depth -> one batch. *)
   for i = 0 to 3 do
     ignore
-      (invoke rt ~kernel:source_kernel ~args:[||] ~instance:i ~phase:0 ~depth:0
-         ~sig_key:"src")
+      (invoke rt ~kernel:source_kernel ~args:[||] ~instance:i ~phase:0 ~depth:0)
   done;
   Runtime.flush rt;
   let p = Device.profiler device in
@@ -171,11 +171,9 @@ let test_phase_ordering () =
   let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:1 in
   let a =
     invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:9
-      ~sig_key:"src"
   in
   let b =
     invoke rt ~kernel:unit_kernel ~args:[| a.(0) |] ~instance:0 ~phase:1 ~depth:0
-      ~sig_key:"sig"
   in
   Runtime.flush rt;
   check_true "dependent executed" (Value.handle_ready b.(0))
@@ -192,14 +190,14 @@ let test_executor_gathers_on_scattered () =
     let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:2 in
     (* Three producer batches allocate three consecutive slabs; consuming
        slabs 0 and 2 leaves a hole, so the inputs are scattered. *)
-    let src ~instance ~depth sig_key =
-      (invoke rt ~kernel:source_kernel ~args:[||] ~instance ~phase:0 ~depth ~sig_key).(0)
+    let src ~instance ~depth =
+      (invoke rt ~kernel:source_kernel ~args:[||] ~instance ~phase:0 ~depth).(0)
     in
-    let a = src ~instance:0 ~depth:0 "s0" in
-    let _skip = src ~instance:0 ~depth:1 "s1" in
-    let b = src ~instance:1 ~depth:2 "s2" in
+    let a = src ~instance:0 ~depth:0 in
+    let _skip = src ~instance:0 ~depth:1 in
+    let b = src ~instance:1 ~depth:2 in
     let consume ~instance h =
-      ignore (invoke rt ~kernel:unit_kernel ~args:[| h |] ~instance ~phase:0 ~depth:3 ~sig_key:"c")
+      ignore (invoke rt ~kernel:unit_kernel ~args:[| h |] ~instance ~phase:0 ~depth:3)
     in
     consume ~instance:0 a;
     consume ~instance:1 b;
@@ -230,15 +228,19 @@ let bytes_revealing_cost =
     indirection_penalty = 1.0;
   }
 
-(* A random batch of one random kernel: 1-3 arguments with random roles,
-   1-6 sigmoid/add instructions with or without fusion, one or two
-   outputs. Each node gets its own mix of [2; 1] and [2; w] argument
-   shapes (so one batch spans several plans), and each argument position
-   lies contiguous, scattered or at one address shared by the whole
-   batch. Each node's plan then gets random fractional group costs: real
-   plans hold small integers, whose float sums are exact in any order,
-   and the oracle must see the summation order. Returns every node's
-   plan and arguments, and the policy. *)
+(* A random batch of one random kernel: 1-3 arguments, 1-6 sigmoid/add
+   instructions with or without fusion, one or two outputs. A quarter of
+   the kernels have only shared arguments (like TreeLSTM's kernel of six
+   shared arguments and no batched one); the rest draw each argument's
+   role, so shared ones sit at arbitrary indices. Each node gets its own
+   mix of [2; 1] and [2; w] shapes for its batched arguments (so one batch
+   spans several plans), and each batched argument lies contiguous,
+   scattered or at one address shared by the whole batch. A shared
+   argument is one handle for the whole batch, as a runtime resolves it
+   once per kernel. Each node's plan then gets random fractional group
+   costs: real plans hold small integers, whose float sums are exact in
+   any order, and the oracle must see the summation order. Returns every
+   node's plan and full argument vector, and the policy. *)
 let random_exec_batch seed =
   let rs = Random.State.make [| seed |] in
   let int n = Random.State.int rs n and bool () = Random.State.bool rs in
@@ -256,10 +258,20 @@ let random_exec_batch seed =
     last := Some (Kernel.add_instr b op srcs)
   done;
   let last = Option.get !last in
+  let all_shared = int 4 = 0 in
+  let roles =
+    Array.init nargs (fun _ -> if all_shared || int 3 = 0 then Kernel.Shared else Kernel.Batched)
+  in
+  let shared_binds =
+    List.filter_map
+      (fun pos ->
+        if roles.(pos) = Kernel.Shared then
+          Some (pos, Kernel.Bconst { shape = [ 2; 1 ]; value = float_of_int pos })
+        else None)
+      (List.init nargs Fun.id)
+  in
   let kernel =
-    Kernel.finish reg b ~name:"oracle" ~nargs
-      ~roles:(Array.init nargs (fun _ -> if int 3 = 0 then Kernel.Shared else Kernel.Batched))
-      ~shared_binds:[]
+    Kernel.finish reg b ~name:"oracle" ~nargs ~roles ~shared_binds
       ~out_tmps:(if bool () then [| last |] else [| last; 0 |])
       ~fusion:(bool ()) ~horizontal:false
   in
@@ -267,19 +279,21 @@ let random_exec_batch seed =
   let shape () = [ 2; (if bool () then w else 1) ] in
   let mat addr shape = Value.Hmat { tensor = None; addr; shape } in
   let columns =
-    Array.init nargs (fun _ ->
-        match int 3 with
-        | 0 ->
+    Array.map
+      (fun role ->
+        match role, int 3 with
+        | Kernel.Shared, _ | Kernel.Batched, 0 ->
           let h = mat (int 1000) (shape ()) in
           Array.make n h
-        | 1 ->
+        | Kernel.Batched, 1 ->
           let cursor = ref (int 1000) in
           Array.init n (fun _ ->
               let s = shape () in
               let h = mat !cursor s in
               cursor := !cursor + Shape.numel s;
               h)
-        | _ -> Array.init n (fun _ -> mat (int 1000) (shape ())))
+        | Kernel.Batched, _ -> Array.init n (fun _ -> mat (int 1000) (shape ())))
+      roles
   in
   let policy =
     {
@@ -300,17 +314,38 @@ let random_exec_batch seed =
   in
   Array.combine plans node_args, policy
 
-(* Run one executor on fresh nodes and record everything it did: every
-   span with its exact bits, the profiler, the arena and each node's
-   output addresses and shapes. *)
-let observe_exec exec (nodes, policy) =
+(* The node layout the engines build: the batched arguments on the node,
+   the shared ones in one array every node of the kernel points at. *)
+let batched_view (k : Kernel.t) =
+  let shared = ref None in
+  fun (full : Value.handle array) ->
+    let sh =
+      match !shared with
+      | Some sh -> sh
+      | None ->
+        let sh = Array.of_list (List.map (fun (pos, _) -> full.(pos)) k.shared_binds) in
+        shared := Some sh;
+        sh
+    in
+    Array.map (fun pos -> full.(pos)) k.batched, sh
+
+(* The reference's layout: every argument on the node. *)
+let full_view _ (full : Value.handle array) = full, [||]
+
+(* Run one executor on fresh nodes laid out by [view] and record
+   everything it did: every span with its exact bits, the profiler, the
+   arena and each node's output addresses and shapes. *)
+let observe_exec exec view (nodes, policy) =
   let tracer = Trace.create () in
   let device = Device.create ~cost:bytes_revealing_cost ~tracer () in
+  let view = view (fst nodes.(0)).Kernel.kernel in
   let nodes =
     Array.to_list
       (Array.mapi
-         (fun id (plan, args) ->
-           { Value.id; plan; args; phase = 0; depth = 0; instance = 0; sig_key = ""; outs = None })
+         (fun id (plan, full) ->
+           let args, shared = view full in
+           { Value.id; plan; args; shared; phase = 0; depth = 0; instance = 0; sig_key = plan.Kernel.id;
+             outs = None })
          nodes)
   in
   exec device policy ~rand_for:(fun _ -> Rng.create 0) nodes;
@@ -347,7 +382,8 @@ let prop_executor_matches_reference =
     QCheck2.Gen.int
     (fun seed ->
       let batch = random_exec_batch seed in
-      observe_exec Executor.exec_batch batch = observe_exec Ref_exec.exec_batch batch)
+      observe_exec Executor.exec_batch batched_view batch
+      = observe_exec Ref_exec.exec_batch full_view batch)
 
 let test_runtime_constants_memoized () =
   let device = Device.create () in
@@ -449,9 +485,9 @@ let test_plans_match_fresh_computation () =
         {
           Policy.acrobat_policy with
           sig_of =
-            (fun ~base k args ->
+            (fun rt plan args ->
               Array.iter visit args;
-              Policy.acrobat_policy.sig_of ~base k args);
+              Policy.acrobat_policy.sig_of rt plan args);
         }
       in
       let r =
@@ -463,7 +499,8 @@ let test_plans_match_fresh_computation () =
       check_true (id ^ ": nodes seen") (Hashtbl.length seen > 0);
       Hashtbl.iter
         (fun _ (n : Value.node) ->
-          let shapes = Array.map Value.handle_shape n.args in
+          let k = n.plan.kernel in
+          let shapes = Array.init k.nargs (fun pos -> Value.handle_shape (Value.node_arg n pos)) in
           let fresh = Kernel.plan n.plan.kernel shapes in
           let outs, flops, bytes = reference_plan n.plan.kernel shapes in
           let what = Fmt.str "%s node %d" id n.id in
@@ -476,7 +513,17 @@ let test_plans_match_fresh_computation () =
           same "group_arg_reads" n.plan.group_arg_reads fresh.group_arg_reads
             (Array.of_list (List.map Array.of_list (Ref_exec.group_arg_reads n.plan.kernel)));
           check_true (what ^ ": flops") (n.plan.flops = Array.fold_left ( +. ) 0.0 flops);
-          Alcotest.(check string) (what ^ ": sig_key") fresh.signature n.sig_key)
+          Alcotest.(check string) (what ^ ": signature") fresh.signature n.plan.signature;
+          check_int (what ^ ": sig_key is the plan's id") n.plan.id n.sig_key;
+          check_int (what ^ ": carries its batched arguments only") (Array.length k.batched)
+            (Array.length n.args);
+          check_int (what ^ ": one shared handle per binding") (List.length k.shared_binds)
+            (Array.length n.shared);
+          List.iteri
+            (fun j (pos, _) ->
+              check_true (what ^ ": shared handles are materialized")
+                (match n.shared.(j) with Value.Hmat _ -> k.roles.(pos) = Kernel.Shared | _ -> false))
+            k.shared_binds)
         seen)
     Models.tiny_ids
 
@@ -497,12 +544,13 @@ let test_plans_per_shape () =
   check_true "one plan per shape" (p_narrow != p_wide);
   check_true "plans are shared" (Runtime.plan rt unit_kernel [| input [ 1; 2 ] |] == p_narrow);
   check_true "distinct signatures" (p_narrow.signature <> p_wide.signature);
+  check_true "distinct plan ids" (p_narrow.id <> p_wide.id);
   let outs =
     List.concat_map
       (fun instance ->
         List.map
           (fun (plan, args) ->
-            (Runtime.invoke rt ~plan ~args ~instance ~phase:0 ~depth:0 ~sig_key:plan.signature).(0))
+            (Runtime.invoke rt ~plan ~args ~instance ~phase:0 ~depth:0 ~sig_key:plan.id).(0))
           [ p_narrow, narrow; p_wide, wide ])
       [ 0; 1 ]
   in
@@ -521,7 +569,7 @@ let test_plan_shape_error_every_time () =
       ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
   let slice_of shape =
-    invoke rt ~kernel:slice ~args:[| input shape |] ~instance:0 ~phase:0 ~depth:0 ~sig_key:"s"
+    invoke rt ~kernel:slice ~args:[| input shape |] ~instance:0 ~phase:0 ~depth:0
   in
   for attempt = 1 to 3 do
     match slice_of [ 1; 2 ] with
@@ -601,6 +649,47 @@ let test_plan_table_skips_shape_errors () =
     (match Kernel.plans table slice with [ q ] -> q == p | _ -> false);
   check_true "and found again" (Runtime.plan rt slice [| input [ 1; 8 ] |] == p)
 
+(* Kernel ids are dense per registry, so kernels of two compilations can
+   share one, and with it a printed signature; plan ids are unique across
+   plan tables, so nodes of the two kernels never batch together. *)
+let test_kernels_of_two_registries_never_batch () =
+  let unary op =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b op [ Kernel.Arg 0 ] in
+    Kernel.finish (Kernel.registry ()) b ~name:"unary" ~nargs:1 ~roles:[| Kernel.Batched |]
+      ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  let sigmoid = unary Op.Sigmoid and tanh = unary Op.Tanh in
+  check_int "one kernel id" sigmoid.id tanh.id;
+  let policy =
+    { Executor.gather_fusion = true; quality = (fun _ -> 0.8); compute_values = true;
+      detect_dynamic_sharing = false }
+  in
+  let rt =
+    Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth ~policy ~seed:1
+      ~instances:2
+  in
+  let x = Tensor.random (Rng.create 5) [ 1; 4 ] in
+  let inputs = Runtime.upload_inputs rt ~batched:true [ x; x ] in
+  let outs =
+    List.map2
+      (fun kernel (instance, h) ->
+        (invoke rt ~kernel ~args:[| h |] ~instance ~phase:0 ~depth:0).(0))
+      [ sigmoid; tanh ]
+      (List.mapi (fun i h -> i, h) inputs)
+  in
+  Runtime.flush rt;
+  let prof = Runtime.profiler rt in
+  check_int "two batches" 2 prof.Profiler.batches_executed;
+  check_int "two launches" 2 prof.Profiler.kernel_calls;
+  List.iter2
+    (fun expected h ->
+      match Value.handle_out h with
+      | Some { tensor = Some t; _ } -> check_tensor "each kernel's own value" expected t
+      | _ -> Alcotest.fail "no value")
+    [ Ops.sigmoid x; Ops.tanh x ]
+    outs
+
 (* --- Result fingerprints (the integrity layer's detector) --- *)
 
 module Fingerprint = Acrobat_runtime.Fingerprint
@@ -675,4 +764,6 @@ let suite =
     prop_fingerprint_detects_perturbation;
     prop_fingerprint_shape_sensitive;
     prop_fingerprint_component_order_invariant;
+    Alcotest.test_case "plans: kernels of two registries never batch together" `Quick
+      test_kernels_of_two_registries_never_batch;
   ]
