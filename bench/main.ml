@@ -1,7 +1,7 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
     evaluation (`all`), or one at a time; `serve` runs the online-serving
-    latency-vs-offered-load curves; `micro` runs the bechamel
-    micro-benchmark suite over the runtime hot paths.
+    latency-vs-offered-load curves. Host-time measurements live in
+    [bench/perf].
 
     `--json FILE` additionally dumps every selected experiment's rows as
     machine-readable JSON (one object keyed by experiment name), so the
@@ -794,13 +794,6 @@ let partition () =
            ])
        rows)
 
-(* --- bechamel micro-benchmarks over runtime hot paths --- *)
-
-let micro () =
-  hr "bechamel micro-benchmarks (real wall time of hot paths)";
-  Micro.run ();
-  J.Str "wall-clock results printed to stdout only"
-
 let experiments =
   [
     "table4", table4;
@@ -822,7 +815,6 @@ let experiments =
     "scale", scale;
     "partition", partition;
     "extras", extras;
-    "micro", micro;
   ]
 
 let () =

@@ -143,14 +143,12 @@ let tenancy_config (sc : Scenario.t) (tc : Scenario.tenancy) : Dispatcher.config
         Server.default_config with
         Server.policy = sc.Scenario.sc_policy;
         queue_capacity = sc.Scenario.sc_queue_cap;
+        resilience = sc.Scenario.sc_resilience;
       };
     t_autoscale =
       Autoscaler.default ~min_replicas:tc.Scenario.tc_min
         ~max_replicas:tc.Scenario.tc_max;
     t_swap_cost = Cost_model.default;
-    (* Per-tenant budgets/limiters/breakers and dispatcher-level hedging
-       live in the dispatcher config, not the embedded server one. *)
-    t_resilience = sc.Scenario.sc_resilience;
     t_hedge_percentile = sc.Scenario.sc_hedge;
     t_net = sc.Scenario.sc_net;
   }

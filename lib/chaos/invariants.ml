@@ -23,6 +23,9 @@
       every tenant with offered load completes something, and no tenant's
       observed peak inflight ever exceeded its admission quota scaled by the
       peak replica count;
+    - {b tenant_conservation}: on multi-tenant runs, the tenants' offered
+      counts sum to the aggregate offered count (a tenant counts requests,
+      never hedge copies);
     - {b retry_amplification}: with a retry budget of fraction [f] armed,
       re-executed requests never exceed [f] times the offered load — the
       bound that makes retry storms impossible by construction;
@@ -185,6 +188,15 @@ let check (i : input) : violation list =
           (v "quota_respected" "tenant %s peaked at %d inflight (quota %d x %d replicas)"
              tb.tb_name tb.tb_peak_inflight tb.tb_quota quota_scale))
     i.in_tenants;
+  (* Every arrival belongs to exactly one tenant, so the tenants' offered
+     counts sum to the aggregate. *)
+  if i.in_tenants <> [] then begin
+    let total = List.fold_left (fun n tb -> n + tb.tb_offered) 0 i.in_tenants in
+    if total <> s.Stats.s_offered then
+      add
+        (v "tenant_conservation" "tenants offered %d requests, the aggregate %d" total
+           s.Stats.s_offered)
+  end;
   (* Retry amplification: each fresh admitted request deposits [frac]
      tokens and every re-execution spends one, so re-executed requests can
      never exceed frac * offered. A violation means the budget leaked. *)

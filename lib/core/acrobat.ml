@@ -142,19 +142,23 @@ let run_batch ?compute_values ?seed ?device ?tracer ?instance_keys (c : compiled
 
 (* --- Online serving (lib/serve) glue --- *)
 
+(* What the serving layer learns from one batch run: its simulated latency
+   and activity profile, plus per-request fingerprints in integrity mode. *)
+let exec_outcome ?(fingerprints = false) ?(corrupted = false) (r : Driver.result) =
+  {
+    Serve.Server.ex_latency_us = r.Driver.stats.latency_ms *. 1000.0;
+    ex_profiler = Some r.Driver.stats.profiler;
+    ex_fingerprints = (if fingerprints then Some (Driver.fingerprints r) else None);
+    ex_corrupted = corrupted;
+  }
+
 (** A {!Serve.Server} executor that runs each assembled batch through the
     real engine stack on a fresh simulated device, reporting the batch's
     simulated latency and activity profile. *)
 let batch_executor ?(seed = 2024) ?tracer (c : compiled)
     ~(weights : (string * Tensor.t) list)
     (instances : (string * Driver.hval) list list) : Serve.Server.exec_outcome =
-  let r = run_batch ~seed ?tracer c ~weights ~instances () in
-  {
-    Serve.Server.ex_latency_us = r.Driver.stats.latency_ms *. 1000.0;
-    ex_profiler = Some r.Driver.stats.profiler;
-    ex_fingerprints = None;
-    ex_corrupted = false;
-  }
+  exec_outcome (run_batch ~seed ?tracer c ~weights ~instances ())
 
 (** Integrity-armed clean executor: like {!batch_executor} but computes
     real tensor values, keys each request's decision stream by its request
@@ -164,39 +168,37 @@ let integrity_batch_executor ?(seed = 2024) ?tracer (c : compiled)
     ~(weights : (string * Tensor.t) list)
     (batch : (int * (string * Driver.hval) list) list) : Serve.Server.exec_outcome =
   let instance_keys = Array.of_list (List.map fst batch) in
-  let r =
-    run_batch ~compute_values:true ~seed ?tracer ~instance_keys c ~weights
-      ~instances:(List.map snd batch) ()
-  in
-  {
-    Serve.Server.ex_latency_us = r.Driver.stats.latency_ms *. 1000.0;
-    ex_profiler = Some r.Driver.stats.profiler;
-    ex_fingerprints = Some (Driver.fingerprints r);
-    ex_corrupted = false;
-  }
+  exec_outcome ~fingerprints:true
+    (run_batch ~compute_values:true ~seed ?tracer ~instance_keys c ~weights
+       ~instances:(List.map snd batch) ())
 
-(** The audit layer's reference engine: re-execute one request {e unbatched}
-    on a fresh, fault-free device (same compiled program, batch of one,
-    decision stream keyed by the request id) and fingerprint the result.
-    Batched and unbatched execution agree on values — ACROBAT's core
-    equivalence — so any mismatch against the serving replica's fingerprint
-    is corruption on that replica's device. *)
-let reference_auditor ?(seed = 2024) ~rate (c : compiled)
-    ~(weights : (string * Tensor.t) list) :
-    (int * (string * Driver.hval) list) Serve.Server.auditor =
-  {
-    Serve.Server.au_rate = rate;
-    (* Distinct stream: arming the auditor must not perturb payload,
-       arrival, fault or jitter draws. *)
-    au_seed = (seed * 61) + 29;
-    au_reference =
-      (fun id (_, inst) ->
-        let r =
-          run_batch ~compute_values:true ~seed ~instance_keys:[| id |] c ~weights
-            ~instances:[ inst ] ()
-        in
-        (Driver.fingerprints r).(0), r.Driver.stats.latency_ms *. 1000.0);
-  }
+(** The audit layer's reference engine, sampling at [rate] ([None] when
+    the rate is 0): re-execute one request {e unbatched} on a fresh,
+    fault-free device (the program [program id] gives for request [id],
+    batch of one, decision stream keyed by the request id) and fingerprint
+    the result. Batched and unbatched execution agree on values — ACROBAT's
+    core equivalence — so any mismatch against the serving replica's
+    fingerprint is corruption on that replica's device. *)
+let reference_auditor ?(seed = 2024) ~rate
+    (program : int -> compiled * (string * Tensor.t) list) :
+    (int * (string * Driver.hval) list) Serve.Server.auditor option =
+  if rate <= 0.0 then None
+  else
+    Some
+      {
+        Serve.Server.au_rate = rate;
+        (* Distinct stream: arming the auditor must not perturb payload,
+           arrival, fault or jitter draws. *)
+        au_seed = (seed * 61) + 29;
+        au_reference =
+          (fun id (_, inst) ->
+            let c, weights = program id in
+            let r =
+              run_batch ~compute_values:true ~seed ~instance_keys:[| id |] c ~weights
+                ~instances:[ inst ] ()
+            in
+            (Driver.fingerprints r).(0), r.Driver.stats.latency_ms *. 1000.0);
+      }
 
 (** The outcome of a serving run: SLO summary plus the merged device
     activity profile (printable with {!Profiler.pp}, same report style as
@@ -254,12 +256,9 @@ let fault_executor ?(seed = 2024) ?(integrity = false) ?tracer ~(injector : Faul
      with
     | r ->
       Serve.Server.Exec_ok
-        {
-          Serve.Server.ex_latency_us = r.Driver.stats.latency_ms *. 1000.0;
-          ex_profiler = Some r.Driver.stats.profiler;
-          ex_fingerprints = (if integrity then Some (Driver.fingerprints r) else None);
-          ex_corrupted = integrity && Faults.corrupt_attempt injector;
-        }
+        (exec_outcome ~fingerprints:integrity
+           ~corrupted:(integrity && Faults.corrupt_attempt injector)
+           r)
     | exception Faults.Fault { kind; launch } ->
       Serve.Server.Exec_fault
         {
@@ -279,6 +278,87 @@ let fault_executor ?(seed = 2024) ?(integrity = false) ?tracer ~(injector : Faul
           ef_oom = true;
           ef_reset = false;
         })
+
+(** The executor of one serving replica slot, for every entry point: with a
+    fault [injector], a {!fault_executor}; otherwise a clean executor. Either
+    swaps in [degraded_c] while its server is degraded (omit it to keep the
+    primary model throughout). [integrity] makes batches compute values and
+    carry fingerprints for the audit layer. *)
+let device_executor ~seed ~integrity ?tracer ?injector ?degraded_c (c : compiled)
+    ~(weights : (string * Tensor.t) list) :
+    degraded:bool -> (int * (string * Driver.hval) list) list -> Serve.Server.exec_result =
+  match injector with
+  | Some injector ->
+    fault_executor ~seed ~integrity ?tracer ~injector ~primary:c ?degraded_c ~weights ()
+  | None ->
+    fun ~degraded batch ->
+      let c = if degraded then Option.value ~default:c degraded_c else c in
+      Serve.Server.Exec_ok
+        (if integrity then integrity_batch_executor ~seed ?tracer c ~weights batch
+         else batch_executor ~seed ?tracer c ~weights (List.map snd batch))
+
+(* The per-server config of every serving entry point. *)
+let server_config ~policy ~queue_capacity ~deadline_ms ~tolerance ~resilience =
+  {
+    Serve.Server.policy;
+    queue_capacity;
+    deadline_us = Option.map (fun ms -> ms *. 1000.0) deadline_ms;
+    cost = Cost_model.default;
+    tolerance;
+    resilience;
+  }
+
+(** What {!serve_model} and {!serve_cluster} build before simulating. *)
+type serve_setup = {
+  su_compiled : compiled;
+  su_weights : (string * Tensor.t) list;
+  su_degraded : compiled option;
+      (** The model's degraded variant, compiled only when faults or
+          brownout can ask for it. *)
+  su_payloads : (int * (string * Driver.hval) list) array;
+  su_arrivals : float array;
+  su_config : Serve.Server.config;
+}
+
+(* Compile the model (and, when [fault_mode] or brownout may degrade a
+   server, its degraded variant), draw the payloads and arrival trace from
+   [seed], and assemble the per-server config. A fault-injected run
+   defaults to degrading earlier, at 85% queue occupancy. *)
+let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ?tolerance
+    ~resilience ?tracer ~fault_mode ~process ~requests ~seed (model : Model.t) =
+  let c, weights = compile_model ~framework ?iters ?tracer model ~batch:8 ~seed in
+  let payload_rng = Rng.create ((seed * 31) + 5) in
+  let payloads =
+    Array.init requests (fun i -> i, model.Model.gen_instance payload_rng)
+  in
+  let arrivals =
+    match arrivals with
+    | Some a -> a
+    | None -> Serve.Traffic.arrivals ~rng:(Rng.create ((seed * 53) + 11)) process ~n:requests
+  in
+  let tolerance =
+    match tolerance with
+    | Some t -> t
+    | None ->
+      if fault_mode then
+        { Serve.Server.default_tolerance with Serve.Server.degrade_high_frac = 0.85 }
+      else Serve.Server.default_tolerance
+  in
+  let degraded =
+    if fault_mode || Option.is_some resilience.Resilience.rs_brownout then
+      Option.map
+        (fun dm -> fst (compile_model ~framework ?iters dm ~batch:8 ~seed))
+        model.Model.degraded
+    else None
+  in
+  {
+    su_compiled = c;
+    su_weights = weights;
+    su_degraded = degraded;
+    su_payloads = payloads;
+    su_arrivals = arrivals;
+    su_config = server_config ~policy ~queue_capacity ~deadline_ms ~tolerance ~resilience;
+  }
 
 (** Simulate serving [requests] independently-arriving instances of [model]
     under an arrival [process] and batch-assembly [policy].
@@ -313,71 +393,21 @@ let serve_model ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(resilience = Resilience.off) ?(audit = 0.0) ?tracer ?metrics
     ~(process : Serve.Traffic.process) ~(requests : int) ~(seed : int) (model : Model.t) :
     serve_report =
-  let c, weights = compile_model ~framework ?iters ?tracer model ~batch:8 ~seed in
-  let payload_rng = Rng.create ((seed * 31) + 5) in
-  let payloads =
-    Array.init requests (fun i -> i, model.Model.gen_instance payload_rng)
-  in
-  let arrivals =
-    match arrivals with
-    | Some a -> a
-    | None -> Serve.Traffic.arrivals ~rng:(Rng.create ((seed * 53) + 11)) process ~n:requests
-  in
   let fault_mode = Faults.enabled faults in
-  let tolerance =
-    match tolerance with
-    | Some t -> t
-    | None ->
-      if fault_mode then
-        { Serve.Server.default_tolerance with Serve.Server.degrade_high_frac = 0.85 }
-      else Serve.Server.default_tolerance
+  let su =
+    serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ?tolerance
+      ~resilience ?tracer ~fault_mode ~process ~requests ~seed model
   in
-  let config =
-    {
-      Serve.Server.policy;
-      queue_capacity;
-      deadline_us = Option.map (fun ms -> ms *. 1000.0) deadline_ms;
-      cost = Cost_model.default;
-      tolerance;
-      resilience;
-    }
-  in
-  (* The brownout controller needs the degraded variant even on a
-     fault-free run: proactive load shedding swaps models under pressure,
-     not under faults. *)
-  let brownout_mode = Option.is_some resilience.Resilience.rs_brownout in
+  let c = su.su_compiled and weights = su.su_weights in
   let integrity = Faults.corrupts faults || audit > 0.0 in
+  let injector = if fault_mode then Some (Faults.create faults) else None in
   let execute =
-    if fault_mode || brownout_mode then begin
-      let degraded_c =
-        Option.map
-          (fun dm -> fst (compile_model ~framework ?iters dm ~batch:8 ~seed))
-          model.Model.degraded
-      in
-      if fault_mode then begin
-        let injector = Faults.create faults in
-        fault_executor ~seed ~integrity ?tracer ~injector ~primary:c ?degraded_c
-          ~weights ()
-      end
-      else
-        fun ~degraded batch ->
-          let c = if degraded then Option.value ~default:c degraded_c else c in
-          Serve.Server.Exec_ok
-            (if integrity then integrity_batch_executor ~seed ?tracer c ~weights batch
-             else batch_executor ~seed ?tracer c ~weights (List.map snd batch))
-    end
-    else if integrity then
-      Serve.Server.infallible (integrity_batch_executor ~seed ?tracer c ~weights)
-    else
-      Serve.Server.infallible (fun batch ->
-          batch_executor ~seed ?tracer c ~weights (List.map snd batch))
+    device_executor ~seed ~integrity ?tracer ?injector ?degraded_c:su.su_degraded c ~weights
   in
-  let auditor =
-    if audit > 0.0 then Some (reference_auditor ~seed ~rate:audit c ~weights) else None
-  in
+  let auditor = reference_auditor ~seed ~rate:audit (fun _ -> c, weights) in
   let stats =
-    Serve.Server.simulate ?tracer ?metrics ?auditor config ~arrivals
-      ~payload:(fun i -> payloads.(i))
+    Serve.Server.simulate ?tracer ?metrics ?auditor su.su_config ~arrivals:su.su_arrivals
+      ~payload:(fun i -> su.su_payloads.(i))
       ~execute
   in
   { sv_summary = Serve.Stats.summarize stats; sv_profiler = stats.Serve.Stats.profiler }
@@ -436,21 +466,15 @@ let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
       tenants
   in
   let payload ~tenant ~index ~id = id, instances.(tenant).(index) in
-  let tolerance = Option.value ~default:Serve.Server.default_tolerance tolerance in
   let cfg =
     {
       Tenancy.Dispatcher.t_server =
-        {
-          Serve.Server.policy;
-          queue_capacity;
-          deadline_us = None (* per-request deadlines come from tenant SLOs *);
-          cost = Cost_model.default;
-          tolerance;
-          resilience;
-        };
+        server_config ~policy ~queue_capacity
+          ~deadline_ms:None (* per-request deadlines come from tenant SLOs *)
+          ~tolerance:(Option.value ~default:Serve.Server.default_tolerance tolerance)
+          ~resilience;
       t_autoscale = Tenancy.Autoscaler.default ~min_replicas ~max_replicas;
       t_swap_cost = swap_cost;
-      t_resilience = resilience;
       t_hedge_percentile = hedge_percentile;
       t_net = net;
     }
@@ -466,22 +490,9 @@ let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
   let executors =
     Array.init (max 1 max_replicas) (fun i ->
         let plan = plan_for i in
-        if Faults.enabled plan then begin
-          let injector = Faults.create plan in
-          fun (c : compiled) weights batch ->
-            fault_executor ~seed ~integrity ?tracer ~injector ~primary:c ~weights ()
-              ~degraded:false batch
-        end
-        else if integrity then
-          fun c weights batch ->
-            Serve.Server.infallible
-              (integrity_batch_executor ~seed ?tracer c ~weights)
-              ~degraded:false batch
-        else
-          fun c weights batch ->
-            Serve.Server.infallible
-              (fun b -> batch_executor ~seed ?tracer c ~weights (List.map snd b))
-              ~degraded:false batch)
+        let injector = if Faults.enabled plan then Some (Faults.create plan) else None in
+        fun c weights batch ->
+          device_executor ~seed ~integrity ?tracer ?injector c ~weights ~degraded:false batch)
   in
   (* The audit layer needs each sampled request's own model to re-execute
      it; the dispatcher launches are the only place the (request, model)
@@ -496,21 +507,9 @@ let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     executors.(min i (Array.length executors - 1)) c weights batch
   in
   let auditor =
-    if audit > 0.0 then
-      Some
-        {
-          Serve.Server.au_rate = audit;
-          au_seed = (seed * 61) + 29;
-          au_reference =
-            (fun id (_, inst) ->
-              let _, c, weights = lookup (Hashtbl.find model_of_req id) in
-              let r =
-                run_batch ~compute_values:true ~seed ~instance_keys:[| id |] c
-                  ~weights ~instances:[ inst ] ()
-              in
-              (Driver.fingerprints r).(0), r.Driver.stats.latency_ms *. 1000.0);
-        }
-    else None
+    reference_auditor ~seed ~rate:audit (fun id ->
+        let _, c, weights = lookup (Hashtbl.find model_of_req id) in
+        c, weights)
   in
   Tenancy.Dispatcher.simulate ?tracer ?metrics ?auditor cfg ~tenants ~payload ~execute
     ~model_bytes
@@ -581,46 +580,18 @@ let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(resilience = Resilience.off) ?(audit = 0.0) ?net ?tracer ?metrics ?(replicas = 1)
     ~(process : Serve.Traffic.process) ~(requests : int)
     ~(seed : int) (model : Model.t) : cluster_report =
-  let c, weights = compile_model ~framework ?iters ?tracer model ~batch:8 ~seed in
-  let payload_rng = Rng.create ((seed * 31) + 5) in
-  let payloads =
-    Array.init requests (fun i -> i, model.Model.gen_instance payload_rng)
-  in
-  let arrivals =
-    match arrivals with
-    | Some a -> a
-    | None -> Serve.Traffic.arrivals ~rng:(Rng.create ((seed * 53) + 11)) process ~n:requests
-  in
   let plan_for i = try List.nth fault_plans i with _ -> Faults.none in
-  let fault_mode = List.exists Faults.enabled fault_plans in
-  let tolerance =
-    match tolerance with
-    | Some t -> t
-    | None ->
-      if fault_mode then
-        { Serve.Server.default_tolerance with Serve.Server.degrade_high_frac = 0.85 }
-      else Serve.Server.default_tolerance
+  let su =
+    serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ?tolerance
+      ~resilience ?tracer ~fault_mode:(List.exists Faults.enabled fault_plans) ~process
+      ~requests ~seed model
   in
-  let server_config =
-    {
-      Serve.Server.policy;
-      queue_capacity;
-      deadline_us = Option.map (fun ms -> ms *. 1000.0) deadline_ms;
-      cost = Cost_model.default;
-      tolerance;
-      resilience;
-    }
-  in
+  let c = su.su_compiled and weights = su.su_weights in
   let brownout_mode = Option.is_some resilience.Resilience.rs_brownout in
-  let degraded_c =
-    if fault_mode || brownout_mode then
-      Option.map
-        (fun dm -> fst (compile_model ~framework ?iters dm ~batch:8 ~seed))
-        model.Model.degraded
-    else None
-  in
   (* One executor (and one injector) per replica: a retried or failed-over
-     batch lands on a device with its own independent fault stream. When the
+     batch lands on a device with its own independent fault stream. A clean
+     replica swaps in the degraded model only under brownout: queue
+     pressure alone must not swap models on a fault-free device. When the
      integrity layer is armed, every replica — clean ones included — runs in
      integrity mode, so each batch carries fingerprints the audit can check
      (a clean replica's fingerprints simply always match the reference). *)
@@ -628,29 +599,16 @@ let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
   let executors =
     Array.init replicas (fun i ->
         let plan = plan_for i in
-        if Faults.enabled plan then
-          let injector = Faults.create plan in
-          fault_executor ~seed ~integrity ?tracer ~injector ~primary:c ?degraded_c
-            ~weights ()
-        else if brownout_mode then
-          fun ~degraded batch ->
-            let c = if degraded then Option.value ~default:c degraded_c else c in
-            Serve.Server.Exec_ok
-              (if integrity then integrity_batch_executor ~seed ?tracer c ~weights batch
-               else batch_executor ~seed ?tracer c ~weights (List.map snd batch))
-        else if integrity then
-          Serve.Server.infallible (integrity_batch_executor ~seed ?tracer c ~weights)
-        else
-          Serve.Server.infallible (fun batch ->
-              batch_executor ~seed ?tracer c ~weights (List.map snd batch)))
+        let faulty = Faults.enabled plan in
+        let injector = if faulty then Some (Faults.create plan) else None in
+        let degraded_c = if faulty || brownout_mode then su.su_degraded else None in
+        device_executor ~seed ~integrity ?tracer ?injector ?degraded_c c ~weights)
   in
-  let auditor =
-    if audit > 0.0 then Some (reference_auditor ~seed ~rate:audit c ~weights) else None
-  in
+  let auditor = reference_auditor ~seed ~rate:audit (fun _ -> c, weights) in
   let cfg =
     {
       Serve.Cluster.default_config with
-      Serve.Cluster.c_server = server_config;
+      Serve.Cluster.c_server = su.su_config;
       c_replicas = replicas;
       c_dispatch = dispatch;
       c_hedge_percentile = hedge_percentile;
@@ -659,8 +617,8 @@ let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     }
   in
   let report =
-    Serve.Cluster.simulate ?tracer ?metrics ?auditor cfg ~arrivals
-      ~payload:(fun i -> payloads.(i))
+    Serve.Cluster.simulate ?tracer ?metrics ?auditor cfg ~arrivals:su.su_arrivals
+      ~payload:(fun i -> su.su_payloads.(i))
       ~executors
   in
   {

@@ -29,8 +29,9 @@
     terminates exactly once — completed, shed, expired, poisoned, or
     requeue-budget-exhausted — no matter how many copies hedging created or
     how many times failover moved it. The dispatcher keeps a per-request-id
-    entry tracking live copies and resolution; replica callbacks funnel
-    every copy-level event through it.
+    entry holding the request's {!Hedge.copies} ledger (the hedge copy is
+    named by its replica id); replica callbacks funnel every copy-level
+    event through it.
 
     Determinism: everything runs on the shared {!Event_loop}; the only RNG
     streams are the per-replica backoff jitter (seeded from the tolerance
@@ -94,20 +95,11 @@ let default_config =
    replica should be indistinguishable from a dead one quickly). *)
 let link_down_threshold = 2
 
-(* Hedge-delay estimation: percentile over a sliding window of recent
-   winning completions. Too few observations ⇒ no hedging yet (an early
-   wild guess would either never fire or duplicate everything). *)
-let hedge_window = 64
-let hedge_min_obs = 8
-
 (** Dispatcher-side life cycle of one offered request. *)
 type 'a entry = {
   ent_req : 'a Admission.request;
-  mutable ent_copies : int;  (** Copies queued or in flight somewhere. *)
-  mutable ent_done : bool;  (** Reached its terminal outcome. *)
+  ent_copies : int Hedge.copies;  (** The hedge copy is named by its replica. *)
   mutable ent_home : int;  (** Replica holding the primary copy. *)
-  mutable ent_hedged : bool;
-  mutable ent_hedge_replica : int;  (** -1 until hedged. *)
   mutable ent_requeues : int;
   mutable ent_deposited : bool;
       (** Retry-budget tokens credited (once per logical request). *)
@@ -159,30 +151,10 @@ type 'a t = {
       (** Requests with no healthy replica to go to; drained on probe
           windows and re-admissions. *)
   mutable rr_next : int;
-  lat_ring : float array;  (** Recent winning latencies (us), circular. *)
-  mutable lat_count : int;
-  mutable lat_idx : int;
+  window : Hedge.window;  (** Recent winning latencies. *)
   tracer : Trace.t;  (** Dispatcher-level emissions land on pid 0. *)
   mutable net : netstate option;  (** [None] ⇒ the direct-call paths, untouched. *)
 }
-
-let record_latency st lat_us =
-  st.lat_ring.(st.lat_idx) <- lat_us;
-  st.lat_idx <- (st.lat_idx + 1) mod hedge_window;
-  if st.lat_count < hedge_window then st.lat_count <- st.lat_count + 1
-
-(** Pure hedge-delay estimate: the [percentile] of the first [count] ring
-    entries, or [None] during warm-up (fewer than {!hedge_min_obs}
-    observations — an early wild guess would either never fire or duplicate
-    everything). Exposed for the warm-up boundary test. *)
-let hedge_delay ~percentile ring ~count =
-  if count < hedge_min_obs then None
-  else Some (Stats.percentile (Array.sub ring 0 count) percentile)
-
-let hedge_delay_us st =
-  match st.cfg.c_hedge_percentile with
-  | None -> None
-  | Some p -> hedge_delay ~percentile:p st.lat_ring ~count:st.lat_count
 
 let entry st rq_id = st.entries.(rq_id)
 
@@ -196,9 +168,9 @@ let drop_attempt ns (ent : 'a entry) =
 (* A copy vanished without completing. When it was the last live copy of an
    unresolved request, that request's terminal outcome is [terminal]. *)
 let copy_lost st (ent : 'a entry) ~terminal =
-  ent.ent_copies <- ent.ent_copies - 1;
-  if (not ent.ent_done) && ent.ent_copies <= 0 then begin
-    ent.ent_done <- true;
+  match Hedge.lose ent.ent_copies with
+  | Hedge.Live | Hedge.Resolved -> ()
+  | Hedge.Terminal ->
     let counter, name =
       match terminal with
       | `Shed -> Stats.shed, "shed"
@@ -216,12 +188,11 @@ let copy_lost st (ent : 'a entry) ~terminal =
         ~ts_us:(Event_loop.now st.loop)
         ~args:[ "id", Json.Int id ]
     end
-  end
 
 (* A still-queued copy of an already-resolved request was discarded — the
    cheap hedge "cancellation". *)
 let copy_cancelled st (ent : 'a entry) =
-  ent.ent_copies <- ent.ent_copies - 1;
+  ignore (Hedge.lose ent.ent_copies);
   Stats.incr st.stats Stats.hedge_cancels
 
 (* The tracked (primary) copy reached a terminal on the net path. A hedge
@@ -232,8 +203,24 @@ let copy_cancelled st (ent : 'a entry) =
    with it, and a hedge ack that does survive later just settles the copy
    count like any losing ack on a resolved request. *)
 let primary_lost st (ent : 'a entry) ~terminal =
-  if not ent.ent_done then ent.ent_copies <- 1;
+  if not ent.ent_copies.Hedge.resolved then ent.ent_copies.Hedge.live <- 1;
   copy_lost st ent ~terminal
+
+(* The first completion of a request: record it, and credit the hedge when
+   the winning copy ran on the hedge's replica. *)
+let resolved_by st (ent : 'a entry) ~replica ~start_us ~done_us ~batch_size =
+  let r = ent.ent_req in
+  let id = r.Admission.rq_id in
+  Stats.record_fields st.stats ~id ~arrival_us:r.Admission.rq_arrival_us ~start_us ~done_us
+    ~batch_size;
+  Hedge.observe st.window (done_us -. r.Admission.rq_arrival_us);
+  if Trace.enabled st.tracer then
+    Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
+      ~ts_us:done_us
+      ~args:[ "id", Json.Int id; "replica", Json.Int replica ];
+  match ent.ent_copies.Hedge.hedge with
+  | Some h when h = replica -> Stats.incr st.stats Stats.hedge_wins
+  | _ -> ()
 
 (* --- Dispatch --- *)
 
@@ -304,88 +291,57 @@ let link_trace st ~name i =
       ~ts_us:(Event_loop.now st.loop)
       ~args:[ "replica", Json.Int i ]
 
-(* A completion (ack) crossed the return link. The first ack to land
-   resolves the request — [r_done_us] is the ack's arrival, so latency
-   honestly includes the return transit; later acks (re-acks for filtered
-   duplicates, or the losing copy of a hedge pair) only settle accounting.
-   The ack also carries the replica-side completion stamp, which is the
-   sender's only evidence of the one-way delay it feeds the shedding EWMA. *)
-let deliver_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_us =
+(* Put one reply (an ack or a nack) for [ent] on replica [replica]'s return
+   link. Loss here — random, gray, or a partition — is exactly what the
+   sender's timeout+resend and the receiver's [Dd_done] re-ack exist to
+   absorb; [deliver] settles a reply that lands. *)
+let send_back st ns ~replica (ent : 'a entry) deliver =
   let id = ent.ent_req.Admission.rq_id in
   let now_us = Event_loop.now st.loop in
-  Stats.incr st.stats Stats.net_ack_deliveries;
-  net_trace st ~name:"net_recv" ~replica id;
-  Net.observe_delay ns.nt (now_us -. di_done_us);
-  drop_attempt ns ent;
-  ns.consec_timeouts.(replica) <- 0;
-  if not ent.ent_done then begin
-    ent.ent_done <- true;
-    Stats.record_fields st.stats ~id ~arrival_us:ent.ent_req.Admission.rq_arrival_us
-      ~start_us:di_start_us ~done_us:now_us ~batch_size:di_size;
-    record_latency st (now_us -. ent.ent_req.Admission.rq_arrival_us);
-    if Trace.enabled st.tracer then
-      Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
-        ~ts_us:now_us
-        ~args:[ "id", Json.Int id; "replica", Json.Int replica ];
-    if ent.ent_hedged && replica = ent.ent_hedge_replica then
-      Stats.incr st.stats Stats.hedge_wins
-  end;
-  ent.ent_copies <- ent.ent_copies - 1
+  let n = Array.length st.replicas in
+  Stats.incr st.stats Stats.net_acks;
+  match Net.recv ns.nt ~now_us ~replica ~n with
+  | Net.Recv_partitioned ->
+    Stats.incr st.stats Stats.net_ack_drops;
+    net_trace st ~name:"net_cut" ~replica id
+  | Net.Recv_dropped ->
+    Stats.incr st.stats Stats.net_ack_drops;
+    net_trace st ~name:"net_drop" ~replica id
+  | Net.Recv_gray ->
+    Stats.incr st.stats Stats.net_gray_drops;
+    net_trace st ~name:"net_gray" ~replica id
+  | Net.Recv_deliver d -> Event_loop.schedule_after st.loop ~delay:d deliver
 
-(* Put one completion on the return link. Loss here — random, gray, or a
-   partition — is exactly what the sender's timeout+resend and the
-   receiver's [Dd_done] re-ack exist to absorb. *)
+(* A reply landed at the dispatcher: it clears the link's timeout streak. *)
+let reply_landed st ns ~replica (ent : 'a entry) =
+  Stats.incr st.stats Stats.net_ack_deliveries;
+  net_trace st ~name:"net_recv" ~replica ent.ent_req.Admission.rq_id;
+  ns.consec_timeouts.(replica) <- 0
+
+(* A completion (ack). The first ack to land resolves the request — its
+   done time is the ack's arrival, so latency honestly includes the return
+   transit; later acks (re-acks for filtered duplicates, or the losing copy
+   of a hedge pair) only settle accounting. The ack also carries the
+   replica-side completion stamp, which is the sender's only evidence of
+   the one-way delay it feeds the shedding EWMA. *)
 let send_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_us =
-  let id = ent.ent_req.Admission.rq_id in
-  let now_us = Event_loop.now st.loop in
-  let n = Array.length st.replicas in
-  Stats.incr st.stats Stats.net_acks;
-  match Net.recv ns.nt ~now_us ~replica ~n with
-  | Net.Recv_partitioned ->
-    Stats.incr st.stats Stats.net_ack_drops;
-    net_trace st ~name:"net_cut" ~replica id
-  | Net.Recv_dropped ->
-    Stats.incr st.stats Stats.net_ack_drops;
-    net_trace st ~name:"net_drop" ~replica id
-  | Net.Recv_gray ->
-    Stats.incr st.stats Stats.net_gray_drops;
-    net_trace st ~name:"net_gray" ~replica id
-  | Net.Recv_deliver d ->
-    Event_loop.schedule_after st.loop ~delay:d (fun () ->
-        deliver_ack st ns ~replica ent ~di_size ~di_start_us ~di_done_us)
+  send_back st ns ~replica ent (fun () ->
+      reply_landed st ns ~replica ent;
+      let now_us = Event_loop.now st.loop in
+      Net.observe_delay ns.nt (now_us -. di_done_us);
+      drop_attempt ns ent;
+      if Hedge.complete ent.ent_copies then
+        resolved_by st ent ~replica ~start_us:di_start_us ~done_us:now_us ~batch_size:di_size)
 
-(* A replica-side refusal (queue full / limiter) crossing the return link:
-   the authoritative shed, same terminal the direct path applies. A lost
-   nack is recovered by the sender's timeout like any other silence. *)
-let deliver_nack st ns ~replica (ent : 'a entry) ~terminal =
-  let id = ent.ent_req.Admission.rq_id in
-  Stats.incr st.stats Stats.net_ack_deliveries;
-  net_trace st ~name:"net_recv" ~replica id;
-  ns.consec_timeouts.(replica) <- 0;
-  if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-  else begin
-    copy_lost st ent ~terminal;
-    if ent.ent_done then drop_attempt ns ent
-  end
-
+(* A replica-side refusal (queue full / limiter): the authoritative shed,
+   same terminal the direct path applies. A lost nack is recovered by the
+   sender's timeout like any other silence. *)
 let send_nack st ns ~replica (ent : 'a entry) ~terminal =
-  let id = ent.ent_req.Admission.rq_id in
-  let now_us = Event_loop.now st.loop in
-  let n = Array.length st.replicas in
-  Stats.incr st.stats Stats.net_acks;
-  match Net.recv ns.nt ~now_us ~replica ~n with
-  | Net.Recv_partitioned ->
-    Stats.incr st.stats Stats.net_ack_drops;
-    net_trace st ~name:"net_cut" ~replica id
-  | Net.Recv_dropped ->
-    Stats.incr st.stats Stats.net_ack_drops;
-    net_trace st ~name:"net_drop" ~replica id
-  | Net.Recv_gray ->
-    Stats.incr st.stats Stats.net_gray_drops;
-    net_trace st ~name:"net_gray" ~replica id
-  | Net.Recv_deliver d ->
-    Event_loop.schedule_after st.loop ~delay:d (fun () ->
-        deliver_nack st ns ~replica ent ~terminal)
+  send_back st ns ~replica ent (fun () ->
+      reply_landed st ns ~replica ent;
+      let unresolved = not ent.ent_copies.Hedge.resolved in
+      copy_lost st ent ~terminal;
+      if unresolved && ent.ent_copies.Hedge.resolved then drop_attempt ns ent)
 
 (* One request copy lands at replica [i]'s ingress. The idempotency window
    (keyed by request id and the replica's fencing epoch) decides: fresh ⇒
@@ -514,19 +470,25 @@ and net_dispatch st ns (ent : 'a entry) (r : 'a Admission.request) i =
 (* One attempt cycle is spent: fall back to the cluster's requeue
    discipline (budgeted re-dispatch, parked when nowhere is healthy), so
    termination survives even a fully-lossy link. *)
-and net_requeue st ns (ent : 'a entry) (r : 'a Admission.request) ~from =
+and net_requeue st ns (ent : 'a entry) ~from =
   drop_attempt ns ent;
+  requeue_entry st ent ~from ~lose:primary_lost
+
+(* Spend one of the request's re-dispatches, taking it away from replica
+   [from]: past the budget the request ends as budget-exhausted through
+   [lose]; otherwise it is dispatched afresh ([from] is no longer a target,
+   so it routes elsewhere or parks when nowhere is healthy). *)
+and requeue_entry st (ent : 'a entry) ~from ~lose =
+  let id = ent.ent_req.Admission.rq_id in
   ent.ent_requeues <- ent.ent_requeues + 1;
-  if ent.ent_requeues > st.cfg.c_requeue_budget then
-    primary_lost st ent ~terminal:`Budget
+  if ent.ent_requeues > st.cfg.c_requeue_budget then lose st ent ~terminal:`Budget
   else begin
     Stats.incr st.stats Stats.requeued;
     if Trace.enabled st.tracer then
-      Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
-        ~tid:(Server.req_tid r.Admission.rq_id)
+      Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0 ~tid:(Server.req_tid id)
         ~ts_us:(Event_loop.now st.loop)
-        ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int from ];
-    dispatch st r
+        ~args:[ "id", Json.Int id; "from", Json.Int from ];
+    dispatch st ent.ent_req
   end
 
 (* The per-attempt timeout fired. Stale if the request resolved or a later
@@ -534,14 +496,14 @@ and net_requeue st ns (ent : 'a entry) (r : 'a Admission.request) ~from =
    silence feeds the link-health counter and triggers an epoch-consistent
    resend — same replica while it looks reachable, else re-selection. *)
 and net_timeout st ns (ent : 'a entry) (r : 'a Admission.request) my_no =
-  if ent.ent_at_no = my_no && not ent.ent_done then begin
+  if ent.ent_at_no = my_no && not ent.ent_copies.Hedge.resolved then begin
     let i = ent.ent_at_replica in
     Stats.incr st.stats Stats.net_timeouts;
     net_trace st ~name:"net_timeout" ~replica:i r.Admission.rq_id;
     ns.consec_timeouts.(i) <- ns.consec_timeouts.(i) + 1;
     if ns.consec_timeouts.(i) >= link_down_threshold && not ns.unreachable.(i) then
       net_link_down st ns i;
-    if ent.ent_at_no > ns.n_plan.Net.np_resends then net_requeue st ns ent r ~from:i
+    if ent.ent_at_no > ns.n_plan.Net.np_resends then net_requeue st ns ent ~from:i
     else begin
       match ns.n_budget with
       | Some b when not (Budget.try_spend b 1) ->
@@ -552,7 +514,7 @@ and net_timeout st ns (ent : 'a entry) (r : 'a Admission.request) my_no =
       | _ ->
         if link_up st i && Replica.health st.replicas.(i) = Replica.Up then
           net_dispatch st ns ent r i
-        else net_requeue st ns ent r ~from:i
+        else net_requeue st ns ent ~from:i
     end
   end
 
@@ -634,7 +596,7 @@ and drain_pending st =
       | None -> ()
       | Some r ->
         let ent = entry st r.Admission.rq_id in
-        if ent.ent_done then copy_cancelled st ent else dispatch st r;
+        if ent.ent_copies.Hedge.resolved then copy_cancelled st ent else dispatch st r;
         go (k - 1)
   in
   go (Queue.length st.pending)
@@ -642,14 +604,13 @@ and drain_pending st =
 (* --- Hedging --- *)
 
 let maybe_hedge st (ent : 'a entry) =
-  if (not ent.ent_done) && not ent.ent_hedged then begin
+  let c = ent.ent_copies in
+  if (not c.Hedge.resolved) && Option.is_none c.Hedge.hedge then begin
     let now_us = Event_loop.now st.loop in
     match pick_up st ~exclude:ent.ent_home ~now_us with
     | None -> () (* nowhere to hedge to; the primary copy stands alone *)
     | Some i ->
-      ent.ent_hedged <- true;
-      ent.ent_hedge_replica <- i;
-      ent.ent_copies <- ent.ent_copies + 1;
+      Hedge.add_hedge c i;
       Stats.incr st.stats Stats.hedges;
       if Trace.enabled st.tracer then
         Trace.instant st.tracer ~name:"hedge" ~cat:"cluster" ~pid:0
@@ -674,28 +635,18 @@ let maybe_hedge st (ent : 'a entry) =
 
 (* --- Replica callbacks: every copy-level event funnels through here --- *)
 
-let on_live st (r : 'a Admission.request) = not (entry st r.Admission.rq_id).ent_done
+let on_live st (r : 'a Admission.request) =
+  not (entry st r.Admission.rq_id).ent_copies.Hedge.resolved
 
 let on_completed st ~replica (batch : 'a Admission.request list) ~size ~start_us ~done_us =
   List.iter
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
-      if not ent.ent_done then begin
-        ent.ent_done <- true;
-        Stats.record_fields st.stats ~id:r.Admission.rq_id
-          ~arrival_us:r.Admission.rq_arrival_us ~start_us ~done_us ~batch_size:size;
-        record_latency st (done_us -. r.Admission.rq_arrival_us);
-        if Trace.enabled st.tracer then
-          Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0
-            ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
-            ~args:[ "id", Json.Int r.Admission.rq_id; "replica", Json.Int replica ];
-        if ent.ent_hedged && replica = ent.ent_hedge_replica then
-          Stats.incr st.stats Stats.hedge_wins
-      end
+      if Hedge.complete ent.ent_copies then
+        resolved_by st ent ~replica ~start_us ~done_us ~batch_size:size
       else
         (* The other copy already won; this execution was duplicated work. *)
-        Stats.incr st.stats Stats.hedge_wasted;
-      ent.ent_copies <- ent.ent_copies - 1)
+        Stats.incr st.stats Stats.hedge_wasted)
     batch
 
 (* Net-mode completion: the replica finished a batch. Each result is
@@ -712,35 +663,16 @@ let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~size ~s
         Net.Dedup.note ns.dedups.(replica)
           (r.Admission.rq_id, ep)
           (Dd_done { di_size = size; di_start_us = start_us; di_done_us = done_us });
-      if ent.ent_done && ent.ent_hedged then
+      if ent.ent_copies.Hedge.resolved && Option.is_some ent.ent_copies.Hedge.hedge then
         Stats.incr st.stats Stats.hedge_wasted;
       send_ack st ns ~replica ent ~di_size:size ~di_start_us:start_us
         ~di_done_us:done_us)
     batch
 
-let on_cancelled st ~replica:_ (r : 'a Admission.request) =
-  copy_cancelled st (entry st r.Admission.rq_id)
-
-let on_expired st ~replica:_ (rs : 'a Admission.request list) =
+let on_lost st ~replica:_ terminal (rs : 'a Admission.request list) =
   List.iter
-    (fun (r : 'a Admission.request) ->
-      let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-      else copy_lost st ent ~terminal:`Expired)
+    (fun (r : 'a Admission.request) -> copy_lost st (entry st r.Admission.rq_id) ~terminal)
     rs
-
-let on_retry_shed st ~replica:_ (rs : 'a Admission.request list) =
-  List.iter
-    (fun (r : 'a Admission.request) ->
-      let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-      else copy_lost st ent ~terminal:`Retry_budget)
-    rs
-
-let on_poisoned st ~replica:_ (r : 'a Admission.request) =
-  let ent = entry st r.Admission.rq_id in
-  if ent.ent_done then ent.ent_copies <- ent.ent_copies - 1
-  else copy_lost st ent ~terminal:`Poisoned
 
 (* A failed-over or quarantined replica hands its queued and in-flight
    copies back: budgeted re-dispatch, parked when nowhere is healthy. *)
@@ -748,23 +680,8 @@ let requeue st ~replica (rs : 'a Admission.request list) =
   List.iter
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then copy_cancelled st ent
-      else begin
-        ent.ent_requeues <- ent.ent_requeues + 1;
-        if ent.ent_requeues > st.cfg.c_requeue_budget then
-          copy_lost st ent ~terminal:`Budget
-        else begin
-          Stats.incr st.stats Stats.requeued;
-          if Trace.enabled st.tracer then
-            Trace.instant st.tracer ~name:"requeue" ~cat:"cluster" ~pid:0
-              ~tid:(Server.req_tid r.Admission.rq_id)
-              ~ts_us:(Event_loop.now st.loop)
-              ~args:[ "id", Json.Int r.Admission.rq_id; "from", Json.Int replica ];
-          (* The replica is no longer Up, so [dispatch] naturally routes
-             elsewhere (or parks the request when nowhere is). *)
-          dispatch st r
-        end
-      end)
+      if ent.ent_copies.Hedge.resolved then copy_cancelled st ent
+      else requeue_entry st ent ~from:replica ~lose:copy_lost)
     rs
 
 (* Only a failover counts here; a quarantine is counted by the replica's
@@ -772,8 +689,6 @@ let requeue st ~replica (rs : 'a Admission.request list) =
 let on_down st ~replica rs =
   Stats.incr st.stats Stats.failovers;
   requeue st ~replica rs
-
-let on_probe_ready st ~replica:_ = drain_pending st
 
 let on_up st ~replica:_ =
   Stats.incr st.stats Stats.readmitted;
@@ -795,10 +710,11 @@ let on_arrival st (ent : 'a entry) =
       ~args:[ "id", Json.Int r.Admission.rq_id ];
   (* Arm the hedge timer from the delay estimate at arrival time; when the
      request resolves first, the timer no-ops. *)
-  (match hedge_delay_us st with
-  | Some d ->
-    Event_loop.schedule st.loop ~at:(r.Admission.rq_arrival_us +. d) (fun () ->
-        maybe_hedge st ent)
+  (match
+     Hedge.due st.window ~percentile:st.cfg.c_hedge_percentile
+       ~arrival_us:r.Admission.rq_arrival_us
+   with
+  | Some at -> Event_loop.schedule st.loop ~at (fun () -> maybe_hedge st ent)
   | None -> ());
   dispatch st r
 
@@ -885,9 +801,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       entries = [||];
       pending = Queue.create ();
       rr_next = 0;
-      lat_ring = Array.make hedge_window 0.0;
-      lat_count = 0;
-      lat_idx = 0;
+      window = Hedge.window ();
       tracer;
       net;
     }
@@ -899,14 +813,12 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
         match st.net with
         | None -> on_completed st ~replica batch ~size ~start_us ~done_us
         | Some ns -> net_on_completed st ns ~replica batch ~size ~start_us ~done_us);
-      cb_cancelled = (fun ~replica r -> on_cancelled st ~replica r);
-      cb_expired = (fun ~replica rs -> on_expired st ~replica rs);
-      cb_retry_shed = (fun ~replica rs -> on_retry_shed st ~replica rs);
-      cb_poisoned = (fun ~replica r -> on_poisoned st ~replica r);
-      cb_down = (fun ~replica rs -> on_down st ~replica rs);
-      cb_quarantined = (fun ~replica rs -> requeue st ~replica rs);
-      cb_probe_ready = (fun ~replica -> on_probe_ready st ~replica);
-      cb_up = (fun ~replica -> on_up st ~replica);
+      cb_cancelled = (fun ~replica:_ r -> copy_cancelled st (entry st r.Admission.rq_id));
+      cb_lost = on_lost st;
+      cb_down = on_down st;
+      cb_quarantined = requeue st;
+      cb_probe_ready = (fun ~replica:_ -> drain_pending st);
+      cb_up = on_up st;
     }
   in
   st.replicas <-
@@ -924,11 +836,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
               rq_arrival_us = at;
               rq_deadline_us = Option.map (fun d -> at +. d) cfg.c_server.Server.deadline_us;
             };
-          ent_copies = 1;
-          ent_done = false;
+          ent_copies = Hedge.single ();
           ent_home = -1;
-          ent_hedged = false;
-          ent_hedge_replica = -1;
           ent_requeues = 0;
           ent_deposited = false;
           ent_at_replica = -1;
@@ -944,7 +853,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
   Queue.iter
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
-      if ent.ent_done then copy_cancelled st ent
+      if ent.ent_copies.Hedge.resolved then copy_cancelled st ent
       else if st.net <> None then primary_lost st ent ~terminal:`Budget
       else copy_lost st ent ~terminal:`Budget)
     st.pending;

@@ -61,10 +61,13 @@ type 'a callbacks = {
     unit;  (** A batch finished; the cluster dedupes per request id. *)
   cb_cancelled : replica:int -> 'a Admission.request -> unit;
       (** A queued copy was dropped because its winner already completed. *)
-  cb_expired : replica:int -> 'a Admission.request list -> unit;
-      (** Requests dropped by this replica's queue as past deadline. *)
-  cb_poisoned : replica:int -> 'a Admission.request -> unit;
-      (** Bisection isolated this request as the deterministic batch-killer. *)
+  cb_lost :
+    replica:int -> [ `Expired | `Retry_budget | `Poisoned ] -> 'a Admission.request list -> unit;
+      (** These copies left without completing: dropped by this replica's
+          queue as past deadline ([`Expired]), shed instead of retried
+          because the retry budget ran dry mid-resolution ([`Retry_budget],
+          never fires unless a budget is armed), or isolated by bisection as
+          the deterministic batch-killer ([`Poisoned]). *)
   cb_down : replica:int -> 'a Admission.request list -> unit;
       (** The replica failed over; these queued + in-flight requests drain
           back for re-dispatch. *)
@@ -73,9 +76,6 @@ type 'a callbacks = {
           requests drain back for re-dispatch (in-flight results were
           already delivered — audit-corrected where caught — before
           containment fired). *)
-  cb_retry_shed : replica:int -> 'a Admission.request list -> unit;
-      (** The retry budget ran dry mid-resolution; these requests were shed
-          instead of retried (never fires unless a budget is armed). *)
   cb_probe_ready : replica:int -> unit;
       (** Cooldown passed; the replica accepts a single probe request. *)
   cb_up : replica:int -> unit;  (** A probe succeeded; healthy again. *)
@@ -207,7 +207,7 @@ let rec maybe_launch (t : 'a t) =
 
 and flush (t : 'a t) ~now_us ~limit =
   let live, expired = Server.take t.dev ~now_us ~limit in
-  if expired <> [] then t.cb.cb_expired ~replica:t.id expired;
+  if expired <> [] then t.cb.cb_lost ~replica:t.id `Expired expired;
   (* Lazy hedge cancellation: copies whose winner already completed are
      dropped here, unexecuted — the cheap form of "cancel". *)
   let live, cancelled = List.partition t.cb.cb_live live in
@@ -276,10 +276,10 @@ and recovery (t : 'a t) =
       else None)
     ~retry_shed:(fun batch ~freed_us:_ ->
       drop_outstanding t batch;
-      fun () -> t.cb.cb_retry_shed ~replica:t.id batch)
+      fun () -> t.cb.cb_lost ~replica:t.id `Retry_budget batch)
     ~poison:(fun r ->
       drop_outstanding t [ r ];
-      t.cb.cb_poisoned ~replica:t.id r)
+      t.cb.cb_lost ~replica:t.id `Poisoned [ r ])
 
 (* Failover and quarantine fence the replica alike: bump the epoch so the
    aborted resolution's continuations no-op, drain the queue, hand every
@@ -294,7 +294,7 @@ and fence (t : 'a t) ~health ~requeue ~probe_ready =
   d.Server.consecutive_failures <- 0;
   t.consecutive_resets <- 0;
   let queued, expired = Admission.drain d.Server.queue ~now_us in
-  if expired <> [] then t.cb.cb_expired ~replica:t.id expired;
+  if expired <> [] then t.cb.cb_lost ~replica:t.id `Expired expired;
   let unresolved = t.outstanding @ queued in
   t.outstanding <- [];
   requeue ~replica:t.id unresolved;
@@ -405,14 +405,14 @@ let deposit_budget (t : 'a t) = Option.iter Budget.deposit t.dev.Server.budget
 
 (** Offer a request to this replica's device ({!Server.offer}: limiter gate,
     bounded queue, degradation trigger); any requests the full-queue sweep
-    expired are reported through [cb_expired]. Schedules the launch check as
+    expired are reported through [cb_lost]. Schedules the launch check as
     a same-time event so simultaneous dispatches coalesce into one batch. *)
 let enqueue (t : 'a t) (r : 'a Admission.request) : admit =
   let d = t.dev in
   let now_us = Event_loop.now d.Server.loop in
   Batcher.observe_arrival d.Server.batcher ~now_us;
   let admit, swept = Server.offer d r ~now_us in
-  if swept <> [] then t.cb.cb_expired ~replica:t.id swept;
+  if swept <> [] then t.cb.cb_lost ~replica:t.id `Expired swept;
   if admit = Admitted then
     Event_loop.schedule d.Server.loop ~at:now_us (fun () -> maybe_launch t);
   admit

@@ -28,7 +28,7 @@
     per-replica jitter streams seeded by the same [ft_seed + id * 7919]
     convention; the dispatcher plugs in swap billing, per-tenant breakers,
     fair-share charging and hedge dedup as its policy. When the resilience
-    layer is armed ([t_resilience]), each tenant additionally gets a
+    layer of [t_server] is armed, each tenant additionally gets a
     retry-token {!Acrobat_resilience.Budget} (retries charged to the
     batch's lead tenant; a dry budget sheds the batch instead of
     amplifying load), an AIMD {!Acrobat_resilience.Limiter} gating
@@ -36,9 +36,10 @@
     after consecutive failed batches and sheds arrivals until a half-open
     trial succeeds. With [t_hedge_percentile] set, slow requests are
     duplicated into their tenant's queue after a percentile of recent
-    completion latency (the {!Acrobat_serve.Cluster} estimator); first
-    completion wins and every duplicate is cancelled, wasted or silently
-    dropped — never double-completed.
+    completion latency ({!Acrobat_serve.Hedge}, the cluster's estimator);
+    first completion wins and every duplicate is cancelled, wasted or
+    silently dropped — never double-completed. A tenant's counters count
+    its requests, never their copies.
 
     With an [auditor] installed ({!Acrobat_serve.Server.auditor}), each
     completed request is sampled for unbatched re-execution on the
@@ -68,7 +69,7 @@ module Traffic = Acrobat_serve.Traffic
 module Trace = Acrobat_obs.Trace
 module Metrics = Acrobat_obs.Metrics
 module Json = Acrobat_obs.Json
-module Cluster = Acrobat_serve.Cluster
+module Hedge = Acrobat_serve.Hedge
 module Replica = Acrobat_serve.Replica
 module Recovery = Acrobat_serve.Recovery
 module Resilience = Acrobat_resilience.Policy
@@ -78,14 +79,14 @@ module Net = Acrobat_net.Net
 
 type config = {
   t_server : Server.config;
-      (** Per-tenant queue capacity, batch policy, batcher cost seed and
-          fault-tolerance knobs ([deadline_us] is ignored: each tenant's
-          SLO is its deadline). *)
+      (** Per-tenant queue capacity, batch policy, batcher cost seed,
+          fault-tolerance knobs and resilience layer: each tenant gets its
+          own retry budget, admission limiter and circuit breaker from
+          [resilience] ({!Resilience.off} leaves every legacy path
+          untouched; brownout does not apply). [deadline_us] is ignored:
+          each tenant's SLO is its deadline. *)
   t_autoscale : Autoscaler.config;
   t_swap_cost : Cost_model.t;  (** Sizes the resident-model swap penalty. *)
-  t_resilience : Resilience.config;
-      (** Per-tenant retry budgets, admission limiters and circuit
-          breakers; {!Resilience.off} leaves every legacy path untouched. *)
   t_hedge_percentile : float option;
       (** Duplicate a still-unresolved request after this percentile of
           recent completion latency; [None] disables hedging. *)
@@ -103,7 +104,6 @@ let default_config =
     t_server = Server.default_config;
     t_autoscale = Autoscaler.fixed 1;
     t_swap_cost = Cost_model.default;
-    t_resilience = Resilience.off;
     t_hedge_percentile = None;
     t_net = None;
   }
@@ -137,11 +137,6 @@ let rp_pid rp = rp.rp_id + 1
 
 (* --- Per-tenant serving state --- *)
 
-(** Per-tenant circuit breaker (resilience layer only): opens after
-    consecutive failed batches attributed to the tenant as lead, sheds
-    arrivals during the cooldown, then admits a half-open trial. *)
-type breaker = Closed | Open of { until_us : float } | Half_open
-
 type 'a tstate = {
   ts_tenant : Tenant.t;
   ts_queue : 'a Admission.t;
@@ -152,18 +147,11 @@ type 'a tstate = {
   mutable ts_delay_ewma_us : float;  (** Smoothed queue delay (scaler signal). *)
   ts_budget : Budget.t option;  (** Retry tokens; refilled by fresh admits. *)
   ts_limiter : Limiter.t option;  (** AIMD admission gate on queue delay. *)
-  mutable ts_breaker : breaker;
+  mutable ts_breaker : Server.breaker_state;
+      (** Resilience layer only: opens after consecutive failed batches
+          attributed to the tenant as lead, sheds arrivals during the
+          cooldown, then admits a half-open trial. *)
   mutable ts_consec_failures : int;  (** Failed batches led since last success. *)
-}
-
-(** Dispatcher-side view of one request's copies when hedging is armed;
-    absent from the table (hedging off) means "single copy". *)
-type 'a hentry = {
-  mutable he_done : bool;
-  mutable he_copies : int;
-  mutable he_hedged : bool;
-  mutable he_hedge_copy : 'a Admission.request option;
-      (** The duplicate's physical identity, to attribute hedge wins. *)
 }
 
 type 'a state = {
@@ -183,11 +171,11 @@ type 'a state = {
   mutable scale_events : (float * string * int) list;  (** Reversed. *)
   mutable peak_replicas : int;
   tracer : Trace.t;
-  (* Hedging state; only populated when [t_hedge_percentile] is set. *)
-  entries : (int, 'a hentry) Hashtbl.t;
-  lat_ring : float array;  (** Recent completion latencies (us), circular. *)
-  mutable lat_count : int;
-  mutable lat_idx : int;
+  mutable ledger : 'a Admission.request Hedge.copies array;
+      (** Indexed by global request id; filled once during [simulate]. The
+          hedge copy is named by its own request record, so a win is the
+          completion of that physical copy. *)
+  window : Hedge.window;  (** Recent winning latencies. *)
 }
 
 let now_us st = Event_loop.now st.loop
@@ -204,70 +192,46 @@ let trace_terminal st (ts : 'a tstate) ~name ~ts_us (r : 'a Admission.request) =
       (Trace.tag ~tenant:ts.ts_tenant.Tenant.tn_name ~model:ts.ts_tenant.Tenant.tn_model
          [ "id", Json.Int r.Admission.rq_id ])
 
+(* A request's terminal outcome other than completion: counted as [counter]
+   on the aggregate and on its tenant, traced as [name]. *)
+let count_terminal st (ts : 'a tstate) ~counter ~name ~ts_us r =
+  Stats.incr st.stats counter;
+  Stats.incr ts.ts_stats counter;
+  trace_terminal st ts ~name ~ts_us r
+
 (* --- Hedge copy accounting ---
 
-   With hedging off the entry table is empty and every request is its own
-   single copy, so [copy_drop_terminal] is the constant [true] and nothing
-   below changes a legacy run. *)
+   With hedging off every request stays a single copy: a loss is always
+   terminal, the first completion always wins, and no hedge counter moves. *)
 
-let record_latency st lat_us =
-  st.lat_ring.(st.lat_idx) <- lat_us;
-  st.lat_idx <- (st.lat_idx + 1) mod Cluster.hedge_window;
-  if st.lat_count < Cluster.hedge_window then st.lat_count <- st.lat_count + 1
-
-let hedge_delay_us st =
-  match st.cfg.t_hedge_percentile with
-  | None -> None
-  | Some p -> Cluster.hedge_delay ~percentile:p st.lat_ring ~count:st.lat_count
-
-(* A copy left the system without completing (expired, retry-budget shed,
-   poisoned, end-of-run drain). True when that drop is the request's
-   terminal outcome; a duplicate of a live or resolved request just
-   decrements the copy count. *)
-let copy_drop_terminal st (r : 'a Admission.request) =
-  match Hashtbl.find_opt st.entries r.Admission.rq_id with
-  | None -> true
-  | Some e ->
-    e.he_copies <- e.he_copies - 1;
-    if e.he_done then begin
-      Stats.incr st.stats Stats.hedge_cancels;
-      false
-    end
-    else if e.he_copies > 0 then false
-    else begin
-      e.he_done <- true;
-      true
-    end
-
-(* A copy of [r] left without completing. When that drop is the request's
-   terminal outcome, count it as [counter] on the [ledgers] and trace it as
-   [name]. *)
-let drop_copy st (ts : 'a tstate) ~ledgers ~counter ~name ~ts_us r =
-  if copy_drop_terminal st r then begin
-    List.iter (fun s -> Stats.incr s counter) ledgers;
+(* A copy of [r] left without completing (expired, retry-budget shed,
+   poisoned, end-of-run drain). When that is the request's terminal outcome,
+   count it as [counter] on the aggregate and the tenant and trace it as
+   [name]; a leftover copy of a resolved request counts as a cancel. *)
+let drop_copy st (ts : 'a tstate) ~counter ~name ~ts_us (r : 'a Admission.request) =
+  match Hedge.lose st.ledger.(r.Admission.rq_id) with
+  | Hedge.Live -> ()
+  | Hedge.Resolved -> Stats.incr st.stats Stats.hedge_cancels
+  | Hedge.Terminal ->
     ts.ts_inflight <- ts.ts_inflight - 1;
-    trace_terminal st ts ~name ~ts_us r
-  end
+    count_terminal st ts ~counter ~name ~ts_us r
 
-(* A queued request left without executing (swept or popped past deadline).
-   Only the aggregate counts it here: a tenant's own expiries are its
-   queue's count. *)
+(* Queued requests left without executing (swept or popped past deadline). *)
 let drop_expired st (ts : 'a tstate) ~ts_us dropped =
-  List.iter
-    (drop_copy st ts ~ledgers:[ st.stats ] ~name:"expired" ~ts_us ~counter:Stats.expired)
-    dropped
+  List.iter (drop_copy st ts ~name:"expired" ~ts_us ~counter:Stats.expired) dropped
 
 (* Stale hedge duplicates whose winner already completed leave the queue
    unexecuted, counted as cancels. *)
 let drop_cancelled st (live : 'a Admission.request list) =
   List.filter
     (fun (r : 'a Admission.request) ->
-      match Hashtbl.find_opt st.entries r.Admission.rq_id with
-      | Some e when e.he_done ->
-        e.he_copies <- e.he_copies - 1;
+      let c = st.ledger.(r.Admission.rq_id) in
+      if c.Hedge.resolved then begin
+        ignore (Hedge.lose c);
         Stats.incr st.stats Stats.hedge_cancels;
         false
-      | _ -> true)
+      end
+      else true)
     live
 
 (* --- Launch path --- *)
@@ -374,9 +338,9 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
     (outcome : Server.exec_outcome) ~now_us:now ~done_us =
   let size = List.length batch in
   let lead_ts = st.tenants.(lead) in
-  if Resilience.active st.cfg.t_resilience then begin
+  if Resilience.active st.cfg.t_server.Server.resilience then begin
     lead_ts.ts_consec_failures <- 0;
-    if lead_ts.ts_breaker = Half_open then lead_ts.ts_breaker <- Closed
+    if lead_ts.ts_breaker = Server.Half_open then lead_ts.ts_breaker <- Server.Closed
   end;
   Batcher.observe_batch lead_ts.ts_batcher ~size ~latency_us:outcome.Server.ex_latency_us;
   Stats.note_batch st.stats ~size ~profiler:outcome.Server.ex_profiler;
@@ -402,29 +366,21 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
         Fairshare.charge st.fair ti ~work:(busy *. float_of_int c /. float_of_int size))
     counts;
   (* Hedge dedup: only the first completing copy of a request is a
-     completion; the rest are wasted work. With hedging off the entry table
-     is empty and [fresh] is the whole batch. Each survivor keeps its batch
-     position so the audit gate can look up its fingerprint. *)
+     completion; the rest are wasted work. With hedging off [fresh] is the
+     whole batch. Each survivor keeps its batch position so the audit gate
+     can look up its fingerprint. *)
   let _, fresh_rev =
     List.fold_left
       (fun (bi, acc) ((ti, r) : int * 'a Admission.request) ->
-        let keep =
-          match Hashtbl.find_opt st.entries r.Admission.rq_id with
-          | None -> true
-          | Some e when e.he_done ->
-            e.he_copies <- e.he_copies - 1;
-            Stats.incr st.stats Stats.hedge_wasted;
-            false
-          | Some e ->
-            e.he_done <- true;
-            e.he_copies <- e.he_copies - 1;
-            record_latency st (done_us -. r.Admission.rq_arrival_us);
-            (match e.he_hedge_copy with
-            | Some hc when hc == r ->
-              Stats.incr st.stats Stats.hedge_wins
-            | _ -> ());
-            true
-        in
+        let c = st.ledger.(r.Admission.rq_id) in
+        let keep = Hedge.complete c in
+        if keep then begin
+          Hedge.observe st.window (done_us -. r.Admission.rq_arrival_us);
+          match c.Hedge.hedge with
+          | Some hc when hc == r -> Stats.incr st.stats Stats.hedge_wins
+          | _ -> ()
+        end
+        else Stats.incr st.stats Stats.hedge_wasted;
         bi + 1, if keep then (bi, ti, r) :: acc else acc)
       (0, []) batch
   in
@@ -486,13 +442,14 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
 and escalate st rp ~lead ~model ~freed_us =
   let lead_ts = st.tenants.(lead) in
   let tol = st.cfg.t_server.Server.tolerance in
-  if Resilience.active st.cfg.t_resilience then begin
+  if Resilience.active st.cfg.t_server.Server.resilience then begin
     lead_ts.ts_consec_failures <- lead_ts.ts_consec_failures + 1;
     if
-      lead_ts.ts_breaker = Half_open
+      lead_ts.ts_breaker = Server.Half_open
       || lead_ts.ts_consec_failures >= tol.Server.breaker_threshold
     then begin
-      lead_ts.ts_breaker <- Open { until_us = freed_us +. tol.Server.breaker_cooldown_us };
+      lead_ts.ts_breaker <-
+        Server.Open { until_us = freed_us +. tol.Server.breaker_cooldown_us };
       lead_ts.ts_consec_failures <- 0;
       Stats.incr st.stats Stats.breaker_opens;
       Stats.incr lead_ts.ts_stats Stats.breaker_opens;
@@ -511,17 +468,13 @@ and retry_shed st batch ~freed_us =
   List.iter
     (fun (ti, r) ->
       let ts = st.tenants.(ti) in
-      drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"retry_budget" ~ts_us:freed_us
-        ~counter:Stats.retry_shed
-        r)
+      drop_copy st ts ~name:"retry_budget" ~ts_us:freed_us ~counter:Stats.retry_shed r)
     batch;
   ignore
 
 and poison st (ti, r) =
   let ts = st.tenants.(ti) in
-  drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"poisoned" ~ts_us:(now_us st)
-    ~counter:Stats.poisoned
-    r
+  drop_copy st ts ~name:"poisoned" ~ts_us:(now_us st) ~counter:Stats.poisoned r
 
 (* Put one free replica to work: offer it to backlogged tenants in
    fair-share order; the first whose batcher wants to flush launches. A
@@ -654,29 +607,30 @@ and quarantine st rp ~ts_us =
   Trace.instant st.tracer ~name:"quarantine" ~cat:"integrity" ~pid:(rp_pid rp) ~tid:0
     ~ts_us
     ~args:[ "replica", Json.Int rp.rp_id; "score", Json.Float rp.rp_corrupt_score ];
-  let nrp =
-    new_replica st ~ready_us:(ts_us +. st.cfg.t_autoscale.Autoscaler.as_warmup_us)
-  in
+  grow st ~ts_us ~event:"quarantine_replace" ~cat:"integrity"
+
+(* Add a replica that warms up from [ts_us], record the pool change as
+   [event] and wake the replica the moment it is usable. *)
+and grow st ~ts_us ~event ~cat =
+  let rp = new_replica st ~ready_us:(ts_us +. st.cfg.t_autoscale.Autoscaler.as_warmup_us) in
   let active = active_replicas st in
   if active > st.peak_replicas then st.peak_replicas <- active;
-  st.scale_events <- (ts_us, "quarantine_replace", active) :: st.scale_events;
-  Trace.instant st.tracer ~name:"quarantine_replace" ~cat:"integrity" ~pid:0 ~tid:0
-    ~ts_us
-    ~args:[ "replica", Json.Int nrp.rp_id; "ready_us", Json.Float nrp.rp_ready_us ];
-  Event_loop.schedule st.loop ~at:nrp.rp_ready_us (fun () -> pass st)
+  st.scale_events <- (ts_us, event, active) :: st.scale_events;
+  Trace.instant st.tracer ~name:event ~cat ~pid:0 ~tid:0 ~ts_us
+    ~args:[ "replica", Json.Int rp.rp_id; "ready_us", Json.Float rp.rp_ready_us ];
+  Event_loop.schedule st.loop ~at:rp.rp_ready_us (fun () -> pass st)
 
 (* --- Hedging --- *)
 
 (* Duplicate a still-unresolved request back into its tenant's queue; the
    first completion wins, the loser is cancelled (still queued) or counted
    wasted (already executing). Only ever scheduled when hedging is armed. *)
-let maybe_hedge st (ts : 'a tstate) (e : 'a hentry) (r : 'a Admission.request) =
-  if (not e.he_done) && not e.he_hedged then begin
+let maybe_hedge st (ts : 'a tstate) (r : 'a Admission.request) =
+  let c = st.ledger.(r.Admission.rq_id) in
+  if (not c.Hedge.resolved) && Option.is_none c.Hedge.hedge then begin
     let now = now_us st in
     let copy = { r with Admission.rq_id = r.Admission.rq_id } in
-    e.he_hedged <- true;
-    e.he_hedge_copy <- Some copy;
-    e.he_copies <- e.he_copies + 1;
+    Hedge.add_hedge c copy;
     Stats.incr st.stats Stats.hedges;
     Trace.instant st.tracer ~name:"hedge" ~cat:"tenancy" ~pid:0
       ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:now
@@ -690,7 +644,7 @@ let maybe_hedge st (ts : 'a tstate) (e : 'a hentry) (r : 'a Admission.request) =
     else
       (* Queue full: the duplicate is lost; the primary copy stands alone,
          so this never terminates the request. *)
-      e.he_copies <- e.he_copies - 1
+      ignore (Hedge.lose c)
   end
 
 (* --- Admission --- *)
@@ -705,60 +659,41 @@ let on_arrival st (ts : 'a tstate) (r : 'a Admission.request) =
          [ "id", Json.Int r.Admission.rq_id ]);
   let breaker_open =
     match ts.ts_breaker with
-    | Open { until_us } when now < until_us -> true
-    | Open _ ->
+    | Server.Open { until_us } when now < until_us -> true
+    | Server.Open _ ->
       (* Cooldown elapsed: admit one half-open trial batch. *)
-      ts.ts_breaker <- Half_open;
+      ts.ts_breaker <- Server.Half_open;
       false
-    | Closed | Half_open -> false
+    | Server.Closed | Server.Half_open -> false
   in
   (* The configured quota is per replica: an autoscaled pool admits
      proportionally more in-flight work, so quotas never become the binding
      constraint after a scale-up. *)
   let quota = ts.ts_tenant.Tenant.tn_quota * max 1 (active_replicas st) in
-  if breaker_open then begin
-    Stats.incr st.stats Stats.breaker_shed;
-    Stats.incr ts.ts_stats Stats.breaker_shed;
-    trace_terminal st ts ~name:"shed_breaker" ~ts_us:now r
-  end
-  else if ts.ts_inflight >= quota then begin
+  if breaker_open then
+    count_terminal st ts ~counter:Stats.breaker_shed ~name:"shed_breaker" ~ts_us:now r
+  else if ts.ts_inflight >= quota then
     (* Over quota: refuse before admission so the queue (and the cluster
        behind it) never sees the excess. *)
-    Stats.incr st.stats Stats.quota_shed;
-    Stats.incr ts.ts_stats Stats.quota_shed;
-    trace_terminal st ts ~name:"shed_quota" ~ts_us:now r
-  end
+    count_terminal st ts ~counter:Stats.quota_shed ~name:"shed_quota" ~ts_us:now r
   else begin
     match ts.ts_limiter with
     | Some lim when not (Limiter.admits lim ~queued:(Admission.length ts.ts_queue)) ->
       (* The tenant's adaptive concurrency limiter gates ahead of its
          bounded queue (the gate {!Server.offer} applies per device). *)
-      Stats.incr st.stats Stats.limit_shed;
-      Stats.incr ts.ts_stats Stats.limit_shed;
-      trace_terminal st ts ~name:"shed_limit" ~ts_us:now r
+      count_terminal st ts ~counter:Stats.limit_shed ~name:"shed_limit" ~ts_us:now r
     | _ ->
       let admitted, swept = Admission.offer_swept ts.ts_queue ~now_us:now r in
       drop_expired st ts ~ts_us:now swept;
-      if not admitted then begin
-        Stats.incr st.stats Stats.shed;
-        trace_terminal st ts ~name:"shed" ~ts_us:now r
-      end
+      if not admitted then count_terminal st ts ~counter:Stats.shed ~name:"shed" ~ts_us:now r
       else begin
         Option.iter Budget.deposit ts.ts_budget;
         ts.ts_inflight <- ts.ts_inflight + 1;
         if ts.ts_inflight > ts.ts_peak_inflight then
           ts.ts_peak_inflight <- ts.ts_inflight;
-        if Option.is_some st.cfg.t_hedge_percentile then begin
-          let e =
-            { he_done = false; he_copies = 1; he_hedged = false; he_hedge_copy = None }
-          in
-          Hashtbl.replace st.entries r.Admission.rq_id e;
-          match hedge_delay_us st with
-          | Some d ->
-            Event_loop.schedule st.loop ~at:(now +. d) (fun () ->
-                maybe_hedge st ts e r)
-          | None -> ()
-        end;
+        (match Hedge.due st.window ~percentile:st.cfg.t_hedge_percentile ~arrival_us:now with
+        | Some at -> Event_loop.schedule st.loop ~at (fun () -> maybe_hedge st ts r)
+        | None -> ());
         (* Same-time launch check, so simultaneous arrivals coalesce into one
            batch (ties dispatch in scheduling order). *)
         Event_loop.schedule st.loop ~at:now (fun () -> pass st)
@@ -769,15 +704,8 @@ let on_arrival st (ts : 'a tstate) (r : 'a Admission.request) =
 
 let scale_up st =
   let now = now_us st in
-  let rp = new_replica st ~ready_us:(now +. st.cfg.t_autoscale.Autoscaler.as_warmup_us) in
   Autoscaler.note_scaled st.scaler ~now_us:now ~decision:Autoscaler.Scale_up;
-  let active = active_replicas st in
-  if active > st.peak_replicas then st.peak_replicas <- active;
-  st.scale_events <- (now, "scale_up", active) :: st.scale_events;
-  Trace.instant st.tracer ~name:"scale_up" ~cat:"tenancy" ~pid:0 ~tid:0 ~ts_us:now
-    ~args:[ "replica", Json.Int rp.rp_id; "ready_us", Json.Float rp.rp_ready_us ];
-  (* The warmed-up replica looks for work the moment it is usable. *)
-  Event_loop.schedule st.loop ~at:rp.rp_ready_us (fun () -> pass st)
+  grow st ~ts_us:now ~event:"scale_up" ~cat:"tenancy"
 
 let scale_down st =
   (* Highest-index active replica drains: ids stay dense at the bottom, so
@@ -873,7 +801,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       tenants =
         Array.map
           (fun t ->
-            let rs = cfg.t_resilience in
+            let rs = cfg.t_server.Server.resilience in
             {
               ts_tenant = t;
               ts_queue =
@@ -891,7 +819,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
                 Option.map
                   (fun target_us -> Limiter.create ~target_us ())
                   rs.Resilience.rs_target_delay_us;
-              ts_breaker = Closed;
+              ts_breaker = Server.Closed;
               ts_consec_failures = 0;
             })
           tenants;
@@ -906,10 +834,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       scale_events = [];
       peak_replicas = 0;
       tracer;
-      entries = Hashtbl.create 64;
-      lat_ring = Array.make Cluster.hedge_window 0.0;
-      lat_count = 0;
-      lat_idx = 0;
+      ledger = [||];
+      window = Hedge.window ();
     }
   in
   if Trace.enabled tracer then begin
@@ -949,6 +875,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       !merged
   in
   let merged = Array.of_list merged in
+  st.ledger <- Array.init (Array.length merged) (fun _ -> Hedge.single ());
   let requests =
     Array.mapi
       (fun id (at, ti, k) ->
@@ -988,16 +915,13 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
       let leftovers, dropped = Admission.drain ts.ts_queue ~now_us:end_us in
       drop_expired st ts ~ts_us:end_us dropped;
       List.iter
-        (drop_copy st ts ~ledgers:[ st.stats; ts.ts_stats ] ~name:"budget_exhausted"
-           ~ts_us:end_us ~counter:Stats.breaker_shed)
+        (drop_copy st ts ~name:"budget_exhausted" ~ts_us:end_us ~counter:Stats.breaker_shed)
         leftovers)
     st.tenants;
   let views =
     Array.to_list
       (Array.map
          (fun ts ->
-           Stats.set ts.ts_stats Stats.shed (Admission.shed_count ts.ts_queue);
-           Stats.set ts.ts_stats Stats.expired (Admission.expired_count ts.ts_queue);
            ts.ts_stats.Stats.end_us <- end_us;
            {
              tv_tenant = ts.ts_tenant;

@@ -248,7 +248,17 @@ let test_invariant_tenants () =
       }
   in
   check_true "quota scales with the peak replica count"
-    (not (List.mem "quota_respected" names))
+    (not (List.mem "quota_respected" names));
+  (* Every arrival belongs to exactly one tenant. *)
+  let offered = input.Invariants.in_summary.Stats.s_offered in
+  let split extra =
+    violated
+      { one with Invariants.in_tenants = [ tb "a" (offered - 1) 1 4 1; tb "b" (1 + extra) 1 4 1 ] }
+  in
+  check_true "tenants summing to the aggregate pass"
+    (not (List.mem "tenant_conservation" (split 0)));
+  check_true "tenants offering past the aggregate trip tenant_conservation"
+    (List.mem "tenant_conservation" (split 1))
 
 let test_invariant_retry_amplification () =
   let input = healthy_input () in
@@ -509,6 +519,24 @@ let test_tenancy_scenario_holds () =
   check_true "tenant-mix scenario passes the invariant suite (incl. replay)"
     (violations = [])
 
+(* Hedged tenancy scenario whose duplicates used to leak into per-tenant
+   shed and expired counts: its tenants offered 329 requests for 320
+   arrivals. *)
+let test_tenant_offered_counts_requests () =
+  let sc = Scenario.generate ~campaign_seed:7 ~fault_prob:0.6 187 in
+  check_true "scenario is a hedged tenant mix"
+    (sc.Scenario.sc_hedge <> None && sc.Scenario.sc_tenancy <> None);
+  let summary, _, tenants, _ = Chaos.run_scenario_full sc in
+  List.iter
+    (fun (tb : Invariants.tenant_obs) ->
+      Alcotest.(check int)
+        (tb.Invariants.tb_name ^ ": offered counts arrivals")
+        sc.Scenario.sc_requests tb.Invariants.tb_offered)
+    tenants;
+  Alcotest.(check int) "tenants sum to the aggregate" summary.Stats.s_offered
+    (List.fold_left (fun n (tb : Invariants.tenant_obs) -> n + tb.Invariants.tb_offered) 0
+       tenants)
+
 (* --- Shrinker --- *)
 
 (* A known-bad fleet: every replica faults 90% of its launches, with reset
@@ -691,6 +719,29 @@ let test_debug_flag_restored () =
       check_true "campaign restores an enabled debug flag"
         (Event_loop.debug_checks_enabled ()))
 
+(* --- Golden slice ---
+
+   One digest over the summary JSON and full trace of chaos scenarios
+   0..299 at campaign seed 42, fault probability 0.6. The slice holds 25
+   tenancy and 56 cluster scenarios with hedging armed, 53 of which fire
+   hedges, so it pins the hedge ledger of both dispatchers. Per-tenant
+   observations are left out. Regenerate only for a deliberate, documented
+   change of serving behaviour. *)
+
+let golden_chaos_slice = "653c1731f39dd1e22e57d9c4970b7722"
+
+let chaos_slice_digest () =
+  let digests =
+    List.init 300 (fun index ->
+        let sc = Scenario.generate ~campaign_seed:42 ~fault_prob:0.6 index in
+        let summary, tracer = Chaos.run_scenario sc in
+        Digest.string (Chaos.observable_string summary tracer []))
+  in
+  Digest.to_hex (Digest.string (String.concat "" digests))
+
+let test_golden_chaos_slice () =
+  Alcotest.(check string) "chaos slice digest" golden_chaos_slice (chaos_slice_digest ())
+
 let suite =
   [
     Alcotest.test_case "scenario: generation is deterministic" `Quick
@@ -722,6 +773,8 @@ let suite =
       test_tenancy_scenario_repro;
     Alcotest.test_case "scenario: tenant-mix run holds invariants" `Quick
       test_tenancy_scenario_holds;
+    Alcotest.test_case "scenario: hedged tenant mix counts requests, not copies" `Quick
+      test_tenant_offered_counts_requests;
     Alcotest.test_case "shrink: known-bad plan minimizes to <= 2 clauses" `Quick
       test_shrink_known_bad;
     Alcotest.test_case "shrink: irrelevant net plan stripped" `Quick
@@ -745,4 +798,6 @@ let suite =
     Alcotest.test_case "campaign: forced floor shrinks and reproduces" `Quick
       test_campaign_catches_forced_floor;
     Alcotest.test_case "campaign: debug flag restored" `Quick test_debug_flag_restored;
+    Alcotest.test_case "golden: chaos slice, hedged dispatchers" `Quick
+      test_golden_chaos_slice;
   ]

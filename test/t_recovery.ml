@@ -140,14 +140,17 @@ let dispatcher_run () =
     {
       Dispatcher.default_config with
       Dispatcher.t_server =
-        { server_config with Server.tolerance = Server.default_tolerance };
-      t_autoscale = Autoscaler.fixed 2;
-      t_resilience =
         {
-          Resilience.rs_retry_budget = Some 0.5;
-          rs_target_delay_us = Some 4_000.0;
-          rs_brownout = None;
+          server_config with
+          Server.tolerance = Server.default_tolerance;
+          resilience =
+            {
+              Resilience.rs_retry_budget = Some 0.5;
+              rs_target_delay_us = Some 4_000.0;
+              rs_brownout = None;
+            };
         };
+      t_autoscale = Autoscaler.fixed 2;
       t_hedge_percentile = Some 90.0;
     }
   in

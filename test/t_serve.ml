@@ -14,6 +14,7 @@ module Event_loop = Serve.Event_loop
 module Clock = Serve.Clock
 module Json = Serve.Json
 module Cluster = Serve.Cluster
+module Hedge = Serve.Hedge
 module Replica = Serve.Replica
 
 (* --- Event loop --- *)
@@ -1290,6 +1291,26 @@ let test_serve_model_goodput_under_faults () =
   check_true "goodput within 90% of fault-free"
     (Stats.goodput faulty >= 0.9 *. Stats.goodput clean)
 
+(* Queue pressure degrades any server, but only a fault plan or brownout
+   lets a replica swap in the model's degraded variant. Replica 0 is clean;
+   the second plan arms the fleet's fault mode with no replica to run it.
+   Berxit, which has a degraded variant, must then serve exactly as a copy
+   of it without one. *)
+let test_cluster_clean_replica_keeps_primary_model () =
+  let run model =
+    serve_cluster ~iters:50 ~queue_capacity:8
+      ~fault_plans:[ Faults.none; Faults.parse "seed=7,kernel=0.3" ]
+      ~process:(Traffic.Poisson { rate_per_s = 100_000.0 })
+      ~requests:300 ~seed:1 model
+  in
+  let berxit = Models.tiny "berxit" in
+  let primary = run berxit and plain = run { berxit with Model.degraded = None } in
+  check_true "the clean replica degraded under queue pressure"
+    (primary.cr_summary.Stats.s_degraded_batches > 0);
+  Alcotest.(check string) "the clean replica kept the primary model"
+    (Json.to_string (cluster_report_json plain))
+    (Json.to_string (cluster_report_json primary))
+
 let test_serve_model_poison_isolated () =
   (* A poisoned request id must be the only drop: bisection fences it off
      while the rest of its batch completes. *)
@@ -1505,9 +1526,7 @@ let replica_health_prop (verdicts : int list) : bool =
         (fun ~replica:_ _ ~size:_ ~start_us:_ ~done_us:_ ->
           if !tape <> [] then feed ());
       cb_cancelled = (fun ~replica:_ _ -> ());
-      cb_expired = (fun ~replica:_ _ -> ());
-      cb_poisoned = (fun ~replica:_ _ -> ());
-      cb_retry_shed = (fun ~replica:_ _ -> ());
+      cb_lost = (fun ~replica:_ _ _ -> ());
       cb_down = (fun ~replica:_ _ -> note (`Down (Replica.epoch (the_repl ()))));
       cb_quarantined = (fun ~replica:_ _ -> ());
       cb_probe_ready =
@@ -1544,19 +1563,53 @@ let replica_health_prop (verdicts : int list) : bool =
   ok_machine && increasing epochs && !tape = [] && Replica.health (the_repl ()) = Replica.Up
 
 let test_hedge_warmup_boundary () =
-  (* The estimator must stay off through hedge_min_obs - 1 observations and
-     arm exactly at hedge_min_obs, reading only the observed prefix of the
-     ring. *)
-  let ring = Array.init 16 (fun i -> float_of_int (i + 1)) in
-  check_true "one short of warm-up: off"
-    (Cluster.hedge_delay ~percentile:95.0 ring ~count:(Cluster.hedge_min_obs - 1) = None);
-  check_true "empty window: off" (Cluster.hedge_delay ~percentile:95.0 ring ~count:0 = None);
-  (match Cluster.hedge_delay ~percentile:50.0 ring ~count:Cluster.hedge_min_obs with
-  | None -> Alcotest.fail "estimator still off at hedge_min_obs"
+  (* The estimator must stay off through min_obs - 1 observations and arm
+     exactly at min_obs, reading only the observed prefix of the window
+     (the unobserved slots hold zeros, which would drag p50 down). *)
+  check_true "empty window: off" (Hedge.delay (Hedge.window ()) ~percentile:95.0 = None);
+  let w = Hedge.window () in
+  for i = 1 to Hedge.min_obs - 1 do
+    Hedge.observe w (float_of_int i)
+  done;
+  check_true "one short of warm-up: off" (Hedge.delay w ~percentile:95.0 = None);
+  Hedge.observe w (float_of_int Hedge.min_obs);
+  (match Hedge.delay w ~percentile:50.0 with
+  | None -> Alcotest.fail "estimator still off at min_obs"
   | Some d -> check_float "p50 of the first 8 observations" 4.0 d);
-  match Cluster.hedge_delay ~percentile:100.0 ring ~count:Cluster.hedge_min_obs with
-  | None -> Alcotest.fail "estimator still off at hedge_min_obs"
+  match Hedge.delay w ~percentile:100.0 with
+  | None -> Alcotest.fail "estimator still off at min_obs"
   | Some d -> check_float "unobserved ring entries are not read" 8.0 d
+
+(* Random copy-level event scripts against one request's ledger: 0 issues
+   the hedge (as both dispatchers do, only while unresolved and unhedged), 1
+   completes a live copy, 2 loses one. The request resolves exactly once —
+   by its first completion or by its last loss, never both — and an
+   unhedged request resolves on its first event. *)
+let gen_hedge_script = QCheck2.Gen.(list_size (int_range 0 12) (int_range 0 2))
+
+let prop_hedge_ledger script =
+  let c = Hedge.single () in
+  let firsts = ref 0 and terminals = ref 0 and ok = ref true in
+  List.iter
+    (fun op ->
+      (match op with
+      | 0 -> if (not c.Hedge.resolved) && c.Hedge.hedge = None then Hedge.add_hedge c ()
+      | 1 when c.Hedge.live > 0 ->
+        let first = Hedge.complete c in
+        if first then incr firsts;
+        if c.Hedge.hedge = None && not first then ok := false
+      | 2 when c.Hedge.live > 0 -> (
+        match Hedge.lose c with
+        | Hedge.Terminal ->
+          if !firsts > 0 then ok := false;
+          incr terminals
+        | Hedge.Live | Hedge.Resolved -> if c.Hedge.hedge = None then ok := false)
+      | _ -> ());
+      if c.Hedge.live < 0 then ok := false)
+    script;
+  !ok && !firsts <= 1 && !terminals <= 1
+  && !firsts + !terminals = (if c.Hedge.resolved then 1 else 0)
+  && (c.Hedge.live > 0 || c.Hedge.resolved)
 
 (* --- Observability: clamp accounting, tracing, metrics, JSON --- *)
 
@@ -2216,6 +2269,8 @@ let suite =
     Alcotest.test_case "serve_model: adaptive beats batch1" `Quick test_adaptive_beats_batch1;
     Alcotest.test_case "serve_model: goodput under 5% kernel faults" `Quick
       test_serve_model_goodput_under_faults;
+    Alcotest.test_case "serve_cluster: a clean replica keeps the primary model" `Quick
+      test_cluster_clean_replica_keeps_primary_model;
     Alcotest.test_case "serve_model: poison request isolated end to end" `Quick
       test_serve_model_poison_isolated;
     Alcotest.test_case "serve_model: faulty run deterministic" `Quick
@@ -2232,6 +2287,8 @@ let suite =
       gen_verdict_tape replica_health_prop;
     Alcotest.test_case "cluster: hedge estimator warm-up boundary" `Quick
       test_hedge_warmup_boundary;
+    qtest ~count:500 "hedge: one resolution per request under random copy events"
+      gen_hedge_script prop_hedge_ledger;
     Alcotest.test_case "obs: serving never clamps schedules" `Quick
       test_no_clamped_schedules_in_serving;
     Alcotest.test_case "obs: trace deterministic + full lifecycle coverage" `Quick

@@ -59,6 +59,9 @@ let base_config ?(scaler = Autoscaler.fixed 1) () =
     t_autoscale = scaler;
   }
 
+let with_resilience (cfg : Dispatcher.config) resilience =
+  { cfg with Dispatcher.t_server = { cfg.Dispatcher.t_server with Server.resilience } }
+
 (* --- Fairshare --- *)
 
 (* A saturated device with uniform per-service cost: service counts must
@@ -341,7 +344,7 @@ let test_quota_scales_with_replicas () =
    timing — the report stays byte-identical to the legacy run. *)
 let test_tenancy_resilience_idle_matches_legacy () =
   let run resilience =
-    let cfg = { (base_config ()) with Dispatcher.t_resilience = resilience } in
+    let cfg = with_resilience (base_config ()) resilience in
     let tenants =
       [|
         mk_tenant ~seed:13 ~index:0 ~rate:1_000.0 ~requests:80 "a";
@@ -385,11 +388,8 @@ let test_tenant_breaker_opens_and_recovers () =
     else uniform_execute 0 ~model:"m" batch
   in
   let cfg =
-    {
-      (base_config ()) with
-      Dispatcher.t_resilience =
-        { Acrobat.Resilience.off with Acrobat.Resilience.rs_retry_budget = Some 0.0 };
-    }
+    with_resilience (base_config ())
+      { Acrobat.Resilience.off with Acrobat.Resilience.rs_retry_budget = Some 0.0 }
   in
   let t = mk_tenant ~seed:2 ~index:0 ~rate:2_000.0 ~requests:150 "flaky" in
   let r =
