@@ -51,7 +51,13 @@ test:
 # calls through the same partition, BENCH_partition.json, a CI artifact)
 # runs twice and must be byte-identical across runs. The allocation gate
 # bounds host-side allocation per item of DFG construction and of tensor
-# value computation (see alloc-gate).
+# value computation (see alloc-gate). The paper gate reruns every paper
+# reproduction (table4-table9, fig5, fig9: virtual time only) twice and
+# requires both runs to be byte-identical to each other and to the
+# committed BENCH_paper.json (a CI artifact), so host-speed work cannot
+# move a paper result unnoticed.
+PAPER_EXPERIMENTS = table4 table5 table6 table7 table8 table9 fig5 fig9
+
 check: build test
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 2000 --requests 50 --iters 100
@@ -99,6 +105,10 @@ check: build test
 	dune exec bench/main.exe -- partition --json BENCH_partition_rerun.json
 	cmp BENCH_partition.json BENCH_partition_rerun.json
 	git diff --exit-code -- BENCH_overload.json BENCH_integrity.json BENCH_partition.json
+	dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper.json
+	dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper_rerun.json
+	cmp BENCH_paper.json BENCH_paper_rerun.json
+	git diff --exit-code -- BENCH_paper.json
 	$(MAKE) chaos-smoke
 	$(MAKE) alloc-gate
 	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
@@ -122,18 +132,21 @@ chaos-smoke: build
 # (~5 s each), failing if gc.minor_words_per_item exceeds the workload's
 # bound. The metric is exact for a fixed binary (no timing noise). Each
 # bound sits ~20% above its reading with the allocation-lean DFG and
-# executor (DESIGN.md §19), the constant-cost serving path (§20) and
-# batched-only DFG nodes (§21), so a return to per-node lists, closures or
-# boxed floats in DFG construction or batch execution, to per-batch kernel
-# plans, to shared arguments on every node, or to per-event boxing in the
-# event loop fails it. offline-treelstm reads ~7.64k (8.86k before §21,
-# 25.6k before §19, ~419k before node plans, §17). offline-stackrnn-values
-# reads ~70.6k (71.7k before §21, 81.9k before §19, ~212k before the tight
-# host kernels, §18). serve-birnn reads ~16.8k (17.9k before §21, 22.5k
-# before §20, 35.5k before §19) and fleet-overload ~1.28k per request
-# (1.34k before §21, 2.19k before §20, 2.4k before §19).
-ALLOC_GATES = offline-treelstm:9200 offline-stackrnn-values:86000 \
-  serve-birnn:20100 fleet-overload:1530
+# executor (DESIGN.md §19), the constant-cost serving path (§20),
+# batched-only DFG nodes (§21) and AOT calls without forwarded weights
+# (§23), so a return to per-node lists, closures or boxed floats in DFG
+# construction or batch execution, to per-batch kernel plans, to shared
+# arguments on every node, to per-event boxing in the event loop, or to
+# frames carrying forwarded weights fails it. offline-treelstm reads
+# ~5.64k (7.64k before §23, 8.86k before §21, 25.6k before §19, ~419k
+# before node plans, §17). offline-stackrnn-values reads ~69.6k (70.6k
+# before §23, 71.7k before §21, 81.9k before §19, ~212k before the tight
+# host kernels, §18). serve-birnn reads ~15.7k (16.8k before §23, 17.9k
+# before §21, 22.5k before §20, 35.5k before §19) and fleet-overload
+# ~1.26k per request (1.28k before §23, 1.34k before §21, 2.19k before
+# §20, 2.4k before §19).
+ALLOC_GATES = offline-treelstm:6800 offline-stackrnn-values:86000 \
+  serve-birnn:18800 fleet-overload:1530
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \

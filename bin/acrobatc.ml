@@ -3,7 +3,9 @@
     Subcommands:
     - [check FILE]   — parse and type check a program.
     - [lower FILE]   — compile and print the lowered program structure
-                       (specializations, kernels, depths, phases, ghosts).
+                       (specializations with their parameters and the
+                       forwarded-only ones the AOT engine drops, kernels,
+                       depths, phases, ghosts).
     - [run FILE]     — compile and execute a program on random inputs,
                        printing outputs and the runtime activity profile.
     - [bench FILE]   — compare frameworks (acrobat / dynet / pytorch) on
@@ -158,8 +160,15 @@ let check_cmd =
 (* --- lower --- *)
 
 let print_lowered (lp : L.t) =
-  Fmt.pr "specializations:@.";
-  Hashtbl.iter (fun name _ -> Fmt.pr "  %s@." name) lp.L.defs;
+  Fmt.pr "specializations (parameters; those the AOT engine drops as forwarded-only):@.";
+  let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) lp.L.defs []) in
+  List.iter
+    (fun name ->
+      let d = L.find_def lp name in
+      let dropped = Forwarded.dropped lp name in
+      Fmt.pr "  %s(%s)%s@." name (String.concat ", " d.L.lparams)
+        (if dropped = [] then "" else "  drops: " ^ String.concat ", " dropped))
+    names;
   Fmt.pr "kernels:@.";
   List.iter (fun k -> Fmt.pr "  %a@." Kernel.pp k) (Kernel.all_kernels lp.L.registry);
   Fmt.pr "max static depth: %d    tensor-dependent control flow: %b@." lp.L.max_static_depth

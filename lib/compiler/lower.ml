@@ -252,7 +252,7 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
                arg_avals)
         in
         let shared_binds =
-          List.filteri (fun _ _ -> true) arg_avals
+          arg_avals
           |> List.mapi (fun i av -> i, single_of_aval av)
           |> List.filter_map (function i, Some s -> Some (i, bind_of_single s) | _, None -> None)
         in
@@ -593,6 +593,7 @@ let program ?(config = Config.acrobat) (p : Ast.program) ~(inputs : string list)
     has_tdc = Ast.has_tdc main.body || List.exists (fun (d : Ast.def) -> Ast.has_tdc d.body) p.defs;
     config;
     kernel_hints = st.hints;
+    forwarded = Forwarded.analyze ~entry st.out_defs;
   }
 
 (** Full pipeline from source text.

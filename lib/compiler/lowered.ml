@@ -61,6 +61,13 @@ and lexpr =
 
 type ldef = { lname : string; lparams : string list; lbody : lexpr }
 
+(** Per specialized definition, the [ldef] a forwarded-only mask was
+    computed from and the mask itself: [true] at each parameter the
+    definition only passes on to callees that do not read it either (see
+    {!Forwarded}). A mask holds only while every definition of the program
+    is physically the one it was computed from. *)
+type forwarded = (string, ldef * bool array) Hashtbl.t
+
 type t = {
   defs : (string, ldef) Hashtbl.t;
   entry : string;
@@ -76,6 +83,9 @@ type t = {
       (** Static invocation-frequency estimates per kernel id (the paper's
           nesting-depth heuristic, §D.1), used by the auto-scheduler when
           PGO is unavailable. *)
+  forwarded : forwarded;
+      (** Computed once by lowering; the AOT engine gives the marked
+          parameters no frame slot. *)
 }
 
 let find_def t name =

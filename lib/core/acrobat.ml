@@ -24,6 +24,7 @@ module Ir = Acrobat_ir
 module Config = Acrobat_compiler.Config
 module Lower = Acrobat_compiler.Lower
 module Lowered = Acrobat_compiler.Lowered
+module Forwarded = Acrobat_compiler.Forwarded
 module Kernel = Acrobat_compiler.Kernel
 module Autosched = Acrobat_compiler.Autosched
 module Device = Acrobat_device.Device

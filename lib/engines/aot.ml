@@ -5,7 +5,10 @@
     variables resolved to array slots — the analogue of ACROBAT's AOT
     compilation to C++, which eliminates the interpretive dispatch and
     environment-lookup overheads the Relay VM pays (see {!Vm} for the
-    interpreted counterpart). *)
+    interpreted counterpart). A parameter the definition only forwards
+    ({!Forwarded}, computed once when the program is lowered) gets no frame
+    slot and is not passed by direct calls; an [fn] gets a frame of its
+    own, holding just what its body reads. *)
 
 open Acrobat_compiler
 open Acrobat_runtime
@@ -20,8 +23,11 @@ module Device = Acrobat_device.Device
    staging fills in when it runs. *)
 type staged = {
   def : L.ldef;
+  params : int array;
+      (** Frame slot of each parameter, in order. A forwarded-only
+          parameter ({!Forwarded}) has none ([-1]) and direct calls do not
+          pass it; the others take the first slots, in order. *)
   mutable nslots : int;  (** Frame size: one slot per binding occurrence. *)
-  mutable params : int array;  (** Frame slot of each parameter, in order. *)
   mutable body : value array -> ictx -> value;
 }
 
@@ -34,10 +40,20 @@ type t = {
   defs : (string, staged) Hashtbl.t;  (** Every definition, staged. *)
 }
 
-(* Compile-time scope: variable name -> environment slot. Every binding
-   occurrence gets a distinct slot, so closures capturing the environment
-   array never see later bindings overwrite what they read. *)
-type scope = { mutable slots : (string * int) list; mutable next : int }
+(* Compile-time scope: variable name -> frame slot. Every binding
+   occurrence gets a distinct slot, so closures capturing the frame never
+   see later bindings overwrite what they read. An [fn] body has a scope
+   (and frame) of its own: a variable it reads from the enclosing scope
+   gets a slot of its own, [captured] as (enclosing slot, own slot) and
+   copied in at each application. *)
+type scope = {
+  mutable slots : (string * int) list;
+  mutable next : int;
+  outer : scope option;
+  mutable captured : (int * int) list;
+}
+
+let new_scope outer = { slots = []; next = 0; outer; captured = [] }
 
 let fresh_slot scope x =
   let i = scope.next in
@@ -45,10 +61,15 @@ let fresh_slot scope x =
   scope.slots <- (x, i) :: scope.slots;
   i
 
-let slot_of scope x =
-  match List.assoc_opt x scope.slots with
-  | Some i -> i
-  | None -> fail "unbound variable %s (AOT compilation bug)" x
+let rec slot_of scope x =
+  match List.assoc_opt x scope.slots, scope.outer with
+  | Some i, _ -> i
+  | None, Some outer ->
+    let src = slot_of outer x in
+    let i = fresh_slot scope x in
+    scope.captured <- (src, i) :: scope.captured;
+    i
+  | None, None -> fail "unbound variable %s (AOT compilation bug)" x
 
 (* Wait for a handle to materialize: suspend the fiber (the driver flushes
    on stall) or flush directly in sequential mode. *)
@@ -109,27 +130,37 @@ let eval_binop op a b =
   | Ast.Or, Vbool x, Vbool y -> Vbool (x || y)
   | _ -> fail "binary operator %s applied to incompatible values" (Ast.binop_name op)
 
-(* Run independent thunks: forked as fibers when allowed, else sequentially
-   with the instance-parallelism depth rule (same start depth; join at the
-   max, §4.1). Each thunk receives its own ictx clone. *)
-let run_parallel st ictx (n : int) (thunk_of : int -> ictx -> value) : value array =
-  let clones = Array.init n (fun _ -> clone_ictx ictx) in
-  let results =
-    if st.fibers && st.policy.Policy.allow_fork && n > 1 then
-      Fiber.fork (Array.init n (fun i () -> thunk_of i clones.(i)))
-    else begin
-      (* Explicit ascending loop: Array.init's evaluation order is
-         unspecified, and thunk order decides DFG node order. *)
-      let out = Array.make n Vnil in
-      for i = 0 to n - 1 do
-        out.(i) <- thunk_of i clones.(i)
-      done;
-      out
-    end
-  in
-  let maxd = Array.fold_left (fun acc c -> max acc c.ictx_depth) ictx.ictx_depth clones in
-  ictx.ictx_depth <- maxd;
-  results
+(* Run [n] independent branches [thunk i x c], each on its own clone [c]
+   of the instance context: forked as fibers when [fork], else
+   sequentially; either way with the instance-parallelism depth rule (same
+   start depth; join at the max, §4.1). The branch's data comes as [x], so
+   a caller can pass a [thunk] built once, at staging. *)
+let run_parallel ~fork ictx n (thunk : int -> 'a -> ictx -> value) (x : 'a) : value array =
+  if fork && n > 1 then begin
+    let clones = Array.init n (fun _ -> clone_ictx ictx) in
+    let results = Fiber.fork (Array.init n (fun i () -> thunk i x clones.(i))) in
+    ictx.ictx_depth <- Array.fold_left (fun acc c -> max acc c.ictx_depth) ictx.ictx_depth clones;
+    results
+  end
+  else begin
+    (* Explicit ascending loop: branch order decides DFG node order. A
+       branch changes only its own clone, so cloning just before it runs
+       gives every branch the context it would get cloned up front. *)
+    let out = Array.make n Vnil in
+    let maxd = ref ictx.ictx_depth in
+    for i = 0 to n - 1 do
+      let c = clone_ictx ictx in
+      out.(i) <- thunk i x c;
+      if c.ictx_depth > !maxd then maxd := c.ictx_depth
+    done;
+    ictx.ictx_depth <- !maxd;
+    out
+  end
+
+(* [run_parallel]'s [fork]: fibers are on and the policy forks them. *)
+let forks st = st.fibers && st.policy.Policy.allow_fork
+
+let apply_elem i (fv, elems) c = fv c [ elems.(i) ]
 
 (* Call a staged definition with a list of arguments: the path of
    first-class globals and of @main. *)
@@ -138,7 +169,8 @@ let apply (d : staged) (args : value list) ictx =
   let nparams = Array.length d.params in
   let rec bind k = function
     | a :: rest when k < nparams ->
-      frame.(d.params.(k)) <- a;
+      let slot = d.params.(k) in
+      if slot >= 0 then frame.(slot) <- a;
       bind (k + 1) rest
     | [] when k = nparams -> ()
     | _ ->
@@ -167,6 +199,27 @@ let eval_array conv (fs : (value array -> ictx -> value) array) env ictx =
       out.(k) <- conv (fs.(k) env ictx)
     done;
     out
+  end
+
+(* A compiled match case: the pattern's variables' slots and the body. *)
+type case = { pat : Ast.pat; slots : int array; body : value array -> ictx -> value }
+
+(* The first case matching [sv] binds its variables and runs; a loop over
+   the case array, so a match allocates nothing to dispatch. *)
+let rec dispatch_match (cases : case array) i sv env ictx =
+  if i = Array.length cases then fail "match failure"
+  else begin
+    let c = cases.(i) in
+    match c.pat, sv with
+    | Ast.Pwild, _ | Ast.Pnil, Vnil -> c.body env ictx
+    | Ast.Pcons _, Vcons (a, b) | Ast.Pnode _, Vnode (a, b) ->
+      env.(c.slots.(0)) <- a;
+      env.(c.slots.(1)) <- b;
+      c.body env ictx
+    | Ast.Pleaf _, Vleaf v ->
+      env.(c.slots.(0)) <- v;
+      c.body env ictx
+    | _ -> dispatch_match cases (i + 1) sv env ictx
   end
 
 let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> value =
@@ -229,14 +282,29 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
   | L.Lcall (L.Lglobal g, args) when direct_call st g args ->
     (* A direct call: the callee's frame is allocated at its final size
        and the arguments, evaluated left to right, go straight into its
-       parameter slots — no argument list, no [Vfun], no table lookup. *)
+       parameter slots — no argument list, no [Vfun], no table lookup. A
+       variable passed for a dropped parameter is not even read; any other
+       expression there still runs, for its effects, into slot [-1]. *)
     let d = Hashtbl.find st.defs g in
-    let arg_fs = Array.of_list (List.map (compile st scope) args) in
+    let args = Array.of_list args in
+    let passed = Array.make (Array.length args) 0 and npassed = ref 0 in
+    Array.iteri
+      (fun k a ->
+        match a with
+        | L.Lvar _ when d.params.(k) < 0 -> ()
+        | _ ->
+          passed.(!npassed) <- k;
+          incr npassed)
+      args;
+    let passed = Array.sub passed 0 !npassed in
+    let slots = Array.map (fun k -> d.params.(k)) passed in
+    let arg_fs = Array.map (fun k -> compile st scope args.(k)) passed in
     fun env ictx ->
       let frame = Array.make d.nslots Vnil in
-      let params = d.params in
-      for k = 0 to Array.length arg_fs - 1 do
-        frame.(params.(k)) <- arg_fs.(k) env ictx
+      for j = 0 to Array.length arg_fs - 1 do
+        let v = arg_fs.(j) env ictx in
+        let slot = slots.(j) in
+        if slot >= 0 then frame.(slot) <- v
       done;
       d.body frame ictx
   | L.Lcall (f, args) ->
@@ -246,59 +314,36 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
       let fv = to_fun (f_f env ictx) in
       fv ictx (List.map (fun g -> g env ictx) arg_fs)
   | L.Lfn (params, body) ->
-    let param_slots = List.map (fresh_slot scope) params in
-    let body_f = compile st scope body in
+    let inner = new_scope (Some scope) in
+    let param_slots = List.map (fresh_slot inner) params in
+    let body_f = compile st inner body in
+    let nslots = inner.next in
+    let captured = Array.of_list inner.captured in
     fun env _ ->
       Vfun
         (fun ictx args ->
-          (* Fresh environment per application so concurrently mapped
-             applications do not clobber each other's parameters. *)
-          let env' = Array.copy env in
-          (try List.iter2 (fun slot a -> env'.(slot) <- a) param_slots args
+          (* A fresh frame per application, so concurrently mapped
+             applications do not clobber each other's parameters; the
+             enclosing frame's variables are read as of the application. *)
+          let frame = Array.make nslots Vnil in
+          for k = 0 to Array.length captured - 1 do
+            let src, dst = captured.(k) in
+            frame.(dst) <- env.(src)
+          done;
+          (try List.iter2 (fun slot a -> frame.(slot) <- a) param_slots args
            with Invalid_argument _ -> fail "arity mismatch in closure call");
-          body_f env' ictx)
+          body_f frame ictx)
   | L.Lmatch (s, cases) ->
     let s_f = compile st scope s in
-    let compiled =
-      List.map
-        (fun (pat, body) ->
-          match pat with
-          | Ast.Pwild | Ast.Pnil ->
-            let body_f = compile st scope body in
-            pat, (fun env ictx _bind -> body_f env ictx), [||]
-          | Ast.Pcons (h, t) | Ast.Pnode (h, t) ->
-            let sh = fresh_slot scope h and stl = fresh_slot scope t in
-            let body_f = compile st scope body in
-            pat, (fun env ictx _ -> body_f env ictx), [| sh; stl |]
-          | Ast.Pleaf v ->
-            let sv = fresh_slot scope v in
-            let body_f = compile st scope body in
-            pat, (fun env ictx _ -> body_f env ictx), [| sv |])
-        cases
+    let cases =
+      Array.of_list
+        (List.map
+           (fun (pat, body) ->
+             let slots = Array.of_list (List.map (fresh_slot scope) (Ast.pat_vars pat)) in
+             { pat; slots; body = compile st scope body })
+           cases)
     in
-    fun env ictx ->
-      let sv = s_f env ictx in
-      let rec dispatch = function
-        | [] -> fail "match failure"
-        | (pat, body_f, slots) :: rest -> begin
-          match pat, sv with
-          | Ast.Pwild, _ -> body_f env ictx ()
-          | Ast.Pnil, Vnil -> body_f env ictx ()
-          | Ast.Pcons _, Vcons (h, t) ->
-            env.(slots.(0)) <- h;
-            env.(slots.(1)) <- t;
-            body_f env ictx ()
-          | Ast.Pleaf _, Vleaf v ->
-            env.(slots.(0)) <- v;
-            body_f env ictx ()
-          | Ast.Pnode _, Vnode (l, r) ->
-            env.(slots.(0)) <- l;
-            env.(slots.(1)) <- r;
-            body_f env ictx ()
-          | _ -> dispatch rest
-        end
-      in
-      dispatch compiled
+    fun env ictx -> dispatch_match cases 0 (s_f env ictx) env ictx
   | L.Lnil -> fun _ _ -> Vnil
   | L.Lcons (a, b) ->
     let a_f = compile st scope a and b_f = compile st scope b in
@@ -333,16 +378,15 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     fun env ictx -> Vbool (not (to_bool (a_f env ictx)))
   | L.Lconcurrent es ->
     let fs = Array.of_list (List.map (compile st scope) es) in
-    fun env ictx ->
-      Vtuple (run_parallel st ictx (Array.length fs) (fun i c -> fs.(i) env c))
+    let n = Array.length fs and fork = forks st in
+    let branch i env c = fs.(i) env c in
+    fun env ictx -> Vtuple (run_parallel ~fork ictx n branch env)
   | L.Lmap (f, xs) ->
-    let f_f = compile st scope f and xs_f = compile st scope xs in
+    let f_f = compile st scope f and xs_f = compile st scope xs and fork = forks st in
     fun env ictx ->
       let fv = to_fun (f_f env ictx) in
       let elems = Array.of_list (to_list (xs_f env ictx)) in
-      let results =
-        run_parallel st ictx (Array.length elems) (fun i c -> fv c [ elems.(i) ])
-      in
+      let results = run_parallel ~fork ictx (Array.length elems) apply_elem (fv, elems) in
       of_list (Array.to_list results)
   | L.Lscalar a ->
     let a_f = compile st scope a in
@@ -400,17 +444,31 @@ let create ~rt ~policy ~fibers (lprog : L.t) : t =
       defs = Hashtbl.create 16;
     }
   in
+  let masks = Forwarded.valid lprog in
   Hashtbl.iter
-    (fun name def ->
-      Hashtbl.replace st.defs name { def; nslots = 0; params = [||]; body = unstaged })
+    (fun name (def : L.ldef) ->
+      let params =
+        match Hashtbl.find_opt lprog.L.forwarded name with
+        | Some (_, mask) when masks ->
+          let kept = ref 0 in
+          Array.map
+            (fun dropped ->
+              if dropped then -1
+              else begin
+                incr kept;
+                !kept - 1
+              end)
+            mask
+        | _ -> Array.init (List.length def.L.lparams) Fun.id
+      in
+      Hashtbl.replace st.defs name { def; params; nslots = 0; body = unstaged })
     lprog.L.defs;
   Hashtbl.iter
     (fun _ (d : staged) ->
-      let scope = { slots = []; next = 0 } in
-      let params = Array.of_list (List.map (fresh_slot scope) d.def.L.lparams) in
+      let scope = new_scope None in
+      List.iteri (fun k x -> if d.params.(k) >= 0 then ignore (fresh_slot scope x)) d.def.L.lparams;
       let body = compile st scope d.def.L.lbody in
       d.nslots <- scope.next;
-      d.params <- params;
       d.body <- body)
     st.defs;
   st

@@ -62,24 +62,7 @@ let decision_barrier st ictx =
     ictx.ictx_depth <- st.base_depth
   end
 
-let run_parallel st ictx n (thunk_of : int -> ictx -> value) : value array =
-  let clones = Array.init n (fun _ -> clone_ictx ictx) in
-  let results =
-    if st.fibers && st.policy.Policy.allow_fork && n > 1 then
-      Fiber.fork (Array.init n (fun i () -> thunk_of i clones.(i)))
-    else begin
-      (* Explicit ascending loop: Array.init's evaluation order is
-         unspecified, and thunk order decides DFG node order. *)
-      let out = Array.make n Vnil in
-      for i = 0 to n - 1 do
-        out.(i) <- thunk_of i clones.(i)
-      done;
-      out
-    end
-  in
-  let maxd = Array.fold_left (fun acc c -> max acc c.ictx_depth) ictx.ictx_depth clones in
-  ictx.ictx_depth <- maxd;
-  results
+let forks st = st.fibers && st.policy.Policy.allow_fork
 
 let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
   (* Every expression node pays interpreter dispatch (the VM overhead AOT
@@ -170,11 +153,16 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
   | L.Lnot a -> Vbool (not (to_bool (eval st env ictx a)))
   | L.Lconcurrent es ->
     let es = Array.of_list es in
-    Vtuple (run_parallel st ictx (Array.length es) (fun i c -> eval st env c es.(i)))
+    Vtuple
+      (Aot.run_parallel ~fork:(forks st) ictx (Array.length es)
+         (fun i es c -> eval st env c es.(i))
+         es)
   | L.Lmap (f, xs) ->
     let fv = to_fun (eval st env ictx f) in
     let elems = Array.of_list (to_list (eval st env ictx xs)) in
-    let results = run_parallel st ictx (Array.length elems) (fun i c -> fv c [ elems.(i) ]) in
+    let results =
+      Aot.run_parallel ~fork:(forks st) ictx (Array.length elems) Aot.apply_elem (fv, elems)
+    in
     of_list (Array.to_list results)
   | L.Lscalar a ->
     let h = to_handle (eval st env ictx a) in

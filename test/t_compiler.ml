@@ -440,6 +440,128 @@ let test_autosched_tune_prioritizes () =
   check_true "hot kernel tuned at least as well"
     (C.Autosched.quality table hot.Kernel.id >= C.Autosched.quality table cold.Kernel.id)
 
+(* --- Forwarded-only parameters --- *)
+
+let dropped_names lp name = Forwarded.dropped lp name
+
+let test_forwarded_treelstm () =
+  let m = Models.tiny "treelstm" in
+  let lp = lower ~inputs:m.Model.inputs m.Model.source in
+  check_true "masks describe the lowered program" (Forwarded.valid lp);
+  let weights = Acrobat_models.Treelstm.weight_names in
+  check_int "twenty weights" 20 (List.length weights);
+  let specs = ref 0 and trees = ref 0 in
+  Hashtbl.iter
+    (fun name _ ->
+      if name = lp.L.entry then
+        Alcotest.(check (list string)) "@main drops nothing" [] (dropped_names lp name)
+      else begin
+        incr specs;
+        let dropped = dropped_names lp name in
+        check_true (name ^ " drops every weight")
+          (List.for_all (fun w -> List.mem w dropped) weights);
+        (* The leaf @cell also drops its four child states: zero
+           constants, resolved as shared bindings. *)
+        let expected = if contains name "tree" then weights else dropped in
+        Alcotest.(check (list string)) (name ^ " drops only what it never reads") expected dropped;
+        if contains name "tree" then incr trees
+      end)
+    lp.L.defs;
+  (* @tree and the leaf and internal @cell specializations. *)
+  check_int "three specializations besides @main" 3 !specs;
+  check_int "one @tree" 1 !trees;
+  (* Without parameter reuse the weights are batched kernel arguments:
+     read, so live. *)
+  let m = rnn_model () in
+  let config = { Config.acrobat with Config.parameter_reuse = false; hoisting = false } in
+  let lp = lower ~config ~inputs:m.Model.inputs m.Model.source in
+  Hashtbl.iter
+    (fun name _ ->
+      Alcotest.(check (list string)) (name ^ ": batched weights stay live") []
+        (dropped_names lp name))
+    lp.L.defs
+
+(* Analyze hand-built definitions; [name] -> its forwarded-only params. *)
+let analyze_defs ~entry defs =
+  let table = Hashtbl.create 8 in
+  List.iter
+    (fun (lname, lparams, lbody) -> Hashtbl.replace table lname { L.lname; lparams; lbody })
+    defs;
+  let masks = Forwarded.analyze ~entry table in
+  fun name ->
+    let d, mask = Hashtbl.find masks name in
+    List.filteri (fun i _ -> mask.(i)) d.L.lparams
+
+let call g args = L.Lcall (L.Lglobal g, List.map (fun x -> L.Lvar x) args)
+
+let test_forwarded_live_cases () =
+  let dropped =
+    analyze_defs ~entry:"main"
+      [
+        "sink", [ "a"; "b" ], L.Lint 0;
+        "reader", [ "a"; "b" ], L.Lvar "a";
+        "fwd", [ "x"; "w" ], call "sink" [ "x"; "w" ];
+        (* [x] lands on reader's live [a], [w] on its unread [b]. *)
+        "swapped", [ "w"; "x" ], call "reader" [ "x"; "w" ];
+        "first", [ "w" ], L.Lint 0;
+        "in_fn", [ "w" ], L.Lfn ([ "y" ], call "sink" [ "y"; "w" ]);
+        "tupled", [ "w" ], L.Lcall (L.Lglobal "sink", [ L.Ltuple [ L.Lvar "w" ]; L.Lint 0 ]);
+        "shadow", [ "w" ], L.Llet ("w", L.Lint 1, call "sink" [ "w"; "w" ]);
+        "main", [ "w" ], L.Ltuple [ call "sink" [ "w"; "w" ]; L.Lmap (L.Lglobal "first", L.Lnil) ];
+      ]
+  in
+  let check name expected = Alcotest.(check (list string)) name expected (dropped name) in
+  check "sink" [ "a"; "b" ];
+  check "reader" [ "b" ];
+  check "fwd" [ "x"; "w" ];
+  check "swapped" [ "w" ];
+  check "first" [];
+  check "in_fn" [];
+  check "tupled" [];
+  check "shadow" [];
+  check "main" [];
+  (* A call with the wrong arity is not direct: it references its callee
+     first-class, which makes every callee parameter live, and so every
+     parameter forwarded to one. *)
+  let dropped =
+    analyze_defs ~entry:"main"
+      [
+        "sink", [ "a"; "b" ], L.Lint 0;
+        "fwd", [ "x"; "w" ], call "sink" [ "x"; "w" ];
+        "main", [ "w" ], call "sink" [ "w" ];
+      ]
+  in
+  Alcotest.(check (list string)) "sink called with one argument" [] (dropped "sink");
+  Alcotest.(check (list string)) "forwarded to a live parameter" [] (dropped "fwd")
+
+let test_forwarded_mutual_recursion () =
+  let walker self other ~reads =
+    let recur = call other [ "t"; "w" ] in
+    ( self,
+      [ "xs"; "w" ],
+      L.Lmatch
+        ( L.Lvar "xs",
+          [
+            Ast.Pnil, L.Lint 0;
+            Ast.Pcons ("h", "t"), (if reads then L.Ltuple [ recur; L.Lvar "w" ] else recur);
+          ] ) )
+  in
+  let dropped =
+    analyze_defs ~entry:"main"
+      [
+        walker "even" "odd" ~reads:false;
+        walker "odd" "even" ~reads:false;
+        (* The same cycle, but one side reads [w]: live on both sides. *)
+        walker "even2" "odd2" ~reads:false;
+        walker "odd2" "even2" ~reads:true;
+        "main", [ "xs"; "w" ], L.Ltuple [ call "even" [ "xs"; "w" ]; call "even2" [ "xs"; "w" ] ];
+      ]
+  in
+  Alcotest.(check (list string)) "even" [ "w" ] (dropped "even");
+  Alcotest.(check (list string)) "odd" [ "w" ] (dropped "odd");
+  Alcotest.(check (list string)) "even2" [] (dropped "even2");
+  Alcotest.(check (list string)) "odd2" [] (dropped "odd2")
+
 let suite =
   [
     Alcotest.test_case "anf: flattens prims" `Quick test_anf_flattens;
@@ -466,4 +588,7 @@ let suite =
     Alcotest.test_case "autosched: deterministic" `Quick test_autosched_deterministic;
     Alcotest.test_case "autosched: cap regimes" `Quick test_autosched_cap_regimes;
     Alcotest.test_case "autosched: priorities" `Quick test_autosched_tune_prioritizes;
+    Alcotest.test_case "forwarded: TreeLSTM weights" `Quick test_forwarded_treelstm;
+    Alcotest.test_case "forwarded: live cases" `Quick test_forwarded_live_cases;
+    Alcotest.test_case "forwarded: mutual recursion" `Quick test_forwarded_mutual_recursion;
   ]

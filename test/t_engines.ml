@@ -448,6 +448,178 @@ let test_aot_call_errors () =
       "absent_entry", [ Value.Vint 1 ];
     ]
 
+(* --- Forwarded-only parameters in the AOT engine --- *)
+
+(* Every case of the forwarded-only analysis in one program: weights
+   forwarded through self recursion and [concurrent] (@walk), to other
+   argument positions (@swap), past a shadowing [let] (@shadow), inside a
+   tuple (@tupled), into an [fn] whose applications suspend at a barrier
+   under fibers (@mapped), and a definition referenced first-class
+   (@ignore). *)
+let forwarding_source =
+  {|
+def @cell(%x: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  tanh(matmul(%x, %w))
+}
+
+def @walk(%xs: List[Tensor[(1, 4)]], %h: Tensor[(1, 4)], %w: Tensor[(4, 4)], %u: Tensor[(4, 4)])
+    -> Tensor[(1, 4)] {
+  match (%xs) {
+    Nil => %h,
+    Cons(%x, %rest) => {
+      let %pair = concurrent(@cell(%x, %w), @cell(%h, %u));
+      @walk(%rest, %pair.0 + %pair.1, %w, %u)
+    }
+  }
+}
+
+def @swap(%u: Tensor[(4, 4)], %w: Tensor[(4, 4)], %xs: List[Tensor[(1, 4)]], %h: Tensor[(1, 4)])
+    -> Tensor[(1, 4)] {
+  @walk(%xs, %h, %w, %u)
+}
+
+def @shadow(%x: Tensor[(1, 4)], %w: Tensor[(4, 4)], %u: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  let %w = %u;
+  @cell(%x, %w)
+}
+
+def @tupled(%p: (Tensor[(1, 4)], Tensor[(4, 4)])) -> Tensor[(1, 4)] {
+  @cell(%p.0, %p.1)
+}
+
+def @mapped(%xs: List[Tensor[(1, 4)]], %w: Tensor[(4, 4)]) -> List[Tensor[(1, 4)]] {
+  map(fn(%y: Tensor[(1, 4)]) {
+    let %g = sigmoid(@cell(%y, %w));
+    if (scalar(reduce_sum(%g)) > 2.0) { %y + %g } else { %g - %y }
+  }, %xs)
+}
+
+def @ignore(%x: Tensor[(1, 4)]) -> Int {
+  1
+}
+
+def @main(%w: Tensor[(4, 4)], %u: Tensor[(4, 4)], %h0: Tensor[(1, 4)],
+          %inps: List[Tensor[(1, 4)]])
+    -> (Tensor[(1, 4)], Tensor[(1, 4)], Tensor[(1, 4)], List[Tensor[(1, 4)]], List[Int]) {
+  let %x0 = @walk(%inps, %h0, %w, %u);
+  let %x1 = @swap(%u, %w, %inps, %h0);
+  let %x2 = @shadow(%h0, %w, %u) + @tupled((%h0, %w));
+  (%x0, %x1, %x2, @mapped(%inps, %w), map(@ignore, %inps))
+}
+|}
+
+let test_aot_forwarded_match_vm () =
+  let compiled = compile ~inputs:[ "h0"; "inps" ] forwarding_source in
+  let lprog = compiled.lprog in
+  let dropped =
+    Hashtbl.fold (fun name _ acc -> List.length (Forwarded.dropped lprog name) + acc) lprog.Lowered.defs 0
+  in
+  check_true "some parameters are forwarded-only" (dropped > 0);
+  check_true "a copied definition table keeps its masks"
+    (Forwarded.valid { lprog with Lowered.defs = Hashtbl.copy lprog.Lowered.defs });
+  let unmasked = { lprog with Lowered.forwarded = Hashtbl.create 1 } in
+  check_true "an emptied mask table is not honoured" (not (Forwarded.valid unmasked));
+  let rng = Rng.create 11 in
+  let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
+  let weights = [ "w", Tensor.random rng [ 4; 4 ]; "u", Tensor.random rng [ 4; 4 ] ] in
+  let instances =
+    List.map (fun n -> [ "h0", tensor (); "inps", Driver.Hlist (List.init n (fun _ -> tensor ())) ])
+      [ 0; 1; 2; 3; 4 ]
+  in
+  let bits (r : Driver.result) =
+    Array.map Int64.bits_of_float r.Driver.stats.Driver.profiler.P.times_us
+  in
+  let vm_slot = P.activity_index P.Vm_overhead in
+  List.iter
+    (fun fibers ->
+      let run mode lp =
+        Driver.run ~compute_values:true ~mode ~policy:Policy.acrobat_policy
+          ~quality:compiled.quality ~lprog:{ lp with Lowered.has_tdc = fibers } ~weights ~instances ()
+      in
+      let label s = Fmt.str "%s (fibers %b)" s fibers in
+      let aot = run Driver.Aot_mode lprog in
+      let staged_all = run Driver.Aot_mode unmasked in
+      let vm = run Driver.Vm_mode lprog in
+      Alcotest.(check (array int64)) (label "aot = vm fingerprints") (Driver.fingerprints vm)
+        (Driver.fingerprints aot);
+      Alcotest.(check (array int64)) (label "aot = aot staging every parameter")
+        (Driver.fingerprints staged_all) (Driver.fingerprints aot);
+      Alcotest.(check (array int64)) (label "virtual time of staging every parameter")
+        (bits staged_all) (bits aot);
+      let without_vm b = Array.mapi (fun i x -> if i = vm_slot then 0L else x) b in
+      Alcotest.(check (array int64)) (label "virtual time of the VM, dispatch aside")
+        (without_vm (bits vm)) (without_vm (bits aot)))
+    [ false; true ]
+
+let test_aot_stale_masks () =
+  (* Masks computed for other definitions of the same names, which read
+     none of their parameters: honoured, they would leave "one" without a
+     slot for "y". The AOT engine must ignore them and behave as
+     [test_aot_call_errors] expects. *)
+  let compiled = compile ~inputs:[ "h0"; "inps" ] calls_source in
+  let module L = Lowered in
+  let ldef lname lparams lbody = { L.lname; lparams; lbody } in
+  let table_of defs =
+    let table = Hashtbl.create 8 in
+    List.iter (fun (d : L.ldef) -> Hashtbl.replace table d.L.lname d) defs;
+    table
+  in
+  let x = L.Lvar "x" in
+  let defs =
+    table_of
+      [
+        ldef "one" [ "y" ] (L.Lvar "y");
+        ldef "two" [ "a"; "b" ] (L.Lvar "a");
+        ldef "call_one_with_two" [ "x" ] (L.Lcall (L.Lglobal "one", [ x; x ]));
+        ldef "call_two_with_one" [ "x" ] (L.Lcall (L.Lglobal "two", [ x ]));
+        ldef "map_two" [ "x" ] (L.Lmap (L.Lglobal "two", L.Lcons (x, L.Lnil)));
+        ldef "call_missing" [ "x" ] (L.Lcall (L.Lglobal "nowhere", [ x ]));
+      ]
+  in
+  let stale =
+    Forwarded.analyze ~entry:"entry"
+      (table_of
+         [
+           ldef "one" [ "y" ] (L.Lint 0);
+           ldef "two" [ "a"; "b" ] (L.Lint 0);
+           ldef "call_one_with_two" [ "x" ] (L.Lcall (L.Lglobal "one", [ x ]));
+           ldef "call_two_with_one" [ "x" ] (L.Lcall (L.Lglobal "two", [ x; x ]));
+           ldef "map_two" [ "x" ] (L.Lint 0);
+           ldef "call_missing" [ "x" ] (L.Lint 0);
+         ])
+  in
+  check_true "the stale masks drop parameters"
+    (Array.exists Fun.id (snd (Hashtbl.find stale "one")));
+  let run entry args =
+    let policy =
+      { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
+        compute_values = false; detect_dynamic_sharing = false }
+    in
+    let rt =
+      Acrobat_runtime.Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth
+        ~policy ~seed:1 ~instances:1
+    in
+    let lprog = { compiled.lprog with L.defs; entry; forwarded = stale } in
+    check_true "stale masks are not valid" (not (Forwarded.valid lprog));
+    let eng = Acrobat_engines.Aot.create ~rt ~policy:Policy.acrobat_policy ~fibers:false lprog in
+    Acrobat_engines.Aot.run_main eng ~instance:0 args
+  in
+  check_true "well-formed call runs" (run "one" [ Value.Vint 7 ] = Value.Vint 7);
+  List.iter
+    (fun (entry, args) ->
+      match run entry args with
+      | _ -> Alcotest.failf "%s: expected a runtime error" entry
+      | exception Value.Runtime_error _ -> ())
+    [
+      "call_one_with_two", [ Value.Vint 1 ];
+      "call_two_with_one", [ Value.Vint 1 ];
+      "map_two", [ Value.Vint 1 ];
+      "call_missing", [ Value.Vint 1 ];
+      "one", [];
+      "one", [ Value.Vint 1; Value.Vint 2 ];
+      "absent_entry", [ Value.Vint 1 ];
+    ]
+
 let suite =
   List.map
     (fun id ->
@@ -478,4 +650,7 @@ let suite =
         test_aot_calls_match_vm;
       Alcotest.test_case "aot calls: ill-formed calls raise runtime errors" `Quick
         test_aot_call_errors;
+      Alcotest.test_case "forwarded: aot matches vm and full staging" `Quick
+        test_aot_forwarded_match_vm;
+      Alcotest.test_case "forwarded: stale masks are ignored" `Quick test_aot_stale_masks;
     ]
