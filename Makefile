@@ -55,7 +55,10 @@ test:
 # reproduction (table4-table9, fig5, fig9: virtual time only) twice and
 # requires both runs to be byte-identical to each other and to the
 # committed BENCH_paper.json (a CI artifact), so host-speed work cannot
-# move a paper result unnoticed.
+# move a paper result unnoticed. The observability gate does the same for
+# the serving metrics timeline of one fault-injected run (final counters
+# plus periodic snapshots, BENCH_obs.json, a CI artifact), so the export's
+# keys, order and values cannot move unnoticed.
 PAPER_EXPERIMENTS = table4 table5 table6 table7 table8 table9 fig5 fig9
 
 check: build test
@@ -109,6 +112,10 @@ check: build test
 	dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper_rerun.json
 	cmp BENCH_paper.json BENCH_paper_rerun.json
 	git diff --exit-code -- BENCH_paper.json
+	dune exec bench/main.exe -- obs --json BENCH_obs.json
+	dune exec bench/main.exe -- obs --json BENCH_obs_rerun.json
+	cmp BENCH_obs.json BENCH_obs_rerun.json
+	git diff --exit-code -- BENCH_obs.json
 	$(MAKE) chaos-smoke
 	$(MAKE) alloc-gate
 	dune exec bench/main.exe -- chaos --json BENCH_chaos.json

@@ -748,11 +748,11 @@ let integrity_bench ?(audits = [ 0.0; 0.25; 0.5; 0.75; 1.0 ]) ?(requests = 120)
       })
     audits
 
-(* --- Observability: the metrics registry over a serve run (DESIGN.md
+(* --- Observability: the metrics timeline of a serve run (DESIGN.md
    §10) --- *)
 
-(** One fault-injected serve run with the metrics registry attached. The
-    export carries every [device.*] counter — including the ones
+(** One fault-injected serve run with periodic snapshots on. The export
+    carries every [device.*] counter — including the ones
     [Profiler.pp] used to drop silently (gather bytes, memcpy calls,
     unbatched ops, fiber switches) — every [serve.*] counter, and the
     periodic virtual-clock snapshots, so `bench --json` tracks the full
@@ -761,13 +761,12 @@ let observability ?(requests = 150) ?(rate_per_s = 4000.0) ?(iters = 50) ?(seed 
     Serve.Json.t =
   let model = Models.tiny "treelstm" in
   let faults = Faults.parse "seed=7,kernel=0.05" in
-  let metrics = Metrics.create () in
-  let _report =
-    serve_model ~iters ~faults ~metrics
+  let report =
+    serve_model ~iters ~faults ~snapshot_every_us:10_000.0
       ~process:(Serve.Traffic.Poisson { rate_per_s })
       ~requests ~seed model
   in
-  Metrics.to_json metrics
+  Serve.Stats.metrics_json report.sv_stats
 
 (* --- Extras: ablations called out in DESIGN.md §6 --- *)
 
@@ -901,7 +900,7 @@ type overload_row = {
   ov_p99 : float;
   ov_limit_trajectory : (float * float) list;
       (** [(ts_us, limit)] samples of the AIMD concurrency limit, from the
-          metrics registry's periodic snapshots; empty when the limiter is
+          serving stats' periodic snapshots; empty when the limiter is
           off. *)
 }
 
@@ -937,9 +936,6 @@ let overload_bench ?(loads = [ 0.5; 0.8; 1.1; 1.4; 1.8 ]) ?(requests = 1200)
   in
   let run ~load (label, resilience) =
     let rate_per_s = load *. capacity_rps in
-    let metrics =
-      if Resilience.active resilience then Metrics.create () else Metrics.null
-    in
     let fault_rng = Rng.create ((seed * 97) + 13) in
     let execute ~degraded batch =
       let n = List.length batch in
@@ -973,17 +969,16 @@ let overload_bench ?(loads = [ 0.5; 0.8; 1.1; 1.4; 1.8 ]) ?(requests = 1200)
       }
     in
     let stats =
-      Serve.Server.simulate ~metrics config ~arrivals ~payload:(fun i -> i) ~execute
+      Serve.Server.simulate
+        ?snapshot_every_us:(if Resilience.active resilience then Some 10_000.0 else None)
+        config ~arrivals ~payload:(fun i -> i) ~execute
     in
     let s = Serve.Stats.summarize stats in
     let trajectory =
-      List.rev_map
+      List.filter_map
         (fun (ts_us, values) ->
-          match List.assoc_opt "resilience.limit" values with
-          | Some v -> [ (ts_us, v) ]
-          | None -> [])
-        metrics.Metrics.snapshots
-      |> List.concat
+          Option.map (fun v -> ts_us, v) (List.assoc_opt "resilience.limit" values))
+        (Serve.Stats.snapshots stats)
     in
     {
       ov_config = label;

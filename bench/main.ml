@@ -468,10 +468,10 @@ let tenants () =
        (fun (label, r) -> label, Tenancy.Dispatcher.report_json r)
        rows)
 
-(* --- Observability: metrics registry export --- *)
+(* --- Observability: the serving metrics timeline --- *)
 
 let obs () =
-  hr "Observability: metrics registry over a fault-injected serve run";
+  hr "Observability: metrics timeline of a fault-injected serve run";
   let j = E.observability () in
   (match J.member "metrics" j with
   | Some (J.Obj fields) ->

@@ -7,8 +7,9 @@
     under the chaos campaign. The invariants:
 
     - {b conservation}: offered equals the number of generated arrivals and
-      [completed] plus every terminal row of {!Acrobat_serve.Stats.counters}
-      (no request vanishes, none is double-counted);
+      [completed] plus every {!Acrobat_serve.Stats.Outcome} counter (no
+      request vanishes, none is double-counted), as
+      {!Acrobat_serve.Stats.conservation} checks it;
     - {b terminal_once}: exactly one terminal trace instant per request id
       (dispatcher pid 0, tid = id + 1), and none for unknown ids;
     - {b no_dup_completion}: no request id completes twice — the accounting
@@ -48,7 +49,8 @@
       landing exactly at the heal instant is lawful);
     - {b net_conservation}: each of {!Acrobat_serve.Stats.laws} holds —
       every copy put on the wire lands in exactly one bucket. Checked on
-      every run: with the transport off every term is zero.
+      every run by the same function: with the transport off every term is
+      zero.
 
     Replay determinism (same seed, byte-identical summary + trace) needs a
     second run, so it lives in {!Campaign.check_scenario} and reports here
@@ -67,15 +69,14 @@ type violation = {
 
 let v name fmt = Fmt.kstr (fun vi_detail -> { vi_name = name; vi_detail }) fmt
 
-(** Terminal instant names the cluster dispatcher emits on pid 0 — the
-    closed set every admitted request must end in exactly once.
-    ["shed_breaker"] is the single-server breaker's terminal and
-    ["shed_quota"] the multi-tenant dispatcher's; each fires only on its
-    own layer but stays in the set so the suite keeps working as an oracle
-    over every serving stack's traces. *)
+(** Terminal instant names the dispatcher emits on pid 0 — the closed set
+    every admitted request must end in exactly once: ["done"] and every
+    {!Acrobat_serve.Stats.Outcome}. Some outcomes fire only on their own
+    layer (the breaker's on the single server and tenants, the quota's on
+    the multi-tenant dispatcher) but all stay in the set so the suite keeps
+    working as an oracle over every serving stack's traces. *)
 let terminal_names =
-  [ "done"; "expired"; "shed"; "shed_breaker"; "shed_limit"; "shed_quota";
-    "poisoned"; "budget_exhausted"; "retry_budget"; "net_shed" ]
+  "done" :: List.map (fun o -> o.Stats.Outcome.name) Stats.Outcome.all
 
 (** What the multi-tenant dispatcher observed for one tenant; empty list on
     single-tenant runs. *)
@@ -115,14 +116,13 @@ let check (i : input) : violation list =
   let s = i.in_summary in
   let out = ref [] in
   let add x = out := x :: !out in
-  let terms cs =
-    String.concat " + " (List.map (fun c -> Fmt.str "%s %d" c.Stats.name (c.Stats.read s)) cs)
+  let laws = Stats.conservation s ~arrivals:i.in_requests in
+  let add_law name =
+    List.iter
+      (fun (law, vi_detail) -> if law = name then add { vi_name = law; vi_detail })
+      laws
   in
-  let outcomes = s.Stats.s_completed + Stats.dropped s in
-  if s.Stats.s_offered <> i.in_requests || outcomes <> s.Stats.s_offered then
-    add
-      (v "conservation" "offered %d, %d requests arrived, outcomes sum to %d (completed %d + %s)"
-         s.Stats.s_offered i.in_requests outcomes s.Stats.s_completed (terms Stats.terminals));
+  add_law "conservation";
   (* Index the dispatcher's per-request instants: terminal outcomes,
      completions and requeues, keyed by request id (tid - 1). *)
   let terminals = Hashtbl.create 64 in
@@ -292,11 +292,7 @@ let check (i : input) : violation list =
     add
       (v "quarantine_flow" "%d restores exceed %d quarantines"
          s.Stats.s_quarantine_restores s.Stats.s_quarantines);
-  List.iter
-    (fun (lhs, rhs) ->
-      if Stats.total s lhs <> Stats.total s rhs then
-        add (v "net_conservation" "%s <> %s" (terms lhs) (terms rhs)))
-    Stats.laws;
+  add_law "net_conservation";
   Option.iter
     (fun (plan : Net.plan) ->
       let n = max 1 i.in_peak_replicas in

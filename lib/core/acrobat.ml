@@ -44,7 +44,6 @@ module Workloads = Acrobat_workloads
 module Serve = Acrobat_serve
 module Obs = Acrobat_obs
 module Trace = Acrobat_obs.Trace
-module Metrics = Acrobat_obs.Metrics
 module Chaos = Acrobat_chaos
 module Tenancy = Acrobat_tenancy
 module Resilience = Acrobat_resilience.Policy
@@ -207,6 +206,9 @@ let reference_auditor ?(seed = 2024) ~rate
 type serve_report = {
   sv_summary : Serve.Stats.summary;
   sv_profiler : Profiler.t;
+  sv_stats : Serve.Stats.t;
+      (** The run's accounting, snapshot timeline included
+          ({!Serve.Stats.metrics_json}). *)
 }
 
 let serve_report_json (r : serve_report) : Serve.Json.t =
@@ -387,11 +389,12 @@ let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals
     (see {!Serve.Server.auditor}). Corruption in the fault plan
     ([corrupt=]/[flaky=]) or a positive audit rate switches executors to
     integrity mode (real values, id-keyed decision streams, fingerprints);
-    both default off, leaving legacy runs byte-identical. *)
+    both default off, leaving legacy runs byte-identical.
+    [snapshot_every_us] turns on the metrics timeline of [sv_stats]. *)
 let serve_model ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(policy = Serve.Server.default_config.Serve.Server.policy) ?(queue_capacity = 256)
     ?deadline_ms ?arrivals ?(faults = Faults.none) ?tolerance
-    ?(resilience = Resilience.off) ?(audit = 0.0) ?tracer ?metrics
+    ?(resilience = Resilience.off) ?(audit = 0.0) ?tracer ?snapshot_every_us
     ~(process : Serve.Traffic.process) ~(requests : int) ~(seed : int) (model : Model.t) :
     serve_report =
   let fault_mode = Faults.enabled faults in
@@ -407,11 +410,16 @@ let serve_model ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
   in
   let auditor = reference_auditor ~seed ~rate:audit (fun _ -> c, weights) in
   let stats =
-    Serve.Server.simulate ?tracer ?metrics ?auditor su.su_config ~arrivals:su.su_arrivals
+    Serve.Server.simulate ?tracer ?snapshot_every_us ?auditor su.su_config
+      ~arrivals:su.su_arrivals
       ~payload:(fun i -> su.su_payloads.(i))
       ~execute
   in
-  { sv_summary = Serve.Stats.summarize stats; sv_profiler = stats.Serve.Stats.profiler }
+  {
+    sv_summary = Serve.Stats.summarize stats;
+    sv_profiler = stats.Serve.Stats.profiler;
+    sv_stats = stats;
+  }
 
 (* --- Multi-tenant serving (lib/tenancy) glue --- *)
 
@@ -440,7 +448,7 @@ let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(policy = Serve.Server.default_config.Serve.Server.policy) ?(queue_capacity = 256)
     ?(fault_plans = []) ?tolerance ?(min_replicas = 1) ?(max_replicas = 1)
     ?(swap_cost = Cost_model.default) ?(resilience = Resilience.off) ?hedge_percentile
-    ?(audit = 0.0) ?net ?tracer ?metrics ~(models : string -> Model.t)
+    ?(audit = 0.0) ?net ?tracer ~(models : string -> Model.t)
     ~(tenants : Tenancy.Tenant.t array) ~(seed : int) () : Tenancy.Dispatcher.report =
   let distinct =
     List.sort_uniq compare
@@ -512,7 +520,7 @@ let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
         let _, c, weights = lookup (Hashtbl.find model_of_req id) in
         c, weights)
   in
-  Tenancy.Dispatcher.simulate ?tracer ?metrics ?auditor cfg ~tenants ~payload ~execute
+  Tenancy.Dispatcher.simulate ?tracer ?auditor cfg ~tenants ~payload ~execute
     ~model_bytes
 
 (* --- Replicated serving (lib/serve/cluster) glue --- *)
@@ -578,7 +586,7 @@ let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?deadline_ms ?arrivals ?(fault_plans = []) ?tolerance
     ?(dispatch = Serve.Cluster.Join_shortest_queue) ?hedge_percentile
     ?(requeue_budget = Serve.Cluster.default_config.Serve.Cluster.c_requeue_budget)
-    ?(resilience = Resilience.off) ?(audit = 0.0) ?net ?tracer ?metrics ?(replicas = 1)
+    ?(resilience = Resilience.off) ?(audit = 0.0) ?net ?tracer ?(replicas = 1)
     ~(process : Serve.Traffic.process) ~(requests : int)
     ~(seed : int) (model : Model.t) : cluster_report =
   let plan_for i = try List.nth fault_plans i with _ -> Faults.none in
@@ -618,7 +626,7 @@ let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     }
   in
   let report =
-    Serve.Cluster.simulate ?tracer ?metrics ?auditor cfg ~arrivals:su.su_arrivals
+    Serve.Cluster.simulate ?tracer ?auditor cfg ~arrivals:su.su_arrivals
       ~payload:(fun i -> su.su_payloads.(i))
       ~executors
   in

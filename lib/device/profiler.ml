@@ -104,7 +104,7 @@ let merge ~into src =
   into.fiber_switches <- into.fiber_switches + src.fiber_switches
 
 (** Every accumulated counter, in a fixed order shared by {!pp},
-    {!to_json} and the metrics bridge — the single list that keeps the
+    {!to_json} and the serving metrics export — the single list that keeps the
     three exports from drifting out of sync again (counters used to be
     collected but silently dropped by [pp]). *)
 let counters t =
@@ -153,8 +153,3 @@ let to_json t : Acrobat_obs.Json.t =
       "counters", Obj (List.map (fun (k, v) -> k, Int v) (counters t));
       "total_ms", Float (total_ms t);
     ]
-
-(** Mirror the final counter values into a metrics registry under
-    ["device."] names. *)
-let to_metrics t (m : Acrobat_obs.Metrics.t) =
-  Acrobat_obs.Metrics.set_counters m "device." (counters t)

@@ -39,7 +39,6 @@
     seeds and fault plans ⇒ byte-identical stats. *)
 
 module Trace = Acrobat_obs.Trace
-module Metrics = Acrobat_obs.Metrics
 module Json = Acrobat_obs.Json
 module Net = Acrobat_net.Net
 module Budget = Acrobat_resilience.Budget
@@ -167,24 +166,15 @@ let drop_attempt ns (ent : 'a entry) =
 
 (* A copy vanished without completing. When it was the last live copy of an
    unresolved request, that request's terminal outcome is [terminal]. *)
-let copy_lost st (ent : 'a entry) ~terminal =
+let copy_lost st (ent : 'a entry) ~(terminal : Stats.Outcome.t) =
   match Hedge.lose ent.ent_copies with
   | Hedge.Live | Hedge.Resolved -> ()
   | Hedge.Terminal ->
-    let counter, name =
-      match terminal with
-      | `Shed -> Stats.shed, "shed"
-      | `Expired -> Stats.expired, "expired"
-      | `Poisoned -> Stats.poisoned, "poisoned"
-      | `Budget -> Stats.breaker_shed, "budget_exhausted"
-      | `Limit -> Stats.limit_shed, "shed_limit"
-      | `Retry_budget -> Stats.retry_shed, "retry_budget"
-      | `Net -> Stats.net_shed, "net_shed"
-    in
-    Stats.incr st.stats counter;
+    Stats.incr st.stats terminal.Stats.Outcome.counter;
     if Trace.enabled st.tracer then begin
       let id = ent.ent_req.Admission.rq_id in
-      Trace.instant st.tracer ~name ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
+      Trace.instant st.tracer ~name:terminal.Stats.Outcome.name ~cat:"request" ~pid:0
+        ~tid:(Server.req_tid id)
         ~ts_us:(Event_loop.now st.loop)
         ~args:[ "id", Json.Int id ]
     end
@@ -388,10 +378,10 @@ let net_deliver st ns (ent : 'a entry) (r : 'a Admission.request) i =
         (* Never executed: forget the key so a later retransmission may
            execute, and nack the sender. *)
         if ns.n_plan.Net.np_dedup then Net.Dedup.remove window key;
-        send_nack st ns ~replica:i ent ~terminal:`Shed
+        send_nack st ns ~replica:i ent ~terminal:Stats.Outcome.shed
       | Replica.Shed_limit ->
         if ns.n_plan.Net.np_dedup then Net.Dedup.remove window key;
-        send_nack st ns ~replica:i ent ~terminal:`Limit))
+        send_nack st ns ~replica:i ent ~terminal:Stats.Outcome.shed_limit))
 
 (* Put one request copy on the send link: it may be cut by a partition,
    lost, duplicated, delayed, or reordered — each surviving copy becomes a
@@ -438,8 +428,8 @@ let rec dispatch st (r : 'a Admission.request) =
           ent.ent_deposited <- true;
           Replica.deposit_budget st.replicas.(i)
         end
-      | Replica.Shed_queue -> copy_lost st ent ~terminal:`Shed
-      | Replica.Shed_limit -> copy_lost st ent ~terminal:`Limit)
+      | Replica.Shed_queue -> copy_lost st ent ~terminal:Stats.Outcome.shed
+      | Replica.Shed_limit -> copy_lost st ent ~terminal:Stats.Outcome.shed_limit)
     | Some ns -> net_dispatch st ns ent r i)
 
 (* Net-mode dispatch of the tracked (primary) copy to replica [i]:
@@ -455,7 +445,7 @@ and net_dispatch st ns (ent : 'a entry) (r : 'a Admission.request) i =
        even the observed one-way transit, so shed here instead of burning
        link and replica capacity on a result nobody can use. *)
     drop_attempt ns ent;
-    primary_lost st ent ~terminal:`Net
+    primary_lost st ent ~terminal:Stats.Outcome.net_shed
   | _ ->
     if ent.ent_at_no = 0 then ns.live_attempts <- ns.live_attempts + 1;
     ent.ent_at_replica <- i;
@@ -481,7 +471,8 @@ and net_requeue st ns (ent : 'a entry) ~from =
 and requeue_entry st (ent : 'a entry) ~from ~lose =
   let id = ent.ent_req.Admission.rq_id in
   ent.ent_requeues <- ent.ent_requeues + 1;
-  if ent.ent_requeues > st.cfg.c_requeue_budget then lose st ent ~terminal:`Budget
+  if ent.ent_requeues > st.cfg.c_requeue_budget then
+    lose st ent ~terminal:Stats.Outcome.budget_exhausted
   else begin
     Stats.incr st.stats Stats.requeued;
     if Trace.enabled st.tracer then
@@ -510,7 +501,7 @@ and net_timeout st ns (ent : 'a entry) (r : 'a Admission.request) my_no =
         (* Resends compose with the retry budget: when the bucket is dry,
            the resend converts into a counted shed (DESIGN.md §13). *)
         drop_attempt ns ent;
-        primary_lost st ent ~terminal:`Retry_budget
+        primary_lost st ent ~terminal:Stats.Outcome.retry_budget
       | _ ->
         if link_up st i && Replica.health st.replicas.(i) = Replica.Up then
           net_dispatch st ns ent r i
@@ -624,8 +615,8 @@ let maybe_hedge st (ent : 'a entry) =
         | Replica.Admitted -> ()
         (* The hedge target shed it; the primary copy is still live, so
            this never terminates the request. *)
-        | Replica.Shed_queue -> copy_lost st ent ~terminal:`Shed
-        | Replica.Shed_limit -> copy_lost st ent ~terminal:`Limit)
+        | Replica.Shed_queue -> copy_lost st ent ~terminal:Stats.Outcome.shed
+        | Replica.Shed_limit -> copy_lost st ent ~terminal:Stats.Outcome.shed_limit)
       | Some ns ->
         (* Hedge copies ride the link untracked: the primary's timeout is
            their recovery path, and the receiver's idempotency window
@@ -745,9 +736,10 @@ let replica_owned =
 
 (** Run the cluster simulation to completion. [executors.(i)] runs a batch
     on replica [i]'s device (wrap with a per-replica fault injector to make
-    one replica flaky); its length must equal [cfg.c_replicas]. *)
-let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
-    ?(snapshot_every_us = 10_000.0) ?auditor (cfg : config)
+    one replica flaky); its length must equal [cfg.c_replicas].
+    [snapshot_every_us] turns on periodic snapshots of the aggregate
+    counters, as in {!Server.simulate}. *)
+let simulate ?(tracer = Trace.null) ?snapshot_every_us ?auditor (cfg : config)
     ~(arrivals : float array) ~(payload : int -> 'a)
     ~(executors : (degraded:bool -> 'a list -> Server.exec_result) array) : report =
   if Array.length executors <> cfg.c_replicas then
@@ -845,7 +837,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
         })
       arrivals;
   Event_loop.feed loop arrivals (fun i -> on_arrival st st.entries.(i));
-  Stats.snapshot_periodically st.stats metrics loop ~every_us:snapshot_every_us;
+  Stats.snapshot_periodically ?every_us:snapshot_every_us st.stats loop;
   Event_loop.run loop;
   (* Anything still parked when the event loop drained could not be placed
      before the end of the run; account it as dropped so the per-request
@@ -854,8 +846,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
       if ent.ent_copies.Hedge.resolved then copy_cancelled st ent
-      else if st.net <> None then primary_lost st ent ~terminal:`Budget
-      else copy_lost st ent ~terminal:`Budget)
+      else if st.net <> None then primary_lost st ent ~terminal:Stats.Outcome.budget_exhausted
+      else copy_lost st ent ~terminal:Stats.Outcome.budget_exhausted)
     st.pending;
   Queue.clear st.pending;
   let end_us = Event_loop.now loop in
@@ -880,5 +872,6 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
            { rv_id = Replica.id rep; rv_stats = rs; rv_health = Replica.health rep })
          st.replicas)
   in
-  Stats.finish st.stats metrics loop;
+  Stats.finish st.stats loop;
+  Stats.assert_conserved st.stats ~arrivals:(Array.length arrivals);
   { cluster_stats = st.stats; replica_views = views }

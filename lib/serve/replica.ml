@@ -61,13 +61,12 @@ type 'a callbacks = {
     unit;  (** A batch finished; the cluster dedupes per request id. *)
   cb_cancelled : replica:int -> 'a Admission.request -> unit;
       (** A queued copy was dropped because its winner already completed. *)
-  cb_lost :
-    replica:int -> [ `Expired | `Retry_budget | `Poisoned ] -> 'a Admission.request list -> unit;
+  cb_lost : replica:int -> Stats.Outcome.t -> 'a Admission.request list -> unit;
       (** These copies left without completing: dropped by this replica's
-          queue as past deadline ([`Expired]), shed instead of retried
-          because the retry budget ran dry mid-resolution ([`Retry_budget],
+          queue as past deadline ([expired]), shed instead of retried
+          because the retry budget ran dry mid-resolution ([retry_budget],
           never fires unless a budget is armed), or isolated by bisection as
-          the deterministic batch-killer ([`Poisoned]). *)
+          the deterministic batch-killer ([poisoned]). *)
   cb_down : replica:int -> 'a Admission.request list -> unit;
       (** The replica failed over; these queued + in-flight requests drain
           back for re-dispatch. *)
@@ -207,7 +206,7 @@ let rec maybe_launch (t : 'a t) =
 
 and flush (t : 'a t) ~now_us ~limit =
   let live, expired = Server.take t.dev ~now_us ~limit in
-  if expired <> [] then t.cb.cb_lost ~replica:t.id `Expired expired;
+  if expired <> [] then t.cb.cb_lost ~replica:t.id Stats.Outcome.expired expired;
   (* Lazy hedge cancellation: copies whose winner already completed are
      dropped here, unexecuted — the cheap form of "cancel". *)
   let live, cancelled = List.partition t.cb.cb_live live in
@@ -276,10 +275,10 @@ and recovery (t : 'a t) =
       else None)
     ~retry_shed:(fun batch ~freed_us:_ ->
       drop_outstanding t batch;
-      fun () -> t.cb.cb_lost ~replica:t.id `Retry_budget batch)
+      fun () -> t.cb.cb_lost ~replica:t.id Stats.Outcome.retry_budget batch)
     ~poison:(fun r ->
       drop_outstanding t [ r ];
-      t.cb.cb_lost ~replica:t.id `Poisoned [ r ])
+      t.cb.cb_lost ~replica:t.id Stats.Outcome.poisoned [ r ])
 
 (* Failover and quarantine fence the replica alike: bump the epoch so the
    aborted resolution's continuations no-op, drain the queue, hand every
@@ -294,7 +293,7 @@ and fence (t : 'a t) ~health ~requeue ~probe_ready =
   d.Server.consecutive_failures <- 0;
   t.consecutive_resets <- 0;
   let queued, expired = Admission.drain d.Server.queue ~now_us in
-  if expired <> [] then t.cb.cb_lost ~replica:t.id `Expired expired;
+  if expired <> [] then t.cb.cb_lost ~replica:t.id Stats.Outcome.expired expired;
   let unresolved = t.outstanding @ queued in
   t.outstanding <- [];
   requeue ~replica:t.id unresolved;
@@ -412,7 +411,7 @@ let enqueue (t : 'a t) (r : 'a Admission.request) : admit =
   let now_us = Event_loop.now d.Server.loop in
   Batcher.observe_arrival d.Server.batcher ~now_us;
   let admit, swept = Server.offer d r ~now_us in
-  if swept <> [] then t.cb.cb_lost ~replica:t.id `Expired swept;
+  if swept <> [] then t.cb.cb_lost ~replica:t.id Stats.Outcome.expired swept;
   if admit = Admitted then
     Event_loop.schedule d.Server.loop ~at:now_us (fun () -> maybe_launch t);
   admit

@@ -36,7 +36,6 @@ module Profiler = Acrobat_device.Profiler
 module Cost_model = Acrobat_device.Cost_model
 module Rng = Acrobat_tensor.Rng
 module Trace = Acrobat_obs.Trace
-module Metrics = Acrobat_obs.Metrics
 module Json = Acrobat_obs.Json
 module Resilience = Acrobat_resilience.Policy
 module Budget = Acrobat_resilience.Budget
@@ -164,16 +163,12 @@ type 'a device = {
   budget : Budget.t option;
   limiter : Limiter.t option;
   brownout : Brownout.t option;
-  limit_gauge : Metrics.gauge;  (** Limiter trajectory export. *)
 }
 
 (** A fresh device. [id] offsets the audit and jitter seeds, so device 0
     draws exactly the streams the single server does — which is what makes
-    a 1-replica cluster byte-identical to it. The limiter gauge is
-    registered in [metrics] only when the limiter is armed: a legacy run's
-    metrics export must not grow a new instrument. *)
-let create_device ?pid ?(metrics = Metrics.null) ?auditor ~id ~loop ~tracer
-    (config : config) ~execute =
+    a 1-replica cluster byte-identical to it. *)
+let create_device ?pid ?auditor ~id ~loop ~tracer (config : config) ~execute =
   let pmax = policy_max_batch config.policy in
   let rs = config.resilience in
   {
@@ -201,10 +196,6 @@ let create_device ?pid ?(metrics = Metrics.null) ?auditor ~id ~loop ~tracer
         (fun target_us -> Limiter.create ~target_us ())
         rs.Resilience.rs_target_delay_us;
     brownout = Option.map Brownout.create rs.Resilience.rs_brownout;
-    limit_gauge =
-      Metrics.gauge
-        (if rs.Resilience.rs_target_delay_us <> None then metrics else Metrics.null)
-        "resilience.limit";
   }
 
 let browned_out d = match d.brownout with Some b -> Brownout.engaged b | None -> false
@@ -245,7 +236,7 @@ let observe_pressure d ~now_us =
     Option.iter
       (fun lim ->
         Limiter.observe lim ~delay_us;
-        Metrics.set d.limit_gauge (Limiter.limit lim))
+        d.stats.Stats.limit <- Limiter.limit lim)
       d.limiter;
     let note name =
       Trace.instant d.tracer ?pid:d.pid ~name ~cat:"resilience" ~tid:0 ~ts_us:now_us
@@ -377,14 +368,20 @@ type 'a state = {
       (** Built once: every hook reads the state it needs when it runs. *)
 }
 
-(* Request-terminal instant: every admitted id ends in exactly one of
-   done / expired / poisoned / retry_budget (shed ids terminate at
-   admission). *)
+(* Request-terminal instant: every request ends in exactly one, [done] or
+   a {!Stats.Outcome}'s (shed ids terminate at admission). *)
 let trace_terminal (st : 'a state) ~name ~ts_us (r : _ Admission.request) =
   if Trace.enabled st.dev.tracer then
     Trace.instant st.dev.tracer ~name ~cat:"request" ~ts_us
       ~tid:(req_tid r.Admission.rq_id)
       ~args:[ "id", Json.Int r.Admission.rq_id ]
+
+(* Request [r] ended in outcome [o]: charge its counter unless the shared
+   device core already did ([counted]: limiter sheds, retry-budget sheds
+   and poison, which replicas count the same way), then trace it. *)
+let terminal ?(counted = false) (st : 'a state) (o : Stats.Outcome.t) ~ts_us r =
+  if not counted then Stats.incr st.dev.stats o.Stats.Outcome.counter;
+  trace_terminal st ~name:o.Stats.Outcome.name ~ts_us r
 
 let open_breaker (st : 'a state) ~wake =
   let d = st.dev in
@@ -438,7 +435,7 @@ let rec maybe_launch (st : 'a state) =
 and flush (st : 'a state) ~now_us ~limit =
   let d = st.dev in
   let batch, dropped = take d ~now_us ~limit in
-  List.iter (trace_terminal st ~name:"expired" ~ts_us:now_us) dropped;
+  List.iter (terminal st Stats.Outcome.expired ~ts_us:now_us) dropped;
   match batch with
   | [] ->
     (* Everything popped had expired; the queue may still hold work. *)
@@ -465,9 +462,10 @@ and recovery (st : 'a state) =
       if oom then shrink_batches d)
     ~escalate:(fun ~freed_us:_ -> None)
     ~retry_shed:(fun batch ~freed_us ->
-      List.iter (trace_terminal st ~name:"retry_budget" ~ts_us:freed_us) batch;
+      List.iter (terminal ~counted:true st Stats.Outcome.retry_budget ~ts_us:freed_us) batch;
       ignore)
-    ~poison:(fun r -> trace_terminal st ~name:"poisoned" ~ts_us:(Event_loop.now d.loop) r)
+    ~poison:(fun r ->
+      terminal ~counted:true st Stats.Outcome.poisoned ~ts_us:(Event_loop.now d.loop) r)
 
 let on_arrival (st : 'a state) (r : 'a Admission.request) =
   let d = st.dev in
@@ -481,14 +479,13 @@ let on_arrival (st : 'a state) (r : 'a Admission.request) =
   | Open { until_us } when now_us < until_us ->
     (* Breaker open: shed at the door without queueing — launching is
        pointless while the device is presumed down. *)
-    Stats.incr d.stats Stats.breaker_shed;
-    trace_terminal st ~name:"shed_breaker" ~ts_us:now_us r
+    terminal st Stats.Outcome.shed_breaker ~ts_us:now_us r
   | Closed | Half_open | Open _ -> (
     match offer d r ~now_us with
-    | Shed_limit, _ -> trace_terminal st ~name:"shed_limit" ~ts_us:now_us r
+    | Shed_limit, _ -> terminal ~counted:true st Stats.Outcome.shed_limit ~ts_us:now_us r
     | admit, swept ->
-      List.iter (trace_terminal st ~name:"expired" ~ts_us:now_us) swept;
-      if admit = Shed_queue then trace_terminal st ~name:"shed" ~ts_us:now_us r
+      List.iter (terminal st Stats.Outcome.expired ~ts_us:now_us) swept;
+      if admit = Shed_queue then terminal st Stats.Outcome.shed ~ts_us:now_us r
       else begin
         Option.iter Budget.deposit d.budget;
         (* Defer the launch check to a same-time event rather than deciding
@@ -508,18 +505,18 @@ let on_arrival (st : 'a state) (r : 'a Admission.request) =
     {!Stats.t} (summarize with {!Stats.summarize}).
 
     [tracer] receives the request-lifecycle and batch spans (and, when the
-    executor threads it into its device, kernel-level spans); [metrics]
-    receives periodic virtual-clock snapshots every [snapshot_every_us]
-    plus the final counters. Both default to disabled sinks with no effect
-    on the simulation or its output. *)
-let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
-    ?(snapshot_every_us = 10_000.0) ?auditor (config : config)
+    executor threads it into its device, kernel-level spans); it defaults
+    to the disabled sink. [snapshot_every_us] turns on periodic
+    virtual-clock snapshots of the counters ({!Stats.metrics_json}), which
+    export the limiter gauge too when the limiter is armed. Neither
+    changes the simulation or its output. *)
+let simulate ?(tracer = Trace.null) ?snapshot_every_us ?auditor (config : config)
     ~(arrivals : float array) ~(payload : int -> 'a)
     ~(execute : degraded:bool -> 'a list -> exec_result) : Stats.t =
   let loop = Event_loop.create (Clock.create ()) in
   let rec st =
     {
-      dev = create_device ~metrics ?auditor ~id:0 ~loop ~tracer config ~execute;
+      dev = create_device ?auditor ~id:0 ~loop ~tracer config ~execute;
       breaker = Closed;
       recovery = lazy (recovery st);
     }
@@ -541,11 +538,11 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
   in
   Event_loop.feed loop arrivals (fun i -> on_arrival st requests.(i));
   let stats = st.dev.stats in
-  Stats.snapshot_periodically stats metrics loop ~every_us:snapshot_every_us;
+  stats.Stats.limit_armed <- Option.is_some st.dev.limiter;
+  Stats.snapshot_periodically ?every_us:snapshot_every_us stats loop;
   Event_loop.run loop;
-  Stats.set stats Stats.shed (Admission.shed_count st.dev.queue);
-  Stats.set stats Stats.expired (Admission.expired_count st.dev.queue);
-  Stats.finish stats metrics loop;
+  Stats.finish stats loop;
+  Stats.assert_conserved stats ~arrivals:(Array.length arrivals);
   stats
 
 (** Lift a plain (infallible) executor into the fault-aware signature;

@@ -130,10 +130,11 @@ let slo_attainment (s : summary) =
 
    Every serving counter is declared exactly once below. Its row drives
    storage (one [int array] slot per row), the JSON and metrics key, the
-   [pp_summary] line, the activity gate of its group, the terminal-outcome
-   sum behind [s_offered] and [drop_rate], and the chaos invariants'
-   conservation checks. Declaration order is metrics order; JSON and pp
-   emit the same rows group by group, with the anomaly group last.
+   [pp_summary] line, the activity gate of its group, and the chaos
+   invariants' conservation checks; the {!Outcome}s below name the rows
+   whose sum is behind [s_offered] and [drop_rate]. Declaration order is
+   metrics order; JSON and pp emit the same rows group by group, with the
+   anomaly group last.
 
    Every group but [Core] is gated: its rows (and trailer) are emitted only
    when at least one of them is nonzero, so a run that never engaged a
@@ -155,7 +156,6 @@ type counter = {
   name : string;  (** JSON and metrics key. *)
   group : group;
   label : string option;  (** [pp_summary] label; [None] = not printed. *)
-  terminal : bool;  (** A request's terminal outcome: joins the offered sum. *)
   doc : string;
   read : summary -> int;  (** The counter's summary field. *)
 }
@@ -164,18 +164,18 @@ let declared = ref []
 
 (* A row's pp label is its name with spaces for underscores unless [pp]
    says otherwise; [quiet] rows are never printed. *)
-let row ?pp ?(quiet = false) ?(terminal = false) group name read doc =
+let row ?pp ?(quiet = false) group name read doc =
   let label =
     if quiet then None
     else Some (Option.value pp ~default:(String.map (function '_' -> ' ' | c -> c) name))
   in
-  let c = { index = List.length !declared; name; group; label; terminal; doc; read } in
+  let c = { index = List.length !declared; name; group; label; doc; read } in
   declared := c :: !declared;
   c
 
-let shed = row Core "shed" ~pp:"shed (queue full)" ~terminal:true (fun s -> s.s_shed)
+let shed = row Core "shed" ~pp:"shed (queue full)" (fun s -> s.s_shed)
     "Load-shed at admission (queue full)."
-let expired = row Core "expired" ~pp:"expired (deadline)" ~terminal:true (fun s -> s.s_expired)
+let expired = row Core "expired" ~pp:"expired (deadline)" (fun s -> s.s_expired)
     "Deadline passed while queued."
 
 let fault_batches = row Fault "fault_batches" ~pp:"failed batches" (fun s -> s.s_fault_batches)
@@ -184,11 +184,11 @@ let retries = row Fault "retries" (fun s -> s.s_retries)
     "Re-executions after a transient failure."
 let bisections = row Fault "bisections" (fun s -> s.s_bisections)
     "Failed batches split to isolate poison."
-let poisoned = row Fault "poisoned" ~pp:"poisoned (dropped)" ~terminal:true (fun s -> s.s_poisoned)
+let poisoned = row Fault "poisoned" ~pp:"poisoned (dropped)" (fun s -> s.s_poisoned)
     "Requests dropped as poison after isolation."
 let breaker_opens = row Fault "breaker_opens" (fun s -> s.s_breaker_opens)
     "Circuit-breaker open transitions."
-let breaker_shed = row Fault "breaker_shed" ~terminal:true (fun s -> s.s_breaker_shed)
+let breaker_shed = row Fault "breaker_shed" (fun s -> s.s_breaker_shed)
     "Requests refused while the breaker was open, or unplaced when the run drained."
 let degraded_batches = row Fault "degraded_batches" (fun s -> s.s_degraded_batches)
     "Batches served in degraded mode."
@@ -213,7 +213,7 @@ let hedge_wasted = row Cluster "hedge_wasted" (fun s -> s.s_hedge_wasted)
 let clamped_schedules = row Anomaly "clamped_schedules" (fun s -> s.s_clamped_schedules)
     "Past-time event-loop schedules (Event_loop.clamped_count); nonzero flags a bug."
 
-let quota_shed = row Tenancy "quota_shed" ~terminal:true (fun s -> s.s_quota_shed)
+let quota_shed = row Tenancy "quota_shed" (fun s -> s.s_quota_shed)
     "Requests refused at their tenant's inflight quota."
 let swaps = row Tenancy "swaps" ~pp:"model swaps" (fun s -> s.s_swaps)
     "Resident-model swaps this stream's batches paid for."
@@ -221,10 +221,10 @@ let slo_ok = row Tenancy "slo_ok" ~quiet:true (fun s -> s.s_slo_ok)
     "Completions that landed within their SLO deadline."
 
 let limit_shed =
-  row Resilience "limit_shed" ~pp:"limiter shed" ~terminal:true (fun s -> s.s_limit_shed)
+  row Resilience "limit_shed" ~pp:"limiter shed" (fun s -> s.s_limit_shed)
     "Refused by the adaptive concurrency limiter."
 let retry_shed =
-  row Resilience "retry_shed" ~pp:"retry-budget shed" ~terminal:true (fun s -> s.s_retry_shed)
+  row Resilience "retry_shed" ~pp:"retry-budget shed" (fun s -> s.s_retry_shed)
     "Requests dropped when the retry budget ran dry."
 let retried_requests = row Resilience "retried_requests" (fun s -> s.s_retried_requests)
     "Requests re-executed under the retry budget (the retry-amplification numerator)."
@@ -272,7 +272,7 @@ let net_ack_deliveries = row Net "net_ack_deliveries" ~quiet:true (fun s -> s.s_
     "Completions that reached the dispatcher."
 let net_timeouts = row Net "net_timeouts" (fun s -> s.s_net_timeouts)
     "Per-attempt timeouts that fired live."
-let net_shed = row Net "net_shed" ~pp:"net deadline shed" ~terminal:true (fun s -> s.s_net_shed)
+let net_shed = row Net "net_shed" ~pp:"net deadline shed" (fun s -> s.s_net_shed)
     "Requests shed at the sender: the remaining deadline cannot cover the delay EWMA."
 let net_link_downs = row Net "net_link_downs" (fun s -> s.s_net_link_downs)
     "Links declared unreachable on consecutive timeouts."
@@ -284,9 +284,45 @@ let net_probes = row Net "net_probes" ~quiet:true (fun s -> s.s_net_probes)
 (** Every counter, in declaration order. *)
 let counters = List.rev !declared
 
-(** The terminal outcomes besides completion: each request ends in exactly
-    one, so [s_offered = s_completed + dropped s]. *)
-let terminals = List.filter (fun c -> c.terminal) counters
+(** The ways a request can end other than completion, each declared once
+    with the counter it charges and the name of the terminal trace instant
+    it emits. Every request ends in exactly one outcome or in a ["done"]
+    completion, so [s_offered = s_completed + dropped s]. Two outcomes may
+    share a counter: the breaker refusing a request at the door and a
+    request still unplaced when the run drained both count as
+    [breaker_shed]. *)
+module Outcome = struct
+  type t = { counter : counter; name : string }
+
+  let declared = ref []
+
+  let make counter name =
+    let o = { counter; name } in
+    declared := o :: !declared;
+    o
+
+  let shed = make shed "shed"
+  let expired = make expired "expired"
+  let poisoned = make poisoned "poisoned"
+
+  (** The single server's (and each tenant's) open breaker refused it. *)
+  let shed_breaker = make breaker_shed "shed_breaker"
+
+  (** Still unplaced when the run drained, or out of requeue budget. *)
+  let budget_exhausted = make breaker_shed "budget_exhausted"
+
+  let shed_quota = make quota_shed "shed_quota"
+  let shed_limit = make limit_shed "shed_limit"
+  let retry_budget = make retry_shed "retry_budget"
+  let net_shed = make net_shed "net_shed"
+
+  (** Every outcome, in declaration order. *)
+  let all = List.rev !declared
+end
+
+(** The counters some {!Outcome} charges, in declaration order. *)
+let terminals =
+  List.filter (fun c -> List.exists (fun o -> o.Outcome.counter == c) Outcome.all) counters
 
 (** The net conservation laws, each [(lhs, rhs)] with equal sums on every
     run: every request copy put on the wire lands in exactly one bucket,
@@ -331,7 +367,20 @@ type t = {
           simulator-throughput numerator [bench scale] divides by wall
           time. Diagnostic only: never serialized or printed. *)
   profiler : Profiler.t;  (** Merged across every executed batch. *)
+  mutable limit_armed : bool;
+      (** Export the limiter gauge: set by the single server when its
+          concurrency limiter is armed. *)
+  mutable limit : float;  (** Last limit the limiter settled on; 0 before any. *)
+  mutable net_keys : net_keys;
+  mutable snapshots : (float * (string * float) list) list;
+      (** [(ts_us, (key, value) ...)] in reverse capture order. *)
 }
+
+(* Where the net rows sit among the exported metrics: absent until the net
+   group first engages, then before the device counters if that happened
+   by the first export and after them otherwise. The order is the one the
+   committed exports pin. *)
+and net_keys = Net_hidden | Net_before_device | Net_after_device
 
 let create () =
   {
@@ -352,6 +401,10 @@ let create () =
     end_us = 0.0;
     loop_events = 0;
     profiler = Profiler.create ();
+    limit_armed = false;
+    limit = 0.0;
+    net_keys = Net_hidden;
+    snapshots = [];
   }
 
 let count t c = t.counts.(c.index)
@@ -582,6 +635,40 @@ let summarize (t : t) : summary =
 let drop_rate (s : summary) =
   if s.s_offered = 0 then 0.0 else float_of_int (dropped s) /. float_of_int s.s_offered
 
+(** The conservation laws of a run fed [arrivals] requests, checked over
+    [s]: ["conservation"] when offered differs from [arrivals] or from
+    completed plus every outcome counter, and ["net_conservation"] for each
+    {!laws} pair whose sides differ. Returns [(law, evidence)] per broken
+    law; [[]] on every correct run. *)
+let conservation (s : summary) ~arrivals : (string * string) list =
+  let terms cs = String.concat " + " (List.map (fun c -> Fmt.str "%s %d" c.name (c.read s)) cs) in
+  let outcomes = s.s_completed + dropped s in
+  let requests =
+    if s.s_offered = arrivals && outcomes = s.s_offered then []
+    else
+      [
+        ( "conservation",
+          Fmt.str "offered %d, %d requests arrived, outcomes sum to %d (completed %d + %s)"
+            s.s_offered arrivals outcomes s.s_completed (terms terminals) );
+      ]
+  in
+  requests
+  @ List.filter_map
+      (fun (lhs, rhs) ->
+        if total s lhs = total s rhs then None
+        else Some ("net_conservation", Fmt.str "%s <> %s" (terms lhs) (terms rhs)))
+      laws
+
+(** Under {!Event_loop.set_debug_checks}, raise [Invalid_argument] naming
+    every conservation law [t] breaks for a run fed [arrivals] requests. *)
+let assert_conserved (t : t) ~arrivals =
+  if Event_loop.debug_checks_enabled () then
+    match conservation (summarize t) ~arrivals with
+    | [] -> ()
+    | broken ->
+      Fmt.invalid_arg "Stats: %s"
+        (String.concat "; " (List.map (fun (law, ev) -> law ^ ": " ^ ev) broken))
+
 (* Gated groups in JSON and pp order, and what each emits after its rows. *)
 let emitted = [ Fault; Cluster; Tenancy; Resilience; Integrity; Net; Anomaly ]
 
@@ -646,45 +733,80 @@ let pp_summary ppf (s : summary) =
   List.iter (pp_rows ppf s) emitted;
   Fmt.pf ppf "@]"
 
-(** Mirror the run's counters (and the merged device profiler's) into a
-    metrics registry — the unification point between [Serve.Stats] and
-    [Device.Profiler] telemetry. Every row is exported in declaration
-    order, except that net keys appear only while the net group is active,
-    so metrics snapshots from direct-call runs keep their exact key set. *)
-let to_metrics (t : t) (m : Acrobat_obs.Metrics.t) =
-  if Acrobat_obs.Metrics.enabled m then begin
-    let s = summarize t in
-    let pairs keep =
-      List.filter_map (fun c -> if keep c then Some (c.name, c.read s) else None) counters
-    in
-    let net_on = active s Net in
-    Acrobat_obs.Metrics.set_counters m "serve."
-      ([ "offered", s.s_offered; "completed", s.s_completed ]
-      @ pairs (fun c -> c.group = Core)
-      @ ("batches", s.s_batches)
-        :: pairs (fun c -> c.group <> Core && (c.group <> Net || net_on)));
-    Profiler.to_metrics t.profiler m
-  end
+(* --- The metrics timeline ---
 
-(** Periodic virtual-clock snapshots of [t] into [m], every [every_us].
-    The chain rides [loop] itself as a daemon and stops rescheduling once
-    no work is pending, so the loop still drains. A no-op when [m] is
-    disabled. *)
-let snapshot_periodically (t : t) (m : Acrobat_obs.Metrics.t) loop ~every_us =
-  if Acrobat_obs.Metrics.enabled m then begin
-    let rec snap () =
-      to_metrics t m;
-      Acrobat_obs.Metrics.snapshot m ~ts_us:(Event_loop.now loop);
-      if Event_loop.pending_work loop > 0 then
-        Event_loop.schedule_daemon loop ~delay:every_us snap
-    in
-    Event_loop.schedule_daemon loop ~delay:every_us snap
-  end
+   A run's counters as flat [(key, value)] metrics: the limiter gauge
+   [resilience.limit] when armed, then [serve.offered], [serve.completed],
+   the [Core] rows, [serve.batches] and every other row (net rows placed by
+   [net_keys]), then the merged profiler's [device.*] counters. Reading
+   them touches only the count array, never {!summarize}, so periodic
+   snapshots stay cheap on long runs. *)
+
+let net_active t = List.exists (fun c -> c.group = Net && count t c > 0) counters
+
+(* Fix where the net rows go the first time an export sees them active. *)
+let place_net t =
+  if t.net_keys = Net_hidden && net_active t then
+    t.net_keys <- (if t.snapshots = [] then Net_before_device else Net_after_device)
+
+let gauges t = if t.limit_armed then [ "resilience.limit", t.limit ] else []
+
+let counter_metrics t =
+  let serve c = "serve." ^ c.name, count t c in
+  let net_rows keys = if t.net_keys = keys then List.map serve (rows_of Net) else [] in
+  [
+    "serve.offered", List.fold_left (fun n c -> n + count t c) t.n_records terminals;
+    "serve.completed", t.n_records;
+  ]
+  @ List.map serve (rows_of Core)
+  @ ("serve.batches", t.batches)
+    :: List.filter_map
+         (fun c -> if c.group = Core || c.group = Net then None else Some (serve c))
+         counters
+  @ net_rows Net_before_device
+  @ List.map (fun (k, v) -> "device." ^ k, v) (Profiler.counters t.profiler)
+  @ net_rows Net_after_device
+
+(** Record every metric's current value at the loop's virtual time. *)
+let snapshot (t : t) loop =
+  set t clamped_schedules (Event_loop.clamped_count loop);
+  place_net t;
+  let values = gauges t @ List.map (fun (k, v) -> k, float_of_int v) (counter_metrics t) in
+  t.snapshots <- (Event_loop.now loop, values) :: t.snapshots
+
+(** Snapshots of [t] every [every_us] of virtual time; none without
+    [every_us]. The chain rides [loop] as a daemon and stops rescheduling
+    once no work is pending, so the loop still drains. *)
+let snapshot_periodically ?every_us (t : t) loop =
+  Option.iter
+    (fun every_us ->
+      let rec snap () =
+        snapshot t loop;
+        if Event_loop.pending_work loop > 0 then
+          Event_loop.schedule_daemon loop ~delay:every_us snap
+      in
+      Event_loop.schedule_daemon loop ~delay:every_us snap)
+    every_us
+
+(** The snapshots taken so far, in capture order. *)
+let snapshots (t : t) = List.rev t.snapshots
 
 (** End-of-run bookkeeping once [loop] has drained: the run's end time and
-    the loop's own counters, then the final metrics export. *)
-let finish (t : t) (m : Acrobat_obs.Metrics.t) loop =
+    the loop's own counters. *)
+let finish (t : t) loop =
   t.end_us <- Event_loop.now loop;
   set t clamped_schedules (Event_loop.clamped_count loop);
   t.loop_events <- Event_loop.dispatched loop;
-  to_metrics t m
+  place_net t
+
+(** The final metrics and the snapshot timeline, as
+    [{"metrics": {...}, "snapshots": [{"ts_us": ..., ...}, ...]}]. *)
+let metrics_json (t : t) : Json.t =
+  let snap (ts, values) =
+    Json.Obj (("ts_us", Json.Float ts) :: List.map (fun (k, v) -> k, Json.Float v) values)
+  in
+  let final =
+    List.map (fun (k, v) -> k, Json.Float v) (gauges t)
+    @ List.map (fun (k, v) -> k, Json.Int v) (counter_metrics t)
+  in
+  Json.Obj [ "metrics", Json.Obj final; "snapshots", Json.List (List.map snap (snapshots t)) ]

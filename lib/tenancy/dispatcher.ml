@@ -53,9 +53,8 @@
 
     Trace conventions match the cluster: the dispatcher is pid 0, replica
     [i] is pid [i + 1], request [id] rides tid [id + 1], and every admitted
-    request ends in exactly one pid-0 terminal instant — [done], [expired],
-    [shed], [shed_quota], [shed_breaker], [shed_limit], [retry_budget],
-    [poisoned] or [budget_exhausted]. *)
+    request ends in exactly one pid-0 terminal instant: [done] or one of
+    {!Acrobat_serve.Stats.Outcome.all} (every outcome but [net_shed]). *)
 
 module Rng = Acrobat_tensor.Rng
 module Cost_model = Acrobat_device.Cost_model
@@ -67,7 +66,6 @@ module Clock = Acrobat_serve.Clock
 module Event_loop = Acrobat_serve.Event_loop
 module Traffic = Acrobat_serve.Traffic
 module Trace = Acrobat_obs.Trace
-module Metrics = Acrobat_obs.Metrics
 module Json = Acrobat_obs.Json
 module Hedge = Acrobat_serve.Hedge
 module Replica = Acrobat_serve.Replica
@@ -192,12 +190,12 @@ let trace_terminal st (ts : 'a tstate) ~name ~ts_us (r : 'a Admission.request) =
       (Trace.tag ~tenant:ts.ts_tenant.Tenant.tn_name ~model:ts.ts_tenant.Tenant.tn_model
          [ "id", Json.Int r.Admission.rq_id ])
 
-(* A request's terminal outcome other than completion: counted as [counter]
-   on the aggregate and on its tenant, traced as [name]. *)
-let count_terminal st (ts : 'a tstate) ~counter ~name ~ts_us r =
-  Stats.incr st.stats counter;
-  Stats.incr ts.ts_stats counter;
-  trace_terminal st ts ~name ~ts_us r
+(* A request ended in outcome [o]: counted on the aggregate and on its
+   tenant, then traced. *)
+let count_terminal st (ts : 'a tstate) (o : Stats.Outcome.t) ~ts_us r =
+  Stats.incr st.stats o.Stats.Outcome.counter;
+  Stats.incr ts.ts_stats o.Stats.Outcome.counter;
+  trace_terminal st ts ~name:o.Stats.Outcome.name ~ts_us r
 
 (* --- Hedge copy accounting ---
 
@@ -206,19 +204,19 @@ let count_terminal st (ts : 'a tstate) ~counter ~name ~ts_us r =
 
 (* A copy of [r] left without completing (expired, retry-budget shed,
    poisoned, end-of-run drain). When that is the request's terminal outcome,
-   count it as [counter] on the aggregate and the tenant and trace it as
-   [name]; a leftover copy of a resolved request counts as a cancel. *)
-let drop_copy st (ts : 'a tstate) ~counter ~name ~ts_us (r : 'a Admission.request) =
+   it ends in [o]; a leftover copy of a resolved request counts as a
+   cancel. *)
+let drop_copy st (ts : 'a tstate) o ~ts_us (r : 'a Admission.request) =
   match Hedge.lose st.ledger.(r.Admission.rq_id) with
   | Hedge.Live -> ()
   | Hedge.Resolved -> Stats.incr st.stats Stats.hedge_cancels
   | Hedge.Terminal ->
     ts.ts_inflight <- ts.ts_inflight - 1;
-    count_terminal st ts ~counter ~name ~ts_us r
+    count_terminal st ts o ~ts_us r
 
 (* Queued requests left without executing (swept or popped past deadline). *)
 let drop_expired st (ts : 'a tstate) ~ts_us dropped =
-  List.iter (drop_copy st ts ~name:"expired" ~ts_us ~counter:Stats.expired) dropped
+  List.iter (drop_copy st ts Stats.Outcome.expired ~ts_us) dropped
 
 (* Stale hedge duplicates whose winner already completed leave the queue
    unexecuted, counted as cancels. *)
@@ -468,13 +466,13 @@ and retry_shed st batch ~freed_us =
   List.iter
     (fun (ti, r) ->
       let ts = st.tenants.(ti) in
-      drop_copy st ts ~name:"retry_budget" ~ts_us:freed_us ~counter:Stats.retry_shed r)
+      drop_copy st ts Stats.Outcome.retry_budget ~ts_us:freed_us r)
     batch;
   ignore
 
 and poison st (ti, r) =
   let ts = st.tenants.(ti) in
-  drop_copy st ts ~name:"poisoned" ~ts_us:(now_us st) ~counter:Stats.poisoned r
+  drop_copy st ts Stats.Outcome.poisoned ~ts_us:(now_us st) r
 
 (* Put one free replica to work: offer it to backlogged tenants in
    fair-share order; the first whose batcher wants to flush launches. A
@@ -671,21 +669,21 @@ let on_arrival st (ts : 'a tstate) (r : 'a Admission.request) =
      constraint after a scale-up. *)
   let quota = ts.ts_tenant.Tenant.tn_quota * max 1 (active_replicas st) in
   if breaker_open then
-    count_terminal st ts ~counter:Stats.breaker_shed ~name:"shed_breaker" ~ts_us:now r
+    count_terminal st ts Stats.Outcome.shed_breaker ~ts_us:now r
   else if ts.ts_inflight >= quota then
     (* Over quota: refuse before admission so the queue (and the cluster
        behind it) never sees the excess. *)
-    count_terminal st ts ~counter:Stats.quota_shed ~name:"shed_quota" ~ts_us:now r
+    count_terminal st ts Stats.Outcome.shed_quota ~ts_us:now r
   else begin
     match ts.ts_limiter with
     | Some lim when not (Limiter.admits lim ~queued:(Admission.length ts.ts_queue)) ->
       (* The tenant's adaptive concurrency limiter gates ahead of its
          bounded queue (the gate {!Server.offer} applies per device). *)
-      count_terminal st ts ~counter:Stats.limit_shed ~name:"shed_limit" ~ts_us:now r
+      count_terminal st ts Stats.Outcome.shed_limit ~ts_us:now r
     | _ ->
       let admitted, swept = Admission.offer_swept ts.ts_queue ~now_us:now r in
       drop_expired st ts ~ts_us:now swept;
-      if not admitted then count_terminal st ts ~counter:Stats.shed ~name:"shed" ~ts_us:now r
+      if not admitted then count_terminal st ts Stats.Outcome.shed ~ts_us:now r
       else begin
         Option.iter Budget.deposit ts.ts_budget;
         ts.ts_inflight <- ts.ts_inflight + 1;
@@ -784,9 +782,9 @@ let utilization (r : report) =
 
     Global request ids number the merged arrival stream in (time, tenant)
     order, so traces, chaos invariants and payload poison lists all speak
-    the same id space. *)
-let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
-    ?(snapshot_every_us = 10_000.0) ?arrivals ?auditor (cfg : config)
+    the same id space. [snapshot_every_us] turns on periodic snapshots of
+    the aggregate counters, as in {!Acrobat_serve.Server.simulate}. *)
+let simulate ?(tracer = Trace.null) ?snapshot_every_us ?arrivals ?auditor (cfg : config)
     ~(tenants : Tenant.t array)
     ~(payload : tenant:int -> index:int -> id:int -> 'a)
     ~(execute : int -> model:string -> 'a list -> Server.exec_result)
@@ -905,7 +903,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     | Some (_, t1) -> Event_loop.schedule loop ~at:t1 (fun () -> pass st)
     | None -> ())
   | None -> ());
-  Stats.snapshot_periodically st.stats metrics loop ~every_us:snapshot_every_us;
+  Stats.snapshot_periodically ?every_us:snapshot_every_us st.stats loop;
   Event_loop.run loop;
   let end_us = Event_loop.now loop in
   (* Anything still queued when the run drains is conserved as a
@@ -914,9 +912,7 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
     (fun ts ->
       let leftovers, dropped = Admission.drain ts.ts_queue ~now_us:end_us in
       drop_expired st ts ~ts_us:end_us dropped;
-      List.iter
-        (drop_copy st ts ~name:"budget_exhausted" ~ts_us:end_us ~counter:Stats.breaker_shed)
-        leftovers)
+      List.iter (drop_copy st ts Stats.Outcome.budget_exhausted ~ts_us:end_us) leftovers)
     st.tenants;
   let views =
     Array.to_list
@@ -930,7 +926,8 @@ let simulate ?(tracer = Trace.null) ?(metrics = Metrics.null)
            })
          st.tenants)
   in
-  Stats.finish st.stats metrics loop;
+  Stats.finish st.stats loop;
+  Stats.assert_conserved st.stats ~arrivals:(Array.length merged);
   {
     tn_stats = st.stats;
     tn_tenants = views;

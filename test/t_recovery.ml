@@ -194,6 +194,19 @@ let golden_dispatcher =
 let pin name golden run () =
   Alcotest.(check (list string)) (name ^ ": exact fault-path output") golden (run ())
 
+(* Every engine asserts its conservation laws at the end of a run under
+   the event loop's debug checks; the scripted fault paths hold them and
+   still print their golden outputs. *)
+let test_goldens_under_debug_checks () =
+  let was = Serve.Event_loop.debug_checks_enabled () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Event_loop.set_debug_checks was)
+    (fun () ->
+      Serve.Event_loop.set_debug_checks true;
+      pin "server" golden_server server_run ();
+      pin "cluster" golden_cluster cluster_run ();
+      pin "dispatcher" golden_dispatcher dispatcher_run ())
+
 let suite =
   [
     Alcotest.test_case "golden: server fault path" `Quick
@@ -202,4 +215,6 @@ let suite =
       (pin "cluster" golden_cluster cluster_run);
     Alcotest.test_case "golden: dispatcher fault path" `Quick
       (pin "dispatcher" golden_dispatcher dispatcher_run);
+    Alcotest.test_case "golden: all paths conserve under debug checks" `Quick
+      test_goldens_under_debug_checks;
   ]

@@ -1706,57 +1706,71 @@ let test_trace_null_is_noop () =
   check_int "null tracer records nothing" 0 (Trace.event_count Trace.null)
 
 let test_metrics_registry () =
-  let module M = Metrics in
-  let m = M.create () in
-  let c = M.counter m "reqs" in
-  M.incr c;
-  M.incr ~by:4 c;
-  check_int "counter accumulates" 5 (M.counter_value c);
-  let g = M.gauge m "depth" in
-  M.set g 2.5;
-  let h = M.histogram m "lat" in
-  List.iter (M.observe h) [ 3.0; 1.0; 2.0 ];
-  M.snapshot m ~ts_us:10.0;
-  check_int "snapshot recorded" 1 (M.snapshot_count m);
-  check_true "same name returns the same instrument" (M.counter m "reqs" == c);
-  check_true "kind mismatch rejected"
-    (try
-       ignore (M.gauge m "reqs");
-       false
-     with Invalid_argument _ -> true);
-  (* The null registry hands back detached instruments and exports nothing. *)
-  let nc = M.counter M.null "reqs" in
-  M.incr nc;
-  check_int "null-registry counter is detached" 1 (M.counter_value nc);
-  Alcotest.(check string) "null registry exports empty"
-    {|{"metrics":{},"snapshots":[]}|}
-    (Json.to_string (M.to_json M.null));
-  match M.to_json m with
-  | Json.Obj [ ("metrics", Json.Obj fields); ("snapshots", Json.List [ snap ]) ] ->
-    Alcotest.(check (list string)) "registration order preserved"
-      [ "reqs"; "depth"; "lat" ] (List.map fst fields);
+  (* The serving stats carry the metrics timeline: each snapshot reads the
+     counters as they stand at its virtual time, and the export lists its
+     keys in a fixed order with the limiter gauge first. *)
+  let stats = Stats.create () in
+  stats.Stats.limit_armed <- true;
+  let loop = Event_loop.create (Clock.create ()) in
+  Event_loop.schedule loop ~at:15.0 (fun () ->
+      Stats.incr stats Stats.shed;
+      stats.Stats.limit <- 2.5);
+  Stats.snapshot_periodically ~every_us:10.0 stats loop;
+  Event_loop.run loop;
+  Stats.finish stats loop;
+  (match Stats.snapshots stats with
+  | [ (t0, before); (t1, after) ] ->
+    check_float "first snapshot on the virtual clock" 10.0 t0;
+    check_float "the chain stops once the work is done" 20.0 t1;
+    check_float "gauge reads 0 before the first observation" 0.0
+      (List.assoc "resilience.limit" before);
+    check_float "a counter reads its value at snapshot time" 0.0
+      (List.assoc "serve.shed" before);
+    check_float "later snapshots see later counts" 1.0 (List.assoc "serve.shed" after);
+    check_float "offered counts the outcome" 1.0 (List.assoc "serve.offered" after)
+  | snaps -> Alcotest.failf "expected 2 snapshots, got %d" (List.length snaps));
+  (match Stats.metrics_json stats with
+  | Json.Obj [ ("metrics", Json.Obj fields); ("snapshots", Json.List [ _; snap ]) ] ->
+    Alcotest.(check (list string)) "export order"
+      [ "resilience.limit"; "serve.offered"; "serve.completed"; "serve.shed";
+        "serve.expired"; "serve.batches" ]
+      (List.filteri (fun i _ -> i < 6) (List.map fst fields));
+    check_true "the gauge exports as a float"
+      (List.assoc "resilience.limit" fields = Json.Float 2.5);
+    check_true "counters export as ints" (List.assoc "serve.shed" fields = Json.Int 1);
+    check_true "idle net rows stay out"
+      (not (List.exists (fun (k, _) -> contains k "net_") fields));
+    check_true "device counters close the export"
+      (fst (List.nth fields (List.length fields - 1)) = "device.fiber_switches");
     check_true "snapshot carries its virtual timestamp"
-      (Json.member "ts_us" snap = Some (Json.Float 10.0))
-  | _ -> Alcotest.fail "unexpected metrics JSON shape"
+      (Json.member "ts_us" snap = Some (Json.Float 20.0))
+  | _ -> Alcotest.fail "unexpected metrics JSON shape");
+  check_true "no snapshots without an interval"
+    (Json.member "snapshots" (Stats.metrics_json (Stats.create ())) = Some (Json.List []))
+
+(* Final value of metric [name] in [stats]' export. *)
+let final_metric stats name =
+  match Option.bind (Json.member "metrics" (Stats.metrics_json stats)) (Json.member name) with
+  | Some (Json.Int n) -> n
+  | _ -> Alcotest.failf "no counter %s in the metrics export" name
 
 let test_serve_metrics_end_to_end () =
-  let metrics = Metrics.create () in
   let arrivals =
     Traffic.arrivals ~rng:(Rng.create 9) (Traffic.Poisson { rate_per_s = 5000.0 }) ~n:200
   in
-  let s =
-    Stats.summarize
-      (Server.simulate ~metrics Server.default_config ~arrivals
-         ~payload:(fun i -> i)
-         ~execute:ok_exec)
+  let stats =
+    Server.simulate ~snapshot_every_us:10_000.0 Server.default_config ~arrivals
+      ~payload:(fun i -> i)
+      ~execute:ok_exec
   in
-  let counter name = Metrics.counter_value (Metrics.counter metrics name) in
+  let s = Stats.summarize stats in
+  let counter = final_metric stats in
   check_int "serve.offered mirrors the summary" s.Stats.s_offered (counter "serve.offered");
   check_int "serve.completed mirrors the summary" s.Stats.s_completed
     (counter "serve.completed");
   check_int "serve.batches mirrors the summary" s.Stats.s_batches (counter "serve.batches");
   check_int "serve.clamped_schedules is zero" 0 (counter "serve.clamped_schedules");
-  check_true "periodic snapshots were captured" (Metrics.snapshot_count metrics > 1)
+  check_true "periodic snapshots were captured" (List.length (Stats.snapshots stats) > 1)
 
 let test_json_parse_roundtrip () =
   let j =
@@ -2042,9 +2056,9 @@ let test_event_loop_daemons_drain () =
   check_int "both chains stopped after the work" (9 + 5) !steps;
   check_float "the clock stops at the last daemon step" 36.0 (Event_loop.now loop)
 
-(* A live metrics registry and a movable autoscaler: the snapshot chain
-   and the tick are both daemons, so neither keeps the other pending and
-   the run drains. The metrics do not change what was served. *)
+(* Live metrics snapshots and a movable autoscaler: the snapshot chain and
+   the tick are both daemons, so neither keeps the other pending and the
+   run drains. The snapshots do not change what was served. *)
 let test_tenancy_metrics_with_autoscaler_drains () =
   let module Tenant = Tenancy.Tenant in
   let module Dispatcher = Tenancy.Dispatcher in
@@ -2062,8 +2076,8 @@ let test_tenancy_metrics_with_autoscaler_drains () =
       tn_requests = 300;
     }
   in
-  let run metrics =
-    Dispatcher.simulate ~metrics ~snapshot_every_us:5_000.0
+  let run snapshot_every_us =
+    Dispatcher.simulate ?snapshot_every_us
       {
         Dispatcher.default_config with
         Dispatcher.t_autoscale = Autoscaler.default ~min_replicas:1 ~max_replicas:3;
@@ -2080,9 +2094,10 @@ let test_tenancy_metrics_with_autoscaler_drains () =
           })
       ~model_bytes:(fun _ -> 0)
   in
-  let metrics = Metrics.create () in
-  let observed = run metrics and plain = run Metrics.null in
-  check_true "snapshots were taken" (Metrics.snapshot_count metrics > 1);
+  let observed = run (Some 5_000.0) and plain = run None in
+  check_true "snapshots were taken"
+    (List.length (Stats.snapshots observed.Dispatcher.tn_stats) > 1);
+  check_true "no snapshots without an interval" (Stats.snapshots plain.Dispatcher.tn_stats = []);
   check_true "the fleet scaled" (plain.Dispatcher.tn_scale_events <> []);
   check_true "same scale trajectory"
     (observed.Dispatcher.tn_scale_events = plain.Dispatcher.tn_scale_events);
@@ -2098,11 +2113,10 @@ let test_tenancy_metrics_with_autoscaler_drains () =
    pending, so the export pins [Event_loop.pending_work] across the whole
    run — fed arrivals included. The digests come from scheduling every
    arrival into the queue upfront, which a fed run must reproduce. *)
-let metrics_digest metrics =
-  Digest.to_hex (Digest.string (Json.to_string (Metrics.to_json metrics)))
+let metrics_digest stats =
+  Digest.to_hex (Digest.string (Json.to_string (Stats.metrics_json stats)))
 
 let hedged_cluster_metrics () =
-  let metrics = Metrics.create () in
   let arrivals =
     Traffic.arrivals ~rng:(Rng.create 17) (Traffic.Poisson { rate_per_s = 6000.0 }) ~n:300
   in
@@ -2116,8 +2130,8 @@ let hedged_cluster_metrics () =
         ex_corrupted = false;
       }
   in
-  let _report =
-    Cluster.simulate ~metrics ~snapshot_every_us:2_000.0
+  let report =
+    Cluster.simulate ~snapshot_every_us:2_000.0
       {
         Cluster.default_config with
         Cluster.c_replicas = 3;
@@ -2127,14 +2141,14 @@ let hedged_cluster_metrics () =
       ~arrivals ~payload:Fun.id
       ~executors:(Array.init 3 straggler)
   in
-  check_true "cluster: periodic snapshots were captured" (Metrics.snapshot_count metrics > 1);
-  metrics_digest metrics
+  let stats = report.Cluster.cluster_stats in
+  check_true "cluster: periodic snapshots were captured" (List.length (Stats.snapshots stats) > 1);
+  metrics_digest stats
 
 let tenancy_metrics () =
   let module Tenant = Tenancy.Tenant in
   let module Dispatcher = Tenancy.Dispatcher in
   let module Autoscaler = Tenancy.Autoscaler in
-  let metrics = Metrics.create () in
   let tenant ~index ~model ~rate ~bursty name : Tenant.t =
     {
       Tenant.tn_name = name;
@@ -2160,8 +2174,8 @@ let tenancy_metrics () =
       t_autoscale = Autoscaler.fixed 2;
     }
   in
-  let _report =
-    Dispatcher.simulate ~metrics ~snapshot_every_us:2_000.0 cfg
+  let report =
+    Dispatcher.simulate ~snapshot_every_us:2_000.0 cfg
       ~tenants:
         [|
           tenant ~index:0 ~model:"treelstm" ~rate:4_000.0 ~bursty:false "alpha";
@@ -2178,14 +2192,56 @@ let tenancy_metrics () =
           })
       ~model_bytes:(fun m -> if m = "treelstm" then 1_000_000 else 400_000)
   in
-  check_true "tenancy: periodic snapshots were captured" (Metrics.snapshot_count metrics > 1);
-  metrics_digest metrics
+  let stats = report.Dispatcher.tn_stats in
+  check_true "tenancy: periodic snapshots were captured" (List.length (Stats.snapshots stats) > 1);
+  metrics_digest stats
 
 let test_fed_metrics_identical () =
   Alcotest.(check string) "hedged cluster export" "e414dd6aec3959d8752e93a6184640e6"
     (hedged_cluster_metrics ());
   Alcotest.(check string) "two-tenant export" "5e92cc6de9694812592396e3b4d63d43"
     (tenancy_metrics ())
+
+(* Single-server snapshots see sheds and expiries as they happen, and the
+   clamp count as the loop has it: an overloaded run with a short deadline
+   behind a queue of 8 and 2 ms batches. *)
+let test_snapshots_read_live_outcomes () =
+  let n = 400 in
+  let arrivals =
+    Traffic.arrivals ~rng:(Rng.create 5) (Traffic.Poisson { rate_per_s = 20_000.0 }) ~n
+  in
+  let config =
+    { Server.default_config with Server.queue_capacity = 8; deadline_us = Some 1_500.0 }
+  in
+  let stats =
+    Server.simulate ~snapshot_every_us:2_000.0 config ~arrivals ~payload:Fun.id
+      ~execute:(Server.infallible (linear_cost ~fixed:2_000.0 ~per_item:0.0))
+  in
+  let s = Stats.summarize stats in
+  check_true "the run sheds and expires" (s.Stats.s_shed > 0 && s.Stats.s_expired > 0);
+  let snaps = Stats.snapshots stats in
+  let late = List.filter (fun (ts, _) -> ts >= arrivals.(n - 1)) snaps in
+  check_true "snapshots after the last arrival" (late <> []);
+  List.iter
+    (fun (_, values) ->
+      check_float "a late snapshot reads the final shed count" (float_of_int s.Stats.s_shed)
+        (List.assoc "serve.shed" values))
+    late;
+  check_true "expiries show up while the run is live"
+    (List.exists (fun (_, values) -> List.assoc "serve.expired" values > 0.0) snaps);
+  (* A handler that schedules into the past: the next snapshot counts it. *)
+  let stats = Stats.create () in
+  let loop = Event_loop.create (Clock.create ()) in
+  Event_loop.schedule loop ~at:5.0 (fun () ->
+      Event_loop.schedule loop ~at:1.0 ignore;
+      Event_loop.schedule loop ~at:25.0 ignore);
+  Stats.snapshot_periodically ~every_us:10.0 stats loop;
+  Event_loop.run loop;
+  match Stats.snapshots stats with
+  | (_, values) :: _ ->
+    check_float "the first snapshot reads the clamp" 1.0
+      (List.assoc "serve.clamped_schedules" values)
+  | [] -> Alcotest.fail "no snapshot taken"
 
 let suite =
   [
@@ -2327,4 +2383,6 @@ let suite =
       test_event_loop_daemons_drain;
     Alcotest.test_case "tenancy: metrics with a movable autoscaler drain" `Quick
       test_tenancy_metrics_with_autoscaler_drains;
+    Alcotest.test_case "obs: snapshots read live outcome counts" `Quick
+      test_snapshots_read_live_outcomes;
   ]

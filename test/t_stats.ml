@@ -5,9 +5,10 @@
     pretty-printed block are compared to fixed strings, so a label, key,
     group order or trailer ([goodput], [slo_attainment], the clamped line)
     cannot move silently. The metrics export of a net-armed 3-replica
-    cluster pins the registry's key order and values. *)
+    cluster pins the timeline's key order and values. *)
 
 open Acrobat
+open T_util
 module Stats = Serve.Stats
 module Cluster = Serve.Cluster
 module Server = Serve.Server
@@ -176,7 +177,6 @@ let linear_cost batch =
   }
 
 let test_cluster_metrics_golden () =
-  let metrics = Obs.Metrics.create () in
   let arrivals =
     Traffic.arrivals ~rng:(Rng.create 21) (Traffic.Poisson { rate_per_s = 4000.0 }) ~n:120
   in
@@ -184,19 +184,19 @@ let test_cluster_metrics_golden () =
     Acrobat_net.Net.parse
       "seed=9,delay=100:30,drop=0.05,dup=0.2,partition=5000:20000:2,timeout=2000,resends=2"
   in
-  let _report =
-    Cluster.simulate ~metrics
+  let report =
+    Cluster.simulate ~snapshot_every_us:10_000.0
       { Cluster.default_config with Cluster.c_replicas = 3; Cluster.c_net = Some plan }
       ~arrivals ~payload:Fun.id
       ~executors:(Array.make 3 (Server.infallible linear_cost))
   in
-  let json = Obs.Metrics.to_json metrics in
+  let json = Stats.metrics_json report.Cluster.cluster_stats in
   let final =
     match json with
     | Json.Obj (("metrics", final) :: _) -> Json.to_string final
     | _ -> Alcotest.fail "unexpected metrics JSON shape"
   in
-  Alcotest.(check string) "final counters, in registration order"
+  Alcotest.(check string) "final counters, in export order"
     (String.concat ""
       [
         {|{"serve.offered":120,"serve.completed":120,"serve.shed":0,|};
@@ -230,9 +230,48 @@ let test_cluster_metrics_golden () =
   Alcotest.(check string) "snapshots digest" "d8027f8e753fe9c40011160c33821c2f"
     (Digest.to_hex (Digest.string (Json.to_string json)))
 
+(* A hand-built run: one completion and one queue shed. *)
+let two_requests () =
+  let t = Stats.create () in
+  Stats.record_fields t ~id:0 ~arrival_us:0.0 ~start_us:1.0 ~done_us:2.0 ~batch_size:1;
+  Stats.incr t Stats.shed;
+  t
+
+let broken t ~arrivals = Stats.conservation (Stats.summarize t) ~arrivals
+
+let test_conservation_laws () =
+  let laws t ~arrivals = List.map fst (broken t ~arrivals) in
+  Alcotest.(check (list string)) "a balanced run breaks nothing" []
+    (laws (two_requests ()) ~arrivals:2);
+  Alcotest.(check (list string)) "an arrival without an outcome" [ "conservation" ]
+    (laws (two_requests ()) ~arrivals:3);
+  (* One counter per net law that appears in no other law. *)
+  List.iter
+    (fun (c : Stats.counter) ->
+      let t = two_requests () in
+      Stats.incr t c;
+      match broken t ~arrivals:2 with
+      | [ ("net_conservation", evidence) ] ->
+        check_true (c.Stats.name ^ " named in the evidence") (contains evidence c.Stats.name)
+      | _ -> Alcotest.failf "a stray %s must break exactly one net law" c.Stats.name)
+    Stats.[ net_sends; net_fresh; net_acks ];
+  let was = Serve.Event_loop.debug_checks_enabled () in
+  Fun.protect
+    ~finally:(fun () -> Serve.Event_loop.set_debug_checks was)
+    (fun () ->
+      Serve.Event_loop.set_debug_checks false;
+      Stats.assert_conserved (two_requests ()) ~arrivals:3;
+      Serve.Event_loop.set_debug_checks true;
+      Stats.assert_conserved (two_requests ()) ~arrivals:2;
+      match Stats.assert_conserved (two_requests ()) ~arrivals:3 with
+      | () -> Alcotest.fail "debug checks armed: a broken law must raise"
+      | exception Invalid_argument msg ->
+        check_true "the error names the law" (contains msg "conservation"))
+
 let suite =
   [
     Alcotest.test_case "summary JSON golden" `Quick test_summary_json_golden;
     Alcotest.test_case "summary pp golden" `Quick test_summary_pp_golden;
     Alcotest.test_case "net cluster metrics golden" `Quick test_cluster_metrics_golden;
+    Alcotest.test_case "conservation laws reported" `Quick test_conservation_laws;
   ]
