@@ -30,17 +30,19 @@ test:
 # result is delivered at --audit 1, and the run is additionally gated on
 # goodput; the integrity bench (delivered corruption and goodput vs audit
 # rate, BENCH_integrity.json, a CI artifact) runs twice and must be
-# byte-identical across runs. The simulator-core scale bench (heap event
-# loop + EDF admission heap vs the retained Map/sorted-list reference at
-# 10^3..10^6 requests, BENCH_scale.json, a CI artifact) runs twice and
-# must be byte-identical — its JSON carries only virtual-time results,
-# never wall time — and its in-process gate demands byte-identical
-# summaries across backends at every size. A seed-equivalence gate
-# additionally requires the regenerated BENCH_cluster.json and
-# BENCH_tenants.json to be byte-identical to the committed pre-refactor
-# outputs (git diff --exit-code), proving the heap rewrite changed
-# nothing but speed on legacy-sized configs. The same gate holds the
-# committed BENCH_overload.json, BENCH_integrity.json and
+# byte-identical across runs. The simulator-core scale bench (the
+# production serving core — heap event agenda + EDF admission heap — vs
+# its reference build over the Map agenda and sorted-list queue, the
+# private library under test/reference/, at 10^3..10^6 requests,
+# BENCH_scale.json, a CI artifact) runs twice and must be byte-identical
+# to itself and to the committed file — its JSON carries only
+# virtual-time results, never wall time — and its in-process gate
+# demands byte-identical summaries across the two builds at every size.
+# A seed-equivalence gate additionally requires the regenerated
+# BENCH_cluster.json and BENCH_tenants.json to be byte-identical to the
+# committed pre-refactor outputs (git diff --exit-code), proving the heap
+# rewrite changed nothing but speed on legacy-sized configs. The same
+# gate holds the committed BENCH_overload.json, BENCH_integrity.json and
 # BENCH_partition.json, which pin the single server's fault and
 # resilience path, the replica's audit and quarantine path and the
 # cluster's net path through the shared batch-recovery loop. The network smoke routes a
@@ -124,6 +126,7 @@ check: build test
 	dune exec bench/main.exe -- scale --json BENCH_scale.json
 	dune exec bench/main.exe -- scale --json BENCH_scale_rerun.json
 	cmp BENCH_scale.json BENCH_scale_rerun.json
+	git diff --exit-code -- BENCH_scale.json
 
 # Bounded fixed-seed chaos campaign: randomized fault scenarios through the
 # serve cluster, every run checked against the invariant suite (request

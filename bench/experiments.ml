@@ -248,7 +248,7 @@ let run_mode ~mode ?(batch = 8) ?(seed = 1) (model : Model.t) : run =
   let compiled, weights = compile_model ~framework:(Frameworks.Acrobat Config.acrobat) model ~batch ~seed in
   let instances = gen_batch model ~batch ~seed:(seed + 100) in
   let r =
-    Driver.run ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
+    Driver.run_batch ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
       ~lprog:compiled.lprog ~weights ~instances ()
   in
   {
@@ -424,7 +424,7 @@ let run_pytorch ?(batch = 8) ?(seed = 1) ~(model_id : string) (model : Model.t) 
   let instances = gen_batch model ~batch ~seed:(seed + 100) in
   let mode = if model_id = "birnn" then Driver.Aot_mode else Driver.Vm_mode in
   let r =
-    Driver.run ~mode ~policy:(Frameworks.policy kind) ~quality:compiled.quality
+    Driver.run_batch ~mode ~policy:(Frameworks.policy kind) ~quality:compiled.quality
       ~lprog:compiled.lprog ~weights ~instances ()
   in
   {
@@ -1011,7 +1011,9 @@ let overload_bench ?(loads = [ 0.5; 0.8; 1.1; 1.4; 1.8 ]) ?(requests = 1200)
 
 type scale_row = {
   sc_requests : int;
-  sc_backend : string;  (** ["heap"] (production) or ["reference"] (Map + sorted list). *)
+  sc_backend : string;
+      (** ["heap"] (the production serving core) or ["reference"] (its
+          reference build over the Map agenda and the sorted-list queue). *)
   sc_events : int;  (** Event-loop dispatches the campaign performed. *)
   sc_completed : int;
   sc_shed : int;
@@ -1026,50 +1028,113 @@ type scale_row = {
           runs. *)
   sc_equivalent : bool;
       (** Whether this size's full summary JSON was byte-identical across
-          the two backends — the in-process determinism gate proving the
-          heap rewrite changed nothing but speed. *)
+          the two cores — the in-process determinism gate proving the
+          heaps change nothing but speed. *)
 }
 
-(** Run the same synthetic overload campaign under both simulator-core
-    backends at each size. The executor is pure arithmetic (no model, no
-    faults), so wall time is dominated by the event loop, the admission
-    queue, and stats — exactly the paths the heap rewrite targets. The
-    stream runs at 1.2x device capacity with a deadline, keeping the
-    admission queue pinned near capacity: the regime where the reference
-    backend's O(n) list walks hurt most, and the regime a shedding server
-    actually lives in. *)
+(** Run the same synthetic overload campaign through the production
+    serving core ({!Serve.Server.simulate}) and through its reference build
+    ([Acrobat_serve_reference.Server.simulate]: the same sources compiled
+    over the Map event agenda and the sorted-list EDF queue) at each size.
+    The executor is pure arithmetic (no model, no faults), so wall time is
+    dominated by the event loop, the admission queue, and stats — exactly
+    the paths the heaps target. The stream runs at 1.2x device capacity
+    with a deadline, keeping the admission queue pinned near capacity: the
+    regime where the reference's O(n) list walks hurt most, and the regime
+    a shedding server actually lives in. *)
 let scale_bench ?(sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 29) () :
     scale_row list =
-  let max_batch = 16 in
+  let max_batch = 16 and max_wait_us = 400.0 in
   let setup_us = 200.0 and per_req_us = 20.0 in
   let capacity_rps =
     float_of_int max_batch
     /. ((setup_us +. (per_req_us *. float_of_int max_batch)) /. 1.0e6)
   in
   let rate_per_s = 1.2 *. capacity_rps in
-  let execute ~degraded:_ batch =
-    let n = List.length batch in
-    Serve.Server.Exec_ok
+  let latency_us batch = setup_us +. (per_req_us *. float_of_int (List.length batch)) in
+  (* Queue depth and deadline sized for the traffic, not for the reference
+     queue's comfort: under 1.2x load the queue pins at capacity and every
+     offer pays the full-queue sweep, which is where the sorted-list
+     admission's O(n) walks collapse. *)
+  let queue_capacity = 3072 and deadline_us = Some 100_000.0 in
+  let row ~backend ~events ~completed ~shed ~expired ~batches ~p50 ~p99 ~mean =
+    {
+      sc_requests = 0;
+      sc_backend = backend;
+      sc_events = events;
+      sc_completed = completed;
+      sc_shed = shed;
+      sc_expired = expired;
+      sc_batches = batches;
+      sc_p50 = p50;
+      sc_p99 = p99;
+      sc_mean = mean;
+      sc_wall_s = 0.0;
+      sc_equivalent = false;
+    }
+  in
+  (* The campaign on each core: simulate, then return the report. The two
+     bodies are the same text over different modules — the reference build
+     compiles the same sources, so only the types differ. *)
+  let heap arrivals =
+    let open Serve in
+    let config =
       {
-        ex_latency_us = setup_us +. (per_req_us *. float_of_int n);
-        ex_profiler = None;
-        ex_fingerprints = None;
-        ex_corrupted = false;
+        Server.default_config with
+        Server.policy = Batcher.Adaptive { max_batch; max_wait_us };
+        queue_capacity;
+        deadline_us;
       }
+    in
+    let stats =
+      Server.simulate config ~arrivals ~payload:Fun.id
+        ~execute:
+          (Server.infallible (fun batch ->
+               {
+                 Server.ex_latency_us = latency_us batch;
+                 ex_profiler = None;
+                 ex_fingerprints = None;
+                 ex_corrupted = false;
+               }))
+    in
+    fun () ->
+      let s = Stats.summarize stats in
+      ( row ~backend:"heap" ~events:stats.Stats.loop_events ~completed:s.Stats.s_completed
+          ~shed:s.Stats.s_shed ~expired:s.Stats.s_expired ~batches:s.Stats.s_batches
+          ~p50:s.Stats.s_p50_ms ~p99:s.Stats.s_p99_ms ~mean:s.Stats.s_mean_ms,
+        Json.to_string (Stats.summary_to_json s) )
   in
-  let with_backends ~event ~admission f =
-    let e0 = Serve.Event_loop.current_default_backend () in
-    let a0 = Serve.Admission.current_default_backend () in
-    Serve.Event_loop.set_default_backend event;
-    Serve.Admission.set_default_backend admission;
-    Fun.protect
-      ~finally:(fun () ->
-        Serve.Event_loop.set_default_backend e0;
-        Serve.Admission.set_default_backend a0)
-      f
+  let reference arrivals =
+    let open Acrobat_serve_reference in
+    let config =
+      {
+        Server.default_config with
+        Server.policy = Batcher.Adaptive { max_batch; max_wait_us };
+        queue_capacity;
+        deadline_us;
+      }
+    in
+    let stats =
+      Server.simulate config ~arrivals ~payload:Fun.id
+        ~execute:
+          (Server.infallible (fun batch ->
+               {
+                 Server.ex_latency_us = latency_us batch;
+                 ex_profiler = None;
+                 ex_fingerprints = None;
+                 ex_corrupted = false;
+               }))
+    in
+    fun () ->
+      let s = Stats.summarize stats in
+      ( row ~backend:"reference" ~events:stats.Stats.loop_events
+          ~completed:s.Stats.s_completed ~shed:s.Stats.s_shed ~expired:s.Stats.s_expired
+          ~batches:s.Stats.s_batches ~p50:s.Stats.s_p50_ms ~p99:s.Stats.s_p99_ms
+          ~mean:s.Stats.s_mean_ms,
+        Json.to_string (Stats.summary_to_json s) )
   in
-  let run ~requests (label, event_backend, admission_backend) =
-    (* A million-request campaign allocates heavily in both backends; the
+  let run ~requests core =
+    (* A million-request campaign allocates heavily on both cores; the
        default 256k-word minor heap turns that into minor-GC thrash that
        drowns the signal. One shared (hence fair) setting for the whole
        comparison. *)
@@ -1082,52 +1147,18 @@ let scale_bench ?(sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 29) ()
         (Serve.Traffic.Poisson { rate_per_s })
         ~n:requests
     in
-    let config =
-      {
-        Serve.Server.default_config with
-        Serve.Server.policy = Serve.Batcher.Adaptive { max_batch; max_wait_us = 400.0 };
-        (* Queue depth and deadline sized for the traffic, not for the
-           reference backend's comfort: under 1.2x load the queue pins at
-           capacity and every offer pays the full-queue sweep, which is
-           where the old sorted-list admission's O(n) walks collapse. *)
-        queue_capacity = 3072;
-        deadline_us = Some 100_000.0;
-      }
-    in
-    with_backends ~event:event_backend ~admission:admission_backend (fun () ->
-        let t0 = Sys.time () in
-        let stats =
-          Serve.Server.simulate config ~arrivals ~payload:(fun i -> i) ~execute
-        in
-        let wall = Sys.time () -. t0 in
-        let s = Serve.Stats.summarize stats in
-        ( {
-            sc_requests = requests;
-            sc_backend = label;
-            sc_events = stats.Serve.Stats.loop_events;
-            sc_completed = s.Serve.Stats.s_completed;
-            sc_shed = s.Serve.Stats.s_shed;
-            sc_expired = s.Serve.Stats.s_expired;
-            sc_batches = s.Serve.Stats.s_batches;
-            sc_p50 = s.Serve.Stats.s_p50_ms;
-            sc_p99 = s.Serve.Stats.s_p99_ms;
-            sc_mean = s.Serve.Stats.s_mean_ms;
-            sc_wall_s = wall;
-            sc_equivalent = false;
-          },
-          Serve.Json.to_string (Serve.Stats.summary_to_json s) ))
+    let t0 = Sys.time () in
+    let report = core arrivals in
+    let wall = Sys.time () -. t0 in
+    let r, json = report () in
+    { r with sc_requests = requests; sc_wall_s = wall }, json
   in
   List.concat_map
     (fun requests ->
-      let heap, heap_json =
-        run ~requests ("heap", Serve.Event_loop.Heap, Serve.Admission.Edf_heap)
-      in
-      let reference, ref_json =
-        run ~requests
-          ("reference", Serve.Event_loop.Map_reference, Serve.Admission.Sorted_list)
-      in
-      (* The two backends must produce byte-identical summaries: the
-         simulation is deterministic and the heap is a pure speedup. *)
+      let heap, heap_json = run ~requests heap in
+      let reference, ref_json = run ~requests reference in
+      (* The two cores must produce byte-identical summaries: the
+         simulation is deterministic and the heaps are a pure speedup. *)
       let equivalent = String.equal heap_json ref_json in
       [
         { heap with sc_equivalent = equivalent };

@@ -645,7 +645,7 @@ let integrity () =
            ])
        rows)
 
-(* --- Simulator-core scale: events/sec, heap backends vs reference --- *)
+(* --- Simulator-core scale: events/sec, production core vs its reference build --- *)
 
 let scale () =
   hr "Simulator-core scale: events/sec at 10^3..10^6 requests (heap vs reference)";
@@ -660,10 +660,10 @@ let scale () =
         (if r.sc_wall_s > 0.0 then float_of_int r.sc_events /. r.sc_wall_s else 0.0)
         r.sc_equivalent)
     rows;
-  (* Acceptance gates (DESIGN.md §15): every size's summary must be
-     byte-identical across backends (the heap rewrite changes nothing but
-     speed), and at the largest size the heap core must deliver >= 10x the
-     reference's simulator events/sec. *)
+  (* Acceptance gates (DESIGN.md §15, §25): every size's summary must be
+     byte-identical across the production core and its reference build
+     (the heaps change nothing but speed), and at the largest size the
+     heap core must deliver >= 10x the reference's simulator events/sec. *)
   let heap = List.filter (fun (r : E.scale_row) -> r.sc_backend = "heap") rows in
   let reference =
     List.filter (fun (r : E.scale_row) -> r.sc_backend = "reference") rows

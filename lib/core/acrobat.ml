@@ -75,7 +75,7 @@ let compile ?(framework = Frameworks.Acrobat Config.acrobat) ?tracer
     accounting-only, cf. DESIGN.md). *)
 let run ?compute_values ?seed (c : compiled) ~(weights : (string * Tensor.t) list)
     ~(instances : (string * Driver.hval) list list) () : Driver.result =
-  Driver.run ?compute_values ?seed ~mode:(Frameworks.mode c.framework)
+  Driver.run_batch ?compute_values ?seed ~mode:(Frameworks.mode c.framework)
     ~policy:(Frameworks.policy c.framework) ~quality:c.quality ~lprog:c.lprog ~weights
     ~instances ()
 

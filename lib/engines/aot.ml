@@ -72,36 +72,38 @@ let rec slot_of scope x =
   | None, None -> fail "unbound variable %s (AOT compilation bug)" x
 
 (* Wait for a handle to materialize: suspend the fiber (the driver flushes
-   on stall) or flush directly in sequential mode. *)
+   on stall) or flush directly in sequential mode. {!Vm} shares this and
+   [decision_barrier], so both take the engine state they read
+   explicitly. *)
 (* After any barrier everything previously pending has executed, so the
    per-instance dynamic depth counter restarts at the base: scheduling
    depths only order nodes within one flush window, and restarting re-aligns
    instances whose counters drifted apart under data-dependent iteration
    counts. *)
-let ensure_ready st ictx h =
+let ensure_ready ~rt ~fibers ~base_depth ictx h =
   if not (handle_ready h) then begin
-    if st.fibers then begin
-      Device.charge_fiber_switch (Runtime.device st.rt);
+    if fibers then begin
+      Device.charge_fiber_switch (Runtime.device rt);
       Fiber.suspend ()
     end;
-    if not (handle_ready h) then Runtime.flush st.rt;
-    ictx.ictx_depth <- st.base_depth
+    if not (handle_ready h) then Runtime.flush rt;
+    ictx.ictx_depth <- base_depth
   end
 
 (* Barrier before a tensor-dependent decision: emulated TDC still forces the
    pending DFG to evaluate (§E.1). *)
-let decision_barrier st ictx =
-  if Runtime.has_pending st.rt then begin
-    if st.fibers then begin
+let decision_barrier ~rt ~fibers ~base_depth ictx =
+  if Runtime.has_pending rt then begin
+    if fibers then begin
       (* Suspending is the whole barrier: the driver flushes when every
          fiber is blocked. Nodes pending after resume belong to fibers that
          ran ahead of us and must NOT be forced here, or concurrent
          instances degrade into singleton batches. *)
-      Device.charge_fiber_switch (Runtime.device st.rt);
+      Device.charge_fiber_switch (Runtime.device rt);
       Fiber.suspend ()
     end
-    else Runtime.flush st.rt;
-    ictx.ictx_depth <- st.base_depth
+    else Runtime.flush rt;
+    ictx.ictx_depth <- base_depth
   end
 
 let eval_binop op a b =
@@ -392,19 +394,19 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let a_f = compile st scope a in
     fun env ictx ->
       let h = to_handle (a_f env ictx) in
-      ensure_ready st ictx h;
+      ensure_ready ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx h;
       Vfloat (Runtime.scalar_value st.rt h)
   | L.Lchoice a ->
     let a_f = compile st scope a in
     fun env ictx ->
       let n = to_int (a_f env ictx) in
-      decision_barrier st ictx;
+      decision_barrier ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
       Vint (Runtime.decision_int st.rt ~instance:ictx.ictx_instance n)
   | L.Lcoin a ->
     let a_f = compile st scope a in
     fun env ictx ->
       let p = to_float (a_f env ictx) in
-      decision_barrier st ictx;
+      decision_barrier ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
       Vbool (Runtime.decision_bool st.rt ~instance:ictx.ictx_instance p)
   | L.Lghost (n, cont) ->
     let cont_f = compile st scope cont in

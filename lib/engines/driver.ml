@@ -146,27 +146,17 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
   in
   (* Execute. *)
   let outputs = Array.make n_instances Vnil in
-  (match mode with
-  | Aot_mode ->
-    let eng = Aot.create ~rt ~policy ~fibers lprog in
-    if fibers then begin
-      let tasks =
-        List.mapi (fun i args () -> outputs.(i) <- Aot.run_main eng ~instance:i args) instance_args
-      in
-      ignore (Fiber.run ~on_stall:(fun () -> Runtime.flush rt) tasks)
-    end
-    else
-      List.iteri (fun i args -> outputs.(i) <- Aot.run_main eng ~instance:i args) instance_args
-  | Vm_mode ->
-    let eng = Vm.create ~rt ~policy ~fibers lprog in
-    if fibers then begin
-      let tasks =
-        List.mapi (fun i args () -> outputs.(i) <- Vm.run_main eng ~instance:i args) instance_args
-      in
-      ignore (Fiber.run ~on_stall:(fun () -> Runtime.flush rt) tasks)
-    end
-    else
-      List.iteri (fun i args -> outputs.(i) <- Vm.run_main eng ~instance:i args) instance_args);
+  let run_main =
+    match mode with
+    | Aot_mode -> Aot.run_main (Aot.create ~rt ~policy ~fibers lprog)
+    | Vm_mode -> Vm.run_main (Vm.create ~rt ~policy ~fibers lprog)
+  in
+  let run i args = outputs.(i) <- run_main ~instance:i args in
+  if fibers then
+    ignore
+      (Fiber.run ~on_stall:(fun () -> Runtime.flush rt)
+         (List.mapi (fun i args () -> run i args) instance_args))
+  else List.iteri run instance_args;
   (* Final flush and download of results. *)
   Runtime.flush rt;
   let out_handles = Array.fold_left Value.handles [] outputs in
@@ -186,11 +176,6 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
     profile = Runtime.profile rt;
     per_instance_ms = Array.make n_instances latency_ms;
   }
-
-(** Historical entry point: one self-contained mini-batch run on a fresh
-    device. Alias of {!run_batch}. *)
-let run ?compute_values ?seed ~mode ~policy ~quality ~lprog ~weights ~instances () =
-  run_batch ?compute_values ?seed ~mode ~policy ~quality ~lprog ~weights ~instances ()
 
 (** Per-instance result fingerprints, in instance order. Meaningful on
     [compute_values] runs (accounting-only outputs digest shapes only). *)

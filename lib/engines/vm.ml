@@ -33,35 +33,6 @@ let lookup env x =
   | Some v -> v
   | None -> fail "VM: unbound variable %s" x
 
-(* After any barrier everything previously pending has executed, so the
-   per-instance dynamic depth counter restarts at the base: scheduling
-   depths only order nodes within one flush window, and restarting re-aligns
-   instances whose counters drifted apart under data-dependent iteration
-   counts. *)
-let ensure_ready st ictx h =
-  if not (handle_ready h) then begin
-    if st.fibers then begin
-      Device.charge_fiber_switch (Runtime.device st.rt);
-      Fiber.suspend ()
-    end;
-    if not (handle_ready h) then Runtime.flush st.rt;
-    ictx.ictx_depth <- st.base_depth
-  end
-
-let decision_barrier st ictx =
-  if Runtime.has_pending st.rt then begin
-    if st.fibers then begin
-      (* Suspending is the whole barrier: the driver flushes when every
-         fiber is blocked. Nodes pending after resume belong to fibers that
-         ran ahead of us and must NOT be forced here, or concurrent
-         instances degrade into singleton batches. *)
-      Device.charge_fiber_switch (Runtime.device st.rt);
-      Fiber.suspend ()
-    end
-    else Runtime.flush st.rt;
-    ictx.ictx_depth <- st.base_depth
-  end
-
 let forks st = st.fibers && st.policy.Policy.allow_fork
 
 let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
@@ -166,15 +137,15 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
     of_list (Array.to_list results)
   | L.Lscalar a ->
     let h = to_handle (eval st env ictx a) in
-    ensure_ready st ictx h;
+    Aot.ensure_ready ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx h;
     Vfloat (Runtime.scalar_value st.rt h)
   | L.Lchoice a ->
     let n = to_int (eval st env ictx a) in
-    decision_barrier st ictx;
+    Aot.decision_barrier ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
     Vint (Runtime.decision_int st.rt ~instance:ictx.ictx_instance n)
   | L.Lcoin a ->
     let p = to_float (eval st env ictx a) in
-    decision_barrier st ictx;
+    Aot.decision_barrier ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
     Vbool (Runtime.decision_bool st.rt ~instance:ictx.ictx_instance p)
   | L.Lghost (n, cont) ->
     ictx.ictx_depth <- ictx.ictx_depth + n;

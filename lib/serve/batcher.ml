@@ -53,7 +53,19 @@ type t = {
 (* EWMA smoothing for arrivals, learning rate for the latency model. *)
 let alpha = 0.2
 
+(** A batcher for [policy]. A [max_batch] below 1 is rejected: a flush of
+    0 requests would launch nothing and re-decide forever. So is a
+    [max_wait_us] that is negative or not finite: the timeout it anchors
+    is a fire time for the event loop. *)
 let create ?(cost = Cost_model.default) policy =
+  (match policy with
+  | Batch1 -> ()
+  | Fixed { max_batch; max_wait_us } | Adaptive { max_batch; max_wait_us } ->
+    if max_batch < 1 then
+      Fmt.invalid_arg "Batcher.create: max_batch must be at least 1 (got %d)" max_batch;
+    if not (Float.is_finite max_wait_us && max_wait_us >= 0.0) then
+      Fmt.invalid_arg "Batcher.create: max_wait_us must be finite and non-negative (got %g)"
+        max_wait_us);
   {
     policy;
     ewma_interarrival_us = 0.0;

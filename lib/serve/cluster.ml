@@ -861,8 +861,6 @@ let simulate ?(tracer = Trace.null) ?snapshot_every_us ?auditor (cfg : config)
       (Array.map
          (fun rep ->
            let rs = Replica.stats rep in
-           Stats.set rs Stats.shed (Admission.shed_count (Replica.admission rep));
-           Stats.set rs Stats.expired (Admission.expired_count (Replica.admission rep));
            rs.Stats.end_us <- end_us;
            st.stats.Stats.batches <- st.stats.Stats.batches + rs.Stats.batches;
            st.stats.Stats.batched_requests <-

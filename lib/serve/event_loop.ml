@@ -14,44 +14,17 @@
     arrival upfront would give, but the queue only ever holds the live
     events handlers scheduled.
 
-    Two queue backends implement the same (time, seq) dispatch order:
-
-    - [Heap] (the default): an array-backed binary min-heap. Push and pop
-      are O(log n) with no per-event allocation, and a million-entry
-      agenda is three flat arrays — this is the production backend for
-      10⁶+-request campaigns.
-    - [Map_reference]: the original [Map.Make]-based queue, kept verbatim
-      as an executable specification. The QCheck equivalence suite and
-      [bench scale] run both backends on identical schedules and demand
-      identical dispatch sequences, so the heap is provably a pure
-      speedup. Both merge a fed stream the same way. *)
-
-module Key = struct
-  type t = float * int  (* fire time (us), scheduling sequence *)
-
-  let compare (ta, sa) (tb, sb) =
-    match Float.compare ta tb with 0 -> Int.compare sa sb | c -> c
-end
-
-module Q = Map.Make (Key)
-
-type backend = Heap | Map_reference
+    The queue is an {!Agenda}, a binary min-heap on (time, seq); the
+    loop owns clamping, sequence numbers, the fed stream, daemons and the
+    debug checks around it. *)
 
 type t = {
   clock : Clock.t;
-  backend : backend;
-  (* [Heap] backend: a binary min-heap on (time, seq), stored as parallel
-     arrays so a push allocates nothing and comparisons read unboxed
-     floats. Slots at and past [heap_len] hold [ignore]. *)
-  mutable h_at : float array;
-  mutable h_seq : int array;
-  mutable h_run : (unit -> unit) array;
-  mutable heap_len : int;
-  mutable queue : (unit -> unit) Q.t;  (* Map_reference backend *)
+  agenda : Agenda.t;  (** Events scheduled by handlers. *)
   (* The fed arrival stream ({!feed}): clamped fire times in dispatch
      order, the original index of each, the sequence number of index 0,
-     and the next position to dispatch. It stays outside the queue, so
-     the queue holds only events scheduled by handlers. *)
+     and the next position to dispatch. It stays outside the agenda, so
+     the agenda holds only events scheduled by handlers. *)
   mutable s_at : float array;
   mutable s_idx : int array;
   mutable s_base : int;
@@ -63,24 +36,10 @@ type t = {
   mutable daemons : int;  (* Pending events scheduled by {!schedule_daemon}. *)
 }
 
-(* Global default so harnesses ([bench scale], the equivalence tests) can
-   flip whole simulations onto the reference backend without threading a
-   knob through every [create] call site. *)
-let default_backend = ref Heap
-
-let set_default_backend b = default_backend := b
-let current_default_backend () = !default_backend
-
-let create ?backend clock =
-  let backend = match backend with Some b -> b | None -> !default_backend in
+let create clock =
   {
     clock;
-    backend;
-    h_at = Array.make 64 0.0;
-    h_seq = Array.make 64 0;
-    h_run = Array.make 64 ignore;
-    heap_len = 0;
-    queue = Q.empty;
+    agenda = Agenda.create ();
     s_at = [||];
     s_idx = [||];
     s_base = 0;
@@ -113,11 +72,9 @@ let now t = Clock.now t.clock
 
 let stream_left t = Array.length t.s_at - t.s_pos
 
-(** Events not yet dispatched: the queue plus the unfed rest of the
+(** Events not yet dispatched: the agenda plus the unfed rest of the
     arrival stream. *)
-let pending t =
-  stream_left t
-  + match t.backend with Heap -> t.heap_len | Map_reference -> Q.cardinal t.queue
+let pending t = stream_left t + Agenda.length t.agenda
 
 (** Pending events other than daemons ({!schedule_daemon}): the work
     that keeps a simulation going. *)
@@ -130,77 +87,9 @@ let dispatched t = t.dispatched
     scheduling bug that clamping would otherwise hide. *)
 let clamped_count t = t.clamped
 
-(* --- binary heap primitives (min on (time, seq)) --- *)
-
+(* The (time, seq) order, as in {!Agenda}: a local copy, since a call into
+   another module boxes its float arguments. *)
 let[@inline] before (at : float) (seq : int) at' seq' = at < at' || (at = at' && seq < seq')
-
-let heap_grow t =
-  let n = t.heap_len in
-  let grow a fill =
-    let bigger = Array.make (2 * n) fill in
-    Array.blit a 0 bigger 0 n;
-    bigger
-  in
-  t.h_at <- grow t.h_at 0.0;
-  t.h_seq <- grow t.h_seq 0;
-  t.h_run <- grow t.h_run ignore
-
-let heap_push t at seq f =
-  let n = t.heap_len in
-  if n = Array.length t.h_at then heap_grow t;
-  let ha = t.h_at and hs = t.h_seq and hr = t.h_run in
-  (* Sift up. *)
-  let i = ref n in
-  while
-    !i > 0
-    &&
-    let p = (!i - 1) / 2 in
-    before at seq ha.(p) hs.(p)
-    && begin
-      ha.(!i) <- ha.(p);
-      hs.(!i) <- hs.(p);
-      hr.(!i) <- hr.(p);
-      i := p;
-      true
-    end
-  do
-    ()
-  done;
-  ha.(!i) <- at;
-  hs.(!i) <- seq;
-  hr.(!i) <- f;
-  t.heap_len <- n + 1
-
-(* Remove the root (the caller has read it). *)
-let heap_drop_top t =
-  let n = t.heap_len - 1 in
-  t.heap_len <- n;
-  let ha = t.h_at and hs = t.h_seq and hr = t.h_run in
-  let at = ha.(n) and seq = hs.(n) and f = hr.(n) in
-  hr.(n) <- ignore;
-  if n > 0 then begin
-    (* Sift the last slot down from the root. *)
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      if l >= n then continue := false
-      else begin
-        let r = l + 1 in
-        let c = if r < n && before ha.(r) hs.(r) ha.(l) hs.(l) then r else l in
-        if before ha.(c) hs.(c) at seq then begin
-          ha.(!i) <- ha.(c);
-          hs.(!i) <- hs.(c);
-          hr.(!i) <- hr.(c);
-          i := c
-        end
-        else continue := false
-      end
-    done;
-    ha.(!i) <- at;
-    hs.(!i) <- seq;
-    hr.(!i) <- f
-  end
 
 (** Schedule [f] to run at virtual time [at] (clamped to the present: the
     past is immutable — but see {!clamped_count}; silently rewriting the
@@ -215,9 +104,7 @@ let schedule t ~at f =
   let at = Float.max at (now t) in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  match t.backend with
-  | Heap -> heap_push t at seq f
-  | Map_reference -> t.queue <- Q.add (at, seq) f t.queue
+  Agenda.push t.agenda ~at ~seq f
 
 (** Feed an arrival stream: event [i] runs [f i] at virtual time
     [times.(i)]. Exactly equivalent to [schedule t ~at:times.(i)
@@ -282,13 +169,9 @@ let schedule_daemon t ~delay f =
 (* Does the stream head dispatch before everything queued? Assumes a
    non-empty stream. *)
 let stream_first t =
-  let at = t.s_at.(t.s_pos) and seq = t.s_base + t.s_idx.(t.s_pos) in
-  match t.backend with
-  | Heap -> t.heap_len = 0 || before at seq t.h_at.(0) t.h_seq.(0)
-  | Map_reference -> (
-    match Q.min_binding_opt t.queue with
-    | None -> true
-    | Some (key, _) -> Key.compare (at, seq) key < 0)
+  let q = t.agenda in
+  Agenda.length q = 0
+  || before t.s_at.(t.s_pos) (t.s_base + t.s_idx.(t.s_pos)) (Agenda.top_at q) (Agenda.top_seq q)
 
 (* Move the clock to a dispatching event's fire time. *)
 let advance t at =
@@ -318,21 +201,10 @@ let rec run t =
     f i;
     run t
   end
-  else
-    match t.backend with
-    | Heap ->
-      if t.heap_len > 0 then begin
-        let at = t.h_at.(0) and f = t.h_run.(0) in
-        heap_drop_top t;
-        advance t at;
-        f ();
-        run t
-      end
-    | Map_reference -> (
-      match Q.min_binding_opt t.queue with
-      | None -> ()
-      | Some (((at, _) as key), f) ->
-        t.queue <- Q.remove key t.queue;
-        advance t at;
-        f ();
-        run t)
+  else if Agenda.length t.agenda > 0 then begin
+    let at = Agenda.top_at t.agenda in
+    let f = Agenda.pop t.agenda in
+    advance t at;
+    f ();
+    run t
+  end

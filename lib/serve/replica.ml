@@ -128,7 +128,6 @@ let health t = t.health
 let health_score t = t.health_score
 let corrupt_score t = t.corrupt_score
 let stats t = t.dev.Server.stats
-let admission t = t.dev.Server.queue
 let queue_length t = Admission.length t.dev.Server.queue
 let is_busy t = t.dev.Server.busy
 
@@ -293,6 +292,7 @@ and fence (t : 'a t) ~health ~requeue ~probe_ready =
   d.Server.consecutive_failures <- 0;
   t.consecutive_resets <- 0;
   let queued, expired = Admission.drain d.Server.queue ~now_us in
+  Stats.add d.Server.stats Stats.expired (List.length expired);
   if expired <> [] then t.cb.cb_lost ~replica:t.id Stats.Outcome.expired expired;
   let unresolved = t.outstanding @ queued in
   t.outstanding <- [];

@@ -258,7 +258,8 @@ let observe_pressure d ~now_us =
     gates ahead of the bounded queue — admitting past the limit would only
     grow the delay it is trying to control — and an admission that fills
     the queue past [degrade_high_frac] enters degraded mode. Also returns
-    the requests the full-queue sweep expired. *)
+    the requests the full-queue sweep expired. Sheds and expiries are
+    counted on the device. *)
 let offer d (r : 'a Admission.request) ~now_us : admit * 'a Admission.request list =
   match d.limiter with
   | Some lim when not (Limiter.admits lim ~queued:(Admission.length d.queue)) ->
@@ -266,18 +267,23 @@ let offer d (r : 'a Admission.request) ~now_us : admit * 'a Admission.request li
     Shed_limit, []
   | _ ->
     let admitted, swept = Admission.offer_swept d.queue ~now_us r in
-    if
-      admitted && (not d.degraded)
+    Stats.add d.stats Stats.expired (List.length swept);
+    if not admitted then Stats.incr d.stats Stats.shed
+    else if
+      (not d.degraded)
       && float_of_int (Admission.length d.queue)
          >= d.config.tolerance.degrade_high_frac *. float_of_int d.config.queue_capacity
     then d.degraded <- true;
     (if admitted then Admitted else Shed_queue), swept
 
 (** Start a launch: feed the pressure signal, then pop up to [limit] live
-    requests and the expired ones skipped on the way. *)
+    requests and the expired ones skipped on the way (counted on the
+    device). *)
 let take d ~now_us ~limit =
   observe_pressure d ~now_us;
-  Admission.take_with_expired d.queue ~now_us ~limit
+  let live, expired = Admission.take_with_expired d.queue ~now_us ~limit in
+  Stats.add d.stats Stats.expired (List.length expired);
+  live, expired
 
 (** The success path: learn the latency, count the batch, then audit and
     record each request. Sampled (or [forced]) audits decide each
@@ -377,8 +383,9 @@ let trace_terminal (st : 'a state) ~name ~ts_us (r : _ Admission.request) =
       ~args:[ "id", Json.Int r.Admission.rq_id ]
 
 (* Request [r] ended in outcome [o]: charge its counter unless the shared
-   device core already did ([counted]: limiter sheds, retry-budget sheds
-   and poison, which replicas count the same way), then trace it. *)
+   device core already did ([counted]: queue and limiter sheds, expiries,
+   retry-budget sheds and poison, which replicas count the same way), then
+   trace it. *)
 let terminal ?(counted = false) (st : 'a state) (o : Stats.Outcome.t) ~ts_us r =
   if not counted then Stats.incr st.dev.stats o.Stats.Outcome.counter;
   trace_terminal st ~name:o.Stats.Outcome.name ~ts_us r
@@ -435,7 +442,7 @@ let rec maybe_launch (st : 'a state) =
 and flush (st : 'a state) ~now_us ~limit =
   let d = st.dev in
   let batch, dropped = take d ~now_us ~limit in
-  List.iter (terminal st Stats.Outcome.expired ~ts_us:now_us) dropped;
+  List.iter (terminal ~counted:true st Stats.Outcome.expired ~ts_us:now_us) dropped;
   match batch with
   | [] ->
     (* Everything popped had expired; the queue may still hold work. *)
@@ -484,8 +491,8 @@ let on_arrival (st : 'a state) (r : 'a Admission.request) =
     match offer d r ~now_us with
     | Shed_limit, _ -> terminal ~counted:true st Stats.Outcome.shed_limit ~ts_us:now_us r
     | admit, swept ->
-      List.iter (terminal st Stats.Outcome.expired ~ts_us:now_us) swept;
-      if admit = Shed_queue then terminal st Stats.Outcome.shed ~ts_us:now_us r
+      List.iter (terminal ~counted:true st Stats.Outcome.expired ~ts_us:now_us) swept;
+      if admit = Shed_queue then terminal ~counted:true st Stats.Outcome.shed ~ts_us:now_us r
       else begin
         Option.iter Budget.deposit d.budget;
         (* Defer the launch check to a same-time event rather than deciding

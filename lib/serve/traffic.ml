@@ -37,8 +37,21 @@ let exp_sample rng ~mean_us = -.mean_us *. log (Float.max 1e-12 (1.0 -. Rng.floa
 
 let mean_interarrival_us rate_per_s = 1.0e6 /. rate_per_s
 
+(* Rates and dwells divide a mean out of them: zero, negative or
+   non-finite values would yield infinite, negative or NaN arrival times. *)
+let check_positive name v =
+  if not (Float.is_finite v && v > 0.0) then
+    Fmt.invalid_arg "Traffic.arrivals: %s must be finite and positive (got %g)" name v
+
 (** [arrivals ~rng process ~n] draws [n] monotone arrival timestamps. *)
 let arrivals ~(rng : Rng.t) (process : process) ~(n : int) : float array =
+  (match process with
+  | Burst _ -> ()
+  | Poisson { rate_per_s } -> check_positive "rate_per_s" rate_per_s
+  | Bursty { rate_low_per_s; rate_high_per_s; mean_dwell_us } ->
+    check_positive "rate_low_per_s" rate_low_per_s;
+    check_positive "rate_high_per_s" rate_high_per_s;
+    check_positive "mean_dwell_us" mean_dwell_us);
   let times = Array.make n 0.0 in
   (match process with
   | Burst { at_us } -> Array.fill times 0 n at_us

@@ -53,7 +53,7 @@ let fingerprint (r : Driver.result) =
 let run_case id (framework, mode) ~compute_values =
   let model = Models.tiny id in
   let compiled, weights = compile_model ~framework model ~batch:4 ~seed:1 in
-  Driver.run ~compute_values ~mode ~policy:(Frameworks.policy framework)
+  Driver.run_batch ~compute_values ~mode ~policy:(Frameworks.policy framework)
     ~quality:compiled.quality ~lprog:compiled.lprog ~weights
     ~instances:(gen_batch model ~batch:4 ~seed:3) ()
   |> fingerprint

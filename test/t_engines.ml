@@ -17,7 +17,7 @@ let run_values ?(batch = 4) ~framework ?mode id =
     match mode with
     | None -> run ~compute_values:true compiled ~weights ~instances ()
     | Some mode ->
-      Driver.run ~compute_values:true ~mode ~policy:(Frameworks.policy framework)
+      Driver.run_batch ~compute_values:true ~mode ~policy:(Frameworks.policy framework)
         ~quality:compiled.quality ~lprog:compiled.lprog ~weights ~instances ()
   in
   output_values r
@@ -93,7 +93,7 @@ let run_fps ?(batch = 4) ~framework ?mode id =
     match mode with
     | None -> run ~compute_values:true compiled ~weights ~instances ()
     | Some mode ->
-      Driver.run ~compute_values:true ~mode ~policy:(Frameworks.policy framework)
+      Driver.run_batch ~compute_values:true ~mode ~policy:(Frameworks.policy framework)
         ~quality:compiled.quality ~lprog:compiled.lprog ~weights ~instances ()
   in
   Array.to_list (Driver.fingerprints r)
@@ -319,7 +319,7 @@ let test_vm_slower_than_aot () =
   let weights = model.Model.gen_weights 1 in
   let instances = gen_batch model ~batch:8 ~seed:3 in
   let time mode =
-    (Driver.run ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
+    (Driver.run_batch ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
        ~lprog:compiled.lprog ~weights ~instances ())
       .Driver.stats.latency_ms
   in
@@ -385,7 +385,7 @@ let test_aot_calls_match_vm () =
       lengths
   in
   let run mode =
-    Driver.run ~compute_values:true ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
+    Driver.run_batch ~compute_values:true ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
       ~lprog:compiled.lprog ~weights ~instances ()
   in
   let aot = run Driver.Aot_mode in
@@ -533,7 +533,7 @@ let test_aot_forwarded_match_vm () =
   List.iter
     (fun fibers ->
       let run mode lp =
-        Driver.run ~compute_values:true ~mode ~policy:Policy.acrobat_policy
+        Driver.run_batch ~compute_values:true ~mode ~policy:Policy.acrobat_policy
           ~quality:compiled.quality ~lprog:{ lp with Lowered.has_tdc = fibers } ~weights ~instances ()
       in
       let label s = Fmt.str "%s (fibers %b)" s fibers in

@@ -16,6 +16,7 @@ module Json = Serve.Json
 module Cluster = Serve.Cluster
 module Hedge = Serve.Hedge
 module Replica = Serve.Replica
+module Reference = Acrobat_serve_reference
 
 (* --- Event loop --- *)
 
@@ -74,12 +75,30 @@ let test_traffic_burst_and_bursty () =
 let rq ?deadline id at =
   { Admission.rq_id = id; rq_payload = id; rq_arrival_us = at; rq_deadline_us = deadline }
 
+(* What a caller counts of the requests the queue hands back: the queue
+   itself keeps no counters, and the device core counts the same way. *)
+type counts = { mutable n_shed : int; mutable n_expired : int }
+
+let counts () = { n_shed = 0; n_expired = 0 }
+
+let offer_counted c q ~now_us r =
+  let admitted, swept = Admission.offer_swept q ~now_us r in
+  if not admitted then c.n_shed <- c.n_shed + 1;
+  c.n_expired <- c.n_expired + List.length swept;
+  admitted
+
+let take_counted c q ~now_us ~limit =
+  let live, dropped = Admission.take_with_expired q ~now_us ~limit in
+  c.n_expired <- c.n_expired + List.length dropped;
+  live, dropped
+
 let test_admission_shed () =
   let q = Admission.create ~capacity:2 () in
-  check_true "admit 1" (Admission.offer q ~now_us:0.0 (rq 0 0.0));
-  check_true "admit 2" (Admission.offer q ~now_us:1.0 (rq 1 1.0));
-  check_true "shed at capacity" (not (Admission.offer q ~now_us:2.0 (rq 2 2.0)));
-  check_int "shed counted" 1 (Admission.shed_count q);
+  let c = counts () in
+  check_true "admit 1" (offer_counted c q ~now_us:0.0 (rq 0 0.0));
+  check_true "admit 2" (offer_counted c q ~now_us:1.0 (rq 1 1.0));
+  check_true "shed at capacity" (not (offer_counted c q ~now_us:2.0 (rq 2 2.0)));
+  check_int "shed counted" 1 c.n_shed;
   check_float "oldest" 0.0 (Option.get (Admission.oldest_arrival_us q));
   let batch = Admission.take q ~now_us:5.0 ~limit:10 in
   Alcotest.(check (list int)) "FIFO ids" [ 0; 1 ]
@@ -87,27 +106,29 @@ let test_admission_shed () =
 
 let test_admission_deadline () =
   let q = Admission.create ~capacity:8 () in
-  ignore (Admission.offer q ~now_us:0.0 (rq ~deadline:100.0 0 0.0));
-  ignore (Admission.offer q ~now_us:0.0 (rq ~deadline:9_999.0 1 0.0));
-  let batch = Admission.take q ~now_us:500.0 ~limit:10 in
+  let c = counts () in
+  ignore (offer_counted c q ~now_us:0.0 (rq ~deadline:100.0 0 0.0));
+  ignore (offer_counted c q ~now_us:0.0 (rq ~deadline:9_999.0 1 0.0));
+  let batch, _ = take_counted c q ~now_us:500.0 ~limit:10 in
   Alcotest.(check (list int)) "expired dropped" [ 1 ]
     (List.map (fun r -> r.Admission.rq_id) batch);
-  check_int "expired counted" 1 (Admission.expired_count q)
+  check_int "expired counted" 1 c.n_expired
 
 let test_admission_sweep_on_offer () =
   let q = Admission.create ~capacity:2 () in
-  ignore (Admission.offer q ~now_us:0.0 (rq ~deadline:10.0 0 0.0));
-  ignore (Admission.offer q ~now_us:0.0 (rq ~deadline:10.0 1 0.0));
+  let c = counts () in
+  ignore (offer_counted c q ~now_us:0.0 (rq ~deadline:10.0 0 0.0));
+  ignore (offer_counted c q ~now_us:0.0 (rq ~deadline:10.0 1 0.0));
   (* The queue is full, but both residents are already past their deadline
      at t=50: offer must sweep them and admit rather than shed. *)
-  check_true "admitted after sweep" (Admission.offer q ~now_us:50.0 (rq 2 50.0));
-  check_int "expired counted at offer time" 2 (Admission.expired_count q);
-  check_int "nothing shed" 0 (Admission.shed_count q);
+  check_true "admitted after sweep" (offer_counted c q ~now_us:50.0 (rq 2 50.0));
+  check_int "expired counted at offer time" 2 c.n_expired;
+  check_int "nothing shed" 0 c.n_shed;
   check_int "only the live request queued" 1 (Admission.length q);
   (* A full queue of live requests still sheds. *)
-  ignore (Admission.offer q ~now_us:51.0 (rq 3 51.0));
-  check_true "live-full queue sheds" (not (Admission.offer q ~now_us:52.0 (rq 4 52.0)));
-  check_int "shed counted" 1 (Admission.shed_count q)
+  ignore (offer_counted c q ~now_us:51.0 (rq 3 51.0));
+  check_true "live-full queue sheds" (not (offer_counted c q ~now_us:52.0 (rq 4 52.0)));
+  check_int "shed counted" 1 c.n_shed
 
 (* --- Batcher --- *)
 
@@ -433,20 +454,21 @@ let test_brownout_dwell_hysteresis () =
    by the later pop, never missed. *)
 let test_admission_eager_sweep_counts_once () =
   let q = Admission.create ~eager_sweep:true ~capacity:4 () in
-  ignore (Admission.offer q ~now_us:0.0 (rq ~deadline:10.0 0 0.0));
-  ignore (Admission.offer q ~now_us:0.0 (rq ~deadline:200.0 1 0.0));
+  let c = counts () in
+  ignore (offer_counted c q ~now_us:0.0 (rq ~deadline:10.0 0 0.0));
+  ignore (offer_counted c q ~now_us:0.0 (rq ~deadline:200.0 1 0.0));
   (* Eager sweep: the offer at t=50 purges request 0 although there is room. *)
-  check_true "offer admits" (Admission.offer q ~now_us:50.0 (rq ~deadline:500.0 2 50.0));
-  check_int "offer-time sweep counted" 1 (Admission.expired_count q);
+  check_true "offer admits" (offer_counted c q ~now_us:50.0 (rq ~deadline:500.0 2 50.0));
+  check_int "offer-time sweep counted" 1 c.n_expired;
   check_int "swept entry left the queue" 2 (Admission.length q);
   (* Request 1 expires at t=200; the pop at t=300 counts it exactly once. *)
-  let batch, dropped = Admission.take_with_expired q ~now_us:300.0 ~limit:4 in
-  check_int "pop-time drop counted once" 2 (Admission.expired_count q);
+  let batch, dropped = take_counted c q ~now_us:300.0 ~limit:4 in
+  check_int "pop-time drop counted once" 2 c.n_expired;
   check_int "one request dropped at pop" 1 (List.length dropped);
   Alcotest.(check (list int)) "the live request is served" [ 2 ]
     (List.map (fun r -> r.Admission.rq_id) batch);
   check_true "queue drained" (Admission.is_empty q);
-  check_int "no double count after drain" 2 (Admission.expired_count q)
+  check_int "no double count after drain" 2 c.n_expired
 
 let test_retry_budget_sheds () =
   (* Every attempt faults transiently. Legacy: retry twice, then bisect
@@ -590,6 +612,7 @@ let gen_admission_script =
    taken, shed or expired. *)
 let admission_prop (cap, ops) =
   let q = Admission.create ~capacity:cap () in
+  let c = counts () in
   let now = ref 0.0 in
   let next_id = ref 0 in
   let taken = ref [] in
@@ -624,13 +647,13 @@ let admission_prop (cap, ops) =
             rq_deadline_us = Option.map (fun d -> !now +. float_of_int d) dl;
           }
         in
-        ignore (Admission.offer q ~now_us:!now r);
+        ignore (offer_counted c q ~now_us:!now r);
         if Admission.length q > cap then ok := false
       | A_take (dt, limit) ->
         now := !now +. float_of_int dt;
-        record_batch (Admission.take q ~now_us:!now ~limit) limit)
+        record_batch (fst (take_counted c q ~now_us:!now ~limit)) limit)
     ops;
-  record_batch (Admission.take q ~now_us:!now ~limit:max_int) max_int;
+  record_batch (fst (take_counted c q ~now_us:!now ~limit:max_int)) max_int;
   let taken = List.rev !taken in
   let seen = Hashtbl.create 64 in
   let unique =
@@ -641,14 +664,50 @@ let admission_prop (cap, ops) =
   in
   !ok && unique
   && Admission.length q = 0
-  && !next_id = List.length taken + Admission.shed_count q + Admission.expired_count q
+  && !next_id = List.length taken + c.n_shed + c.n_expired
 
-(* --- Simulator-core backends: heap vs reference equivalence --- *)
+(* --- Simulator-core containers: production vs reference build --- *)
 
-(* The heap event queue and EDF admission heap are pure speedups: on any
-   schedule they must be observationally identical to the Map/sorted-list
-   reference implementations they replaced. These differential properties
-   are the proof obligation. *)
+(* The heap event agenda and EDF admission heap are pure speedups: on any
+   schedule the production modules must be observationally identical to
+   the reference build ([Acrobat_serve_reference]: the same sources over
+   the Map agenda and the sorted-list queue they replaced). These
+   differential properties are the proof obligation. *)
+
+(* The event-loop surface the differential tests drive, which both builds
+   provide. *)
+module type EVENT_LOOP = sig
+  module Clock : sig
+    type t
+
+    val create : unit -> t
+    val advance_to : t -> float -> unit
+  end
+
+  type t
+
+  val create : Clock.t -> t
+  val now : t -> float
+  val schedule : t -> at:float -> (unit -> unit) -> unit
+  val schedule_after : t -> delay:float -> (unit -> unit) -> unit
+  val feed : t -> float array -> (int -> unit) -> unit
+  val run : t -> unit
+  val pending : t -> int
+  val dispatched : t -> int
+  val clamped_count : t -> int
+end
+
+let production_loop =
+  (module struct
+    module Clock = Clock
+    include Event_loop
+  end : EVENT_LOOP)
+
+let reference_loop =
+  (module struct
+    module Clock = Reference.Clock
+    include Reference.Event_loop
+  end : EVENT_LOOP)
 
 let test_event_loop_nonfinite () =
   let loop = Event_loop.create (Clock.create ()) in
@@ -687,8 +746,8 @@ let gen_event_script =
   QCheck2.Gen.(list_size (int_range 0 60) (pair (int_range 0 20) (option (int_range 0 8))))
 
 let event_loop_backend_prop script =
-  let run backend =
-    let loop = Event_loop.create ~backend (Clock.create ()) in
+  let run (module Event_loop : EVENT_LOOP) =
+    let loop = Event_loop.create (Event_loop.Clock.create ()) in
     let log = ref [] in
     List.iteri
       (fun i (at, child) ->
@@ -704,7 +763,7 @@ let event_loop_backend_prop script =
     Event_loop.run loop;
     List.rev !log, Event_loop.dispatched loop, Event_loop.pending loop
   in
-  run Event_loop.Heap = run Event_loop.Map_reference
+  run production_loop = run reference_loop
 
 (* --- Fed arrival streams: dispatch order --- *)
 
@@ -723,10 +782,10 @@ let gen_feed_script =
       (list_size (int_range 0 40) (pair (int_range (-5) 20) (option (int_range 0 8))))
       (events 6))
 
-let feed_run ~backend ~fed (start, before, stream, after) =
-  let clock = Clock.create () in
-  Clock.advance_to clock (float_of_int start);
-  let loop = Event_loop.create ~backend clock in
+let feed_run (module Event_loop : EVENT_LOOP) ~fed (start, before, stream, after) =
+  let clock = Event_loop.Clock.create () in
+  Event_loop.Clock.advance_to clock (float_of_int start);
+  let loop = Event_loop.create clock in
   let log = ref [] in
   let event tag child () =
     log := (tag, Event_loop.now loop, Event_loop.pending loop) :: !log;
@@ -758,17 +817,17 @@ let feed_run ~backend ~fed (start, before, stream, after) =
     Event_loop.clamped_count loop )
 
 let feed_order_prop script =
-  let reference = feed_run ~backend:Event_loop.Map_reference ~fed:false script in
+  let reference = feed_run reference_loop ~fed:false script in
   List.for_all
-    (fun (backend, fed) -> feed_run ~backend ~fed script = reference)
-    [ Event_loop.Heap, false; Event_loop.Heap, true; Event_loop.Map_reference, true ]
+    (fun (loop, fed) -> feed_run loop ~fed script = reference)
+    [ production_loop, false; production_loop, true; reference_loop, true ]
 
 let test_event_loop_feed_counts () =
   List.iter
-    (fun backend ->
-      let clock = Clock.create () in
-      Clock.advance_to clock 2.0;
-      let loop = Event_loop.create ~backend clock in
+    (fun (module Event_loop : EVENT_LOOP) ->
+      let clock = Event_loop.Clock.create () in
+      Event_loop.Clock.advance_to clock 2.0;
+      let loop = Event_loop.create clock in
       let seen = ref [] in
       Event_loop.feed loop [| 5.0; 1.0; 3.0; 1.0 |] (fun i ->
           seen := (i, Event_loop.now loop, Event_loop.pending loop) :: !seen);
@@ -789,7 +848,7 @@ let test_event_loop_feed_counts () =
       check_int "past time counted" 3 (Event_loop.clamped_count loop);
       Event_loop.run loop;
       check_int "second stream dispatched" 5 (Event_loop.dispatched loop))
-    [ Event_loop.Heap; Event_loop.Map_reference ]
+    [ production_loop; reference_loop ]
 
 let test_event_loop_feed_nonfinite () =
   let loop = Event_loop.create (Clock.create ()) in
@@ -809,8 +868,30 @@ let test_event_loop_feed_nonfinite () =
   Event_loop.run loop;
   Alcotest.(check (list string)) "order" [ "scheduled"; "fed" ] (List.rev !log)
 
+(* The admission surface the differential test drives, which both builds
+   provide. *)
+module type ADMISSION = sig
+  type 'a request = {
+    rq_id : int;
+    rq_payload : 'a;
+    rq_arrival_us : float;
+    rq_deadline_us : float option;
+  }
+
+  type 'a t
+
+  val create : ?eager_sweep:bool -> capacity:int -> unit -> 'a t
+  val length : 'a t -> int
+  val is_empty : 'a t -> bool
+  val oldest_arrival_us : 'a t -> float option
+  val offer_swept : 'a t -> now_us:float -> 'a request -> bool * 'a request list
+  val take_with_expired :
+    'a t -> now_us:float -> limit:int -> 'a request list * 'a request list
+  val drain : 'a t -> now_us:float -> 'a request list * 'a request list
+end
+
 (* Same random offer/take scripts as [admission_prop], but run against both
-   backends recording every observable — admit/shed decisions, swept and
+   builds recording every observable — admit/shed decisions, swept and
    dropped request ids, pop order, and the per-tick probes ([length],
    [is_empty], [oldest_arrival_us]) whose O(1) counters the heap backend
    maintains incrementally. The traces must match exactly, which is also
@@ -820,11 +901,12 @@ let gen_admission_backend_script =
   QCheck2.Gen.(triple (int_range 1 6) bool (list_size (int_range 1 80) gen_aop))
 
 let admission_backend_prop (cap, eager_sweep, ops) =
-  let ids = List.map (fun (r : int Admission.request) -> r.Admission.rq_id) in
-  let run backend =
-    let q = Admission.create ~backend ~eager_sweep ~capacity:cap () in
+  let run (module Admission : ADMISSION) =
+    let ids = List.map (fun (r : int Admission.request) -> r.Admission.rq_id) in
+    let q = Admission.create ~eager_sweep ~capacity:cap () in
     let now = ref 0.0 in
     let next_id = ref 0 in
+    let shed = ref 0 and expired = ref 0 in
     let trace = ref [] in
     let push x = trace := x :: !trace in
     let probe () =
@@ -847,53 +929,58 @@ let admission_backend_prop (cap, eager_sweep, ops) =
             }
           in
           let admitted, swept = Admission.offer_swept q ~now_us:!now r in
+          if not admitted then incr shed;
+          expired := !expired + List.length swept;
           push (`Offer (admitted, ids swept));
           probe ()
         | A_take (dt, limit) ->
           now := !now +. float_of_int dt;
           let live, dropped = Admission.take_with_expired q ~now_us:!now ~limit in
+          expired := !expired + List.length dropped;
           push (`Take (ids live, ids dropped));
           probe ())
       ops;
     let live, dropped = Admission.drain q ~now_us:!now in
+    expired := !expired + List.length dropped;
     push (`Drain (ids live, ids dropped));
-    push (`Counts (Admission.shed_count q, Admission.expired_count q, Admission.length q));
+    push (`Counts (!shed, !expired, Admission.length q));
     List.rev !trace
   in
-  run Admission.Edf_heap = run Admission.Sorted_list
+  run (module Admission) = run (module Reference.Admission)
 
 (* Deterministic spot-check of the O(1) counters across offer, take, a
    full-queue sweep, and drain (the differential property above is the
    broad net; this pins the exact values). *)
 let test_admission_counters () =
   let q = Admission.create ~capacity:3 () in
+  let c = counts () in
   check_int "empty length" 0 (Admission.length q);
   check_true "empty" (Admission.is_empty q);
   check_true "no oldest" (Admission.oldest_arrival_us q = None);
-  check_true "admit r0" (Admission.offer q ~now_us:0.0 (rq ~deadline:100.0 0 0.0));
-  check_true "admit r1" (Admission.offer q ~now_us:10.0 (rq ~deadline:50.0 1 10.0));
-  check_true "admit r2" (Admission.offer q ~now_us:20.0 (rq 2 20.0));
+  check_true "admit r0" (offer_counted c q ~now_us:0.0 (rq ~deadline:100.0 0 0.0));
+  check_true "admit r1" (offer_counted c q ~now_us:10.0 (rq ~deadline:50.0 1 10.0));
+  check_true "admit r2" (offer_counted c q ~now_us:20.0 (rq 2 20.0));
   check_int "length 3" 3 (Admission.length q);
   check_true "oldest is r0" (Admission.oldest_arrival_us q = Some 0.0);
   (* EDF pops r1 (deadline 50) first; the min-arrival cache must not move. *)
-  (match Admission.take q ~now_us:20.0 ~limit:1 with
+  (match fst (take_counted c q ~now_us:20.0 ~limit:1) with
   | [ r ] -> check_int "EDF pop" 1 r.Admission.rq_id
   | _ -> Alcotest.fail "expected exactly one pop");
   check_int "length 2" 2 (Admission.length q);
   check_true "oldest still r0" (Admission.oldest_arrival_us q = Some 0.0);
-  (match Admission.take q ~now_us:20.0 ~limit:1 with
+  (match fst (take_counted c q ~now_us:20.0 ~limit:1) with
   | [ r ] -> check_int "EDF pop r0" 0 r.Admission.rq_id
   | _ -> Alcotest.fail "expected exactly one pop");
   check_true "oldest advances to r2" (Admission.oldest_arrival_us q = Some 20.0);
   (* Refill to capacity, then let r3 expire: the full-queue offer sweeps
      it, admits r5, and every counter stays consistent. *)
-  check_true "admit r3" (Admission.offer q ~now_us:200.0 (rq ~deadline:210.0 3 200.0));
-  check_true "admit r4" (Admission.offer q ~now_us:220.0 (rq 4 220.0));
+  check_true "admit r3" (offer_counted c q ~now_us:200.0 (rq ~deadline:210.0 3 200.0));
+  check_true "admit r4" (offer_counted c q ~now_us:220.0 (rq 4 220.0));
   check_int "full" 3 (Admission.length q);
-  check_true "admit r5 after sweep" (Admission.offer q ~now_us:300.0 (rq 5 300.0));
-  check_int "swept one expired" 1 (Admission.expired_count q);
+  check_true "admit r5 after sweep" (offer_counted c q ~now_us:300.0 (rq 5 300.0));
+  check_int "swept one expired" 1 c.n_expired;
   check_int "still full" 3 (Admission.length q);
-  check_int "nothing shed" 0 (Admission.shed_count q);
+  check_int "nothing shed" 0 c.n_shed;
   check_true "oldest still r2" (Admission.oldest_arrival_us q = Some 20.0);
   let live, dropped = Admission.drain q ~now_us:300.0 in
   Alcotest.(check (list int)) "drain order (EDF = seq for deadline-less)" [ 2; 4; 5 ]
@@ -2243,6 +2330,108 @@ let test_snapshots_read_live_outcomes () =
       (List.assoc "serve.clamped_schedules" values)
   | [] -> Alcotest.fail "no snapshot taken"
 
+(* Out-of-range serving inputs are rejected where they are built. A
+   [max_batch] of 0 used to flush 0 requests and re-decide forever, an
+   infinite [max_wait_us] to hand the event loop an infinite timeout, and
+   a zero rate infinite arrival times. *)
+let test_batcher_rejects_bad_policies () =
+  let rejects msg policy =
+    Alcotest.check_raises msg (Invalid_argument ("Batcher.create: " ^ msg)) (fun () ->
+        ignore (Batcher.create policy))
+  in
+  rejects "max_batch must be at least 1 (got 0)"
+    (Batcher.Fixed { max_batch = 0; max_wait_us = 500.0 });
+  rejects "max_batch must be at least 1 (got 0)"
+    (Batcher.Adaptive { max_batch = 0; max_wait_us = 500.0 });
+  rejects "max_wait_us must be finite and non-negative (got inf)"
+    (Batcher.Fixed { max_batch = 4; max_wait_us = Float.infinity });
+  rejects "max_wait_us must be finite and non-negative (got nan)"
+    (Batcher.Adaptive { max_batch = 4; max_wait_us = Float.nan });
+  rejects "max_wait_us must be finite and non-negative (got -1)"
+    (Batcher.Fixed { max_batch = 4; max_wait_us = -1.0 })
+
+let test_traffic_rejects_bad_rates () =
+  let arrivals process () = ignore (Traffic.arrivals ~rng:(Rng.create 1) process ~n:4) in
+  let rejects msg process =
+    Alcotest.check_raises msg (Invalid_argument ("Traffic.arrivals: " ^ msg)) (arrivals process)
+  in
+  rejects "rate_per_s must be finite and positive (got 0)"
+    (Traffic.Poisson { rate_per_s = 0.0 });
+  rejects "rate_per_s must be finite and positive (got -300)"
+    (Traffic.Poisson { rate_per_s = -300.0 });
+  rejects "rate_per_s must be finite and positive (got nan)"
+    (Traffic.Poisson { rate_per_s = Float.nan });
+  rejects "rate_low_per_s must be finite and positive (got 0)"
+    (Traffic.Bursty { rate_low_per_s = 0.0; rate_high_per_s = 100.0; mean_dwell_us = 10.0 });
+  rejects "rate_high_per_s must be finite and positive (got inf)"
+    (Traffic.Bursty
+       { rate_low_per_s = 10.0; rate_high_per_s = Float.infinity; mean_dwell_us = 10.0 });
+  rejects "mean_dwell_us must be finite and positive (got 0)"
+    (Traffic.Bursty { rate_low_per_s = 10.0; rate_high_per_s = 100.0; mean_dwell_us = 0.0 })
+
+(* The whole simulation, not just its containers: the production serving
+   core and its reference build give byte-identical summaries ([bench
+   scale] checks the same at 10^3..10^6 requests). The bursty campaign
+   overloads the device in its high phase, which sheds and expires
+   requests, and leaves the fixed batcher waiting on its timeout — anchored
+   at the oldest queued arrival — in its low phase. *)
+let test_reference_simulation_identical () =
+  let arrivals =
+    Traffic.arrivals ~rng:(Rng.create 5)
+      (Traffic.Bursty
+         { rate_low_per_s = 2_000.0; rate_high_per_s = 80_000.0; mean_dwell_us = 20_000.0 })
+      ~n:3_000
+  in
+  let latency_us batch = 200.0 +. (20.0 *. float_of_int (List.length batch)) in
+  let production =
+    let stats =
+      Server.simulate
+        {
+          Server.default_config with
+          Server.policy = Batcher.Fixed { max_batch = 16; max_wait_us = 1_000.0 };
+          queue_capacity = 64;
+          deadline_us = Some 2_000.0;
+        }
+        ~arrivals ~payload:Fun.id
+        ~execute:
+          (Server.infallible (fun batch ->
+               {
+                 Server.ex_latency_us = latency_us batch;
+                 ex_profiler = None;
+                 ex_fingerprints = None;
+                 ex_corrupted = false;
+               }))
+    in
+    Stats.summarize stats
+  in
+  let reference =
+    let open Reference in
+    let stats =
+      Server.simulate
+        {
+          Server.default_config with
+          Server.policy = Batcher.Fixed { max_batch = 16; max_wait_us = 1_000.0 };
+          queue_capacity = 64;
+          deadline_us = Some 2_000.0;
+        }
+        ~arrivals ~payload:Fun.id
+        ~execute:
+          (Server.infallible (fun batch ->
+               {
+                 Server.ex_latency_us = latency_us batch;
+                 ex_profiler = None;
+                 ex_fingerprints = None;
+                 ex_corrupted = false;
+               }))
+    in
+    Json.to_string (Stats.summary_to_json (Stats.summarize stats))
+  in
+  check_true "the campaign sheds" (production.Stats.s_shed > 0);
+  check_true "the campaign expires" (production.Stats.s_expired > 0);
+  Alcotest.(check string) "byte-identical summaries"
+    (Json.to_string (Stats.summary_to_json production))
+    reference
+
 let suite =
   [
     Alcotest.test_case "event loop: order + clamp" `Quick test_event_loop_order;
@@ -2385,4 +2574,10 @@ let suite =
       test_tenancy_metrics_with_autoscaler_drains;
     Alcotest.test_case "obs: snapshots read live outcome counts" `Quick
       test_snapshots_read_live_outcomes;
+    Alcotest.test_case "batcher: out-of-range policies rejected" `Quick
+      test_batcher_rejects_bad_policies;
+    Alcotest.test_case "traffic: non-positive and non-finite rates rejected" `Quick
+      test_traffic_rejects_bad_rates;
+    Alcotest.test_case "reference: whole simulations byte-identical under overload" `Quick
+      test_reference_simulation_identical;
   ]
