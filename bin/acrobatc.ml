@@ -253,13 +253,8 @@ let serve_cmd =
   let run model_id size rate policy requests max_batch max_wait_us queue_cap deadline_ms
       burst seed iters faults_specs replicas dispatch hedge requeue_budget retry_budget
       concurrency_target brownout tenant_specs autoscale audit net_spec min_goodput
-      exact_stats json_path trace_path =
+      json_path trace_path =
     guarded @@ fun () ->
-    Option.iter
-      (fun k ->
-        if k < 1 then Fmt.invalid_arg "--exact-stats %d: want a positive record count" k;
-        Serve.Stats.set_streaming_threshold k)
-      exact_stats;
     Option.iter
       (fun f ->
         if not (Float.is_finite f) || f < 0.0 then
@@ -674,16 +669,6 @@ let serve_cmd =
             "Exit nonzero when goodput (completed/offered) falls below FRAC — makes \
              fault-injected smoke runs assert availability.")
   in
-  let exact_stats_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "exact-stats" ] ~docv:"K"
-          ~doc:
-            "Retain up to K latency records exactly before the SLO summary switches to \
-             bounded-memory streaming mode (one-pass means, fixed-seed reservoir \
-             percentiles). Default 100000 — million-request campaigns stream, everything \
-             smaller stays exact.")
-  in
   let json_arg =
     Arg.(
       value & opt (some string) None
@@ -697,7 +682,7 @@ let serve_cmd =
       $ iters_arg $ faults_arg $ replicas_arg $ dispatch_arg $ hedge_arg
       $ requeue_budget_arg $ retry_budget_arg $ concurrency_target_arg $ brownout_arg
       $ tenant_arg $ autoscale_arg $ audit_arg $ net_arg $ min_goodput_arg
-      $ exact_stats_arg $ json_arg $ trace_arg)
+      $ json_arg $ trace_arg)
 
 (* --- chaos (randomized fault search with invariant checking) --- *)
 

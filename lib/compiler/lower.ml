@@ -106,16 +106,13 @@ let bind_of_single = function
   | Taint.Sparam p -> Kernel.Bparam p
   | Taint.Sconst { shape; value } -> Kernel.Bconst { shape; value }
 
-(* Lower a run of tensor ops into scheduling blocks, returning a function
-   that wraps a continuation lexpr. [lower] lowers argument expressions.
-   [ctx] is the current context. *)
-let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
-    (cont_free : SSet.t) : (L.lexpr -> L.lexpr) * string list =
-  (* Map run variables to run indices. *)
+(* Abstract values over a straight-line run: externs from the taint
+   analysis, run outputs recomputed locally in run order. Returns the map
+   from run variables to run indices, each op's output value, and the
+   value of argument [pos] of op [r]. *)
+let run_avals st ~ctx (run : run_op list) =
   let idx_of_var = Hashtbl.create 8 in
   List.iteri (fun i r -> Hashtbl.replace idx_of_var r.var i) run;
-  (* Abstract values: externs from the taint analysis; run outputs
-     recomputed locally. *)
   let out_avals = Array.make (List.length run) Taint.Atop in
   let arg_aval r pos arg =
     match arg with
@@ -131,6 +128,14 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
         | Op.Random _ -> Taint.tensor_derived ~sdepth:(Dstatic 0)
         | _ -> Taint.tensor_derived ~sdepth:(Taint.out_sdepth avals)))
     run;
+  idx_of_var, out_avals, arg_aval
+
+(* Lower a run of tensor ops into scheduling blocks, returning a function
+   that wraps a continuation lexpr. [lower] lowers argument expressions.
+   [ctx] is the current context. *)
+let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
+    (cont_free : SSet.t) : (L.lexpr -> L.lexpr) * string list =
+  let idx_of_var, out_avals, arg_aval = run_avals st ~ctx run in
   (* Global (run-level) instruction list, with externs keyed for dedup. *)
   let externs : (ext_key, int) Hashtbl.t = Hashtbl.create 8 in
   let extern_info : (int * L.lexpr * Taint.aval) list ref = ref [] in
@@ -310,29 +315,12 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
   (fun cont -> List.fold_right (fun b acc -> L.Lblock (b, acc)) blocks cont), outs_all
 
 (* Classify each op of a run as hoistable (static depth) or dynamic, using
-   the same abstract-value propagation as {!lower_run}. *)
+   the same abstract values as {!lower_run}. *)
 let classify_run st ~ctx (run : run_op list) : (run_op * bool) list =
-  let idx_of_var = Hashtbl.create 8 in
-  List.iteri (fun i r -> Hashtbl.replace idx_of_var r.var i) run;
-  let out = Array.make (List.length run) Taint.Atop in
+  let _, out_avals, _ = run_avals st ~ctx run in
   List.mapi
     (fun i r ->
-      let avals =
-        List.mapi
-          (fun pos a ->
-            match a with
-            | Ast.Var x when Hashtbl.mem idx_of_var x -> out.(Hashtbl.find idx_of_var x)
-            | _ -> List.nth (prim_avals st ~site:r.site ~ctx ~arity:(List.length r.args)) pos)
-          r.args
-      in
-      let oav =
-        match r.op with
-        | Op.Constant { shape; value } -> Taint.tensor_const ~shape ~value
-        | Op.Random _ -> Taint.tensor_derived ~sdepth:(Dstatic 0)
-        | _ -> Taint.tensor_derived ~sdepth:(Taint.out_sdepth avals)
-      in
-      out.(i) <- oav;
-      r, (match Taint.sdepth_of oav with Taint.Dstatic _ -> true | Taint.Ddyn -> false))
+      r, (match Taint.sdepth_of out_avals.(i) with Taint.Dstatic _ -> true | Taint.Ddyn -> false))
     run
 
 (* --- Expression lowering --- *)

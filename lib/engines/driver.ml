@@ -42,8 +42,6 @@ let rec hval_to_value (next : unit -> handle) = function
 
 type mode = Aot_mode | Vm_mode
 
-let mode_name = function Aot_mode -> "aot" | Vm_mode -> "vm"
-
 type stats = {
   latency_ms : float;
   profiler : Profiler.t;

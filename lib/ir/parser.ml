@@ -37,13 +37,6 @@ let advance st = st.at <- st.at + 1
 let eat st tok =
   if peek st = tok then advance st else fail st "expected %s" (token_name tok)
 
-let eat_ident st =
-  match peek st with
-  | IDENT s ->
-    advance st;
-    s
-  | _ -> fail st "expected identifier"
-
 let eat_var st =
   match peek st with
   | VAR s ->

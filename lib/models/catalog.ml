@@ -53,9 +53,6 @@ let tiny id : Model.t =
   | "moe" -> Moe.make ~hidden:8 Model.Small
   | other -> Fmt.invalid_arg "unknown tiny model %S" other
 
-(** Parameter footprint of the tiny-sized variant of [id]. *)
-let tiny_param_bytes id = Model.param_bytes (tiny id)
-
 let tiny_ids =
   [ "rnn"; "treelstm"; "mvrnn"; "birnn"; "nestedrnn"; "drnn"; "berxit"; "stackrnn";
     "beamsearch"; "moe" ]

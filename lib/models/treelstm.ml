@@ -111,6 +111,3 @@ let make ?(classes = 5) ?hidden (size : Model.size) : Model.t =
     gen_instance = (fun rng -> [ "tree", tree_hval (W.Trees.sample rng) ]);
     degraded = None;
   }
-
-(** The workload structure itself (for the Cortex baseline). *)
-let sample_tree rng = W.Trees.sample rng

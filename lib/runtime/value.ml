@@ -67,11 +67,6 @@ let handle_out = function
 
 let handle_ready h = handle_out h <> None
 
-(** The pending node behind a handle, if any. *)
-let handle_node = function
-  | Hmat _ -> None
-  | Hnode (n, _) -> if node_executed n then None else Some n
-
 type value =
   | Vtensor of handle
   | Vint of int

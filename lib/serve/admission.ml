@@ -92,9 +92,6 @@ let offer_swept t ~now_us (r : 'a request) : bool * 'a request list =
     true, swept
   end
 
-(** {!offer_swept} without the swept requests. *)
-let offer t ~now_us (r : 'a request) : bool = fst (offer_swept t ~now_us r)
-
 (** Pop up to [limit] live requests in EDF order, plus the requests
     dropped on the way because their deadline passed while they waited. *)
 let take_with_expired t ~now_us ~limit : 'a request list * 'a request list =
@@ -108,9 +105,6 @@ let take_with_expired t ~now_us ~limit : 'a request list * 'a request list =
         else go (k - 1) (r :: acc) dropped
   in
   go limit [] []
-
-(** {!take_with_expired} without the dropped requests. *)
-let take t ~now_us ~limit : 'a request list = fst (take_with_expired t ~now_us ~limit)
 
 (** Drain the whole queue: live requests in EDF order plus the expired
     remainder. Used on replica failover. *)

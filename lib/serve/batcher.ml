@@ -26,11 +26,6 @@ type policy =
   | Fixed of { max_batch : int; max_wait_us : float }
   | Adaptive of { max_batch : int; max_wait_us : float }
 
-let policy_name = function
-  | Batch1 -> "batch1"
-  | Fixed _ -> "fixed"
-  | Adaptive _ -> "adaptive"
-
 let pp_policy ppf = function
   | Batch1 -> Fmt.pf ppf "batch1"
   | Fixed { max_batch; max_wait_us } ->

@@ -117,7 +117,7 @@ type 'a entry = {
 (** What a replica's idempotency window remembers about a request key. *)
 type dedup_state =
   | Dd_pending  (** Delivered and queued/executing; result not yet known. *)
-  | Dd_done of { di_size : int; di_start_us : float; di_done_us : float }
+  | Dd_done of { di_start_us : float; di_done_us : float }
       (** Executed; a duplicate delivery re-acks this result instead of
           re-executing (exactly-once under dup+resend). *)
 
@@ -198,11 +198,10 @@ let primary_lost st (ent : 'a entry) ~terminal =
 
 (* The first completion of a request: record it, and credit the hedge when
    the winning copy ran on the hedge's replica. *)
-let resolved_by st (ent : 'a entry) ~replica ~start_us ~done_us ~batch_size =
+let resolved_by st (ent : 'a entry) ~replica ~start_us ~done_us =
   let r = ent.ent_req in
   let id = r.Admission.rq_id in
-  Stats.record_fields st.stats ~id ~arrival_us:r.Admission.rq_arrival_us ~start_us ~done_us
-    ~batch_size;
+  Stats.record_fields st.stats ~arrival_us:r.Admission.rq_arrival_us ~start_us ~done_us;
   Hedge.observe st.window (done_us -. r.Admission.rq_arrival_us);
   if Trace.enabled st.tracer then
     Trace.instant st.tracer ~name:"done" ~cat:"request" ~pid:0 ~tid:(Server.req_tid id)
@@ -314,14 +313,14 @@ let reply_landed st ns ~replica (ent : 'a entry) =
    of a hedge pair) only settle accounting. The ack also carries the
    replica-side completion stamp, which is the sender's only evidence of
    the one-way delay it feeds the shedding EWMA. *)
-let send_ack st ns ~replica (ent : 'a entry) ~di_size ~di_start_us ~di_done_us =
+let send_ack st ns ~replica (ent : 'a entry) ~di_start_us ~di_done_us =
   send_back st ns ~replica ent (fun () ->
       reply_landed st ns ~replica ent;
       let now_us = Event_loop.now st.loop in
       Net.observe_delay ns.nt (now_us -. di_done_us);
       drop_attempt ns ent;
       if Hedge.complete ent.ent_copies then
-        resolved_by st ent ~replica ~start_us:di_start_us ~done_us:now_us ~batch_size:di_size)
+        resolved_by st ent ~replica ~start_us:di_start_us ~done_us:now_us)
 
 (* A replica-side refusal (queue full / limiter): the authoritative shed,
    same terminal the direct path applies. A lost nack is recovered by the
@@ -357,12 +356,12 @@ let net_deliver st ns (ent : 'a entry) (r : 'a Admission.request) i =
     | Some Dd_pending ->
       Stats.incr st.stats Stats.net_dedup_hits;
       net_trace st ~name:"net_dedup" ~replica:i id
-    | Some (Dd_done { di_size; di_start_us; di_done_us }) ->
+    | Some (Dd_done { di_start_us; di_done_us }) ->
       Stats.incr st.stats Stats.net_dedup_hits;
       net_trace st ~name:"net_dedup" ~replica:i id;
       (* The result is already known: re-ack it instead of re-executing —
          how a lost ack is recovered without double execution. *)
-      send_ack st ns ~replica:i ent ~di_size ~di_start_us ~di_done_us
+      send_ack st ns ~replica:i ent ~di_start_us ~di_done_us
     | None -> (
       Stats.incr st.stats Stats.net_fresh;
       if ns.n_plan.Net.np_dedup then Net.Dedup.note window key Dd_pending;
@@ -629,12 +628,12 @@ let maybe_hedge st (ent : 'a entry) =
 let on_live st (r : 'a Admission.request) =
   not (entry st r.Admission.rq_id).ent_copies.Hedge.resolved
 
-let on_completed st ~replica (batch : 'a Admission.request list) ~size ~start_us ~done_us =
+let on_completed st ~replica (batch : 'a Admission.request list) ~start_us ~done_us =
   List.iter
     (fun (r : 'a Admission.request) ->
       let ent = entry st r.Admission.rq_id in
       if Hedge.complete ent.ent_copies then
-        resolved_by st ent ~replica ~start_us ~done_us ~batch_size:size
+        resolved_by st ent ~replica ~start_us ~done_us
       else
         (* The other copy already won; this execution was duplicated work. *)
         Stats.incr st.stats Stats.hedge_wasted)
@@ -644,8 +643,7 @@ let on_completed st ~replica (batch : 'a Admission.request list) ~size ~start_us
    remembered in the idempotency window (so duplicate deliveries re-ack it)
    and put on the return link; the request resolves only when its ack
    lands at the dispatcher — see [deliver_ack]. *)
-let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~size ~start_us
-    ~done_us =
+let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~start_us ~done_us =
   let ep = Replica.epoch st.replicas.(replica) in
   List.iter
     (fun (r : 'a Admission.request) ->
@@ -653,11 +651,10 @@ let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~size ~s
       if ns.n_plan.Net.np_dedup then
         Net.Dedup.note ns.dedups.(replica)
           (r.Admission.rq_id, ep)
-          (Dd_done { di_size = size; di_start_us = start_us; di_done_us = done_us });
+          (Dd_done { di_start_us = start_us; di_done_us = done_us });
       if ent.ent_copies.Hedge.resolved && Option.is_some ent.ent_copies.Hedge.hedge then
         Stats.incr st.stats Stats.hedge_wasted;
-      send_ack st ns ~replica ent ~di_size:size ~di_start_us:start_us
-        ~di_done_us:done_us)
+      send_ack st ns ~replica ent ~di_start_us:start_us ~di_done_us:done_us)
     batch
 
 let on_lost st ~replica:_ terminal (rs : 'a Admission.request list) =
@@ -747,6 +744,7 @@ let simulate ?(tracer = Trace.null) ?snapshot_every_us ?auditor (cfg : config)
       (Array.length executors) cfg.c_replicas;
   if cfg.c_replicas <= 0 then
     Fmt.invalid_arg "Cluster.simulate: replicas must be positive";
+  Hedge.check_percentile ~who:"Cluster.simulate" cfg.c_hedge_percentile;
   let loop = Event_loop.create (Clock.create ()) in
   let net_armed =
     match cfg.c_net with Some plan -> Net.enabled plan | None -> false
@@ -801,10 +799,10 @@ let simulate ?(tracer = Trace.null) ?snapshot_every_us ?auditor (cfg : config)
   let cb =
     {
       Replica.cb_live = on_live st;
-      cb_completed = (fun ~replica batch ~size ~start_us ~done_us ->
+      cb_completed = (fun ~replica batch ~start_us ~done_us ->
         match st.net with
-        | None -> on_completed st ~replica batch ~size ~start_us ~done_us
-        | Some ns -> net_on_completed st ns ~replica batch ~size ~start_us ~done_us);
+        | None -> on_completed st ~replica batch ~start_us ~done_us
+        | Some ns -> net_on_completed st ns ~replica batch ~start_us ~done_us);
       cb_cancelled = (fun ~replica:_ r -> copy_cancelled st (entry st r.Admission.rq_id));
       cb_lost = on_lost st;
       cb_down = on_down st;

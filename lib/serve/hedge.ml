@@ -46,6 +46,13 @@ let delay w ~percentile =
   if w.count < min_obs then None
   else Some (Stats.percentile (Array.sub w.ring 0 w.count) percentile)
 
+(** Reject a hedge [percentile] that is not finite or lies outside
+    [0, 100], naming [who] and the value. *)
+let check_percentile ~who = function
+  | Some p when not (Float.is_finite p && p >= 0.0 && p <= 100.0) ->
+    Fmt.invalid_arg "%s: hedge percentile must be finite and in [0, 100] (got %g)" who p
+  | Some _ | None -> ()
+
 (** When to hedge a request arriving now, at [arrival_us]: [None] with
     hedging off ([percentile] unset) or the window still warming up. *)
 let due w ~percentile ~arrival_us =

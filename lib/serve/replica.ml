@@ -55,7 +55,6 @@ type 'a callbacks = {
   cb_completed :
     replica:int ->
     'a Admission.request list ->
-    size:int ->
     start_us:float ->
     done_us:float ->
     unit;  (** A batch finished; the cluster dedupes per request id. *)
@@ -230,7 +229,6 @@ and recovery (t : 'a t) =
     ~epoch:(fun () -> t.epoch)
     ~deliver:(fun batch outcome ~now_us ~done_us ->
       t.busy_until_us <- done_us;
-      let size = List.length batch in
       let deliveries =
         Server.deliver d batch outcome ~now_us ~done_us ~forced:t.quarantine_probing
           ~each:(fun _ _ -> ())
@@ -241,13 +239,13 @@ and recovery (t : 'a t) =
       fun () ->
         drop_outstanding t batch;
         (match d.Server.auditor with
-        | None -> t.cb.cb_completed ~replica:t.id batch ~size ~start_us:now_us ~done_us
+        | None -> t.cb.cb_completed ~replica:t.id batch ~start_us:now_us ~done_us
         | Some _ ->
           (* Audited requests deliver later by their audit latency; report
              per request so the cluster records true end-to-end times. *)
           List.iter
             (fun (r, (a : Server.audit_delivery)) ->
-              t.cb.cb_completed ~replica:t.id [ r ] ~size ~start_us:now_us
+              t.cb.cb_completed ~replica:t.id [ r ] ~start_us:now_us
                 ~done_us:(done_us +. a.Server.ad_extra_us))
             deliveries);
         note_success t;

@@ -167,8 +167,15 @@ type 'a device = {
 
 (** A fresh device. [id] offsets the audit and jitter seeds, so device 0
     draws exactly the streams the single server does — which is what makes
-    a 1-replica cluster byte-identical to it. *)
+    a 1-replica cluster byte-identical to it. Rejects a [deadline_us]
+    that is not finite and positive. *)
 let create_device ?pid ?auditor ~id ~loop ~tracer (config : config) ~execute =
+  Option.iter
+    (fun d ->
+      if not (Float.is_finite d && d > 0.0) then
+        Fmt.invalid_arg "Server.create_device: deadline_us must be finite and positive (got %g)"
+          d)
+    config.deadline_us;
   let pmax = policy_max_batch config.policy in
   let rs = config.resilience in
   {
@@ -321,8 +328,8 @@ let deliver d batch (outcome : exec_outcome) ~now_us ~done_us ~forced ~each =
           ~name:(if a.ad_clean then "audit_ok" else "audit_mismatch")
           ~cat:"integrity" ~tid:(req_tid id) ~ts_us:done_us
           ~args:[ "id", Json.Int id ];
-      Stats.record_fields d.stats ~id ~arrival_us:r.Admission.rq_arrival_us ~start_us:now_us
-        ~done_us:(done_us +. a.ad_extra_us) ~batch_size:size;
+      Stats.record_fields d.stats ~arrival_us:r.Admission.rq_arrival_us ~start_us:now_us
+        ~done_us:(done_us +. a.ad_extra_us);
       if traced then
         Trace.complete d.tracer ?pid:d.pid ~name:"queue" ~cat:"request" ~tid:(req_tid id)
           ~ts_us:r.Admission.rq_arrival_us

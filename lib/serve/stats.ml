@@ -6,51 +6,39 @@
 module Profiler = Acrobat_device.Profiler
 module Rng = Acrobat_tensor.Rng
 
-(** One completed request's life cycle, all in virtual microseconds. *)
-type record = {
-  r_id : int;
-  r_arrival_us : float;
-  r_start_us : float;  (** Batch launch time: queue wait ends here. *)
-  r_done_us : float;  (** Batch completion: response leaves the server. *)
-  r_batch_size : int;  (** Size of the batch this request rode in. *)
-}
+(* --- The completion accumulator ---
 
-(* --- bounded-memory streaming mode ---
+   Every completion adds its latency, queue wait and compute time to
+   running sums, kept unboxed in an all-float record with the first
+   arrival and the last completion, so the means and the makespan are the same
+   float additions in completion order at any run size. Its latency also
+   goes into one growable [float array] of samples. Up to [exact_limit]
+   completions the samples are every latency and the percentiles are
+   exact. The completion past the limit turns the samples into a
+   fixed-seed reservoir of [reservoir_capacity] latencies (Vitter's
+   Algorithm R): the retained latencies are replayed through it in
+   completion order, and every later completion is sampled in O(1) with
+   bounded memory. The reservoir RNG is seeded by a constant and consumed
+   only by completion index, so summaries are deterministic. *)
 
-   A 10⁶-request campaign must not retain 10⁶ latency records just to
-   print three percentiles at the end. Below [streaming_threshold]
-   completions, nothing changes: every record is kept and {!summarize}
-   computes exact percentiles — the exact-until-K contract that keeps all
-   legacy-sized runs byte-identical. The completion that crosses the
-   threshold converts the stream in place: the retained records are
-   replayed (oldest first) into one-pass mean accumulators and a
-   fixed-seed reservoir (Vitter's Algorithm R) over latencies, the record
-   list is dropped, and every later completion is absorbed in O(1) with
-   bounded memory. Means stay exact in streaming mode (running sums in
-   completion order — the same float addition order as the exact path);
-   percentiles become reservoir estimates over [reservoir_capacity]
-   samples. The reservoir RNG is seeded by a constant and consumed only
-   by completion index, so summaries are deterministic and independent of
-   {e when} the conversion happened. *)
+(** Completions whose latencies are all kept for exact percentiles. *)
+let exact_limit = 100_000
 
-let default_streaming_threshold = 100_000
-let streaming_threshold = ref default_streaming_threshold
-
-(** Completions retained exactly before streaming engages (global, like
-    {!Event_loop.set_debug_checks}, so harnesses can arm it without
-    threading a knob through every [create]). *)
-let set_streaming_threshold k =
-  if k < 1 then Fmt.invalid_arg "Stats.set_streaming_threshold: %d < 1" k;
-  streaming_threshold := k
-
-let current_streaming_threshold () = !streaming_threshold
-
-(** Latency samples kept for streaming percentiles. The standard error of
-    a p99 estimate over 8192 uniform samples is ~0.11% of rank — well
-    inside the nearest-rank quantization of the exact path at 10⁶. *)
+(** Latency samples kept past [exact_limit]. The standard error of a p99
+    estimate over 8192 uniform samples is ~0.11% of rank — well inside the
+    nearest-rank quantization of exact percentiles at 10⁶. *)
 let reservoir_capacity = 8192
 
 let reservoir_seed = 0x5eed
+
+(* All floats, so OCaml stores the fields flat and updates box nothing. *)
+type sums = {
+  mutable latency_ms : float;
+  mutable queue_ms : float;
+  mutable compute_ms : float;
+  mutable first_arrival_us : float;
+  mutable last_done_us : float;
+}
 
 type summary = {
   s_offered : int;  (** Arrivals: [s_completed] plus every terminal counter. *)
@@ -347,16 +335,11 @@ let active (s : summary) g =
   g = Core || List.exists (fun c -> c.group = g && c.read s > 0) counters
 
 type t = {
-  mutable records : record list;  (** Reverse completion order (exact mode). *)
-  mutable n_records : int;  (** Completions recorded, exact + streamed. *)
-  mutable streaming : bool;
-  mutable st_first_arrival_us : float;  (** Arrival of the first completion. *)
-  mutable st_last_done_us : float;
-  mutable st_sum_latency_ms : float;
-  mutable st_sum_queue_ms : float;
-  mutable st_sum_compute_ms : float;
-  mutable reservoir : float array;  (** Latency samples (ms); allocated lazily. *)
-  mutable reservoir_len : int;
+  mutable completed : int;
+  sums : sums;  (** Running sums and bounds over every completion. *)
+  mutable samples : float array;
+      (** Latencies (ms): every one in completion order up to {!exact_limit}
+          completions (the array grows by doubling), the reservoir after. *)
   res_rng : Rng.t;
   counts : int array;  (** One slot per {!counters} row. *)
   mutable batches : int;
@@ -384,16 +367,11 @@ and net_keys = Net_hidden | Net_before_device | Net_after_device
 
 let create () =
   {
-    records = [];
-    n_records = 0;
-    streaming = false;
-    st_first_arrival_us = 0.0;
-    st_last_done_us = 0.0;
-    st_sum_latency_ms = 0.0;
-    st_sum_queue_ms = 0.0;
-    st_sum_compute_ms = 0.0;
-    reservoir = [||];
-    reservoir_len = 0;
+    completed = 0;
+    sums =
+      { latency_ms = 0.0; queue_ms = 0.0; compute_ms = 0.0; first_arrival_us = 0.0;
+        last_done_us = 0.0 };
+    samples = [||];
     res_rng = Rng.create reservoir_seed;
     counts = Array.make (List.length counters) 0;
     batches = 0;
@@ -412,75 +390,46 @@ let add t c n = t.counts.(c.index) <- t.counts.(c.index) + n
 let incr t c = t.counts.(c.index) <- t.counts.(c.index) + 1
 let set t c n = t.counts.(c.index) <- n
 
-let streaming_active t = t.streaming
+(* Algorithm R's step for the [i]-th latency (0-based) once the reservoir
+   is full. *)
+let sample t i lat =
+  let j = Rng.int t.res_rng (i + 1) in
+  if j < reservoir_capacity then t.samples.(j) <- lat
 
-(* Absorb one completion into the streaming accumulators. [i] is the
-   0-based completion index — also the Algorithm-R sample count, so the
-   reservoir's RNG consumption depends only on the index sequence, never
-   on when the exact→streaming conversion fired. Takes bare fields so the
-   hot path ({!record_fields}) never allocates a [record] in streaming
-   mode. *)
-let stream_absorb_fields t i ~arrival_us ~start_us ~done_us =
-  if i = 0 then t.st_first_arrival_us <- arrival_us;
-  if done_us > t.st_last_done_us then t.st_last_done_us <- done_us;
-  let lat = (done_us -. arrival_us) /. 1000.0 in
-  t.st_sum_latency_ms <- t.st_sum_latency_ms +. lat;
-  t.st_sum_queue_ms <- t.st_sum_queue_ms +. ((start_us -. arrival_us) /. 1000.0);
-  t.st_sum_compute_ms <- t.st_sum_compute_ms +. ((done_us -. start_us) /. 1000.0);
-  if t.reservoir_len < reservoir_capacity then begin
-    t.reservoir.(t.reservoir_len) <- lat;
-    t.reservoir_len <- t.reservoir_len + 1
-  end
-  else begin
-    let j = Rng.int t.res_rng (i + 1) in
-    if j < reservoir_capacity then t.reservoir.(j) <- lat
-  end
-
-let stream_absorb t i (r : record) =
-  stream_absorb_fields t i ~arrival_us:r.r_arrival_us ~start_us:r.r_start_us
-    ~done_us:r.r_done_us
-
-(* One-time exact→streaming conversion: replay the retained records in
-   completion order, then drop them. *)
-let convert_to_streaming t =
-  t.reservoir <- Array.make reservoir_capacity 0.0;
-  let arr = Array.of_list t.records in
-  let n = Array.length arr in
-  (* [t.records] is reverse completion order: replay from the back. *)
-  for k = n - 1 downto 0 do
-    stream_absorb t (n - 1 - k) arr.(k)
+(* The completion past {!exact_limit}: replay the retained latencies in
+   completion order. The first [reservoir_capacity] already sit where
+   Algorithm R puts them, and the replay writes only below that slot, so
+   it runs in place. *)
+let to_reservoir t =
+  for i = reservoir_capacity to exact_limit - 1 do
+    sample t i t.samples.(i)
   done;
-  t.records <- [];
-  t.streaming <- true
+  t.samples <- Array.sub t.samples 0 reservoir_capacity
 
-(** Record one completion from bare fields — the allocation-free hot
-    path. In streaming mode (the regime million-request runs live in) no
-    [record] is ever built; in exact mode one is, because retention for
-    exact percentiles requires it. Complete paths in [Server], [Cluster]
-    and the tenancy dispatcher call this instead of boxing a [record]
-    per request (ROADMAP §1 hot-path follow-up). *)
-let record_fields t ~id ~arrival_us ~start_us ~done_us ~batch_size =
-  if t.streaming then begin
-    stream_absorb_fields t t.n_records ~arrival_us ~start_us ~done_us;
-    t.n_records <- t.n_records + 1
+(** Record one completion. Allocates nothing but the occasional doubling
+    of the sample array below {!exact_limit}. *)
+let record_fields t ~arrival_us ~start_us ~done_us =
+  let i = t.completed in
+  let s = t.sums in
+  if i = 0 then s.first_arrival_us <- arrival_us;
+  if done_us > s.last_done_us then s.last_done_us <- done_us;
+  let lat = (done_us -. arrival_us) /. 1000.0 in
+  s.latency_ms <- s.latency_ms +. lat;
+  s.queue_ms <- s.queue_ms +. ((start_us -. arrival_us) /. 1000.0);
+  s.compute_ms <- s.compute_ms +. ((done_us -. start_us) /. 1000.0);
+  t.completed <- i + 1;
+  if i < exact_limit then begin
+    if i = Array.length t.samples then begin
+      let grown = Array.make (min exact_limit (max 256 (2 * i))) 0.0 in
+      Array.blit t.samples 0 grown 0 i;
+      t.samples <- grown
+    end;
+    t.samples.(i) <- lat
   end
   else begin
-    t.records <-
-      {
-        r_id = id;
-        r_arrival_us = arrival_us;
-        r_start_us = start_us;
-        r_done_us = done_us;
-        r_batch_size = batch_size;
-      }
-      :: t.records;
-    t.n_records <- t.n_records + 1;
-    if t.n_records > !streaming_threshold then convert_to_streaming t
+    if i = exact_limit then to_reservoir t;
+    sample t i lat
   end
-
-let record t (r : record) =
-  record_fields t ~id:r.r_id ~arrival_us:r.r_arrival_us ~start_us:r.r_start_us
-    ~done_us:r.r_done_us ~batch_size:r.r_batch_size
 
 let note_batch t ~size ~profiler =
   t.batches <- t.batches + 1;
@@ -506,64 +455,12 @@ let percentile (xs : float array) (p : float) : float =
   percentile_sorted sorted p
 
 let summarize (t : t) : summary =
-  let n, p50, p95, p99, mean_ms, mean_queue_ms, mean_compute_ms, makespan_us =
-    if t.streaming then begin
-      (* Streaming mode: means from the exact running sums, percentiles
-         from the sorted reservoir sample. *)
-      let n = t.n_records in
-      let sorted = Array.sub t.reservoir 0 t.reservoir_len in
-      Array.sort Float.compare sorted;
-      let fn = float_of_int n in
-      ( n,
-        percentile_sorted sorted 50.0,
-        percentile_sorted sorted 95.0,
-        percentile_sorted sorted 99.0,
-        t.st_sum_latency_ms /. fn,
-        t.st_sum_queue_ms /. fn,
-        t.st_sum_compute_ms /. fn,
-        t.st_last_done_us -. t.st_first_arrival_us )
-    end
-    else begin
-      (* Exact mode. [t.records] is reverse completion order; fill the
-         arrays from the back while walking it once, so completion order is
-         restored without building the reversed list or any per-mean
-         intermediate list. Sums then run in ascending (completion) order —
-         the same float addition order as before, keeping summaries
-         bit-identical across the rewrite. *)
-      let n = t.n_records in
-      let latencies = Array.make n 0.0 in
-      let queue_waits = Array.make n 0.0 in
-      let computes = Array.make n 0.0 in
-      let first_arrival_us = ref 0.0 in
-      let last_done_us = ref 0.0 in
-      let i = ref (n - 1) in
-      List.iter
-        (fun r ->
-          latencies.(!i) <- (r.r_done_us -. r.r_arrival_us) /. 1000.0;
-          queue_waits.(!i) <- (r.r_start_us -. r.r_arrival_us) /. 1000.0;
-          computes.(!i) <- (r.r_done_us -. r.r_start_us) /. 1000.0;
-          if !i = 0 then first_arrival_us := r.r_arrival_us;
-          if r.r_done_us > !last_done_us then last_done_us := r.r_done_us;
-          decr i)
-        t.records;
-      (* One sort shared by every percentile below; [latencies] itself
-         stays in completion order for the mean. *)
-      let sorted_latencies = Array.copy latencies in
-      Array.sort Float.compare sorted_latencies;
-      let mean xs =
-        if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 xs /. float_of_int n
-      in
-      let makespan_us = if n = 0 then 0.0 else !last_done_us -. !first_arrival_us in
-      ( n,
-        percentile_sorted sorted_latencies 50.0,
-        percentile_sorted sorted_latencies 95.0,
-        percentile_sorted sorted_latencies 99.0,
-        mean latencies,
-        mean queue_waits,
-        mean computes,
-        makespan_us )
-    end
-  in
+  let n = t.completed in
+  (* The first [n] latencies, or the whole reservoir past the limit. *)
+  let sorted = Array.sub t.samples 0 (min n (Array.length t.samples)) in
+  Array.sort Float.compare sorted;
+  let mean sum = if n = 0 then 0.0 else sum /. float_of_int n in
+  let makespan_us = t.sums.last_done_us -. t.sums.first_arrival_us in
   let c = count t in
   {
     s_offered = List.fold_left (fun acc r -> acc + c r) n terminals;
@@ -571,12 +468,12 @@ let summarize (t : t) : summary =
     s_makespan_ms = makespan_us /. 1000.0;
     s_throughput_rps =
       (if makespan_us > 0.0 then float_of_int n /. (makespan_us /. 1.0e6) else 0.0);
-    s_p50_ms = p50;
-    s_p95_ms = p95;
-    s_p99_ms = p99;
-    s_mean_ms = mean_ms;
-    s_mean_queue_ms = mean_queue_ms;
-    s_mean_compute_ms = mean_compute_ms;
+    s_p50_ms = percentile_sorted sorted 50.0;
+    s_p95_ms = percentile_sorted sorted 95.0;
+    s_p99_ms = percentile_sorted sorted 99.0;
+    s_mean_ms = mean t.sums.latency_ms;
+    s_mean_queue_ms = mean t.sums.queue_ms;
+    s_mean_compute_ms = mean t.sums.compute_ms;
     s_batches = t.batches;
     s_mean_batch =
       (if t.batches = 0 then 0.0
@@ -755,8 +652,8 @@ let counter_metrics t =
   let serve c = "serve." ^ c.name, count t c in
   let net_rows keys = if t.net_keys = keys then List.map serve (rows_of Net) else [] in
   [
-    "serve.offered", List.fold_left (fun n c -> n + count t c) t.n_records terminals;
-    "serve.completed", t.n_records;
+    "serve.offered", List.fold_left (fun n c -> n + count t c) t.completed terminals;
+    "serve.completed", t.completed;
   ]
   @ List.map serve (rows_of Core)
   @ ("serve.batches", t.batches)

@@ -413,11 +413,10 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
       Server.note_delivery st.stats ~outcome d;
       Server.note_delivery ts.ts_stats ~outcome d;
       let r_done_us = done_us +. d.Server.ad_extra_us in
-      Stats.record_fields st.stats ~id:r.Admission.rq_id ~arrival_us:r.Admission.rq_arrival_us
-        ~start_us:now ~done_us:r_done_us ~batch_size:size;
-      Stats.record_fields ts.ts_stats ~id:r.Admission.rq_id
-        ~arrival_us:r.Admission.rq_arrival_us ~start_us:now ~done_us:r_done_us
-        ~batch_size:size;
+      Stats.record_fields st.stats ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
+        ~done_us:r_done_us;
+      Stats.record_fields ts.ts_stats ~arrival_us:r.Admission.rq_arrival_us ~start_us:now
+        ~done_us:r_done_us;
       (match r.Admission.rq_deadline_us with
       | Some d when r_done_us > d -> ()
       | Some _ | None ->
@@ -791,6 +790,7 @@ let simulate ?(tracer = Trace.null) ?snapshot_every_us ?arrivals ?auditor (cfg :
     ~(model_bytes : string -> int) : report =
   if Array.length tenants = 0 then Fmt.invalid_arg "Dispatcher.simulate: no tenants";
   Array.iter (fun t -> ignore (Tenant.validate t)) tenants;
+  Hedge.check_percentile ~who:"Dispatcher.simulate" cfg.t_hedge_percentile;
   let loop = Event_loop.create (Clock.create ()) in
   let st =
     {

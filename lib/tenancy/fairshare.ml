@@ -31,9 +31,6 @@ let create ~(weights : float array) : t =
 
 let tenants t = Array.length t.weights
 
-(** Virtual work accumulated by tenant [i] (after any floor clamps). *)
-let virtual_work t i = t.v.(i)
-
 (* Effective key: an idle tenant's stale clock counts as the floor. *)
 let key t i = Float.max t.v.(i) t.vfloor
 

@@ -54,8 +54,6 @@ let sum t =
 
 let mean t = sum t /. float_of_int (max 1 (numel t))
 
-let max_value t = fold Float.max neg_infinity t
-
 let argmax t =
   let best = ref 0 in
   for i = 1 to numel t - 1 do

@@ -40,7 +40,6 @@ val reshape : t -> Shape.t -> t
 val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
 val sum : t -> float
 val mean : t -> float
-val max_value : t -> float
 
 (** Index of the maximum element (flattened). *)
 val argmax : t -> int

@@ -9,6 +9,3 @@ let sample_length rng =
 (** A sentence as word ids. *)
 let sample ?(vocab = 10_000) rng =
   List.init (sample_length rng) (fun _ -> Rng.int rng vocab)
-
-(** Fixed-length sequence (e.g. padded transformer inputs). *)
-let sample_fixed ?(vocab = 10_000) rng ~len = List.init len (fun _ -> Rng.int rng vocab)

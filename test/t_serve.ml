@@ -100,7 +100,7 @@ let test_admission_shed () =
   check_true "shed at capacity" (not (offer_counted c q ~now_us:2.0 (rq 2 2.0)));
   check_int "shed counted" 1 c.n_shed;
   check_float "oldest" 0.0 (Option.get (Admission.oldest_arrival_us q));
-  let batch = Admission.take q ~now_us:5.0 ~limit:10 in
+  let batch, _ = take_counted c q ~now_us:5.0 ~limit:10 in
   Alcotest.(check (list int)) "FIFO ids" [ 0; 1 ]
     (List.map (fun r -> r.Admission.rq_id) batch)
 
@@ -989,14 +989,11 @@ let test_admission_counters () =
   check_int "drained empty" 0 (Admission.length q);
   check_true "oldest gone" (Admission.oldest_arrival_us q = None)
 
-(* --- Streaming stats: exact-until-K, then reservoir percentiles --- *)
+(* --- Stats: exact percentiles up to the limit, a reservoir past it --- *)
 
 let test_stats_reservoir_error () =
-  let saved = Stats.current_streaming_threshold () in
-  Stats.set_streaming_threshold 1_000;
-  Fun.protect ~finally:(fun () -> Stats.set_streaming_threshold saved) @@ fun () ->
   let t = Stats.create () in
-  let n = 50_000 in
+  let n = Stats.exact_limit + 20_000 in
   let rng = Rng.create 5 in
   let exact = Array.make n 0.0 in
   for i = 0 to n - 1 do
@@ -1004,19 +1001,13 @@ let test_stats_reservoir_error () =
        (widest) quantile spread for a fixed-size sample. *)
     let lat_us = 100_000.0 *. Rng.float rng in
     exact.(i) <- lat_us /. 1000.0;
-    Stats.record t
-      {
-        Stats.r_id = i;
-        r_arrival_us = float_of_int i;
-        r_start_us = float_of_int i;
-        r_done_us = float_of_int i +. lat_us;
-        r_batch_size = 1;
-      }
+    Stats.record_fields t ~arrival_us:(float_of_int i) ~start_us:(float_of_int i)
+      ~done_us:(float_of_int i +. lat_us)
   done;
-  check_true "streaming engaged past the threshold" (Stats.streaming_active t);
+  check_int "reservoir bounded" Stats.reservoir_capacity (Array.length t.Stats.samples);
   let s = Stats.summarize t in
-  check_int "count survives the conversion" n s.Stats.s_completed;
-  (* Reservoir percentiles against the exact ones over all 50k latencies.
+  check_int "count survives the reservoir" n s.Stats.s_completed;
+  (* Reservoir percentiles against the exact ones over all latencies.
      8192 samples bound the quantile standard error at ~0.55% of rank
      (p50), so a 2.5ms tolerance on a 100ms range is ~4.5 sigma — and the
      fixed seed makes the draw deterministic anyway. *)
@@ -1024,27 +1015,20 @@ let test_stats_reservoir_error () =
   check_true "p50 within bound" (Float.abs (s.Stats.s_p50_ms -. exact_p 50.0) < 2.5);
   check_true "p95 within bound" (Float.abs (s.Stats.s_p95_ms -. exact_p 95.0) < 2.5);
   check_true "p99 within bound" (Float.abs (s.Stats.s_p99_ms -. exact_p 99.0) < 2.5);
-  (* Means are running sums in completion order — the identical float
-     additions the exact path performs, so they agree exactly. *)
+  (* Means are running sums in completion order at every run size. *)
   let mean_exact = Array.fold_left ( +. ) 0.0 exact /. float_of_int n in
-  check_float "mean stays exact in streaming mode" mean_exact s.Stats.s_mean_ms
+  check_float "mean stays exact past the limit" mean_exact s.Stats.s_mean_ms
 
 let test_stats_exact_below_threshold () =
-  (* Below the threshold nothing changes: records are retained and the
-     summary is the exact one (the exact-until-K contract that keeps all
-     legacy-sized runs byte-identical). *)
+  (* Below the limit every latency is kept and the summary is the exact
+     one. *)
   let t = Stats.create () in
   for i = 0 to 99 do
-    Stats.record t
-      {
-        Stats.r_id = i;
-        r_arrival_us = float_of_int (i * 10);
-        r_start_us = float_of_int ((i * 10) + 5);
-        r_done_us = float_of_int ((i * 10) + 20);
-        r_batch_size = 1;
-      }
+    Stats.record_fields t ~arrival_us:(float_of_int (i * 10))
+      ~start_us:(float_of_int ((i * 10) + 5))
+      ~done_us:(float_of_int ((i * 10) + 20))
   done;
-  check_true "still exact" (not (Stats.streaming_active t));
+  check_true "every latency kept" (Array.length t.Stats.samples >= 100);
   let s = Stats.summarize t in
   check_int "completed" 100 s.Stats.s_completed;
   check_float "exact p99" 0.02 s.Stats.s_p99_ms;
@@ -1129,6 +1113,22 @@ let test_cluster_hedging_p99 () =
   check_true "hedging loses no completions"
     (hedged.Stats.s_completed >= plain.Stats.s_completed)
 
+(* One ["done"] dispatcher instant per completion, as the chaos invariants
+   read them: no request id may appear twice, and together they are every
+   completion the summary counts. *)
+let check_no_dup_completion tracer (s : Stats.summary) =
+  let tids =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        if e.Trace.ev_name = "done" && e.Trace.ev_ph = 'i' && e.Trace.ev_pid = 0 then
+          Some e.Trace.ev_tid
+        else None)
+      (Trace.events tracer)
+  in
+  check_int "one done instant per completion" s.Stats.s_completed (List.length tids);
+  check_int "no request id completed twice" (List.length tids)
+    (List.length (List.sort_uniq compare tids))
+
 let test_cluster_request_accounting () =
   (* The nastiest combination: a dead replica (failover + requeue), a
      straggler (hedging fires), deadlines and a small queue (expiry + shed).
@@ -1136,8 +1136,9 @@ let test_cluster_request_accounting () =
      may complete twice no matter how many copies hedging created. *)
   let n = 140 in
   let arrivals = cluster_arrivals ~n 11 in
+  let tracer = Trace.create () in
   let report =
-    Cluster.simulate
+    Cluster.simulate ~tracer
       { Cluster.default_config with
         Cluster.c_replicas = 3;
         Cluster.c_hedge_percentile = Some 85.0;
@@ -1152,9 +1153,7 @@ let test_cluster_request_accounting () =
   check_int "every request terminates exactly once" n
     (s.Stats.s_completed + s.Stats.s_shed + s.Stats.s_expired + s.Stats.s_poisoned
    + s.Stats.s_breaker_shed);
-  let ids = List.map (fun r -> r.Stats.r_id) st.Stats.records in
-  check_int "no request id completed twice" (List.length ids)
-    (List.length (List.sort_uniq compare ids));
+  check_no_dup_completion tracer s;
   check_true "stress exercised failover and hedging"
     (s.Stats.s_failovers > 0 && s.Stats.s_hedges > 0)
 
@@ -1493,14 +1492,9 @@ let test_percentile_sorted_agreement () =
   let lats_ms =
     Array.init 50 (fun i ->
         let latency_us = 500.0 *. Rng.float rng in
-        Stats.record stats
-          {
-            Stats.r_id = i;
-            r_arrival_us = 10.0 *. float_of_int i;
-            r_start_us = 10.0 *. float_of_int i;
-            r_done_us = (10.0 *. float_of_int i) +. latency_us;
-            r_batch_size = 1;
-          };
+        Stats.record_fields stats ~arrival_us:(10.0 *. float_of_int i)
+          ~start_us:(10.0 *. float_of_int i)
+          ~done_us:((10.0 *. float_of_int i) +. latency_us);
         latency_us /. 1000.0)
   in
   let s = Stats.summarize stats in
@@ -1610,7 +1604,7 @@ let replica_health_prop (verdicts : int list) : bool =
     {
       Replica.cb_live = (fun _ -> true);
       cb_completed =
-        (fun ~replica:_ _ ~size:_ ~start_us:_ ~done_us:_ ->
+        (fun ~replica:_ _ ~start_us:_ ~done_us:_ ->
           if !tape <> [] then feed ());
       cb_cancelled = (fun ~replica:_ _ -> ());
       cb_lost = (fun ~replica:_ _ _ -> ());
@@ -1940,23 +1934,21 @@ let test_net_exactly_once () =
   let n = 160 in
   let arrivals = cluster_arrivals ~n 17 in
   let plan = Net.parse "seed=5,delay=150:60,drop=0.08,dup=0.3,timeout=3000,resends=3" in
+  let tracer = Trace.create () in
   let report =
-    Cluster.simulate
+    Cluster.simulate ~tracer
       { Cluster.default_config with Cluster.c_replicas = 3; Cluster.c_net = Some plan }
       ~arrivals ~payload:Fun.id
       ~executors:[| ok_exec; ok_exec; ok_exec |]
   in
-  let st = report.Cluster.cluster_stats in
-  let s = Stats.summarize st in
+  let s = Stats.summarize report.Cluster.cluster_stats in
   check_int "every request terminates exactly once" n (net_terminals s);
   check_int "offered matches the arrival count" n s.Stats.s_offered;
   check_true "duplication and loss actually fired"
     (s.Stats.s_net_dups > 0 && s.Stats.s_net_drops > 0 && s.Stats.s_net_timeouts > 0);
   check_true "the dedup window absorbed duplicates" (s.Stats.s_net_dedup_hits > 0);
   check_net_conservation s;
-  let ids = List.map (fun r -> r.Stats.r_id) st.Stats.records in
-  check_int "no request id completed twice" (List.length ids)
-    (List.length (List.sort_uniq compare ids))
+  check_no_dup_completion tracer s
 
 let test_net_partition_failover_deterministic () =
   (* Replica 2 is cut off mid-run; dispatch must fail over to the
@@ -2369,6 +2361,43 @@ let test_traffic_rejects_bad_rates () =
   rejects "mean_dwell_us must be finite and positive (got 0)"
     (Traffic.Bursty { rate_low_per_s = 10.0; rate_high_per_s = 100.0; mean_dwell_us = 0.0 })
 
+(* A hedge percentile outside [0, 100], or NaN, used to reach the hedge
+   timer unchecked and issue hedges anyway. *)
+let test_cluster_rejects_bad_hedge () =
+  List.iter
+    (fun p ->
+      let msg =
+        Fmt.str "Cluster.simulate: hedge percentile must be finite and in [0, 100] (got %g)" p
+      in
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore
+            (Cluster.simulate
+               { Cluster.default_config with
+                 Cluster.c_replicas = 2; Cluster.c_hedge_percentile = Some p }
+               ~arrivals:(cluster_arrivals ~n:4 1) ~payload:Fun.id
+               ~executors:[| ok_exec; ok_exec |])))
+    [ -1.0; 100.5; Float.nan; Float.infinity ]
+
+(* A non-positive deadline expired every request and a NaN one broke the
+   EDF order's strict totality; both are rejected where the single server
+   and each cluster replica build their device. *)
+let test_server_rejects_bad_deadline () =
+  let arrivals = cluster_arrivals ~n:4 1 in
+  List.iter
+    (fun d ->
+      let msg =
+        Fmt.str "Server.create_device: deadline_us must be finite and positive (got %g)" d
+      in
+      let server = { Server.default_config with Server.deadline_us = Some d } in
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (Server.simulate server ~arrivals ~payload:Fun.id ~execute:ok_exec));
+      Alcotest.check_raises ("replicas: " ^ msg) (Invalid_argument msg) (fun () ->
+          ignore
+            (Cluster.simulate
+               { Cluster.default_config with Cluster.c_replicas = 2; Cluster.c_server = server }
+               ~arrivals ~payload:Fun.id ~executors:[| ok_exec; ok_exec |])))
+    [ -5000.0; 0.0; Float.nan; Float.infinity ]
+
 (* The whole simulation, not just its containers: the production serving
    core and its reference build give byte-identical summaries ([bench
    scale] checks the same at 10^3..10^6 requests). The bursty campaign
@@ -2580,4 +2609,8 @@ let suite =
       test_traffic_rejects_bad_rates;
     Alcotest.test_case "reference: whole simulations byte-identical under overload" `Quick
       test_reference_simulation_identical;
+    Alcotest.test_case "cluster: out-of-range hedge percentiles rejected" `Quick
+      test_cluster_rejects_bad_hedge;
+    Alcotest.test_case "server: non-positive and non-finite deadlines rejected" `Quick
+      test_server_rejects_bad_deadline;
   ]

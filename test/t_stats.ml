@@ -233,7 +233,7 @@ let test_cluster_metrics_golden () =
 (* A hand-built run: one completion and one queue shed. *)
 let two_requests () =
   let t = Stats.create () in
-  Stats.record_fields t ~id:0 ~arrival_us:0.0 ~start_us:1.0 ~done_us:2.0 ~batch_size:1;
+  Stats.record_fields t ~arrival_us:0.0 ~start_us:1.0 ~done_us:2.0;
   Stats.incr t Stats.shed;
   t
 

@@ -584,6 +584,23 @@ let test_dispatcher_partition_failover () =
     (json (run None))
     (json (run (Some Net.none)))
 
+(* The dispatcher reads the same hedge percentile as the cluster and
+   rejects the same out-of-range values. *)
+let test_dispatcher_rejects_bad_hedge () =
+  List.iter
+    (fun p ->
+      let msg =
+        Fmt.str "Dispatcher.simulate: hedge percentile must be finite and in [0, 100] (got %g)"
+          p
+      in
+      let cfg = { (base_config ()) with Dispatcher.t_hedge_percentile = Some p } in
+      let t = mk_tenant ~seed:7 ~index:0 ~rate:3_000.0 ~slo_ms:1_000.0 ~requests:4 "hedged" in
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore
+            (Dispatcher.simulate cfg ~tenants:[| t |] ~payload ~execute:uniform_execute
+               ~model_bytes:no_swap_bytes)))
+    [ -1.0; 101.0; Float.nan ]
+
 let suite =
   [
     prop_fairshare_tracks_weights;
@@ -616,4 +633,6 @@ let suite =
       test_serve_tenants_audited_end_to_end;
     Alcotest.test_case "net: dispatcher partition failover" `Quick
       test_dispatcher_partition_failover;
+    Alcotest.test_case "resilience: out-of-range hedge percentiles rejected" `Quick
+      test_dispatcher_rejects_bad_hedge;
   ]
