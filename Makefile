@@ -143,20 +143,22 @@ chaos-smoke: build
 # bound. The metric is exact for a fixed binary (no timing noise). Each
 # bound sits ~20% above its reading with the allocation-lean DFG and
 # executor (DESIGN.md §19), the constant-cost serving path (§20),
-# batched-only DFG nodes (§21) and AOT calls without forwarded weights
-# (§23), so a return to per-node lists, closures or boxed floats in DFG
-# construction or batch execution, to per-batch kernel plans, to shared
-# arguments on every node, to per-event boxing in the event loop, or to
-# frames carrying forwarded weights fails it. offline-treelstm reads
-# ~5.64k (7.64k before §23, 8.86k before §21, 25.6k before §19, ~419k
-# before node plans, §17). offline-stackrnn-values reads ~69.6k (70.6k
-# before §23, 71.7k before §21, 81.9k before §19, ~212k before the tight
-# host kernels, §18). serve-birnn reads ~15.7k (16.8k before §23, 17.9k
-# before §21, 22.5k before §20, 35.5k before §19) and fleet-overload
-# ~1.26k per request (1.28k before §23, 1.34k before §21, 2.19k before
-# §20, 2.4k before §19).
-ALLOC_GATES = offline-treelstm:6800 offline-stackrnn-values:86000 \
-  serve-birnn:18800 fleet-overload:1530
+# batched-only DFG nodes (§21), AOT calls without forwarded weights
+# (§23) and programs staged once (§27), so a return to per-node lists,
+# closures or boxed floats in DFG construction or batch execution, to
+# per-batch kernel plans or staging, to shared arguments on every node,
+# to per-event boxing in the event loop, to frames carrying forwarded
+# weights or to trace work on untraced devices fails it.
+# offline-treelstm reads ~5.52k (5.64k before §27, 7.64k before §23,
+# 8.86k before §21, 25.6k before §19, ~419k before node plans, §17).
+# offline-stackrnn-values reads ~67.6k (69.6k before §27, 70.6k before
+# §23, 71.7k before §21, 81.9k before §19, ~212k before the tight host
+# kernels, §18). serve-birnn reads ~12.6k (15.6k before §27, 16.8k
+# before §23, 17.9k before §21, 22.5k before §20, 35.5k before §19) and
+# fleet-overload ~1.06k per request (1.24k before §27, 1.28k before
+# §23, 1.34k before §21, 2.19k before §20, 2.4k before §19).
+ALLOC_GATES = offline-treelstm:6600 offline-stackrnn-values:81000 \
+  serve-birnn:15100 fleet-overload:1280
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \

@@ -52,6 +52,10 @@ type compiled = {
   lprog : Lowered.t;
   framework : Frameworks.kind;
   quality : int -> float;  (** Kernel schedule quality (auto-scheduled). *)
+  staged : Acrobat_engines.Aot.t Lazy.t;
+      (** [lprog] staged for the AOT engine, once: at the first batch that
+          needs it. {!tune} changes only [quality], so a tuned copy shares
+          it; each batch binds its own runtime to it for the run. *)
 }
 
 (** Parse, type check, analyze and lower [source]. [inputs] names the
@@ -68,14 +72,21 @@ let compile ?(framework = Frameworks.Acrobat Config.acrobat) ?tracer
     | Frameworks.Dynet _ | Frameworks.Pytorch ->
       fun id -> Autosched.quality Frameworks.vendor_quality id
   in
-  { lprog; framework; quality }
+  let staged = lazy (Driver.stage lprog) in
+  { lprog; framework; quality; staged }
+
+(* The staged program a batch of [c] binds: AOT presets only. *)
+let staged c =
+  match Frameworks.mode c.framework with
+  | Driver.Aot_mode -> Some (Lazy.force c.staged)
+  | Driver.Vm_mode -> None
 
 (** Execute a mini-batch. [compute_values] makes kernels produce real
     tensors (needed to inspect outputs; large benchmark configurations run
     accounting-only, cf. DESIGN.md). *)
 let run ?compute_values ?seed (c : compiled) ~(weights : (string * Tensor.t) list)
     ~(instances : (string * Driver.hval) list list) () : Driver.result =
-  Driver.run_batch ?compute_values ?seed ~mode:(Frameworks.mode c.framework)
+  Driver.run_batch ?compute_values ?seed ?staged:(staged c) ~mode:(Frameworks.mode c.framework)
     ~policy:(Frameworks.policy c.framework) ~quality:c.quality ~lprog:c.lprog ~weights
     ~instances ()
 
@@ -136,7 +147,7 @@ let gen_batch (model : Model.t) ~batch ~seed =
 let run_batch ?compute_values ?seed ?device ?tracer ?instance_keys (c : compiled)
     ~(weights : (string * Tensor.t) list)
     ~(instances : (string * Driver.hval) list list) () : Driver.result =
-  Driver.run_batch ?compute_values ?seed ?device ?tracer ?instance_keys
+  Driver.run_batch ?compute_values ?seed ?device ?tracer ?instance_keys ?staged:(staged c)
     ~mode:(Frameworks.mode c.framework) ~policy:(Frameworks.policy c.framework)
     ~quality:c.quality ~lprog:c.lprog ~weights ~instances ()
 

@@ -76,10 +76,17 @@ let inject_launch t =
         | Faults.Device_reset -> (Faults.plan f).Faults.reset_cost_us
       in
       Profiler.charge t.profiler Kernel_exec burn;
-      Trace.instant_rel t.tracer ~name:"fault" ~cat:"device"
-        ~ts_us:(Profiler.total_us t.profiler)
-        ~args:[ "kind", Json.Str (Faults.kind_name kind) ];
+      if Trace.enabled t.tracer then
+        Trace.instant_rel t.tracer ~name:"fault" ~cat:"device"
+          ~ts_us:(Profiler.total_us t.profiler)
+          ~args:[ "kind", Json.Str (Faults.kind_name kind) ];
       raise e)
+
+(* A span's start: the virtual time so far, which is a fold over every
+   activity, read only when the device traces. Everything a span costs —
+   this read and its [~args] list — sits behind [Trace.enabled], so a
+   device on {!Trace.null} does no work for the trace. *)
+let trace_start t = if Trace.enabled t.tracer then Profiler.total_us t.profiler else 0.0
 
 (** Launch one compute kernel performing [flops] of work.
 
@@ -94,37 +101,40 @@ let launch_kernel ?(quality = 1.0) ?(scattered_inputs = false) ?(bytes = 0.0) t 
   let base = Cost_model.kernel_time t.cost ~flops ~bytes in
   let penalty = if scattered_inputs then 1.0 +. t.cost.indirection_penalty else 1.0 in
   let time = base *. penalty /. quality *. fault_mult in
-  let ts = Profiler.total_us t.profiler in
+  let ts = trace_start t in
   t.profiler.kernel_calls <- t.profiler.kernel_calls + 1;
   Profiler.charge t.profiler Kernel_exec time;
   Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
-  Trace.complete_rel t.tracer ~name:"kernel" ~cat:"device" ~ts_us:ts ~dur_us:time
-    ~args:[ "flops", Json.Float flops ]
+  if Trace.enabled t.tracer then
+    Trace.complete_rel t.tracer ~name:"kernel" ~cat:"device" ~ts_us:ts ~dur_us:time
+      ~args:[ "flops", Json.Float flops ]
 
 (** Launch an explicit memory-gather kernel copying [bytes] into a fresh
     contiguous slab; returns the slab's base address. *)
 let launch_gather t ~bytes ~elems =
   let fault_mult = inject_launch t in
   let time = Cost_model.gather_time t.cost ~bytes *. fault_mult in
-  let ts = Profiler.total_us t.profiler in
+  let ts = trace_start t in
   t.profiler.kernel_calls <- t.profiler.kernel_calls + 1;
   t.profiler.gather_kernels <- t.profiler.gather_kernels + 1;
   t.profiler.gather_bytes <- t.profiler.gather_bytes + bytes;
   Profiler.charge t.profiler Kernel_exec time;
   Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
-  Trace.complete_rel t.tracer ~name:"gather" ~cat:"device" ~ts_us:ts ~dur_us:time
-    ~args:[ "bytes", Json.Int bytes ];
+  if Trace.enabled t.tracer then
+    Trace.complete_rel t.tracer ~name:"gather" ~cat:"device" ~ts_us:ts ~dur_us:time
+      ~args:[ "bytes", Json.Int bytes ];
   Memory.alloc t.memory ~elems
 
 (** One host->device (or device->host) transfer of [bytes]. *)
 let memcpy t ~bytes =
   let time = Cost_model.memcpy_time t.cost ~bytes in
-  let ts = Profiler.total_us t.profiler in
+  let ts = trace_start t in
   t.profiler.memcpy_calls <- t.profiler.memcpy_calls + 1;
   Profiler.charge t.profiler Mem_transfer time;
   Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
-  Trace.complete_rel t.tracer ~name:"memcpy" ~cat:"device" ~ts_us:ts ~dur_us:time
-    ~args:[ "bytes", Json.Int bytes ]
+  if Trace.enabled t.tracer then
+    Trace.complete_rel t.tracer ~name:"memcpy" ~cat:"device" ~ts_us:ts ~dur_us:time
+      ~args:[ "bytes", Json.Int bytes ]
 
 (** Upload a tensor, returning its device address. *)
 let upload t tensor =
@@ -152,8 +162,9 @@ let charge_vm_dispatch t = Profiler.charge t.profiler Vm_overhead t.cost.vm_disp
 let charge_fiber_switch t =
   t.profiler.fiber_switches <- t.profiler.fiber_switches + 1;
   Profiler.charge t.profiler Fiber_overhead t.cost.fiber_switch_us;
-  Trace.instant_rel t.tracer ~name:"fiber_switch" ~cat:"runtime"
-    ~ts_us:(Profiler.total_us t.profiler)
+  if Trace.enabled t.tracer then
+    Trace.instant_rel t.tracer ~name:"fiber_switch" ~cat:"runtime"
+      ~ts_us:(Profiler.total_us t.profiler)
 
 let note_batch t = t.profiler.batches_executed <- t.profiler.batches_executed + 1
 let note_unbatched t = t.profiler.unbatched_ops <- t.profiler.unbatched_ops + 1

@@ -8,7 +8,13 @@
     interpreted counterpart). A parameter the definition only forwards
     ({!Forwarded}, computed once when the program is lowered) gets no frame
     slot and is not passed by direct calls; an [fn] gets a frame of its
-    own, holding just what its body reads. *)
+    own, holding just what its body reads.
+
+    Staging ({!stage}) holds no runtime: a compiled program is staged once
+    and every mini-batch binds its own runtime for the length of one run
+    ({!with_runtime}), as the paper's AOT-compiled model is built once and
+    each mini-batch pays only for DFG construction, scheduling and kernels
+    (DESIGN.md §27). *)
 
 open Acrobat_compiler
 open Acrobat_runtime
@@ -31,14 +37,33 @@ type staged = {
   mutable body : value array -> ictx -> value;
 }
 
+(* What one run binds: its runtime, and its policy. The policy is bound per
+   run, not staged, because its signature function may keep state for the
+   run (DyNet numbers the nodes it cannot batch). *)
+type binding = { rt : Runtime.t; policy : Policy.t }
+
+(* A staged program. It holds no runtime: the closure tree reads the run
+   in progress from [bound] and [shared], and nothing else in it changes
+   after staging. *)
 type t = {
-  rt : Runtime.t;
-  policy : Policy.t;
   lprog : L.t;
   fibers : bool;  (** Run instances as fibers (TDC present and enabled). *)
   base_depth : int;  (** Initial dynamic depth (above all static depths). *)
   defs : (string, staged) Hashtbl.t;  (** Every definition, staged. *)
+  mutable main : staged option;  (** @main's cell, if the program defines it. *)
+  mutable bound : binding option;  (** The run in progress. *)
+  mutable shared : value array;
+      (** Per [Lshared] site, the handle the run in progress resolved there
+          ([Vnil] until it first evaluates). Device addresses differ per
+          run, so these are per-run state, cleared with the binding. *)
 }
+
+(* The run in progress; a closure reached outside a run (a function value
+   @main returned, applied afterwards) fails here. *)
+let binding st =
+  match st.bound with
+  | Some b -> b
+  | None -> fail "AOT: program evaluated outside a run (no runtime bound)"
 
 (* Compile-time scope: variable name -> frame slot. Every binding
    occurrence gets a distinct slot, so closures capturing the frame never
@@ -159,8 +184,8 @@ let run_parallel ~fork ictx n (thunk : int -> 'a -> ictx -> value) (x : 'a) : va
     out
   end
 
-(* [run_parallel]'s [fork]: fibers are on and the policy forks them. *)
-let forks st = st.fibers && st.policy.Policy.allow_fork
+(* [run_parallel]'s [fork]: fibers are on and the run's policy forks them. *)
+let forks st = st.fibers && (binding st).policy.Policy.allow_fork
 
 let apply_elem i (fv, elems) c = fv c [ elems.(i) ]
 
@@ -270,13 +295,14 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           ictx.ictx_depth <- d + 1;
           d
       in
-      let plan = Runtime.plan st.rt kernel args in
-      let sig_key = st.policy.Policy.sig_of st.rt plan args in
+      let { rt; policy } = binding st in
+      let plan = Runtime.plan rt kernel args in
+      let sig_key = policy.Policy.sig_of rt plan args in
       let outs =
-        Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
+        Runtime.invoke rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
           ~sig_key
       in
-      if st.policy.Policy.eager then Runtime.flush st.rt;
+      if policy.Policy.eager then Runtime.flush rt;
       for k = 0 to Array.length out_slots - 1 do
         env.(out_slots.(k)) <- Vtensor outs.(k)
       done;
@@ -380,34 +406,37 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     fun env ictx -> Vbool (not (to_bool (a_f env ictx)))
   | L.Lconcurrent es ->
     let fs = Array.of_list (List.map (compile st scope) es) in
-    let n = Array.length fs and fork = forks st in
+    let n = Array.length fs in
     let branch i env c = fs.(i) env c in
-    fun env ictx -> Vtuple (run_parallel ~fork ictx n branch env)
+    fun env ictx -> Vtuple (run_parallel ~fork:(forks st) ictx n branch env)
   | L.Lmap (f, xs) ->
-    let f_f = compile st scope f and xs_f = compile st scope xs and fork = forks st in
+    let f_f = compile st scope f and xs_f = compile st scope xs in
     fun env ictx ->
       let fv = to_fun (f_f env ictx) in
       let elems = Array.of_list (to_list (xs_f env ictx)) in
-      let results = run_parallel ~fork ictx (Array.length elems) apply_elem (fv, elems) in
+      let results = run_parallel ~fork:(forks st) ictx (Array.length elems) apply_elem (fv, elems) in
       of_list (Array.to_list results)
   | L.Lscalar a ->
     let a_f = compile st scope a in
     fun env ictx ->
       let h = to_handle (a_f env ictx) in
-      ensure_ready ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx h;
-      Vfloat (Runtime.scalar_value st.rt h)
+      let rt = (binding st).rt in
+      ensure_ready ~rt ~fibers:st.fibers ~base_depth:st.base_depth ictx h;
+      Vfloat (Runtime.scalar_value rt h)
   | L.Lchoice a ->
     let a_f = compile st scope a in
     fun env ictx ->
       let n = to_int (a_f env ictx) in
-      decision_barrier ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
-      Vint (Runtime.decision_int st.rt ~instance:ictx.ictx_instance n)
+      let rt = (binding st).rt in
+      decision_barrier ~rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
+      Vint (Runtime.decision_int rt ~instance:ictx.ictx_instance n)
   | L.Lcoin a ->
     let a_f = compile st scope a in
     fun env ictx ->
       let p = to_float (a_f env ictx) in
-      decision_barrier ~rt:st.rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
-      Vbool (Runtime.decision_bool st.rt ~instance:ictx.ictx_instance p)
+      let rt = (binding st).rt in
+      decision_barrier ~rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
+      Vbool (Runtime.decision_bool rt ~instance:ictx.ictx_instance p)
   | L.Lghost (n, cont) ->
     let cont_f = compile st scope cont in
     fun env ictx ->
@@ -420,30 +449,35 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
       ictx.ictx_depth <- st.base_depth;
       cont_f env ictx
   | L.Lshared bind ->
-    let cache = ref None in
+    (* Resolved at the site's first evaluation in each run, so every run's
+       device makes the same allocations in the same order. *)
+    let site = Array.length st.shared in
+    st.shared <- Array.append st.shared [| Vnil |];
     fun _ _ -> begin
-      match !cache with
-      | Some v -> v
-      | None ->
-        let v = Vtensor (Runtime.shared_handle st.rt bind) in
-        cache := Some v;
+      match st.shared.(site) with
+      | Vnil ->
+        let v = Vtensor (Runtime.shared_handle (binding st).rt bind) in
+        st.shared.(site) <- v;
         v
+      | v -> v
     end
 
 let unstaged _ _ = fail "AOT: definition called before it was staged"
 
-(** Stage the whole program: a cell for every definition first, then every
-    body, so compilation cost is not on the execution path. *)
-let create ~rt ~policy ~fibers (lprog : L.t) : t =
-  Runtime.share_plans rt lprog.L.registry.Kernel.plan_table;
+(** Stage the whole program, once: a cell for every definition first, then
+    every body, so compilation cost is not on the execution path. The
+    result holds no runtime and no policy; {!with_runtime} binds them for
+    each run. *)
+let stage ~fibers (lprog : L.t) : t =
   let st =
     {
-      rt;
-      policy;
       lprog;
       fibers;
       base_depth = lprog.L.max_static_depth + 1;
       defs = Hashtbl.create 16;
+      main = None;
+      bound = None;
+      shared = [||];
     }
   in
   let masks = Forwarded.valid lprog in
@@ -473,13 +507,51 @@ let create ~rt ~policy ~fibers (lprog : L.t) : t =
       d.nslots <- scope.next;
       d.body <- body)
     st.defs;
+  st.main <- Hashtbl.find_opt st.defs lprog.L.entry;
+  st
+
+let bind st ~policy rt =
+  (match st.bound with
+  | Some _ -> invalid_arg "Aot.with_runtime: the staged program is already running"
+  | None -> ());
+  Runtime.share_plans rt st.lprog.L.registry.Kernel.plan_table;
+  st.bound <- Some { rt; policy }
+
+(** [with_runtime st ~policy rt f] runs [f] (which calls {!run_main}) with
+    [st] bound to [rt] and [policy], and unbinds it when [f] returns or
+    raises: a staged program outlives many runs, and must not keep the last
+    one's runtime and device alive. A run started while another run of [st]
+    is in progress raises [Invalid_argument], leaving that run's binding as
+    it was. *)
+let with_runtime st ~policy rt f =
+  bind st ~policy rt;
+  (* Not [Fun.protect], whose closures add ~43 minor words per request
+     served on serve-birnn (0.3%). *)
+  let release () =
+    st.bound <- None;
+    Array.fill st.shared 0 (Array.length st.shared) Vnil
+  in
+  match f () with
+  | v ->
+    release ();
+    v
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    release ();
+    Printexc.raise_with_backtrace e bt
+
+(** Stage [lprog] and bind it to [rt] for good: a one-shot engine for a
+    single run. *)
+let create ~rt ~policy ~fibers (lprog : L.t) : t =
+  let st = stage ~fibers lprog in
+  bind st ~policy rt;
   st
 
 (** Fresh per-instance context. *)
 let new_ictx st ~instance = { ictx_instance = instance; ictx_depth = st.base_depth; ictx_phase = 0 }
 
-(** Run @main for one instance. *)
+(** Run @main for one instance, on the runtime [st] is bound to. *)
 let run_main st ~instance (args : value list) : value =
-  match Hashtbl.find_opt st.defs st.lprog.L.entry with
+  match st.main with
   | Some d -> apply d args (new_ictx st ~instance)
   | None -> fail "no definition %s" st.lprog.L.entry

@@ -62,6 +62,14 @@ type result = {
           against. *)
 }
 
+(** Run instances as fibers: the program has tensor-dependent control flow
+    and its configuration enables fibers. *)
+let fibers (lprog : L.t) = lprog.L.has_tdc && lprog.L.config.fibers
+
+(** Stage [lprog] for the AOT engine ({!Aot.stage}), for {!run_batch}'s
+    [staged]. *)
+let stage lprog = Aot.stage ~fibers:(fibers lprog) lprog
+
 (** Run a lowered program on one mini-batch: upload inputs, execute all
     instances (as fibers under tensor-dependent control flow), flush,
     download, report stats.
@@ -83,9 +91,14 @@ type result = {
     names each instance's pseudo-random decision stream (default: batch
     position); the serving integrity layer passes stable request ids so a
     request's outputs — and therefore its result fingerprint — do not
-    depend on which peers it was batched with. *)
+    depend on which peers it was batched with. [staged] is [lprog] already
+    staged for the AOT engine ({!stage}), which this run binds instead of
+    staging afresh; callers that run many batches of one program pass it.
+    Ignored in [Vm_mode].
+    @raise Invalid_argument when [staged] was staged from another program
+    or fiber mode. *)
 let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
-    ?instance_keys ~(mode : mode) ~(policy : Policy.t) ~(quality : int -> float)
+    ?instance_keys ?staged ~(mode : mode) ~(policy : Policy.t) ~(quality : int -> float)
     ~(lprog : L.t) ~(weights : (string * Tensor.t) list)
     ~(instances : (string * hval) list list) () : result =
   let device =
@@ -107,7 +120,7 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
   in
   Option.iter (Runtime.set_decision_keys rt ~seed) instance_keys;
   List.iter (fun (name, tensor) -> Runtime.set_weight rt name tensor) weights;
-  let fibers = lprog.L.has_tdc && lprog.L.config.fibers in
+  let fibers = fibers lprog in
   (* Upload all per-instance inputs (batched into one transfer for ACROBAT,
      one call per tensor for the dynamic baselines). *)
   let all_tensors =
@@ -144,17 +157,24 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
   in
   (* Execute. *)
   let outputs = Array.make n_instances Vnil in
-  let run_main =
-    match mode with
-    | Aot_mode -> Aot.run_main (Aot.create ~rt ~policy ~fibers lprog)
-    | Vm_mode -> Vm.run_main (Vm.create ~rt ~policy ~fibers lprog)
+  let execute run_main =
+    let run i args = outputs.(i) <- run_main ~instance:i args in
+    if fibers then
+      ignore
+        (Fiber.run ~on_stall:(fun () -> Runtime.flush rt)
+           (List.mapi (fun i args () -> run i args) instance_args))
+    else List.iteri run instance_args
   in
-  let run i args = outputs.(i) <- run_main ~instance:i args in
-  if fibers then
-    ignore
-      (Fiber.run ~on_stall:(fun () -> Runtime.flush rt)
-         (List.mapi (fun i args () -> run i args) instance_args))
-  else List.iteri run instance_args;
+  (match mode with
+  | Aot_mode ->
+    let st =
+      match staged with
+      | Some st when st.Aot.lprog == lprog && st.Aot.fibers = fibers -> st
+      | Some _ -> invalid_arg "Driver.run_batch: [staged] was staged from another program"
+      | None -> stage lprog
+    in
+    Aot.with_runtime st ~policy rt (fun () -> execute (Aot.run_main st))
+  | Vm_mode -> execute (Vm.run_main (Vm.create ~rt ~policy ~fibers lprog)));
   (* Final flush and download of results. *)
   Runtime.flush rt;
   let out_handles = Array.fold_left Value.handles [] outputs in

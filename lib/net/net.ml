@@ -372,10 +372,20 @@ let recv t ~now_us ~replica ~n : recv_verdict =
     evict the oldest live key once [capacity] distinct keys are held —
     within capacity, a noted key is never forgotten (QCheck-tested). *)
 module Dedup = struct
-  type ('k, 'v) t = {
-    tbl : ('k, 'v) Hashtbl.t;
-    gen : ('k, int) Hashtbl.t;  (** Live keys' current insertion generation. *)
-    order : ('k * int) Queue.t;
+  (* Keys are ints hashed as themselves: no polymorphic hash and no boxed
+     key per lookup. {!key} puts a request id in the low bits, where
+     consecutive ids fill consecutive buckets. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash k = k
+  end)
+
+  type 'v t = {
+    tbl : 'v Tbl.t;
+    gen : int Tbl.t;  (** Live keys' current insertion generation. *)
+    order : (int * int) Queue.t;
         (** Insertion order, generation-stamped: a key removed out-of-band
             and later re-noted gets a fresh generation, so its old queue
             entry is recognizably stale. Without the stamp, eviction could
@@ -386,31 +396,43 @@ module Dedup = struct
     mutable tick : int;
   }
 
-  let create ~capacity : ('k, 'v) t =
+  let id_bits = 40
+
+  (** The key of request [id] delivered in replica epoch [epoch]: the id
+      in the low [id_bits] bits, the epoch above them. Distinct pairs get
+      distinct keys.
+      @raise Invalid_argument if either is negative or too large (ids
+      from 2{^40}, epochs from 2{^22}). *)
+  let key ~id ~epoch =
+    if id < 0 || id lsr id_bits <> 0 || epoch < 0 || epoch lsr (Sys.int_size - 1 - id_bits) <> 0
+    then Fmt.invalid_arg "Net.Dedup.key: id %d, epoch %d out of range" id epoch;
+    id lor (epoch lsl id_bits)
+
+  let create ~capacity : 'v t =
     if capacity < 1 then Fmt.invalid_arg "Net.Dedup.create: capacity %d < 1" capacity;
     {
-      tbl = Hashtbl.create (min capacity 1024);
-      gen = Hashtbl.create (min capacity 1024);
+      tbl = Tbl.create (min capacity 1024);
+      gen = Tbl.create (min capacity 1024);
       order = Queue.create ();
       capacity;
       tick = 0;
     }
 
-  let find t k = Hashtbl.find_opt t.tbl k
-  let mem t k = Hashtbl.mem t.tbl k
-  let length t = Hashtbl.length t.tbl
+  let find t k = Tbl.find_opt t.tbl k
+  let mem t k = Tbl.mem t.tbl k
+  let length t = Tbl.length t.tbl
 
   (* Evict oldest live keys until within capacity, skipping queue entries
      whose generation no longer matches (removed, or removed-then-renoted). *)
   let rec evict t =
-    if Hashtbl.length t.tbl > t.capacity then begin
+    if Tbl.length t.tbl > t.capacity then begin
       match Queue.take_opt t.order with
       | None -> ()
       | Some (k, g) ->
-        (match Hashtbl.find_opt t.gen k with
+        (match Tbl.find_opt t.gen k with
         | Some g' when g' = g ->
-          Hashtbl.remove t.tbl k;
-          Hashtbl.remove t.gen k
+          Tbl.remove t.tbl k;
+          Tbl.remove t.gen k
         | _ -> ());
         evict t
     end
@@ -423,7 +445,7 @@ module Dedup = struct
     let live = Queue.create () in
     Queue.iter
       (fun ((k, g) as e) ->
-        match Hashtbl.find_opt t.gen k with
+        match Tbl.find_opt t.gen k with
         | Some g' when g' = g -> Queue.push e live
         | _ -> ())
       t.order;
@@ -433,11 +455,11 @@ module Dedup = struct
   (** Insert or update [k]. Updating an existing key refreshes its value
       without consuming a window slot. *)
   let note t k v =
-    if Hashtbl.mem t.tbl k then Hashtbl.replace t.tbl k v
+    if Tbl.mem t.tbl k then Tbl.replace t.tbl k v
     else begin
-      Hashtbl.replace t.tbl k v;
+      Tbl.replace t.tbl k v;
       t.tick <- t.tick + 1;
-      Hashtbl.replace t.gen k t.tick;
+      Tbl.replace t.gen k t.tick;
       Queue.push (k, t.tick) t.order;
       evict t;
       (* Live entries number at most [capacity], so a queue past twice that
@@ -453,6 +475,6 @@ module Dedup = struct
   (** Forget [k] (e.g. a delivery the replica shed without executing —
       a later retransmission must be allowed to execute). *)
   let remove t k =
-    Hashtbl.remove t.tbl k;
-    Hashtbl.remove t.gen k
+    Tbl.remove t.tbl k;
+    Tbl.remove t.gen k
 end

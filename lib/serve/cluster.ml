@@ -124,10 +124,10 @@ type dedup_state =
 type netstate = {
   nt : Net.t;  (** The seeded transport (RNG + delay EWMA). *)
   n_plan : Net.plan;
-  dedups : (int * int, dedup_state) Net.Dedup.t array;
-      (** Per-replica idempotency windows keyed [(request id, replica
-          epoch)] — the epoch fence lets a recovered replica re-execute
-          requeued work without tripping exactly-once. *)
+  dedups : dedup_state Net.Dedup.t array;
+      (** Per-replica idempotency windows keyed by request id and replica
+          epoch ({!Net.Dedup.key}) — the epoch fence lets a recovered
+          replica re-execute requeued work without tripping exactly-once. *)
   mutable live_attempts : int;  (** Entries with a live tracked attempt. *)
   unreachable : bool array;  (** Links declared down on consecutive timeouts. *)
   consec_timeouts : int array;
@@ -350,7 +350,7 @@ let net_deliver st ns (ent : 'a entry) (r : 'a Admission.request) i =
     Stats.incr st.stats Stats.net_deliveries;
     net_trace st ~name:"net_deliver" ~replica:i id;
     let ep = Replica.epoch rep in
-    let key = (id, ep) in
+    let key = Net.Dedup.key ~id ~epoch:ep in
     let window = ns.dedups.(i) in
     match (if ns.n_plan.Net.np_dedup then Net.Dedup.find window key else None) with
     | Some Dd_pending ->
@@ -650,7 +650,7 @@ let net_on_completed st ns ~replica (batch : 'a Admission.request list) ~start_u
       let ent = entry st r.Admission.rq_id in
       if ns.n_plan.Net.np_dedup then
         Net.Dedup.note ns.dedups.(replica)
-          (r.Admission.rq_id, ep)
+          (Net.Dedup.key ~id:r.Admission.rq_id ~epoch:ep)
           (Dd_done { di_start_us = start_us; di_done_us = done_us });
       if ent.ent_copies.Hedge.resolved && Option.is_some ent.ent_copies.Hedge.hedge then
         Stats.incr st.stats Stats.hedge_wasted;

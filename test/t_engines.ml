@@ -620,6 +620,131 @@ let test_aot_stale_masks () =
       "absent_entry", [ Value.Vint 1 ];
     ]
 
+(* --- One staged program per compiled program --- *)
+
+module Aot = Acrobat_engines.Aot
+
+let time_bits (p : P.t) = Array.map Int64.bits_of_float p.P.times_us
+
+(* Batches of one compiled program run through its staged program
+   ([run_batch]) and the same batches each staged afresh ([Driver.run_batch]
+   without [staged], i.e. [Aot.create] per batch) agree in fingerprints and
+   in every bit of virtual time. Each side alternates between two devices
+   that accumulate their profiles and allocations, so a handle one run
+   resolved (an [Lshared] constant) reaching the next run, on the other
+   device, shows. *)
+let test_staged_once_matches_fresh () =
+  List.iter
+    (fun (id, framework) ->
+      let label s = Fmt.str "%s/%s: %s" id (Frameworks.name framework) s in
+      let model = Models.tiny id in
+      let untuned = compile ~framework ~inputs:model.Model.inputs model.Model.source in
+      let weights = model.Model.gen_weights 1 in
+      let c = tune ~iters:20 untuned ~weights ~calibration:(gen_batch model ~batch:2 ~seed:5) in
+      check_true (label "tune keeps the staged program") (c.staged == untuned.staged);
+      let staged = Lazy.force c.staged in
+      let reused = [| Device.create (); Device.create () |]
+      and fresh = [| Device.create (); Device.create () |] in
+      List.iteri
+        (fun k batch ->
+          let instances = gen_batch model ~batch ~seed:(10 + k) in
+          let a = run_batch ~compute_values:true ~device:reused.(k mod 2) c ~weights ~instances () in
+          let b =
+            Driver.run_batch ~compute_values:true ~device:fresh.(k mod 2)
+              ~mode:(Frameworks.mode framework) ~policy:(Frameworks.policy framework)
+              ~quality:c.quality ~lprog:c.lprog ~weights ~instances ()
+          in
+          let what = label (Fmt.str "batch %d of %d" k batch) in
+          Alcotest.(check (array int64)) (what ^ " fingerprints") (Driver.fingerprints b)
+            (Driver.fingerprints a);
+          Alcotest.(check int64) (what ^ " latency")
+            (Int64.bits_of_float b.Driver.stats.Driver.latency_ms)
+            (Int64.bits_of_float a.Driver.stats.Driver.latency_ms))
+        [ 1; 3; 8; 2; 5; 1 ];
+      Array.iteri
+        (fun i d ->
+          Alcotest.(check (array int64)) (label (Fmt.str "device %d virtual time" i))
+            (time_bits (Device.profiler fresh.(i))) (time_bits (Device.profiler d));
+          check_true (label (Fmt.str "device %d counters" i))
+            (P.counters (Device.profiler fresh.(i)) = P.counters (Device.profiler d));
+          let memory d = Memory.(allocations (Device.memory d), used_elems (Device.memory d)) in
+          check_true (label (Fmt.str "device %d allocations" i)) (memory fresh.(i) = memory d))
+        reused;
+      check_true (label "every batch ran the one staged program") (Lazy.force c.staged == staged);
+      check_true (label "no runtime stays bound") (Option.is_none staged.Aot.bound))
+    [
+      "treelstm", acrobat_kind (* Lshared constants, forwarded weights *);
+      "nestedrnn", acrobat_kind (* fibers, Lshared, forwarded *);
+      "drnn", acrobat_kind (* forked fibers, decisions *);
+      "moe", acrobat_kind;
+      "treelstm", dynet_kind (* a fresh policy record per Frameworks.policy call *);
+      "drnn", Frameworks.Dynet { improved = true; scheduler = Config.Runtime_depth };
+    ]
+
+let weak_probe = Weak.create 2
+
+(* One run on a device only [weak_probe] points to; returns nothing. *)
+let[@inline never] run_on_probed_device slot ?faults c ~weights ~instances =
+  let device = Device.create ?faults () in
+  Weak.set weak_probe slot (Some device);
+  match run_batch ~device c ~weights ~instances () with
+  | _ -> `Returned
+  | exception Faults.Fault _ -> `Raised
+
+(* The staged program outlives every run, and must not keep the last run's
+   runtime — nor, through it, its device — alive: neither when the run
+   returns nor when it raises an injected fault mid-DFG. *)
+let test_staged_run_releases_runtime () =
+  let model = Models.tiny "nestedrnn" in
+  let c = compile ~inputs:model.Model.inputs model.Model.source in
+  let weights = model.Model.gen_weights 1 in
+  let instances = gen_batch model ~batch:3 ~seed:4 in
+  check_true "a clean run returns"
+    (run_on_probed_device 0 c ~weights ~instances = `Returned);
+  let faults = Faults.create (Faults.parse "seed=3,kernel=1") in
+  check_true "a faulted run raises"
+    (run_on_probed_device 1 ~faults c ~weights ~instances = `Raised);
+  Gc.full_major ();
+  check_true "a returned run keeps no device alive" (Option.is_none (Weak.get weak_probe 0));
+  check_true "a raising run keeps no device alive" (Option.is_none (Weak.get weak_probe 1));
+  check_true "the program still runs"
+    ((run_batch c ~weights ~instances ()).Driver.stats.Driver.latency_ms > 0.0)
+
+(* A run of a staged program started while another run of it is in
+   progress fails loudly, and leaves the outer run's binding in place; so
+   does a run handed a program staged from another compilation. *)
+let test_staged_nested_run_fails () =
+  let model = Models.tiny "treelstm" in
+  let c = compile ~inputs:model.Model.inputs model.Model.source in
+  let weights = model.Model.gen_weights 1 in
+  let instances = gen_batch model ~batch:2 ~seed:4 in
+  let st = Lazy.force c.staged in
+  let outer =
+    Acrobat_runtime.Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth
+      ~policy:
+        { Acrobat_runtime.Executor.gather_fusion = true; quality = c.quality;
+          compute_values = false; detect_dynamic_sharing = false }
+      ~seed:1 ~instances:1
+  in
+  let bound_to_outer () = match st.Aot.bound with Some b -> b.Aot.rt == outer | None -> false in
+  Aot.with_runtime st ~policy:(Frameworks.policy acrobat_kind) outer (fun () ->
+      (match run_batch c ~weights ~instances () with
+      | _ -> Alcotest.fail "a nested run must not share the binding"
+      | exception Invalid_argument _ -> ());
+      check_true "the outer run keeps its runtime" (bound_to_outer ()));
+  check_true "unbound after the outer run" (Option.is_none st.Aot.bound);
+  check_true "a later run succeeds"
+    ((run_batch c ~weights ~instances ()).Driver.stats.Driver.latency_ms > 0.0);
+  (* Another compilation of the same source is another program. *)
+  let other = compile ~inputs:model.Model.inputs model.Model.source in
+  match
+    Driver.run_batch ~staged:(Lazy.force other.staged) ~mode:Driver.Aot_mode
+      ~policy:(Frameworks.policy acrobat_kind) ~quality:c.quality ~lprog:c.lprog ~weights
+      ~instances ()
+  with
+  | _ -> Alcotest.fail "a program staged from another compilation must be refused"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   List.map
     (fun id ->
@@ -653,4 +778,9 @@ let suite =
       Alcotest.test_case "forwarded: aot matches vm and full staging" `Quick
         test_aot_forwarded_match_vm;
       Alcotest.test_case "forwarded: stale masks are ignored" `Quick test_aot_stale_masks;
+      Alcotest.test_case "staged once: batches match fresh staging" `Quick
+        test_staged_once_matches_fresh;
+      Alcotest.test_case "staged once: no runtime outlives its run" `Quick
+        test_staged_run_releases_runtime;
+      Alcotest.test_case "staged once: a nested run fails" `Quick test_staged_nested_run_fails;
     ]

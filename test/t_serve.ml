@@ -2461,6 +2461,25 @@ let test_reference_simulation_identical () =
     (Json.to_string (Stats.summary_to_json production))
     reference
 
+
+(* The dedup window's int keys: every in-range (request id, epoch) pair
+   gets its own key, and a pair the packing cannot hold is refused rather
+   than aliased onto another. *)
+let test_dedup_keys_distinct () =
+  let pairs =
+    List.concat_map (fun id -> List.map (fun epoch -> id, epoch) [ 0; 1; 2; 1023; (1 lsl 22) - 1 ])
+      [ 0; 1; 2; 4095; (1 lsl 40) - 1 ]
+  in
+  let keys = List.map (fun (id, epoch) -> Net.Dedup.key ~id ~epoch) pairs in
+  check_int "distinct keys" (List.length pairs) (List.length (List.sort_uniq compare keys));
+  check_true "keys are non-negative" (List.for_all (fun k -> k >= 0) keys);
+  List.iter
+    (fun (id, epoch) ->
+      match Net.Dedup.key ~id ~epoch with
+      | k -> Alcotest.failf "id %d, epoch %d packed to %d" id epoch k
+      | exception Invalid_argument _ -> ())
+    [ -1, 0; 0, -1; 1 lsl 40, 0; 0, 1 lsl 22 ]
+
 let suite =
   [
     Alcotest.test_case "event loop: order + clamp" `Quick test_event_loop_order;
@@ -2613,4 +2632,6 @@ let suite =
       test_cluster_rejects_bad_hedge;
     Alcotest.test_case "server: non-positive and non-finite deadlines rejected" `Quick
       test_server_rejects_bad_deadline;
+    Alcotest.test_case "net: dedup keys are distinct per id and epoch" `Quick
+      test_dedup_keys_distinct;
   ]
