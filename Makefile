@@ -140,37 +140,50 @@ chaos-smoke: build
 
 # Host allocation gate: short traced runs of the host-time benchmark
 # (~5 s each), failing if gc.minor_words_per_item exceeds the workload's
-# bound. The metric is exact for a fixed binary (no timing noise). Each
+# bound, or gc.promoted_words_per_item its second bound where one is
+# given. The metrics are exact for a fixed binary (no timing noise). Each
 # bound sits ~20% above its reading with the allocation-lean DFG and
 # executor (DESIGN.md §19), the constant-cost serving path (§20),
 # batched-only DFG nodes (§21), AOT calls without forwarded weights
-# (§23) and programs staged once (§27), so a return to per-node lists,
-# closures or boxed floats in DFG construction or batch execution, to
-# per-batch kernel plans or staging, to shared arguments on every node,
-# to per-event boxing in the event loop, to frames carrying forwarded
-# weights or to trace work on untraced devices fails it.
-# offline-treelstm reads ~5.52k (5.64k before §27, 7.64k before §23,
-# 8.86k before §21, 25.6k before §19, ~419k before node plans, §17).
-# offline-stackrnn-values reads ~67.6k (69.6k before §27, 70.6k before
-# §23, 71.7k before §21, 81.9k before §19, ~212k before the tight host
-# kernels, §18). serve-birnn reads ~12.6k (15.6k before §27, 16.8k
-# before §23, 17.9k before §21, 22.5k before §20, 35.5k before §19) and
-# fleet-overload ~1.06k per request (1.24k before §27, 1.28k before
-# §23, 1.34k before §21, 2.19k before §20, 2.4k before §19).
-ALLOC_GATES = offline-treelstm:6600 offline-stackrnn-values:81000 \
-  serve-birnn:15100 fleet-overload:1280
+# (§23), programs staged once (§27) and the flat node store (§28), so a
+# return to per-node records, lists, closures or boxed floats in DFG
+# construction, scheduling or batch execution, to per-batch kernel plans
+# or staging, to per-event boxing in the event loop, to frames carrying
+# forwarded weights or to trace work on untraced devices fails it. The
+# promoted bound proves the live DFG is no longer promoted: a node graph
+# of records outlives a minor heap, and offline-treelstm read ~2.71k
+# promoted words per item with one.
+# offline-treelstm reads ~3.20k, 158 promoted (5.52k and 2.71k before
+# §28, 5.64k before §27, 7.64k before §23, 8.86k before §21, 25.6k
+# before §19, ~419k before node plans, §17). offline-stackrnn-values
+# reads ~64.5k (67.6k before §28, 69.6k before §27, 70.6k before §23,
+# 71.7k before §21, 81.9k before §19, ~212k before the tight host
+# kernels, §18). serve-birnn reads ~8.11k (12.6k before §28, 15.6k
+# before §27, 16.8k before §23, 17.9k before §21, 22.5k before §20,
+# 35.5k before §19) and fleet-overload ~963 per request (1.06k before
+# §28, 1.24k before §27, 1.28k before §23, 1.34k before §21, 2.19k
+# before §20, 2.4k before §19).
+ALLOC_GATES = offline-treelstm:3850:190 offline-stackrnn-values:77400 \
+  serve-birnn:9800 fleet-overload:1160
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \
-	  workload=$${gate%%:*}; max=$${gate##*:}; \
+	  workload=$${gate%%:*}; bounds=$${gate#*:}; max=$${bounds%%:*}; \
+	  promoted=$${bounds#*:}; [ "$$promoted" = "$$bounds" ] && promoted=; \
 	  out=$$(mktemp -d) && \
 	  dune exec bench/perf/main.exe -- --workload $$workload --seed 1 --seconds 2 \
 	    --trace 1 --out $$out > $$out/stdout.txt && \
-	  awk -v max=$$max -v workload=$$workload \
+	  awk -v max=$$max -v promoted_max=$$promoted -v workload=$$workload \
 	    '$$1 == "gc.minor_words_per_item" { seen = 1; words = $$2 } \
+	     $$1 == "gc.promoted_words_per_item" { pseen = 1; promoted = $$2 } \
 	     END { if (!seen) { print "alloc-gate: gc.minor_words_per_item not reported"; exit 1 } \
 	           printf "alloc-gate: %s gc.minor_words_per_item %.0f (max %d)\n", workload, words, max; \
-	           exit (words > max) }' $$out/stdout.txt; \
+	           bad = words > max; \
+	           if (promoted_max != "") { \
+	             if (!pseen) { print "alloc-gate: gc.promoted_words_per_item not reported"; exit 1 } \
+	             printf "alloc-gate: %s gc.promoted_words_per_item %.0f (max %d)\n", workload, promoted, promoted_max; \
+	             bad = bad || promoted > promoted_max+0 } \
+	           exit bad }' $$out/stdout.txt; \
 	  status=$$?; rm -rf $$out; [ $$status -eq 0 ] || exit $$status; \
 	done
 

@@ -33,8 +33,8 @@ let () =
     (fun i v ->
       match Value.handles [] v with
       | [ h ] -> begin
-        match Value.handle_out h with
-        | Some { tensor = Some t; _ } ->
+        match Value.handle_tensor h with
+        | Some t ->
           let cls = Tensor.argmax t in
           Fmt.pr "  tree %d -> %s (p=%.3f)@." i labels.(cls) (Tensor.get t cls)
         | _ -> ()

@@ -52,6 +52,9 @@ type compiled = {
   lprog : Lowered.t;
   framework : Frameworks.kind;
   quality : int -> float;  (** Kernel schedule quality (auto-scheduled). *)
+  policy : Policy.t;
+      (** [framework]'s engine policy, built once: a policy depends on
+          nothing but the batch it signs, so every batch shares it. *)
   staged : Acrobat_engines.Aot.t Lazy.t;
       (** [lprog] staged for the AOT engine, once: at the first batch that
           needs it. {!tune} changes only [quality], so a tuned copy shares
@@ -73,7 +76,7 @@ let compile ?(framework = Frameworks.Acrobat Config.acrobat) ?tracer
       fun id -> Autosched.quality Frameworks.vendor_quality id
   in
   let staged = lazy (Driver.stage lprog) in
-  { lprog; framework; quality; staged }
+  { lprog; framework; quality; policy = Frameworks.policy framework; staged }
 
 (* The staged program a batch of [c] binds: AOT presets only. *)
 let staged c =
@@ -87,7 +90,7 @@ let staged c =
 let run ?compute_values ?seed (c : compiled) ~(weights : (string * Tensor.t) list)
     ~(instances : (string * Driver.hval) list list) () : Driver.result =
   Driver.run_batch ?compute_values ?seed ?staged:(staged c) ~mode:(Frameworks.mode c.framework)
-    ~policy:(Frameworks.policy c.framework) ~quality:c.quality ~lprog:c.lprog ~weights
+    ~policy:c.policy ~quality:c.quality ~lprog:c.lprog ~weights
     ~instances ()
 
 (** Auto-schedule the generated kernels (§D.1): a profiling run on
@@ -148,7 +151,7 @@ let run_batch ?compute_values ?seed ?device ?tracer ?instance_keys (c : compiled
     ~(weights : (string * Tensor.t) list)
     ~(instances : (string * Driver.hval) list list) () : Driver.result =
   Driver.run_batch ?compute_values ?seed ?device ?tracer ?instance_keys ?staged:(staged c)
-    ~mode:(Frameworks.mode c.framework) ~policy:(Frameworks.policy c.framework)
+    ~mode:(Frameworks.mode c.framework) ~policy:c.policy
     ~quality:c.quality ~lprog:c.lprog ~weights ~instances ()
 
 (* --- Online serving (lib/serve) glue --- *)

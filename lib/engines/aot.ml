@@ -37,14 +37,12 @@ type staged = {
   mutable body : value array -> ictx -> value;
 }
 
-(* What one run binds: its runtime, and its policy. The policy is bound per
-   run, not staged, because its signature function may keep state for the
-   run (DyNet numbers the nodes it cannot batch). *)
+(* What one run binds: its runtime, and its policy. *)
 type binding = { rt : Runtime.t; policy : Policy.t }
 
 (* A staged program. It holds no runtime: the closure tree reads the run
-   in progress from [bound] and [shared], and nothing else in it changes
-   after staging. *)
+   in progress from [bound] and [shared], and the run builds its DFG in
+   [store]; nothing else in it changes after staging. *)
 type t = {
   lprog : L.t;
   fibers : bool;  (** Run instances as fibers (TDC present and enabled). *)
@@ -56,6 +54,9 @@ type t = {
       (** Per [Lshared] site, the handle the run in progress resolved there
           ([Vnil] until it first evaluates). Device addresses differ per
           run, so these are per-run state, cleared with the binding. *)
+  store : Store.t;
+      (** The DFG node store every run of the program reuses
+          ({!Runtime.share_store}); empty between runs. *)
 }
 
 (* The run in progress; a closure reached outside a run (a function value
@@ -298,13 +299,13 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
       let { rt; policy } = binding st in
       let plan = Runtime.plan rt kernel args in
       let sig_key = policy.Policy.sig_of rt plan args in
-      let outs =
+      let first =
         Runtime.invoke rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
           ~sig_key
       in
       if policy.Policy.eager then Runtime.flush rt;
       for k = 0 to Array.length out_slots - 1 do
-        env.(out_slots.(k)) <- Vtensor outs.(k)
+        env.(out_slots.(k)) <- Vtensor (Runtime.output rt first k)
       done;
       cont_f env ictx
   | L.Lcall (L.Lglobal g, args) when direct_call st g args ->
@@ -478,6 +479,7 @@ let stage ~fibers (lprog : L.t) : t =
       main = None;
       bound = None;
       shared = [||];
+      store = Store.create ();
     }
   in
   let masks = Forwarded.valid lprog in
@@ -510,26 +512,30 @@ let stage ~fibers (lprog : L.t) : t =
   st.main <- Hashtbl.find_opt st.defs lprog.L.entry;
   st
 
-let bind st ~policy rt =
+let bind st ~policy ~share_store rt =
   (match st.bound with
   | Some _ -> invalid_arg "Aot.with_runtime: the staged program is already running"
   | None -> ());
+  if share_store then Runtime.share_store rt st.store;
   Runtime.share_plans rt st.lprog.L.registry.Kernel.plan_table;
   st.bound <- Some { rt; policy }
 
 (** [with_runtime st ~policy rt f] runs [f] (which calls {!run_main}) with
-    [st] bound to [rt] and [policy], and unbinds it when [f] returns or
-    raises: a staged program outlives many runs, and must not keep the last
-    one's runtime and device alive. A run started while another run of [st]
-    is in progress raises [Invalid_argument], leaving that run's binding as
-    it was. *)
+    [st] bound to [rt] and [policy], and [rt] building its DFG in [st]'s
+    store; it unbinds them when [f] returns or raises: a staged program
+    outlives many runs, and must not keep the last one's runtime, device or
+    tensors alive. [rt] must not have registered a value yet, and [f] must
+    carry what it keeps of the run out of the store ({!Store.exporter}). A
+    run started while another run of [st] is in progress raises
+    [Invalid_argument], leaving that run's binding as it was. *)
 let with_runtime st ~policy rt f =
-  bind st ~policy rt;
+  bind st ~policy ~share_store:true rt;
   (* Not [Fun.protect], whose closures add ~43 minor words per request
      served on serve-birnn (0.3%). *)
   let release () =
     st.bound <- None;
-    Array.fill st.shared 0 (Array.length st.shared) Vnil
+    Array.fill st.shared 0 (Array.length st.shared) Vnil;
+    Store.reset st.store
   in
   match f () with
   | v ->
@@ -541,10 +547,10 @@ let with_runtime st ~policy rt f =
     Printexc.raise_with_backtrace e bt
 
 (** Stage [lprog] and bind it to [rt] for good: a one-shot engine for a
-    single run. *)
+    single run, in [rt]'s own store. *)
 let create ~rt ~policy ~fibers (lprog : L.t) : t =
   let st = stage ~fibers lprog in
-  bind st ~policy rt;
+  bind st ~policy ~share_store:false rt;
   st
 
 (** Fresh per-instance context. *)

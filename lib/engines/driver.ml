@@ -118,54 +118,78 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
     Runtime.create ~device ~scheduler:lprog.L.config.scheduler ~policy:exec_policy ~seed
       ~instances:n_instances
   in
-  Option.iter (Runtime.set_decision_keys rt ~seed) instance_keys;
-  List.iter (fun (name, tensor) -> Runtime.set_weight rt name tensor) weights;
   let fibers = fibers lprog in
-  (* Upload all per-instance inputs (batched into one transfer for ACROBAT,
-     one call per tensor for the dynamic baselines). *)
-  let all_tensors =
-    List.concat_map (fun inputs -> List.concat_map (fun (_, hv) -> List.rev (hval_tensors [] hv)) inputs) instances
-  in
-  let handles = ref (Runtime.upload_inputs rt ~batched:policy.Policy.batched_io all_tensors) in
-  let next_handle () =
-    match !handles with
-    | h :: rest ->
-      handles := rest;
-      h
-    | [] -> fail "input handle underflow"
-  in
-  (* @main's parameters, classified once per batch. A weight's handle is
-     looked up at its first use, so an unknown weight fails where it
-     always did: at the first instance that reaches it, after that
-     instance's earlier parameters, and not at all without instances. *)
-  let params = Array.of_list (L.entry_def lprog).L.lparams in
-  let is_weight = Array.map (fun p -> List.mem p lprog.L.weight_params) params in
-  let weight_args = Array.make (Array.length params) Vnil in
-  let arg inputs k =
-    let pname = params.(k) in
-    if is_weight.(k) then begin
-      if weight_args.(k) == Vnil then weight_args.(k) <- Vtensor (Runtime.weight rt pname);
-      weight_args.(k)
-    end
-    else
-      match List.assoc_opt pname inputs with
-      | Some hv -> hval_to_value next_handle hv
-      | None -> fail "missing input %S for an instance" pname
-  in
-  let instance_args =
-    List.map (fun inputs -> List.init (Array.length params) (arg inputs)) instances
-  in
-  (* Execute. *)
-  let outputs = Array.make n_instances Vnil in
-  let execute run_main =
+  (* The whole run, bound to the engine: a staged program attaches its
+     store before the first value is registered in it. *)
+  let run run_main =
+    Option.iter (Runtime.set_decision_keys rt ~seed) instance_keys;
+    List.iter (fun (name, tensor) -> Runtime.set_weight rt name tensor) weights;
+    (* Upload all per-instance inputs (batched into one transfer for
+       ACROBAT, one call per tensor for the dynamic baselines). *)
+    let all_tensors =
+      List.concat_map
+        (fun inputs -> List.concat_map (fun (_, hv) -> List.rev (hval_tensors [] hv)) inputs)
+        instances
+    in
+    let handles = ref (Runtime.upload_inputs rt ~batched:policy.Policy.batched_io all_tensors) in
+    let next_handle () =
+      match !handles with
+      | h :: rest ->
+        handles := rest;
+        h
+      | [] -> fail "input handle underflow"
+    in
+    (* @main's parameters, classified once per batch. A weight's handle is
+       looked up at its first use, so an unknown weight fails where it
+       always did: at the first instance that reaches it, after that
+       instance's earlier parameters, and not at all without instances. *)
+    let params = Array.of_list (L.entry_def lprog).L.lparams in
+    let is_weight = Array.map (fun p -> List.mem p lprog.L.weight_params) params in
+    let weight_args = Array.make (Array.length params) Vnil in
+    let arg inputs k =
+      let pname = params.(k) in
+      if is_weight.(k) then begin
+        if weight_args.(k) == Vnil then weight_args.(k) <- Vtensor (Runtime.weight rt pname);
+        weight_args.(k)
+      end
+      else
+        match List.assoc_opt pname inputs with
+        | Some hv -> hval_to_value next_handle hv
+        | None -> fail "missing input %S for an instance" pname
+    in
+    let instance_args =
+      List.map (fun inputs -> List.init (Array.length params) (arg inputs)) instances
+    in
+    (* Execute. *)
+    let outputs = Array.make n_instances Vnil in
     let run i args = outputs.(i) <- run_main ~instance:i args in
     if fibers then
       ignore
         (Fiber.run ~on_stall:(fun () -> Runtime.flush rt)
            (List.mapi (fun i args () -> run i args) instance_args))
-    else List.iteri run instance_args
+    else List.iteri run instance_args;
+    (* Final flush and download of results, which leave the run's store. *)
+    Runtime.flush rt;
+    let out_handles = Array.fold_left Value.handles [] outputs in
+    List.iter
+      (fun h -> if not (handle_ready h) then fail "output handle still pending after final flush")
+      out_handles;
+    Runtime.download rt ~batched:true out_handles;
+    let export = Store.exporter () in
+    let latency_ms = (Profiler.total_us (Device.profiler device) -. start_us) /. 1000.0 in
+    {
+      outputs = Array.fold_right (fun v acc -> Value.map_handles export v :: acc) outputs [];
+      stats =
+        {
+          latency_ms;
+          profiler = Device.profiler device;
+          flushes = Runtime.flush_count rt;
+        };
+      profile = Runtime.profile rt;
+      per_instance_ms = Array.make n_instances latency_ms;
+    }
   in
-  (match mode with
+  match mode with
   | Aot_mode ->
     let st =
       match staged with
@@ -173,27 +197,8 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
       | Some _ -> invalid_arg "Driver.run_batch: [staged] was staged from another program"
       | None -> stage lprog
     in
-    Aot.with_runtime st ~policy rt (fun () -> execute (Aot.run_main st))
-  | Vm_mode -> execute (Vm.run_main (Vm.create ~rt ~policy ~fibers lprog)));
-  (* Final flush and download of results. *)
-  Runtime.flush rt;
-  let out_handles = Array.fold_left Value.handles [] outputs in
-  List.iter
-    (fun h -> if not (handle_ready h) then fail "output handle still pending after final flush")
-    out_handles;
-  Runtime.download rt ~batched:true out_handles;
-  let latency_ms = (Profiler.total_us (Device.profiler device) -. start_us) /. 1000.0 in
-  {
-    outputs = Array.to_list outputs;
-    stats =
-      {
-        latency_ms;
-        profiler = Device.profiler device;
-        flushes = Runtime.flush_count rt;
-      };
-    profile = Runtime.profile rt;
-    per_instance_ms = Array.make n_instances latency_ms;
-  }
+    Aot.with_runtime st ~policy rt (fun () -> run (Aot.run_main st))
+  | Vm_mode -> run (Vm.run_main (Vm.create ~rt ~policy ~fibers lprog))
 
 (** Per-instance result fingerprints, in instance order. Meaningful on
     [compute_values] runs (accounting-only outputs digest shapes only). *)

@@ -42,12 +42,11 @@ let acrobat_policy =
    materialized, node/slot otherwise. This is the "same first argument"
    pointer check of DyNet's matmul heuristic. *)
 let arg_identity (h : Value.handle) =
-  match h with
-  | Value.Hmat o -> "a" ^ string_of_int o.addr
-  | Value.Hnode (n, i) -> begin
-    match n.outs with
-    | Some outs -> "a" ^ string_of_int outs.(i).addr
-    | None -> "n" ^ string_of_int n.id ^ "." ^ string_of_int i
+  if Value.handle_ready h then "a" ^ string_of_int (Store.addr h)
+  else begin
+    let s = h.store in
+    let id = s.Store.owner.(h.slot) in
+    "n" ^ string_of_int id ^ "." ^ string_of_int (h.slot - s.Store.out_lo.(id))
   end
 
 (* How DyNet's vendor-library batching treats a (composite) kernel given
@@ -104,9 +103,12 @@ let classify_for_dynet ~improved_matmul (kernel : Kernel.t)
       model multiplies two activations (MV-RNN);
     - argmax, broadcasting elementwise multiplication and constant
       construction have no batched vendor kernels: each instance gets a
-      unique signature and executes alone. *)
+      unique signature, numbered by the run ({!Runtime.next_unbatchable}),
+      and executes alone.
+
+    The closure only caches each plan's class, a function of the plan, so
+    one record serves every run. *)
 let dynet_sig ?(improved_matmul = false) () =
-  let unique = ref 0 in
   let classes : (int, dynet_class) Hashtbl.t = Hashtbl.create 64 in
   fun rt (plan : Kernel.plan) (args : Value.handle array) ->
     let cls =
@@ -123,8 +125,8 @@ let dynet_sig ?(improved_matmul = false) () =
       Runtime.intern_signature rt
         (plan.signature ^ "|wt=" ^ arg_identity (Runtime.kernel_arg rt plan.kernel args j))
     | Dunbatchable ->
-      incr unique;
-      Runtime.intern_signature rt (plan.signature ^ "|u" ^ string_of_int !unique)
+      Runtime.intern_signature rt
+        (plan.signature ^ "|u" ^ string_of_int (Runtime.next_unbatchable rt))
 
 (** DyNet baseline. [improved] applies the paper's §E.4 fixes (DN++):
     a relaxed matmul heuristic, and manually exposed instance

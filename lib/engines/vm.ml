@@ -65,14 +65,14 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
     in
     let plan = Runtime.plan st.rt b.kernel args in
     let sig_key = st.policy.Policy.sig_of st.rt plan args in
-    let outs =
+    let first =
       Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
         ~sig_key
     in
     if st.policy.Policy.eager then Runtime.flush st.rt;
     let env' =
       List.fold_left2
-        (fun acc name i -> (name, Vtensor outs.(i)) :: acc)
+        (fun acc name i -> (name, Vtensor (Runtime.output st.rt first i)) :: acc)
         env b.outs
         (List.init (List.length b.outs) Fun.id)
     in

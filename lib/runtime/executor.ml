@@ -8,7 +8,7 @@
     contiguous slab per output slot — which is why iterative models tend to
     have contiguous inputs on the next step. *)
 
-open Value
+open Store
 open Acrobat_tensor
 module Device = Acrobat_device.Device
 module Memory = Acrobat_device.Memory
@@ -27,35 +27,34 @@ type policy = {
           runtime check); statically generated kernels do not do this. *)
 }
 
-(* The materialized output behind [h], argument [pos] of [nd]. Allocates
-   nothing on the hot path: [handle_out] would box a [Some]. *)
-let out_exn nd pos h =
-  match h with
-  | Hmat o -> o
-  | Hnode (m, slot) -> (
-    match m.outs with
-    | Some outs -> outs.(slot)
-    | None ->
-      fail
-        "kernel %s: argument %d of node %d (phase %d depth %d) not materialized (scheduling \
-         bug; dep node %d kernel %s phase %d depth %d)"
-        nd.plan.kernel.Kernel.name pos nd.id nd.phase nd.depth m.id m.plan.kernel.Kernel.name
-        m.phase m.depth)
-
-let no_out = { tensor = None; addr = 0; shape = [] }
+(* The address of argument slot [v] at position [pos] of node [id]:
+   failing, as a scheduling bug, when its producer has not executed. *)
+let arg_addr (s : Store.t) id pos v =
+  let a = s.addr.(v) in
+  if a < 0 then begin
+    let m = s.owner.(v) in
+    let name id = s.plan.(id).Kernel.kernel.Kernel.name in
+    fail
+      "kernel %s: argument %d of node %d (phase %d depth %d) not materialized (scheduling bug; \
+       dep node %d kernel %s phase %d depth %d)"
+      (name id) pos id s.phase.(id) s.depth.(id) m (name m) s.phase.(m) s.depth.(m)
+  end;
+  a
 
 (** Execute one batch (same signature, same kernel).
 
     Every per-node step is a loop over the batch in node order, with no
     intermediate lists: per-group FLOPs and bytes accumulate in two float
     arrays in exactly the order the sums were always taken, so the launch
-    costs — and the simulated time charged for them — keep their bits. *)
+    costs — and the simulated time charged for them — keep their bits.
+    Outputs get their addresses (and values) in the store's slots: a batch
+    allocates nothing per node. *)
 let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
-    (batch : node list) : unit =
-  let nodes = Array.of_list batch in
-  let n = Array.length nodes in
-  let n0 = nodes.(0) in
-  let plan0 = n0.plan in
+    (batch : Store.batch) : unit =
+  let s = batch.bstore and lo = batch.blo in
+  let ids = s.order in
+  let n = batch.bhi - lo in
+  let plan0 = s.plan.(ids.(lo)) in
   let kernel = plan0.kernel in
   (* Per-argument gather handling. One pass over the batch, node by node
      (a node's arguments sit together in memory), finds for every batched
@@ -69,16 +68,18 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   let first = Array.make nb 0 and next = Array.make nb 0 and elems = Array.make nb 0 in
   let same_addr = Array.make nb true and contiguous = Array.make nb true in
   for i = 0 to n - 1 do
-    let nd = nodes.(i) in
+    let id = ids.(lo + i) in
+    let a0 = s.arg_lo.(id) in
     for j = 0 to nb - 1 do
-      let o = out_exn nd batched.(j) nd.args.(j) in
-      if i = 0 then first.(j) <- o.addr
+      let v = s.args.(a0 + j) in
+      let addr = arg_addr s id batched.(j) v in
+      if i = 0 then first.(j) <- addr
       else begin
-        if o.addr <> first.(j) then same_addr.(j) <- false;
-        if o.addr <> next.(j) then contiguous.(j) <- false
+        if addr <> first.(j) then same_addr.(j) <- false;
+        if addr <> next.(j) then contiguous.(j) <- false
       end;
-      let e = out_elems o in
-      next.(j) <- o.addr + e;
+      let e = Shape.numel s.shape.(v) in
+      next.(j) <- addr + e;
       elems.(j) <- elems.(j) + e
     done
   done;
@@ -104,7 +105,7 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   let ngroups = Array.length plan0.group_flops in
   let flops = Array.make ngroups 0.0 and bytes = Array.make ngroups 0.0 in
   for i = 0 to n - 1 do
-    let p = nodes.(i).plan in
+    let p = s.plan.(ids.(lo + i)) in
     for g = 0 to ngroups - 1 do
       flops.(g) <- flops.(g) +. p.group_flops.(g);
       bytes.(g) <- bytes.(g) +. p.group_bytes.(g)
@@ -133,17 +134,16 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   if n = 1 then Device.note_unbatched device;
   (* Allocate outputs: one contiguous slab per output slot. *)
   let out_arity = Kernel.out_arity kernel in
-  let node_outs = Array.init n (fun _ -> Array.make out_arity no_out) in
   for slot = 0 to out_arity - 1 do
     let total = ref 0 in
     for i = 0 to n - 1 do
-      total := !total + Shape.numel nodes.(i).plan.out_shapes.(slot)
+      total := !total + Shape.numel s.plan.(ids.(lo + i)).out_shapes.(slot)
     done;
     let cursor = ref (Device.alloc device ~elems:!total) in
     for i = 0 to n - 1 do
-      let shape = nodes.(i).plan.out_shapes.(slot) in
-      node_outs.(i).(slot) <- { tensor = None; addr = !cursor; shape };
-      cursor := !cursor + Shape.numel shape
+      let id = ids.(lo + i) in
+      s.addr.(s.out_lo.(id) + slot) <- !cursor;
+      cursor := !cursor + Shape.numel s.plan.(id).out_shapes.(slot)
     done
   done;
   (* Concrete values, when requested. On a silently-corrupting attempt
@@ -161,20 +161,23 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
     end
   in
   if policy.compute_values then
-    Array.iteri
-      (fun i (nd : node) ->
-        let args =
-          Array.init nargs (fun pos ->
-              match (out_exn nd pos (node_arg nd pos)).tensor with
-              | Some t -> t
-              | None ->
-                fail "kernel %s: value computation requested but argument %d has no value"
-                  nd.plan.kernel.Kernel.name pos)
-        in
-        let results = Kernel.execute ~rand:(rand_for nd.instance) nd.plan.kernel args in
-        let results = if corrupting then Array.map perturb results else results in
-        Array.iteri (fun slot t -> node_outs.(i).(slot).tensor <- Some t) results)
-      nodes;
-  for i = 0 to n - 1 do
-    nodes.(i).outs <- Some node_outs.(i)
-  done
+    for i = 0 to n - 1 do
+      let id = ids.(lo + i) in
+      let args =
+        Array.init nargs (fun pos ->
+            match s.holder.(Store.arg_slot s id pos) with
+            | Some { value = Some t; _ } -> t
+            | Some _ | None ->
+              fail "kernel %s: value computation requested but argument %d has no value"
+                kernel.Kernel.name pos)
+      in
+      let results = Kernel.execute ~rand:(rand_for s.instance.(id)) kernel args in
+      let results = if corrupting then Array.map perturb results else results in
+      let o = s.out_lo.(id) in
+      Array.iteri
+        (fun slot t ->
+          match s.holder.(o + slot) with
+          | Some h -> h.value <- Some t
+          | None -> fail "kernel %s: output %d has no handle to hold its value" kernel.Kernel.name slot)
+        results
+    done

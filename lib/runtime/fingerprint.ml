@@ -49,17 +49,14 @@ let of_tensor (x : Tensor.t) : t =
 
 (* An accounting-only output (no materialized tensor) digests its shape
    under a distinct tag: structure is still covered, values are not. *)
-let of_out (o : Value.out) : t =
-  match o.Value.tensor with
-  | Some x -> of_tensor x
-  | None ->
-    let h = ref (step 2L (Int64.of_int (List.length o.Value.shape))) in
-    List.iter (fun d -> h := step !h (Int64.of_int d)) o.Value.shape;
-    !h
-
 let of_handle (h : Value.handle) : t =
-  match Value.handle_out h with
-  | Some o -> of_out o
+  match Value.handle_tensor h with
+  | Some x -> of_tensor x
+  | None when Value.handle_ready h ->
+    let shape = Value.handle_shape h in
+    let h = ref (step 2L (Int64.of_int (List.length shape))) in
+    List.iter (fun d -> h := step !h (Int64.of_int d)) shape;
+    !h
   | None -> step 3L 0L (* pending: callers fingerprint after the final flush *)
 
 (** Fingerprint of one request's output value. Tensor and scalar components

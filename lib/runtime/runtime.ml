@@ -24,8 +24,9 @@ type kernel_entry = {
   mutable max_shared : int;
   mutable bound : Kernel.t option;
   mutable shared : handle array;
-      (** [bound]'s shared arguments in [shared_binds] order, resolved once:
-          every node of the kernel points at this one array. *)
+      (** [bound]'s shared arguments in [shared_binds] order, resolved once. *)
+  mutable shared_slots : int array;
+      (** Their slots: every node of the kernel points at this one array. *)
   mutable plans : Kernel.plan list;
       (** The plans of [bound] this runtime has used. All fit [shared], so
           a node is matched on its batched shapes alone. *)
@@ -35,8 +36,11 @@ type t = {
   device : Device.t;
   scheduler : Config.scheduler;
   policy : Executor.policy;
-  mutable pending : node list;  (** Reversed insertion order. *)
-  mutable next_id : int;
+  mutable store : Store.t;
+      (** The run's DFG: a private store until an engine attaches its
+          program's ({!share_store}). *)
+  mutable pending : Store.window list;
+      (** The open flush window (the nodes since the last flush), if any. *)
   weights : (string, handle) Hashtbl.t;
   consts : (Shape.t * int64, handle) Hashtbl.t;
       (** Keyed on the exact bits of the value. *)
@@ -49,10 +53,7 @@ type t = {
           its kernel's profile with one array load, no hashing. *)
   mutable rngs : Rng.t array;  (** Per-instance decision streams (§E.1). *)
   mutable flushes : int;
-  mutable sig_ids : (string, int) Hashtbl.t option;
-      (** Signatures interned by name ({!intern_signature}); created on
-          first use, which only DyNet's composite signatures make. *)
-  mutable sig_names : string array;  (** Name of interned id [-(i + 1)] at [i]. *)
+  mutable unbatchable : int;  (** Nodes numbered by {!next_unbatchable} this run. *)
 }
 
 let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
@@ -60,16 +61,15 @@ let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
     device;
     scheduler;
     policy;
+    store = Store.create ();
     pending = [];
-    next_id = 0;
     weights = Hashtbl.create 16;
     consts = Hashtbl.create 16;
     plans = Kernel.plan_table ();
     kernels = [||];
     rngs = Array.init instances (fun i -> Rng.create ((seed * 1_000_003) + i));
     flushes = 0;
-    sig_ids = None;
-    sig_names = [||];
+    unbatchable = 0;
   }
 
 (** Re-key the per-instance decision streams before execution. By default
@@ -87,7 +87,21 @@ let profiler t = Device.profiler t.device
 
 let rng_for t instance = t.rngs.(instance)
 
+(** Build the run's DFG in [store] from now on: the store of the compiled
+    program being run, reused run after run. [store] restarts (its ids
+    from 0); the runtime must not have registered a value or node yet.
+    @raise Invalid_argument otherwise. *)
+let share_store t store =
+  if not (Store.is_empty t.store) then
+    invalid_arg "Runtime.share_store: the runtime already holds values";
+  Store.reset store;
+  t.store <- store
+
 (* --- Materialization of non-DFG tensors --- *)
+
+let materialize t ~addr tensor =
+  let s = t.store in
+  { store = s; slot = Store.add_value s ~addr ~shape:(Tensor.shape tensor); value = Some tensor }
 
 (* Forget every kernel's resolved shared arguments and plans: the next
    node of each kernel resolves them again. *)
@@ -97,8 +111,7 @@ let unbind_kernels t = Array.iter (fun e -> e.bound <- None) t.kernels
 let set_weight t name tensor =
   let elems = Tensor.numel tensor in
   let addr = Device.alloc t.device ~elems in
-  Hashtbl.replace t.weights name
-    (Hmat { tensor = Some tensor; addr; shape = Tensor.shape tensor });
+  Hashtbl.replace t.weights name (materialize t ~addr tensor);
   unbind_kernels t
 
 let weight t name =
@@ -114,7 +127,7 @@ let const_handle t ~shape ~value =
   | None ->
     let elems = Shape.numel shape in
     let addr = Device.alloc t.device ~elems in
-    let h = Hmat { tensor = Some (Tensor.full shape value); addr; shape } in
+    let h = materialize t ~addr (Tensor.full shape value) in
     Hashtbl.replace t.consts key h;
     h
 
@@ -137,7 +150,7 @@ let upload_inputs t ~batched (tensors : Tensor.t list) : handle list =
   List.map
     (fun x ->
       let addr = Device.alloc t.device ~elems:(Tensor.numel x) in
-      Hmat { tensor = Some x; addr; shape = Tensor.shape x })
+      materialize t ~addr x)
     tensors
 
 (** Download result tensors to the host. *)
@@ -165,6 +178,7 @@ let kernel_entry t (kernel : Kernel.t) =
               max_shared = 0;
               bound = None;
               shared = [||];
+              shared_slots = [||];
               plans = [];
             })
   end;
@@ -180,6 +194,7 @@ let bound_entry t (kernel : Kernel.t) =
   | Some k when k == kernel -> ()
   | Some _ | None ->
     e.shared <- Array.of_list (List.map (fun (_, b) -> shared_handle t b) kernel.shared_binds);
+    e.shared_slots <- Array.map (fun h -> h.slot) e.shared;
     e.plans <- [];
     e.bound <- Some kernel);
   e
@@ -245,67 +260,52 @@ let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
     e.plans <- p :: e.plans;
     p
 
-(** Append one DFG node; returns handles on its outputs. [args] are the
-    node's batched arguments and [plan] must be [plan t kernel args]. *)
+(** Append one DFG node; returns the slot of its first output (the others
+    follow: see {!output}). [args] are the node's batched arguments and
+    [plan] must be [plan t kernel args]. *)
 let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
-    ~(sig_key : int) : handle array =
+    ~(sig_key : int) : int =
   Device.charge_dfg_node t.device;
   let e = bound_entry t plan.kernel in
-  let node =
-    { id = t.next_id; plan; args; shared = e.shared; phase; depth; instance; sig_key; outs = None }
+  let s = t.store in
+  let id = s.Store.nodes in
+  (* A new flush window: the last one has executed, and its holders go. *)
+  (match t.pending with [] -> Store.release_holders s | _ :: _ -> ());
+  let first =
+    Store.add_node s ~values:t.policy.Executor.compute_values ~plan ~args
+      ~shared:e.shared_slots ~shared_handles:e.shared ~instance ~phase ~depth ~sig_key
   in
-  t.next_id <- t.next_id + 1;
-  t.pending <- node :: t.pending;
+  (match t.pending with
+  | w :: _ -> w.Store.hi <- id + 1
+  | [] -> t.pending <- [ { Store.wstore = s; lo = id; hi = id + 1 } ]);
   (match t.scheduler with
   | Config.Inline_depth -> Device.charge_bucket_push t.device
   | Config.Runtime_depth | Config.Agenda -> ());
   e.calls <- e.calls + 1;
   e.flops.total <- e.flops.total +. plan.flops;
   if plan.shared_elems > e.max_shared then e.max_shared <- plan.shared_elems;
-  let arity = Array.length plan.out_shapes in
-  if arity = 0 then [||]
-  else begin
-    let outs = Array.make arity (Hnode (node, 0)) in
-    for i = 1 to arity - 1 do
-      outs.(i) <- Hnode (node, i)
-    done;
-    outs
-  end
+  first
+
+(** Output [k] of the node whose first output slot is [first]: the handle
+    its value will arrive in. Call it before the next node is invoked. *)
+let output t first k = Store.handle t.store (first + k)
 
 (* --- Batching signatures --- *)
 
 (** An id for the batching signature [name], equal for equal names within
-    this runtime. Interned ids are negative, so they never equal a plan's
-    id (ACROBAT's signatures). *)
-let intern_signature t name =
-  let ids =
-    match t.sig_ids with
-    | Some ids -> ids
-    | None ->
-      let ids = Hashtbl.create 64 in
-      t.sig_ids <- Some ids;
-      ids
-  in
-  match Hashtbl.find_opt ids name with
-  | Some id -> id
-  | None ->
-    let i = Hashtbl.length ids in
-    if i = Array.length t.sig_names then begin
-      let bigger = Array.make (max 16 (2 * i)) "" in
-      Array.blit t.sig_names 0 bigger 0 i;
-      t.sig_names <- bigger
-    end;
-    t.sig_names.(i) <- name;
-    Hashtbl.replace ids name (-(i + 1));
-    -(i + 1)
+    this run. Interned ids are negative, so they never equal a plan's id
+    (ACROBAT's signatures). *)
+let intern_signature t name = Store.intern t.store name
 
 (** The printed form of [sig_key], a signature of a node planned as
     [plan]: the plan's own, or the name it was interned from. *)
-let signature_name t (plan : Kernel.plan) sig_key =
-  let interned = match t.sig_ids with Some ids -> Hashtbl.length ids | None -> 0 in
-  if sig_key = plan.id then plan.signature
-  else if sig_key < 0 && -sig_key <= interned then t.sig_names.(-sig_key - 1)
-  else fail "signature %d is neither plan %d's nor interned by this runtime" sig_key plan.id
+let signature_name t (plan : Kernel.plan) sig_key = Store.signature_name t.store plan sig_key
+
+(** A number for one more node that must execute alone, from 1 in each
+    run: DyNet signs its unbatchable nodes apart with it. *)
+let next_unbatchable t =
+  t.unbatchable <- t.unbatchable + 1;
+  t.unbatchable
 
 (** Schedule and execute everything pending. *)
 let flush t =
@@ -314,11 +314,7 @@ let flush t =
   | pending ->
     t.pending <- [];
     t.flushes <- t.flushes + 1;
-    let batches =
-      Scheduler.schedule
-        ~sig_name:(fun n -> signature_name t n.plan n.sig_key)
-        t.scheduler t.device (List.rev pending)
-    in
+    let batches = Scheduler.schedule t.scheduler t.device (List.rev pending) in
     List.iter (Executor.exec_batch t.device t.policy ~rand_for:(rng_for t)) batches
 
 let flush_count t = t.flushes
@@ -327,14 +323,12 @@ let has_pending t = t.pending <> []
 (** Force a handle without fibers: flush if it is still pending. *)
 let force t h =
   if not (handle_ready h) then flush t;
-  match handle_out h with
-  | Some o -> o
-  | None -> fail "handle still pending after flush"
+  if not (handle_ready h) then fail "handle still pending after flush"
 
 (** Read a forced tensor's scalar value ([0.0] in accounting-only mode). *)
 let scalar_value t h =
-  let o = force t h in
-  match o.tensor with
+  force t h;
+  match handle_tensor h with
   | Some x -> Tensor.item x
   | None -> 0.0
 

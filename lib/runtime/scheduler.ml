@@ -12,150 +12,229 @@
     - {b agenda} (DyNet's agenda-based scheme): maintain the ready set and
       repeatedly launch the largest group of compatible ready nodes.
 
+    Nodes live in a {!Store}: a flush schedules one window of node ids, and
+    every batch is a slice of the store's [order] array. Grouping is a
+    counting pass over the store's int arrays, TF-Fold's
+    [(depth, type, index)] labelling (DESIGN.md §28).
+
     Scheduling work is charged to the device profiler per elementary
     operation (bucket pushes, graph-traversal steps, heap operations,
     signature hashes), which is how the Table 5 "Scheduling" row arises. *)
 
-open Value
+open Store
 module Device = Acrobat_device.Device
+module Kernel = Acrobat_compiler.Kernel
 
-type batch = node list
+type batch = Store.batch
 
-module Itbl = Hashtbl.Make (Int)
+(* The batches [order.(0) .. order.(hi - 1)] of [s] as consecutive
+   slices, given each slice's end in reverse order. *)
+let slices s cuts =
+  let rec go acc = function
+    | [] -> acc
+    | bhi :: rest ->
+      let blo = match rest with b :: _ -> b | [] -> 0 in
+      go ({ bstore = s; blo; bhi } :: acc) rest
+  in
+  go [] cuts
 
-(* One batch in the making: the nodes of one (phase, depth, signature). *)
-type group = {
-  g_phase : int;
-  g_depth : int;
-  g_sig : int;
-  g_first : int;  (** Id of the first node. *)
-  mutable members : node list;  (** Reversed. *)
-}
+(* Group the nodes [lo, hi) of [s] by (phase, depth, signature), where
+   node [id]'s depth is [depths.(id - doff)]; batches come ordered by
+   (phase, depth, first id), each in id order. A counting sort on the
+   (phase, depth) key puts the nodes of one key together in id order;
+   within a key, nodes go to their signature's group in order of first
+   appearance. No allocation per node: only a record per batch. *)
+let group s lo hi (depths : int array) doff : batch list =
+  let n = hi - lo in
+  if n <= 0 then []
+  else begin
+    let dmin = ref max_int and dmax = ref min_int and pmin = ref max_int and pmax = ref min_int in
+    for id = lo to hi - 1 do
+      let d = depths.(id - doff) and p = s.phase.(id) in
+      if d < !dmin then dmin := d;
+      if d > !dmax then dmax := d;
+      if p < !pmin then pmin := p;
+      if p > !pmax then pmax := p
+    done;
+    let dmin = !dmin and pmin = !pmin in
+    let drange = !dmax - dmin + 1 and prange = !pmax - pmin + 1 in
+    let key id = ((s.phase.(id) - pmin) * drange) + (depths.(id - doff) - dmin) in
+    let limit = (4 * n) + 64 in
+    let counting = drange <= limit && prange <= limit && prange * drange <= limit in
+    let nkeys = if counting then prange * drange else 0 in
+    scratch s (max n (nkeys + 1));
+    let sorted = s.sorted and aux = s.aux and groups = s.groups and order = s.order in
+    (* 1. The window's ids into [sorted], by key, in id order within a key. *)
+    if counting then begin
+      Array.fill aux 0 (nkeys + 1) 0;
+      for id = lo to hi - 1 do
+        let k = key id + 1 in
+        aux.(k) <- aux.(k) + 1
+      done;
+      for k = 1 to nkeys do
+        aux.(k) <- aux.(k) + aux.(k - 1)
+      done;
+      for id = lo to hi - 1 do
+        let k = key id in
+        sorted.(aux.(k)) <- id;
+        aux.(k) <- aux.(k) + 1
+      done
+    end
+    else begin
+      (* Keys too sparse to count: sort. *)
+      let ids = Array.init n (fun i -> lo + i) in
+      Array.stable_sort (fun a b -> Int.compare (key a) (key b)) ids;
+      Array.blit ids 0 sorted 0 n
+    end;
+    (* 2. Per key, its signatures' groups in order of first appearance:
+       [aux] holds each position's group, [groups] first each group's
+       signature, then its members' next place in [order]. *)
+    let cuts = ref [] in
+    let b0 = ref 0 in
+    while !b0 < n do
+      let k = key sorted.(!b0) in
+      let b1 = ref (!b0 + 1) in
+      while !b1 < n && key sorted.(!b1) = k do
+        incr b1
+      done;
+      let b0' = !b0 and b1' = !b1 in
+      let ngroups = ref 0 in
+      for i = b0' to b1' - 1 do
+        let sg = s.sig_key.(sorted.(i)) in
+        let g = ref 0 in
+        while !g < !ngroups && groups.(b0' + !g) <> sg do
+          incr g
+        done;
+        if !g = !ngroups then begin
+          groups.(b0' + !g) <- sg;
+          incr ngroups
+        end;
+        aux.(i) <- !g
+      done;
+      let ng = !ngroups in
+      (* Group sizes, then their starts in [order]. *)
+      for g = 0 to ng - 1 do
+        groups.(b0' + g) <- 0
+      done;
+      for i = b0' to b1' - 1 do
+        let g = b0' + aux.(i) in
+        groups.(g) <- groups.(g) + 1
+      done;
+      let start = ref b0' in
+      for g = 0 to ng - 1 do
+        let size = groups.(b0' + g) in
+        groups.(b0' + g) <- !start;
+        start := !start + size;
+        cuts := !start :: !cuts
+      done;
+      for i = b0' to b1' - 1 do
+        let g = b0' + aux.(i) in
+        order.(groups.(g)) <- sorted.(i);
+        groups.(g) <- groups.(g) + 1
+      done;
+      b0 := b1'
+    done;
+    slices s !cuts
+  end
 
-(* The groups at one depth, all phases: a handful, so a list. *)
-type bucket = { mutable groups : group list }
-
-(* Add [n], at [depth], to its group among [b]'s, opening one if none
-   matches. *)
-let rec join b (n : node) depth = function
-  | [] ->
-    b.groups <-
-      { g_phase = n.phase; g_depth = depth; g_sig = n.sig_key; g_first = n.id; members = [ n ] }
-      :: b.groups
-  | g :: rest ->
-    if g.g_sig = n.sig_key && g.g_phase = n.phase then g.members <- n :: g.members
-    else join b n depth rest
-
-(* Group [nodes] by (phase, depth, signature); batches ordered by
-   (phase, depth, first insertion). [depth_of] lets runtime-depth scheduling
-   override the node's recorded depth. Per node this is one int-keyed
-   lookup of its depth's bucket and a scan of that bucket's groups,
-   comparing ints: no key is allocated and no signature is hashed. *)
-let group_by_depth ?(depth_of = fun n -> n.depth) (nodes : node list) : batch list =
-  let buckets : bucket Itbl.t = Itbl.create 64 in
-  List.iter
-    (fun n ->
-      let depth = depth_of n in
-      let b =
-        match Itbl.find buckets depth with
-        | b -> b
-        | exception Not_found ->
-          let b = { groups = [] } in
-          Itbl.add buckets depth b;
-          b
-      in
-      join b n depth b.groups)
-    nodes;
-  Itbl.fold (fun _ b acc -> List.rev_append b.groups acc) buckets []
-  |> List.sort (fun g1 g2 ->
-         if g1.g_phase <> g2.g_phase then Int.compare g1.g_phase g2.g_phase
-         else if g1.g_depth <> g2.g_depth then Int.compare g1.g_depth g2.g_depth
-         else Int.compare g1.g_first g2.g_first)
-  |> List.map (fun g -> List.rev g.members)
-
-let inline_depth (_device : Device.t) nodes =
+let inline_depth (_device : Device.t) s lo hi =
   (* Depths were computed inline during construction; insertion already
      charged the O(1) bucket push per node. *)
-  group_by_depth nodes
+  group s lo hi s.depth 0
 
-(* Topological depths over the pending subgraph. Nodes arrive in insertion
-   order, which is a valid dependency order (obs. O.1), so one forward pass
-   suffices — but the traversal itself costs: one heap operation per node
-   and a step per kernel argument, shared ones included (a dynamic
-   framework's graph holds an edge per argument). *)
-let topo_depths (device : Device.t) nodes =
-  let depths : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      Device.charge_heap_op device;
-      for _ = 1 to n.plan.kernel.Acrobat_compiler.Kernel.nargs do
-        Device.charge_scheduling device 0.02
-      done;
-      let d =
-        Array.fold_left
-          (fun acc h ->
-            match h with
-            | Hnode (m, _) when not (node_executed m) ->
-              max acc (1 + Option.value ~default:0 (Hashtbl.find_opt depths m.id))
-            | Hnode _ | Hmat _ -> acc)
-          0 n.args
-      in
-      Hashtbl.replace depths n.id d)
-    nodes;
-  depths
+(* Topological depths over the window, into [s.rdepth] (indexed by id
+   minus [lo]). Nodes arrive in insertion order, which is a valid
+   dependency order (obs. O.1), so one forward pass suffices — but the
+   traversal itself costs: one heap operation per node and a step per
+   kernel argument, shared ones included (a dynamic framework's graph
+   holds an edge per argument). Every node before the window has
+   executed, so the arguments that count are those of nodes in it. *)
+let topo_depths (device : Device.t) s lo hi =
+  scratch s (hi - lo);
+  let d = s.rdepth in
+  for id = lo to hi - 1 do
+    Device.charge_heap_op device;
+    let kernel = s.plan.(id).Kernel.kernel in
+    for _ = 1 to kernel.Kernel.nargs do
+      Device.charge_scheduling device 0.02
+    done;
+    let a0 = s.arg_lo.(id) in
+    let depth = ref 0 in
+    for j = 0 to Array.length kernel.Kernel.batched - 1 do
+      let m = s.owner.(s.args.(a0 + j)) in
+      if m >= lo then begin
+        let dm = 1 + d.(m - lo) in
+        if dm > !depth then depth := dm
+      end
+    done;
+    d.(id - lo) <- !depth
+  done
 
-let runtime_depth (device : Device.t) nodes =
-  let depths = topo_depths device nodes in
-  group_by_depth ~depth_of:(fun n -> Hashtbl.find depths n.id) nodes
+let runtime_depth (device : Device.t) s lo hi =
+  topo_depths device s lo hi;
+  group s lo hi s.rdepth lo
 
-let agenda ~sig_name (device : Device.t) nodes =
-  (* Kahn's algorithm over the pending subgraph with DyNet's agenda
-     heuristic (Neubig et al. 2017b): among the signature classes with
-     ready nodes, launch the one whose ready nodes have the lowest average
-     topological depth — executing shallow work first lets deeper same-type
-     nodes accumulate into bigger batches. Classes are keyed by their
-     printed signatures, whose hash order breaks ties. *)
-  let topo_depth = topo_depths device nodes in
-  let pending : (int, node) Hashtbl.t = Hashtbl.create 64 in
-  List.iter (fun n -> Hashtbl.replace pending n.id n) nodes;
-  let indegree : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let dependents : (int, node list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun n ->
-      let deps =
-        Array.to_list n.args
-        |> List.filter_map (function
-             | Hnode (m, _) when Hashtbl.mem pending m.id && not (node_executed m) -> Some m
-             | Hnode _ | Hmat _ -> None)
-        |> List.sort_uniq (fun a b -> compare a.id b.id)
-      in
-      Hashtbl.replace indegree n.id (List.length deps);
-      List.iter
-        (fun m ->
-          match Hashtbl.find_opt dependents m.id with
-          | Some cell -> cell := n :: !cell
-          | None -> Hashtbl.replace dependents m.id (ref [ n ]))
-        deps)
-    nodes;
+(* Whether argument [j] of node [id] comes from the same in-window node as
+   an earlier argument of it. *)
+let repeated s id j m =
+  let a0 = s.arg_lo.(id) in
+  let rec go i = i < j && (s.owner.(s.args.(a0 + i)) = m || go (i + 1)) in
+  go 0
+
+let agenda (device : Device.t) s lo hi =
+  (* Kahn's algorithm over the window with DyNet's agenda heuristic
+     (Neubig et al. 2017b): among the signature classes with ready nodes,
+     launch the one whose ready nodes have the lowest average topological
+     depth — executing shallow work first lets deeper same-type nodes
+     accumulate into bigger batches. Classes are keyed by their printed
+     signatures, whose hash order breaks ties. *)
+  let n = hi - lo in
+  topo_depths device s lo hi;
+  let topo_depth = s.rdepth in
+  (* Each node's distinct in-window dependencies, and its dependents in
+     compressed rows: [dependents.(first.(m) ..)] for node [lo + m]. *)
+  let indegree = Array.make n 0 and first = Array.make (n + 1) 0 in
+  let each_dep f =
+    for id = lo to hi - 1 do
+      let a0 = s.arg_lo.(id) in
+      for j = 0 to Array.length s.plan.(id).Kernel.kernel.Kernel.batched - 1 do
+        let m = s.owner.(s.args.(a0 + j)) in
+        if m >= lo && not (repeated s id j m) then f id m
+      done
+    done
+  in
+  each_dep (fun id m ->
+      indegree.(id - lo) <- indegree.(id - lo) + 1;
+      first.(m - lo + 1) <- first.(m - lo + 1) + 1);
+  for m = 1 to n do
+    first.(m) <- first.(m) + first.(m - 1)
+  done;
+  let dependents = Array.make first.(n) 0 and fill = Array.sub first 0 n in
+  each_dep (fun id m ->
+      dependents.(fill.(m - lo)) <- id;
+      fill.(m - lo) <- fill.(m - lo) + 1);
   (* Ready sets per signature, with incrementally maintained depth sums so
      class selection is O(#classes). *)
-  let ready : (string, node list ref * int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
-  let push n =
+  let ready : (string, int list ref * int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
+  let push id =
     Device.charge_signature_hash device;
     Device.charge_heap_op device;
-    let d = Hashtbl.find topo_depth n.id in
-    let name = sig_name n in
+    let d = topo_depth.(id - lo) in
+    let name = node_signature s id in
     match Hashtbl.find_opt ready name with
     | Some (cell, sum, count) ->
-      cell := n :: !cell;
+      cell := id :: !cell;
       sum := !sum + d;
       incr count
-    | None -> Hashtbl.replace ready name (ref [ n ], ref d, ref 1)
+    | None -> Hashtbl.replace ready name (ref [ id ], ref d, ref 1)
   in
-  List.iter (fun n -> if Hashtbl.find indegree n.id = 0 then push n) nodes;
-  let batches = ref [] in
-  let remaining = ref (List.length nodes) in
-  while !remaining > 0 do
+  for id = lo to hi - 1 do
+    if indegree.(id - lo) = 0 then push id
+  done;
+  scratch s n;
+  let order = s.order in
+  let placed = ref 0 and cuts = ref [] in
+  while !placed < n do
     (* Pick the ready class with the lowest average depth (ties: larger). *)
     let score (_, sum, count) = float_of_int !sum /. float_of_int !count, - !count in
     let best =
@@ -168,39 +247,39 @@ let agenda ~sig_name (device : Device.t) nodes =
         ready None
     in
     match best with
-    | None -> Value.fail "agenda scheduler: dependency cycle in DFG"
+    | None -> fail "agenda scheduler: dependency cycle in DFG"
     | Some (sg, (cell, _, _)) ->
       let batch = List.rev !cell in
       Hashtbl.remove ready sg;
-      remaining := !remaining - List.length batch;
-      batches := batch :: !batches;
+      let blo = !placed in
       List.iter
-        (fun n ->
-          Device.charge_heap_op device;
-          match Hashtbl.find_opt dependents n.id with
-          | None -> ()
-          | Some deps ->
-            List.iter
-              (fun d ->
-                let k = Hashtbl.find indegree d.id - 1 in
-                Hashtbl.replace indegree d.id k;
-                if k = 0 then push d)
-              !deps)
-        batch
+        (fun id ->
+          order.(!placed) <- id;
+          incr placed)
+        batch;
+      cuts := !placed :: !cuts;
+      (* Dependents were pushed in reverse id order; keep that order. *)
+      for i = blo to !placed - 1 do
+        let m = order.(i) - lo in
+        Device.charge_heap_op device;
+        for k = first.(m + 1) - 1 downto first.(m) do
+          let d = dependents.(k) - lo in
+          indegree.(d) <- indegree.(d) - 1;
+          if indegree.(d) = 0 then push dependents.(k)
+        done
+      done
   done;
-  List.rev !batches
+  slices s !cuts
 
-(* The printed signature of a node signed by its plan's id. Signatures a
-   runtime interned have names only that runtime knows
-   ([Runtime.signature_name]). *)
-let plan_signature n =
-  if n.sig_key = n.plan.Acrobat_compiler.Kernel.id then n.plan.signature
-  else Value.fail "agenda scheduler: signature %d of node %d has no name" n.sig_key n.id
-
-(** Order [nodes] into batches. [sig_name] prints a node's signature for
-    the agenda scheduler's tie-breaks. *)
-let schedule ?(sig_name = plan_signature) (kind : Acrobat_compiler.Config.scheduler) device nodes =
-  match kind with
-  | Acrobat_compiler.Config.Inline_depth -> inline_depth device nodes
-  | Acrobat_compiler.Config.Runtime_depth -> runtime_depth device nodes
-  | Acrobat_compiler.Config.Agenda -> agenda ~sig_name device nodes
+(** Order the nodes of the pending flush window into batches: [windows]
+    is a runtime's [pending], which holds the open window, if any. *)
+let schedule (kind : Acrobat_compiler.Config.scheduler) device (windows : window list) :
+    batch list =
+  match windows with
+  | [] -> []
+  | [ { wstore = s; lo; hi } ] -> (
+    match kind with
+    | Acrobat_compiler.Config.Inline_depth -> inline_depth device s lo hi
+    | Acrobat_compiler.Config.Runtime_depth -> runtime_depth device s lo hi
+    | Acrobat_compiler.Config.Agenda -> agenda device s lo hi)
+  | _ :: _ :: _ -> invalid_arg "Scheduler.schedule: a runtime has one open window"

@@ -1,12 +1,12 @@
-(** Runtime values and dataflow-graph nodes.
+(** Runtime values.
 
     Tensor values are {e symbolic} during lazy execution: evaluating a block
-    yields handles onto a pending DFG node; the tensors materialize when the
-    runtime flushes the graph (§2.2). Materialized handles carry a simulated
-    device address, which is what batching contiguity checks consult. *)
+    yields handles onto a pending DFG node's outputs; the tensors
+    materialize when the runtime flushes the graph (§2.2). Materialized
+    handles have a simulated device address, which is what batching
+    contiguity checks consult. *)
 
 open Acrobat_tensor
-open Acrobat_compiler
 
 (** Per-instance execution context: the runtime depth counter of the inline
     depth-computation scheme (Listing 2's [depth] parameter) and the current
@@ -15,57 +15,17 @@ type ictx = { ictx_instance : int; mutable ictx_depth : int; mutable ictx_phase 
 
 let clone_ictx i = { i with ictx_instance = i.ictx_instance }
 
-type out = {
-  mutable tensor : Tensor.t option;
-      (** Concrete value; [None] until executed, and possibly forever when
-          the engine runs in accounting-only mode (no value computation). *)
-  mutable addr : int;  (** Simulated device address (elements). *)
-  shape : Shape.t;
-}
+(** A tensor: a value slot of a DFG node store ({!Store}) — a
+    materialized input, weight or constant, or an output of a (possibly
+    pending) node. *)
+type handle = Store.handle = { store : Store.t; slot : int; mutable value : Tensor.t option }
 
-let out_elems o = Shape.numel o.shape
+let handle_shape = Store.shape
+let handle_ready = Store.ready
 
-type node = {
-  id : int;  (** Insertion order (a valid dependency order, obs. O.1). *)
-  plan : Kernel.plan;
-      (** The kernel with its output shapes and per-group costs at this
-          node's argument shapes; shared by every node with the same
-          kernel and argument shapes. *)
-  args : handle array;
-      (** The [Batched] arguments only, in [kernel.batched] order: what
-          differs between the instances of a batch. *)
-  shared : handle array;
-      (** The kernel's [Shared] arguments in [shared_binds] order, as the
-          runtime resolved them once for every node of the kernel (one
-          array, not a copy per node). *)
-  phase : int;
-  depth : int;
-  instance : int;
-  sig_key : int;
-      (** Batching signature: nodes batch together only when equal. Engines
-          choose it (ACROBAT: the plan's id; DyNet interns its heuristics'
-          constraints to fresh ids). *)
-  mutable outs : out array option;  (** Set once the node has executed. *)
-}
-
-and handle =
-  | Hmat of out  (** Materialized: inputs, weights, constants, or executed. *)
-  | Hnode of node * int  (** Output slot [i] of a (possibly pending) node. *)
-
-(** The kernel argument at index [pos] of a node's kernel, from its own
-    arguments or the shared ones as the argument's role says. *)
-let node_arg n pos = Kernel.arg n.plan.Kernel.kernel ~batched:n.args ~shared:n.shared pos
-
-let node_executed n = n.outs <> None
-
-let handle_shape = function Hmat o -> o.shape | Hnode (n, i) -> n.plan.out_shapes.(i)
-
-(** The materialized output behind a handle, if executed. *)
-let handle_out = function
-  | Hmat o -> Some o
-  | Hnode (n, i) -> (match n.outs with Some outs -> Some outs.(i) | None -> None)
-
-let handle_ready h = handle_out h <> None
+(** The concrete value behind a handle: [None] while pending, and in
+    accounting-only mode. *)
+let handle_tensor h = h.value
 
 type value =
   | Vtensor of handle
@@ -79,9 +39,9 @@ type value =
   | Vtuple of value array
   | Vfun of (ictx -> value list -> value)
 
-exception Runtime_error of string
+exception Runtime_error = Store.Runtime_error
 
-let fail fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
+let fail = Store.fail
 
 let to_handle = function Vtensor h -> h | _ -> fail "expected a tensor value"
 let to_int = function Vint n -> n | _ -> fail "expected an int"
@@ -104,11 +64,25 @@ let rec handles acc = function
   | Vleaf a -> handles acc a
   | Vtuple vs -> Array.fold_left handles acc vs
 
+(** [v] with every tensor handle replaced by [f] of it. *)
+let rec map_handles f = function
+  | Vtensor h -> Vtensor (f h)
+  | (Vint _ | Vbool _ | Vfloat _ | Vnil | Vfun _) as v -> v
+  | Vcons (a, b) ->
+    let a = map_handles f a in
+    Vcons (a, map_handles f b)
+  | Vnode (a, b) ->
+    let a = map_handles f a in
+    Vnode (a, map_handles f b)
+  | Vleaf a -> Vleaf (map_handles f a)
+  | Vtuple vs -> Vtuple (Array.map (map_handles f) vs)
+
 let rec pp ppf = function
   | Vtensor h -> begin
-    match handle_out h with
-    | Some { tensor = Some t; _ } -> Tensor.pp ppf t
-    | Some { shape; _ } -> Fmt.pf ppf "<tensor %a (not computed)>" Shape.pp shape
+    match handle_tensor h with
+    | Some t -> Tensor.pp ppf t
+    | None when handle_ready h ->
+      Fmt.pf ppf "<tensor %a (not computed)>" Shape.pp (handle_shape h)
     | None -> Fmt.pf ppf "<pending tensor>"
   end
   | Vint n -> Fmt.int ppf n

@@ -5,14 +5,39 @@
     plan's per-group cost arrays through [Array.to_list] and derives the
     per-group argument reads from the kernel itself, as it used to. It
     reads nodes whose [args] hold every kernel argument, shared ones
-    included (the layout before DESIGN.md §21). The live executor, given
-    the same batch as batched-only nodes, must issue the same gathers and
+    included (the layout before DESIGN.md §21), as records: the node and
+    output records the live executor had before the node store (DESIGN.md
+    §28) are declared here. The live executor, given the same batch as
+    batched-only nodes of a store, must issue the same gathers and
     launches, with the same FLOP and byte bits, and assign the same output
     addresses. *)
 
 open Acrobat
-open Acrobat_runtime.Value
 module Executor = Acrobat_runtime.Executor
+
+let fail = Acrobat_runtime.Value.fail
+
+type out = { mutable tensor : Tensor.t option; mutable addr : int; shape : Shape.t }
+
+let out_elems o = Shape.numel o.shape
+
+type node = {
+  id : int;
+  plan : Kernel.plan;
+  args : handle array;  (** Every kernel argument, shared ones included. *)
+  phase : int;
+  depth : int;
+  instance : int;
+  mutable outs : out array option;
+}
+
+and handle = Hmat of out | Hnode of node * int
+
+let handle_out = function
+  | Hmat o -> Some o
+  | Hnode (n, i) -> (match n.outs with Some outs -> Some outs.(i) | None -> None)
+
+let handle_shape = function Hmat o -> o.shape | Hnode (n, i) -> n.plan.out_shapes.(i)
 
 (** Per group, the (deduplicated) kernel-argument indices it reads. *)
 let group_arg_reads (t : Kernel.t) : int list list =
@@ -88,7 +113,7 @@ let exec_batch (device : Device.t) (policy : Executor.policy) ~(rand_for : int -
   let nbatch = float_of_int (Array.length nodes) in
   let arg_bytes pos =
     float_of_int
-      (Shape.numel (Value.handle_shape n0.args.(pos)) * Cost_model.bytes_per_elem)
+      (Shape.numel (handle_shape n0.args.(pos)) * Cost_model.bytes_per_elem)
   in
   let batch_group_bytes =
     Array.fold_left

@@ -181,7 +181,6 @@ let test_dynet_signatures_pinned () =
       ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
   let add = kernel "add" Ir.Op.Add and matmul = kernel "matmul" Ir.Op.Matmul in
-  let mat addr shape = Value.Hmat { tensor = None; addr; shape } in
   let device = Device.create () in
   let policy =
     { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
@@ -189,6 +188,10 @@ let test_dynet_signatures_pinned () =
   in
   let rt =
     Acrobat_runtime.Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1
+  in
+  let mat addr shape =
+    let s = rt.Acrobat_runtime.Runtime.store in
+    Acrobat_runtime.Store.handle s (Acrobat_runtime.Store.add_value s ~addr ~shape)
   in
   let sig_of = Policy.dynet_sig () in
   let sign k args =
@@ -216,7 +219,7 @@ let test_dynet_signatures_pinned () =
       ~sig_key:plan.id
   in
   Alcotest.(check string) "matmul keyed on a pending node's slot" "k1|(1, 1);(1, 4)|wt=n0.0"
-    (dynet matmul [| mat 0 [ 1; 1 ]; pending.(0) |]);
+    (dynet matmul [| mat 0 [ 1; 1 ]; Acrobat_runtime.Runtime.output rt pending 0 |]);
   let argmax =
     let b = Kernel.builder () in
     let t = Kernel.add_instr b Ir.Op.Argmax [ Kernel.Arg 0 ] in
@@ -677,9 +680,35 @@ let test_staged_once_matches_fresh () =
       "nestedrnn", acrobat_kind (* fibers, Lshared, forwarded *);
       "drnn", acrobat_kind (* forked fibers, decisions *);
       "moe", acrobat_kind;
-      "treelstm", dynet_kind (* a fresh policy record per Frameworks.policy call *);
+      "treelstm", dynet_kind (* one policy record for every batch *);
       "drnn", Frameworks.Dynet { improved = true; scheduler = Config.Runtime_depth };
     ]
+
+(* A DyNet policy depends on nothing but the batch it signs: agenda
+   TreeLSTM batches through one policy record match the same batches each
+   signed by a fresh record, in latency and in every bit of virtual time.
+   (Unbatchable nodes are numbered by the run, not by the record.) *)
+let test_dynet_policy_reusable () =
+  let model = Models.tiny "treelstm" in
+  let c = compile ~framework:dynet_kind ~inputs:model.Model.inputs model.Model.source in
+  let weights = model.Model.gen_weights 1 in
+  let reused = Frameworks.policy dynet_kind in
+  let run policy (batch, seed) =
+    let device = Device.create () in
+    let r =
+      Driver.run_batch ~device ~mode:Driver.Aot_mode ~policy ~quality:c.quality ~lprog:c.lprog
+        ~weights ~instances:(gen_batch model ~batch ~seed) ()
+    in
+    Int64.bits_of_float r.Driver.stats.Driver.latency_ms, time_bits (Device.profiler device)
+  in
+  List.iteri
+    (fun k batch ->
+      let latency, times = run reused batch
+      and fresh_latency, fresh_times = run (Frameworks.policy dynet_kind) batch in
+      let what = Fmt.str "batch %d" k in
+      Alcotest.(check int64) (what ^ " latency") fresh_latency latency;
+      Alcotest.(check (array int64)) (what ^ " virtual time") fresh_times times)
+    [ 3, 10; 8, 11; 2, 12 ]
 
 let weak_probe = Weak.create 2
 
@@ -691,9 +720,23 @@ let[@inline never] run_on_probed_device slot ?faults c ~weights ~instances =
   | _ -> `Returned
   | exception Faults.Fault _ -> `Raised
 
+(* One value-mode run; [tensor_probe] then points to its output tensors,
+   and nothing else of the run is returned. *)
+let tensor_probe = Weak.create 64
+
+let[@inline never] run_probing_tensors c ~weights ~instances =
+  let r = run_batch ~compute_values:true c ~weights ~instances () in
+  let tensors =
+    List.concat_map (fun v -> List.filter_map Value.handle_tensor (Value.handles [] v)) r.outputs
+  in
+  List.iteri (fun i t -> Weak.set tensor_probe i (Some t)) tensors;
+  List.length tensors
+
 (* The staged program outlives every run, and must not keep the last run's
    runtime — nor, through it, its device — alive: neither when the run
-   returns nor when it raises an injected fault mid-DFG. *)
+   returns nor when it raises an injected fault mid-DFG. Its node store
+   keeps no tensor of a finished run either: dropped results are
+   collected, and no slot holds a value. *)
 let test_staged_run_releases_runtime () =
   let model = Models.tiny "nestedrnn" in
   let c = compile ~inputs:model.Model.inputs model.Model.source in
@@ -707,8 +750,40 @@ let test_staged_run_releases_runtime () =
   Gc.full_major ();
   check_true "a returned run keeps no device alive" (Option.is_none (Weak.get weak_probe 0));
   check_true "a raising run keeps no device alive" (Option.is_none (Weak.get weak_probe 1));
+  let probed = run_probing_tensors c ~weights ~instances in
+  check_true "a value-mode run has output tensors" (probed > 0);
+  Gc.full_major ();
+  for i = 0 to probed - 1 do
+    check_true "the store keeps no output tensor alive" (Option.is_none (Weak.get tensor_probe i))
+  done;
+  let store = (Lazy.force c.staged).Aot.store in
+  check_true "the store holds no handle between runs"
+    (Array.for_all Option.is_none store.Acrobat_runtime.Store.holder);
   check_true "the program still runs"
     ((run_batch c ~weights ~instances ()).Driver.stats.Driver.latency_ms > 0.0)
+
+(* A run's outputs leave the store its program reuses: they fingerprint
+   and print the same after the next run of the program has rebuilt its
+   DFG there, in either mode. *)
+let test_outputs_outlive_the_store () =
+  let model = Models.tiny "treelstm" in
+  let c = compile ~inputs:model.Model.inputs model.Model.source in
+  let weights = model.Model.gen_weights 1 in
+  let show (r : Driver.result) =
+    Driver.fingerprints r, List.map (Fmt.str "%a" Value.pp) r.Driver.outputs
+  in
+  List.iter
+    (fun compute_values ->
+      let first =
+        run_batch ~compute_values c ~weights ~instances:(gen_batch model ~batch:3 ~seed:4) ()
+      in
+      let before = show first in
+      ignore (run_batch ~compute_values c ~weights ~instances:(gen_batch model ~batch:5 ~seed:9) ());
+      let after = show first in
+      let what = if compute_values then "values" else "accounting" in
+      Alcotest.(check (array int64)) (what ^ ": fingerprints") (fst before) (fst after);
+      Alcotest.(check (list string)) (what ^ ": printed") (snd before) (snd after))
+    [ true; false ]
 
 (* A run of a staged program started while another run of it is in
    progress fails loudly, and leaves the outer run's binding in place; so
@@ -783,4 +858,8 @@ let suite =
       Alcotest.test_case "staged once: no runtime outlives its run" `Quick
         test_staged_run_releases_runtime;
       Alcotest.test_case "staged once: a nested run fails" `Quick test_staged_nested_run_fails;
+      Alcotest.test_case "dynet: one policy record serves every batch" `Quick
+        test_dynet_policy_reusable;
+      Alcotest.test_case "staged once: outputs outlive the reused store" `Quick
+        test_outputs_outlive_the_store;
     ]

@@ -121,7 +121,7 @@ let test_executor_reports_dependency_violation () =
     Runtime.invoke rt ~plan ~args ~instance:0 ~phase:0 ~depth ~sig_key:plan.id
   in
   let producer = invoke src_k [||] ~depth:5 in
-  let _ = invoke sig_k [| producer.(0) |] ~depth:0 in
+  let _ = invoke sig_k [| Runtime.output rt producer 0 |] ~depth:0 in
   expect_runtime_error "not materialized" (fun () -> Runtime.flush rt)
 
 let test_closure_arity_mismatch () =

@@ -76,8 +76,8 @@ let test_treelstm_output_is_distribution () =
     (fun v ->
       match Value.handles [] v with
       | [ h ] -> begin
-        match Value.handle_out h with
-        | Some { tensor = Some t; _ } ->
+        match Value.handle_tensor h with
+        | Some t ->
           check_float ~eps:1e-9 "softmax sums to 1" 1.0 (Tensor.sum t);
           Array.iter (fun p -> check_true "probability" (p >= 0.0 && p <= 1.0)) (Tensor.data t)
         | _ -> Alcotest.fail "output not computed"

@@ -8,6 +8,7 @@ module Fiber = Acrobat_runtime.Fiber
 module Scheduler = Acrobat_runtime.Scheduler
 module Runtime = Acrobat_runtime.Runtime
 module Executor = Acrobat_runtime.Executor
+module Store = Acrobat_runtime.Store
 module Op = Ir.Op
 
 (* --- Fibers --- *)
@@ -88,10 +89,19 @@ let test_fiber_deadlock_detection () =
 let reg = Kernel.registry ()
 
 (* Append a node the way the engines do: look up the plan, then invoke,
-   signed as ACROBAT signs it (by the plan's id). *)
-let invoke rt ~kernel ~args =
+   signed as ACROBAT signs it (by the plan's id) unless [sig_key] says
+   otherwise; returns handles on its outputs. *)
+let invoke ?sig_key rt ~kernel ~args ~instance ~phase ~depth =
   let plan = Runtime.plan rt kernel args in
-  Runtime.invoke rt ~plan ~args ~sig_key:plan.id
+  let sig_key = match sig_key with Some f -> f plan | None -> plan.Kernel.id in
+  let first = Runtime.invoke rt ~plan ~args ~instance ~phase ~depth ~sig_key in
+  Array.init (Array.length plan.out_shapes) (Runtime.output rt first)
+
+(* A materialized tensor of [shape] at address 0, registered in [rt]'s
+   store (no value). *)
+let input rt shape =
+  let s = rt.Runtime.store in
+  Store.handle s (Store.add_value s ~addr:0 ~shape)
 
 let unit_kernel =
   let b = Kernel.builder () in
@@ -105,9 +115,41 @@ let source_kernel =
   Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
     ~fusion:true ~horizontal:false
 
-(* Build a random DAG of [n] nodes through a Runtime; returns the runtime and
-   its nodes in insertion order. Dependencies only point backwards. *)
-let build_random_dfg ~scheduler ~seed n =
+(* Two batched arguments, possibly one node's two outputs. *)
+let pair_kernel =
+  let b = Kernel.builder () in
+  let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
+  Kernel.finish reg b ~name:"pair" ~nargs:2 ~roles:[| Kernel.Batched; Kernel.Batched |]
+    ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+
+(* A shared argument (a constant every node of the kernel reads) before a
+   batched one. *)
+let shared_kernel =
+  let b = Kernel.builder () in
+  let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
+  Kernel.finish reg b ~name:"bias" ~nargs:2 ~roles:[| Kernel.Shared; Kernel.Batched |]
+    ~shared_binds:[ 0, Kernel.Bconst { shape = [ 1; 2 ]; value = 0.25 } ]
+    ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+
+(* Two outputs. *)
+let split_kernel =
+  let b = Kernel.builder () in
+  let t1 = Kernel.add_instr b Op.Sigmoid [ Kernel.Arg 0 ] in
+  let t2 = Kernel.add_instr b Op.Tanh [ Kernel.Arg 0 ] in
+  Kernel.finish reg b ~name:"split" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
+    ~out_tmps:[| t1; t2 |] ~fusion:true ~horizontal:false
+
+(* Build a random DAG of [n] nodes through a Runtime the way engines do;
+   returns the runtime and every output handle. Dependencies only point
+   backwards. Nodes come from four instances, each with a phase that only
+   grows, never below its arguments', and a depth one above its deepest
+   argument's, so every scheduler can run them; they use source, one- and two-argument, shared-argument
+   and two-output kernels, and a fifth of them a signature interned from
+   their plan's and a tag, so one kernel splits into several classes.
+   Now and then the runtime flushes mid-graph, as a fiber stall does,
+   after calling [before_flush] on it: later nodes then read executed
+   ones. *)
+let build_random_dfg ?(before_flush = ignore) ~scheduler ~seed n =
   let device = Device.create () in
   let policy =
     {
@@ -117,19 +159,48 @@ let build_random_dfg ~scheduler ~seed n =
       detect_dynamic_sharing = true;
     }
   in
-  let rt = Runtime.create ~device ~scheduler ~policy ~seed ~instances:1 in
+  let rt = Runtime.create ~device ~scheduler ~policy ~seed ~instances:4 in
   let rng = Rng.create seed in
-  let handles = ref [] in
-  for i = 0 to n - 1 do
-    let outs =
-      if !handles = [] || Rng.bool rng then
-        invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:0 ~depth:0
-      else begin
-        let prev = List.nth !handles (Rng.int rng (List.length !handles)) in
-        invoke rt ~kernel:unit_kernel ~args:[| prev |] ~instance:0 ~phase:0 ~depth:(i + 1)
-      end
+  let handles = ref [] and depths = Hashtbl.create 64 in
+  let phases = Array.make 4 0 in
+  let pick () = List.nth !handles (Rng.int rng (List.length !handles)) in
+  for _ = 1 to n do
+    if !handles <> [] && Rng.int rng 12 = 0 then begin
+      before_flush rt;
+      Runtime.flush rt
+    end;
+    let instance = Rng.int rng 4 in
+    if Rng.int rng 10 = 0 then phases.(instance) <- phases.(instance) + 1;
+    let kernel, args =
+      if !handles = [] || Rng.int rng 4 = 0 then source_kernel, [||]
+      else
+        match Rng.int rng 4 with
+        | 0 -> pair_kernel, [| pick (); pick () |]
+        | 1 -> shared_kernel, [| pick () |]
+        | 2 -> split_kernel, [| pick () |]
+        | _ -> unit_kernel, [| pick () |]
     in
-    handles := outs.(0) :: !handles
+    let depth, phase =
+      Array.fold_left
+        (fun (d, p) (h : Value.handle) ->
+          let hd, hp = Hashtbl.find depths h.slot in
+          max d (1 + hd), max p hp)
+        (0, phases.(instance)) args
+    in
+    phases.(instance) <- phase;
+    let sig_key =
+      if Rng.int rng 5 = 0 then begin
+        let tag = if Rng.bool rng then "|a" else "|b" in
+        Some (fun (plan : Kernel.plan) -> Runtime.intern_signature rt (plan.signature ^ tag))
+      end
+      else None
+    in
+    let outs = invoke ?sig_key rt ~kernel ~args ~instance ~phase ~depth in
+    Array.iter
+      (fun (h : Value.handle) ->
+        Hashtbl.replace depths h.slot (depth, phase);
+        handles := h :: !handles)
+      outs
   done;
   rt, !handles
 
@@ -142,6 +213,36 @@ let prop_scheduler_executes_everything scheduler name =
       (* exec_batch raises if any dependency is violated; afterwards every
          handle must be materialized. *)
       List.for_all Value.handle_ready handles)
+
+(* The batches of [batches] as node ids. *)
+let batch_ids (batches : Store.batch list) =
+  List.map
+    (fun (b : Store.batch) -> Array.to_list (Array.sub b.bstore.order b.blo (b.bhi - b.blo)))
+    batches
+
+(* At every flush of a random DFG, stall flushes included, the store
+   scheduler and the list-based reference (Ref_sched) emit the same
+   batches in the same order and charge the same simulated time. *)
+let prop_scheduler_matches_reference scheduler name =
+  qtest ~count:100 ("scheduler: " ^ name ^ " emits the list-based reference's batches")
+    QCheck2.Gen.(pair (int_range 1 120) int)
+    (fun (n, seed) ->
+      let same = ref true in
+      let compare rt =
+        match rt.Runtime.pending with
+        | [] -> ()
+        | windows ->
+          let live = Device.create () and reference = Device.create () in
+          let batches = batch_ids (Scheduler.schedule scheduler live (List.rev windows)) in
+          let expected =
+            List.concat_map (Ref_sched.schedule scheduler reference) (List.rev windows)
+          in
+          let bits d = Array.map Int64.bits_of_float (Device.profiler d).Profiler.times_us in
+          if batches <> expected || bits live <> bits reference then same := false
+      in
+      let rt, _ = build_random_dfg ~before_flush:compare ~scheduler ~seed n in
+      compare rt;
+      !same)
 
 let test_inline_depth_batches_by_depth () =
   let device = Device.create () in
@@ -277,7 +378,7 @@ let random_exec_batch seed =
   in
   let n = 1 + int 6 and w = 2 + int 3 in
   let shape () = [ 2; (if bool () then w else 1) ] in
-  let mat addr shape = Value.Hmat { tensor = None; addr; shape } in
+  let mat addr shape = Ref_exec.Hmat { tensor = None; addr; shape } in
   let columns =
     Array.map
       (fun role ->
@@ -308,47 +409,63 @@ let random_exec_batch seed =
   let plans =
     Array.map
       (fun args ->
-        let p = Kernel.plan kernel (Array.map Value.handle_shape args) in
+        let p = Kernel.plan kernel (Array.map Ref_exec.handle_shape args) in
         { p with group_flops = Array.map cost p.group_flops; group_bytes = Array.map cost p.group_bytes })
       node_args
   in
   Array.combine plans node_args, policy
 
-(* The node layout the engines build: the batched arguments on the node,
-   the shared ones in one array every node of the kernel points at. *)
-let batched_view (k : Kernel.t) =
-  let shared = ref None in
-  fun (full : Value.handle array) ->
-    let sh =
-      match !shared with
-      | Some sh -> sh
-      | None ->
-        let sh = Array.of_list (List.map (fun (pos, _) -> full.(pos)) k.shared_binds) in
-        shared := Some sh;
-        sh
-    in
-    Array.map (fun pos -> full.(pos)) k.batched, sh
-
-(* The reference's layout: every argument on the node. *)
-let full_view _ (full : Value.handle array) = full, [||]
-
-(* Run one executor on fresh nodes laid out by [view] and record
-   everything it did: every span with its exact bits, the profiler, the
-   arena and each node's output addresses and shapes. *)
-let observe_exec exec view (nodes, policy) =
-  let tracer = Trace.create () in
-  let device = Device.create ~cost:bytes_revealing_cost ~tracer () in
-  let view = view (fst nodes.(0)).Kernel.kernel in
+(* The reference on record nodes holding every argument. *)
+let exec_reference device policy nodes =
   let nodes =
     Array.to_list
       (Array.mapi
-         (fun id (plan, full) ->
-           let args, shared = view full in
-           { Value.id; plan; args; shared; phase = 0; depth = 0; instance = 0; sig_key = plan.Kernel.id;
-             outs = None })
+         (fun id (plan, args) ->
+           { Ref_exec.id; plan; args; phase = 0; depth = 0; instance = 0; outs = None })
          nodes)
   in
-  exec device policy ~rand_for:(fun _ -> Rng.create 0) nodes;
+  Ref_exec.exec_batch device policy ~rand_for:(fun _ -> Rng.create 0) nodes;
+  List.map
+    (fun (nd : Ref_exec.node) ->
+      match nd.outs with
+      | Some outs -> Array.to_list (Array.map (fun (o : Ref_exec.out) -> o.addr, o.shape) outs)
+      | None -> [])
+    nodes
+
+(* The live executor on the layout the engines build: nodes of a store
+   carrying their batched arguments, and the shared ones in one array every
+   node of the kernel points at. *)
+let exec_live device policy nodes =
+  let s = Store.create () in
+  let slot = function
+    | Ref_exec.Hmat o -> Store.add_value s ~addr:o.addr ~shape:o.shape
+    | Ref_exec.Hnode _ -> assert false
+  in
+  let k = (fst nodes.(0)).Kernel.kernel in
+  let shared = Array.of_list (List.map (fun (pos, _) -> slot (snd nodes.(0)).(pos)) k.shared_binds) in
+  Array.iter
+    (fun (plan, full) ->
+      let args = Array.map (fun pos -> Store.handle s (slot full.(pos))) k.batched in
+      ignore
+        (Store.add_node s ~values:false ~plan ~args ~shared ~shared_handles:[||] ~instance:0 ~phase:0
+           ~depth:0 ~sig_key:plan.Kernel.id))
+    nodes;
+  let n = Array.length nodes in
+  s.order <- Array.init n Fun.id;
+  Executor.exec_batch device policy ~rand_for:(fun _ -> Rng.create 0)
+    { Store.bstore = s; blo = 0; bhi = n };
+  List.init n (fun id ->
+      List.init (Array.length s.plan.(id).out_shapes) (fun k ->
+          let v = s.out_lo.(id) + k in
+          s.addr.(v), s.shape.(v)))
+
+(* Run one executor on a fresh device and record everything it did: every
+   span with its exact bits, the profiler, the arena and each node's output
+   addresses and shapes. *)
+let observe_exec exec (nodes, policy) =
+  let tracer = Trace.create () in
+  let device = Device.create ~cost:bytes_revealing_cost ~tracer () in
+  let outs = exec device policy nodes in
   let bits = Int64.bits_of_float in
   let arg = function
     | Obs.Json.Float f -> Fmt.str "%Lx" (bits f)
@@ -363,14 +480,6 @@ let observe_exec exec view (nodes, policy) =
       (Trace.events tracer)
   in
   let prof = Device.profiler device in
-  let outs =
-    List.map
-      (fun (nd : Value.node) ->
-        match nd.outs with
-        | Some outs -> Array.to_list (Array.map (fun (o : Value.out) -> o.addr, o.shape) outs)
-        | None -> [])
-      nodes
-  in
   ( spans,
     Array.map bits prof.Profiler.times_us,
     Profiler.counters prof,
@@ -382,8 +491,7 @@ let prop_executor_matches_reference =
     QCheck2.Gen.int
     (fun seed ->
       let batch = random_exec_batch seed in
-      observe_exec Executor.exec_batch batched_view batch
-      = observe_exec Ref_exec.exec_batch full_view batch)
+      observe_exec exec_live batch = observe_exec exec_reference batch)
 
 let test_runtime_constants_memoized () =
   let device = Device.create () in
@@ -466,65 +574,60 @@ let reference_plan (k : Kernel.t) (arg_shapes : Shape.t array) =
   in
   Array.map (fun i -> tmps.(i)) k.out_tmps, flops, bytes
 
-(* Every node a catalog model's batch builds is reachable from the
-   arguments of a later node or from the outputs — except nodes read only
-   as scalars, which a tensor-dependent decision consumes. *)
+(* Every node of a catalog model's batch — read from the store of the run
+   (the VM's own, which outlives the run) — has the plan a fresh
+   computation gives its arguments' shapes, its plan's signature, its
+   batched arguments only, and its kernel's materialized shared ones. *)
 let test_plans_match_fresh_computation () =
   List.iter
     (fun id ->
       let model = Models.tiny id in
       let compiled = compile ~inputs:model.Model.inputs model.Model.source in
-      let seen = Hashtbl.create 256 in
-      let rec visit = function
-        | Value.Hnode (n, _) when not (Hashtbl.mem seen n.Value.id) ->
-          Hashtbl.replace seen n.Value.id n;
-          Array.iter visit n.Value.args
-        | Value.Hnode _ | Value.Hmat _ -> ()
-      in
+      let run = ref None in
       let policy =
         {
           Policy.acrobat_policy with
           sig_of =
             (fun rt plan args ->
-              Array.iter visit args;
+              run := Some rt;
               Policy.acrobat_policy.sig_of rt plan args);
         }
       in
-      let r =
-        Driver.run_batch ~mode:Driver.Aot_mode ~policy ~quality:compiled.quality
-          ~lprog:compiled.lprog ~weights:(model.Model.gen_weights 1)
-          ~instances:(gen_batch model ~batch:4 ~seed:3) ()
-      in
-      List.iter (fun v -> List.iter visit (Value.handles [] v)) r.Driver.outputs;
-      check_true (id ^ ": nodes seen") (Hashtbl.length seen > 0);
-      Hashtbl.iter
-        (fun _ (n : Value.node) ->
-          let k = n.plan.kernel in
-          let shapes = Array.init k.nargs (fun pos -> Value.handle_shape (Value.node_arg n pos)) in
-          let fresh = Kernel.plan n.plan.kernel shapes in
-          let outs, flops, bytes = reference_plan n.plan.kernel shapes in
-          let what = Fmt.str "%s node %d" id n.id in
-          let same field planned fresh reference =
-            check_true (what ^ ": " ^ field) (planned = fresh && fresh = reference)
-          in
-          same "out_shapes" n.plan.out_shapes fresh.out_shapes outs;
-          same "group_flops" n.plan.group_flops fresh.group_flops flops;
-          same "group_bytes" n.plan.group_bytes fresh.group_bytes bytes;
-          same "group_arg_reads" n.plan.group_arg_reads fresh.group_arg_reads
-            (Array.of_list (List.map Array.of_list (Ref_exec.group_arg_reads n.plan.kernel)));
-          check_true (what ^ ": flops") (n.plan.flops = Array.fold_left ( +. ) 0.0 flops);
-          Alcotest.(check string) (what ^ ": signature") fresh.signature n.plan.signature;
-          check_int (what ^ ": sig_key is the plan's id") n.plan.id n.sig_key;
-          check_int (what ^ ": carries its batched arguments only") (Array.length k.batched)
-            (Array.length n.args);
-          check_int (what ^ ": one shared handle per binding") (List.length k.shared_binds)
-            (Array.length n.shared);
-          List.iteri
-            (fun j (pos, _) ->
-              check_true (what ^ ": shared handles are materialized")
-                (match n.shared.(j) with Value.Hmat _ -> k.roles.(pos) = Kernel.Shared | _ -> false))
-            k.shared_binds)
-        seen)
+      ignore
+        (Driver.run_batch ~mode:Driver.Vm_mode ~policy ~quality:compiled.quality
+           ~lprog:compiled.lprog ~weights:(model.Model.gen_weights 1)
+           ~instances:(gen_batch model ~batch:4 ~seed:3) ());
+      let s = (Option.get !run).Runtime.store in
+      check_true (id ^ ": nodes seen") (s.nodes > 0);
+      for n = 0 to s.nodes - 1 do
+        let plan = s.plan.(n) in
+        let k = plan.kernel in
+        let shapes = Array.init k.nargs (fun pos -> s.shape.(Store.arg_slot s n pos)) in
+        let fresh = Kernel.plan k shapes in
+        let outs, flops, bytes = reference_plan k shapes in
+        let what = Fmt.str "%s node %d" id n in
+        let same field planned fresh reference =
+          check_true (what ^ ": " ^ field) (planned = fresh && fresh = reference)
+        in
+        same "out_shapes" plan.out_shapes fresh.out_shapes outs;
+        same "group_flops" plan.group_flops fresh.group_flops flops;
+        same "group_bytes" plan.group_bytes fresh.group_bytes bytes;
+        same "group_arg_reads" plan.group_arg_reads fresh.group_arg_reads
+          (Array.of_list (List.map Array.of_list (Ref_exec.group_arg_reads k)));
+        check_true (what ^ ": flops") (plan.flops = Array.fold_left ( +. ) 0.0 flops);
+        Alcotest.(check string) (what ^ ": signature") fresh.signature plan.signature;
+        check_int (what ^ ": sig_key is the plan's id") plan.id s.sig_key.(n);
+        let next_args = if n + 1 < s.nodes then s.arg_lo.(n + 1) else s.nargs in
+        check_int (what ^ ": carries its batched arguments only") (Array.length k.batched)
+          (next_args - s.arg_lo.(n));
+        check_int (what ^ ": one shared slot per binding") (List.length k.shared_binds)
+          (Array.length s.shared.(n));
+        List.iter
+          (fun (pos, _) ->
+            check_true (what ^ ": shared arguments are materialized")
+              (k.roles.(pos) = Kernel.Shared && s.owner.(Store.arg_slot s n pos) = -1))
+          k.shared_binds
+      done)
     Models.tiny_ids
 
 let accounting_runtime ~instances =
@@ -535,14 +638,12 @@ let accounting_runtime ~instances =
   Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth ~policy ~seed:1
     ~instances
 
-let input shape = Value.Hmat { tensor = None; addr = 0; shape }
-
 let test_plans_per_shape () =
   let rt = accounting_runtime ~instances:2 in
-  let narrow = [| input [ 1; 2 ] |] and wide = [| input [ 1; 3 ] |] in
+  let narrow = [| input rt [ 1; 2 ] |] and wide = [| input rt [ 1; 3 ] |] in
   let p_narrow = Runtime.plan rt unit_kernel narrow and p_wide = Runtime.plan rt unit_kernel wide in
   check_true "one plan per shape" (p_narrow != p_wide);
-  check_true "plans are shared" (Runtime.plan rt unit_kernel [| input [ 1; 2 ] |] == p_narrow);
+  check_true "plans are shared" (Runtime.plan rt unit_kernel [| input rt [ 1; 2 ] |] == p_narrow);
   check_true "distinct signatures" (p_narrow.signature <> p_wide.signature);
   check_true "distinct plan ids" (p_narrow.id <> p_wide.id);
   let outs =
@@ -550,7 +651,9 @@ let test_plans_per_shape () =
       (fun instance ->
         List.map
           (fun (plan, args) ->
-            (Runtime.invoke rt ~plan ~args ~instance ~phase:0 ~depth:0 ~sig_key:plan.id).(0))
+            Runtime.output rt
+              (Runtime.invoke rt ~plan ~args ~instance ~phase:0 ~depth:0 ~sig_key:plan.id)
+              0)
           [ p_narrow, narrow; p_wide, wide ])
       [ 0; 1 ]
   in
@@ -569,7 +672,7 @@ let test_plan_shape_error_every_time () =
       ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
   let slice_of shape =
-    invoke rt ~kernel:slice ~args:[| input shape |] ~instance:0 ~phase:0 ~depth:0
+    invoke rt ~kernel:slice ~args:[| input rt shape |] ~instance:0 ~phase:0 ~depth:0
   in
   for attempt = 1 to 3 do
     match slice_of [ 1; 2 ] with
@@ -589,18 +692,23 @@ let test_plans_shared_per_program () =
       let model = Models.tiny id in
       let compiled = compile ~inputs:model.Model.inputs model.Model.source in
       let table = compiled.lprog.Lowered.registry.Kernel.plan_table in
+      (* The plan of every node a batch built, in order. *)
       let run mode =
-        Driver.run_batch ~mode ~policy:Policy.acrobat_policy ~quality:compiled.quality
-          ~lprog:compiled.lprog ~weights:(model.Model.gen_weights 1)
-          ~instances:(gen_batch model ~batch:4 ~seed:3) ()
-      in
-      let output_plans (r : Driver.result) =
-        List.concat_map
-          (fun v ->
-            List.filter_map
-              (function Value.Hnode (n, _) -> Some n.Value.plan | Value.Hmat _ -> None)
-              (Value.handles [] v))
-          r.Driver.outputs
+        let used = ref [] in
+        let policy =
+          {
+            Policy.acrobat_policy with
+            sig_of =
+              (fun rt plan args ->
+                used := plan :: !used;
+                Policy.acrobat_policy.sig_of rt plan args);
+          }
+        in
+        ignore
+          (Driver.run_batch ~mode ~policy ~quality:compiled.quality ~lprog:compiled.lprog
+             ~weights:(model.Model.gen_weights 1)
+             ~instances:(gen_batch model ~batch:4 ~seed:3) ());
+        List.rev !used
       in
       let first = run Driver.Aot_mode in
       let built = Array.copy table.Kernel.by_kernel in
@@ -611,8 +719,8 @@ let test_plans_shared_per_program () =
         && Array.for_all2 ( == ) built table.Kernel.by_kernel);
       List.iter
         (fun r ->
-          check_true (id ^ ": output nodes share the first batch's plans")
-            (List.for_all2 ( == ) (output_plans first) (output_plans r)))
+          check_true (id ^ ": nodes share the first batch's plans")
+            (List.for_all2 ( == ) first r))
         [ again; vm ];
       Array.iteri
         (fun k plans ->
@@ -639,15 +747,15 @@ let test_plan_table_skips_shape_errors () =
       ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
   for attempt = 1 to 2 do
-    match Runtime.plan rt slice [| input [ 1; 2 ] |] with
+    match Runtime.plan rt slice [| input rt [ 1; 2 ] |] with
     | _ -> Alcotest.failf "attempt %d: expected a shape error" attempt
     | exception Op.Shape_error _ -> ()
   done;
   check_int "nothing cached" 0 (List.length (Kernel.plans table slice));
-  let p = Runtime.plan rt slice [| input [ 1; 8 ] |] in
+  let p = Runtime.plan rt slice [| input rt [ 1; 8 ] |] in
   check_true "the fitting plan is cached"
     (match Kernel.plans table slice with [ q ] -> q == p | _ -> false);
-  check_true "and found again" (Runtime.plan rt slice [| input [ 1; 8 ] |] == p)
+  check_true "and found again" (Runtime.plan rt slice [| input rt [ 1; 8 ] |] == p)
 
 (* Kernel ids are dense per registry, so kernels of two compilations can
    share one, and with it a printed signature; plan ids are unique across
@@ -684,8 +792,8 @@ let test_kernels_of_two_registries_never_batch () =
   check_int "two launches" 2 prof.Profiler.kernel_calls;
   List.iter2
     (fun expected h ->
-      match Value.handle_out h with
-      | Some { tensor = Some t; _ } -> check_tensor "each kernel's own value" expected t
+      match Value.handle_tensor h with
+      | Some t -> check_tensor "each kernel's own value" expected t
       | _ -> Alcotest.fail "no value")
     [ Ops.sigmoid x; Ops.tanh x ]
     outs
@@ -744,6 +852,9 @@ let suite =
     prop_scheduler_executes_everything Config.Inline_depth "inline-depth";
     prop_scheduler_executes_everything Config.Runtime_depth "runtime-depth";
     prop_scheduler_executes_everything Config.Agenda "agenda";
+    prop_scheduler_matches_reference Config.Inline_depth "inline-depth";
+    prop_scheduler_matches_reference Config.Runtime_depth "runtime-depth";
+    prop_scheduler_matches_reference Config.Agenda "agenda";
     Alcotest.test_case "scheduler: inline batches by depth" `Quick test_inline_depth_batches_by_depth;
     Alcotest.test_case "scheduler: phase ordering" `Quick test_phase_ordering;
     Alcotest.test_case "executor: gather behaviour" `Quick test_executor_gathers_on_scattered;

@@ -40,8 +40,8 @@ let output_values (r : Driver.result) : float list =
     (fun v ->
       List.concat_map
         (fun h ->
-          match Value.handle_out h with
-          | Some { tensor = Some t; _ } -> Array.to_list (Tensor.data t)
+          match Value.handle_tensor h with
+          | Some t -> Array.to_list (Tensor.data t)
           | _ -> [])
         (List.rev (Value.handles [] v)))
     r.Driver.outputs
