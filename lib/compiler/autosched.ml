@@ -15,7 +15,11 @@
 
 open Acrobat_tensor
 
-type t = { quality : (int, float) Hashtbl.t; default : float }
+(** Tuned quality per kernel id, dense: kernel ids count up from 0 in a
+    registry. An untuned kernel's entry is [nan], and every id the table
+    does not cover reads [default]. A launch looks its kernel up here, so
+    the lookup is an array read, not a hash. *)
+type t = { quality : Float.Array.t; default : float }
 
 let sample_floor = 0.35
 
@@ -76,22 +80,28 @@ let tune ?(seed = 0) ~(registry : Kernel.registry) ~(iters : int)
   (* Every kernel gets a round-robin minimum share so high priorities do not
      starve the rest; the remainder is split by estimated cost. *)
   let min_share = iters / (4 * nkernels) in
-  let table = Hashtbl.create 32 in
+  let size = List.fold_left (fun acc (id, _) -> max acc (id + 1)) 0 priorities in
+  let table = Float.Array.make size Float.nan in
   List.iter
     (fun (id, p) ->
       let proportional =
         int_of_float (0.75 *. float_of_int iters *. p /. Float.max 1.0 total)
       in
       let n = max 1 (min_share + proportional) in
-      Hashtbl.replace table id
+      Float.Array.set table id
         (search ~seed ~id ~flops:(flops id) ~weight_elems:(weight_elems id) ~iters:n ()))
     priorities;
   { quality = table; default = 0.7 }
 
 (** A fixed-quality table: vendor-library kernels (DyNet's cuDNN/cuBLAS
     path) are hand-optimized but not specialized to the program. *)
-let fixed q = { quality = Hashtbl.create 1; default = q }
+let fixed q = { quality = Float.Array.create 0; default = q }
 
 let vendor = fixed 0.9
 
-let quality t id = Option.value ~default:t.default (Hashtbl.find_opt t.quality id)
+let quality t id =
+  if id < 0 || id >= Float.Array.length t.quality then t.default
+  else begin
+    let q = Float.Array.get t.quality id in
+    if Float.is_nan q then t.default else q
+  end

@@ -11,8 +11,6 @@ type t = {
   recursive : (string, bool) Hashtbl.t;
 }
 
-let successors t name = Option.value ~default:[] (Hashtbl.find_opt t.edges name)
-
 let scc_index t name = Option.value ~default:(-1) (Hashtbl.find_opt t.scc_of name)
 
 (** Is [name] part of a recursive cycle (including self-recursion)? *)

@@ -86,6 +86,7 @@ type plan = {
           interns a node to ({!signature} is its printed form). *)
   kernel : t;
   arg_shapes : Shape.t array;  (** Every argument's shape, shared ones included. *)
+  arg_elems : int array;  (** Element count of each of [arg_shapes]. *)
   batched_shapes : Shape.t array;
       (** The shapes of the [Batched] arguments, in [kernel.batched] order:
           what a node's own arguments must match to use this plan. *)
@@ -149,6 +150,7 @@ let plan t (arg_shapes : Shape.t array) : plan =
     id = Atomic.fetch_and_add next_plan_id 1;
     kernel = t;
     arg_shapes = Array.copy arg_shapes;
+    arg_elems = Array.map Shape.numel arg_shapes;
     batched_shapes = Array.map (fun i -> arg_shapes.(i)) t.batched;
     out_shapes = Array.map (fun i -> tmps.(i)) t.out_tmps;
     group_flops;

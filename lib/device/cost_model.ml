@@ -74,7 +74,7 @@ let bytes_per_elem = 4
     [bytes] to/from device memory: launch latency plus the roofline
     max(compute, traffic) — compute at a utilization-dependent effective
     rate. *)
-let kernel_time ?(bytes = 0.0) t ~flops =
+let kernel_time t ~flops ~bytes =
   let f = Float.max 1.0 flops in
   let rate =
     Float.max t.min_rate_flops_per_us (t.peak_flops_per_us *. f /. (f +. t.saturation_flops))

@@ -40,7 +40,6 @@ let create ?(cost = Cost_model.default) ?faults ?(tracer = Trace.null) () =
 
 let profiler t = t.profiler
 let tracer t = t.tracer
-let cost_model t = t.cost
 let memory t = t.memory
 let faults t = t.faults
 
@@ -88,14 +87,16 @@ let inject_launch t =
    device on {!Trace.null} does no work for the trace. *)
 let trace_start t = if Trace.enabled t.tracer then Profiler.total_us t.profiler else 0.0
 
-(** Launch one compute kernel performing [flops] of work.
+(** Launch one compute kernel performing [flops] of work and moving
+    [bytes] to and from device memory.
 
     [scattered_inputs] indicates the kernel reads its batched inputs through
     an index array (gather fusion with non-contiguous inputs); it is charged
     the indirection penalty. [quality] is the auto-scheduler's schedule
     quality in (0, 1]; 1.0 is the best schedule found at the full iteration
-    budget (§D.1). *)
-let launch_kernel ?(quality = 1.0) ?(scattered_inputs = false) ?(bytes = 0.0) t ~flops =
+    budget (§D.1). Every argument is required: an optional one would box
+    its value in a [Some] on every launch. *)
+let launch_kernel t ~quality ~scattered_inputs ~flops ~bytes =
   assert (quality > 0.0 && quality <= 1.0);
   let fault_mult = inject_launch t in
   let base = Cost_model.kernel_time t.cost ~flops ~bytes in
@@ -168,6 +169,3 @@ let charge_fiber_switch t =
 
 let note_batch t = t.profiler.batches_executed <- t.profiler.batches_executed + 1
 let note_unbatched t = t.profiler.unbatched_ops <- t.profiler.unbatched_ops + 1
-
-(** Simulated elapsed time so far, in milliseconds. *)
-let elapsed_ms t = Profiler.total_ms t.profiler

@@ -262,7 +262,6 @@ let launches t = t.launches
 let kernel_faults t = t.kernel_faults
 let stragglers t = t.stragglers
 let resets t = t.resets
-let faults_injected t = t.kernel_faults + t.resets
 let corruptions t = t.corruptions
 
 (** Whether the current attempt's outputs are silently corrupted. Ground

@@ -33,9 +33,41 @@ type staged = {
       (** Frame slot of each parameter, in order. A forwarded-only
           parameter ({!Forwarded}) has none ([-1]) and direct calls do not
           pass it; the others take the first slots, in order. *)
-  mutable nslots : int;  (** Frame size: one slot per binding occurrence. *)
+  mutable frame : unit -> value array;
+      (** A fresh frame: one slot per binding occurrence, all [Vnil]. *)
   mutable body : value array -> ictx -> value;
 }
+
+(* [Vnil], opaque to the compiler: an array literal of more than four
+   constants compiles to a copy of a static block, a call into the
+   runtime's C code, and one of this value allocates inline. *)
+let nil = Sys.opaque_identity Vnil
+
+(* A fresh frame of [n] slots, all [Vnil]. Up to 16 slots an array literal
+   allocates it inline on the minor heap; [Array.make] would call into the
+   runtime's C code once per call (DESIGN.md §29). Chosen at staging, once
+   per frame size. *)
+let frame_alloc n : unit -> value array =
+  match n with
+  | 0 -> fun () -> [||]
+  | 1 -> fun () -> [| nil |]
+  | 2 -> fun () -> [| nil; nil |]
+  | 3 -> fun () -> [| nil; nil; nil |]
+  | 4 -> fun () -> [| nil; nil; nil; nil |]
+  | 5 -> fun () -> [| nil; nil; nil; nil; nil |]
+  | 6 -> fun () -> [| nil; nil; nil; nil; nil; nil |]
+  | 7 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil |]
+  | 8 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 9 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 10 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 11 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 12 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 13 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 14 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 15 -> fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | 16 ->
+    fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
+  | n -> fun () -> Array.make n Vnil
 
 (* What one run binds: its runtime, and its policy. *)
 type binding = { rt : Runtime.t; policy : Policy.t }
@@ -193,7 +225,7 @@ let apply_elem i (fv, elems) c = fv c [ elems.(i) ]
 (* Call a staged definition with a list of arguments: the path of
    first-class globals and of @main. *)
 let apply (d : staged) (args : value list) ictx =
-  let frame = Array.make d.nslots Vnil in
+  let frame = d.frame () in
   let nparams = Array.length d.params in
   let rec bind k = function
     | a :: rest when k < nparams ->
@@ -228,6 +260,25 @@ let eval_array conv (fs : (value array -> ictx -> value) array) env ictx =
     done;
     out
   end
+
+(* A kernel's batched arguments, evaluated left to right into a fresh
+   array: up to three allocated inline, as {!frame_alloc} does frames, and
+   more through [eval_array]. Chosen at staging. *)
+let eval_handles (fs : (value array -> ictx -> value) array) : value array -> ictx -> handle array
+    =
+  match fs with
+  | [||] -> fun _ _ -> [||]
+  | [| f0 |] -> fun env ictx -> [| to_handle (f0 env ictx) |]
+  | [| f0; f1 |] ->
+    fun env ictx ->
+      let h0 = to_handle (f0 env ictx) in
+      [| h0; to_handle (f1 env ictx) |]
+  | [| f0; f1; f2 |] ->
+    fun env ictx ->
+      let h0 = to_handle (f0 env ictx) in
+      let h1 = to_handle (f1 env ictx) in
+      [| h0; h1; to_handle (f2 env ictx) |]
+  | _ -> eval_array to_handle fs
 
 (* A compiled match case: the pattern's variables' slots and the body. *)
 type case = { pat : Ast.pat; slots : int array; body : value array -> ictx -> value }
@@ -282,12 +333,12 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let c_f = compile st scope c and a_f = compile st scope a and b_f = compile st scope b in
     fun env ictx -> if to_bool (c_f env ictx) then a_f env ictx else b_f env ictx
   | L.Lblock (b, cont) ->
-    let arg_fs = Array.of_list (List.map (compile st scope) b.batched_args) in
+    let eval_args = eval_handles (Array.of_list (List.map (compile st scope) b.batched_args)) in
     let out_slots = Array.of_list (List.map (fresh_slot scope) b.outs) in
     let cont_f = compile st scope cont in
     let kernel = b.kernel in
     fun env ictx ->
-      let args = eval_array to_handle arg_fs env ictx in
+      let args = eval_args env ictx in
       let depth =
         match b.depth with
         | L.Static d -> d
@@ -329,7 +380,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let slots = Array.map (fun k -> d.params.(k)) passed in
     let arg_fs = Array.map (fun k -> compile st scope args.(k)) passed in
     fun env ictx ->
-      let frame = Array.make d.nslots Vnil in
+      let frame = d.frame () in
       for j = 0 to Array.length arg_fs - 1 do
         let v = arg_fs.(j) env ictx in
         let slot = slots.(j) in
@@ -346,7 +397,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let inner = new_scope (Some scope) in
     let param_slots = List.map (fresh_slot inner) params in
     let body_f = compile st inner body in
-    let nslots = inner.next in
+    let new_frame = frame_alloc inner.next in
     let captured = Array.of_list inner.captured in
     fun env _ ->
       Vfun
@@ -354,7 +405,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           (* A fresh frame per application, so concurrently mapped
              applications do not clobber each other's parameters; the
              enclosing frame's variables are read as of the application. *)
-          let frame = Array.make nslots Vnil in
+          let frame = new_frame () in
           for k = 0 to Array.length captured - 1 do
             let src, dst = captured.(k) in
             frame.(dst) <- env.(src)
@@ -464,6 +515,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     end
 
 let unstaged _ _ = fail "AOT: definition called before it was staged"
+let unstaged_frame () = fail "AOT: definition called before it was staged"
 
 (** Stage the whole program, once: a cell for every definition first, then
     every body, so compilation cost is not on the execution path. The
@@ -499,14 +551,14 @@ let stage ~fibers (lprog : L.t) : t =
             mask
         | _ -> Array.init (List.length def.L.lparams) Fun.id
       in
-      Hashtbl.replace st.defs name { def; params; nslots = 0; body = unstaged })
+      Hashtbl.replace st.defs name { def; params; frame = unstaged_frame; body = unstaged })
     lprog.L.defs;
   Hashtbl.iter
     (fun _ (d : staged) ->
       let scope = new_scope None in
       List.iteri (fun k x -> if d.params.(k) >= 0 then ignore (fresh_slot scope x)) d.def.L.lparams;
       let body = compile st scope d.def.L.lbody in
-      d.nslots <- scope.next;
+      d.frame <- frame_alloc scope.next;
       d.body <- body)
     st.defs;
   st.main <- Hashtbl.find_opt st.defs lprog.L.entry;

@@ -26,8 +26,8 @@ let bytes_of_elems e = e * Cost_model.bytes_per_elem
 (* One fused, persistent kernel launch covering [nodes] cell evaluations. *)
 let level_launch device ~nodes ~cell_flops =
   if nodes > 0 then
-    Device.launch_kernel device ~quality:kernel_quality
-      ~flops:(float_of_int nodes *. cell_flops)
+    Device.launch_kernel device ~quality:kernel_quality ~scattered_inputs:false
+      ~flops:(float_of_int nodes *. cell_flops) ~bytes:0.0
 
 (* Cortex's static schedule is precomputed; per-node runtime bookkeeping is
    a pointer bump. *)
@@ -62,7 +62,7 @@ let run_treelstm ~hidden (trees : W.Trees.t list) : result =
   Device.memcpy device ~bytes:(bytes_of_elems (total_leaves * hidden));
   (* Manually hoisted input transforms: one big cuBLAS GEMM for all leaves
      and all five gates. *)
-  Device.launch_kernel device ~quality:0.95
+  Device.launch_kernel device ~quality:0.95 ~scattered_inputs:false ~bytes:0.0
     ~flops:(float_of_int total_leaves *. 5.0 *. 2.0 *. h *. h);
   charge_static_schedule device ~nodes:total_nodes;
   (* Recurrent part: ten HxH projections + elementwise per cell, one
@@ -112,7 +112,7 @@ let run_birnn ~hidden ~classes (sentences : int list list) : result =
   let max_len = List.fold_left (fun acc s -> max acc (List.length s)) 0 sentences in
   Device.memcpy device ~bytes:(bytes_of_elems (total_tokens * hidden));
   (* Hoisted input transforms for both directions. *)
-  Device.launch_kernel device ~quality:0.95
+  Device.launch_kernel device ~quality:0.95 ~scattered_inputs:false ~bytes:0.0
     ~flops:(float_of_int total_tokens *. 2.0 *. 2.0 *. h *. h);
   charge_static_schedule device ~nodes:(2 * total_tokens);
   (* Recurrent matmul per step per direction, over the instances still
@@ -124,7 +124,7 @@ let run_birnn ~hidden ~classes (sentences : int list list) : result =
     level_launch device ~nodes:active ~cell_flops
   done;
   (* Hoisted per-token output classification. *)
-  Device.launch_kernel device ~quality:0.95
+  Device.launch_kernel device ~quality:0.95 ~scattered_inputs:false ~bytes:0.0
     ~flops:(float_of_int total_tokens *. 2.0 *. 2.0 *. h *. float_of_int classes);
   Device.memcpy device ~bytes:(bytes_of_elems (total_tokens * classes));
   finish device

@@ -44,11 +44,14 @@ let arg_addr (s : Store.t) id pos v =
 (** Execute one batch (same signature, same kernel).
 
     Every per-node step is a loop over the batch in node order, with no
-    intermediate lists: per-group FLOPs and bytes accumulate in two float
-    arrays in exactly the order the sums were always taken, so the launch
-    costs — and the simulated time charged for them — keep their bits.
-    Outputs get their addresses (and values) in the store's slots: a batch
-    allocates nothing per node. *)
+    intermediate lists and no per-launch arrays: an argument's gather
+    state and a group's FLOPs and bytes live in locals, the sums taken in
+    exactly the order they always were, so the launch costs — and the
+    simulated time charged for them — keep their bits. Outputs get their
+    addresses (and values) in the store's slots. Accounting only, a launch
+    allocates a constant few words whatever the batch's size and, unless
+    it detects dynamic sharing, calls nothing in the runtime's C code
+    (DESIGN.md §29). *)
 let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
     (batch : Store.batch) : unit =
   let s = batch.bstore and lo = batch.blo in
@@ -56,79 +59,74 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   let n = batch.bhi - lo in
   let plan0 = s.plan.(ids.(lo)) in
   let kernel = plan0.kernel in
-  (* Per-argument gather handling. One pass over the batch, node by node
-     (a node's arguments sit together in memory), finds for every batched
-     argument whether its inputs share one address, whether they lie back
-     to back ({!Memory.contiguous}), and how many elements they hold.
-     Nodes carry only their batched arguments: shared ones are read once
-     per batch, whatever their addresses, so they are not scanned. *)
+  (* Per-argument gather handling, one batched argument at a time: are
+     its inputs at one address, back to back ({!Memory.contiguous}), and
+     how many elements do they hold? Nodes carry only their batched
+     arguments: shared ones are read once per batch, whatever their
+     addresses, so they are not scanned. A fully dynamic system detects
+     pointer-identical arguments at batch time ([same], kept per batched
+     argument only under that policy); a static system has already
+     compiled the decision. *)
   let nargs = kernel.Kernel.nargs in
   let batched = kernel.Kernel.batched in
   let nb = Array.length batched in
-  let first = Array.make nb 0 and next = Array.make nb 0 and elems = Array.make nb 0 in
-  let same_addr = Array.make nb true and contiguous = Array.make nb true in
-  for i = 0 to n - 1 do
-    let id = ids.(lo + i) in
-    let a0 = s.arg_lo.(id) in
-    for j = 0 to nb - 1 do
-      let v = s.args.(a0 + j) in
-      let addr = arg_addr s id batched.(j) v in
-      if i = 0 then first.(j) <- addr
-      else begin
-        if addr <> first.(j) then same_addr.(j) <- false;
-        if addr <> next.(j) then contiguous.(j) <- false
-      end;
-      let e = Shape.numel s.shape.(v) in
-      next.(j) <- addr + e;
-      elems.(j) <- elems.(j) + e
-    done
-  done;
-  (* A fully dynamic system detects pointer-identical arguments at batch
-     time; a static system has already compiled the decision. *)
-  let arg_shared = Array.make nargs true in
-  for j = 0 to nb - 1 do
-    arg_shared.(batched.(j)) <- policy.detect_dynamic_sharing && same_addr.(j)
-  done;
+  let same = if policy.detect_dynamic_sharing then Array.make nb false else [||] in
   let scattered = ref false in
   for j = 0 to nb - 1 do
-    if not (arg_shared.(batched.(j)) || contiguous.(j)) then begin
+    let pos = batched.(j) in
+    let first = ref 0 and next = ref 0 and elems = ref 0 in
+    let same_addr = ref true and contiguous = ref true in
+    for i = 0 to n - 1 do
+      let id = ids.(lo + i) in
+      let v = s.args.(s.arg_lo.(id) + j) in
+      let addr = arg_addr s id pos v in
+      if i = 0 then first := addr
+      else begin
+        if addr <> !first then same_addr := false;
+        if addr <> !next then contiguous := false
+      end;
+      let e = s.numel.(v) in
+      next := addr + e;
+      elems := !elems + e
+    done;
+    let shared = policy.detect_dynamic_sharing && !same_addr in
+    if shared then same.(j) <- true;
+    if not (shared || !contiguous) then begin
       if policy.gather_fusion then scattered := true
       else begin
-        let bytes = elems.(j) * Cost_model.bytes_per_elem in
-        ignore (Device.launch_gather device ~bytes ~elems:elems.(j))
+        let bytes = !elems * Cost_model.bytes_per_elem in
+        ignore (Device.launch_gather device ~bytes ~elems:!elems)
       end
     end
   done;
-  (* Internal traffic sums per instance; argument reads count once per
-     batch for shared tensors (read once, cached) and per instance for
-     batched inputs. *)
-  let ngroups = Array.length plan0.group_flops in
-  let flops = Array.make ngroups 0.0 and bytes = Array.make ngroups 0.0 in
-  for i = 0 to n - 1 do
-    let p = s.plan.(ids.(lo + i)) in
-    for g = 0 to ngroups - 1 do
-      flops.(g) <- flops.(g) +. p.group_flops.(g);
-      bytes.(g) <- bytes.(g) +. p.group_bytes.(g)
-    done
-  done;
+  (* Launch the kernel's groups. Internal traffic sums per instance;
+     argument reads count once per batch for shared tensors (read once,
+     cached) and per instance for batched inputs. Only the first group
+     reads the (possibly scattered) batch inputs — later groups read
+     intermediates the earlier launches produced contiguously. *)
+  let roles = kernel.Kernel.roles and slots = kernel.Kernel.slots in
   let nbatch = float_of_int n in
-  for g = 0 to ngroups - 1 do
+  let quality = policy.quality kernel.Kernel.id in
+  for g = 0 to Array.length plan0.group_flops - 1 do
+    let flops = ref 0.0 and bytes = ref 0.0 in
+    for i = 0 to n - 1 do
+      let p = s.plan.(ids.(lo + i)) in
+      flops := !flops +. p.group_flops.(g);
+      bytes := !bytes +. p.group_bytes.(g)
+    done;
     let reads = plan0.group_arg_reads.(g) in
     for r = 0 to Array.length reads - 1 do
       let pos = reads.(r) in
-      let arg_bytes =
-        float_of_int (Shape.numel plan0.arg_shapes.(pos) * Cost_model.bytes_per_elem)
+      let arg_bytes = float_of_int (plan0.arg_elems.(pos) * Cost_model.bytes_per_elem) in
+      let shared =
+        match roles.(pos) with
+        | Kernel.Shared -> true
+        | Kernel.Batched -> policy.detect_dynamic_sharing && same.(slots.(pos))
       in
-      bytes.(g) <- bytes.(g) +. (arg_bytes *. if arg_shared.(pos) then 1.0 else nbatch)
-    done
-  done;
-  (* Launch the kernel's groups; only the first reads the (possibly
-     scattered) batch inputs — later groups read intermediates the earlier
-     launches produced contiguously. *)
-  let quality = policy.quality kernel.Kernel.id in
-  for g = 0 to ngroups - 1 do
-    Device.launch_kernel device ~quality ~scattered_inputs:(!scattered && g = 0)
-      ~flops:flops.(g) ~bytes:bytes.(g)
+      bytes := !bytes +. (arg_bytes *. if shared then 1.0 else nbatch)
+    done;
+    Device.launch_kernel device ~quality ~scattered_inputs:(!scattered && g = 0) ~flops:!flops
+      ~bytes:!bytes
   done;
   Device.note_batch device;
   if n = 1 then Device.note_unbatched device;
@@ -137,13 +135,13 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   for slot = 0 to out_arity - 1 do
     let total = ref 0 in
     for i = 0 to n - 1 do
-      total := !total + Shape.numel s.plan.(ids.(lo + i)).out_shapes.(slot)
+      total := !total + s.numel.(s.out_lo.(ids.(lo + i)) + slot)
     done;
     let cursor = ref (Device.alloc device ~elems:!total) in
     for i = 0 to n - 1 do
-      let id = ids.(lo + i) in
-      s.addr.(s.out_lo.(id) + slot) <- !cursor;
-      cursor := !cursor + Shape.numel s.plan.(id).out_shapes.(slot)
+      let v = s.out_lo.(ids.(lo + i)) + slot in
+      s.addr.(v) <- !cursor;
+      cursor := !cursor + s.numel.(v)
     done
   done;
   (* Concrete values, when requested. On a silently-corrupting attempt

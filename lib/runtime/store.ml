@@ -51,6 +51,7 @@ type t = {
   mutable values : int;  (** Slots this run: [0, values). *)
   mutable addr : int array;  (** Device address; [-1] while the producing node is pending. *)
   mutable shape : Shape.t array;
+  mutable numel : int array;  (** Element count of [shape], so a launch walks no list. *)
   mutable owner : int array;  (** Producing node, or [-1] for a materialized value. *)
   mutable holder : handle option array;
       (** When values are computed: the handle an argument or output of a
@@ -98,6 +99,7 @@ let create () =
     values = 0;
     addr = [||];
     shape = [||];
+    numel = [||];
     owner = [||];
     holder = [||];
     held = [||];
@@ -146,11 +148,13 @@ let new_slot s ~addr ~shape ~owner =
   if v >= Array.length s.addr then begin
     s.addr <- grow s.addr v (-1);
     s.shape <- grow s.shape v [];
+    s.numel <- grow s.numel v 0;
     s.owner <- grow s.owner v (-1);
     s.holder <- grow s.holder v None
   end;
   s.addr.(v) <- addr;
   s.shape.(v) <- shape;
+  s.numel.(v) <- Shape.numel shape;
   s.owner.(v) <- owner;
   s.values <- v + 1;
   v

@@ -2,7 +2,14 @@
 
 type t = int list
 
-let equal (a : t) (b : t) = a = b
+(* Dimension by dimension with [int] comparisons: polymorphic [=] would
+   call into the runtime's C code, and plan lookup compares shapes for
+   every DFG node. *)
+let rec equal (a : t) (b : t) =
+  match a, b with
+  | [], [] -> true
+  | (x : int) :: a', y :: b' -> x = y && equal a' b'
+  | _ :: _, [] | [], _ :: _ -> false
 
 let rank = List.length
 

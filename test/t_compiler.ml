@@ -440,6 +440,37 @@ let test_autosched_tune_prioritizes () =
   check_true "hot kernel tuned at least as well"
     (C.Autosched.quality table hot.Kernel.id >= C.Autosched.quality table cold.Kernel.id)
 
+let test_autosched_dense_table () =
+  let m = Models.tiny "treelstm" in
+  let lp = lower ~inputs:m.Model.inputs m.Model.source in
+  let kernels = Kernel.all_kernels lp.L.registry in
+  let nk = List.length kernels in
+  check_true "the model has kernels" (nk > 1);
+  let flops id = 1.0e5 *. float_of_int (id + 1) and weight_elems id = 30_000 * id in
+  (* Equal priorities and a budget of 40 per kernel: each kernel gets its
+     round-robin 10 plus a proportional 30 iterations. *)
+  let table =
+    C.Autosched.tune ~registry:lp.L.registry ~iters:(40 * nk) ~priority:(fun _ -> 1.0) ~flops
+      ~weight_elems ()
+  in
+  List.iter
+    (fun (k : Kernel.t) ->
+      let id = k.Kernel.id in
+      check_float ~eps:0.0 (Fmt.str "kernel %d tuned as searched" id)
+        (C.Autosched.search ~id ~flops:(flops id) ~weight_elems:(weight_elems id) ~iters:40 ())
+        (C.Autosched.quality table id))
+    kernels;
+  let default = table.C.Autosched.default in
+  check_float "negative id" default (C.Autosched.quality table (-1));
+  check_float "past the table's end" default (C.Autosched.quality table nk);
+  check_float "far past the end" default (C.Autosched.quality table max_int);
+  let gappy = { table with C.Autosched.quality = Float.Array.of_list [ 0.5; Float.nan; 0.6 ] } in
+  check_float "tuned" 0.6 (C.Autosched.quality gappy 2);
+  check_float "never tuned" default (C.Autosched.quality gappy 1);
+  check_float "vendor" 0.9 (C.Autosched.quality C.Autosched.vendor 0);
+  check_float "vendor, any id" 0.9 (C.Autosched.quality C.Autosched.vendor (-3));
+  check_float "fixed" 0.42 (C.Autosched.quality (C.Autosched.fixed 0.42) 7)
+
 (* --- Forwarded-only parameters --- *)
 
 let dropped_names lp name = Forwarded.dropped lp name
@@ -588,6 +619,7 @@ let suite =
     Alcotest.test_case "autosched: deterministic" `Quick test_autosched_deterministic;
     Alcotest.test_case "autosched: cap regimes" `Quick test_autosched_cap_regimes;
     Alcotest.test_case "autosched: priorities" `Quick test_autosched_tune_prioritizes;
+    Alcotest.test_case "autosched: dense table" `Quick test_autosched_dense_table;
     Alcotest.test_case "forwarded: TreeLSTM weights" `Quick test_forwarded_treelstm;
     Alcotest.test_case "forwarded: live cases" `Quick test_forwarded_live_cases;
     Alcotest.test_case "forwarded: mutual recursion" `Quick test_forwarded_mutual_recursion;

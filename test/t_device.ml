@@ -9,14 +9,19 @@ module Faults = Acrobat_device.Faults
 
 let cm = Cost_model.default
 
+(* One kernel launch with no memory traffic: at full quality and with
+   contiguous inputs unless the test says otherwise. *)
+let launch ?(quality = 1.0) ?(scattered_inputs = false) d ~flops =
+  Device.launch_kernel d ~quality ~scattered_inputs ~flops ~bytes:0.0
+
 let test_kernel_time_monotone () =
-  let t f = Cost_model.kernel_time cm ~flops:f in
+  let t f = Cost_model.kernel_time cm ~flops:f ~bytes:0.0 in
   check_true "more flops, more time" (t 1.0e6 < t 1.0e7);
   check_true "launch floor" (t 0.0 >= cm.Cost_model.kernel_launch_us)
 
 let test_kernel_time_saturation () =
   (* Effective rate grows with kernel size: time per flop shrinks. *)
-  let per_flop f = (Cost_model.kernel_time cm ~flops:f -. cm.Cost_model.kernel_launch_us) /. f in
+  let per_flop f = (Cost_model.kernel_time cm ~flops:f ~bytes:0.0 -. cm.Cost_model.kernel_launch_us) /. f in
   check_true "big kernels are more efficient" (per_flop 1.0e9 < per_flop 1.0e6)
 
 let test_kernel_time_roofline () =
@@ -179,7 +184,7 @@ let fault_trace plan attempts =
   let inj = Faults.create plan in
   List.init attempts (fun _ ->
       let d = Device.create ~faults:inj () in
-      match Device.launch_kernel d ~flops:1.0e6 with
+      match launch d ~flops:1.0e6 with
       | () -> "ok"
       | exception Faults.Fault { kind; _ } -> Faults.kind_name kind)
 
@@ -198,7 +203,7 @@ let test_faults_corrupt_injection () =
      launch succeeds, only the injector's ground truth knows. *)
   let inj = Faults.create (Faults.parse "corrupt=1.0") in
   let d = Device.create ~faults:inj () in
-  Device.launch_kernel d ~flops:1.0e6;
+  launch d ~flops:1.0e6;
   check_true "device reports the corrupting attempt" (Device.corrupting d);
   check_true "injector ground truth" (Faults.corrupt_attempt inj);
   check_int "corruption counted" 1 (Faults.corruptions inj);
@@ -243,8 +248,8 @@ let test_faults_straggler_mult () =
   let inj = Faults.create (Faults.parse "straggler=1.0x4") in
   let slow = Device.create ~faults:inj () in
   let fast = Device.create () in
-  Device.launch_kernel slow ~flops:1.0e6;
-  Device.launch_kernel fast ~flops:1.0e6;
+  launch slow ~flops:1.0e6;
+  launch fast ~flops:1.0e6;
   let k d = Profiler.time_us (Device.profiler d) Profiler.Kernel_exec in
   check_float ~eps:1e-6 "straggler multiplies kernel time" (4.0 *. k fast) (k slow);
   check_int "straggler counted once per attempt" 1 (Faults.stragglers inj)
@@ -253,7 +258,7 @@ let test_faults_burn_time () =
   (* An injected fault still charges the device for the failed attempt. *)
   let inj = Faults.create (Faults.parse "kernel=1.0") in
   let d = Device.create ~faults:inj () in
-  (match Device.launch_kernel d ~flops:1.0e6 with
+  (match launch d ~flops:1.0e6 with
   | () -> Alcotest.fail "expected injected fault"
   | exception Faults.Fault _ -> ());
   check_true "failed attempt burned time" (Profiler.total_us (Device.profiler d) > 0.0);
@@ -277,8 +282,8 @@ let prop_contiguous_alloc =
 
 let test_device_counters () =
   let d = Device.create () in
-  Device.launch_kernel d ~flops:1000.0;
-  Device.launch_kernel d ~flops:1000.0;
+  launch d ~flops:1000.0;
+  launch d ~flops:1000.0;
   ignore (Device.launch_gather d ~bytes:4000 ~elems:1000);
   Device.memcpy d ~bytes:100;
   let p = Device.profiler d in
@@ -291,15 +296,15 @@ let test_device_counters () =
 
 let test_quality_divides_time () =
   let d1 = Device.create () and d2 = Device.create () in
-  Device.launch_kernel d1 ~quality:1.0 ~flops:1.0e6;
-  Device.launch_kernel d2 ~quality:0.5 ~flops:1.0e6;
+  launch d1 ~quality:1.0 ~flops:1.0e6;
+  launch d2 ~quality:0.5 ~flops:1.0e6;
   let k d = Profiler.time_us (Device.profiler d) Profiler.Kernel_exec in
   check_float ~eps:1e-6 "half quality doubles time" (2.0 *. k d1) (k d2)
 
 let test_scattered_penalty () =
   let d1 = Device.create () and d2 = Device.create () in
-  Device.launch_kernel d1 ~flops:1.0e6;
-  Device.launch_kernel d2 ~scattered_inputs:true ~flops:1.0e6;
+  launch d1 ~flops:1.0e6;
+  launch d2 ~scattered_inputs:true ~flops:1.0e6;
   let k d = Profiler.time_us (Device.profiler d) Profiler.Kernel_exec in
   check_true "indirection penalty" (k d2 > k d1)
 

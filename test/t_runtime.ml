@@ -493,6 +493,39 @@ let prop_executor_matches_reference =
       let batch = random_exec_batch seed in
       observe_exec exec_live batch = observe_exec exec_reference batch)
 
+(* Minor words one accounting-only launch of [n] nodes of [pair_kernel]
+   allocates. The first argument lies back to back and the second is one
+   address for every node, so a batch of more than one node reads it
+   scattered. Everything but the launch is built before counting. *)
+let launch_words n =
+  let s = Store.create () in
+  let plan = Kernel.plan pair_kernel [| [ 1; 4 ]; [ 1; 4 ] |] in
+  for i = 0 to n - 1 do
+    let a = Store.add_value s ~addr:(4 * i) ~shape:[ 1; 4 ] in
+    let b = Store.add_value s ~addr:0 ~shape:[ 1; 4 ] in
+    ignore
+      (Store.add_node s ~values:false ~plan ~args:[| Store.handle s a; Store.handle s b |]
+         ~shared:[||] ~shared_handles:[||] ~instance:i ~phase:0 ~depth:0 ~sig_key:plan.id)
+  done;
+  s.order <- Array.init n Fun.id;
+  let batch = { Store.bstore = s; blo = 0; bhi = n } in
+  let device = Device.create () in
+  let policy =
+    { Executor.gather_fusion = true; quality = Autosched.quality Autosched.vendor;
+      compute_values = false; detect_dynamic_sharing = false }
+  in
+  let rand_for _ = Alcotest.fail "an accounting-only launch draws no randomness" in
+  let before = Gc.minor_words () in
+  Executor.exec_batch device policy ~rand_for batch;
+  let words = Gc.minor_words () -. before in
+  check_int "one launch" 1 (Device.profiler device).Profiler.kernel_calls;
+  words
+
+let test_executor_launch_allocation () =
+  let one = launch_words 1 and many = launch_words 64 in
+  check_float "no minor words per node" one many;
+  check_true (Fmt.str "a launch allocates a few words (%.0f)" one) (one <= 16.0)
+
 let test_runtime_constants_memoized () =
   let device = Device.create () in
   let policy =
@@ -859,6 +892,8 @@ let suite =
     Alcotest.test_case "scheduler: phase ordering" `Quick test_phase_ordering;
     Alcotest.test_case "executor: gather behaviour" `Quick test_executor_gathers_on_scattered;
     prop_executor_matches_reference;
+    Alcotest.test_case "executor: a launch allocates nothing per node" `Quick
+      test_executor_launch_allocation;
     Alcotest.test_case "runtime: constant memoization" `Quick test_runtime_constants_memoized;
     Alcotest.test_case "runtime: decision determinism" `Quick test_runtime_decisions_deterministic;
     Alcotest.test_case "runtime: upload accounting" `Quick test_upload_accounting;
