@@ -57,13 +57,17 @@ test:
 # reproduction (table4-table9, fig5, fig9: virtual time only) twice and
 # requires both runs to be byte-identical to each other and to the
 # committed BENCH_paper.json (a CI artifact), so host-speed work cannot
-# move a paper result unnoticed. The observability gate does the same for
+# move a paper result unnoticed. The hash-order gate reruns the test
+# suite, and generates the paper rerun, under OCAMLRUNPARAM=R, which
+# seeds every Hashtbl randomly: no schedule, test or paper number may
+# depend on hash order (DESIGN.md §30). The observability gate does the same for
 # the serving metrics timeline of one fault-injected run (final counters
 # plus periodic snapshots, BENCH_obs.json, a CI artifact), so the export's
 # keys, order and values cannot move unnoticed.
 PAPER_EXPERIMENTS = table4 table5 table6 table7 table8 table9 fig5 fig9
 
 check: build test
+	OCAMLRUNPARAM=R dune test --force
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 2000 --requests 50 --iters 100
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
@@ -111,7 +115,7 @@ check: build test
 	cmp BENCH_partition.json BENCH_partition_rerun.json
 	git diff --exit-code -- BENCH_overload.json BENCH_integrity.json BENCH_partition.json
 	dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper.json
-	dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper_rerun.json
+	OCAMLRUNPARAM=R dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper_rerun.json
 	cmp BENCH_paper.json BENCH_paper_rerun.json
 	git diff --exit-code -- BENCH_paper.json
 	dune exec bench/main.exe -- obs --json BENCH_obs.json

@@ -18,7 +18,6 @@
 
 module Rng = Acrobat_tensor.Rng
 module Faults = Acrobat_device.Faults
-module Cost_model = Acrobat_device.Cost_model
 module Server = Acrobat_serve.Server
 module Cluster = Acrobat_serve.Cluster
 module Stats = Acrobat_serve.Stats
@@ -148,7 +147,6 @@ let tenancy_config (sc : Scenario.t) (tc : Scenario.tenancy) : Dispatcher.config
     t_autoscale =
       Autoscaler.default ~min_replicas:tc.Scenario.tc_min
         ~max_replicas:tc.Scenario.tc_max;
-    t_swap_cost = Cost_model.default;
     t_hedge_percentile = sc.Scenario.sc_hedge;
     t_net = sc.Scenario.sc_net;
   }

@@ -83,7 +83,7 @@ let tmp_shapes t (arg_shapes : Shape.t array) : Shape.t array =
 type plan = {
   id : int;
       (** Unique across every plan table: the batching signature ACROBAT
-          interns a node to ({!signature} is its printed form). *)
+          gives a node. *)
   kernel : t;
   arg_shapes : Shape.t array;  (** Every argument's shape, shared ones included. *)
   arg_elems : int array;  (** Element count of each of [arg_shapes]. *)
@@ -105,8 +105,6 @@ type plan = {
           ascending order: the executor's per-batch argument traffic. *)
   flops : float;  (** Sum of [group_flops]. *)
   shared_elems : int;  (** Elements of the largest [Shared] argument. *)
-  signature : string;
-      (** ACROBAT's batching signature: kernel identity + argument shapes. *)
 }
 
 let next_plan_id = Atomic.make 0
@@ -166,7 +164,6 @@ let plan t (arg_shapes : Shape.t array) : plan =
            t.groups);
     flops = Array.fold_left ( +. ) 0.0 group_flops;
     shared_elems = !shared_elems;
-    signature = Fmt.str "k%d|%a" t.id Fmt.(array ~sep:(any ";") Shape.pp) arg_shapes;
   }
 
 (** The plans built so far for the kernels of one {!registry}, indexed by

@@ -341,8 +341,8 @@ type serve_setup = {
    server, its degraded variant), draw the payloads and arrival trace from
    [seed], and assemble the per-server config. A fault-injected run
    defaults to degrading earlier, at 85% queue occupancy. *)
-let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ?tolerance
-    ~resilience ?tracer ~fault_mode ~process ~requests ~seed (model : Model.t) =
+let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ~resilience
+    ?tracer ~fault_mode ~process ~requests ~seed (model : Model.t) =
   let c, weights = compile_model ~framework ?iters ?tracer model ~batch:8 ~seed in
   let payload_rng = Rng.create ((seed * 31) + 5) in
   let payloads =
@@ -354,12 +354,9 @@ let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals
     | None -> Serve.Traffic.arrivals ~rng:(Rng.create ((seed * 53) + 11)) process ~n:requests
   in
   let tolerance =
-    match tolerance with
-    | Some t -> t
-    | None ->
-      if fault_mode then
-        { Serve.Server.default_tolerance with Serve.Server.degrade_high_frac = 0.85 }
-      else Serve.Server.default_tolerance
+    if fault_mode then
+      { Serve.Server.default_tolerance with Serve.Server.degrade_high_frac = 0.85 }
+    else Serve.Server.default_tolerance
   in
   let degraded =
     if fault_mode || Option.is_some resilience.Resilience.rs_brownout then
@@ -392,8 +389,8 @@ let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals
     run under {!fault_executor} and the server's fault-tolerance machinery
     (retry, bisection, circuit breaker, degradation — see DESIGN.md SS8) is
     exercised; if the model carries a degraded variant it is compiled and
-    tuned too, and swapped in while the server is degraded. [tolerance]
-    overrides the recovery knobs. With the default [Faults.none] plan the
+    tuned too, and swapped in while the server is degraded, which it
+    enters at 85% queue occupancy. With the default [Faults.none] plan the
     executor, RNG draws and output are bit-identical to the fault-unaware
     server.
 
@@ -407,14 +404,14 @@ let serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals
     [snapshot_every_us] turns on the metrics timeline of [sv_stats]. *)
 let serve_model ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(policy = Serve.Server.default_config.Serve.Server.policy) ?(queue_capacity = 256)
-    ?deadline_ms ?arrivals ?(faults = Faults.none) ?tolerance
-    ?(resilience = Resilience.off) ?(audit = 0.0) ?tracer ?snapshot_every_us
+    ?deadline_ms ?arrivals ?(faults = Faults.none) ?(resilience = Resilience.off)
+    ?(audit = 0.0) ?tracer ?snapshot_every_us
     ~(process : Serve.Traffic.process) ~(requests : int) ~(seed : int) (model : Model.t) :
     serve_report =
   let fault_mode = Faults.enabled faults in
   let su =
-    serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ?tolerance
-      ~resilience ?tracer ~fault_mode ~process ~requests ~seed model
+    serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ~resilience
+      ?tracer ~fault_mode ~process ~requests ~seed model
   in
   let c = su.su_compiled and weights = su.su_weights in
   let integrity = Faults.corrupts faults || audit > 0.0 in
@@ -460,8 +457,8 @@ let serve_model ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     executors; both default off, leaving legacy runs byte-identical. *)
 let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(policy = Serve.Server.default_config.Serve.Server.policy) ?(queue_capacity = 256)
-    ?(fault_plans = []) ?tolerance ?(min_replicas = 1) ?(max_replicas = 1)
-    ?(swap_cost = Cost_model.default) ?(resilience = Resilience.off) ?hedge_percentile
+    ?(fault_plans = []) ?(min_replicas = 1) ?(max_replicas = 1)
+    ?(resilience = Resilience.off) ?hedge_percentile
     ?(audit = 0.0) ?net ?tracer ~(models : string -> Model.t)
     ~(tenants : Tenancy.Tenant.t array) ~(seed : int) () : Tenancy.Dispatcher.report =
   let distinct =
@@ -494,10 +491,8 @@ let serve_tenants ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
       Tenancy.Dispatcher.t_server =
         server_config ~policy ~queue_capacity
           ~deadline_ms:None (* per-request deadlines come from tenant SLOs *)
-          ~tolerance:(Option.value ~default:Serve.Server.default_tolerance tolerance)
-          ~resilience;
+          ~tolerance:Serve.Server.default_tolerance ~resilience;
       t_autoscale = Tenancy.Autoscaler.default ~min_replicas ~max_replicas;
-      t_swap_cost = swap_cost;
       t_hedge_percentile = hedge_percentile;
       t_net = net;
     }
@@ -597,7 +592,7 @@ let cluster_report_json (r : cluster_report) : Serve.Json.t =
     [None] keeps the direct-call path byte-identical. *)
 let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ?(policy = Serve.Server.default_config.Serve.Server.policy) ?(queue_capacity = 256)
-    ?deadline_ms ?arrivals ?(fault_plans = []) ?tolerance
+    ?deadline_ms ?arrivals ?(fault_plans = [])
     ?(dispatch = Serve.Cluster.Join_shortest_queue) ?hedge_percentile
     ?(requeue_budget = Serve.Cluster.default_config.Serve.Cluster.c_requeue_budget)
     ?(resilience = Resilience.off) ?(audit = 0.0) ?net ?tracer ?(replicas = 1)
@@ -605,8 +600,8 @@ let serve_cluster ?(framework = Frameworks.Acrobat Config.acrobat) ?iters
     ~(seed : int) (model : Model.t) : cluster_report =
   let plan_for i = try List.nth fault_plans i with _ -> Faults.none in
   let su =
-    serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ?tolerance
-      ~resilience ?tracer ~fault_mode:(List.exists Faults.enabled fault_plans) ~process
+    serve_setup ~framework ?iters ~policy ~queue_capacity ?deadline_ms ?arrivals ~resilience
+      ?tracer ~fault_mode:(List.exists Faults.enabled fault_plans) ~process
       ~requests ~seed model
   in
   let c = su.su_compiled and weights = su.su_weights in

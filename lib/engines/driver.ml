@@ -81,12 +81,10 @@ let stage lprog = Aot.stage ~fibers:(fibers lprog) lprog
     [device] lets callers that execute many batches (the serving loop)
     accumulate one profile across calls; latency is charged relative to the
     device's simulated clock at entry, so the result's stats describe just
-    this batch either way. [faults] threads a fault injector into the
-    device this run creates (ignored when [device] is supplied — a caller
-    passing a device has already wired its faults); injected faults
-    surface as {!Acrobat_device.Faults.Fault} or
-    {!Acrobat_device.Memory.Device_oom} exceptions out of this call.
-    [tracer] likewise threads a span sink into a freshly created device, so
+    this batch either way; faults the device injects surface as
+    {!Acrobat_device.Faults.Fault} or {!Acrobat_device.Memory.Device_oom}
+    exceptions out of this call.
+    [tracer] threads a span sink into a freshly created device, so
     kernel/gather/memcpy spans reach the caller's trace. [instance_keys]
     names each instance's pseudo-random decision stream (default: batch
     position); the serving integrity layer passes stable request ids so a
@@ -97,12 +95,12 @@ let stage lprog = Aot.stage ~fibers:(fibers lprog) lprog
     Ignored in [Vm_mode].
     @raise Invalid_argument when [staged] was staged from another program
     or fiber mode. *)
-let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?faults ?tracer
+let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?tracer
     ?instance_keys ?staged ~(mode : mode) ~(policy : Policy.t) ~(quality : int -> float)
     ~(lprog : L.t) ~(weights : (string * Tensor.t) list)
     ~(instances : (string * hval) list list) () : result =
   let device =
-    match device with Some d -> d | None -> Device.create ?faults ?tracer ()
+    match device with Some d -> d | None -> Device.create ?tracer ()
   in
   let start_us = Profiler.total_us (Device.profiler device) in
   let exec_policy =

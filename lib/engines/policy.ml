@@ -13,7 +13,7 @@ type t = {
       (** A node's batching signature, given the runtime building it, its
           plan and its batched arguments. ACROBAT's is the plan's id
           (kernel identity + argument shapes); other signatures are
-          interned by the runtime ({!Runtime.intern_signature}). *)
+          interned in the run's store ({!Store.intern}). *)
   allow_fork : bool;  (** Fork fibers at [concurrent]/[map] (§4.2). *)
   eager : bool;  (** Flush after every node (no batching: PyTorch). *)
   batched_io : bool;  (** Batch host<->device transfers (§D.3). *)
@@ -37,17 +37,6 @@ let acrobat_policy =
     batched_io = true;
     detect_dynamic_sharing = false;
   }
-
-(* A stable identity for a tensor argument: device address when
-   materialized, node/slot otherwise. This is the "same first argument"
-   pointer check of DyNet's matmul heuristic. *)
-let arg_identity (h : Value.handle) =
-  if Value.handle_ready h then "a" ^ string_of_int (Store.addr h)
-  else begin
-    let s = h.store in
-    let id = s.Store.owner.(h.slot) in
-    "n" ^ string_of_int id ^ "." ^ string_of_int (h.slot - s.Store.out_lo.(id))
-  end
 
 (* How DyNet's vendor-library batching treats a (composite) kernel given
    concrete argument shapes. *)
@@ -103,8 +92,7 @@ let classify_for_dynet ~improved_matmul (kernel : Kernel.t)
       model multiplies two activations (MV-RNN);
     - argmax, broadcasting elementwise multiplication and constant
       construction have no batched vendor kernels: each instance gets a
-      unique signature, numbered by the run ({!Runtime.next_unbatchable}),
-      and executes alone.
+      unique signature ({!Store.fresh_signature}) and executes alone.
 
     The closure only caches each plan's class, a function of the plan, so
     one record serves every run. *)
@@ -122,11 +110,13 @@ let dynet_sig ?(improved_matmul = false) () =
     match cls with
     | Dplain -> plan.id
     | Dmatmul_key j ->
-      Runtime.intern_signature rt
-        (plan.signature ^ "|wt=" ^ arg_identity (Runtime.kernel_arg rt plan.kernel args j))
-    | Dunbatchable ->
-      Runtime.intern_signature rt
-        (plan.signature ^ "|u" ^ string_of_int (Runtime.next_unbatchable rt))
+      (* The weight's identity, DyNet's "same first argument" pointer
+         check: its device address once materialized, its slot while
+         pending. *)
+      let h = Runtime.kernel_arg rt plan.kernel args j in
+      let key = if Value.handle_ready h then Store.addr h else -(h.Store.slot + 1) in
+      Store.intern rt.Runtime.store ~plan_id:plan.id ~key
+    | Dunbatchable -> Store.fresh_signature rt.Runtime.store
 
 (** DyNet baseline. [improved] applies the paper's §E.4 fixes (DN++):
     a relaxed matmul heuristic, and manually exposed instance

@@ -53,7 +53,6 @@ type t = {
           its kernel's profile with one array load, no hashing. *)
   mutable rngs : Rng.t array;  (** Per-instance decision streams (§E.1). *)
   mutable flushes : int;
-  mutable unbatchable : int;  (** Nodes numbered by {!next_unbatchable} this run. *)
 }
 
 let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
@@ -69,7 +68,6 @@ let create ~device ~scheduler ~(policy : Executor.policy) ~seed ~instances =
     kernels = [||];
     rngs = Array.init instances (fun i -> Rng.create ((seed * 1_000_003) + i));
     flushes = 0;
-    unbatchable = 0;
   }
 
 (** Re-key the per-instance decision streams before execution. By default
@@ -289,23 +287,6 @@ let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~dept
 (** Output [k] of the node whose first output slot is [first]: the handle
     its value will arrive in. Call it before the next node is invoked. *)
 let output t first k = Store.handle t.store (first + k)
-
-(* --- Batching signatures --- *)
-
-(** An id for the batching signature [name], equal for equal names within
-    this run. Interned ids are negative, so they never equal a plan's id
-    (ACROBAT's signatures). *)
-let intern_signature t name = Store.intern t.store name
-
-(** The printed form of [sig_key], a signature of a node planned as
-    [plan]: the plan's own, or the name it was interned from. *)
-let signature_name t (plan : Kernel.plan) sig_key = Store.signature_name t.store plan sig_key
-
-(** A number for one more node that must execute alone, from 1 in each
-    run: DyNet signs its unbatchable nodes apart with it. *)
-let next_unbatchable t =
-  t.unbatchable <- t.unbatchable + 1;
-  t.unbatchable
 
 (** Schedule and execute everything pending. *)
 let flush t =

@@ -181,13 +181,36 @@ let repeated s id j m =
   let rec go i = i < j && (s.owner.(s.args.(a0 + i)) = m || go (i + 1)) in
   go 0
 
+(* The agenda's ready nodes of one signature. *)
+type ready_class = {
+  sg : int;
+  mutable members : int list;  (** In reverse push order. *)
+  mutable sum : int;  (** Of the members' topological depths. *)
+  mutable count : int;
+  mutable lowest : int;  (** The lowest member id. *)
+}
+
+module Itbl = Hashtbl.Make (Int)
+
+let no_class = { sg = 0; members = []; sum = 0; count = 0; lowest = 0 }
+
+(* Whether the agenda launches class [a] before class [b]: lower average
+   depth, compared exactly without dividing; then the larger class; then
+   the class holding the lower node id. Strict and total over the ready
+   classes (no node is in two), so the fold order of the table is
+   irrelevant. *)
+let before a b =
+  let da = a.sum * b.count and db = b.sum * a.count in
+  da < db || (da = db && (a.count > b.count || (a.count = b.count && a.lowest < b.lowest)))
+
 let agenda (device : Device.t) s lo hi =
   (* Kahn's algorithm over the window with DyNet's agenda heuristic
      (Neubig et al. 2017b): among the signature classes with ready nodes,
      launch the one whose ready nodes have the lowest average topological
      depth — executing shallow work first lets deeper same-type nodes
-     accumulate into bigger batches. Classes are keyed by their printed
-     signatures, whose hash order breaks ties. *)
+     accumulate into bigger batches. Ties go to the larger class, then to
+     the class holding the lowest node id ([before]), so the schedule is
+     a function of the DFG alone. *)
   let n = hi - lo in
   topo_depths device s lo hi;
   let topo_depth = s.rdepth in
@@ -215,18 +238,18 @@ let agenda (device : Device.t) s lo hi =
       fill.(m - lo) <- fill.(m - lo) + 1);
   (* Ready sets per signature, with incrementally maintained depth sums so
      class selection is O(#classes). *)
-  let ready : (string, int list ref * int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
+  let ready : ready_class Itbl.t = Itbl.create 64 in
   let push id =
     Device.charge_signature_hash device;
     Device.charge_heap_op device;
-    let d = topo_depth.(id - lo) in
-    let name = node_signature s id in
-    match Hashtbl.find_opt ready name with
-    | Some (cell, sum, count) ->
-      cell := id :: !cell;
-      sum := !sum + d;
-      incr count
-    | None -> Hashtbl.replace ready name (ref [ id ], ref d, ref 1)
+    let d = topo_depth.(id - lo) and sg = s.sig_key.(id) in
+    match Itbl.find_opt ready sg with
+    | Some c ->
+      c.members <- id :: c.members;
+      c.sum <- c.sum + d;
+      c.count <- c.count + 1;
+      if id < c.lowest then c.lowest <- id
+    | None -> Itbl.replace ready sg { sg; members = [ id ]; sum = d; count = 1; lowest = id }
   in
   for id = lo to hi - 1 do
     if indegree.(id - lo) = 0 then push id
@@ -235,39 +258,32 @@ let agenda (device : Device.t) s lo hi =
   let order = s.order in
   let placed = ref 0 and cuts = ref [] in
   while !placed < n do
-    (* Pick the ready class with the lowest average depth (ties: larger). *)
-    let score (_, sum, count) = float_of_int !sum /. float_of_int !count, - !count in
-    let best =
-      Hashtbl.fold
-        (fun sg entry acc ->
-          Device.charge_heap_op device;
-          match acc with
-          | Some (_, best_entry) when score best_entry <= score entry -> acc
-          | _ -> Some (sg, entry))
-        ready None
-    in
-    match best with
-    | None -> fail "agenda scheduler: dependency cycle in DFG"
-    | Some (sg, (cell, _, _)) ->
-      let batch = List.rev !cell in
-      Hashtbl.remove ready sg;
-      let blo = !placed in
-      List.iter
-        (fun id ->
-          order.(!placed) <- id;
-          incr placed)
-        batch;
-      cuts := !placed :: !cuts;
-      (* Dependents were pushed in reverse id order; keep that order. *)
-      for i = blo to !placed - 1 do
-        let m = order.(i) - lo in
+    let best = ref no_class in
+    Itbl.iter
+      (fun _ c ->
         Device.charge_heap_op device;
-        for k = first.(m + 1) - 1 downto first.(m) do
-          let d = dependents.(k) - lo in
-          indegree.(d) <- indegree.(d) - 1;
-          if indegree.(d) = 0 then push dependents.(k)
-        done
+        if !best == no_class || before c !best then best := c)
+      ready;
+    let best = !best in
+    if best == no_class then fail "agenda scheduler: dependency cycle in DFG";
+    Itbl.remove ready best.sg;
+    let blo = !placed in
+    List.iter
+      (fun id ->
+        order.(!placed) <- id;
+        incr placed)
+      (List.rev best.members);
+    cuts := !placed :: !cuts;
+    (* Dependents were pushed in reverse id order; keep that order. *)
+    for i = blo to !placed - 1 do
+      let m = order.(i) - lo in
+      Device.charge_heap_op device;
+      for k = first.(m + 1) - 1 downto first.(m) do
+        let d = dependents.(k) - lo in
+        indegree.(d) <- indegree.(d) - 1;
+        if indegree.(d) = 0 then push dependents.(k)
       done
+    done
   done;
   slices s !cuts
 

@@ -15,8 +15,8 @@
     lives as long as the program holds its handle, as with nodes made of
     records. A handle's slot number only means something in its store.
 
-    Ids restart at 0 with every run ({!reset}), as DyNet's signatures
-    print pending arguments by node id. A store is reused across the
+    Ids and slots restart at 0 with every run ({!reset}), as do the
+    signatures interned from them. A store is reused across the
     flushes of a run and across runs: a compiled program carries one
     (DESIGN.md §28), and the arrays only ever grow. Between runs it holds
     no tensor; a run's results leave it as handles into a store of their
@@ -26,6 +26,14 @@ open Acrobat_tensor
 open Acrobat_compiler
 
 exception Runtime_error of string
+
+(* Keyed by an int pair, hashed without the polymorphic hash. *)
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal ((a : int), (b : int)) (c, d) = a = c && b = d
+  let hash (a, b) = Int.hash ((a * 65599) + b)
+end)
 
 let fail fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
 
@@ -68,8 +76,8 @@ type t = {
   mutable groups : int array;
   mutable rdepth : int array;
   (* Signatures interned this run (DyNet's composite ones). *)
-  mutable sig_ids : (string, int) Hashtbl.t option;
-  mutable sig_names : string array;  (** Name of interned id [-(i + 1)] at [i]. *)
+  mutable sig_ids : int Pair_tbl.t option;
+  mutable interned : int;  (** Ids given this run: [-1 .. -interned]. *)
 }
 
 (** A value slot of a store, and the slot's value once computed ([None]
@@ -110,7 +118,7 @@ let create () =
     groups = [||];
     rdepth = [||];
     sig_ids = None;
-    sig_names = [||];
+    interned = 0;
   }
 
 (** Forget every holder: the window they served has executed. *)
@@ -127,7 +135,8 @@ let reset s =
   s.nodes <- 0;
   s.nargs <- 0;
   s.values <- 0;
-  Option.iter Hashtbl.reset s.sig_ids
+  s.interned <- 0;
+  Option.iter Pair_tbl.reset s.sig_ids
 
 let is_empty s = s.nodes = 0 && s.values = 0
 
@@ -252,41 +261,30 @@ let scratch s n =
 
 (* --- Signatures --- *)
 
-(** An id for the batching signature [name], equal for equal names within
-    this run. Interned ids are negative, so they never equal a plan's id
+(** A signature id of its own: a node signed with it batches with no
+    other. Interned ids are negative, so they never equal a plan's id
     (ACROBAT's signatures). *)
-let intern s name =
+let fresh_signature s =
+  s.interned <- s.interned + 1;
+  -s.interned
+
+(** An id for the signature [(plan_id, key)], equal for equal pairs
+    within this run. *)
+let intern s ~plan_id ~key =
   let ids =
     match s.sig_ids with
     | Some ids -> ids
     | None ->
-      let ids = Hashtbl.create 64 in
+      let ids = Pair_tbl.create 64 in
       s.sig_ids <- Some ids;
       ids
   in
-  match Hashtbl.find_opt ids name with
+  match Pair_tbl.find_opt ids (plan_id, key) with
   | Some id -> id
   | None ->
-    let i = Hashtbl.length ids in
-    if i = Array.length s.sig_names then begin
-      let bigger = Array.make (max 16 (2 * i)) "" in
-      Array.blit s.sig_names 0 bigger 0 i;
-      s.sig_names <- bigger
-    end;
-    s.sig_names.(i) <- name;
-    Hashtbl.replace ids name (-(i + 1));
-    -(i + 1)
-
-(** The printed form of [sig_key], a signature of a node planned as
-    [plan]: the plan's own, or the name it was interned from this run. *)
-let signature_name s (plan : Kernel.plan) sig_key =
-  let interned = match s.sig_ids with Some ids -> Hashtbl.length ids | None -> 0 in
-  if sig_key = plan.id then plan.signature
-  else if sig_key < 0 && -sig_key <= interned then s.sig_names.(-sig_key - 1)
-  else fail "signature %d is neither plan %d's nor interned this run" sig_key plan.id
-
-(** The printed signature of node [id]. *)
-let node_signature s id = signature_name s s.plan.(id) s.sig_key.(id)
+    let id = fresh_signature s in
+    Pair_tbl.replace ids (plan_id, key) id;
+    id
 
 (* --- Results --- *)
 

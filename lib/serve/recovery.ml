@@ -40,32 +40,32 @@ module Executor = struct
       fault is bit-identical to one run without the fault layer. *)
   type tolerance = {
     max_retries : int;  (** Re-executions of a failed batch before bisecting. *)
-    backoff_base_us : float;  (** First retry delay. *)
-    backoff_mult : float;  (** Delay multiplier per subsequent retry. *)
-    jitter_frac : float;  (** Uniform +/- fraction applied to each delay. *)
     breaker_threshold : int;  (** Consecutive failures that open the breaker. *)
     breaker_cooldown_us : float;  (** Open time before the probe launch. *)
     degrade_high_frac : float;
         (** Queue occupancy (fraction of capacity) that enters degraded
             mode; [infinity] disables pressure-triggered degradation. *)
     degrade_low_frac : float;  (** Occupancy below which degradation lifts. *)
-    min_max_batch : int;  (** Floor for OOM-driven batch shrinking. *)
-    ft_seed : int;  (** Seeds the jitter RNG. *)
   }
 
   let default_tolerance =
     {
       max_retries = 2;
-      backoff_base_us = 200.0;
-      backoff_mult = 2.0;
-      jitter_frac = 0.25;
       breaker_threshold = 4;
       breaker_cooldown_us = 20_000.0;
       degrade_high_frac = infinity;
       degrade_low_frac = 0.25;
-      min_max_batch = 1;
-      ft_seed = 0x5eed;
     }
+
+  (* Fixed recovery constants: the first retry delay, its multiplier per
+     subsequent retry, the uniform +/- fraction of jitter on each delay,
+     the floor for OOM-driven batch shrinking, and the seed of the jitter
+     streams (engine [i]'s is [ft_seed + i * 7919]). *)
+  let backoff_base_us = 200.0
+  let backoff_mult = 2.0
+  let jitter_frac = 0.25
+  let min_max_batch = 1
+  let ft_seed = 0x5eed
 
   (** What one successful batch execution reports back. *)
   type exec_outcome = {
@@ -206,19 +206,19 @@ let rec resolve (o : ('r, 'a) owner) (batch : 'r list) ~(k : unit -> unit) =
         | budget ->
           if Option.is_some budget then charge o Stats.retried_requests ~n:size;
           charge o Stats.retries;
-          let jitter = 1.0 +. (o.tol.jitter_frac *. ((2.0 *. Rng.float o.rng) -. 1.0)) in
+          let jitter = 1.0 +. (jitter_frac *. ((2.0 *. Rng.float o.rng) -. 1.0)) in
           let at = freed_us +. Float.max 0.0 (backoff_us *. jitter) in
           Trace.instant o.tracer ?pid:o.pid ~name:"retry" ~cat:"fault" ~tid:0 ~ts_us:at
             ~args:[ "attempt", Json.Int (o.tol.max_retries - retries_left + 1) ];
           Event_loop.schedule o.loop ~at
             (guard
                (attempt ~retries_left:(retries_left - 1)
-                  ~backoff_us:(backoff_us *. o.tol.backoff_mult))))
+                  ~backoff_us:(backoff_us *. backoff_mult))))
       | None ->
         (* Retries exhausted (or the failure is deterministic): isolate. *)
         Event_loop.schedule o.loop ~at:freed_us (guard (fun () -> bisect o batch ~k)))
   in
-  attempt ~retries_left:o.tol.max_retries ~backoff_us:o.tol.backoff_base_us ()
+  attempt ~retries_left:o.tol.max_retries ~backoff_us:backoff_base_us ()
 
 (* Binary fault isolation. A single survivor of repeated failure is the
    poison: drop it alone. Larger batches split in half; each half gets a

@@ -122,6 +122,13 @@ let corrupt_alpha = 0.3
 let corrupt_threshold = 0.5
 let quarantine_clean_probes = 2
 
+(** The corruption scoreboard after one audit verdict: the EWMA stepped
+    from [score], and whether the verdict is a mismatch that reaches the
+    quarantine threshold. *)
+let corrupt_step score ~clean =
+  let score = ((1.0 -. corrupt_alpha) *. score) +. (if clean then 0.0 else corrupt_alpha) in
+  score, (not clean) && score >= corrupt_threshold
+
 let id t = t.id
 let health t = t.health
 let health_score t = t.health_score
@@ -323,11 +330,10 @@ and go_down (t : 'a t) =
    threshold from Up quarantines; during quarantine probing, a mismatch
    re-quarantines immediately while consecutive clean verdicts re-admit. *)
 and note_audit (t : 'a t) ~clean =
-  t.corrupt_score <-
-    ((1.0 -. corrupt_alpha) *. t.corrupt_score)
-    +. (if clean then 0.0 else corrupt_alpha);
+  let score, tripped = corrupt_step t.corrupt_score ~clean in
+  t.corrupt_score <- score;
   match t.health with
-  | Up when (not clean) && t.corrupt_score >= corrupt_threshold -> go_quarantine t
+  | Up when tripped -> go_quarantine t
   | Probing when t.quarantine_probing ->
     if clean then begin
       t.clean_probes <- t.clean_probes + 1;

@@ -42,8 +42,9 @@ module Budget = Acrobat_resilience.Budget
 module Limiter = Acrobat_resilience.Limiter
 module Brownout = Acrobat_resilience.Brownout
 
-(** [tolerance], [default_tolerance], [exec_outcome] and [exec_result]
-    (with [Exec_ok] / [Exec_fault]); see {!Recovery.Executor}. *)
+(** [tolerance], [default_tolerance], the fixed recovery constants,
+    [exec_outcome] and [exec_result] (with [Exec_ok] / [Exec_fault]); see
+    {!Recovery.Executor}. *)
 include Recovery.Executor
 
 type config = {
@@ -189,7 +190,7 @@ let create_device ?pid ?auditor ~id ~loop ~tracer (config : config) ~execute =
     auditor;
     audit_rng =
       Rng.create (match auditor with Some a -> a.au_seed + (id * 104729) | None -> 0);
-    ft_rng = Rng.create (config.tolerance.ft_seed + (id * 7919));
+    ft_rng = Rng.create (ft_seed + (id * 7919));
     tracer;
     pid;
     policy_max_batch = pmax;
@@ -214,7 +215,7 @@ let is_degraded d = d.degraded || browned_out d
     would fail forever, so halve the cap before the batch is re-resolved. *)
 let shrink_batches d =
   d.degraded <- true;
-  d.cur_max_batch <- max d.config.tolerance.min_max_batch (d.cur_max_batch / 2)
+  d.cur_max_batch <- max min_max_batch (d.cur_max_batch / 2)
 
 (** Pressure relief after a success: once the queue is quiet again, double
     the batch cap back toward full strength; degraded mode lifts when fully

@@ -84,7 +84,6 @@ type config = {
           untouched; brownout does not apply). [deadline_us] is ignored:
           each tenant's SLO is its deadline. *)
   t_autoscale : Autoscaler.config;
-  t_swap_cost : Cost_model.t;  (** Sizes the resident-model swap penalty. *)
   t_hedge_percentile : float option;
       (** Duplicate a still-unresolved request after this percentile of
           recent completion latency; [None] disables hedging. *)
@@ -101,7 +100,6 @@ let default_config =
   {
     t_server = Server.default_config;
     t_autoscale = Autoscaler.fixed 1;
-    t_swap_cost = Cost_model.default;
     t_hedge_percentile = None;
     t_net = None;
   }
@@ -276,7 +274,7 @@ let new_replica st ~ready_us =
       rp_batches = 0;
       rp_busy_us = 0.0;
       rp_epoch = 0;
-      rp_rng = Rng.create (st.cfg.t_server.Server.tolerance.Server.ft_seed + (id * 7919));
+      rp_rng = Rng.create (Server.ft_seed + (id * 7919));
       rp_audit_rng =
         Rng.create
           (match st.auditor with
@@ -401,14 +399,9 @@ let rec deliver st rp ~lead ~model (batch : (int * 'a Admission.request) list)
           ~name:(if d.Server.ad_clean then "audit_ok" else "audit_mismatch")
           ~cat:"integrity" ~pid:0 ~tid:(Server.req_tid r.Admission.rq_id) ~ts_us:done_us
           ~args:[ "replica", Json.Int rp.rp_id ];
-        rp.rp_corrupt_score <-
-          ((1.0 -. Replica.corrupt_alpha) *. rp.rp_corrupt_score)
-          +. (if d.Server.ad_clean then 0.0 else Replica.corrupt_alpha);
-        if
-          (not d.Server.ad_clean)
-          && rp.rp_corrupt_score >= Replica.corrupt_threshold
-          && rp.rp_state = Active
-        then quarantine st rp ~ts_us:done_us
+        let score, tripped = Replica.corrupt_step rp.rp_corrupt_score ~clean:d.Server.ad_clean in
+        rp.rp_corrupt_score <- score;
+        if tripped && rp.rp_state = Active then quarantine st rp ~ts_us:done_us
       end;
       Server.note_delivery st.stats ~outcome d;
       Server.note_delivery ts.ts_stats ~outcome d;
@@ -526,7 +519,7 @@ and flush st rp ti ~now ~limit =
       if rp.rp_resident = Some model then 0.0
       else begin
         let param_bytes = st.model_bytes model in
-        let d = Cost_model.model_swap_time st.cfg.t_swap_cost ~param_bytes in
+        let d = Cost_model.model_swap_time Cost_model.default ~param_bytes in
         rp.rp_resident <- Some model;
         rp.rp_swaps <- rp.rp_swaps + 1;
         Stats.incr st.stats Stats.swaps;

@@ -2,8 +2,11 @@
 
     These are the list-based [group_by_depth], [topo_depths] and agenda
     scheduler that scheduled records of nodes before the node store
-    (DESIGN.md §28), kept as they were, over the node records they read,
-    declared here. {!of_window} builds those records for a flush window
+    (DESIGN.md §28), over the node records they read, declared here. They
+    are kept as they were, except that the agenda keys its classes by
+    signature id and breaks ties by an explicit order (DESIGN.md §30),
+    which it finds by sorting the classes rather than by a scan.
+    {!of_window} builds those records for a flush window
     of a store. The live schedulers, given the window itself, must emit the
     same batches in the same order and charge the device the same
     simulated time, to the bit. *)
@@ -122,7 +125,7 @@ let runtime_depth (device : Device.t) nodes =
   let depths = topo_depths device nodes in
   group_by_depth ~depth_of:(fun n -> Hashtbl.find depths n.id) nodes
 
-let agenda ~sig_name (device : Device.t) nodes =
+let agenda (device : Device.t) nodes =
   let topo_depth = topo_depths device nodes in
   let pending : (int, node) Hashtbl.t = Hashtbl.create 64 in
   List.iter (fun n -> Hashtbl.replace pending n.id n) nodes;
@@ -145,33 +148,33 @@ let agenda ~sig_name (device : Device.t) nodes =
           | None -> Hashtbl.replace dependents m.id (ref [ n ]))
         deps)
     nodes;
-  let ready : (string, node list ref * int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
+  let ready : (int, node list ref * int ref * int ref) Hashtbl.t = Hashtbl.create 64 in
   let push n =
     Device.charge_signature_hash device;
     Device.charge_heap_op device;
     let d = Hashtbl.find topo_depth n.id in
-    let name = sig_name n in
-    match Hashtbl.find_opt ready name with
+    match Hashtbl.find_opt ready n.sig_key with
     | Some (cell, sum, count) ->
       cell := n :: !cell;
       sum := !sum + d;
       incr count
-    | None -> Hashtbl.replace ready name (ref [ n ], ref d, ref 1)
+    | None -> Hashtbl.replace ready n.sig_key (ref [ n ], ref d, ref 1)
   in
   List.iter (fun n -> if Hashtbl.find indegree n.id = 0 then push n) nodes;
   let batches = ref [] in
   let remaining = ref (List.length nodes) in
   while !remaining > 0 do
-    let score (_, sum, count) = float_of_int !sum /. float_of_int !count, - !count in
-    let best =
-      Hashtbl.fold
-        (fun sg entry acc ->
-          Device.charge_heap_op device;
-          match acc with
-          | Some (_, best_entry) when score best_entry <= score entry -> acc
-          | _ -> Some (sg, entry))
-        ready None
+    (* Lowest average depth (sum / count, cross-multiplied); then the
+       larger class; then the lowest node id. *)
+    let lowest cell = List.fold_left (fun m n -> min m n.id) max_int !cell in
+    let rank (_, (c1, s1, n1)) (_, (c2, s2, n2)) =
+      match Int.compare (!s1 * !n2) (!s2 * !n1) with
+      | 0 -> ( match Int.compare !n2 !n1 with 0 -> Int.compare (lowest c1) (lowest c2) | c -> c)
+      | c -> c
     in
+    let classes = Hashtbl.fold (fun sg entry acc -> (sg, entry) :: acc) ready [] in
+    List.iter (fun _ -> Device.charge_heap_op device) classes;
+    let best = match List.sort rank classes with [] -> None | c :: _ -> Some c in
     match best with
     | None -> failwith "agenda scheduler: dependency cycle in DFG"
     | Some (sg, (cell, _, _)) ->
@@ -198,11 +201,10 @@ let agenda ~sig_name (device : Device.t) nodes =
 (** The window's batches, as node ids. *)
 let schedule (kind : Config.scheduler) device (w : Store.window) : int list list =
   let nodes = of_window w in
-  let sig_name n = Store.signature_name w.Store.wstore n.plan n.sig_key in
   let batches =
     match kind with
     | Config.Inline_depth -> group_by_depth nodes
     | Config.Runtime_depth -> runtime_depth device nodes
-    | Config.Agenda -> agenda ~sig_name device nodes
+    | Config.Agenda -> agenda device nodes
   in
   List.map (List.map (fun n -> n.id)) batches

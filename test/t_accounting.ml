@@ -77,9 +77,9 @@ let pins : ((string * string * string) * string) list =
     ("rnn", "dynet", "values"),
     "t=4049bd70a3d70a27,40610851eb851eec,405dd1eb851eb84a,4061e2186584b4dc,4072400000000000,0,0 c=67,28,8960,79,234,39,6,0 f=1 p=b1f91611acfa";
     ("rnn", "dynet++", "acct"),
-    "t=4049bd70a3d70a27,406136666666669d,405dd1eb851eb84a,4062f7493abdc73a,4072a00000000000,0,0 c=70,19,4608,79,234,51,12,0 f=1 p=b1f91611acfa";
+    "t=4049bd70a3d70a27,40610851eb851eec,405dd1eb851eb84a,4061e2186584b4dc,4072400000000000,0,0 c=67,28,8960,79,234,39,6,0 f=1 p=b1f91611acfa";
     ("rnn", "dynet++", "values"),
-    "t=4049bd70a3d70a27,406136666666669d,405dd1eb851eb84a,4062f7493abdc73a,4072a00000000000,0,0 c=70,19,4608,79,234,51,12,0 f=1 p=b1f91611acfa";
+    "t=4049bd70a3d70a27,40610851eb851eec,405dd1eb851eb84a,4061e2186584b4dc,4072400000000000,0,0 c=67,28,8960,79,234,39,6,0 f=1 p=b1f91611acfa";
     ("rnn", "pytorch", "acct"),
     "t=406128f5c28f5c14,407927ae147ae179,405dd1eb851eb84a,4095aeab0e87f2bd,4095f80000000000,408d9e66666667d8,0 c=624,0,0,79,624,624,624,0 f=624 p=b12f2b373ee8";
     ("rnn", "pytorch", "values"),
@@ -93,9 +93,9 @@ let pins : ((string * string * string) * string) list =
     ("treelstm", "acrobat-vm", "values"),
     "t=4048a3d70a3d708f,4026666666666674,400a7ae147ae147b,40707b5b114d9a84,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,224,13,3,0 f=1 p=87ac6d6138fa";
     ("treelstm", "dynet", "acct"),
-    "t=408055c28f5c2a0e,40a71947ae146f22,405cf3d70a3d70ad,408bda6fd4415768,408ee00000000000,0,0 c=417,168,102528,77,2376,249,157,0 f=1 p=a39ba12c1676";
+    "t=408055c28f5c2a0e,40a71f851eb84626,405cf3d70a3d70ad,408cb13c81c3afbf,408fb00000000000,0,0 c=430,177,91648,77,2376,253,157,0 f=1 p=a39ba12c1676";
     ("treelstm", "dynet", "values"),
-    "t=408055c28f5c2a0e,40a71947ae146f22,405cf3d70a3d70ad,408bda6fd4415768,408ee00000000000,0,0 c=417,168,102528,77,2376,249,157,0 f=1 p=a39ba12c1676";
+    "t=408055c28f5c2a0e,40a71f851eb84626,405cf3d70a3d70ad,408cb13c81c3afbf,408fb00000000000,0,0 c=430,177,91648,77,2376,253,157,0 f=1 p=a39ba12c1676";
     ("treelstm", "dynet++", "acct"),
     "t=407ea28f5c28f7ac,409390f5c28f5a60,405cf3d70a3d70ad,407a5e51389022ab,4081800000000000,0,0 c=203,159,666624,77,2228,44,5,0 f=1 p=c105b279f352";
     ("treelstm", "dynet++", "values"),
@@ -113,9 +113,9 @@ let pins : ((string * string * string) * string) list =
     ("mvrnn", "acrobat-vm", "values"),
     "t=4030b851eb851ebd,400e66666666665a,4016f7ced916872c,406104914eba6c2b,405c000000000000,4091accccccccd21,0 c=54,0,0,2,76,11,3,0 f=1 p=811a37ef954f";
     ("mvrnn", "dynet", "acct"),
-    "t=4058333333333318,408282e147ae1508,406d07be76c8b43d,407cb9920192c95f,4086a00000000000,0,0 c=209,27,40800,153,440,182,152,0 f=1 p=a9b8ff09a130";
+    "t=4058333333333318,408287ae147ae1d5,406d07be76c8b43d,407cf994a0a97a7b,4086c00000000000,0,0 c=211,29,40960,153,440,182,152,0 f=1 p=a9b8ff09a130";
     ("mvrnn", "dynet", "values"),
-    "t=4058333333333318,408282e147ae1508,406d07be76c8b43d,407cb9920192c95f,4086a00000000000,0,0 c=209,27,40800,153,440,182,152,0 f=1 p=a9b8ff09a130";
+    "t=4058333333333318,408287ae147ae1d5,406d07be76c8b43d,407cf994a0a97a7b,4086c00000000000,0,0 c=211,29,40960,153,440,182,152,0 f=1 p=a9b8ff09a130";
     ("mvrnn", "dynet++", "acct"),
     "t=4058333333333318,406ec51eb851ebed,406d07be76c8b43d,4068ff88123a324e,407ee00000000000,0,0 c=94,46,82048,153,440,48,9,0 f=1 p=a9b8ff09a130";
     ("mvrnn", "dynet++", "values"),
@@ -133,9 +133,9 @@ let pins : ((string * string * string) * string) list =
     ("birnn", "acrobat-vm", "values"),
     "t=405573333333331c,4033800000000028,400bbe76c8b43958,4062398c292bd58e,405c000000000000,40a05f999999979d,0 c=54,0,0,2,390,53,12,0 f=1 p=c38c551db9c2";
     ("birnn", "dynet", "acct"),
-    "t=4059bd70a3d70a20,4071e51eb851ebc3,405dbdf3b645a1d5,40748cc24210a1d1,407d400000000000,0,0 c=155,72,12928,79,468,83,12,0 f=1 p=81b0dbee8db0";
+    "t=4059bd70a3d70a20,4071c666666666a4,405dbdf3b645a1d5,40747788ec98f205,407d400000000000,0,0 c=155,78,16256,79,468,77,12,0 f=1 p=81b0dbee8db0";
     ("birnn", "dynet", "values"),
-    "t=4059bd70a3d70a20,4071e51eb851ebc3,405dbdf3b645a1d5,40748cc24210a1d1,407d400000000000,0,0 c=155,72,12928,79,468,83,12,0 f=1 p=81b0dbee8db0";
+    "t=4059bd70a3d70a20,4071c666666666a4,405dbdf3b645a1d5,40747788ec98f205,407d400000000000,0,0 c=155,78,16256,79,468,77,12,0 f=1 p=81b0dbee8db0";
     ("birnn", "dynet++", "acct"),
     "t=4059bd70a3d70a20,4070a0a3d70a3da1,405dbdf3b645a1d5,406e182cf30a2c21,4078400000000000,0,0 c=115,71,99840,79,468,44,0,0 f=1 p=81b0dbee8db0";
     ("birnn", "dynet++", "values"),
@@ -153,13 +153,13 @@ let pins : ((string * string * string) * string) list =
     ("nestedrnn", "acrobat-vm", "values"),
     "t=4087fe666666688a,4065d000000000bf,40084189374bc6a8,40b2c114c962da36,40abf00000000000,40d48959999991c5,405119999999999e c=1786,0,0,2,3490,1281,312,114 f=34 p=519a13d46c5b";
     ("nestedrnn", "dynet", "acct"),
-    "t=408c9d1eb851ee4a,40a5277ae147a5ac,401e20c49ba5e354,40b0e29e6c52bd7e,40aea00000000000,0,405119999999999e c=1955,117,9472,5,4162,1838,766,114 f=34 p=7beabea20151";
+    "t=408c9d1eb851ee4a,40a52fe147ae0c07,401e20c49ba5e354,40b0c49db35fd6c8,40ae640000000000,0,405119999999999e c=1940,102,8576,5,4162,1838,772,114 f=34 p=7beabea20151";
     ("nestedrnn", "dynet", "values"),
-    "t=408c9d1eb851ee4a,40a5277ae147a5ac,401e20c49ba5e354,40b0e29e6c52bd7e,40aea00000000000,0,405119999999999e c=1955,117,9472,5,4162,1838,766,114 f=34 p=7beabea20151";
+    "t=408c9d1eb851ee4a,40a52fe147ae0c07,401e20c49ba5e354,40b0c49db35fd6c8,40ae640000000000,0,405119999999999e c=1940,102,8576,5,4162,1838,772,114 f=34 p=7beabea20151";
     ("nestedrnn", "dynet++", "acct"),
-    "t=408bd800000002aa,40a37b8f5c28eea0,401e20c49ba5e354,40aecd87040f9653,40ac2c0000000000,0,405119999999999e c=1798,258,100640,5,4050,1540,423,114 f=34 p=23b4b5fed9e8";
+    "t=408bd800000002aa,40a37b8f5c28eea1,401e20c49ba5e354,40aed66943cdd395,40ac340000000000,0,405119999999999e c=1800,258,100256,5,4050,1542,423,114 f=34 p=23b4b5fed9e8";
     ("nestedrnn", "dynet++", "values"),
-    "t=408bd800000002aa,40a37b8f5c28eea0,401e20c49ba5e354,40aecd87040f9653,40ac2c0000000000,0,405119999999999e c=1798,258,100640,5,4050,1540,423,114 f=34 p=23b4b5fed9e8";
+    "t=408bd800000002aa,40a37b8f5c28eea1,401e20c49ba5e354,40aed66943cdd395,40ac340000000000,0,405119999999999e c=1800,258,100256,5,4050,1542,423,114 f=34 p=23b4b5fed9e8";
     ("nestedrnn", "pytorch", "acct"),
     "t=40a575d70a3d6d14,40bf6523d70a40c5,401e20c49ba5e354,40db1aa17bb153db,40d8658000000000,40dacd0ccccca855,0 c=12486,0,0,5,12486,12486,12486,0 f=12486 p=6fc556b00a5d";
     ("nestedrnn", "pytorch", "values"),
@@ -173,9 +173,9 @@ let pins : ((string * string * string) * string) list =
     ("drnn", "acrobat-vm", "values"),
     "t=401deb851eb851e9,3ffb333333333337,4009374bc6a7ef9e,40425c822322d7e4,4041000000000000,407faccccccccdb8,4034666666666668 c=15,0,0,2,34,5,0,34 f=5 p=01cba8b98c6b";
     ("drnn", "dynet", "acct"),
-    "t=403db33333333325,4057847ae147ae1e,401eac083126e979,406efc101d54bc83,406dc00000000000,0,4036ccccccccccd0 c=114,25,2464,5,135,89,67,38 f=15 p=7eab7a93e557";
+    "t=403db33333333325,4057847ae147ae1e,401eac083126e979,406d7bfa182fb994,406c400000000000,0,4036ccccccccccd0 c=108,19,1792,5,135,89,67,38 f=15 p=7eab7a93e557";
     ("drnn", "dynet", "values"),
-    "t=403db33333333325,4057847ae147ae1e,401eac083126e979,406efc101d54bc83,406dc00000000000,0,4036ccccccccccd0 c=114,25,2464,5,135,89,67,38 f=15 p=7eab7a93e557";
+    "t=403db33333333325,4057847ae147ae1e,401eac083126e979,406d7bfa182fb994,406c400000000000,0,4036ccccccccccd0 c=108,19,1792,5,135,89,67,38 f=15 p=7eab7a93e557";
     ("drnn", "dynet++", "acct"),
     "t=403670a3d70a3d6d,4052533333333343,401e9ba5e353f7cf,405c760b560f14bb,405c800000000000,0,4034666666666668 c=52,8,1920,5,102,44,34,34 f=5 p=4a13565a4ab0";
     ("drnn", "dynet++", "values"),
@@ -193,9 +193,9 @@ let pins : ((string * string * string) * string) list =
     ("berxit", "acrobat-vm", "values"),
     "t=400a666666666669,3fe8000000000001,400c189374bc6a7f,4057a5cc79265c7b,4055000000000000,4073e80000000014,4021ffffffffffff c=40,0,0,2,15,4,0,15 f=4 p=bc0ea860935e";
     ("berxit", "dynet", "acct"),
-    "t=4043ccccccccccbf,405c87ae147ae166,40200624dd2f1aa0,4066b06b6aa7eb9e,4065c00000000000,0,4021ffffffffffff c=82,12,23040,5,180,70,30,15 f=4 p=041247548577";
+    "t=4043ccccccccccbf,405ca66666666685,40200624dd2f1aa0,4064ae41c4bc342b,4063c00000000000,0,4021ffffffffffff c=74,4,6144,5,180,70,30,15 f=4 p=041247548577";
     ("berxit", "dynet", "values"),
-    "t=4043ccccccccccbf,405c87ae147ae166,40200624dd2f1aa0,4066b06b6aa7eb9e,4065c00000000000,0,4021ffffffffffff c=82,12,23040,5,180,70,30,15 f=4 p=041247548577";
+    "t=4043ccccccccccbf,405ca66666666685,40200624dd2f1aa0,4064ae41c4bc342b,4063c00000000000,0,4021ffffffffffff c=74,4,6144,5,180,70,30,15 f=4 p=041247548577";
     ("berxit", "dynet++", "acct"),
     "t=4043ccccccccccbf,40595999999999bc,40200624dd2f1aa0,4060a42156cf385c,4060800000000000,0,4021ffffffffffff c=61,21,93696,5,180,40,0,15 f=4 p=041247548577";
     ("berxit", "dynet++", "values"),
@@ -213,13 +213,13 @@ let pins : ((string * string * string) * string) list =
     ("stackrnn", "acrobat-vm", "values"),
     "t=405510a3d70a3d5a,403326666666668d,400a9fbe76c8b43a,4084e2136b47e961,4080300000000000,40a0cb666666644b,404fccccccccccdc c=257,0,0,2,383,188,87,106 f=39 p=2f2e72cc1c8f";
     ("stackrnn", "dynet", "acct"),
-    "t=405d428f5c28f5a0,40778947ae147b31,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
+    "t=405d428f5c28f5a0,4077575c28f5c2dd,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
     ("stackrnn", "dynet", "values"),
-    "t=405d428f5c28f5a0,40778947ae147b31,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
+    "t=405d428f5c28f5a0,4077575c28f5c2dd,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
     ("stackrnn", "dynet++", "acct"),
-    "t=405d428f5c28f5a0,4076f199999999e3,405db4fdf3b645ac,408b3f90ea382c06,408e300000000000,0,404fccccccccccdc c=404,119,44416,79,532,285,166,106 f=39 p=5ec44fae982d";
+    "t=405d428f5c28f5a0,4077575c28f5c2dd,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
     ("stackrnn", "dynet++", "values"),
-    "t=405d428f5c28f5a0,4076f199999999e3,405db4fdf3b645ac,408b3f90ea382c06,408e300000000000,0,404fccccccccccdc c=404,119,44416,79,532,285,166,106 f=39 p=5ec44fae982d";
+    "t=405d428f5c28f5a0,4077575c28f5c2dd,405db4fdf3b645ac,408aaa318971e213,408d600000000000,0,404fccccccccccdc c=391,72,5920,79,532,319,192,106 f=39 p=5ec44fae982d";
     ("stackrnn", "pytorch", "acct"),
     "t=4069933333333312,4082a6b851eb8511,405db4fdf3b645ac,40a0268afcd8c382,409f880000000000,40a3ab19999996ac,0 c=930,0,0,79,930,930,930,0 f=930 p=2f841d7bb7ac";
     ("stackrnn", "pytorch", "values"),
@@ -273,13 +273,13 @@ let pins : ((string * string * string) * string) list =
     ("rnn", "acrobat-baseline-vm", "values"),
     "t=406128f5c28f5c14,40582e147ae147b1,400e3d70a3d70a3e,407e40ed8e922272,4075c00000000000,408d9e66666667d8,0 c=172,20,4864,2,624,152,36,0 f=1 p=2f576b7576b3";
     ("rnn", "acrobat-agenda-aot", "acct"),
-    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,0,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    "t=4049bd70a3d70a27,40610851eb851eec,400e3d70a3d70a3e,405c353d9b7b858a,4054800000000000,0,0 c=39,0,0,2,234,39,6,0 f=1 p=9dbe217ab1c3";
     ("rnn", "acrobat-agenda-aot", "values"),
-    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,0,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    "t=4049bd70a3d70a27,40610851eb851eec,400e3d70a3d70a3e,405c353d9b7b858a,4054800000000000,0,0 c=39,0,0,2,234,39,6,0 f=1 p=9dbe217ab1c3";
     ("rnn", "acrobat-agenda-vm", "acct"),
-    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,4085219999999a70,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    "t=4049bd70a3d70a27,40610851eb851eec,400e3d70a3d70a3e,405c353d9b7b858a,4054800000000000,4085219999999a70,0 c=39,0,0,2,234,39,6,0 f=1 p=9dbe217ab1c3";
     ("rnn", "acrobat-agenda-vm", "values"),
-    "t=4049bd70a3d70a27,406136666666669d,400e3d70a3d70a3e,4062eb7522fbd9e5,405a800000000000,4085219999999a70,0 c=51,0,0,2,234,51,12,0 f=1 p=9dbe217ab1c3";
+    "t=4049bd70a3d70a27,40610851eb851eec,400e3d70a3d70a3e,405c353d9b7b858a,4054800000000000,4085219999999a70,0 c=39,0,0,2,234,39,6,0 f=1 p=9dbe217ab1c3";
     ("treelstm", "acrobat-baseline-aot", "acct"),
     "t=409568a3d70a3fcb,408e951eb851e78a,400a7ae147ae147b,40a2d2945e59951a,4095b00000000000,0,0 c=692,250,178400,2,6228,442,181,0 f=1 p=9ee188b0a428";
     ("treelstm", "acrobat-baseline-aot", "values"),
@@ -337,13 +337,13 @@ let pins : ((string * string * string) * string) list =
     ("nestedrnn", "acrobat-baseline-vm", "values"),
     "t=40a5448f5c28f264,409dc63d70a3c750,40084189374bc6a8,40cc6afe778e424d,40c5980000000000,40dad6d9999974f5,405119999999999e c=5526,310,27360,2,12374,5216,1927,114 f=34 p=a435e30b5b9c";
     ("nestedrnn", "acrobat-agenda-aot", "acct"),
-    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,0,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    "t=4087fe666666688a,40a0718f5c28f05d,40084189374bc6a8,40b20512a38509be,40ab000000000000,0,405119999999999e c=1726,0,0,2,3490,1271,295,114 f=34 p=519a13d46c5b";
     ("nestedrnn", "acrobat-agenda-aot", "values"),
-    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,0,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    "t=4087fe666666688a,40a0718f5c28f05d,40084189374bc6a8,40b20512a38509be,40ab000000000000,0,405119999999999e c=1726,0,0,2,3490,1271,295,114 f=34 p=519a13d46c5b";
     ("nestedrnn", "acrobat-agenda-vm", "acct"),
-    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,40d48959999991c5,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    "t=4087fe666666688a,40a0718f5c28f05d,40084189374bc6a8,40b20512a38509be,40ab000000000000,40d48959999991c5,405119999999999e c=1726,0,0,2,3490,1271,295,114 f=34 p=519a13d46c5b";
     ("nestedrnn", "acrobat-agenda-vm", "values"),
-    "t=4087fe666666688a,40a06f28f5c289f8,40084189374bc6a8,40b22b05718f9cc2,40ab300000000000,40d48959999991c5,405119999999999e c=1738,0,0,2,3490,1273,298,114 f=34 p=519a13d46c5b";
+    "t=4087fe666666688a,40a0718f5c28f05d,40084189374bc6a8,40b20512a38509be,40ab000000000000,40d48959999991c5,405119999999999e c=1726,0,0,2,3490,1271,295,114 f=34 p=519a13d46c5b";
     ("drnn", "acrobat-baseline-aot", "acct"),
     "t=404deb851eb851cf,4045147ae147ae26,4009374bc6a7ef9e,405ef694a3e48a82,4059800000000000,0,4034666666666668 c=49,9,2048,2,272,40,0,34 f=5 p=c91c8325c2d0";
     ("drnn", "acrobat-baseline-aot", "values"),
@@ -385,13 +385,13 @@ let pins : ((string * string * string) * string) list =
     ("stackrnn", "acrobat-baseline-vm", "values"),
     "t=4069933333333312,4061a47ae147ae49,400a9fbe76c8b43a,4097d8d626c588fd,4090c80000000000,40a3ab19999996ac,404fccccccccccdc c=535,73,6048,2,930,462,185,106 f=39 p=8443a378c974";
     ("stackrnn", "acrobat-agenda-aot", "acct"),
-    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,0,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    "t=405510a3d70a3d5a,406f04cccccccdd0,400a9fbe76c8b43a,40856a48e1b60de7,4080f00000000000,0,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
     ("stackrnn", "acrobat-agenda-aot", "values"),
-    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,0,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    "t=405510a3d70a3d5a,406f04cccccccdd0,400a9fbe76c8b43a,40856a48e1b60de7,4080f00000000000,0,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
     ("stackrnn", "acrobat-agenda-vm", "acct"),
-    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,40a0cb666666644b,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    "t=405510a3d70a3d5a,406f04cccccccdd0,400a9fbe76c8b43a,40856a48e1b60de7,4080f00000000000,40a0cb666666644b,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
     ("stackrnn", "acrobat-agenda-vm", "values"),
-    "t=405510a3d70a3d5a,406fb19999999aa4,400a9fbe76c8b43a,40856a48e1b60de6,4080f00000000000,40a0cb666666644b,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
+    "t=405510a3d70a3d5a,406f04cccccccdd0,400a9fbe76c8b43a,40856a48e1b60de7,4080f00000000000,40a0cb666666644b,404fccccccccccdc c=269,0,0,2,383,188,75,106 f=39 p=2f2e72cc1c8f";
     ("beamsearch", "acrobat-baseline-aot", "acct"),
     "t=405fae147ae14788,40559999999999a7,4008c49ba5e353f8,4070977fd6e51c18,4068c00000000000,0,402cccccccccccca c=97,1,288,2,576,96,0,24 f=12 p=8e28dc3f6970";
     ("beamsearch", "acrobat-baseline-aot", "values"),

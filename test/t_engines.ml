@@ -168,10 +168,11 @@ def @main() -> Tensor[(1, 4)] {
     (List.map shaped
        [ "const", (fun s -> "const(" ^ s ^ ", 3.0)"); "random", (fun s -> "random(" ^ s ^ ")") ])
 
-(* The DyNet signature builds on the plan's printed signature; its
-   extensions are pinned so batching decisions never drift. A plain
-   signature is the plan's id; the others are interned by the runtime,
-   equal names to equal ids. *)
+(* DyNet's signatures are ints, pinned so batching decisions never drift:
+   a plain signature is the plan's id; a matmul's is interned from the
+   plan's id and its weight's identity (the weight's address, or its slot
+   while pending), equal pairs to equal ids; an unbatchable node's is an
+   id of its own. *)
 let test_dynet_signatures_pinned () =
   let reg = Kernel.registry () in
   let kernel name op =
@@ -186,40 +187,38 @@ let test_dynet_signatures_pinned () =
     { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
       compute_values = false; detect_dynamic_sharing = true }
   in
-  let rt =
-    Acrobat_runtime.Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1
-  in
+  let module Runtime = Acrobat_runtime.Runtime in
+  let module Store = Acrobat_runtime.Store in
+  let rt = Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1 in
   let mat addr shape =
-    let s = rt.Acrobat_runtime.Runtime.store in
-    Acrobat_runtime.Store.handle s (Acrobat_runtime.Store.add_value s ~addr ~shape)
+    let s = rt.Runtime.store in
+    Store.handle s (Store.add_value s ~addr ~shape)
   in
   let sig_of = Policy.dynet_sig () in
   let sign k args =
-    let plan = Acrobat_runtime.Runtime.plan rt k args in
+    let plan = Runtime.plan rt k args in
     plan, sig_of rt plan args
   in
-  let dynet k args =
-    let plan, id = sign k args in
-    Acrobat_runtime.Runtime.signature_name rt plan id
-  in
   let row = [| mat 0 [ 1; 4 ]; mat 8 [ 1; 4 ] |] in
-  Alcotest.(check string) "plain" "k0|(1, 4);(1, 4)" (dynet add row);
   let plan, id = sign add row in
   check_int "a plain signature is the plan's id" plan.id id;
-  Alcotest.(check string) "matmul keyed on the weight's address" "k1|(1, 4);(4, 4)|wt=a42"
-    (dynet matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |]);
-  check_int "equal names intern to one id"
-    (snd (sign matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |]))
+  let mm_plan, w42 = sign matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |] in
+  check_true "an interned signature is negative" (w42 < 0);
+  check_int "matmul keyed on the weight's address" w42
+    (Store.intern rt.Runtime.store ~plan_id:mm_plan.id ~key:42);
+  check_int "the same weight, the same id" w42
     (snd (sign matmul [| mat 16 [ 1; 4 ]; mat 42 [ 4; 4 ] |]));
   check_true "another weight, another id"
-    (snd (sign matmul [| mat 0 [ 1; 4 ]; mat 42 [ 4; 4 ] |])
-    <> snd (sign matmul [| mat 0 [ 1; 4 ]; mat 64 [ 4; 4 ] |]));
+    (w42 <> snd (sign matmul [| mat 0 [ 1; 4 ]; mat 64 [ 4; 4 ] |]));
   let pending =
-    Acrobat_runtime.Runtime.invoke rt ~plan ~args:row ~instance:0 ~phase:0 ~depth:0
-      ~sig_key:plan.id
+    Runtime.invoke rt ~plan ~args:row ~instance:0 ~phase:0 ~depth:0 ~sig_key:plan.id
   in
-  Alcotest.(check string) "matmul keyed on a pending node's slot" "k1|(1, 1);(1, 4)|wt=n0.0"
-    (dynet matmul [| mat 0 [ 1; 1 ]; Acrobat_runtime.Runtime.output rt pending 0 |]);
+  let out = Runtime.output rt pending 0 in
+  let pending_plan, pending_id = sign matmul [| mat 0 [ 1; 1 ]; out |] in
+  check_int "matmul keyed on a pending weight's slot" pending_id
+    (Store.intern rt.Runtime.store ~plan_id:pending_plan.id ~key:(-(out.slot + 1)));
+  check_int "the same pending weight, the same id" pending_id
+    (snd (sign matmul [| mat 16 [ 1; 1 ]; out |]));
   let argmax =
     let b = Kernel.builder () in
     let t = Kernel.add_instr b Ir.Op.Argmax [ Kernel.Arg 0 ] in
@@ -227,9 +226,10 @@ let test_dynet_signatures_pinned () =
       ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
   let x = [| mat 0 [ 1; 4 ] |] in
-  Alcotest.(check (list string)) "unbatchable ops get unique signatures"
-    [ "k2|(1, 4)|u1"; "k2|(1, 4)|u2" ]
-    (List.map (fun _ -> dynet argmax x) [ 1; 2 ])
+  let lone = List.map (fun _ -> snd (sign argmax x)) [ 1; 2; 3 ] in
+  check_int "unbatchable ops get unique ids" 3 (List.length (List.sort_uniq Int.compare lone));
+  check_true "unbatchable ids are negative and no interned pair's"
+    (List.for_all (fun u -> u < 0 && u <> w42 && u <> pending_id) lone)
 
 let test_fingerprint_batch_invariant () =
   (* Batched and unbatched execution of the same request digest the same

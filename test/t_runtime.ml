@@ -145,7 +145,8 @@ let split_kernel =
    grows, never below its arguments', and a depth one above its deepest
    argument's, so every scheduler can run them; they use source, one- and two-argument, shared-argument
    and two-output kernels, and a fifth of them a signature interned from
-   their plan's and a tag, so one kernel splits into several classes.
+   their plan's id and a tag, or one of their own, so one kernel splits
+   into several classes.
    Now and then the runtime flushes mid-graph, as a fiber stall does,
    after calling [before_flush] on it: later nodes then read executed
    ones. *)
@@ -190,8 +191,9 @@ let build_random_dfg ?(before_flush = ignore) ~scheduler ~seed n =
     phases.(instance) <- phase;
     let sig_key =
       if Rng.int rng 5 = 0 then begin
-        let tag = if Rng.bool rng then "|a" else "|b" in
-        Some (fun (plan : Kernel.plan) -> Runtime.intern_signature rt (plan.signature ^ tag))
+        match Rng.int rng 3 with
+        | 2 -> Some (fun _ -> Store.fresh_signature rt.Runtime.store)
+        | key -> Some (fun (plan : Kernel.plan) -> Store.intern rt.Runtime.store ~plan_id:plan.id ~key)
       end
       else None
     in
@@ -243,6 +245,38 @@ let prop_scheduler_matches_reference scheduler name =
       let rt, _ = build_random_dfg ~before_flush:compare ~scheduler ~seed n in
       compare rt;
       !same)
+
+
+(* Four source kernels of one output shape: four signatures. *)
+let tie_kernels =
+  Array.init 4 (fun i ->
+      let b = Kernel.builder () in
+      let t =
+        Kernel.add_instr b (Op.Constant { shape = [ 1; 2 ]; value = float_of_int i }) []
+      in
+      Kernel.finish reg b ~name:(Fmt.str "tie%d" i) ~nargs:0 ~roles:[||] ~shared_binds:[]
+        ~out_tmps:[| t |] ~fusion:true ~horizontal:false)
+
+(* Ready classes that tie on average depth and size launch in the order
+   of their lowest node ids, whatever their signatures hash to: node [i]
+   is of class [classes.(i mod 4)], all at depth 0, two per class. *)
+let test_agenda_ties_lowest_id_first () =
+  let device = Device.create () in
+  let policy =
+    { Executor.gather_fusion = true; quality = (fun _ -> 0.8); compute_values = false;
+      detect_dynamic_sharing = true }
+  in
+  let rt = Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1 in
+  let classes = [| 2; 0; 3; 1 |] in
+  for i = 0 to 7 do
+    ignore
+      (invoke rt ~kernel:tie_kernels.(classes.(i mod 4)) ~args:[||] ~instance:0 ~phase:0
+         ~depth:0)
+  done;
+  Alcotest.(check (list (list int)))
+    "tied classes launch lowest id first"
+    [ [ 0; 4 ]; [ 1; 5 ]; [ 2; 6 ]; [ 3; 7 ] ]
+    (batch_ids (Scheduler.schedule Config.Agenda device (List.rev rt.Runtime.pending)))
 
 let test_inline_depth_batches_by_depth () =
   let device = Device.create () in
@@ -648,7 +682,7 @@ let test_plans_match_fresh_computation () =
         same "group_arg_reads" plan.group_arg_reads fresh.group_arg_reads
           (Array.of_list (List.map Array.of_list (Ref_exec.group_arg_reads k)));
         check_true (what ^ ": flops") (plan.flops = Array.fold_left ( +. ) 0.0 flops);
-        Alcotest.(check string) (what ^ ": signature") fresh.signature plan.signature;
+        check_true (what ^ ": arg_shapes") (plan.arg_shapes = shapes);
         check_int (what ^ ": sig_key is the plan's id") plan.id s.sig_key.(n);
         let next_args = if n + 1 < s.nodes then s.arg_lo.(n + 1) else s.nargs in
         check_int (what ^ ": carries its batched arguments only") (Array.length k.batched)
@@ -677,7 +711,6 @@ let test_plans_per_shape () =
   let p_narrow = Runtime.plan rt unit_kernel narrow and p_wide = Runtime.plan rt unit_kernel wide in
   check_true "one plan per shape" (p_narrow != p_wide);
   check_true "plans are shared" (Runtime.plan rt unit_kernel [| input rt [ 1; 2 ] |] == p_narrow);
-  check_true "distinct signatures" (p_narrow.signature <> p_wide.signature);
   check_true "distinct plan ids" (p_narrow.id <> p_wide.id);
   let outs =
     List.concat_map
@@ -912,4 +945,6 @@ let suite =
     prop_fingerprint_component_order_invariant;
     Alcotest.test_case "plans: kernels of two registries never batch together" `Quick
       test_kernels_of_two_registries_never_batch;
+    Alcotest.test_case "scheduler: agenda ties launch lowest id first" `Quick
+      test_agenda_ties_lowest_id_first;
   ]
