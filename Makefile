@@ -164,13 +164,14 @@ chaos-smoke: build
 # offline-stackrnn-values reads ~63.5k (64.5k before §29, 67.6k before
 # §28, 69.6k before §27, 70.6k before §23, 71.7k before §21, 81.9k
 # before §19, ~212k before the tight host kernels, §18). serve-birnn
-# reads ~7.09k (8.11k before §29, 12.6k before §28, 15.6k before §27,
+# reads ~6.96k (7.09k before maps stopped copying their lists, §31,
+# 8.11k before §29, 12.6k before §28, 15.6k before §27,
 # 16.8k before §23, 17.9k before §21, 22.5k before §20, 35.5k before
 # §19) and fleet-overload ~947 per request (963 before §29, 1.06k before
 # §28, 1.24k before §27, 1.28k before §23, 1.34k before §21, 2.19k
 # before §20, 2.4k before §19).
 ALLOC_GATES = offline-treelstm:3840:178 offline-stackrnn-values:76200 \
-  serve-birnn:8500 fleet-overload:1140
+  serve-birnn:8350 fleet-overload:1140
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \

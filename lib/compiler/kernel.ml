@@ -91,6 +91,9 @@ type plan = {
       (** The shapes of the [Batched] arguments, in [kernel.batched] order:
           what a node's own arguments must match to use this plan. *)
   out_shapes : Shape.t array;
+  out_elems : int array;
+      (** Element count of each of [out_shapes]: the store sizes a node's
+          output slots from these, so no node divides to count them. *)
   group_flops : float array;  (** Per-instance FLOPs of each group. *)
   group_bytes : float array;
       (** Per-instance {e internal} memory traffic (bytes) of each group:
@@ -151,6 +154,7 @@ let plan t (arg_shapes : Shape.t array) : plan =
     arg_elems = Array.map Shape.numel arg_shapes;
     batched_shapes = Array.map (fun i -> arg_shapes.(i)) t.batched;
     out_shapes = Array.map (fun i -> tmps.(i)) t.out_tmps;
+    out_elems = Array.map (fun i -> Shape.numel tmps.(i)) t.out_tmps;
     group_flops;
     group_bytes = Array.of_list (List.map snd costs);
     group_arg_reads =
@@ -170,7 +174,7 @@ let plan t (arg_shapes : Shape.t array) : plan =
     kernel id: one list per kernel, one plan per argument-shape vector
     seen. A plan is a pure function of its kernel and argument shapes, so
     every runtime executing one compiled program can share them; the
-    runtime looks them up and adds to them ([Runtime.plan]). Plans live
+    runtime looks them up and adds to them ([Runtime.plan_in]). Plans live
     beside the kernels, not in them: {!all_kernels} compares kernels
     structurally, and a plan points back at its kernel. *)
 type plan_table = { mutable by_kernel : plan list array }

@@ -77,6 +77,9 @@ type t = {
           tie with hoisted ones. *)
   input_params : string list;  (** @main parameters that vary per instance. *)
   weight_params : string list;
+  is_weight : bool array;
+      (** Per parameter of the entry definition, in order: whether it is
+          one of [weight_params]. Classified once here, not per batch. *)
   has_tdc : bool;  (** Program contains tensor-dependent control flow. *)
   config : Config.t;
   kernel_hints : (int, float) Hashtbl.t;

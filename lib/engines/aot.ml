@@ -69,12 +69,20 @@ let frame_alloc n : unit -> value array =
     fun () -> [| nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil; nil |]
   | n -> fun () -> Array.make n Vnil
 
+(* A fresh array of [n] [Vnil]s, [n] known only at run time: inline up to
+   16, as a frame is. *)
+let nils n = frame_alloc n ()
+
 (* What one run binds: its runtime, and its policy. *)
 type binding = { rt : Runtime.t; policy : Policy.t }
 
+(* What an [Lblock] site reuses from its last node: its kernel's binding
+   in the run's runtime, and the plan found through it. *)
+type site = { kbound : Runtime.binding; kplan : Kernel.plan }
+
 (* A staged program. It holds no runtime: the closure tree reads the run
-   in progress from [bound] and [shared], and the run builds its DFG in
-   [store]; nothing else in it changes after staging. *)
+   in progress from [bound], [shared] and [sites], and the run builds its
+   DFG in [store]; nothing else in it changes after staging. *)
 type t = {
   lprog : L.t;
   fibers : bool;  (** Run instances as fibers (TDC present and enabled). *)
@@ -86,6 +94,13 @@ type t = {
       (** Per [Lshared] site, the handle the run in progress resolved there
           ([Vnil] until it first evaluates). Device addresses differ per
           run, so these are per-run state, cleared with the binding. *)
+  mutable sites : site option array;
+      (** Per [Lblock] site, the binding and plan its last node used
+          ([None] until the site first evaluates in a run). A plan depends
+          on the shapes of the kernel's shared arguments, which a run's
+          weights decide, so these are per-run state too, cleared with the
+          binding, and each is reused only while its binding is in force
+          ({!Runtime.is_bound}). *)
   store : Store.t;
       (** The DFG node store every run of the program reuses
           ({!Runtime.share_store}); empty between runs. *)
@@ -206,7 +221,7 @@ let run_parallel ~fork ictx n (thunk : int -> 'a -> ictx -> value) (x : 'a) : va
     (* Explicit ascending loop: branch order decides DFG node order. A
        branch changes only its own clone, so cloning just before it runs
        gives every branch the context it would get cloned up front. *)
-    let out = Array.make n Vnil in
+    let out = nils n in
     let maxd = ref ictx.ictx_depth in
     for i = 0 to n - 1 do
       let c = clone_ictx ictx in
@@ -221,6 +236,38 @@ let run_parallel ~fork ictx n (thunk : int -> 'a -> ictx -> value) (x : 'a) : va
 let forks st = st.fibers && (binding st).policy.Policy.allow_fork
 
 let apply_elem i (fv, elems) c = fv c [ elems.(i) ]
+
+(* A [map]'s list, walked without building an OCaml list: its length
+   ([to_list]'s failure on a non-list), its elements into [a] from [i],
+   and [a.(0 .. i)] consed back onto [acc]. *)
+let rec list_length v n =
+  match v with
+  | Vnil -> n
+  | Vcons (_, t) -> list_length t (n + 1)
+  | _ -> fail "expected a list"
+
+let rec list_into a v i =
+  match v with
+  | Vcons (h, t) ->
+    a.(i) <- h;
+    list_into a t (i + 1)
+  | _ -> ()
+
+let rec list_of_array a i acc = if i < 0 then acc else list_of_array a (i - 1) (Vcons (a.(i), acc))
+
+(* The binding and plan of a node at [Lblock] site [k] of [kernel] whose
+   batched arguments are [args]: the site's last ones while their binding
+   is in force in [rt] and the plan fits [args], else found afresh
+   ({!Runtime.plan_in}) and kept. A hit searches no plan list, and no
+   node resolves its kernel's binding twice. *)
+let site_plan st k rt kernel args =
+  match st.sites.(k) with
+  | Some c when Runtime.is_bound rt c.kbound && Runtime.fits c.kplan args -> c
+  | Some _ | None ->
+    let kbound = Runtime.bind rt kernel in
+    let c = { kbound; kplan = Runtime.plan_in rt kbound args } in
+    st.sites.(k) <- Some c;
+    c
 
 (* Call a staged definition with a list of arguments: the path of
    first-class globals and of @main. *)
@@ -337,6 +384,8 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let out_slots = Array.of_list (List.map (fresh_slot scope) b.outs) in
     let cont_f = compile st scope cont in
     let kernel = b.kernel in
+    let site = Array.length st.sites in
+    st.sites <- Array.append st.sites [| None |];
     fun env ictx ->
       let args = eval_args env ictx in
       let depth =
@@ -348,11 +397,12 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           d
       in
       let { rt; policy } = binding st in
-      let plan = Runtime.plan rt kernel args in
+      let c = site_plan st site rt kernel args in
+      let plan = c.kplan in
       let sig_key = policy.Policy.sig_of rt plan args in
       let first =
-        Runtime.invoke rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
-          ~sig_key
+        Runtime.invoke rt c.kbound ~plan ~args ~instance:ictx.ictx_instance
+          ~phase:ictx.ictx_phase ~depth ~sig_key
       in
       if policy.Policy.eager then Runtime.flush rt;
       for k = 0 to Array.length out_slots - 1 do
@@ -465,9 +515,11 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let f_f = compile st scope f and xs_f = compile st scope xs in
     fun env ictx ->
       let fv = to_fun (f_f env ictx) in
-      let elems = Array.of_list (to_list (xs_f env ictx)) in
+      let xs = xs_f env ictx in
+      let elems = nils (list_length xs 0) in
+      list_into elems xs 0;
       let results = run_parallel ~fork:(forks st) ictx (Array.length elems) apply_elem (fv, elems) in
-      of_list (Array.to_list results)
+      list_of_array results (Array.length results - 1) Vnil
   | L.Lscalar a ->
     let a_f = compile st scope a in
     fun env ictx ->
@@ -531,6 +583,7 @@ let stage ~fibers (lprog : L.t) : t =
       main = None;
       bound = None;
       shared = [||];
+      sites = [||];
       store = Store.create ();
     }
   in
@@ -587,6 +640,7 @@ let with_runtime st ~policy rt f =
   let release () =
     st.bound <- None;
     Array.fill st.shared 0 (Array.length st.shared) Vnil;
+    Array.fill st.sites 0 (Array.length st.sites) None;
     Store.reset st.store
   in
   match f () with

@@ -137,12 +137,12 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?tracer
         h
       | [] -> fail "input handle underflow"
     in
-    (* @main's parameters, classified once per batch. A weight's handle is
-       looked up at its first use, so an unknown weight fails where it
+    (* @main's parameters, classified once by lowering. A weight's handle
+       is looked up at its first use, so an unknown weight fails where it
        always did: at the first instance that reaches it, after that
        instance's earlier parameters, and not at all without instances. *)
     let params = Array.of_list (L.entry_def lprog).L.lparams in
-    let is_weight = Array.map (fun p -> List.mem p lprog.L.weight_params) params in
+    let is_weight = lprog.L.is_weight in
     let weight_args = Array.make (Array.length params) Vnil in
     let arg inputs k =
       let pname = params.(k) in

@@ -63,11 +63,12 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
         ictx.ictx_depth <- d + 1;
         d
     in
-    let plan = Runtime.plan st.rt b.kernel args in
+    let bound = Runtime.bind st.rt b.kernel in
+    let plan = Runtime.plan_in st.rt bound args in
     let sig_key = st.policy.Policy.sig_of st.rt plan args in
     let first =
-      Runtime.invoke st.rt ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase ~depth
-        ~sig_key
+      Runtime.invoke st.rt bound ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase
+        ~depth ~sig_key
     in
     if st.policy.Policy.eager then Runtime.flush st.rt;
     let env' =

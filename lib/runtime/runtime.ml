@@ -13,23 +13,32 @@ open Acrobat_compiler
 type flop_total = { mutable total : float }
 
 (* What the runtime keeps per kernel: its PGO statistics (invocations,
-   total flops, max shared-argument elements), and the kernel's shared
-   arguments and plans as this runtime resolved them. Entries are indexed
-   by kernel id, which is dense per registry; [bound] names the kernel the
-   resolved fields belong to, so a kernel of another registry with the
-   same id re-resolves them instead of reading another kernel's. *)
+   total flops, max shared-argument elements), and the binding of the
+   kernel's shared arguments now in force. Entries are indexed by kernel
+   id, which is dense per registry. *)
 type kernel_entry = {
   mutable calls : int;
   flops : flop_total;
   mutable max_shared : int;
-  mutable bound : Kernel.t option;
-  mutable shared : handle array;
-      (** [bound]'s shared arguments in [shared_binds] order, resolved once. *)
-  mutable shared_slots : int array;
+  mutable bound : binding option;
+      (** Cleared when a weight or the plan table changes, so the next
+          node of the kernel binds afresh. *)
+}
+
+(** A kernel's shared arguments as one runtime resolved them, once, and
+    the plans that fit them. A new binding replaces it whenever what the
+    shared arguments resolve to may have changed ({!set_weight},
+    {!share_plans}); a plan found through a binding is valid while that
+    binding is in force ({!is_bound}), and no longer. *)
+and binding = {
+  kernel : Kernel.t;
+  entry : kernel_entry;
+  shared : handle array;  (** [kernel]'s shared arguments, in [shared_binds] order. *)
+  shared_slots : int array;
       (** Their slots: every node of the kernel points at this one array. *)
   mutable plans : Kernel.plan list;
-      (** The plans of [bound] this runtime has used. All fit [shared], so
-          a node is matched on its batched shapes alone. *)
+      (** The plans of [kernel] this binding has used. All fit [shared],
+          so a node is matched on its batched shapes alone. *)
 }
 
 type t = {
@@ -45,7 +54,7 @@ type t = {
   consts : (Shape.t * int64, handle) Hashtbl.t;
       (** Keyed on the exact bits of the value. *)
   mutable plans : Kernel.plan_table;
-      (** Where {!plan} finds and adds plans: the compiled program's shared
+      (** Where {!plan_in} finds and adds plans: the compiled program's shared
           table once an engine attached it ({!share_plans}), else a private
           one. *)
   mutable kernels : kernel_entry array;
@@ -99,10 +108,13 @@ let share_store t store =
 
 let materialize t ~addr tensor =
   let s = t.store in
-  { store = s; slot = Store.add_value s ~addr ~shape:(Tensor.shape tensor); value = Some tensor }
+  {
+    store = s;
+    slot = Store.add_value s ~addr ~shape:(Tensor.shape tensor) ~numel:(Tensor.numel tensor);
+    value = Some tensor;
+  }
 
-(* Forget every kernel's resolved shared arguments and plans: the next
-   node of each kernel resolves them again. *)
+(* End every kernel's binding: the next node of each kernel binds again. *)
 let unbind_kernels t = Array.iter (fun e -> e.bound <- None) t.kernels
 
 (** Register a model weight (resident on the device; not charged per run). *)
@@ -123,9 +135,9 @@ let const_handle t ~shape ~value =
   match Hashtbl.find_opt t.consts key with
   | Some h -> h
   | None ->
-    let elems = Shape.numel shape in
-    let addr = Device.alloc t.device ~elems in
-    let h = materialize t ~addr (Tensor.full shape value) in
+    let x = Tensor.full shape value in
+    let addr = Device.alloc t.device ~elems:(Tensor.numel x) in
+    let h = materialize t ~addr x in
     Hashtbl.replace t.consts key h;
     h
 
@@ -153,7 +165,7 @@ let upload_inputs t ~batched (tensors : Tensor.t list) : handle list =
 
 (** Download result tensors to the host. *)
 let download t ~batched (hs : handle list) =
-  let bytes h = Shape.numel (handle_shape h) * Cost_model.bytes_per_elem in
+  let bytes h = Store.numel h * Cost_model.bytes_per_elem in
   if batched then
     Device.memcpy t.device ~bytes:(List.fold_left (fun acc h -> acc + bytes h) 0 hs)
   else List.iter (fun h -> Device.memcpy t.device ~bytes:(bytes h)) hs
@@ -169,38 +181,40 @@ let kernel_entry t (kernel : Kernel.t) =
         (max (id + 1) (2 * Array.length old))
         (fun i ->
           if i < Array.length old then old.(i)
-          else
-            {
-              calls = 0;
-              flops = { total = 0.0 };
-              max_shared = 0;
-              bound = None;
-              shared = [||];
-              shared_slots = [||];
-              plans = [];
-            })
+          else { calls = 0; flops = { total = 0.0 }; max_shared = 0; bound = None })
   end;
   t.kernels.(id)
 
-(* [kernel]'s entry with its shared arguments resolved: once per kernel
-   per runtime, from [shared_binds], in argument order (the order the
-   engines used to evaluate them in, so constants materialize in the same
-   order at the same addresses). *)
-let bound_entry t (kernel : Kernel.t) =
+(** [kernel]'s binding in [t]: the one in force, or a new one whose shared
+    arguments are resolved from [shared_binds] in argument order (the
+    order the engines used to evaluate them in, so constants materialize
+    in the same order at the same addresses). *)
+let bind t (kernel : Kernel.t) =
   let e = kernel_entry t kernel in
-  (match e.bound with
-  | Some k when k == kernel -> ()
+  match e.bound with
+  | Some b when b.kernel == kernel -> b
   | Some _ | None ->
-    e.shared <- Array.of_list (List.map (fun (_, b) -> shared_handle t b) kernel.shared_binds);
-    e.shared_slots <- Array.map (fun h -> h.slot) e.shared;
-    e.plans <- [];
-    e.bound <- Some kernel);
-  e
+    let shared =
+      Array.of_list (List.map (fun (_, bind) -> shared_handle t bind) kernel.shared_binds)
+    in
+    let b =
+      { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared; plans = [] }
+    in
+    e.bound <- Some b;
+    b
+
+(** [b] is the binding [t] has in force for its kernel: what an engine
+    that keeps [b] and a plan found through it checks before reusing
+    them. *)
+let is_bound t b =
+  let id = b.kernel.id in
+  id < Array.length t.kernels
+  && match t.kernels.(id).bound with Some c -> c == b | None -> false
 
 (** The argument at index [pos] of a node of [kernel] whose batched
     arguments are [args]. *)
 let kernel_arg t kernel (args : handle array) pos =
-  Kernel.arg kernel ~batched:args ~shared:(bound_entry t kernel).shared pos
+  Kernel.arg kernel ~batched:args ~shared:(bind t kernel).shared pos
 
 (** Plan from [table] — the plan table of the program [t] runs — from now
     on. Engines attach their program's table at creation, so every batch
@@ -209,22 +223,24 @@ let share_plans t table =
   t.plans <- table;
   unbind_kernels t
 
-(* [find_plan] allocates nothing on a hit: it runs once per DFG node, and
-   compares the node's batched arguments only (every plan of an entry fits
-   its shared ones). A plan's shapes are usually the very lists its
-   arguments carry (outputs of nodes with the same plan), so physical
-   equality settles most comparisons before [Shape.equal] walks them. *)
-let rec fits (shapes : Shape.t array) (args : handle array) i =
+(* [fits] allocates nothing: it runs once per DFG node, and compares the
+   node's batched arguments only (every plan of a binding fits its shared
+   ones). A plan's shapes are usually the very lists its arguments carry
+   (outputs of nodes with the same plan), so physical equality settles
+   most comparisons before [Shape.equal] walks them. *)
+let rec fits_from (shapes : Shape.t array) (args : handle array) i =
   i = Array.length args
   ||
   let s = handle_shape args.(i) in
-  (shapes.(i) == s || Shape.equal shapes.(i) s) && fits shapes args (i + 1)
+  (shapes.(i) == s || Shape.equal shapes.(i) s) && fits_from shapes args (i + 1)
+
+(** [p] fits a node whose batched arguments are [args]. *)
+let fits (p : Kernel.plan) args =
+  Array.length p.batched_shapes = Array.length args && fits_from p.batched_shapes args 0
 
 let rec find_plan args = function
   | [] -> raise Not_found
-  | (p : Kernel.plan) :: rest ->
-    if Array.length p.batched_shapes = Array.length args && fits p.batched_shapes args 0 then p
-    else find_plan args rest
+  | p :: rest -> if fits p args then p else find_plan args rest
 
 (* The plan of [kernel] at [shapes] from the program's table, or a new one
    added to it: once per kernel and shape vector per runtime. *)
@@ -240,38 +256,41 @@ let table_plan t (kernel : Kernel.t) (shapes : Shape.t array) =
     Kernel.add_plan t.plans p;
     p
 
-(** The plan of [kernel] for a node whose batched arguments are [args]:
-    built on first use, then shared by every node with the same kernel and
-    argument shapes. A shape error propagates and is never cached. *)
-let plan t (kernel : Kernel.t) (args : handle array) : Kernel.plan =
-  let e = bound_entry t kernel in
-  try find_plan args e.plans
+(** The plan for a node of [b]'s kernel whose batched arguments are
+    [args]: built on first use, then shared by every node with the same
+    kernel and argument shapes. A shape error propagates and is never
+    cached. *)
+let plan_in t (b : binding) (args : handle array) : Kernel.plan =
+  try find_plan args b.plans
   with Not_found ->
+    let kernel = b.kernel in
     if Array.length args <> Array.length kernel.batched then
       fail "kernel %s: %d batched arguments given, %d expected" kernel.name
         (Array.length args) (Array.length kernel.batched);
     let shapes =
       Array.init kernel.nargs (fun pos ->
-          handle_shape (Kernel.arg kernel ~batched:args ~shared:e.shared pos))
+          handle_shape (Kernel.arg kernel ~batched:args ~shared:b.shared pos))
     in
     let p = table_plan t kernel shapes in
-    e.plans <- p :: e.plans;
+    b.plans <- p :: b.plans;
     p
 
 (** Append one DFG node; returns the slot of its first output (the others
-    follow: see {!output}). [args] are the node's batched arguments and
-    [plan] must be [plan t kernel args]. *)
-let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
+    follow: see {!output}). [args] are the node's batched arguments, and
+    [plan] must be a plan of [b] that fits them ({!plan_in}), with [b]
+    in force. *)
+let invoke t (b : binding) ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
     ~(sig_key : int) : int =
+  if plan.kernel != b.kernel then
+    invalid_arg "Runtime.invoke: the plan is not of the binding's kernel";
   Device.charge_dfg_node t.device;
-  let e = bound_entry t plan.kernel in
   let s = t.store in
   let id = s.Store.nodes in
   (* A new flush window: the last one has executed, and its holders go. *)
   (match t.pending with [] -> Store.release_holders s | _ :: _ -> ());
   let first =
     Store.add_node s ~values:t.policy.Executor.compute_values ~plan ~args
-      ~shared:e.shared_slots ~shared_handles:e.shared ~instance ~phase ~depth ~sig_key
+      ~shared:b.shared_slots ~shared_handles:b.shared ~instance ~phase ~depth ~sig_key
   in
   (match t.pending with
   | w :: _ -> w.Store.hi <- id + 1
@@ -279,6 +298,7 @@ let invoke t ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~dept
   (match t.scheduler with
   | Config.Inline_depth -> Device.charge_bucket_push t.device
   | Config.Runtime_depth | Config.Agenda -> ());
+  let e = b.entry in
   e.calls <- e.calls + 1;
   e.flops.total <- e.flops.total +. plan.flops;
   if plan.shared_elems > e.max_shared then e.max_shared <- plan.shared_elems;

@@ -152,7 +152,10 @@ let grow a n x =
 
 (* --- Values --- *)
 
-let new_slot s ~addr ~shape ~owner =
+(* [numel] is [shape]'s element count, which the caller already holds: a
+   tensor's array length or a plan's [out_elems]. Counting it here would
+   divide once per dimension to check for overflow, for every slot. *)
+let new_slot s ~addr ~shape ~numel ~owner =
   let v = s.values in
   if v >= Array.length s.addr then begin
     s.addr <- grow s.addr v (-1);
@@ -163,16 +166,17 @@ let new_slot s ~addr ~shape ~owner =
   end;
   s.addr.(v) <- addr;
   s.shape.(v) <- shape;
-  s.numel.(v) <- Shape.numel shape;
+  s.numel.(v) <- numel;
   s.owner.(v) <- owner;
   s.values <- v + 1;
   v
 
-(** Register a materialized value; returns its slot. *)
-let add_value s ~addr ~shape = new_slot s ~addr ~shape ~owner:(-1)
+(** Register a materialized value of [numel] elements; returns its slot. *)
+let add_value s ~addr ~shape ~numel = new_slot s ~addr ~shape ~numel ~owner:(-1)
 
 let ready h = h.store.addr.(h.slot) >= 0
 let shape h = h.store.shape.(h.slot)
+let numel h = h.store.numel.(h.slot)
 let addr h = h.store.addr.(h.slot)
 
 (** The handle on slot [v]: its holder while it has one. *)
@@ -227,7 +231,7 @@ let add_node s ~values ~(plan : Kernel.plan) ~(args : handle array) ~(shared : i
   let outs = plan.out_shapes in
   let first = s.values in
   for k = 0 to Array.length outs - 1 do
-    ignore (new_slot s ~addr:(-1) ~shape:outs.(k) ~owner:id)
+    ignore (new_slot s ~addr:(-1) ~shape:outs.(k) ~numel:plan.out_elems.(k) ~owner:id)
   done;
   if values then begin
     Array.iter (hold s) args;
@@ -290,7 +294,9 @@ let intern s ~plan_id ~key =
 
 (** A copier into a fresh store that holds nothing else: a run's results
     leave its store through one, so the next run's {!reset} cannot reach
-    them. Each call copies a slot's address, shape and value. *)
+    them. Each call copies a slot's address, shape, size and value. *)
 let exporter () =
   let out = create () in
-  fun h -> { store = out; slot = add_value out ~addr:(addr h) ~shape:(shape h); value = h.value }
+  fun h ->
+    let slot = add_value out ~addr:(addr h) ~shape:(shape h) ~numel:(numel h) in
+    { store = out; slot; value = h.value }

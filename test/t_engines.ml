@@ -192,11 +192,11 @@ let test_dynet_signatures_pinned () =
   let rt = Runtime.create ~device ~scheduler:Config.Agenda ~policy ~seed:1 ~instances:1 in
   let mat addr shape =
     let s = rt.Runtime.store in
-    Store.handle s (Store.add_value s ~addr ~shape)
+    Store.handle s (Store.add_value s ~addr ~shape ~numel:(Shape.numel shape))
   in
   let sig_of = Policy.dynet_sig () in
   let sign k args =
-    let plan = Runtime.plan rt k args in
+    let plan = Runtime.plan_in rt (Runtime.bind rt k) args in
     plan, sig_of rt plan args
   in
   let row = [| mat 0 [ 1; 4 ]; mat 8 [ 1; 4 ] |] in
@@ -211,7 +211,7 @@ let test_dynet_signatures_pinned () =
   check_true "another weight, another id"
     (w42 <> snd (sign matmul [| mat 0 [ 1; 4 ]; mat 64 [ 4; 4 ] |]));
   let pending =
-    Runtime.invoke rt ~plan ~args:row ~instance:0 ~phase:0 ~depth:0 ~sig_key:plan.id
+    Runtime.invoke rt (Runtime.bind rt add) ~plan ~args:row ~instance:0 ~phase:0 ~depth:0 ~sig_key:plan.id
   in
   let out = Runtime.output rt pending 0 in
   let pending_plan, pending_id = sign matmul [| mat 0 [ 1; 1 ]; out |] in
@@ -820,6 +820,130 @@ let test_staged_nested_run_fails () =
   | _ -> Alcotest.fail "a program staged from another compilation must be refused"
   | exception Invalid_argument _ -> ()
 
+(* A plan follows the shapes of its kernel's shared arguments, which each
+   run's weights decide: one compiled program run with [w : (4, 8)] and then
+   with [w : (4, 16)] reports the second run's output shape and FLOPs, as a
+   freshly compiled program does. A call site that kept the first run's
+   plan would report [(1, 8)]. *)
+let test_site_plans_follow_weights () =
+  let source =
+    {|def @main(%x: Tensor[(1, 4)], %w: Tensor[(4, 8)]) -> Tensor[(1, 8)] {
+  sigmoid(matmul(%x, %w))
+}|}
+  in
+  let run c width =
+    let weights = [ "w", Tensor.full [ 4; width ] 0.5 ] in
+    let instances = [ [ "x", Driver.Htensor (Tensor.full [ 1; 4 ] 1.0) ] ] in
+    let device = Device.create () in
+    let r = run_batch ~device c ~weights ~instances () in
+    let shape =
+      match r.Driver.outputs with
+      | [ Value.Vtensor h ] -> Value.handle_shape h
+      | _ -> Alcotest.fail "one tensor output expected"
+    in
+    shape, r.Driver.profile, time_bits (Device.profiler device)
+  in
+  let c = compile ~inputs:[ "x" ] source in
+  let shape8, _, _ = run c 8 in
+  Alcotest.(check (list int)) "first run: (1, 8)" [ 1; 8 ] shape8;
+  let shape16, profile, times = run c 16 in
+  let fresh_shape, fresh_profile, fresh_times = run (compile ~inputs:[ "x" ] source) 16 in
+  Alcotest.(check (list int)) "second run: (1, 16)" [ 1; 16 ] shape16;
+  Alcotest.(check (list int)) "as a fresh program" fresh_shape shape16;
+  check_true "the same FLOPs as a fresh program" (profile = fresh_profile);
+  Alcotest.(check (array int64)) "the same virtual time as a fresh program" fresh_times times;
+  (* Within one runtime too: setting a weight again ends its kernel's
+     binding, and the site plans afresh. *)
+  let module Runtime = Acrobat_runtime.Runtime in
+  let rt =
+    Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth
+      ~policy:
+        { Acrobat_runtime.Executor.gather_fusion = true; quality = c.quality;
+          compute_values = false; detect_dynamic_sharing = false }
+      ~seed:1 ~instances:1
+  in
+  let eng = Aot.create ~rt ~policy:c.policy ~fibers:false c.lprog in
+  let out_shape width =
+    Runtime.set_weight rt "w" (Tensor.full [ 4; width ] 0.5);
+    let x = List.hd (Runtime.upload_inputs rt ~batched:true [ Tensor.full [ 1; 4 ] 1.0 ]) in
+    match Aot.run_main eng ~instance:0 [ Value.Vtensor x; Value.Vtensor (Runtime.weight rt "w") ] with
+    | Value.Vtensor h -> Value.handle_shape h
+    | _ -> Alcotest.fail "a tensor output expected"
+  in
+  Alcotest.(check (list int)) "one runtime, first weight: (1, 8)" [ 1; 8 ] (out_shape 8);
+  Alcotest.(check (list int)) "one runtime, weight set again: (1, 16)" [ 1; 16 ] (out_shape 16)
+
+(* Element counts come from plans, not from dividing shapes: after a run of
+   every catalog model, each plan's [out_elems] counts its [out_shapes],
+   and each value slot of the run's store counts its shape. The run is
+   driven by hand, as {!Driver.run_batch} drives it, so the store can be
+   read before the run releases it. *)
+let test_element_counts_match_shapes () =
+  let module Runtime = Acrobat_runtime.Runtime in
+  let module Store = Acrobat_runtime.Store in
+  List.iter
+    (fun id ->
+      let model = Models.tiny id in
+      let c = compile ~inputs:model.Model.inputs model.Model.source in
+      let lprog = c.lprog in
+      let instances = gen_batch model ~batch:3 ~seed:4 in
+      let rt =
+        Runtime.create ~device:(Device.create ()) ~scheduler:lprog.Lowered.config.Config.scheduler
+          ~policy:
+            { Acrobat_runtime.Executor.gather_fusion = lprog.Lowered.config.Config.gather_fusion;
+              quality = c.quality; compute_values = false; detect_dynamic_sharing = false }
+          ~seed:1 ~instances:(List.length instances)
+      in
+      let st = Lazy.force c.staged in
+      Aot.with_runtime st ~policy:c.policy rt (fun () ->
+          List.iter (fun (name, t) -> Runtime.set_weight rt name t) (model.Model.gen_weights 1);
+          let tensors =
+            List.concat_map
+              (List.concat_map (fun (_, hv) -> List.rev (Driver.hval_tensors [] hv)))
+              instances
+          in
+          let handles = ref (Runtime.upload_inputs rt ~batched:true tensors) in
+          let next () =
+            match !handles with
+            | h :: rest ->
+              handles := rest;
+              h
+            | [] -> Alcotest.fail "input underflow"
+          in
+          let main =
+            List.mapi
+              (fun i inputs ->
+                let args =
+                  List.map
+                    (fun p ->
+                      match List.assoc_opt p inputs with
+                      | Some hv -> Driver.hval_to_value next hv
+                      | None -> Value.Vtensor (Runtime.weight rt p))
+                    (Lowered.entry_def lprog).Lowered.lparams
+                in
+                fun () -> ignore (Aot.run_main st ~instance:i args))
+              instances
+          in
+          if st.Aot.fibers then
+            ignore (Acrobat_runtime.Fiber.run ~on_stall:(fun () -> Runtime.flush rt) main)
+          else List.iter (fun f -> f ()) main;
+          Runtime.flush rt;
+          let s = rt.Runtime.store in
+          check_true (id ^ ": the run built nodes") (s.Store.nodes > 0);
+          for v = 0 to s.Store.values - 1 do
+            check_int (Fmt.str "%s: slot %d counts its shape" id v)
+              (Shape.numel s.Store.shape.(v)) s.Store.numel.(v)
+          done);
+      Array.iter
+        (List.iter (fun (p : Kernel.plan) ->
+             Array.iteri
+               (fun k shape ->
+                 check_int (Fmt.str "%s: %s output %d" id p.kernel.Kernel.name k)
+                   (Shape.numel shape) p.out_elems.(k))
+               p.out_shapes))
+        lprog.Lowered.registry.Kernel.plan_table.Kernel.by_kernel)
+    Models.tiny_ids
+
 let suite =
   List.map
     (fun id ->
@@ -862,4 +986,8 @@ let suite =
         test_dynet_policy_reusable;
       Alcotest.test_case "staged once: outputs outlive the reused store" `Quick
         test_outputs_outlive_the_store;
+      Alcotest.test_case "site plans: a new weight shape is replanned" `Quick
+        test_site_plans_follow_weights;
+      Alcotest.test_case "element counts: plans and slots match shapes" `Quick
+        test_element_counts_match_shapes;
     ]

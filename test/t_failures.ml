@@ -117,8 +117,9 @@ let test_executor_reports_dependency_violation () =
   in
   (* Producer recorded at depth 5, consumer at depth 0: inverted. *)
   let invoke kernel args ~depth =
-    let plan = Runtime.plan rt kernel args in
-    Runtime.invoke rt ~plan ~args ~instance:0 ~phase:0 ~depth ~sig_key:plan.id
+    let bound = Runtime.bind rt kernel in
+    let plan = Runtime.plan_in rt bound args in
+    Runtime.invoke rt bound ~plan ~args ~instance:0 ~phase:0 ~depth ~sig_key:plan.id
   in
   let producer = invoke src_k [||] ~depth:5 in
   let _ = invoke sig_k [| Runtime.output rt producer 0 |] ~depth:0 in

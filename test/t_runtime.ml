@@ -92,16 +92,17 @@ let reg = Kernel.registry ()
    signed as ACROBAT signs it (by the plan's id) unless [sig_key] says
    otherwise; returns handles on its outputs. *)
 let invoke ?sig_key rt ~kernel ~args ~instance ~phase ~depth =
-  let plan = Runtime.plan rt kernel args in
+  let bound = Runtime.bind rt kernel in
+  let plan = Runtime.plan_in rt bound args in
   let sig_key = match sig_key with Some f -> f plan | None -> plan.Kernel.id in
-  let first = Runtime.invoke rt ~plan ~args ~instance ~phase ~depth ~sig_key in
+  let first = Runtime.invoke rt bound ~plan ~args ~instance ~phase ~depth ~sig_key in
   Array.init (Array.length plan.out_shapes) (Runtime.output rt first)
 
 (* A materialized tensor of [shape] at address 0, registered in [rt]'s
    store (no value). *)
 let input rt shape =
   let s = rt.Runtime.store in
-  Store.handle s (Store.add_value s ~addr:0 ~shape)
+  Store.handle s (Store.add_value s ~addr:0 ~shape ~numel:(Shape.numel shape))
 
 let unit_kernel =
   let b = Kernel.builder () in
@@ -472,7 +473,7 @@ let exec_reference device policy nodes =
 let exec_live device policy nodes =
   let s = Store.create () in
   let slot = function
-    | Ref_exec.Hmat o -> Store.add_value s ~addr:o.addr ~shape:o.shape
+    | Ref_exec.Hmat o -> Store.add_value s ~addr:o.addr ~shape:o.shape ~numel:(Shape.numel o.shape)
     | Ref_exec.Hnode _ -> assert false
   in
   let k = (fst nodes.(0)).Kernel.kernel in
@@ -535,8 +536,8 @@ let launch_words n =
   let s = Store.create () in
   let plan = Kernel.plan pair_kernel [| [ 1; 4 ]; [ 1; 4 ] |] in
   for i = 0 to n - 1 do
-    let a = Store.add_value s ~addr:(4 * i) ~shape:[ 1; 4 ] in
-    let b = Store.add_value s ~addr:0 ~shape:[ 1; 4 ] in
+    let a = Store.add_value s ~addr:(4 * i) ~shape:[ 1; 4 ] ~numel:4 in
+    let b = Store.add_value s ~addr:0 ~shape:[ 1; 4 ] ~numel:4 in
     ignore
       (Store.add_node s ~values:false ~plan ~args:[| Store.handle s a; Store.handle s b |]
          ~shared:[||] ~shared_handles:[||] ~instance:i ~phase:0 ~depth:0 ~sig_key:plan.id)
@@ -708,9 +709,10 @@ let accounting_runtime ~instances =
 let test_plans_per_shape () =
   let rt = accounting_runtime ~instances:2 in
   let narrow = [| input rt [ 1; 2 ] |] and wide = [| input rt [ 1; 3 ] |] in
-  let p_narrow = Runtime.plan rt unit_kernel narrow and p_wide = Runtime.plan rt unit_kernel wide in
+  let plan args = Runtime.plan_in rt (Runtime.bind rt unit_kernel) args in
+  let p_narrow = plan narrow and p_wide = plan wide in
   check_true "one plan per shape" (p_narrow != p_wide);
-  check_true "plans are shared" (Runtime.plan rt unit_kernel [| input rt [ 1; 2 ] |] == p_narrow);
+  check_true "plans are shared" (plan [| input rt [ 1; 2 ] |] == p_narrow);
   check_true "distinct plan ids" (p_narrow.id <> p_wide.id);
   let outs =
     List.concat_map
@@ -718,7 +720,8 @@ let test_plans_per_shape () =
         List.map
           (fun (plan, args) ->
             Runtime.output rt
-              (Runtime.invoke rt ~plan ~args ~instance ~phase:0 ~depth:0 ~sig_key:plan.id)
+              (Runtime.invoke rt (Runtime.bind rt unit_kernel) ~plan ~args ~instance ~phase:0
+                 ~depth:0 ~sig_key:plan.id)
               0)
           [ p_narrow, narrow; p_wide, wide ])
       [ 0; 1 ]
@@ -812,16 +815,17 @@ let test_plan_table_skips_shape_errors () =
     Kernel.finish (Kernel.registry ()) b ~name:"slice" ~nargs:1 ~roles:[| Kernel.Batched |]
       ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
   in
+  let plan args = Runtime.plan_in rt (Runtime.bind rt slice) args in
   for attempt = 1 to 2 do
-    match Runtime.plan rt slice [| input rt [ 1; 2 ] |] with
+    match plan [| input rt [ 1; 2 ] |] with
     | _ -> Alcotest.failf "attempt %d: expected a shape error" attempt
     | exception Op.Shape_error _ -> ()
   done;
   check_int "nothing cached" 0 (List.length (Kernel.plans table slice));
-  let p = Runtime.plan rt slice [| input rt [ 1; 8 ] |] in
+  let p = plan [| input rt [ 1; 8 ] |] in
   check_true "the fitting plan is cached"
     (match Kernel.plans table slice with [ q ] -> q == p | _ -> false);
-  check_true "and found again" (Runtime.plan rt slice [| input rt [ 1; 8 ] |] == p)
+  check_true "and found again" (plan [| input rt [ 1; 8 ] |] == p)
 
 (* Kernel ids are dense per registry, so kernels of two compilations can
    share one, and with it a printed signature; plan ids are unique across
