@@ -61,7 +61,7 @@ let arg t ~batched ~shared pos =
 (** Number of device launches one batch of this kernel issues. *)
 let launches t = List.length t.groups
 
-(* --- Shape/flops propagation (shapes are per-node at runtime) --- *)
+(* --- Shape/flops propagation (once per kernel and argument shapes: a plan) --- *)
 
 (** Shapes of all temporaries given argument shapes. *)
 let tmp_shapes t (arg_shapes : Shape.t array) : Shape.t array =

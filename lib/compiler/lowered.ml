@@ -80,6 +80,10 @@ type t = {
   is_weight : bool array;
       (** Per parameter of the entry definition, in order: whether it is
           one of [weight_params]. Classified once here, not per batch. *)
+  param_types : Ty.t array;
+      (** Per parameter of the entry definition, in order: its declared
+          type, which every run's weights and inputs are checked against
+          before any DFG node is built. *)
   has_tdc : bool;  (** Program contains tensor-dependent control flow. *)
   config : Config.t;
   kernel_hints : (int, float) Hashtbl.t;

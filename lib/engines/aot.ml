@@ -95,10 +95,10 @@ type t = {
           ([Vnil] until it first evaluates). Device addresses differ per
           run, so these are per-run state, cleared with the binding. *)
   mutable sites : site option array;
-      (** Per [Lblock] site, the binding and plan its last node used
-          ([None] until the site first evaluates in a run). A plan depends
-          on the shapes of the kernel's shared arguments, which a run's
-          weights decide, so these are per-run state too, cleared with the
+      (** Per [Lblock] site, the binding and plan its nodes use ([None]
+          until the site first evaluates in a run). A plan depends on the
+          shapes of the kernel's shared arguments, which a run's weights
+          decide, so these are per-run state too, cleared with the
           binding, and each is reused only while its binding is in force
           ({!Runtime.is_bound}). *)
   store : Store.t;
@@ -256,13 +256,16 @@ let rec list_into a v i =
 let rec list_of_array a i acc = if i < 0 then acc else list_of_array a (i - 1) (Vcons (a.(i), acc))
 
 (* The binding and plan of a node at [Lblock] site [k] of [kernel] whose
-   batched arguments are [args]: the site's last ones while their binding
-   is in force in [rt] and the plan fits [args], else found afresh
-   ({!Runtime.plan_in}) and kept. A hit searches no plan list, and no
-   node resolves its kernel's binding twice. *)
+   batched arguments are [args]: the site's kept ones while their binding
+   is in force in [rt], else found afresh ({!Runtime.plan_in}, which
+   checks [args]' shapes) and kept. A hit compares no shape: a language
+   whose tensor types have static shapes gives every node of one site the
+   shapes of its first, once @main's arguments match their declared types
+   ({!Driver.run_batch} checks them before the run builds any node), and
+   the binding holds the shared arguments' shapes (DESIGN.md §32). *)
 let site_plan st k rt kernel args =
   match st.sites.(k) with
-  | Some c when Runtime.is_bound rt c.kbound && Runtime.fits c.kplan args -> c
+  | Some c when Runtime.is_bound rt c.kbound -> c
   | Some _ | None ->
     let kbound = Runtime.bind rt kernel in
     let c = { kbound; kplan = Runtime.plan_in rt kbound args } in

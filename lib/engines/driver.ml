@@ -8,6 +8,7 @@ open Value
 module Device = Acrobat_device.Device
 module Profiler = Acrobat_device.Profiler
 module L = Lowered
+module Ty = Acrobat_ir.Ty
 
 (** Host-side input values, before upload. *)
 type hval =
@@ -39,6 +40,76 @@ let rec hval_to_value (next : unit -> handle) = function
     let av = hval_to_value next a in
     Vnode (av, hval_to_value next b)
   | Htuple vs -> Vtuple (Array.of_list (List.map (hval_to_value next) vs))
+
+(* --- @main's boundary ---
+
+   Every tensor type of the language has a static shape ({!Ty.t}), so once
+   @main's weights and inputs match its declared parameter types, every
+   node one AOT call site builds in a run has that site's shapes: the run
+   is checked here, once, and not at its DFG nodes (DESIGN.md §32). The
+   checks allocate nothing unless they fail. *)
+
+(* Raise the boundary error for parameter [name], declared [declared], at
+   a part of it declared [ty] where [hv] was given. *)
+let mismatch name declared (ty : Ty.t) hv =
+  let given =
+    match hv with
+    | Htensor t -> Fmt.str "shape %a" Shape.pp (Tensor.shape t)
+    | Hint _ -> "an int"
+    | Hbool _ -> "a bool"
+    | Hfloat _ -> "a float"
+    | Hlist _ -> "a list"
+    | Hleaf _ | Hnode _ -> "a tree"
+    | Htuple vs -> Fmt.str "a %d-tuple" (List.length vs)
+  in
+  let where = if ty == declared then "" else Fmt.str " where %s is declared" (Ty.to_string ty) in
+  fail "parameter %S of @main: declared %s, given %s%s" name (Ty.to_string declared) given where
+
+let rec check_hval name declared (ty : Ty.t) hv =
+  match ty, hv with
+  | Ty.Tensor s, Htensor t when Shape.equal s (Tensor.shape t) -> ()
+  | Ty.Int, Hint _ | Ty.Bool, Hbool _ | Ty.Float, Hfloat _ -> ()
+  | Ty.List elt, Hlist vs -> check_list name declared elt vs
+  | Ty.Tree elt, Hleaf v -> check_hval name declared elt v
+  | Ty.Tree _, Hnode (a, b) ->
+    check_hval name declared ty a;
+    check_hval name declared ty b
+  | Ty.Tup tys, Htuple vs when List.compare_lengths tys vs = 0 -> check_tuple name declared tys vs
+  | (Ty.Tensor _ | Ty.Int | Ty.Bool | Ty.Float | Ty.List _ | Ty.Tree _ | Ty.Tup _ | Ty.Fn _), _ ->
+    mismatch name declared ty hv
+
+and check_list name declared elt = function
+  | [] -> ()
+  | v :: vs ->
+    check_hval name declared elt v;
+    check_list name declared elt vs
+
+and check_tuple name declared tys vs =
+  match tys, vs with
+  | ty :: tys, v :: vs ->
+    check_hval name declared ty v;
+    check_tuple name declared tys vs
+  | _ -> ()
+
+(* A weight's handle against its declared tensor type. *)
+let check_weight name (declared : Ty.t) h =
+  match declared with
+  | Ty.Tensor s when Shape.equal s (handle_shape h) -> ()
+  | _ -> fail "parameter %S of @main: declared %s, given shape %a" name (Ty.to_string declared)
+           Shape.pp (handle_shape h)
+
+(* An instance listed more inputs than @main takes per instance: name one
+   @main does not take, or one listed twice. *)
+let reject_extra_input params is_weight inputs =
+  let takes name = Array.exists2 (fun p w -> p = name && not w) params is_weight in
+  let rec first_bad = function
+    | [] -> fail "an instance lists more inputs than @main takes"
+    | (name, _) :: rest ->
+      if not (takes name) then fail "@main takes no input %S" name
+      else if List.mem_assoc name rest then fail "input %S listed twice for an instance" name
+      else first_bad rest
+  in
+  first_bad inputs
 
 type mode = Aot_mode | Vm_mode
 
@@ -122,14 +193,45 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?tracer
   let run run_main =
     Option.iter (Runtime.set_decision_keys rt ~seed) instance_keys;
     List.iter (fun (name, tensor) -> Runtime.set_weight rt name tensor) weights;
-    (* Upload all per-instance inputs (batched into one transfer for
-       ACROBAT, one call per tensor for the dynamic baselines). *)
-    let all_tensors =
-      List.concat_map
-        (fun inputs -> List.concat_map (fun (_, hv) -> List.rev (hval_tensors [] hv)) inputs)
-        instances
+    (* @main's parameters, classified once by lowering, resolved in
+       parameter order, instance by instance: a weight at its first use
+       (so an unknown weight fails at the first instance that reaches it,
+       after that instance's earlier parameters, and not at all without
+       instances), an input by name. Each is checked against its declared
+       type there, before any node is built. *)
+    let params = Array.of_list (L.entry_def lprog).L.lparams in
+    let nparams = Array.length params in
+    let is_weight = lprog.L.is_weight and types = lprog.L.param_types in
+    let n_inputs = Array.fold_left (fun n w -> if w then n else n + 1) 0 is_weight in
+    let weight_args = Array.make nparams Vnil in
+    let tensors = ref [] in
+    List.iter
+      (fun inputs ->
+        for k = 0 to nparams - 1 do
+          let name = params.(k) in
+          if is_weight.(k) then begin
+            if weight_args.(k) == Vnil then begin
+              let h = Runtime.weight rt name in
+              check_weight name types.(k) h;
+              weight_args.(k) <- Vtensor h
+            end
+          end
+          else
+            match List.assoc_opt name inputs with
+            | Some hv ->
+              check_hval name types.(k) types.(k) hv;
+              tensors := hval_tensors !tensors hv
+            | None -> fail "missing input %S for an instance" name
+        done;
+        if List.compare_length_with inputs n_inputs > 0 then
+          reject_extra_input params is_weight inputs)
+      instances;
+    (* Upload every instance's input tensors in that order (batched into
+       one transfer for ACROBAT, one call per tensor for the dynamic
+       baselines), and hand each parameter its handles in the same order. *)
+    let handles =
+      ref (Runtime.upload_inputs rt ~batched:policy.Policy.batched_io (List.rev !tensors))
     in
-    let handles = ref (Runtime.upload_inputs rt ~batched:policy.Policy.batched_io all_tensors) in
     let next_handle () =
       match !handles with
       | h :: rest ->
@@ -137,27 +239,11 @@ let run_batch ?(compute_values = false) ?(seed = 2024) ?device ?tracer
         h
       | [] -> fail "input handle underflow"
     in
-    (* @main's parameters, classified once by lowering. A weight's handle
-       is looked up at its first use, so an unknown weight fails where it
-       always did: at the first instance that reaches it, after that
-       instance's earlier parameters, and not at all without instances. *)
-    let params = Array.of_list (L.entry_def lprog).L.lparams in
-    let is_weight = lprog.L.is_weight in
-    let weight_args = Array.make (Array.length params) Vnil in
     let arg inputs k =
-      let pname = params.(k) in
-      if is_weight.(k) then begin
-        if weight_args.(k) == Vnil then weight_args.(k) <- Vtensor (Runtime.weight rt pname);
-        weight_args.(k)
-      end
-      else
-        match List.assoc_opt pname inputs with
-        | Some hv -> hval_to_value next_handle hv
-        | None -> fail "missing input %S for an instance" pname
+      if is_weight.(k) then weight_args.(k)
+      else hval_to_value next_handle (List.assoc params.(k) inputs)
     in
-    let instance_args =
-      List.map (fun inputs -> List.init (Array.length params) (arg inputs)) instances
-    in
+    let instance_args = List.map (fun inputs -> List.init nparams (arg inputs)) instances in
     (* Execute. *)
     let outputs = Array.make n_instances Vnil in
     let run i args = outputs.(i) <- run_main ~instance:i args in

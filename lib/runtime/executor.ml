@@ -47,7 +47,9 @@ let arg_addr (s : Store.t) id pos v =
     intermediate lists and no per-launch arrays: an argument's gather
     state and a group's FLOPs and bytes live in locals, the sums taken in
     exactly the order they always were, so the launch costs — and the
-    simulated time charged for them — keep their bits. Outputs get their
+    simulated time charged for them — keep their bits. A batch whose nodes
+    share one plan (every batch ACROBAT's signatures form) sums that
+    plan's values [n] times without reading a node's. Outputs get their
     addresses (and values) in the store's slots. Accounting only, a launch
     allocates a constant few words whatever the batch's size and, unless
     it detects dynamic sharing, calls nothing in the runtime's C code
@@ -107,13 +109,30 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   let roles = kernel.Kernel.roles and slots = kernel.Kernel.slots in
   let nbatch = float_of_int n in
   let quality = policy.quality kernel.Kernel.id in
+  (* Every node of a batch of ACROBAT's carries one plan (its signature is
+     the plan id): a group's sums are then [n] additions of the plan's own
+     values, in registers, with no load per node. *)
+  let uniform = ref true and i = ref 1 in
+  while !uniform && !i < n do
+    uniform := s.plan.(ids.(lo + !i)) == plan0;
+    incr i
+  done;
+  let uniform = !uniform in
   for g = 0 to Array.length plan0.group_flops - 1 do
     let flops = ref 0.0 and bytes = ref 0.0 in
-    for i = 0 to n - 1 do
-      let p = s.plan.(ids.(lo + i)) in
-      flops := !flops +. p.group_flops.(g);
-      bytes := !bytes +. p.group_bytes.(g)
-    done;
+    if uniform then begin
+      let f = plan0.group_flops.(g) and b = plan0.group_bytes.(g) in
+      for _ = 1 to n do
+        flops := !flops +. f;
+        bytes := !bytes +. b
+      done
+    end
+    else
+      for i = 0 to n - 1 do
+        let p = s.plan.(ids.(lo + i)) in
+        flops := !flops +. p.group_flops.(g);
+        bytes := !bytes +. p.group_bytes.(g)
+      done;
     let reads = plan0.group_arg_reads.(g) in
     for r = 0 to Array.length reads - 1 do
       let pos = reads.(r) in
@@ -133,11 +152,17 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
   (* Allocate outputs: one contiguous slab per output slot. *)
   let out_arity = Kernel.out_arity kernel in
   for slot = 0 to out_arity - 1 do
-    let total = ref 0 in
-    for i = 0 to n - 1 do
-      total := !total + s.numel.(s.out_lo.(ids.(lo + i)) + slot)
-    done;
-    let cursor = ref (Device.alloc device ~elems:!total) in
+    let total =
+      if uniform then n * plan0.out_elems.(slot)
+      else begin
+        let total = ref 0 in
+        for i = 0 to n - 1 do
+          total := !total + s.numel.(s.out_lo.(ids.(lo + i)) + slot)
+        done;
+        !total
+      end
+    in
+    let cursor = ref (Device.alloc device ~elems:total) in
     for i = 0 to n - 1 do
       let v = s.out_lo.(ids.(lo + i)) + slot in
       s.addr.(v) <- !cursor;

@@ -223,7 +223,9 @@ let share_plans t table =
   t.plans <- table;
   unbind_kernels t
 
-(* [fits] allocates nothing: it runs once per DFG node, and compares the
+(* [fits] allocates nothing: it runs for every node the VM builds, and
+   for the first node of each AOT call site in a run (later nodes of the
+   site reuse that node's plan unchecked: DESIGN.md §32). It compares the
    node's batched arguments only (every plan of a binding fits its shared
    ones). A plan's shapes are usually the very lists its arguments carry
    (outputs of nodes with the same plan), so physical equality settles

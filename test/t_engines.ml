@@ -821,21 +821,28 @@ let test_staged_nested_run_fails () =
   | exception Invalid_argument _ -> ()
 
 (* A plan follows the shapes of its kernel's shared arguments, which each
-   run's weights decide: one compiled program run with [w : (4, 8)] and then
-   with [w : (4, 16)] reports the second run's output shape and FLOPs, as a
-   freshly compiled program does. A call site that kept the first run's
-   plan would report [(1, 8)]. *)
+   run's weights decide, and a call site keeps its first node's plan for
+   the whole run: so a weight must have its declared shape. A [(4, 16)]
+   weight for a declared [(4, 8)] is rejected at @main's boundary, naming
+   the parameter and both shapes, before the device is charged anything;
+   a program declaring [(4, 16)] runs [(1, 16)], its second run with the
+   FLOPs and virtual time of a fresh compile's first. *)
 let test_site_plans_follow_weights () =
-  let source =
-    {|def @main(%x: Tensor[(1, 4)], %w: Tensor[(4, 8)]) -> Tensor[(1, 8)] {
-  sigmoid(matmul(%x, %w))
+  let source width =
+    Fmt.str
+      {|def @main(%%x: Tensor[(1, 4)], %%w: Tensor[(4, %d)]) -> Tensor[(1, %d)] {
+  sigmoid(matmul(%%x, %%w))
 }|}
+      width width
   in
-  let run c width =
+  let run_on device c width =
     let weights = [ "w", Tensor.full [ 4; width ] 0.5 ] in
     let instances = [ [ "x", Driver.Htensor (Tensor.full [ 1; 4 ] 1.0) ] ] in
+    run_batch ~device c ~weights ~instances ()
+  in
+  let run c width =
     let device = Device.create () in
-    let r = run_batch ~device c ~weights ~instances () in
+    let r = run_on device c width in
     let shape =
       match r.Driver.outputs with
       | [ Value.Vtensor h ] -> Value.handle_shape h
@@ -843,12 +850,25 @@ let test_site_plans_follow_weights () =
     in
     shape, r.Driver.profile, time_bits (Device.profiler device)
   in
-  let c = compile ~inputs:[ "x" ] source in
+  let c = compile ~inputs:[ "x" ] (source 8) in
   let shape8, _, _ = run c 8 in
-  Alcotest.(check (list int)) "first run: (1, 8)" [ 1; 8 ] shape8;
-  let shape16, profile, times = run c 16 in
-  let fresh_shape, fresh_profile, fresh_times = run (compile ~inputs:[ "x" ] source) 16 in
-  Alcotest.(check (list int)) "second run: (1, 16)" [ 1; 16 ] shape16;
+  Alcotest.(check (list int)) "declared (4, 8): (1, 8)" [ 1; 8 ] shape8;
+  let device = Device.create () in
+  (match run_on device c 16 with
+  | _ -> Alcotest.fail "a (4, 16) weight for a declared (4, 8) must be rejected"
+  | exception Value.Runtime_error m ->
+    List.iter
+      (fun fragment ->
+        check_true (Fmt.str "the error %S names %s" m fragment) (T_util.contains m fragment))
+      [ "\"w\""; "Tensor[(4, 8)]"; "(4, 16)" ]);
+  let p = Device.profiler device in
+  check_true "nothing charged to the device" (Array.for_all (fun t -> t = 0.0) p.P.times_us);
+  check_int "no node built" 0 p.P.nodes_created;
+  let c16 = compile ~inputs:[ "x" ] (source 16) in
+  ignore (run c16 16);
+  let shape16, profile, times = run c16 16 in
+  let fresh_shape, fresh_profile, fresh_times = run (compile ~inputs:[ "x" ] (source 16)) 16 in
+  Alcotest.(check (list int)) "declared (4, 16): (1, 16)" [ 1; 16 ] shape16;
   Alcotest.(check (list int)) "as a fresh program" fresh_shape shape16;
   check_true "the same FLOPs as a fresh program" (profile = fresh_profile);
   Alcotest.(check (array int64)) "the same virtual time as a fresh program" fresh_times times;
@@ -944,6 +964,109 @@ let test_element_counts_match_shapes () =
         lprog.Lowered.registry.Kernel.plan_table.Kernel.by_kernel)
     Models.tiny_ids
 
+(* [t]'s shape with its last dimension one wider, and a value with its
+   first tensor leaf widened ([None] without a tensor leaf). *)
+let widen t =
+  match List.rev (Tensor.shape t) with
+  | d :: rest -> Tensor.zeros (List.rev ((d + 1) :: rest))
+  | [] -> Tensor.zeros [ 2 ]
+
+let rec widen_first_leaf = function
+  | Driver.Htensor t -> Some (Driver.Htensor (widen t))
+  | Driver.Hint _ | Driver.Hbool _ | Driver.Hfloat _ -> None
+  | Driver.Hleaf v -> Option.map (fun v -> Driver.Hleaf v) (widen_first_leaf v)
+  | Driver.Hnode (a, b) -> (
+    match widen_first_leaf a with
+    | Some a -> Some (Driver.Hnode (a, b))
+    | None -> Option.map (fun b -> Driver.Hnode (a, b)) (widen_first_leaf b))
+  | Driver.Hlist vs -> Option.map (fun vs -> Driver.Hlist vs) (widen_first_in vs)
+  | Driver.Htuple vs -> Option.map (fun vs -> Driver.Htuple vs) (widen_first_in vs)
+
+and widen_first_in = function
+  | [] -> None
+  | v :: vs -> (
+    match widen_first_leaf v with
+    | Some v -> Some (v :: vs)
+    | None -> Option.map (fun vs -> v :: vs) (widen_first_in vs))
+
+(* @main's boundary: every tiny catalog model's generated weights and
+   instances match its declared parameter types; one reshaped weight, or
+   one reshaped input leaf in the last instance, is rejected naming that
+   parameter before any DFG node is built. *)
+let test_boundary_checks_every_model () =
+  List.iter
+    (fun id ->
+      let model = Models.tiny id in
+      let c = compile ~inputs:model.Model.inputs model.Model.source in
+      let weights = model.Model.gen_weights 1 in
+      let instances = gen_batch model ~batch:3 ~seed:5 in
+      let device = Device.create () in
+      ignore (run_batch ~device c ~weights ~instances ());
+      check_true (id ^ ": generated traffic runs") ((Device.profiler device).P.nodes_created > 0);
+      let rejected what name ~weights ~instances =
+        let device = Device.create () in
+        (match run_batch ~device c ~weights ~instances () with
+        | _ -> Alcotest.failf "%s: a reshaped %s must be rejected" id what
+        | exception Value.Runtime_error m ->
+          check_true
+            (Fmt.str "%s: the error %S names %s" id m name)
+            (T_util.contains m (Fmt.str "%S" name)));
+        check_int (Fmt.str "%s: no node built for a reshaped %s" id what) 0
+          (Device.profiler device).P.nodes_created
+      in
+      let w, t =
+        List.find (fun (n, _) -> List.mem n c.lprog.Lowered.weight_params) weights
+      in
+      rejected "weight" w
+        ~weights:(List.map (fun (n, x) -> n, if n = w then widen t else x) weights)
+        ~instances;
+      let last = List.nth instances (List.length instances - 1) in
+      let name, leaf =
+        List.find_map
+          (fun (n, hv) -> Option.map (fun hv -> n, hv) (widen_first_leaf hv))
+          last
+        |> Option.get
+      in
+      let last = List.map (fun (n, hv) -> n, if n = name then leaf else hv) last in
+      rejected "input leaf" name ~weights
+        ~instances:(List.filteri (fun i _ -> i < List.length instances - 1) instances @ [ last ]))
+    Models.tiny_ids
+
+(* An instance's inputs reach @main's parameters by name whatever order
+   the instance lists them in, and a name @main does not take is an
+   error. *)
+let test_inputs_follow_parameter_order () =
+  let source =
+    {|def @main(%a: Tensor[(1, 4)], %b: Tensor[(1, 8)], %w: Tensor[(4, 8)]) -> Tensor[(1, 8)] {
+  add(matmul(%a, %w), %b)
+}|}
+  in
+  let c = compile ~inputs:[ "a"; "b" ] source in
+  let rng = Rng.create 7 in
+  let weights = [ "w", Tensor.random rng [ 4; 8 ] ] in
+  let a = Driver.Htensor (Tensor.random rng [ 1; 4 ]) and b = Driver.Htensor (Tensor.random rng [ 1; 8 ]) in
+  let go instances =
+    let device = Device.create () in
+    let r = run_batch ~compute_values:true ~device c ~weights ~instances () in
+    Driver.fingerprints r, time_bits (Device.profiler device)
+  in
+  let fp_ab, t_ab = go [ [ "a", a; "b", b ]; [ "b", b; "a", a ] ] in
+  let fp_ba, t_ba = go [ [ "b", b; "a", a ]; [ "a", a; "b", b ] ] in
+  Alcotest.(check (array int64)) "same fingerprints in either order" fp_ab fp_ba;
+  Alcotest.(check int64) "both instances agree" fp_ab.(0) fp_ab.(1);
+  Alcotest.(check (array int64)) "same virtual time in either order" t_ab t_ba;
+  List.iter
+    (fun (what, instances, fragment) ->
+      match go instances with
+      | _ -> Alcotest.failf "%s must be rejected" what
+      | exception Value.Runtime_error m ->
+        check_true (Fmt.str "%s: %S names %s" what m fragment) (T_util.contains m fragment))
+    [
+      "an extra input listed first", [ [ "c", b; "a", a; "b", b ] ], "\"c\"";
+      "a weight given as an input", [ [ "a", a; "b", b; "w", b ] ], "\"w\"";
+      "an input listed twice", [ [ "a", a; "b", b; "a", a ] ], "\"a\"";
+    ]
+
 let suite =
   List.map
     (fun id ->
@@ -990,4 +1113,8 @@ let suite =
         test_site_plans_follow_weights;
       Alcotest.test_case "element counts: plans and slots match shapes" `Quick
         test_element_counts_match_shapes;
+      Alcotest.test_case "boundary: every model's traffic passes, a reshape is named" `Quick
+        test_boundary_checks_every_model;
+      Alcotest.test_case "boundary: inputs follow @main's parameter order" `Quick
+        test_inputs_follow_parameter_order;
     ]

@@ -62,18 +62,18 @@ let test_parameter_errors_in_order () =
   check_int "no instances, no outputs" 0 (List.length r.Driver.outputs)
 
 let test_wrong_input_shape_fails () =
-  (* Declared Tensor[(1,4)] but the caller supplies (1,5): the kernel's
-     shape rules reject it at invocation. *)
+  (* Declared Tensor[(1,4)] but the caller supplies (1,5): @main's
+     boundary rejects it, naming the parameter and both shapes. *)
   let src = "def @main(%w: Tensor[(4, 4)], %x: Tensor[(1, 4)]) -> Tensor[(1, 4)] { matmul(%x, %w) }" in
   let rng = Rng.create 1 in
-  match
+  let run () =
     run_src src ~inputs:[ "x" ]
       ~weights:[ "w", Tensor.random rng [ 4; 4 ] ]
       ~instances:[ [ "x", Driver.Htensor (Tensor.random rng [ 1; 5 ]) ] ]
-  with
-  | _ -> Alcotest.fail "expected a shape error"
-  | exception Acrobat_ir.Op.Shape_error _ -> ()
-  | exception Shape.Mismatch _ -> ()
+  in
+  List.iter
+    (fun fragment -> expect_runtime_error fragment run)
+    [ "\"x\""; "Tensor[(1, 4)]"; "(1, 5)" ]
 
 let test_interp_match_failure () =
   (* A wildcard-less match over only Cons applied to Nil fails at runtime

@@ -528,6 +528,43 @@ let prop_executor_matches_reference =
       let batch = random_exec_batch seed in
       observe_exec exec_live batch = observe_exec exec_reference batch)
 
+(* The launch sums of a batch whose nodes share one plan, and of one whose
+   nodes carry two plans (two plans of one kernel under one signature),
+   match the reference bit for bit. Ten additions of 0.1 are not ten times
+   0.1, so a shared plan's sums must still be taken one node at a time. *)
+let test_executor_plan_uniform_sums () =
+  let costly flops (p : Kernel.plan) =
+    { p with group_flops = Array.map (fun _ -> flops) p.group_flops;
+             group_bytes = Array.map (fun _ -> 0.7) p.group_bytes }
+  in
+  let narrow = costly 0.1 (Kernel.plan pair_kernel [| [ 1; 4 ]; [ 1; 4 ] |]) in
+  let wide = costly 0.3 (Kernel.plan pair_kernel [| [ 1; 6 ]; [ 1; 6 ] |]) in
+  let mat addr shape = Ref_exec.Hmat { tensor = None; addr; shape } in
+  (* The first argument back to back, the second at scattered addresses. *)
+  let batch plans =
+    let cursor = ref 0 in
+    Array.mapi
+      (fun i (p : Kernel.plan) ->
+        let shape = p.arg_shapes.(0) in
+        let a = mat !cursor shape in
+        cursor := !cursor + Shape.numel shape;
+        p, [| a; mat (1000 + (17 * i)) shape |])
+      plans
+  in
+  let policy =
+    { Executor.gather_fusion = true; quality = (fun _ -> 0.5); compute_values = false;
+      detect_dynamic_sharing = false }
+  in
+  List.iter
+    (fun (what, plans) ->
+      let nodes = batch plans in
+      check_true what
+        (observe_exec exec_live (nodes, policy) = observe_exec exec_reference (nodes, policy)))
+    [
+      "one plan", Array.make 10 narrow;
+      "two plans", Array.init 10 (fun i -> if i mod 3 = 1 then wide else narrow);
+    ]
+
 (* Minor words one accounting-only launch of [n] nodes of [pair_kernel]
    allocates. The first argument lies back to back and the second is one
    address for every node, so a batch of more than one node reads it
@@ -951,4 +988,6 @@ let suite =
       test_kernels_of_two_registries_never_batch;
     Alcotest.test_case "scheduler: agenda ties launch lowest id first" `Quick
       test_agenda_ties_lowest_id_first;
+    Alcotest.test_case "executor: one-plan and two-plan launch sums match the reference" `Quick
+      test_executor_plan_uniform_sums;
   ]
