@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test check chaos-smoke alloc-gate bench clean
+.PHONY: all build test check opaque-gate chaos-smoke alloc-gate bench clean
 
 all: build
 
@@ -10,8 +10,10 @@ build:
 test:
 	dune runtest
 
-# Tier-1 gate: full build (warnings are errors in the dev profile — see the
-# env stanza in dune-project), the whole test suite, then end-to-end serving
+# Tier-1 gate: full build (warnings are errors in the default, optimized
+# profile and in --profile dev — see dune-workspace and the env stanza in
+# the root dune; the opaque gate below keeps the default build inlining
+# across modules), the whole test suite, then end-to-end serving
 # smoke runs — fault-free, fault-injected (gated on goodput), and a
 # replicated cluster with a dead-device replica — to catch CLI wiring
 # breakage that unit tests can miss. The overload smoke arms the full
@@ -66,7 +68,7 @@ test:
 # keys, order and values cannot move unnoticed.
 PAPER_EXPERIMENTS = table4 table5 table6 table7 table8 table9 fig5 fig9
 
-check: build test
+check: build test opaque-gate
 	OCAMLRUNPARAM=R dune test --force
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 2000 --requests 50 --iters 100
@@ -132,6 +134,21 @@ check: build test
 	cmp BENCH_scale.json BENCH_scale_rerun.json
 	git diff --exit-code -- BENCH_scale.json
 
+# The default build is the release profile (dune-workspace), which
+# compiles no library module -opaque, so calls between modules inline
+# (DESIGN.md §33). Fails if Store, a module every DFG node calls into,
+# compiles -opaque, as every module does under --profile dev; it also
+# fails if dune has no rule for that object.
+OPAQUE_PROBE = _build/default/lib/runtime/.acrobat_runtime.objs/native/acrobat_runtime__Store.cmx
+
+opaque-gate:
+	@rules=$$(dune rules $(OPAQUE_PROBE)) && echo "$$rules" | grep -q ocamlopt || \
+	  { echo "opaque-gate: no ocamlopt rule for $(OPAQUE_PROBE)"; exit 1; }; \
+	if echo "$$rules" | grep -q -- -opaque; then \
+	  echo "opaque-gate: $(OPAQUE_PROBE) compiles -opaque: the default build does not inline across modules"; \
+	  exit 1; \
+	fi
+
 # Bounded fixed-seed chaos campaign: randomized fault scenarios through the
 # serve cluster, every run checked against the invariant suite (request
 # conservation, terminal-once tracing, no duplicate completions, requeue
@@ -153,7 +170,8 @@ chaos-smoke: build
 # §19), the constant-cost serving path (§20), batched-only DFG nodes
 # (§21), AOT calls without forwarded weights (§23), programs staged
 # once (§27), the flat node store (§28), launches without runtime
-# calls (§29) and call sites that keep their plan for a run (§32), so
+# calls (§29), call sites that keep their plan for a run (§32) and
+# operands read without closure calls in an optimized build (§33), so
 # a return to per-node records, lists, closures or boxed floats in DFG
 # construction, scheduling or batch execution, to per-launch arrays or
 # boxed optional arguments, to per-batch kernel plans or staging, to
@@ -161,22 +179,23 @@ chaos-smoke: build
 # weights or to trace work on untraced devices fails it. The promoted
 # bound proves the live DFG is no longer promoted: a node graph of
 # records outlives a minor heap, and offline-treelstm read ~2.71k
-# promoted words per item with one. offline-treelstm reads ~3.07k, 142
-# promoted (3.20k and 148 before §32, 3.20k and 158 before §29, 5.52k
+# promoted words per item with one. offline-treelstm reads ~2.82k, 137
+# promoted (3.07k and 142 before §33, 3.20k and 148 before §32, 3.20k
+# and 158 before §29, 5.52k
 # and 2.71k before §28, 5.64k before §27, 7.64k before §23, 8.86k
 # before §21, 25.6k before §19, ~419k before node plans, §17).
-# offline-stackrnn-values reads ~63.5k (also after §32; 64.5k before
+# offline-stackrnn-values reads ~63.5k (also after §32 and §33; 64.5k before
 # §29, 67.6k before §28, 69.6k before §27, 70.6k before §23, 71.7k
 # before §21, 81.9k before §19, ~212k before the tight host kernels,
-# §18). serve-birnn reads ~6.85k (6.96k before §32, 7.09k before maps
+# §18). serve-birnn reads ~6.05k (6.85k before §33, 6.96k before §32, 7.09k before maps
 # stopped copying their lists, §31, 8.11k before §29, 12.6k before
 # §28, 15.6k before §27, 16.8k before §23, 17.9k before §21, 22.5k
-# before §20, 35.5k before §19) and fleet-overload ~943 per request
-# (947 before §32, 963 before §29, 1.06k before §28, 1.24k before §27,
+# before §20, 35.5k before §19) and fleet-overload ~873 per request
+# (943 before §33, 947 before §32, 963 before §29, 1.06k before §28, 1.24k before §27,
 # 1.28k before §23, 1.34k before §21, 2.19k before §20, 2.4k before
 # §19).
-ALLOC_GATES = offline-treelstm:3690:171 offline-stackrnn-values:76200 \
-  serve-birnn:8220 fleet-overload:1135
+ALLOC_GATES = offline-treelstm:3380:164 offline-stackrnn-values:76200 \
+  serve-birnn:7260 fleet-overload:1050
 
 alloc-gate: build
 	@for gate in $(ALLOC_GATES); do \

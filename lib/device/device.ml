@@ -57,6 +57,14 @@ let reset t =
     @raise Memory.Device_oom on a bounded arena that cannot fit it. *)
 let alloc t ~elems = Memory.alloc t.memory ~elems
 
+(* [Profiler.charge], inlined here in every build profile: the charges
+   below run per DFG node, heap operation and launch, and a call into
+   another module that is not inlined (all of them under `--profile dev`)
+   boxes its float argument, 2 minor words a charge. *)
+let[@inline] charge t activity us =
+  let a = t.profiler.Profiler.times_us and i = Profiler.activity_index activity in
+  a.(i) <- a.(i) +. us
+
 (* Consult the fault injector for one launch; returns the latency
    multiplier. An injected failure still burns the API call and launch
    overhead — the device was entered, the kernel just did not complete —
@@ -68,13 +76,13 @@ let inject_launch t =
     match Faults.on_launch f with
     | mult -> mult
     | exception (Faults.Fault { kind; _ } as e) ->
-      Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
+      charge t Profiler.Api_overhead t.cost.api_call_us;
       let burn =
         match kind with
         | Faults.Kernel_fault -> t.cost.kernel_launch_us
         | Faults.Device_reset -> (Faults.plan f).Faults.reset_cost_us
       in
-      Profiler.charge t.profiler Kernel_exec burn;
+      charge t Profiler.Kernel_exec burn;
       if Trace.enabled t.tracer then
         Trace.instant_rel t.tracer ~name:"fault" ~cat:"device"
           ~ts_us:(Profiler.total_us t.profiler)
@@ -104,8 +112,8 @@ let launch_kernel t ~quality ~scattered_inputs ~flops ~bytes =
   let time = base *. penalty /. quality *. fault_mult in
   let ts = trace_start t in
   t.profiler.kernel_calls <- t.profiler.kernel_calls + 1;
-  Profiler.charge t.profiler Kernel_exec time;
-  Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
+  charge t Profiler.Kernel_exec time;
+  charge t Profiler.Api_overhead t.cost.api_call_us;
   if Trace.enabled t.tracer then
     Trace.complete_rel t.tracer ~name:"kernel" ~cat:"device" ~ts_us:ts ~dur_us:time
       ~args:[ "flops", Json.Float flops ]
@@ -119,8 +127,8 @@ let launch_gather t ~bytes ~elems =
   t.profiler.kernel_calls <- t.profiler.kernel_calls + 1;
   t.profiler.gather_kernels <- t.profiler.gather_kernels + 1;
   t.profiler.gather_bytes <- t.profiler.gather_bytes + bytes;
-  Profiler.charge t.profiler Kernel_exec time;
-  Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
+  charge t Profiler.Kernel_exec time;
+  charge t Profiler.Api_overhead t.cost.api_call_us;
   if Trace.enabled t.tracer then
     Trace.complete_rel t.tracer ~name:"gather" ~cat:"device" ~ts_us:ts ~dur_us:time
       ~args:[ "bytes", Json.Int bytes ];
@@ -131,8 +139,8 @@ let memcpy t ~bytes =
   let time = Cost_model.memcpy_time t.cost ~bytes in
   let ts = trace_start t in
   t.profiler.memcpy_calls <- t.profiler.memcpy_calls + 1;
-  Profiler.charge t.profiler Mem_transfer time;
-  Profiler.charge t.profiler Api_overhead t.cost.api_call_us;
+  charge t Profiler.Mem_transfer time;
+  charge t Profiler.Api_overhead t.cost.api_call_us;
   if Trace.enabled t.tracer then
     Trace.complete_rel t.tracer ~name:"memcpy" ~cat:"device" ~ts_us:ts ~dur_us:time
       ~args:[ "bytes", Json.Int bytes ]
@@ -147,22 +155,22 @@ let upload t tensor =
 
 let charge_dfg_node t =
   t.profiler.nodes_created <- t.profiler.nodes_created + 1;
-  Profiler.charge t.profiler Dfg_construction t.cost.dfg_node_us
+  charge t Profiler.Dfg_construction t.cost.dfg_node_us
 
-let charge_heap_op t = Profiler.charge t.profiler Scheduling t.cost.heap_op_us
+let charge_heap_op t = charge t Profiler.Scheduling t.cost.heap_op_us
 
 let charge_signature_hash t =
-  Profiler.charge t.profiler Scheduling t.cost.signature_hash_us
+  charge t Profiler.Scheduling t.cost.signature_hash_us
 
-let charge_bucket_push t = Profiler.charge t.profiler Scheduling t.cost.bucket_push_us
+let charge_bucket_push t = charge t Profiler.Scheduling t.cost.bucket_push_us
 
-let charge_scheduling t us = Profiler.charge t.profiler Scheduling us
+let charge_scheduling t us = charge t Profiler.Scheduling us
 
-let charge_vm_dispatch t = Profiler.charge t.profiler Vm_overhead t.cost.vm_dispatch_us
+let charge_vm_dispatch t = charge t Profiler.Vm_overhead t.cost.vm_dispatch_us
 
 let charge_fiber_switch t =
   t.profiler.fiber_switches <- t.profiler.fiber_switches + 1;
-  Profiler.charge t.profiler Fiber_overhead t.cost.fiber_switch_us;
+  charge t Profiler.Fiber_overhead t.cost.fiber_switch_us;
   if Trace.enabled t.tracer then
     Trace.instant_rel t.tracer ~name:"fiber_switch" ~cat:"runtime"
       ~ts_us:(Profiler.total_us t.profiler)

@@ -1,11 +1,14 @@
 (** Ahead-of-time compilation of the lowered program to native closures
     (paper §6, §D.2, Table 7).
 
-    Each definition is staged once into a tree of OCaml closures with
-    variables resolved to array slots — the analogue of ACROBAT's AOT
-    compilation to C++, which eliminates the interpretive dispatch and
-    environment-lookup overheads the Relay VM pays (see {!Vm} for the
-    interpreted counterpart). A parameter the definition only forwards
+    Each definition is staged once into a tree of OCaml closures — the
+    analogue of ACROBAT's AOT compilation to C++, which eliminates the
+    interpretive dispatch and environment-lookup overheads the Relay VM
+    pays (see {!Vm} for the interpreted counterpart). Every variable gets a
+    frame slot, and an expression's operands that are variables, fields
+    of tuple variables or constants are resolved at staging to reads of a
+    slot or of a constant, with no closure call ({!operand}); only a
+    compound operand is a closure of its own. A parameter the definition only forwards
     ({!Forwarded}, computed once when the program is lowered) gets no frame
     slot and is not passed by direct calls; an [fn] gets a frame of its
     own, holding just what its body reads.
@@ -184,6 +187,7 @@ let eval_binop op a b =
   | Ast.Add, Vint x, Vint y -> Vint (x + y)
   | Ast.Sub, Vint x, Vint y -> Vint (x - y)
   | Ast.Mul, Vint x, Vint y -> Vint (x * y)
+  | (Ast.Div | Ast.Mod), Vint _, Vint 0 -> fail "integer %s by zero" (Ast.binop_name op)
   | Ast.Div, Vint x, Vint y -> Vint (x / y)
   | Ast.Mod, Vint x, Vint y -> Vint (x mod y)
   | Ast.Add, Vfloat x, Vfloat y -> Vfloat (x +. y)
@@ -272,22 +276,24 @@ let site_plan st k rt kernel args =
     st.sites.(k) <- Some c;
     c
 
+(* [args] into [frame] at [slots] from the [k]-th on, a [-1] slot
+   dropping its argument; false when there are more or fewer. *)
+let rec bind_args frame slots k args =
+  match args with
+  | a :: rest when k < Array.length slots ->
+    let slot = slots.(k) in
+    if slot >= 0 then frame.(slot) <- a;
+    bind_args frame slots (k + 1) rest
+  | [] -> k = Array.length slots
+  | _ :: _ -> false
+
 (* Call a staged definition with a list of arguments: the path of
    first-class globals and of @main. *)
 let apply (d : staged) (args : value list) ictx =
   let frame = d.frame () in
-  let nparams = Array.length d.params in
-  let rec bind k = function
-    | a :: rest when k < nparams ->
-      let slot = d.params.(k) in
-      if slot >= 0 then frame.(slot) <- a;
-      bind (k + 1) rest
-    | [] when k = nparams -> ()
-    | _ ->
-      fail "arity mismatch calling %s (%d args for %d params)" d.def.L.lname (List.length args)
-        nparams
-  in
-  bind 0 args;
+  if not (bind_args frame d.params 0 args) then
+    fail "arity mismatch calling %s (%d args for %d params)" d.def.L.lname (List.length args)
+      (Array.length d.params);
   d.body frame ictx
 
 (* Calls of a known definition with the right number of arguments are
@@ -298,37 +304,67 @@ let direct_call st g args =
   | Some d -> List.compare_length_with args (List.length d.def.L.lparams) = 0
   | None -> false
 
-(* [Array.map (fun f -> conv (f env ictx)) fs] without allocating the
-   closure: left to right, since argument order decides DFG node order. *)
-let eval_array conv (fs : (value array -> ictx -> value) array) env ictx =
-  let n = Array.length fs in
+(* An operand: what an expression consumes, resolved at staging. A
+   variable is a read of its frame slot, a field of a tuple variable a
+   read of the slot and a projection, a literal or a global a constant;
+   only a compound expression keeps its closure, so reading the common
+   operands makes no call (DESIGN.md §33). *)
+type operand =
+  | Slot of int
+  | Field of int * int  (** Field [k] of the tuple in slot [i]. *)
+  | Const of value
+  | Expr of (value array -> ictx -> value)
+
+let proj v k =
+  match v with Vtuple vs when k < Array.length vs -> vs.(k) | _ -> fail "bad tuple projection"
+
+let[@inline] read o env ictx =
+  match o with
+  | Slot i -> env.(i)
+  | Field (i, k) -> proj env.(i) k
+  | Const v -> v
+  | Expr f -> f env ictx
+
+(* [Array.map (fun o -> conv (read o env ictx)) os] without allocating
+   the closure: left to right, since argument order decides DFG node
+   order. *)
+let read_array conv (os : operand array) env ictx =
+  let n = Array.length os in
   if n = 0 then [||]
   else begin
-    let out = Array.make n (conv (fs.(0) env ictx)) in
+    let out = Array.make n (conv (read os.(0) env ictx)) in
     for k = 1 to n - 1 do
-      out.(k) <- conv (fs.(k) env ictx)
+      out.(k) <- conv (read os.(k) env ictx)
     done;
     out
   end
 
-(* A kernel's batched arguments, evaluated left to right into a fresh
-   array: up to three allocated inline, as {!frame_alloc} does frames, and
-   more through [eval_array]. Chosen at staging. *)
-let eval_handles (fs : (value array -> ictx -> value) array) : value array -> ictx -> handle array
-    =
-  match fs with
+(* The operands [os] read into a fresh array: up to two (a tuple's
+   fields) or three (a kernel's batched arguments, as tensors) allocated
+   inline, as {!frame_alloc} does frames, and more through
+   [read_array]. Chosen at staging. *)
+let values (os : operand array) : value array -> ictx -> value array =
+  match os with
+  | [| o0; o1 |] ->
+    fun env ictx ->
+      let v0 = read o0 env ictx in
+      [| v0; read o1 env ictx |]
+  | _ -> read_array Fun.id os
+
+let handles (os : operand array) : value array -> ictx -> handle array =
+  match os with
   | [||] -> fun _ _ -> [||]
-  | [| f0 |] -> fun env ictx -> [| to_handle (f0 env ictx) |]
-  | [| f0; f1 |] ->
+  | [| o0 |] -> fun env ictx -> [| to_handle (read o0 env ictx) |]
+  | [| o0; o1 |] ->
     fun env ictx ->
-      let h0 = to_handle (f0 env ictx) in
-      [| h0; to_handle (f1 env ictx) |]
-  | [| f0; f1; f2 |] ->
+      let h0 = to_handle (read o0 env ictx) in
+      [| h0; to_handle (read o1 env ictx) |]
+  | [| o0; o1; o2 |] ->
     fun env ictx ->
-      let h0 = to_handle (f0 env ictx) in
-      let h1 = to_handle (f1 env ictx) in
-      [| h0; h1; to_handle (f2 env ictx) |]
-  | _ -> eval_array to_handle fs
+      let h0 = to_handle (read o0 env ictx) in
+      let h1 = to_handle (read o1 env ictx) in
+      [| h0; h1; to_handle (read o2 env ictx) |]
+  | _ -> read_array to_handle os
 
 (* A compiled match case: the pattern's variables' slots and the body. *)
 type case = { pat : Ast.pat; slots : int array; body : value array -> ictx -> value }
@@ -353,37 +389,22 @@ let rec dispatch_match (cases : case array) i sv env ictx =
 
 let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> value =
   match e with
-  | L.Lvar x ->
-    let i = slot_of scope x in
-    fun env _ -> env.(i)
-  | L.Lglobal g ->
-    let v =
-      match Hashtbl.find_opt st.defs g with
-      | Some d -> Vfun (fun ictx args -> apply d args ictx)
-      | None -> Vfun (fun _ _ -> fail "no definition %s" g)
-    in
-    fun _ _ -> v
-  | L.Lint n ->
-    let v = Vint n in
-    fun _ _ -> v
-  | L.Lfloat f ->
-    let v = Vfloat f in
-    fun _ _ -> v
-  | L.Lbool b ->
-    let v = Vbool b in
-    fun _ _ -> v
+  | L.Lvar _ | L.Lglobal _ | L.Lint _ | L.Lfloat _ | L.Lbool _ | L.Lnil | L.Lproj (L.Lvar _, _) ->
+    let o = operand st scope e in
+    fun env ictx -> read o env ictx
   | L.Llet (x, rhs, body) ->
-    let rhs_f = compile st scope rhs in
+    let rhs = operand st scope rhs in
     let i = fresh_slot scope x in
     let body_f = compile st scope body in
     fun env ictx ->
-      env.(i) <- rhs_f env ictx;
+      env.(i) <- read rhs env ictx;
       body_f env ictx
   | L.Lif (c, a, b) ->
-    let c_f = compile st scope c and a_f = compile st scope a and b_f = compile st scope b in
-    fun env ictx -> if to_bool (c_f env ictx) then a_f env ictx else b_f env ictx
+    let c = operand st scope c in
+    let a_f = compile st scope a and b_f = compile st scope b in
+    fun env ictx -> if to_bool (read c env ictx) then a_f env ictx else b_f env ictx
   | L.Lblock (b, cont) ->
-    let eval_args = eval_handles (Array.of_list (List.map (compile st scope) b.batched_args)) in
+    let eval_args = handles (operands st scope b.batched_args) in
     let out_slots = Array.of_list (List.map (fresh_slot scope) b.outs) in
     let cont_f = compile st scope cont in
     let kernel = b.kernel in
@@ -414,7 +435,7 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
       cont_f env ictx
   | L.Lcall (L.Lglobal g, args) when direct_call st g args ->
     (* A direct call: the callee's frame is allocated at its final size
-       and the arguments, evaluated left to right, go straight into its
+       and the arguments, read left to right, go straight into its
        parameter slots — no argument list, no [Vfun], no table lookup. A
        variable passed for a dropped parameter is not even read; any other
        expression there still runs, for its effects, into slot [-1]. *)
@@ -431,24 +452,24 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
       args;
     let passed = Array.sub passed 0 !npassed in
     let slots = Array.map (fun k -> d.params.(k)) passed in
-    let arg_fs = Array.map (fun k -> compile st scope args.(k)) passed in
+    let arg_os = Array.map (fun k -> operand st scope args.(k)) passed in
     fun env ictx ->
       let frame = d.frame () in
-      for j = 0 to Array.length arg_fs - 1 do
-        let v = arg_fs.(j) env ictx in
+      for j = 0 to Array.length arg_os - 1 do
+        let v = read arg_os.(j) env ictx in
         let slot = slots.(j) in
         if slot >= 0 then frame.(slot) <- v
       done;
       d.body frame ictx
   | L.Lcall (f, args) ->
-    let f_f = compile st scope f in
-    let arg_fs = List.map (compile st scope) args in
+    let f = operand st scope f in
+    let args = List.map (operand st scope) args in
     fun env ictx ->
-      let fv = to_fun (f_f env ictx) in
-      fv ictx (List.map (fun g -> g env ictx) arg_fs)
+      let fv = to_fun (read f env ictx) in
+      fv ictx (List.map (fun o -> read o env ictx) args)
   | L.Lfn (params, body) ->
     let inner = new_scope (Some scope) in
-    let param_slots = List.map (fresh_slot inner) params in
+    let param_slots = Array.of_list (List.map (fresh_slot inner) params) in
     let body_f = compile st inner body in
     let new_frame = frame_alloc inner.next in
     let captured = Array.of_list inner.captured in
@@ -463,11 +484,10 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
             let src, dst = captured.(k) in
             frame.(dst) <- env.(src)
           done;
-          (try List.iter2 (fun slot a -> frame.(slot) <- a) param_slots args
-           with Invalid_argument _ -> fail "arity mismatch in closure call");
+          if not (bind_args frame param_slots 0 args) then fail "arity mismatch in closure call";
           body_f frame ictx)
   | L.Lmatch (s, cases) ->
-    let s_f = compile st scope s in
+    let s = operand st scope s in
     let cases =
       Array.of_list
         (List.map
@@ -476,71 +496,66 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
              { pat; slots; body = compile st scope body })
            cases)
     in
-    fun env ictx -> dispatch_match cases 0 (s_f env ictx) env ictx
-  | L.Lnil -> fun _ _ -> Vnil
+    fun env ictx -> dispatch_match cases 0 (read s env ictx) env ictx
   | L.Lcons (a, b) ->
-    let a_f = compile st scope a and b_f = compile st scope b in
+    let a = operand st scope a and b = operand st scope b in
     fun env ictx ->
-      let av = a_f env ictx in
-      Vcons (av, b_f env ictx)
+      let av = read a env ictx in
+      Vcons (av, read b env ictx)
   | L.Lleaf a ->
-    let a_f = compile st scope a in
-    fun env ictx -> Vleaf (a_f env ictx)
+    let a = operand st scope a in
+    fun env ictx -> Vleaf (read a env ictx)
   | L.Lnode (a, b) ->
-    let a_f = compile st scope a and b_f = compile st scope b in
+    let a = operand st scope a and b = operand st scope b in
     fun env ictx ->
-      let av = a_f env ictx in
-      Vnode (av, b_f env ictx)
+      let av = read a env ictx in
+      Vnode (av, read b env ictx)
   | L.Ltuple es ->
-    let fs = Array.of_list (List.map (compile st scope) es) in
-    fun env ictx -> Vtuple (eval_array Fun.id fs env ictx)
+    let eval_fields = values (operands st scope es) in
+    fun env ictx -> Vtuple (eval_fields env ictx)
   | L.Lproj (a, k) ->
-    let a_f = compile st scope a in
-    fun env ictx -> begin
-      match a_f env ictx with
-      | Vtuple vs when k < Array.length vs -> vs.(k)
-      | _ -> fail "bad tuple projection"
-    end
+    let a = operand st scope a in
+    fun env ictx -> proj (read a env ictx) k
   | L.Lbinop (op, a, b) ->
-    let a_f = compile st scope a and b_f = compile st scope b in
+    let a = operand st scope a and b = operand st scope b in
     fun env ictx ->
-      let av = a_f env ictx in
-      eval_binop op av (b_f env ictx)
+      let av = read a env ictx in
+      eval_binop op av (read b env ictx)
   | L.Lnot a ->
-    let a_f = compile st scope a in
-    fun env ictx -> Vbool (not (to_bool (a_f env ictx)))
+    let a = operand st scope a in
+    fun env ictx -> Vbool (not (to_bool (read a env ictx)))
   | L.Lconcurrent es ->
-    let fs = Array.of_list (List.map (compile st scope) es) in
-    let n = Array.length fs in
-    let branch i env c = fs.(i) env c in
+    let os = operands st scope es in
+    let n = Array.length os in
+    let branch i env c = read os.(i) env c in
     fun env ictx -> Vtuple (run_parallel ~fork:(forks st) ictx n branch env)
   | L.Lmap (f, xs) ->
-    let f_f = compile st scope f and xs_f = compile st scope xs in
+    let f = operand st scope f and xs = operand st scope xs in
     fun env ictx ->
-      let fv = to_fun (f_f env ictx) in
-      let xs = xs_f env ictx in
+      let fv = to_fun (read f env ictx) in
+      let xs = read xs env ictx in
       let elems = nils (list_length xs 0) in
       list_into elems xs 0;
       let results = run_parallel ~fork:(forks st) ictx (Array.length elems) apply_elem (fv, elems) in
       list_of_array results (Array.length results - 1) Vnil
   | L.Lscalar a ->
-    let a_f = compile st scope a in
+    let a = operand st scope a in
     fun env ictx ->
-      let h = to_handle (a_f env ictx) in
+      let h = to_handle (read a env ictx) in
       let rt = (binding st).rt in
       ensure_ready ~rt ~fibers:st.fibers ~base_depth:st.base_depth ictx h;
       Vfloat (Runtime.scalar_value rt h)
   | L.Lchoice a ->
-    let a_f = compile st scope a in
+    let a = operand st scope a in
     fun env ictx ->
-      let n = to_int (a_f env ictx) in
+      let n = to_int (read a env ictx) in
       let rt = (binding st).rt in
       decision_barrier ~rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
       Vint (Runtime.decision_int rt ~instance:ictx.ictx_instance n)
   | L.Lcoin a ->
-    let a_f = compile st scope a in
+    let a = operand st scope a in
     fun env ictx ->
-      let p = to_float (a_f env ictx) in
+      let p = to_float (read a env ictx) in
       let rt = (binding st).rt in
       decision_barrier ~rt ~fibers:st.fibers ~base_depth:st.base_depth ictx;
       Vbool (Runtime.decision_bool rt ~instance:ictx.ictx_instance p)
@@ -568,6 +583,26 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
         v
       | v -> v
     end
+
+(* [e] as an operand; only a compound expression is compiled to a
+   closure. Variables resolve to their slots here, at staging. *)
+and operand st scope (e : L.lexpr) : operand =
+  match e with
+  | L.Lvar x -> Slot (slot_of scope x)
+  | L.Lproj (L.Lvar x, k) -> Field (slot_of scope x, k)
+  | L.Lint n -> Const (Vint n)
+  | L.Lfloat f -> Const (Vfloat f)
+  | L.Lbool b -> Const (Vbool b)
+  | L.Lnil -> Const Vnil
+  | L.Lglobal g -> begin
+    match Hashtbl.find_opt st.defs g with
+    | Some d -> Const (Vfun (fun ictx args -> apply d args ictx))
+    | None -> Const (Vfun (fun _ _ -> fail "no definition %s" g))
+  end
+  | _ -> Expr (compile st scope e)
+
+(* Operands of [es], resolved left to right. *)
+and operands st scope es = Array.of_list (List.map (operand st scope) es)
 
 let unstaged _ _ = fail "AOT: definition called before it was staged"
 let unstaged_frame () = fail "AOT: definition called before it was staged"

@@ -325,6 +325,41 @@ let test_profiler_reset () =
   check_float "times zeroed" 0.0 (Profiler.total_us p);
   check_int "counters zeroed" 0 p.Profiler.nodes_created
 
+(* The per-node and per-heap-operation charges add to the profiler's
+   accumulators without boxing a float, in every build profile: 1,000
+   calls of each allocate nothing, and charge what 1,000 adds would. *)
+let test_charges_allocate_nothing () =
+  let d = Device.create () in
+  let cost = Cost_model.default in
+  let p = Device.profiler d in
+  List.iter
+    (fun (name, charge, activity, us) ->
+      let before_us = Profiler.time_us p activity in
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        charge d
+      done;
+      let words = Gc.minor_words () -. before in
+      check_float (name ^ ": minor words") 0.0 words;
+      let expected = ref before_us in
+      for _ = 1 to 1000 do
+        expected := !expected +. us
+      done;
+      check_float ~eps:0.0 (name ^ ": charged") !expected (Profiler.time_us p activity))
+    [
+      "dfg node", Device.charge_dfg_node, Profiler.Dfg_construction, cost.Cost_model.dfg_node_us;
+      "heap op", Device.charge_heap_op, Profiler.Scheduling, cost.Cost_model.heap_op_us;
+      "signature hash", Device.charge_signature_hash, Profiler.Scheduling,
+      cost.Cost_model.signature_hash_us;
+      "bucket push", Device.charge_bucket_push, Profiler.Scheduling, cost.Cost_model.bucket_push_us;
+      "scheduling", (fun d -> Device.charge_scheduling d 0.25), Profiler.Scheduling, 0.25;
+      "vm dispatch", Device.charge_vm_dispatch, Profiler.Vm_overhead, cost.Cost_model.vm_dispatch_us;
+      "fiber switch", Device.charge_fiber_switch, Profiler.Fiber_overhead,
+      cost.Cost_model.fiber_switch_us;
+    ];
+  check_int "nodes counted" 1000 p.Profiler.nodes_created;
+  check_int "switches counted" 1000 p.Profiler.fiber_switches
+
 let suite =
   [
     Alcotest.test_case "cost: kernel time monotone" `Quick test_kernel_time_monotone;
@@ -355,4 +390,5 @@ let suite =
     Alcotest.test_case "device: scattered penalty" `Quick test_scattered_penalty;
     Alcotest.test_case "profiler: merge" `Quick test_profiler_merge;
     Alcotest.test_case "profiler: reset" `Quick test_profiler_reset;
+    Alcotest.test_case "device: charges allocate nothing" `Quick test_charges_allocate_nothing;
   ]

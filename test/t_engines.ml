@@ -451,6 +451,227 @@ let test_aot_call_errors () =
       "absent_entry", [ Value.Vint 1 ];
     ]
 
+(* --- AOT operands --- *)
+
+(* A kernel to build hand-lowered programs around: @act's one block, with
+   its batched argument [x] and its weight [w] shared, and @total's, whose
+   result [scalar] forces. *)
+let operands_source =
+  {|
+def @act(%x: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  tanh(matmul(%x, %w))
+}
+
+def @total(%x: Tensor[(1, 4)]) -> Float {
+  scalar(reduce_sum(%x))
+}
+
+def @main(%w: Tensor[(4, 4)], %h0: Tensor[(1, 4)], %inps: List[Tensor[(1, 4)]])
+    -> (Tensor[(1, 4)], Float) {
+  (@act(%h0, %w), @total(%h0))
+}
+|}
+
+module L = Lowered
+module Ast = Ir.Ast
+
+let operands_program () = compile ~inputs:[ "h0"; "inps" ] operands_source
+
+(* The specialization of the definition named [prefix] (one call site
+   each, so one specialization). *)
+let def_named (lprog : L.t) prefix =
+  Hashtbl.fold (fun name _ acc -> if String.starts_with ~prefix name then name else acc) lprog.L.defs ""
+
+(* A block of [prefix]'s first kernel taking [arg] for its one batched
+   argument and binding [out]. Its depth is dynamic: the hand-built
+   programs chain it on its own results, which the hoisted depth lowering
+   gave it would not order. *)
+let block_of (lprog : L.t) prefix arg out =
+  match (L.find_def lprog (def_named lprog prefix)).L.lbody with
+  | L.Lblock (b, _) ->
+    let batched = b.L.kernel.Kernel.batched in
+    let args = List.mapi (fun i a -> if Array.mem i batched then arg else a) b.L.args in
+    { b with L.args; batched_args = [ arg ]; outs = [ out ]; depth = L.Dynamic }
+  | _ -> Alcotest.fail "expected a block"
+
+(* [lprog] with [defs] added or replaced. *)
+let with_defs (lprog : L.t) defs =
+  let table = Hashtbl.copy lprog.L.defs in
+  List.iter (fun (d : L.ldef) -> Hashtbl.replace table d.L.lname d) defs;
+  { lprog with L.defs = table }
+
+(* Every operand position AOT staging resolves, in one hand-lowered @main:
+   variables, constants, tuple fields and projections of them, variables
+   captured by an [fn] one and two scopes up, and compound operands. *)
+let operands_main (lprog : L.t) : L.ldef =
+  let v x = L.Lvar x and blk arg out cont = L.Lblock (block_of lprog "act" arg out, cont) in
+  let lets binds body = List.fold_right (fun (x, e) acc -> L.Llet (x, e, acc)) binds body in
+  let act = L.Lglobal "act_dyn" and total = L.Lglobal "total_dyn" in
+  let body =
+    lets
+      [
+        "a", v "h0";
+        "p", L.Ltuple [ v "a"; v "w" ];
+      ]
+      (blk (L.Lproj (v "p", 0)) "y1"
+         (lets
+            [ "q", L.Ltuple [ L.Ltuple [ v "p"; L.Lint 3 ]; v "y1" ] ]
+            (blk (L.Lproj (L.Lproj (L.Lproj (v "q", 0), 0), 0)) "y2"
+               (lets
+                  [
+                    "n", L.Lbinop (Ast.Mod, L.Lint 7, L.Lint 3);
+                    "m", L.Lbinop (Ast.Mul, v "n", L.Lproj (L.Lproj (v "q", 0), 1));
+                    "f", L.Lfn ([ "z" ], blk (v "z") "r" (L.Ltuple [ v "r"; v "y1" ]));
+                    ( "g",
+                      L.Lfn
+                        ( [ "z" ],
+                          L.Llet
+                            ( "h",
+                              L.Lfn ([ "u" ], L.Ltuple [ v "u"; v "a"; v "n" ]),
+                              L.Lcall (v "h", [ v "z" ]) ) ) );
+                    "fr", L.Lcall (v "f", [ v "y2" ]);
+                    "gr", L.Lcall (v "g", [ L.Lproj (v "fr", 1) ]);
+                    "ys", L.Lmap (v "f", v "inps");
+                    "c", L.Lconcurrent [ v "y1"; L.Lproj (v "fr", 0); L.Lcall (act, [ v "y2"; v "w" ]) ];
+                    "d", L.Lcall (act, [ L.Lproj (v "c", 2); L.Lproj (v "p", 1) ]);
+                    "t", L.Lnode (L.Lleaf (v "y1"), L.Lleaf (v "d"));
+                    ( "s",
+                      L.Lmatch
+                        ( v "t",
+                          [
+                            Ast.Pleaf "e", v "e";
+                            ( Ast.Pnode ("l", "r"),
+                              L.Lmatch (v "r", [ Ast.Pnil, v "y1"; Ast.Pleaf "e", v "e" ]) );
+                          ] ) );
+                    "b", L.Lbinop (Ast.Eq, v "m", L.Lint 3);
+                    "nb", L.Lnot (v "b");
+                    "sel", L.Lif (v "nb", v "y1", L.Lif (L.Lbool true, v "s", v "y2"));
+                    "k", L.Lchoice (L.Lbinop (Ast.Add, v "n", L.Lint 2));
+                    "heads", L.Lcoin (L.Lfloat 0.5);
+                    "xs", L.Lcons (v "sel", L.Lcons (L.Lproj (v "c", 0), L.Lnil));
+                  ]
+                  (L.Ltuple
+                     [
+                       v "sel"; v "gr"; v "ys"; v "xs"; v "t"; v "k"; v "heads";
+                       L.Lcall (total, [ v "d" ]);
+                       L.Lcall (total, [ L.Lproj (v "fr", 0) ]);
+                       L.Lcall (L.Lfn ([ "z"; "o" ], v "o"), [ v "n"; L.Lproj (v "q", 1) ]);
+                     ])))))
+  in
+  { L.lname = lprog.L.entry; lparams = [ "w"; "h0"; "inps" ]; lbody = body }
+
+let test_aot_operands_match_vm () =
+  let compiled = operands_program () in
+  let lp = compiled.lprog in
+  let v x = L.Lvar x in
+  let lprog =
+    with_defs lp
+      [
+        operands_main lp;
+        { L.lname = "act_dyn"; lparams = [ "x"; "w" ];
+          lbody = L.Lblock (block_of lp "act" (v "x") "r", v "r") };
+        { L.lname = "total_dyn"; lparams = [ "x" ];
+          lbody =
+            L.Lblock
+              ( block_of lp "total" (v "x") "r",
+                L.Llet ("one", L.Ltuple [ v "r" ], L.Lscalar (L.Lproj (v "one", 0))) ) };
+      ]
+  in
+  let rng = Rng.create 9 in
+  let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
+  let weights = [ "w", Tensor.random rng [ 4; 4 ] ] in
+  let instances =
+    List.map
+      (fun n -> [ "h0", tensor (); "inps", Driver.Hlist (List.init n (fun _ -> tensor ())) ])
+      [ 0; 1; 2; 3 ]
+  in
+  let run mode =
+    Driver.run_batch ~compute_values:true ~mode ~policy:Policy.acrobat_policy
+      ~quality:compiled.quality ~lprog ~weights ~instances ()
+  in
+  let aot = run Driver.Aot_mode and vm = run Driver.Vm_mode in
+  Alcotest.(check (array int64)) "aot = vm fingerprints" (Driver.fingerprints vm)
+    (Driver.fingerprints aot);
+  let shown r = List.map (Fmt.str "%a" Value.pp) r.Driver.outputs in
+  Alcotest.(check (list string)) "aot = vm values" (shown vm) (shown aot);
+  List.iter
+    (fun v ->
+      match v with
+      | Value.Vtuple [| _; _; ys; xs; _; Value.Vint _; Value.Vbool _; Value.Vfloat _; Value.Vfloat _;
+                        Value.Vtensor _ |] ->
+        check_int "two-element list" 2 (List.length (Value.to_list xs));
+        ignore (Value.to_list ys)
+      | _ -> Alcotest.fail "unexpected @main result")
+    aot.Driver.outputs
+
+let test_operand_errors () =
+  (* Ill-formed operands the typechecker rules out, built by hand: each
+     must surface as a runtime error in both engines, never as
+     [Invalid_argument] or [Match_failure]. *)
+  let compiled = operands_program () in
+  let v x = L.Lvar x in
+  let blk arg = L.Lblock (block_of compiled.lprog "act" arg "y", v "y") in
+  let cases =
+    [
+      "project an int", L.Lproj (v "x", 0), Value.Vint 1;
+      "project past the arity", L.Lproj (v "x", 2), Value.Vtuple [| Value.Vint 1; Value.Vint 2 |];
+      "project a field past its arity", L.Lproj (L.Lproj (v "x", 0), 1), Value.Vtuple [| Value.Vint 1 |];
+      "let a bad field", L.Llet ("y", L.Lproj (v "x", 3), v "y"), Value.Vtuple [||];
+      "closure with two arguments for one", L.Lcall (L.Lfn ([ "a" ], v "a"), [ v "x"; v "x" ]), Value.Vint 1;
+      "closure with none for one", L.Lcall (L.Lfn ([ "a" ], v "a"), []), Value.Vint 1;
+      ( "map a two-parameter closure",
+        L.Lmap (L.Lfn ([ "a"; "b" ], v "a"), L.Lcons (v "x", L.Lnil)),
+        Value.Vint 1 );
+      "condition an int", L.Lif (v "x", L.Lint 1, L.Lint 2), Value.Vint 1;
+      "condition a constant int", L.Lif (L.Lint 0, L.Lint 1, L.Lint 2), Value.Vint 1;
+      "negate an int", L.Lnot (v "x"), Value.Vint 1;
+      "call an int", L.Lcall (v "x", [ L.Lint 1 ]), Value.Vint 1;
+      "block on an int", blk (v "x"), Value.Vint 1;
+      "block on an int field", blk (L.Lproj (v "x", 0)), Value.Vtuple [| Value.Vint 1 |];
+      "block on a constant", blk (L.Lint 4), Value.Vint 1;
+      "divide by zero", L.Lbinop (Ast.Div, L.Lint 1, L.Lint 0), Value.Vint 1;
+      "mod by a zero variable", L.Lbinop (Ast.Mod, L.Lint 7, v "x"), Value.Vint 0;
+      "divide by a zero field", L.Lbinop (Ast.Div, v "x", L.Lproj (v "x", 0)), Value.Vint 0;
+    ]
+  in
+  let rt () =
+    let policy =
+      { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
+        compute_values = false; detect_dynamic_sharing = false }
+    in
+    Acrobat_runtime.Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth ~policy
+      ~seed:1 ~instances:1
+  in
+  List.iter
+    (fun (what, body, arg) ->
+      let lprog =
+        { (with_defs compiled.lprog [ { L.lname = "bad"; lparams = [ "x" ]; lbody = body } ]) with
+          L.entry = "bad" }
+      in
+      let engines =
+        [
+          ( "aot",
+            fun () ->
+              Acrobat_engines.Aot.run_main
+                (Acrobat_engines.Aot.create ~rt:(rt ()) ~policy:Policy.acrobat_policy ~fibers:false
+                   lprog)
+                ~instance:0 [ arg ] );
+          ( "vm",
+            fun () ->
+              Acrobat_engines.Vm.run_main
+                (Acrobat_engines.Vm.create ~rt:(rt ()) ~policy:Policy.acrobat_policy ~fibers:false
+                   lprog)
+                ~instance:0 [ arg ] );
+        ]
+      in
+      List.iter
+        (fun (engine, run) ->
+          match run () with
+          | _ -> Alcotest.failf "%s (%s): expected a runtime error" what engine
+          | exception Value.Runtime_error _ -> ())
+        engines)
+    cases
+
 (* --- Forwarded-only parameters in the AOT engine --- *)
 
 (* Every case of the forwarded-only analysis in one program: weights
@@ -1097,6 +1318,10 @@ let suite =
         test_aot_calls_match_vm;
       Alcotest.test_case "aot calls: ill-formed calls raise runtime errors" `Quick
         test_aot_call_errors;
+      Alcotest.test_case "aot operands: every resolved form matches the VM" `Quick
+        test_aot_operands_match_vm;
+      Alcotest.test_case "aot operands: ill-formed operands raise runtime errors" `Quick
+        test_operand_errors;
       Alcotest.test_case "forwarded: aot matches vm and full staging" `Quick
         test_aot_forwarded_match_vm;
       Alcotest.test_case "forwarded: stale masks are ignored" `Quick test_aot_stale_masks;
