@@ -39,7 +39,8 @@ test:
 # BENCH_scale.json, a CI artifact) runs twice and must be byte-identical
 # to itself and to the committed file — its JSON carries only
 # virtual-time results, never wall time — and its in-process gate
-# demands byte-identical summaries across the two builds at every size.
+# fails the run unless the two builds' summaries are byte-identical at
+# every size.
 # A seed-equivalence gate additionally requires the regenerated
 # BENCH_cluster.json and BENCH_tenants.json to be byte-identical to the
 # committed pre-refactor outputs (git diff --exit-code), proving the heap
@@ -53,7 +54,13 @@ test:
 # link-down failover and the forced heal probe all on the hot path, gated
 # on goodput; the partition bench (exactly-once vs naive resend vs direct
 # calls through the same partition, BENCH_partition.json, a CI artifact)
-# runs twice and must be byte-identical across runs. The allocation gate
+# runs twice and must be byte-identical across runs. The overload,
+# integrity and partition benches check their acceptance gates (DESIGN.md
+# §13, §14, §16) in process, and a failed gate fails the run. The serving
+# curve, the fault sweep, the extra ablations and the chaos campaigns
+# (BENCH_serve.json, BENCH_faults.json, BENCH_extras.json,
+# BENCH_chaos.json) are regenerated too and must be byte-identical to
+# their committed files. The allocation gate
 # bounds host-side allocation per item of DFG construction and of tensor
 # value computation (see alloc-gate). The paper gate reruns every paper
 # reproduction (table4-table9, fig5, fig9: virtual time only) twice and
@@ -129,6 +136,10 @@ check: build test opaque-gate
 	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
 	dune exec bench/main.exe -- chaos --json BENCH_chaos_rerun.json
 	cmp BENCH_chaos.json BENCH_chaos_rerun.json
+	dune exec bench/main.exe -- serve --json BENCH_serve.json
+	dune exec bench/main.exe -- faults --json BENCH_faults.json
+	dune exec bench/main.exe -- extras --json BENCH_extras.json
+	git diff --exit-code -- BENCH_chaos.json BENCH_serve.json BENCH_faults.json BENCH_extras.json
 	dune exec bench/main.exe -- scale --json BENCH_scale.json
 	dune exec bench/main.exe -- scale --json BENCH_scale_rerun.json
 	cmp BENCH_scale.json BENCH_scale_rerun.json
@@ -166,34 +177,16 @@ chaos-smoke: build
 # timing noise), but Gc.quick_stat counts minor words only up to the
 # last minor collection, so a reading can move a few words per item
 # against the true count (DESIGN.md §32). Each bound sits ~20% above
-# its reading with the allocation-lean DFG and executor (DESIGN.md
-# §19), the constant-cost serving path (§20), batched-only DFG nodes
-# (§21), AOT calls without forwarded weights (§23), programs staged
-# once (§27), the flat node store (§28), launches without runtime
-# calls (§29), call sites that keep their plan for a run (§32) and
-# operands read without closure calls in an optimized build (§33), so
-# a return to per-node records, lists, closures or boxed floats in DFG
-# construction, scheduling or batch execution, to per-launch arrays or
-# boxed optional arguments, to per-batch kernel plans or staging, to
-# per-event boxing in the event loop, to frames carrying forwarded
-# weights or to trace work on untraced devices fails it. The promoted
-# bound proves the live DFG is no longer promoted: a node graph of
-# records outlives a minor heap, and offline-treelstm read ~2.71k
-# promoted words per item with one. offline-treelstm reads ~2.82k, 137
-# promoted (3.07k and 142 before §33, 3.20k and 148 before §32, 3.20k
-# and 158 before §29, 5.52k
-# and 2.71k before §28, 5.64k before §27, 7.64k before §23, 8.86k
-# before §21, 25.6k before §19, ~419k before node plans, §17).
-# offline-stackrnn-values reads ~63.5k (also after §32 and §33; 64.5k before
-# §29, 67.6k before §28, 69.6k before §27, 70.6k before §23, 71.7k
-# before §21, 81.9k before §19, ~212k before the tight host kernels,
-# §18). serve-birnn reads ~6.05k (6.85k before §33, 6.96k before §32, 7.09k before maps
-# stopped copying their lists, §31, 8.11k before §29, 12.6k before
-# §28, 15.6k before §27, 16.8k before §23, 17.9k before §21, 22.5k
-# before §20, 35.5k before §19) and fleet-overload ~873 per request
-# (943 before §33, 947 before §32, 963 before §29, 1.06k before §28, 1.24k before §27,
-# 1.28k before §23, 1.34k before §21, 2.19k before §20, 2.4k before
-# §19).
+# its current reading: room for that drift, yet a return to per-node
+# records, lists, closures or boxed floats in DFG construction,
+# scheduling or batch execution, to per-launch arrays or per-batch
+# kernel plans or staging, to per-event boxing in the event loop or to
+# trace work on untraced devices fails it. The promoted bound proves the
+# live DFG is no longer promoted: a node graph of records outlives a
+# minor heap. Current readings per item: offline-treelstm ~2.82k minor
+# and 137 promoted words (~2.71k promoted with record nodes),
+# offline-stackrnn-values ~63.5k, serve-birnn ~6.05k and fleet-overload
+# ~873 per request. DESIGN.md §17-§33 record how each reading fell.
 ALLOC_GATES = offline-treelstm:3380:164 offline-stackrnn-values:76200 \
   serve-birnn:7260 fleet-overload:1050
 

@@ -12,448 +12,452 @@
     Latencies are simulated milliseconds from the device cost model
     (DESIGN.md §2): counts are real, unit costs are calibrated constants.
     Compare shapes, not absolute values, against the embedded paper
-    numbers. *)
+    numbers. The deterministic acceptance gates of the overload,
+    integrity, partition and scale experiments fail the run: it exits 1
+    naming every gate that failed. *)
 
 open Acrobat
 module E = Experiments
-module J = Serve.Json
+module J = Obs.Json
+module Stats = Serve.Stats
 
 let pf = Printf.printf
-
-let size_str = function Model.Small -> "small" | Model.Large -> "large"
 
 let hr title =
   pf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
+(* --- Column tables ---
+
+   An experiment's row is a list of cells, one per column, built by one
+   function per experiment: each cell carries its column's header, printed
+   width (negative left-aligns, like printf's [%-Ns]), its text, and its
+   JSON key and value. The printed table (its header read off the first
+   row) and the [--json] rows both render from those cells, so each column
+   is written once. A cell with no text is JSON only; one with no key is
+   printed only. *)
+
+type cell = { head : string; width : int; text : string option; json : (string * J.t) option }
+
+let cell ?key head width text value =
+  { head; width; text = Some text; json = Option.map (fun k -> k, value) key }
+
+let text head width s = { head; width; text = Some s; json = None }
+let json key value = { head = ""; width = 0; text = None; json = Some (key, value) }
+let hidden c = { c with text = None }
+let sep = text "|" 1 "|"
+let str ?key head width s = cell ?key head width s (J.Str s)
+let int ?key head width n = cell ?key head width (string_of_int n) (J.Int n)
+let bool ?key head width b = cell ?key head width (string_of_bool b) (J.Bool b)
+let float ?key head width fmt x = cell ?key head width (Printf.sprintf fmt x) (J.Float x)
+
+(* A fraction, printed as a percentage. *)
+let pct ?key head width fmt x = cell ?key head width (Printf.sprintf fmt (100.0 *. x)) (J.Float x)
+
+(* A serving counter: its [Stats] row names the key, and [read] takes the
+   row's reader to the value (one summary's, or a sum over several). *)
+let counter read head width (c : Stats.counter) = int ~key:c.name head width (read c.read)
+
+let ms ?key head width x = float ?key head width "%.2f" x
+let latency ?(width = 8) head x = float ~key:(head ^ "_ms") head width "%.2fms" x
+let goodput g = pct ~key:"goodput" "goodput" 8 "%.1f%%" g
+let completed width n = int ~key:"completed" "done" width n
+
+(* The paper's number; [E.oom] where its run ran out of memory. *)
+let paper head width x = text head width (if Float.is_nan x then "OOM" else Printf.sprintf "%.2f" x)
+
+let speedup head width a b =
+  text head width (if Float.is_nan a then "-" else Printf.sprintf "%.2f" (a /. b))
+
+let config (id, size, batch) =
+  [
+    str ~key:"model" "model" (-10) id;
+    str ~key:"size" "size" (-6) (Model.size_name size);
+    int ~key:"batch" "batch" 5 batch;
+  ]
+
+let obj cells = J.Obj (List.filter_map (fun c -> c.json) cells)
+
+(* [cells] printed in line, serialized as one object under [key]. *)
+let nest key cells = List.map (fun c -> { c with json = None }) cells @ [ json key (obj cells) ]
+
+let pad width s =
+  let n = abs width - String.length s in
+  if n <= 0 then s else if width < 0 then s ^ String.make n ' ' else String.make n ' ' ^ s
+
+let print_line cells text_of =
+  pf "%s\n"
+    (String.concat " " (List.filter_map (fun c -> Option.map (pad c.width) (text_of c)) cells))
+
+let print_header cells = print_line cells (fun c -> Option.map (fun _ -> c.head) c.text)
+let print_row cells = print_line cells (fun c -> c.text)
+
+let print_rows = function
+  | [] -> ()
+  | first :: _ as rows ->
+    print_header first;
+    List.iter print_row rows
+
+(* Print [rows] and return them as a JSON list of objects. *)
+let table rows =
+  print_rows rows;
+  J.List (List.map obj rows)
+
+(* [named] rows printed one line per column, under a header naming them. *)
+let transpose head width named =
+  match named with
+  | [] -> []
+  | (_, first) :: _ ->
+    let column i (name, cells) = { (List.nth cells i) with head = name } in
+    List.mapi (fun i c -> text head width c.head :: List.map (column i) named) first
+
+(* --- Acceptance gates --- *)
+
+let failed_gates = ref []
+
+(* Record the gate [name] as failed unless [ok]; return [ok]. *)
+let gate name ok =
+  if not ok then failed_gates := name :: !failed_gates;
+  ok
+
+(* --- The paper's tables and figures --- *)
+
 let table4 () =
   hr "Table 4: DyNet vs ACROBAT inference latency (ms)";
-  pf "%-10s %-6s %5s | %10s %10s %8s | %10s %10s %8s\n" "model" "size" "batch" "dynet"
-    "acrobat" "speedup" "paper-dy" "paper-ab" "paper-sp";
   let rows = E.table4 () in
-  List.iter
-    (fun (r : E.t4_row) ->
-      let paper_dy, paper_sp =
-        match r.t4_paper_dynet with
-        | Some d -> Printf.sprintf "%10.2f" d, Printf.sprintf "%8.2f" (d /. r.t4_paper_acrobat)
-        | None -> "       OOM", "       -"
-      in
-      pf "%-10s %-6s %5d | %10.2f %10.2f %8.2f | %s %10.2f %s\n" r.t4_model
-        (size_str r.t4_size) r.t4_batch r.t4_dynet r.t4_acrobat
-        (r.t4_dynet /. r.t4_acrobat) paper_dy r.t4_paper_acrobat paper_sp)
-    rows;
-  let geo =
-    let logs = List.map (fun (r : E.t4_row) -> log (r.t4_dynet /. r.t4_acrobat)) rows in
-    exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (List.length logs))
+  let json =
+    table
+      (List.map
+         (fun (at, (dynet, acrobat), (paper_dynet, paper_acrobat)) ->
+           config at
+           @ [
+               sep;
+               ms ~key:"dynet_ms" "dynet" 10 dynet;
+               ms ~key:"acrobat_ms" "acrobat" 10 acrobat;
+               speedup "speedup" 8 dynet acrobat;
+               sep;
+               paper "paper-dy" 10 paper_dynet;
+               paper "paper-ab" 10 paper_acrobat;
+               speedup "paper-sp" 8 paper_dynet paper_acrobat;
+             ])
+         rows)
   in
+  let logs = List.map (fun (_, (dynet, acrobat), _) -> log (dynet /. acrobat)) rows in
+  let geo = exp (List.fold_left ( +. ) 0.0 logs /. float_of_int (List.length logs)) in
   pf "geometric-mean speedup over DyNet: %.2fx (paper: 2.3x overall)\n" geo;
-  J.List
-    (List.map
-       (fun (r : E.t4_row) ->
-         J.Obj
-           [
-             "model", J.Str r.t4_model;
-             "size", J.Str (size_str r.t4_size);
-             "batch", J.Int r.t4_batch;
-             "dynet_ms", J.Float r.t4_dynet;
-             "acrobat_ms", J.Float r.t4_acrobat;
-           ])
-       rows)
+  json
+
+let activities (dfg, sched, mem, kernel, calls, api) =
+  [
+    ms ~key:"dfg_ms" "DFG construction" 10 dfg;
+    ms ~key:"sched_ms" "Scheduling" 10 sched;
+    ms ~key:"mem_ms" "Mem. copy time" 10 mem;
+    ms ~key:"kernel_ms" "GPU kernel time" 10 kernel;
+    int ~key:"kernel_calls" "#Kernel calls" 10 calls;
+    ms ~key:"api_ms" "CUDA API time" 10 api;
+  ]
 
 let table5 () =
   hr "Table 5: activity breakdown at batch size 64 (ms)";
-  let cells = E.table5 () in
-  List.iter
-    (fun (label, (dy : E.t5_cell), (ab : E.t5_cell)) ->
-      pf "\n-- %s --\n" label;
-      pf "%-18s %10s %10s\n" "activity" "dynet" "acrobat";
-      pf "%-18s %10.2f %10.2f\n" "DFG construction" dy.t5_dfg ab.t5_dfg;
-      pf "%-18s %10.2f %10.2f\n" "Scheduling" dy.t5_sched ab.t5_sched;
-      pf "%-18s %10.2f %10.2f\n" "Mem. copy time" dy.t5_mem ab.t5_mem;
-      pf "%-18s %10.2f %10.2f\n" "GPU kernel time" dy.t5_kernel ab.t5_kernel;
-      pf "%-18s %10d %10d\n" "#Kernel calls" dy.t5_kernel_calls ab.t5_kernel_calls;
-      pf "%-18s %10.2f %10.2f\n" "CUDA API time" dy.t5_api ab.t5_api)
-    cells;
-  pf "\npaper (TreeLSTM small): DFG 8.8/1.5, sched 9.7/0.4, mem 3.1/0.1, kernel 6.1/4.0, calls 1653/183, API 16.5/3.9\n";
-  pf "paper (BiRNN large):    DFG 4.5/1.0, sched 3.3/0.4, mem 2.3/0.2, kernel 6.6/11.2, calls 580/380, API 12.0/11.1\n";
-  let cell_json (c : E.t5_cell) =
-    J.Obj
-      [
-        "dfg_ms", J.Float c.t5_dfg;
-        "sched_ms", J.Float c.t5_sched;
-        "mem_ms", J.Float c.t5_mem;
-        "kernel_ms", J.Float c.t5_kernel;
-        "kernel_calls", J.Int c.t5_kernel_calls;
-        "api_ms", J.Float c.t5_api;
-      ]
-  in
   J.List
     (List.map
-       (fun (label, dy, ab) ->
-         J.Obj [ "config", J.Str label; "dynet", cell_json dy; "acrobat", cell_json ab ])
-       cells)
+       (fun (label, (dynet, acrobat), (paper_dynet, paper_acrobat)) ->
+         let ours = [ "dynet", activities dynet; "acrobat", activities acrobat ] in
+         let theirs =
+           [ "paper-dy", activities paper_dynet; "paper-ab", activities paper_acrobat ]
+         in
+         pf "\n-- %s --\n" label;
+         print_rows (transpose "activity" (-18) (ours @ theirs));
+         J.Obj (("config", J.Str label) :: List.map (fun (name, cells) -> name, obj cells) ours))
+       (E.table5 ()))
 
 let table6 () =
   hr "Table 6: Cortex vs ACROBAT inference latency (ms)";
-  pf "%-10s %-6s %5s | %10s %10s | %10s %10s\n" "model" "size" "batch" "cortex" "acrobat"
-    "paper-cx" "paper-ab";
-  let rows = E.table6 () in
-  List.iter
-    (fun (r : E.t6_row) ->
-      pf "%-10s %-6s %5d | %10.2f %10.2f | %10.2f %10.2f\n" r.t6_model (size_str r.t6_size)
-        r.t6_batch r.t6_cortex r.t6_acrobat r.t6_paper_cortex r.t6_paper_acrobat)
-    rows;
-  J.List
+  table
     (List.map
-       (fun (r : E.t6_row) ->
-         J.Obj
-           [
-             "model", J.Str r.t6_model;
-             "size", J.Str (size_str r.t6_size);
-             "batch", J.Int r.t6_batch;
-             "cortex_ms", J.Float r.t6_cortex;
-             "acrobat_ms", J.Float r.t6_acrobat;
+       (fun (at, (cortex, acrobat), (paper_cortex, paper_acrobat)) ->
+         config at
+         @ [
+             sep;
+             ms ~key:"cortex_ms" "cortex" 10 cortex;
+             ms ~key:"acrobat_ms" "acrobat" 10 acrobat;
+             sep;
+             paper "paper-cx" 10 paper_cortex;
+             paper "paper-ab" 10 paper_acrobat;
            ])
-       rows)
+       (E.table6 ()))
 
 let table7 () =
   hr "Table 7: Relay VM vs AOT compilation (ms)";
-  pf "%-10s %-6s %5s | %10s %10s %8s | %10s %10s\n" "model" "size" "batch" "vm" "aot"
-    "speedup" "paper-vm" "paper-aot";
-  let rows = E.table7 () in
-  List.iter
-    (fun (r : E.t7_row) ->
-      pf "%-10s %-6s %5d | %10.2f %10.2f %8.2f | %10.2f %10.2f\n" r.t7_model
-        (size_str r.t7_size) r.t7_batch r.t7_vm r.t7_aot (r.t7_vm /. r.t7_aot) r.t7_paper_vm
-        r.t7_paper_aot)
-    rows;
-  J.List
+  table
     (List.map
-       (fun (r : E.t7_row) ->
-         J.Obj
-           [
-             "model", J.Str r.t7_model;
-             "size", J.Str (size_str r.t7_size);
-             "batch", J.Int r.t7_batch;
-             "vm_ms", J.Float r.t7_vm;
-             "aot_ms", J.Float r.t7_aot;
+       (fun (at, (vm, aot), (paper_vm, paper_aot)) ->
+         config at
+         @ [
+             sep;
+             ms ~key:"vm_ms" "vm" 10 vm;
+             ms ~key:"aot_ms" "aot" 10 aot;
+             speedup "speedup" 8 vm aot;
+             sep;
+             paper "paper-vm" 10 paper_vm;
+             paper "paper-aot" 10 paper_aot;
            ])
-       rows)
+       (E.table7 ()))
 
 let table8 () =
   hr "Table 8: DyNet vs DyNet++ (improved heuristics) vs ACROBAT (ms)";
-  pf "%-10s %-6s %5s | %8s %8s %8s | %8s %8s %8s\n" "model" "size" "batch" "DN" "DN++" "AB"
-    "p-DN" "p-DN++" "p-AB";
-  let rows = E.table8 () in
-  List.iter
-    (fun (r : E.t8_row) ->
-      let pdn, pdnpp, pab = r.t8_paper in
-      pf "%-10s %-6s %5d | %8.2f %8.2f %8.2f | %8.2f %8.2f %8.2f\n" r.t8_model
-        (size_str r.t8_size) r.t8_batch r.t8_dn r.t8_dnpp r.t8_ab pdn pdnpp pab)
-    rows;
-  J.List
+  table
     (List.map
-       (fun (r : E.t8_row) ->
-         J.Obj
-           [
-             "model", J.Str r.t8_model;
-             "size", J.Str (size_str r.t8_size);
-             "batch", J.Int r.t8_batch;
-             "dynet_ms", J.Float r.t8_dn;
-             "dynetpp_ms", J.Float r.t8_dnpp;
-             "acrobat_ms", J.Float r.t8_ab;
+       (fun (at, (dn, dnpp, ab), (pdn, pdnpp, pab)) ->
+         config at
+         @ [
+             sep;
+             ms ~key:"dynet_ms" "DN" 8 dn;
+             ms ~key:"dynetpp_ms" "DN++" 8 dnpp;
+             ms ~key:"acrobat_ms" "AB" 8 ab;
+             sep;
+             paper "p-DN" 8 pdn;
+             paper "p-DN++" 8 pdnpp;
+             paper "p-AB" 8 pab;
            ])
-       rows)
+       (E.table8 ()))
 
 let table9 () =
   hr "Table 9: PGO benefit during auto-scheduling (NestedRNN small, batch 8; ms)";
-  pf "%8s | %10s %10s | %10s %10s\n" "iters" "no-PGO" "PGO" "paper-no" "paper-PGO";
-  let rows = E.table9 () in
-  List.iter
-    (fun (r : E.t9_row) ->
-      pf "%8d | %10.2f %10.2f | %10.2f %10.2f\n" r.t9_iters r.t9_nopgo r.t9_pgo
-        r.t9_paper_nopgo r.t9_paper_pgo)
-    rows;
-  J.List
+  table
     (List.map
-       (fun (r : E.t9_row) ->
-         J.Obj
-           [
-             "iters", J.Int r.t9_iters;
-             "nopgo_ms", J.Float r.t9_nopgo;
-             "pgo_ms", J.Float r.t9_pgo;
-           ])
-       rows)
+       (fun (iters, (nopgo, pgo), (paper_nopgo, paper_pgo)) ->
+         [
+           int ~key:"iters" "iters" 8 iters;
+           sep;
+           ms ~key:"nopgo_ms" "no-PGO" 10 nopgo;
+           ms ~key:"pgo_ms" "PGO" 10 pgo;
+           sep;
+           paper "paper-no" 10 paper_nopgo;
+           paper "paper-PGO" 10 paper_pgo;
+         ])
+       (E.table9 ()))
 
 let fig5 () =
   hr "Figure 5: benefit of each optimization (large, batch 64; ms)";
-  let rows = E.fig5 () in
-  let labels = List.map fst E.ablation_ladder in
-  pf "%-10s" "model";
-  List.iter (fun l -> pf " %14s" l) labels;
-  pf "\n";
-  List.iter
-    (fun (r : E.fig5_row) ->
-      pf "%-10s" r.f5_model;
-      List.iter (fun (_, ms) -> pf " %14.2f" ms) r.f5_steps;
-      pf "\n")
-    rows;
+  let json =
+    table
+      (List.map
+         (fun (id, steps) ->
+           str ~key:"model" "model" (-10) id
+           :: nest "steps" (List.map (fun (label, x) -> ms ~key:label label 14 x) steps))
+         (E.fig5 ()))
+  in
   pf "(expected shape: monotone improvement; gather fusion may hurt iterative low-parallelism models, cf. paper 7.3)\n";
-  J.List
-    (List.map
-       (fun (r : E.fig5_row) ->
-         J.Obj
-           [
-             "model", J.Str r.f5_model;
-             "steps", J.Obj (List.map (fun (label, ms) -> label, J.Float ms) r.f5_steps);
-           ])
-       rows)
+  json
 
 let fig9 () =
   hr "Figure 9: speedup over PyTorch";
-  pf "%-10s %-6s %5s | %10s %10s %8s\n" "model" "size" "batch" "pytorch" "acrobat" "speedup";
-  let rows = E.fig9 () in
-  List.iter
-    (fun (r : E.fig9_row) ->
-      pf "%-10s %-6s %5d | %10.2f %10.2f %8.2f\n" r.f9_model (size_str r.f9_size) r.f9_batch
-        r.f9_pytorch r.f9_acrobat (r.f9_pytorch /. r.f9_acrobat))
-    rows;
+  let json =
+    table
+      (List.map
+         (fun (at, (pytorch, acrobat)) ->
+           config at
+           @ [
+               sep;
+               ms ~key:"pytorch_ms" "pytorch" 10 pytorch;
+               ms ~key:"acrobat_ms" "acrobat" 10 acrobat;
+               speedup "speedup" 8 pytorch acrobat;
+             ])
+         (E.fig9 ()))
+  in
   pf "(paper: all speedups > 1; larger for small model sizes; BiRNN lowest, MV-RNN highest)\n";
-  J.List
-    (List.map
-       (fun (r : E.fig9_row) ->
-         J.Obj
-           [
-             "model", J.Str r.f9_model;
-             "size", J.Str (size_str r.f9_size);
-             "batch", J.Int r.f9_batch;
-             "pytorch_ms", J.Float r.f9_pytorch;
-             "acrobat_ms", J.Float r.f9_acrobat;
-           ])
-       rows)
+  json
 
 let extras () =
   hr "Extra ablation: scheduler comparison (batch 64)";
-  pf "%-10s %-14s %10s %12s %8s\n" "model" "scheduler" "latency" "sched-ms" "batches";
-  let sched_rows = E.ablation_scheduler () in
-  List.iter
-    (fun (id, sched, lat, sched_ms, batches) ->
-      pf "%-10s %-14s %10.2f %12.3f %8d\n" id sched lat sched_ms batches)
-    sched_rows;
+  let scheduler =
+    table
+      (List.map
+         (fun (id, sched, (s : Driver.stats)) ->
+           [
+             str ~key:"model" "model" (-10) id;
+             str ~key:"scheduler" "scheduler" (-14) sched;
+             ms ~key:"latency_ms" "latency" 10 s.latency_ms;
+             float ~key:"sched_ms" "sched-ms" 12 "%.3f"
+               (Profiler.time_us s.profiler Profiler.Scheduling /. 1000.0);
+             int ~key:"batches" "batches" 8 s.profiler.Profiler.batches_executed;
+           ])
+         (E.ablation_scheduler ()))
+  in
   hr "Extra ablation: context sensitivity (BiRNN small, batch 64)";
-  pf "%-8s %10s %14s %10s\n" "ctx" "latency" "gather-bytes" "gathers";
-  let ctx_rows = E.ablation_context () in
-  List.iter
-    (fun (ctx, lat, bytes, gathers) -> pf "%-8b %10.2f %14d %10d\n" ctx lat bytes gathers)
-    ctx_rows;
-  J.Obj
-    [
-      ( "scheduler",
-        J.List
-          (List.map
-             (fun (id, sched, lat, sched_ms, batches) ->
-               J.Obj
-                 [
-                   "model", J.Str id;
-                   "scheduler", J.Str sched;
-                   "latency_ms", J.Float lat;
-                   "sched_ms", J.Float sched_ms;
-                   "batches", J.Int batches;
-                 ])
-             sched_rows) );
-      ( "context",
-        J.List
-          (List.map
-             (fun (ctx, lat, bytes, gathers) ->
-               J.Obj
-                 [
-                   "context_sensitive", J.Bool ctx;
-                   "latency_ms", J.Float lat;
-                   "gather_bytes", J.Int bytes;
-                   "gathers", J.Int gathers;
-                 ])
-             ctx_rows) );
-    ]
+  let context =
+    table
+      (List.map
+         (fun (ctx, (s : Driver.stats)) ->
+           [
+             bool ~key:"context_sensitive" "ctx" (-8) ctx;
+             ms ~key:"latency_ms" "latency" 10 s.latency_ms;
+             int ~key:"gather_bytes" "gather-bytes" 14 s.profiler.Profiler.gather_bytes;
+             int ~key:"gathers" "gathers" 10 s.profiler.Profiler.gather_kernels;
+           ])
+         (E.ablation_context ()))
+  in
+  J.Obj [ "scheduler", scheduler; "context", context ]
 
 (* --- Serving: latency vs offered load (the online front-end) --- *)
 
 let serve () =
   hr "Serving: latency vs offered load (cross-request dynamic batching)";
-  pf "%-10s %-9s %5s %9s | %10s %8s %8s %8s %7s %6s\n" "model" "policy" "load" "rate"
-    "thruput" "p50" "p95" "p99" "batch" "drop";
-  let rows = E.serve_curve () in
-  List.iter
-    (fun (r : E.serve_row) ->
-      pf "%-10s %-9s %4.1fx %7.0f/s | %8.0f/s %7.2fms %7.2fms %7.2fms %7.2f %5.1f%%\n"
-        r.sv_model r.sv_policy r.sv_load r.sv_rate r.sv_throughput r.sv_p50 r.sv_p95
-        r.sv_p99 r.sv_mean_batch (100.0 *. r.sv_drop_rate))
-    rows;
+  let json =
+    table
+      (List.map
+         (fun (id, policy, load, rate, (s : Stats.summary)) ->
+           [
+             str ~key:"model" "model" (-10) id;
+             str ~key:"policy" "policy" (-9) policy;
+             float ~key:"load" "load" 5 "%.1fx" load;
+             float ~key:"rate_rps" "rate" 9 "%.0f/s" rate;
+             sep;
+             float ~key:"throughput_rps" "thruput" 10 "%.0f/s" s.s_throughput_rps;
+             latency ~width:9 "p50" s.s_p50_ms;
+             latency ~width:9 "p95" s.s_p95_ms;
+             latency ~width:9 "p99" s.s_p99_ms;
+             float ~key:"mean_batch" "batch" 7 "%.2f" s.s_mean_batch;
+             pct ~key:"drop_rate" "drop" 6 "%.1f%%" (Stats.drop_rate s);
+           ])
+         (E.serve_curve ()))
+  in
   pf
     "(expected shape: at >=1x load, adaptive sustains higher throughput and far lower p99 \
      than batch1 by amortizing launch+API overhead across requests)\n";
-  J.List
-    (List.map
-       (fun (r : E.serve_row) ->
-         J.Obj
-           [
-             "model", J.Str r.sv_model;
-             "policy", J.Str r.sv_policy;
-             "load", J.Float r.sv_load;
-             "rate_rps", J.Float r.sv_rate;
-             "throughput_rps", J.Float r.sv_throughput;
-             "p50_ms", J.Float r.sv_p50;
-             "p95_ms", J.Float r.sv_p95;
-             "p99_ms", J.Float r.sv_p99;
-             "mean_batch", J.Float r.sv_mean_batch;
-             "drop_rate", J.Float r.sv_drop_rate;
-           ])
-       rows)
+  json
 
 (* --- Serving: availability under injected faults --- *)
 
 let faults () =
   hr "Serving: availability under faults (TreeLSTM tiny, injected kernel faults)";
-  pf "%-9s %6s | %8s %10s %8s %8s | %6s %7s %7s %8s %8s\n" "policy" "rate" "goodput"
-    "thruput" "p50" "p99" "faults" "retries" "bisect" "poisoned" "breaker";
-  let rows = E.serve_faults () in
-  List.iter
-    (fun (r : E.faults_row) ->
-      pf "%-9s %5.0f%% | %7.1f%% %8.0f/s %6.2fms %6.2fms | %6d %7d %7d %8d %8d\n"
-        r.fv_policy
-        (100.0 *. r.fv_fault_rate)
-        (100.0 *. r.fv_goodput)
-        r.fv_throughput r.fv_p50 r.fv_p99 r.fv_fault_batches r.fv_retries r.fv_bisections
-        r.fv_poisoned r.fv_breaker_opens)
-    rows;
+  let json =
+    table
+      (List.map
+         (fun (policy, fault_rate, (s : Stats.summary)) ->
+           let count = counter (fun read -> read s) in
+           [
+             str ~key:"policy" "policy" (-9) policy;
+             pct ~key:"fault_rate" "rate" 6 "%.0f%%" fault_rate;
+             sep;
+             goodput (Stats.goodput s);
+             float ~key:"throughput_rps" "thruput" 10 "%.0f/s" s.s_throughput_rps;
+             latency "p50" s.s_p50_ms;
+             latency "p99" s.s_p99_ms;
+             sep;
+             count "faults" 6 Stats.fault_batches;
+             count "retries" 7 Stats.retries;
+             count "bisect" 7 Stats.bisections;
+             count "poisoned" 8 Stats.poisoned;
+             count "breaker" 8 Stats.breaker_opens;
+           ])
+         (E.serve_faults ()))
+  in
   pf
     "(expected shape: retry+bisection+breaker hold goodput near 100%% through 5%% fault \
      rates at a modest p99 cost; only sustained fault storms dent availability)\n";
-  J.List
-    (List.map
-       (fun (r : E.faults_row) ->
-         J.Obj
-           [
-             "policy", J.Str r.fv_policy;
-             "fault_rate", J.Float r.fv_fault_rate;
-             "goodput", J.Float r.fv_goodput;
-             "throughput_rps", J.Float r.fv_throughput;
-             "p50_ms", J.Float r.fv_p50;
-             "p99_ms", J.Float r.fv_p99;
-             "fault_batches", J.Int r.fv_fault_batches;
-             "retries", J.Int r.fv_retries;
-             "bisections", J.Int r.fv_bisections;
-             "poisoned", J.Int r.fv_poisoned;
-             "breaker_opens", J.Int r.fv_breaker_opens;
-           ])
-       rows)
+  json
 
 (* --- Serving: replicated cluster (failover + hedging) --- *)
 
 let cluster () =
   hr "Serving: replicated cluster — failover availability and hedged tails";
-  pf "%-22s %4s %6s | %8s %5s %8s %8s | %5s %5s %6s %5s\n" "scenario" "reps" "hedge"
-    "goodput" "done" "p50" "p99" "fails" "requ" "hedges" "wins";
-  let rows = E.serve_cluster_bench () in
-  List.iter
-    (fun (r : E.cluster_row) ->
-      let hedge = match r.cl_hedge with None -> "off" | Some p -> Printf.sprintf "p%.0f" p in
-      pf "%-22s %4d %6s | %7.1f%% %5d %6.2fms %6.2fms | %5d %5d %6d %5d\n" r.cl_label
-        r.cl_replicas hedge
-        (100.0 *. r.cl_goodput)
-        r.cl_completed r.cl_p50 r.cl_p99 r.cl_failovers r.cl_requeued r.cl_hedges
-        r.cl_hedge_wins)
-    rows;
+  let json =
+    table
+      (List.map
+         (fun (label, replicas, hedge, (s : Stats.summary)) ->
+           let count = counter (fun read -> read s) in
+           [
+             str ~key:"scenario" "scenario" (-22) label;
+             int ~key:"replicas" "reps" 4 replicas;
+             cell ~key:"hedge_percentile" "hedge" 6
+               (Option.fold ~none:"off" ~some:(Printf.sprintf "p%.0f") hedge)
+               (Option.fold ~none:J.Null ~some:(fun p -> J.Float p) hedge);
+             sep;
+             goodput (Stats.goodput s);
+             completed 5 s.s_completed;
+             latency "p50" s.s_p50_ms;
+             latency "p99" s.s_p99_ms;
+             sep;
+             count "fails" 5 Stats.failovers;
+             count "requ" 5 Stats.requeued;
+             count "hedges" 6 Stats.hedges;
+             count "wins" 5 Stats.hedge_wins;
+           ])
+         (E.serve_cluster_bench ()))
+  in
   pf
     "(expected shape: the faulty replica collapses the single server's goodput; with \
      replicas to fail over to it recovers >= 99%%; hedging cuts the straggler p99)\n";
-  J.List
-    (List.map
-       (fun (r : E.cluster_row) ->
-         J.Obj
-           [
-             "scenario", J.Str r.cl_label;
-             "replicas", J.Int r.cl_replicas;
-             ( "hedge_percentile",
-               match r.cl_hedge with None -> J.Null | Some p -> J.Float p );
-             "goodput", J.Float r.cl_goodput;
-             "completed", J.Int r.cl_completed;
-             "p50_ms", J.Float r.cl_p50;
-             "p99_ms", J.Float r.cl_p99;
-             "failovers", J.Int r.cl_failovers;
-             "requeued", J.Int r.cl_requeued;
-             "hedges", J.Int r.cl_hedges;
-             "hedge_wins", J.Int r.cl_hedge_wins;
-           ])
-       rows)
+  json
 
 (* --- Chaos: violations per kiloscenario over fixed campaigns --- *)
 
 let chaos () =
   hr "Chaos: invariant violations over randomized fault campaigns";
-  pf "%-10s %6s %12s %6s | %10s %12s\n" "campaign" "seed" "fault-prob" "runs" "violating"
-    "per-kilosc";
-  let campaigns =
-    [
-      "clean", { Chaos.default_campaign with Chaos.ca_seed = 42; ca_runs = 120;
-                 ca_fault_prob = 0.0 };
-      "faulty", { Chaos.default_campaign with Chaos.ca_seed = 42; ca_runs = 120;
-                  ca_fault_prob = 0.6 };
-    ]
-  in
+  let campaigns = E.chaos_campaigns () in
   let rows =
     List.map
-      (fun (label, ca) ->
-        let report = Chaos.run_campaign ca in
-        let violating = List.length report.Chaos.rp_outcomes in
-        pf "%-10s %6d %12.2f %6d | %10d %12.1f\n" label ca.Chaos.ca_seed
-          ca.Chaos.ca_fault_prob ca.Chaos.ca_runs violating
-          (Chaos.violations_per_kiloscenario report);
-        label, ca, report)
+      (fun (label, (ca : Chaos.campaign), (report : Chaos.report)) ->
+        [
+          text "campaign" (-10) label;
+          int ~key:"seed" "seed" 6 ca.ca_seed;
+          float ~key:"fault_prob" "fault-prob" 12 "%.2f" ca.ca_fault_prob;
+          int ~key:"runs" "runs" 6 report.rp_scenarios;
+          sep;
+          int ~key:"violating" "violating" 10 (List.length report.rp_outcomes);
+          float ~key:"violations_per_kiloscenario" "per-kilosc" 12 "%.1f"
+            (Chaos.violations_per_kiloscenario report);
+        ])
       campaigns
   in
+  print_rows rows;
   pf
     "(expected shape: zero violations in both — the invariant suite holds over the \
      whole scenario grammar; any nonzero count is a reproducible bug, see acrobatc \
      chaos)\n";
-  J.Obj
-    (List.map
-       (fun (label, ca, report) ->
-         ( label,
-           J.Obj
-             [
-               "seed", J.Int ca.Chaos.ca_seed;
-               "fault_prob", J.Float ca.Chaos.ca_fault_prob;
-               "runs", J.Int report.Chaos.rp_scenarios;
-               "violating", J.Int (List.length report.Chaos.rp_outcomes);
-               ( "violations_per_kiloscenario",
-                 J.Float (Chaos.violations_per_kiloscenario report) );
-             ] ))
-       rows)
+  J.Obj (List.map2 (fun (label, _, _) cells -> label, obj cells) campaigns rows)
 
-(* --- Multi-tenant serving: autoscaler vs fixed fleet --- *)
+(* --- Multi-tenant serving: autoscaler vs fixed fleet ---
+
+   Its per-tenant lines and scale trajectory print under each config's
+   row, so this printer stays bespoke; the JSON is the dispatcher's own
+   report. *)
 
 let tenants () =
   hr "Multi-tenant serving: fixed-at-min vs autoscaled fleet under a flash crowd";
   let rows = E.tenants_bench () in
-  pf "%-10s | %8s %8s %8s %8s %6s | %5s %5s %6s %6s\n" "config" "goodput" "slo-att"
-    "expired" "shed" "qshed" "peak" "final" "swaps" "util%";
-  List.iter
-    (fun (label, (r : Tenancy.Dispatcher.report)) ->
-      let s = Serve.Stats.summarize r.Tenancy.Dispatcher.tn_stats in
-      pf "%-10s | %8.3f %8.3f %8d %8d %6d | %5d %5d %6d %6.1f\n" label
-        (Serve.Stats.goodput s) (Serve.Stats.slo_attainment s) s.Serve.Stats.s_expired
-        s.Serve.Stats.s_shed s.Serve.Stats.s_quota_shed r.Tenancy.Dispatcher.tn_peak_replicas
-        r.Tenancy.Dispatcher.tn_final_replicas r.Tenancy.Dispatcher.tn_swaps
-        (100.0 *. Tenancy.Dispatcher.utilization r);
+  let module D = Tenancy.Dispatcher in
+  List.iteri
+    (fun i (label, (r : D.report)) ->
+      let s = Stats.summarize r.tn_stats in
+      let cells =
+        [
+          text "config" (-10) label;
+          sep;
+          float "goodput" 8 "%.3f" (Stats.goodput s);
+          float "slo-att" 8 "%.3f" (Stats.slo_attainment s);
+          int "expired" 8 s.s_expired;
+          int "shed" 8 s.s_shed;
+          int "qshed" 6 s.s_quota_shed;
+          sep;
+          int "peak" 5 r.tn_peak_replicas;
+          int "final" 5 r.tn_final_replicas;
+          int "swaps" 6 r.tn_swaps;
+          float "util%" 6 "%.1f" (100.0 *. D.utilization r);
+        ]
+      in
+      if i = 0 then print_header cells;
+      print_row cells;
       List.iter
-        (fun (tv : Tenancy.Dispatcher.tenant_view) ->
-          let ts = Serve.Stats.summarize tv.Tenancy.Dispatcher.tv_stats in
+        (fun (tv : D.tenant_view) ->
+          let ts = Stats.summarize tv.tv_stats in
           pf "  %-8s :: %-8s goodput %5.3f slo %5.3f offered %4d done %4d peak-infl %3d\n"
-            tv.Tenancy.Dispatcher.tv_tenant.Tenancy.Tenant.tn_name
-            tv.Tenancy.Dispatcher.tv_tenant.Tenancy.Tenant.tn_model (Serve.Stats.goodput ts)
-            (Serve.Stats.slo_attainment ts) ts.Serve.Stats.s_offered
-            ts.Serve.Stats.s_completed tv.Tenancy.Dispatcher.tv_peak_inflight)
-        r.Tenancy.Dispatcher.tn_tenants;
-      match r.Tenancy.Dispatcher.tn_scale_events with
+            tv.tv_tenant.Tenancy.Tenant.tn_name tv.tv_tenant.Tenancy.Tenant.tn_model
+            (Stats.goodput ts) (Stats.slo_attainment ts) ts.s_offered ts.s_completed
+            tv.tv_peak_inflight)
+        r.tn_tenants;
+      match r.tn_scale_events with
       | [] -> ()
       | evs ->
         pf "  scale trajectory:";
@@ -463,12 +467,12 @@ let tenants () =
   pf
     "(expected shape: the fixed fleet is under water — goodput well below 0.8 — while \
      the autoscaler rides the flash crowd at >= 0.95 with the same arrivals)\n";
-  J.Obj
-    (List.map
-       (fun (label, r) -> label, Tenancy.Dispatcher.report_json r)
-       rows)
+  J.Obj (List.map (fun (label, r) -> label, D.report_json r) rows)
 
-(* --- Observability: the serving metrics timeline --- *)
+(* --- Observability: the serving metrics timeline ---
+
+   A dump of the library's own metrics export, whatever its keys: no
+   column table to declare. *)
 
 let obs () =
   hr "Observability: metrics timeline of a fault-injected serve run";
@@ -493,52 +497,67 @@ let obs () =
 
 let overload () =
   hr "Overload resilience: goodput vs offered load (retry budget + limiter + brownout)";
-  pf "%-10s %5s %8s | %8s %5s %5s %5s %6s %6s %5s | %6s %6s %5s | %8s %8s\n" "config"
-    "load" "rate" "goodput" "done" "exp" "shed" "lshed" "rshed" "retry" "bisect" "degr"
-    "brown" "p50" "p99";
   let rows = E.overload_bench () in
-  List.iter
-    (fun (r : E.overload_row) ->
-      pf
-        "%-10s %4.1fx %6.0f/s | %7.1f%% %5d %5d %5d %6d %6d %5d | %6d %6d %5d | %6.2fms \
-         %6.2fms\n"
-        r.ov_config r.ov_load r.ov_rate_per_s
-        (100.0 *. r.ov_goodput)
-        r.ov_completed r.ov_expired r.ov_shed r.ov_limit_shed r.ov_retry_shed r.ov_retries
-        r.ov_bisections r.ov_degraded_batches r.ov_brownouts r.ov_p50 r.ov_p99)
-    rows;
-  (* The acceptance gates of DESIGN.md §13, checked right here so a
-     regression shows up in `make bench` output, not just in review. *)
-  let off = List.filter (fun (r : E.overload_row) -> r.ov_config = "off") rows in
-  let on = List.filter (fun (r : E.overload_row) -> r.ov_config = "resilience") rows in
+  let json =
+    table
+      (List.map
+         (fun (config, load, rate, (s : Stats.summary), trajectory) ->
+           let count = counter (fun read -> read s) in
+           [
+             str ~key:"config" "config" (-10) config;
+             float ~key:"load" "load" 5 "%.1fx" load;
+             float ~key:"rate_rps" "rate" 8 "%.0f/s" rate;
+             sep;
+             goodput (Stats.goodput s);
+             completed 5 s.s_completed;
+             count "exp" 5 Stats.expired;
+             count "shed" 5 Stats.shed;
+             count "lshed" 6 Stats.limit_shed;
+             count "rshed" 6 Stats.retry_shed;
+             hidden (count "" 0 Stats.retried_requests);
+             count "retry" 5 Stats.retries;
+             sep;
+             count "bisect" 6 Stats.bisections;
+             hidden (count "" 0 Stats.poisoned);
+             count "degr" 6 Stats.degraded_batches;
+             count "brown" 5 Stats.brownouts;
+             hidden (count "" 0 Stats.brownout_restores);
+             sep;
+             latency "p50" s.s_p50_ms;
+             latency "p99" s.s_p99_ms;
+             json "limit_trajectory"
+               (J.List (List.map (fun (ts, v) -> J.List [ J.Float ts; J.Float v ]) trajectory));
+           ])
+         rows)
+  in
+  (* The acceptance gates of DESIGN.md §13: past saturation the armed
+     config is never worse than the off config, strictly better at two
+     loads or more, and re-executes at most its 20% retry budget. *)
+  let goodput_at want =
+    List.filter_map
+      (fun (config, load, _, s, _) ->
+        if config = want && load > 1.0 then Some (load, Stats.goodput s) else None)
+      rows
+  in
   let above_sat =
     List.filter_map
-      (fun (o : E.overload_row) ->
-        if o.ov_load <= 1.0 then None
-        else
-          Option.map
-            (fun n -> o, n)
-            (List.find_opt (fun (n : E.overload_row) -> n.ov_load = o.ov_load) on))
-      off
+      (fun (load, off) ->
+        Option.map (fun on -> off, on) (List.assoc_opt load (goodput_at "resilience")))
+      (goodput_at "off")
   in
-  let wins =
-    List.length
-      (List.filter (fun ((o : E.overload_row), (n : E.overload_row)) ->
-           n.ov_goodput > o.ov_goodput +. 1e-9)
-         above_sat)
-  in
+  let wins = List.length (List.filter (fun (off, on) -> on > off +. 1e-9) above_sat) in
   let never_worse =
-    List.for_all
-      (fun ((o : E.overload_row), (n : E.overload_row)) ->
-        n.ov_goodput >= o.ov_goodput -. 1e-9)
-      above_sat
+    gate "overload: never worse above saturation"
+      (List.for_all (fun (off, on) -> on >= off -. 1e-9) above_sat)
   in
+  ignore (gate "overload: at least 2 strict wins above saturation" (wins >= 2));
   let amplification_ok =
-    List.for_all
-      (fun (n : E.overload_row) ->
-        float_of_int n.ov_retried <= (0.2 *. float_of_int (n.ov_completed + n.ov_expired
-        + n.ov_shed + n.ov_limit_shed + n.ov_retry_shed + n.ov_poisoned)) +. 1e-9)
-      on
+    gate "overload: retry amplification within budget"
+      (List.for_all
+         (fun (config, _, _, (s : Stats.summary), _) ->
+           config <> "resilience"
+           || float_of_int s.s_retried_requests <= (0.2 *. float_of_int s.s_offered) +. 1e-9)
+         rows)
   in
   pf "gates: above-saturation never-worse %b, strict wins %d/%d, retry-amplification <= budget %b\n"
     never_worse wins (List.length above_sat) amplification_ok;
@@ -547,147 +566,140 @@ let overload () =
      re-offer work the device cannot absorb and queue delay expires the rest — while the \
      armed config sheds the excess at the door, caps re-execution at 20%% of offered \
      load, and buys capacity with brownout)\n";
-  J.List
-    (List.map
-       (fun (r : E.overload_row) ->
-         J.Obj
-           [
-             "config", J.Str r.ov_config;
-             "load", J.Float r.ov_load;
-             "rate_rps", J.Float r.ov_rate_per_s;
-             "goodput", J.Float r.ov_goodput;
-             "completed", J.Int r.ov_completed;
-             "expired", J.Int r.ov_expired;
-             "shed", J.Int r.ov_shed;
-             "limit_shed", J.Int r.ov_limit_shed;
-             "retry_shed", J.Int r.ov_retry_shed;
-             "retried_requests", J.Int r.ov_retried;
-             "retries", J.Int r.ov_retries;
-             "bisections", J.Int r.ov_bisections;
-             "poisoned", J.Int r.ov_poisoned;
-             "degraded_batches", J.Int r.ov_degraded_batches;
-             "brownouts", J.Int r.ov_brownouts;
-             "brownout_restores", J.Int r.ov_brownout_restores;
-             "p50_ms", J.Float r.ov_p50;
-             "p99_ms", J.Float r.ov_p99;
-             ( "limit_trajectory",
-               J.List
-                 (List.map
-                    (fun (ts, v) -> J.List [ J.Float ts; J.Float v ])
-                    r.ov_limit_trajectory) );
-           ])
-       rows)
+  json
 
 (* --- Integrity: delivered corruption vs audit sampling rate --- *)
 
 let integrity () =
   hr "Silent-corruption defense: delivered corruption and goodput vs audit rate";
-  pf "%-5s | %8s %5s | %7s %9s | %6s %8s | %4s %7s | %8s %8s\n" "audit" "goodput" "done"
-    "corrupt" "delivered" "audits" "mismatch" "quar" "restore" "p50" "p99";
   let rows = E.integrity_bench () in
-  List.iter
-    (fun (r : E.integrity_row) ->
-      pf "%5.2f | %7.1f%% %5d | %7d %9d | %6d %8d | %4d %7d | %6.2fms %6.2fms\n"
-        r.ig_audit (100.0 *. r.ig_goodput) r.ig_completed r.ig_corrupted_batches
-        r.ig_corrupted_delivered r.ig_audits r.ig_audit_mismatches r.ig_quarantines
-        r.ig_quarantine_restores r.ig_p50 r.ig_p99)
-    rows;
-  (* The acceptance gates of DESIGN.md §14, checked here so a regression
-     shows up in `make bench` output, not just in review: sampling at rate
-     p bounds expected delivered corruption at (1 - p) of injected, so the
-     curve must fall monotonically and hit exactly zero at 1.0 (every
-     delivery verified); the audit re-executions may cost only bounded
-     goodput over the identical unaudited run. *)
+  let sum f runs = List.fold_left (fun acc s -> acc + f s) 0 runs in
+  let mean f runs =
+    List.fold_left (fun acc s -> acc +. f s) 0.0 runs /. float_of_int (List.length runs)
+  in
+  let json =
+    table
+      (List.map
+         (fun (audit, runs) ->
+           let count = counter (fun read -> sum read runs) in
+           [
+             float ~key:"audit" "audit" 5 "%.2f" audit;
+             sep;
+             goodput (mean Stats.goodput runs);
+             completed 5 (sum (fun (s : Stats.summary) -> s.s_completed) runs);
+             sep;
+             count "corrupt" 7 Stats.corrupted_batches;
+             count "delivered" 9 Stats.corrupted_delivered;
+             sep;
+             count "audits" 6 Stats.audits;
+             count "mismatch" 8 Stats.audit_mismatches;
+             sep;
+             count "quar" 4 Stats.quarantines;
+             count "restore" 7 Stats.quarantine_restores;
+             sep;
+             latency "p50" (mean (fun (s : Stats.summary) -> s.s_p50_ms) runs);
+             latency "p99" (mean (fun (s : Stats.summary) -> s.s_p99_ms) runs);
+           ])
+         rows)
+  in
+  (* The acceptance gates of DESIGN.md §14: sampling at rate p bounds
+     expected delivered corruption at (1 - p) of injected, so the curve
+     must fall monotonically and hit exactly zero at 1.0 (every delivery
+     verified); the audit re-executions may cost only bounded goodput over
+     the identical unaudited run. *)
+  let delivered =
+    List.map (fun (audit, runs) -> audit, sum Stats.corrupted_delivered.read runs) rows
+  in
   let rec monotone = function
-    | (a : E.integrity_row) :: (b :: _ as rest) ->
-      b.ig_corrupted_delivered <= a.ig_corrupted_delivered && monotone rest
+    | (_, a) :: ((_, b) :: _ as rest) -> b <= a && monotone rest
     | _ -> true
   in
+  let goodput_at a = Option.map (mean Stats.goodput) (List.assoc_opt a rows) in
+  let monotone = gate "integrity: delivered corruption monotone" (monotone delivered) in
   let zero_at_full =
-    List.for_all
-      (fun (r : E.integrity_row) -> r.ig_audit < 1.0 || r.ig_corrupted_delivered = 0)
-      rows
+    gate "integrity: zero delivered corruption at audit 1.0"
+      (List.for_all (fun (audit, n) -> audit < 1.0 || n = 0) delivered)
   in
   let overhead_ok =
-    match
-      ( List.find_opt (fun (r : E.integrity_row) -> r.ig_audit = 0.0) rows,
-        List.find_opt (fun (r : E.integrity_row) -> r.ig_audit = 1.0) rows )
-    with
-    | Some off, Some full -> full.ig_goodput >= off.ig_goodput -. 0.15
-    | _ -> true
+    gate "integrity: goodput overhead <= 15 points"
+      (match goodput_at 0.0, goodput_at 1.0 with
+      | Some off, Some full -> full >= off -. 0.15
+      | _ -> true)
   in
   pf
     "gates: delivered-corruption monotone %b, zero at audit 1.0 %b, goodput overhead <= \
      15pts %b\n"
-    (monotone rows) zero_at_full overhead_ok;
+    monotone zero_at_full overhead_ok;
   pf
     "(expected shape: without auditing the corrupting replica's wrong answers are \
      delivered silently; each sampled delivery is re-executed unbatched on a clean \
      reference device and compared by fingerprint, so raising the rate intercepts more \
      of them — at 1.0, all of them — while the corruption scoreboard quarantines the \
      dirty replica and probes it back in only after clean audits)\n";
-  J.List
-    (List.map
-       (fun (r : E.integrity_row) ->
-         J.Obj
-           [
-             "audit", J.Float r.ig_audit;
-             "goodput", J.Float r.ig_goodput;
-             "completed", J.Int r.ig_completed;
-             "corrupted_batches", J.Int r.ig_corrupted_batches;
-             "corrupted_delivered", J.Int r.ig_corrupted_delivered;
-             "audits", J.Int r.ig_audits;
-             "audit_mismatches", J.Int r.ig_audit_mismatches;
-             "quarantines", J.Int r.ig_quarantines;
-             "quarantine_restores", J.Int r.ig_quarantine_restores;
-             "p50_ms", J.Float r.ig_p50;
-             "p99_ms", J.Float r.ig_p99;
-           ])
-       rows)
+  json
 
 (* --- Simulator-core scale: events/sec, production core vs its reference build --- *)
 
 let scale () =
   hr "Simulator-core scale: events/sec at 10^3..10^6 requests (heap vs reference)";
-  pf "%9s %-10s | %9s %8s %7s %7s %7s | %8s %9s | %5s\n" "requests" "backend" "events"
-    "done" "shed" "exp" "batch" "wall" "events/s" "equiv";
   let rows = E.scale_bench () in
-  List.iter
-    (fun (r : E.scale_row) ->
-      pf "%9d %-10s | %9d %8d %7d %7d %7d | %7.2fs %9.0f | %5b\n" r.sc_requests
-        r.sc_backend r.sc_events r.sc_completed r.sc_shed r.sc_expired r.sc_batches
-        r.sc_wall_s
-        (if r.sc_wall_s > 0.0 then float_of_int r.sc_events /. r.sc_wall_s else 0.0)
-        r.sc_equivalent)
-    rows;
+  let events_per_s events wall = float_of_int events /. wall in
+  (* Wall time and events/sec are host measurements and deliberately stay
+     out of the JSON: BENCH_scale.json must be byte-identical across runs
+     (the Makefile cmp-gates it). The summary columns are the library's
+     own [Stats.summary_to_json] fields, under their own keys. *)
+  let json =
+    table
+      (List.map
+         (fun (requests, backend, events, summary, wall, equivalent) ->
+           let field head width key =
+             let v = Option.get (J.member key summary) in
+             cell ~key head width (J.to_string v) v
+           in
+           [
+             int ~key:"requests" "requests" 9 requests;
+             str ~key:"backend" "backend" (-10) backend;
+             sep;
+             int ~key:"events" "events" 9 events;
+             field "done" 8 "completed";
+             field "shed" 7 "shed";
+             field "exp" 7 "expired";
+             field "batch" 7 "batches";
+             hidden (field "" 0 "p50_ms");
+             hidden (field "" 0 "p99_ms");
+             hidden (field "" 0 "mean_ms");
+             sep;
+             text "wall" 8 (Printf.sprintf "%.2fs" wall);
+             text "events/s" 9
+               (Printf.sprintf "%.0f" (if wall > 0.0 then events_per_s events wall else 0.0));
+             sep;
+             bool ~key:"equivalent" "equiv" 5 equivalent;
+           ])
+         rows)
+  in
   (* Acceptance gates (DESIGN.md §15, §25): every size's summary must be
      byte-identical across the production core and its reference build
-     (the heaps change nothing but speed), and at the largest size the
-     heap core must deliver >= 10x the reference's simulator events/sec. *)
-  let heap = List.filter (fun (r : E.scale_row) -> r.sc_backend = "heap") rows in
-  let reference =
-    List.filter (fun (r : E.scale_row) -> r.sc_backend = "reference") rows
+     (the heaps change nothing but speed). At the largest size the heap
+     core should deliver >= 10x the reference's simulator events/sec, but
+     that is host wall-clock, so it is reported, not gated. *)
+  let all_equivalent =
+    gate "scale: backends byte-identical at every size"
+      (List.for_all (fun (_, _, _, _, _, equivalent) -> equivalent) rows)
   in
-  let all_equivalent = List.for_all (fun (r : E.scale_row) -> r.sc_equivalent) rows in
+  let largest want =
+    List.fold_left
+      (fun acc ((requests, backend, _, _, _, _) as r) ->
+        match acc with
+        | _ when backend <> want -> acc
+        | Some (best, _, _, _, _, _) when best >= requests -> acc
+        | _ -> Some r)
+      None rows
+  in
   let eps = 1e-9 in
   let speedup =
-    match
-      ( List.fold_left
-          (fun acc (r : E.scale_row) ->
-            match acc with
-            | Some (b : E.scale_row) when b.sc_requests >= r.sc_requests -> acc
-            | _ -> Some r)
-          None heap,
-        List.fold_left
-          (fun acc (r : E.scale_row) ->
-            match acc with
-            | Some (b : E.scale_row) when b.sc_requests >= r.sc_requests -> acc
-            | _ -> Some r)
-          None reference )
-    with
-    | Some h, Some f ->
-      float_of_int h.sc_events /. (h.sc_wall_s +. eps)
-      /. (float_of_int f.sc_events /. (f.sc_wall_s +. eps))
+    match largest "heap", largest "reference" with
+    | Some (_, _, h_events, _, h_wall, _), Some (_, _, r_events, _, r_wall, _) ->
+      events_per_s h_events (h_wall +. eps) /. events_per_s r_events (r_wall +. eps)
     | _ -> 0.0
   in
   pf "gates: backends byte-identical at every size %b, heap speedup at largest size \
@@ -698,101 +710,74 @@ let scale () =
      drops, percentiles, byte for byte — but the reference pays O(n) sorted-list walks \
      per admission probe and Map allocation churn per event, so its events/sec collapses \
      as the campaign grows while the heap core's stays roughly flat)\n";
-  (* Wall time and events/sec are host measurements and deliberately stay
-     out of the JSON: BENCH_scale.json must be byte-identical across runs
-     (the Makefile cmp-gates it). *)
-  J.List
-    (List.map
-       (fun (r : E.scale_row) ->
-         J.Obj
-           [
-             "requests", J.Int r.sc_requests;
-             "backend", J.Str r.sc_backend;
-             "events", J.Int r.sc_events;
-             "completed", J.Int r.sc_completed;
-             "shed", J.Int r.sc_shed;
-             "expired", J.Int r.sc_expired;
-             "batches", J.Int r.sc_batches;
-             "p50_ms", J.Float r.sc_p50;
-             "p99_ms", J.Float r.sc_p99;
-             "mean_ms", J.Float r.sc_mean;
-             "equivalent", J.Bool r.sc_equivalent;
-           ])
-       rows)
+  json
 
 (* --- Net partition: goodput through partition/heal, exactly-once vs
    naive resend --- *)
 
 let partition () =
   hr "Net partition: goodput through a partition/heal cycle (3 replicas, lossy links)";
-  pf "%-13s | %8s %6s %5s %5s %5s | %8s %8s | %6s %6s %5s %6s %6s %5s %4s %5s\n" "transport"
-    "goodput" "done" "shed" "exp" "p-drop" "p50" "p99" "sends" "resend" "dups" "dedup"
-    "fresh" "t/o" "down" "heals";
   let rows = E.partition_bench () in
-  List.iter
-    (fun (r : E.partition_row) ->
-      pf
-        "%-13s | %7.1f%% %6d %5d %5d %6d | %6.2fms %6.2fms | %6d %6d %5d %6d %6d %5d %4d \
-         %5d\n"
-        r.pt_label
-        (100.0 *. r.pt_goodput)
-        r.pt_completed r.pt_shed r.pt_expired r.pt_net_partition_drops r.pt_p50 r.pt_p99
-        r.pt_net_sends r.pt_net_resends r.pt_net_dups r.pt_net_dedup_hits r.pt_net_fresh
-        r.pt_net_timeouts r.pt_link_downs r.pt_heals)
-    rows;
-  (* The acceptance gates of DESIGN.md §16, checked here so a regression
-     shows up in `make bench` output, not just in review: the idempotency
-     window must absorb every duplicate (dedup hits > 0 with no goodput
-     collapse), and switching it off must cost strictly measurable
-     goodput — ghost re-executions displace real work. *)
-  let find l = List.find_opt (fun (r : E.partition_row) -> r.pt_label = l) rows in
-  let gates =
-    match find "direct calls", find "exactly-once", find "naive resend" with
-    | Some direct, Some exact, Some naive ->
-      let strict = exact.pt_goodput > naive.pt_goodput +. 1e-9 in
-      let absorbed = exact.pt_net_dedup_hits > 0 in
-      let survives = exact.pt_goodput >= direct.pt_goodput -. 0.1 in
-      pf
-        "gates: exactly-once strictly beats naive resend %b (%.1f%% vs %.1f%%), dedup \
-         absorbed %d duplicates %b, goodput within 10pts of direct calls %b\n"
-        strict
-        (100.0 *. exact.pt_goodput)
-        (100.0 *. naive.pt_goodput)
-        exact.pt_net_dedup_hits absorbed survives;
-      strict && absorbed && survives
-    | _ -> false
+  let json =
+    table
+      (List.map
+         (fun (label, (s : Stats.summary)) ->
+           let count = counter (fun read -> read s) in
+           [
+             str ~key:"transport" "transport" (-13) label;
+             sep;
+             goodput (Stats.goodput s);
+             json "offered" (J.Int s.s_offered);
+             completed 6 s.s_completed;
+             count "shed" 5 Stats.shed;
+             count "exp" 5 Stats.expired;
+             sep;
+             latency "p50" s.s_p50_ms;
+             latency "p99" s.s_p99_ms;
+             sep;
+             count "sends" 6 Stats.net_sends;
+             count "resend" 6 Stats.net_resends;
+             count "dups" 5 Stats.net_dups;
+             count "p-drop" 6 Stats.net_partition_drops;
+             count "dedup" 6 Stats.net_dedup_hits;
+             count "fresh" 6 Stats.net_fresh;
+             count "t/o" 5 Stats.net_timeouts;
+             count "down" 4 Stats.net_link_downs;
+             count "heals" 5 Stats.net_heals;
+           ])
+         rows)
   in
-  if not gates then pf "PARTITION GATES FAILED\n";
+  (* The acceptance gates of DESIGN.md §16: the idempotency window must
+     absorb every duplicate (dedup hits > 0 with no goodput collapse), and
+     switching it off must cost strictly measurable goodput — ghost
+     re-executions displace real work. *)
+  let transport label = List.assoc_opt label rows in
+  (match transport "direct calls", transport "exactly-once", transport "naive resend" with
+  | Some direct, Some exact, Some naive ->
+    let strict =
+      gate "partition: exactly-once strictly beats naive resend"
+        (Stats.goodput exact > Stats.goodput naive +. 1e-9)
+    in
+    let absorbed = gate "partition: dedup absorbed duplicates" (exact.s_net_dedup_hits > 0) in
+    let survives =
+      gate "partition: goodput within 10 points of direct calls"
+        (Stats.goodput exact >= Stats.goodput direct -. 0.1)
+    in
+    pf
+      "gates: exactly-once strictly beats naive resend %b (%.1f%% vs %.1f%%), dedup \
+       absorbed %d duplicates %b, goodput within 10pts of direct calls %b\n"
+      strict
+      (100.0 *. Stats.goodput exact)
+      (100.0 *. Stats.goodput naive)
+      exact.s_net_dedup_hits absorbed survives
+  | _ -> ignore (gate "partition: a transport row is missing" false));
   pf
     "(expected shape: the partitioned replica's links go down and heal on schedule in \
      every transport row; with exactly-once delivery the dedup window absorbs the \
      duplicated and re-sent dispatches so goodput stays near the direct-call baseline, \
      while naive resend re-executes every duplicate, burning replica capacity the \
      offered load needed — strictly lower goodput from the identical arrival trace)\n";
-  J.List
-    (List.map
-       (fun (r : E.partition_row) ->
-         J.Obj
-           [
-             "transport", J.Str r.pt_label;
-             "goodput", J.Float r.pt_goodput;
-             "offered", J.Int r.pt_offered;
-             "completed", J.Int r.pt_completed;
-             "shed", J.Int r.pt_shed;
-             "expired", J.Int r.pt_expired;
-             "p50_ms", J.Float r.pt_p50;
-             "p99_ms", J.Float r.pt_p99;
-             "net_sends", J.Int r.pt_net_sends;
-             "net_resends", J.Int r.pt_net_resends;
-             "net_dups", J.Int r.pt_net_dups;
-             "net_partition_drops", J.Int r.pt_net_partition_drops;
-             "net_dedup_hits", J.Int r.pt_net_dedup_hits;
-             "net_fresh", J.Int r.pt_net_fresh;
-             "net_timeouts", J.Int r.pt_net_timeouts;
-             "net_link_downs", J.Int r.pt_link_downs;
-             "net_heals", J.Int r.pt_heals;
-           ])
-       rows)
+  json
 
 let experiments =
   [
@@ -844,8 +829,13 @@ let () =
           exit 1)
       selected
   in
-  match json_path with
+  (match json_path with
   | None -> ()
   | Some path ->
     J.to_file path (J.Obj results);
-    pf "\nwrote %s\n" path
+    pf "\nwrote %s\n" path);
+  match List.rev !failed_gates with
+  | [] -> ()
+  | failed ->
+    List.iter (Printf.eprintf "gate failed: %s\n") failed;
+    exit 1

@@ -400,7 +400,7 @@ let serve_cmd =
         report.Tenancy.Dispatcher.tn_scale_events;
       Option.iter
         (fun path ->
-          Serve.Json.to_file path (Tenancy.Dispatcher.report_json report);
+          Obs.Json.to_file path (Tenancy.Dispatcher.report_json report);
           Fmt.pr "wrote %s@." path)
         json_path;
       write_trace tracer trace_path;
@@ -455,7 +455,7 @@ let serve_cmd =
         Fmt.pr "cumulative device activity:@.%a@." Profiler.pp report.sv_profiler;
         Option.iter
           (fun path ->
-            Serve.Json.to_file path (serve_report_json report);
+            Obs.Json.to_file path (serve_report_json report);
             Fmt.pr "wrote %s@." path)
           json_path;
         report.sv_summary
@@ -480,7 +480,7 @@ let serve_cmd =
         Fmt.pr "@.cumulative device activity:@.%a@." Profiler.pp report.cr_profiler;
         Option.iter
           (fun path ->
-            Serve.Json.to_file path (cluster_report_json report);
+            Obs.Json.to_file path (cluster_report_json report);
             Fmt.pr "wrote %s@." path)
           json_path;
         report.cr_summary

@@ -225,10 +225,10 @@ type serve_report = {
           ({!Serve.Stats.metrics_json}). *)
 }
 
-let serve_report_json (r : serve_report) : Serve.Json.t =
-  Serve.Json.Obj
+let serve_report_json (r : serve_report) : Obs.Json.t =
+  Obs.Json.Obj
     (match Serve.Stats.summary_to_json r.sv_summary with
-    | Serve.Json.Obj fields -> fields @ [ "profiler", Profiler.to_json r.sv_profiler ]
+    | Obs.Json.Obj fields -> fields @ [ "profiler", Profiler.to_json r.sv_profiler ]
     | other -> [ "summary", other; "profiler", Profiler.to_json r.sv_profiler ])
 
 (** A fault-aware {!Serve.Server} executor. Each batch runs on a fresh
@@ -550,19 +550,19 @@ type cluster_report = {
   cr_replicas : replica_report list;
 }
 
-let cluster_report_json (r : cluster_report) : Serve.Json.t =
-  Serve.Json.Obj
+let cluster_report_json (r : cluster_report) : Obs.Json.t =
+  Obs.Json.Obj
     [
       "cluster", Serve.Stats.summary_to_json r.cr_summary;
       "profiler", Profiler.to_json r.cr_profiler;
       ( "replicas",
-        Serve.Json.List
+        Obs.Json.List
           (List.map
              (fun rr ->
-               Serve.Json.Obj
+               Obs.Json.Obj
                  [
-                   "id", Serve.Json.Int rr.rr_id;
-                   "health", Serve.Json.Str rr.rr_health;
+                   "id", Obs.Json.Int rr.rr_id;
+                   "health", Obs.Json.Str rr.rr_health;
                    "stats", Serve.Stats.summary_to_json rr.rr_summary;
                  ])
              r.cr_replicas) );

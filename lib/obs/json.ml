@@ -6,9 +6,8 @@
     deterministic runs of the same experiment serialize to byte-identical
     output (the property the serving determinism check asserts).
 
-    (Home of the module: it used to live in [lib/serve]; the observability
-    layer sits below both the device and the serving stack, so the value
-    type moved here and {!Acrobat_serve.Json} re-exports it.) *)
+    (The observability layer sits below both the device and the serving
+    stack, so every layer shares this one module.) *)
 
 type t =
   | Null

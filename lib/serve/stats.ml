@@ -4,6 +4,7 @@
     same activity report as the offline bench tables. *)
 
 module Profiler = Acrobat_device.Profiler
+module Json = Acrobat_obs.Json
 module Rng = Acrobat_tensor.Rng
 
 (* --- The completion accumulator ---

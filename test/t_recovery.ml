@@ -14,7 +14,7 @@ module Batcher = Serve.Batcher
 module Traffic = Serve.Traffic
 module Stats = Serve.Stats
 module Cluster = Serve.Cluster
-module Json = Serve.Json
+module Json = Obs.Json
 module Dispatcher = Tenancy.Dispatcher
 module Tenant = Tenancy.Tenant
 module Autoscaler = Tenancy.Autoscaler

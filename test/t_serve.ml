@@ -12,7 +12,7 @@ module Traffic = Serve.Traffic
 module Stats = Serve.Stats
 module Event_loop = Serve.Event_loop
 module Clock = Serve.Clock
-module Json = Serve.Json
+module Json = Obs.Json
 module Cluster = Serve.Cluster
 module Hedge = Serve.Hedge
 module Replica = Serve.Replica

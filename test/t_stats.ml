@@ -13,7 +13,7 @@ module Stats = Serve.Stats
 module Cluster = Serve.Cluster
 module Server = Serve.Server
 module Traffic = Serve.Traffic
-module Json = Serve.Json
+module Json = Obs.Json
 
 let every_counter : Stats.summary =
   {
