@@ -13,67 +13,40 @@ test:
 # Tier-1 gate: full build (warnings are errors in the default, optimized
 # profile and in --profile dev — see dune-workspace and the env stanza in
 # the root dune; the opaque gate below keeps the default build inlining
-# across modules), the whole test suite, then end-to-end serving
-# smoke runs — fault-free, fault-injected (gated on goodput), and a
-# replicated cluster with a dead-device replica — to catch CLI wiring
-# breakage that unit tests can miss. The overload smoke arms the full
-# resilience stack (retry budget, concurrency limiter, brownout) against an
-# over-capacity fault-injected stream, gated on goodput; the overload bench
-# runs twice and its JSON (BENCH_overload.json, a CI artifact) must be
-# byte-identical across runs. The trace smoke runs the cluster twice
-# with the same seed and demands byte-identical, schema-valid Chrome traces
-# (TRACE_cluster.json, uploaded as a CI artifact alongside
-# BENCH_cluster.json). The multi-tenant smoke serves three tenants with the
-# autoscaler on and one fault-injected replica slot, gated on goodput; the
-# tenants bench runs twice and its JSON (BENCH_tenants.json, a CI artifact)
-# must be byte-identical across runs. The integrity smoke serves a
-# replicated cluster with one replica silently corrupting 40% of its
-# batches under full auditing — the CLI exits nonzero if any corrupted
-# result is delivered at --audit 1, and the run is additionally gated on
-# goodput; the integrity bench (delivered corruption and goodput vs audit
-# rate, BENCH_integrity.json, a CI artifact) runs twice and must be
-# byte-identical across runs. The simulator-core scale bench (the
-# production serving core — heap event agenda + EDF admission heap — vs
-# its reference build over the Map agenda and sorted-list queue, the
-# private library under test/reference/, at 10^3..10^6 requests,
-# BENCH_scale.json, a CI artifact) runs twice and must be byte-identical
-# to itself and to the committed file — its JSON carries only
-# virtual-time results, never wall time — and its in-process gate
-# fails the run unless the two builds' summaries are byte-identical at
-# every size.
-# A seed-equivalence gate additionally requires the regenerated
-# BENCH_cluster.json and BENCH_tenants.json to be byte-identical to the
-# committed pre-refactor outputs (git diff --exit-code), proving the heap
-# rewrite changed nothing but speed on legacy-sized configs. The same
-# gate holds the committed BENCH_overload.json, BENCH_integrity.json and
-# BENCH_partition.json, which pin the single server's fault and
-# resilience path, the replica's audit and quarantine path and the
-# cluster's net path through the shared batch-recovery loop. The network smoke routes a
-# 3-replica round-robin cluster through the lossy virtual transport with a
-# mid-run partition of one replica — exactly-once dedup, timeout-driven
-# link-down failover and the forced heal probe all on the hot path, gated
-# on goodput; the partition bench (exactly-once vs naive resend vs direct
-# calls through the same partition, BENCH_partition.json, a CI artifact)
-# runs twice and must be byte-identical across runs. The overload,
-# integrity and partition benches check their acceptance gates (DESIGN.md
-# §13, §14, §16) in process, and a failed gate fails the run. The serving
-# curve, the fault sweep, the extra ablations and the chaos campaigns
-# (BENCH_serve.json, BENCH_faults.json, BENCH_extras.json,
-# BENCH_chaos.json) are regenerated too and must be byte-identical to
-# their committed files. The allocation gate
-# bounds host-side allocation per item of DFG construction and of tensor
-# value computation (see alloc-gate). The paper gate reruns every paper
-# reproduction (table4-table9, fig5, fig9: virtual time only) twice and
-# requires both runs to be byte-identical to each other and to the
-# committed BENCH_paper.json (a CI artifact), so host-speed work cannot
-# move a paper result unnoticed. The hash-order gate reruns the test
-# suite, and generates the paper rerun, under OCAMLRUNPARAM=R, which
-# seeds every Hashtbl randomly: no schedule, test or paper number may
-# depend on hash order (DESIGN.md §30). The observability gate does the same for
-# the serving metrics timeline of one fault-injected run (final counters
-# plus periodic snapshots, BENCH_obs.json, a CI artifact), so the export's
-# keys, order and values cannot move unnoticed.
+# across modules), the whole test suite, and the test suite again under
+# OCAMLRUNPARAM=R, which seeds every Hashtbl randomly: no schedule or
+# test may depend on hash order (DESIGN.md §30). Then end-to-end serving
+# smoke runs through the CLI, each gated on goodput: fault-free,
+# fault-injected, a replicated cluster with hedging (its Chrome trace,
+# TRACE_cluster.json, generated twice and byte-compared), three tenants
+# under the autoscaler, the full resilience stack over capacity, a
+# silently corrupting replica under full auditing (the CLI exits nonzero
+# if a corrupted result is delivered at --audit 1) and a lossy,
+# partitioned network. BENCH_cluster.json must match its committed file.
+# Eight pinned benches (tenants, overload, integrity, partition, the
+# paper reproductions table4-table9, fig5 and fig9, obs, chaos and the
+# simulator-core scale race) each run twice, the paper rerun under
+# OCAMLRUNPARAM=R, and both JSONs must be byte-identical to each other
+# and to the committed file (pinned-bench). Their JSON holds virtual time
+# only, so host-speed work cannot move a result unnoticed. The overload,
+# integrity, partition and scale benches also check their acceptance
+# gates in process (DESIGN.md §13, §14, §15, §16), and a failed gate
+# fails the run. The serving curve, the fault sweep and the extra
+# ablations (BENCH_serve.json, BENCH_faults.json, BENCH_extras.json) are
+# regenerated and must match their committed files too. The chaos smoke
+# and the allocation gate (see below) run in between.
 PAPER_EXPERIMENTS = table4 table5 table6 table7 table8 table9 fig5 fig9
+
+# $(call pinned-bench,NAME[,ARGS[,RERUN-PREFIX]]): run bench/main.exe ARGS
+# (default NAME) into BENCH_NAME.json, rerun it, prefixed by RERUN-PREFIX,
+# into BENCH_NAME_rerun.json, and require the two byte-identical to each
+# other and to the committed BENCH_NAME.json.
+define pinned-bench
+	dune exec bench/main.exe -- $(or $(2),$(1)) --json BENCH_$(1).json
+	$(3) dune exec bench/main.exe -- $(or $(2),$(1)) --json BENCH_$(1)_rerun.json
+	cmp BENCH_$(1).json BENCH_$(1)_rerun.json
+	git diff --exit-code -- BENCH_$(1).json
+endef
 
 check: build test opaque-gate
 	OCAMLRUNPARAM=R dune test --force
@@ -94,56 +67,36 @@ check: build test opaque-gate
 	cmp TRACE_cluster.json TRACE_cluster_rerun.json
 	dune exec bin/acrobatc.exe -- trace TRACE_cluster.json
 	dune exec bench/main.exe -- cluster --json BENCH_cluster.json
+	git diff --exit-code -- BENCH_cluster.json
 	dune exec bin/acrobatc.exe -- serve --size tiny --iters 100 --requests 60 \
 	  --seed 3 --tenant alpha:treelstm:2000:50:8 --tenant beta:birnn:1000:100:4:2 \
 	  --tenant gamma:moe:500:0:64 --autoscale 1:3 \
 	  --faults "seed=7,kernel=0.2" --min-goodput 0.9
-	dune exec bench/main.exe -- tenants --json BENCH_tenants.json
-	dune exec bench/main.exe -- tenants --json BENCH_tenants_rerun.json
-	cmp BENCH_tenants.json BENCH_tenants_rerun.json
-	git diff --exit-code -- BENCH_cluster.json BENCH_tenants.json
+	$(call pinned-bench,tenants)
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 6000 --requests 400 --iters 100 \
 	  --faults "seed=7,kernel=0.1" --retry-budget 0.2 \
 	  --concurrency-target 12 --brownout 6:10:2 --min-goodput 0.9
-	dune exec bench/main.exe -- overload --json BENCH_overload.json
-	dune exec bench/main.exe -- overload --json BENCH_overload_rerun.json
-	cmp BENCH_overload.json BENCH_overload_rerun.json
+	$(call pinned-bench,overload)
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 3000 --requests 80 --iters 100 --replicas 2 \
 	  --faults "seed=21,corrupt=0.4" --audit 1 --min-goodput 0.5
-	dune exec bench/main.exe -- integrity --json BENCH_integrity.json
-	dune exec bench/main.exe -- integrity --json BENCH_integrity_rerun.json
-	cmp BENCH_integrity.json BENCH_integrity_rerun.json
+	$(call pinned-bench,integrity)
 	dune exec bin/acrobatc.exe -- serve --model treelstm --size tiny \
 	  --rate 2000 --requests 80 --iters 100 --replicas 3 --dispatch rr \
 	  --net "seed=11,delay=150:50,drop=0.05,dup=0.2,partition=10000:25000:2,timeout=5000,resends=3" \
 	  --min-goodput 0.9
-	dune exec bench/main.exe -- partition --json BENCH_partition.json
-	dune exec bench/main.exe -- partition --json BENCH_partition_rerun.json
-	cmp BENCH_partition.json BENCH_partition_rerun.json
-	git diff --exit-code -- BENCH_overload.json BENCH_integrity.json BENCH_partition.json
-	dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper.json
-	OCAMLRUNPARAM=R dune exec bench/main.exe -- $(PAPER_EXPERIMENTS) --json BENCH_paper_rerun.json
-	cmp BENCH_paper.json BENCH_paper_rerun.json
-	git diff --exit-code -- BENCH_paper.json
-	dune exec bench/main.exe -- obs --json BENCH_obs.json
-	dune exec bench/main.exe -- obs --json BENCH_obs_rerun.json
-	cmp BENCH_obs.json BENCH_obs_rerun.json
-	git diff --exit-code -- BENCH_obs.json
+	$(call pinned-bench,partition)
+	$(call pinned-bench,paper,$(PAPER_EXPERIMENTS),OCAMLRUNPARAM=R)
+	$(call pinned-bench,obs)
 	$(MAKE) chaos-smoke
 	$(MAKE) alloc-gate
-	dune exec bench/main.exe -- chaos --json BENCH_chaos.json
-	dune exec bench/main.exe -- chaos --json BENCH_chaos_rerun.json
-	cmp BENCH_chaos.json BENCH_chaos_rerun.json
+	$(call pinned-bench,chaos)
 	dune exec bench/main.exe -- serve --json BENCH_serve.json
 	dune exec bench/main.exe -- faults --json BENCH_faults.json
 	dune exec bench/main.exe -- extras --json BENCH_extras.json
-	git diff --exit-code -- BENCH_chaos.json BENCH_serve.json BENCH_faults.json BENCH_extras.json
-	dune exec bench/main.exe -- scale --json BENCH_scale.json
-	dune exec bench/main.exe -- scale --json BENCH_scale_rerun.json
-	cmp BENCH_scale.json BENCH_scale_rerun.json
-	git diff --exit-code -- BENCH_scale.json
+	git diff --exit-code -- BENCH_serve.json BENCH_faults.json BENCH_extras.json
+	$(call pinned-bench,scale)
 
 # The default build is the release profile (dune-workspace), which
 # compiles no library module -opaque, so calls between modules inline

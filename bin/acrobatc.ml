@@ -162,10 +162,11 @@ let check_cmd =
 let print_lowered (lp : L.t) =
   Fmt.pr "specializations (parameters; those the AOT engine drops as forwarded-only):@.";
   let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) lp.L.defs []) in
+  let dropped_of = Forwarded.dropped lp in
   List.iter
     (fun name ->
       let d = L.find_def lp name in
-      let dropped = Forwarded.dropped lp name in
+      let dropped = dropped_of name in
       Fmt.pr "  %s(%s)%s@." name (String.concat ", " d.L.lparams)
         (if dropped = [] then "" else "  drops: " ^ String.concat ", " dropped))
     names;

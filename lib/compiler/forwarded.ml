@@ -108,9 +108,12 @@ let scan defs ~first_class (d : L.ldef) : info =
   walk ~in_fn:false d.L.lbody;
   { live; edges }
 
-(** The forwarded-only mask of every definition of [defs], with [entry]'s
-    parameters all live. Runs once per lowered program. *)
-let analyze ~entry (defs : (string, L.ldef) Hashtbl.t) : L.forwarded =
+(** The forwarded-only mask of every definition of [defs], by name: [true]
+    at each parameter the definition only passes on to callees that do not
+    read it either, with [entry]'s parameters all live. The AOT engine
+    runs it on the definitions it stages ([Aot.stage]), so a mask always
+    describes the definition it is applied to. *)
+let analyze ~entry (defs : (string, L.ldef) Hashtbl.t) : (string, bool array) Hashtbl.t =
   let first_class = Hashtbl.create 8 in
   let infos = Hashtbl.create (Hashtbl.length defs) in
   Hashtbl.iter (fun name d -> Hashtbl.replace infos name (scan defs ~first_class d)) defs;
@@ -139,29 +142,12 @@ let analyze ~entry (defs : (string, L.ldef) Hashtbl.t) : L.forwarded =
       infos
   done;
   let out = Hashtbl.create (Hashtbl.length defs) in
-  Hashtbl.iter
-    (fun name d -> Hashtbl.replace out name (d, Array.map not (Hashtbl.find infos name).live))
-    defs;
+  Hashtbl.iter (fun name info -> Hashtbl.replace out name (Array.map not info.live)) infos;
   out
 
-(** Whether [p]'s masks describe its definitions: the same names, each
-    physically the [ldef] its mask was computed from. A program whose
-    [defs] were swapped or edited after lowering fails this, and the AOT
-    engine then stages every parameter. *)
-let valid (p : L.t) =
-  Hashtbl.length p.L.defs = Hashtbl.length p.L.forwarded
-  && Hashtbl.fold
-       (fun name d ok ->
-         ok
-         &&
-         match Hashtbl.find_opt p.L.forwarded name with
-         | Some (d', _) -> d == d'
-         | None -> false)
-       p.L.defs true
-
-(** [p]'s forwarded-only parameter names of definition [name], in order;
-    empty when the masks do not describe [p]. *)
-let dropped (p : L.t) name =
-  match Hashtbl.find_opt p.L.forwarded name with
-  | Some (d, mask) when valid p -> List.filteri (fun i _ -> mask.(i)) d.L.lparams
-  | _ -> []
+(** [dropped p] analyzes [p]'s definitions once; applied to a definition's
+    name, it gives that definition's forwarded-only parameter names, in
+    order. *)
+let dropped (p : L.t) =
+  let masks = analyze ~entry:p.L.entry p.L.defs in
+  fun name -> List.filteri (fun i _ -> (Hashtbl.find masks name).(i)) (L.find_def p name).L.lparams

@@ -174,9 +174,12 @@ let plan t (arg_shapes : Shape.t array) : plan =
     kernel id: one list per kernel, one plan per argument-shape vector
     seen. A plan is a pure function of its kernel and argument shapes, so
     every runtime executing one compiled program can share them; the
-    runtime looks them up and adds to them ([Runtime.plan_in]). Plans live
-    beside the kernels, not in them: {!all_kernels} compares kernels
-    structurally, and a plan points back at its kernel. *)
+    runtime looks them up by batched shapes alone and adds to them
+    ([Runtime.plan_in]), since it binds a kernel only to shared arguments
+    of the shapes its plans here were made for ([Runtime.bind]), and an
+    AOT call site keeps the plan its first node found (DESIGN.md §34).
+    Plans live beside the kernels, not in them: {!all_kernels} compares
+    kernels structurally, and a plan points back at its kernel. *)
 type plan_table = { mutable by_kernel : plan list array }
 
 let plan_table () = { by_kernel = [||] }

@@ -576,14 +576,12 @@ let program ?(config = Config.acrobat) (p : Ast.program) ~(inputs : string list)
     entry;
     registry = st.registry;
     max_static_depth = st.max_static;
-    input_params = inputs;
     weight_params;
     is_weight = Array.of_list (List.map (fun (n, _) -> not (List.mem n inputs)) main.params);
     param_types = Array.of_list (List.map snd main.params);
     has_tdc = Ast.has_tdc main.body || List.exists (fun (d : Ast.def) -> Ast.has_tdc d.body) p.defs;
     config;
     kernel_hints = st.hints;
-    forwarded = Forwarded.analyze ~entry st.out_defs;
   }
 
 (** Full pipeline from source text.

@@ -9,7 +9,7 @@
     of tuple variables or constants are resolved at staging to reads of a
     slot or of a constant, with no closure call ({!operand}); only a
     compound operand is a closure of its own. A parameter the definition only forwards
-    ({!Forwarded}, computed once when the program is lowered) gets no frame
+    ({!Forwarded}, computed when the program is staged) gets no frame
     slot and is not passed by direct calls; an [fn] gets a frame of its
     own, holding just what its body reads.
 
@@ -17,7 +17,9 @@
     and every mini-batch binds its own runtime for the length of one run
     ({!with_runtime}), as the paper's AOT-compiled model is built once and
     each mini-batch pays only for DFG construction, scheduling and kernels
-    (DESIGN.md §27). *)
+    (DESIGN.md §27). Each kernel call site keeps the plan its first node
+    found, in whatever run that was, as ACROBAT's AOT code calls each
+    kernel at shapes fixed before the run (DESIGN.md §34). *)
 
 open Acrobat_compiler
 open Acrobat_runtime
@@ -79,13 +81,9 @@ let nils n = frame_alloc n ()
 (* What one run binds: its runtime, and its policy. *)
 type binding = { rt : Runtime.t; policy : Policy.t }
 
-(* What an [Lblock] site reuses from its last node: its kernel's binding
-   in the run's runtime, and the plan found through it. *)
-type site = { kbound : Runtime.binding; kplan : Kernel.plan }
-
 (* A staged program. It holds no runtime: the closure tree reads the run
-   in progress from [bound], [shared] and [sites], and the run builds its
-   DFG in [store]; nothing else in it changes after staging. *)
+   in progress from [bound] and [shared], and the run builds its DFG in
+   [store]; besides them only [sites] changes after staging. *)
 type t = {
   lprog : L.t;
   fibers : bool;  (** Run instances as fibers (TDC present and enabled). *)
@@ -97,13 +95,14 @@ type t = {
       (** Per [Lshared] site, the handle the run in progress resolved there
           ([Vnil] until it first evaluates). Device addresses differ per
           run, so these are per-run state, cleared with the binding. *)
-  mutable sites : site option array;
-      (** Per [Lblock] site, the binding and plan its nodes use ([None]
-          until the site first evaluates in a run). A plan depends on the
-          shapes of the kernel's shared arguments, which a run's weights
-          decide, so these are per-run state too, cleared with the
-          binding, and each is reused only while its binding is in force
-          ({!Runtime.is_bound}). *)
+  mutable sites : Kernel.plan option array;
+      (** Per [Lblock] site, the plan its first node found ([None] until
+          the site first evaluates), kept for every later node of every
+          run: @main's arguments have their declared types
+          ({!Driver.run_batch} checks them), so every node of a site has
+          the batched shapes of its first, and every binding has the
+          shared shapes of the kernel's plans ({!Runtime.bind} checks
+          them). *)
   store : Store.t;
       (** The DFG node store every run of the program reuses
           ({!Runtime.share_store}); empty between runs. *)
@@ -259,23 +258,6 @@ let rec list_into a v i =
 
 let rec list_of_array a i acc = if i < 0 then acc else list_of_array a (i - 1) (Vcons (a.(i), acc))
 
-(* The binding and plan of a node at [Lblock] site [k] of [kernel] whose
-   batched arguments are [args]: the site's kept ones while their binding
-   is in force in [rt], else found afresh ({!Runtime.plan_in}, which
-   checks [args]' shapes) and kept. A hit compares no shape: a language
-   whose tensor types have static shapes gives every node of one site the
-   shapes of its first, once @main's arguments match their declared types
-   ({!Driver.run_batch} checks them before the run builds any node), and
-   the binding holds the shared arguments' shapes (DESIGN.md §32). *)
-let site_plan st k rt kernel args =
-  match st.sites.(k) with
-  | Some c when Runtime.is_bound rt c.kbound -> c
-  | Some _ | None ->
-    let kbound = Runtime.bind rt kernel in
-    let c = { kbound; kplan = Runtime.plan_in rt kbound args } in
-    st.sites.(k) <- Some c;
-    c
-
 (* [args] into [frame] at [slots] from the [k]-th on, a [-1] slot
    dropping its argument; false when there are more or fewer. *)
 let rec bind_args frame slots k args =
@@ -421,11 +403,19 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
           d
       in
       let { rt; policy } = binding st in
-      let c = site_plan st site rt kernel args in
-      let plan = c.kplan in
+      let b = Runtime.bind rt kernel in
+      let plan =
+        match st.sites.(site) with
+        | Some p -> p
+        | None ->
+          (* The site's first node: {!Runtime.plan_in} checks its shapes. *)
+          let p = Runtime.plan_in rt b args in
+          st.sites.(site) <- Some p;
+          p
+      in
       let sig_key = policy.Policy.sig_of rt plan args in
       let first =
-        Runtime.invoke rt c.kbound ~plan ~args ~instance:ictx.ictx_instance
+        Runtime.invoke rt b ~plan ~args ~instance:ictx.ictx_instance
           ~phase:ictx.ictx_phase ~depth ~sig_key
       in
       if policy.Policy.eager then Runtime.flush rt;
@@ -607,8 +597,9 @@ and operands st scope es = Array.of_list (List.map (operand st scope) es)
 let unstaged _ _ = fail "AOT: definition called before it was staged"
 let unstaged_frame () = fail "AOT: definition called before it was staged"
 
-(** Stage the whole program, once: a cell for every definition first, then
-    every body, so compilation cost is not on the execution path. The
+(** Stage the whole program, once: the forwarded-only masks of its
+    definitions and a cell for every definition first, then every body,
+    so compilation cost is not on the execution path. The
     result holds no runtime and no policy; {!with_runtime} binds them for
     each run. *)
 let stage ~fibers (lprog : L.t) : t =
@@ -625,22 +616,19 @@ let stage ~fibers (lprog : L.t) : t =
       store = Store.create ();
     }
   in
-  let masks = Forwarded.valid lprog in
+  let masks = Forwarded.analyze ~entry:lprog.L.entry lprog.L.defs in
   Hashtbl.iter
     (fun name (def : L.ldef) ->
+      let kept = ref 0 in
       let params =
-        match Hashtbl.find_opt lprog.L.forwarded name with
-        | Some (_, mask) when masks ->
-          let kept = ref 0 in
-          Array.map
-            (fun dropped ->
-              if dropped then -1
-              else begin
-                incr kept;
-                !kept - 1
-              end)
-            mask
-        | _ -> Array.init (List.length def.L.lparams) Fun.id
+        Array.map
+          (fun dropped ->
+            if dropped then -1
+            else begin
+              incr kept;
+              !kept - 1
+            end)
+          (Hashtbl.find masks name)
       in
       Hashtbl.replace st.defs name { def; params; frame = unstaged_frame; body = unstaged })
     lprog.L.defs;
@@ -678,7 +666,6 @@ let with_runtime st ~policy rt f =
   let release () =
     st.bound <- None;
     Array.fill st.shared 0 (Array.length st.shared) Vnil;
-    Array.fill st.sites 0 (Array.length st.sites) None;
     Store.reset st.store
   in
   match f () with

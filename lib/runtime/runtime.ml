@@ -25,20 +25,18 @@ type kernel_entry = {
           node of the kernel binds afresh. *)
 }
 
-(** A kernel's shared arguments as one runtime resolved them, once, and
-    the plans that fit them. A new binding replaces it whenever what the
-    shared arguments resolve to may have changed ({!set_weight},
-    {!share_plans}); a plan found through a binding is valid while that
-    binding is in force ({!is_bound}), and no longer. *)
+(** A kernel's shared arguments as one runtime resolved them, once. A new
+    binding replaces it whenever what the shared arguments resolve to may
+    have changed ({!set_weight}, {!share_plans}), and is made only if its
+    shared shapes are those of the kernel's plans in the table ({!bind}):
+    so every plan of the kernel fits every binding's shared arguments
+    (DESIGN.md §34). *)
 and binding = {
   kernel : Kernel.t;
   entry : kernel_entry;
   shared : handle array;  (** [kernel]'s shared arguments, in [shared_binds] order. *)
   shared_slots : int array;
       (** Their slots: every node of the kernel points at this one array. *)
-  mutable plans : Kernel.plan list;
-      (** The plans of [kernel] this binding has used. All fit [shared],
-          so a node is matched on its batched shapes alone. *)
 }
 
 type t = {
@@ -185,10 +183,28 @@ let kernel_entry t (kernel : Kernel.t) =
   end;
   t.kernels.(id)
 
+(* [shared], resolved for [kernel], has the shapes that [kernel]'s plans
+   in the table were made for: checked once per kernel per run, when a
+   binding is made, so the plans in the table all fit it. *)
+let check_shared t (kernel : Kernel.t) (shared : handle array) =
+  List.iter
+    (fun (p : Kernel.plan) ->
+      if p.kernel == kernel then
+        List.iteri
+          (fun j (pos, _) ->
+            let s = handle_shape shared.(j) in
+            if not (Shape.equal p.arg_shapes.(pos) s) then
+              fail "kernel %s: shared argument %d has shape %a, its plans were made for %a"
+                kernel.name pos Shape.pp s Shape.pp p.arg_shapes.(pos))
+          kernel.shared_binds)
+    (Kernel.plans t.plans kernel)
+
 (** [kernel]'s binding in [t]: the one in force, or a new one whose shared
     arguments are resolved from [shared_binds] in argument order (the
     order the engines used to evaluate them in, so constants materialize
-    in the same order at the same addresses). *)
+    in the same order at the same addresses).
+    @raise Runtime_error if the new binding's shared shapes are not those
+    of [kernel]'s plans in the table. *)
 let bind t (kernel : Kernel.t) =
   let e = kernel_entry t kernel in
   match e.bound with
@@ -197,19 +213,10 @@ let bind t (kernel : Kernel.t) =
     let shared =
       Array.of_list (List.map (fun (_, bind) -> shared_handle t bind) kernel.shared_binds)
     in
-    let b =
-      { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared; plans = [] }
-    in
+    check_shared t kernel shared;
+    let b = { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared } in
     e.bound <- Some b;
     b
-
-(** [b] is the binding [t] has in force for its kernel: what an engine
-    that keeps [b] and a plan found through it checks before reusing
-    them. *)
-let is_bound t b =
-  let id = b.kernel.id in
-  id < Array.length t.kernels
-  && match t.kernels.(id).bound with Some c -> c == b | None -> false
 
 (** The argument at index [pos] of a node of [kernel] whose batched
     arguments are [args]. *)
@@ -224,12 +231,13 @@ let share_plans t table =
   unbind_kernels t
 
 (* [fits] allocates nothing: it runs for every node the VM builds, and
-   for the first node of each AOT call site in a run (later nodes of the
-   site reuse that node's plan unchecked: DESIGN.md §32). It compares the
-   node's batched arguments only (every plan of a binding fits its shared
-   ones). A plan's shapes are usually the very lists its arguments carry
-   (outputs of nodes with the same plan), so physical equality settles
-   most comparisons before [Shape.equal] walks them. *)
+   for the first node of each AOT call site (later nodes, in that run and
+   every later one, reuse that node's plan unchecked: DESIGN.md §34). It
+   compares the node's batched arguments only (every plan of a kernel
+   fits its binding's shared ones). A plan's shapes are usually the very
+   lists its arguments carry (outputs of nodes with the same plan), so
+   physical equality settles most comparisons before [Shape.equal] walks
+   them. *)
 let rec fits_from (shapes : Shape.t array) (args : handle array) i =
   i = Array.length args
   ||
@@ -240,47 +248,34 @@ let rec fits_from (shapes : Shape.t array) (args : handle array) i =
 let fits (p : Kernel.plan) args =
   Array.length p.batched_shapes = Array.length args && fits_from p.batched_shapes args 0
 
-let rec find_plan args = function
+let rec find_plan kernel args = function
   | [] -> raise Not_found
-  | p :: rest -> if fits p args then p else find_plan args rest
-
-(* The plan of [kernel] at [shapes] from the program's table, or a new one
-   added to it: once per kernel and shape vector per runtime. *)
-let table_plan t (kernel : Kernel.t) (shapes : Shape.t array) =
-  match
-    List.find_opt
-      (fun (p : Kernel.plan) -> p.kernel == kernel && Array.for_all2 Shape.equal p.arg_shapes shapes)
-      (Kernel.plans t.plans kernel)
-  with
-  | Some p -> p
-  | None ->
-    let p = Kernel.plan kernel shapes in
-    Kernel.add_plan t.plans p;
-    p
+  | (p : Kernel.plan) :: rest ->
+    if p.kernel == kernel && fits p args then p else find_plan kernel args rest
 
 (** The plan for a node of [b]'s kernel whose batched arguments are
-    [args]: built on first use, then shared by every node with the same
-    kernel and argument shapes. A shape error propagates and is never
-    cached. *)
+    [args], from the program's plan table, matched on batched shapes
+    alone ([bind] checked the shared ones); a new plan is added to the
+    table, once per kernel and shape vector. A shape error propagates and
+    is never cached. *)
 let plan_in t (b : binding) (args : handle array) : Kernel.plan =
-  try find_plan args b.plans
+  let kernel = b.kernel in
+  try find_plan kernel args (Kernel.plans t.plans kernel)
   with Not_found ->
-    let kernel = b.kernel in
     if Array.length args <> Array.length kernel.batched then
       fail "kernel %s: %d batched arguments given, %d expected" kernel.name
         (Array.length args) (Array.length kernel.batched);
-    let shapes =
-      Array.init kernel.nargs (fun pos ->
-          handle_shape (Kernel.arg kernel ~batched:args ~shared:b.shared pos))
+    let p =
+      Kernel.plan kernel
+        (Array.init kernel.nargs (fun pos ->
+             handle_shape (Kernel.arg kernel ~batched:args ~shared:b.shared pos)))
     in
-    let p = table_plan t kernel shapes in
-    b.plans <- p :: b.plans;
+    Kernel.add_plan t.plans p;
     p
 
 (** Append one DFG node; returns the slot of its first output (the others
     follow: see {!output}). [args] are the node's batched arguments, and
-    [plan] must be a plan of [b] that fits them ({!plan_in}), with [b]
-    in force. *)
+    [plan] must be a plan of [b]'s kernel that fits them ({!plan_in}). *)
 let invoke t (b : binding) ~(plan : Kernel.plan) ~(args : handle array) ~instance ~phase ~depth
     ~(sig_key : int) : int =
   if plan.kernel != b.kernel then

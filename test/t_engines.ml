@@ -735,14 +735,11 @@ def @main(%w: Tensor[(4, 4)], %u: Tensor[(4, 4)], %h0: Tensor[(1, 4)],
 let test_aot_forwarded_match_vm () =
   let compiled = compile ~inputs:[ "h0"; "inps" ] forwarding_source in
   let lprog = compiled.lprog in
+  let dropped_of = Forwarded.dropped lprog in
   let dropped =
-    Hashtbl.fold (fun name _ acc -> List.length (Forwarded.dropped lprog name) + acc) lprog.Lowered.defs 0
+    Hashtbl.fold (fun name _ acc -> List.length (dropped_of name) + acc) lprog.Lowered.defs 0
   in
   check_true "some parameters are forwarded-only" (dropped > 0);
-  check_true "a copied definition table keeps its masks"
-    (Forwarded.valid { lprog with Lowered.defs = Hashtbl.copy lprog.Lowered.defs });
-  let unmasked = { lprog with Lowered.forwarded = Hashtbl.create 1 } in
-  check_true "an emptied mask table is not honoured" (not (Forwarded.valid unmasked));
   let rng = Rng.create 11 in
   let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
   let weights = [ "w", Tensor.random rng [ 4; 4 ]; "u", Tensor.random rng [ 4; 4 ] ] in
@@ -756,93 +753,20 @@ let test_aot_forwarded_match_vm () =
   let vm_slot = P.activity_index P.Vm_overhead in
   List.iter
     (fun fibers ->
-      let run mode lp =
+      let run mode =
         Driver.run_batch ~compute_values:true ~mode ~policy:Policy.acrobat_policy
-          ~quality:compiled.quality ~lprog:{ lp with Lowered.has_tdc = fibers } ~weights ~instances ()
+          ~quality:compiled.quality ~lprog:{ lprog with Lowered.has_tdc = fibers } ~weights
+          ~instances ()
       in
       let label s = Fmt.str "%s (fibers %b)" s fibers in
-      let aot = run Driver.Aot_mode lprog in
-      let staged_all = run Driver.Aot_mode unmasked in
-      let vm = run Driver.Vm_mode lprog in
+      let aot = run Driver.Aot_mode in
+      let vm = run Driver.Vm_mode in
       Alcotest.(check (array int64)) (label "aot = vm fingerprints") (Driver.fingerprints vm)
         (Driver.fingerprints aot);
-      Alcotest.(check (array int64)) (label "aot = aot staging every parameter")
-        (Driver.fingerprints staged_all) (Driver.fingerprints aot);
-      Alcotest.(check (array int64)) (label "virtual time of staging every parameter")
-        (bits staged_all) (bits aot);
       let without_vm b = Array.mapi (fun i x -> if i = vm_slot then 0L else x) b in
       Alcotest.(check (array int64)) (label "virtual time of the VM, dispatch aside")
         (without_vm (bits vm)) (without_vm (bits aot)))
     [ false; true ]
-
-let test_aot_stale_masks () =
-  (* Masks computed for other definitions of the same names, which read
-     none of their parameters: honoured, they would leave "one" without a
-     slot for "y". The AOT engine must ignore them and behave as
-     [test_aot_call_errors] expects. *)
-  let compiled = compile ~inputs:[ "h0"; "inps" ] calls_source in
-  let module L = Lowered in
-  let ldef lname lparams lbody = { L.lname; lparams; lbody } in
-  let table_of defs =
-    let table = Hashtbl.create 8 in
-    List.iter (fun (d : L.ldef) -> Hashtbl.replace table d.L.lname d) defs;
-    table
-  in
-  let x = L.Lvar "x" in
-  let defs =
-    table_of
-      [
-        ldef "one" [ "y" ] (L.Lvar "y");
-        ldef "two" [ "a"; "b" ] (L.Lvar "a");
-        ldef "call_one_with_two" [ "x" ] (L.Lcall (L.Lglobal "one", [ x; x ]));
-        ldef "call_two_with_one" [ "x" ] (L.Lcall (L.Lglobal "two", [ x ]));
-        ldef "map_two" [ "x" ] (L.Lmap (L.Lglobal "two", L.Lcons (x, L.Lnil)));
-        ldef "call_missing" [ "x" ] (L.Lcall (L.Lglobal "nowhere", [ x ]));
-      ]
-  in
-  let stale =
-    Forwarded.analyze ~entry:"entry"
-      (table_of
-         [
-           ldef "one" [ "y" ] (L.Lint 0);
-           ldef "two" [ "a"; "b" ] (L.Lint 0);
-           ldef "call_one_with_two" [ "x" ] (L.Lcall (L.Lglobal "one", [ x ]));
-           ldef "call_two_with_one" [ "x" ] (L.Lcall (L.Lglobal "two", [ x; x ]));
-           ldef "map_two" [ "x" ] (L.Lint 0);
-           ldef "call_missing" [ "x" ] (L.Lint 0);
-         ])
-  in
-  check_true "the stale masks drop parameters"
-    (Array.exists Fun.id (snd (Hashtbl.find stale "one")));
-  let run entry args =
-    let policy =
-      { Acrobat_runtime.Executor.gather_fusion = true; quality = (fun _ -> 0.8);
-        compute_values = false; detect_dynamic_sharing = false }
-    in
-    let rt =
-      Acrobat_runtime.Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth
-        ~policy ~seed:1 ~instances:1
-    in
-    let lprog = { compiled.lprog with L.defs; entry; forwarded = stale } in
-    check_true "stale masks are not valid" (not (Forwarded.valid lprog));
-    let eng = Acrobat_engines.Aot.create ~rt ~policy:Policy.acrobat_policy ~fibers:false lprog in
-    Acrobat_engines.Aot.run_main eng ~instance:0 args
-  in
-  check_true "well-formed call runs" (run "one" [ Value.Vint 7 ] = Value.Vint 7);
-  List.iter
-    (fun (entry, args) ->
-      match run entry args with
-      | _ -> Alcotest.failf "%s: expected a runtime error" entry
-      | exception Value.Runtime_error _ -> ())
-    [
-      "call_one_with_two", [ Value.Vint 1 ];
-      "call_two_with_one", [ Value.Vint 1 ];
-      "map_two", [ Value.Vint 1 ];
-      "call_missing", [ Value.Vint 1 ];
-      "one", [];
-      "one", [ Value.Vint 1; Value.Vint 2 ];
-      "absent_entry", [ Value.Vint 1 ];
-    ]
 
 (* --- One staged program per compiled program --- *)
 
@@ -1041,14 +965,15 @@ let test_staged_nested_run_fails () =
   | _ -> Alcotest.fail "a program staged from another compilation must be refused"
   | exception Invalid_argument _ -> ()
 
-(* A plan follows the shapes of its kernel's shared arguments, which each
-   run's weights decide, and a call site keeps its first node's plan for
-   the whole run: so a weight must have its declared shape. A [(4, 16)]
-   weight for a declared [(4, 8)] is rejected at @main's boundary, naming
-   the parameter and both shapes, before the device is charged anything;
-   a program declaring [(4, 16)] runs [(1, 16)], its second run with the
-   FLOPs and virtual time of a fresh compile's first. *)
-let test_site_plans_follow_weights () =
+(* A plan follows the shapes of its kernel's shared arguments, and a call
+   site keeps its first node's plan for every run: so a weight must have
+   its declared shape. A [(4, 16)] weight for a declared [(4, 8)] is
+   rejected at @main's boundary, naming the parameter and both shapes,
+   before the device is charged anything; a program declaring [(4, 16)]
+   runs [(1, 16)], its second run with the FLOPs and virtual time of a
+   fresh compile's first. A weight reshaped past the boundary is named
+   when its kernel binds. *)
+let test_site_plans_reject_new_weight_shapes () =
   let source width =
     Fmt.str
       {|def @main(%%x: Tensor[(1, 4)], %%w: Tensor[(4, %d)]) -> Tensor[(1, %d)] {
@@ -1093,8 +1018,9 @@ let test_site_plans_follow_weights () =
   Alcotest.(check (list int)) "as a fresh program" fresh_shape shape16;
   check_true "the same FLOPs as a fresh program" (profile = fresh_profile);
   Alcotest.(check (array int64)) "the same virtual time as a fresh program" fresh_times times;
-  (* Within one runtime too: setting a weight again ends its kernel's
-     binding, and the site plans afresh. *)
+  (* Past the boundary: setting a weight again ends its kernel's binding,
+     and the new binding's shared shape is not its plans'. The kernel and
+     both shapes are named before the node is built. *)
   let module Runtime = Acrobat_runtime.Runtime in
   let rt =
     Runtime.create ~device:(Device.create ()) ~scheduler:Config.Inline_depth
@@ -1104,6 +1030,11 @@ let test_site_plans_follow_weights () =
       ~seed:1 ~instances:1
   in
   let eng = Aot.create ~rt ~policy:c.policy ~fibers:false c.lprog in
+  let kernel =
+    match Kernel.all_kernels c.lprog.Lowered.registry with
+    | [ k ] -> k
+    | _ -> Alcotest.fail "one kernel expected"
+  in
   let out_shape width =
     Runtime.set_weight rt "w" (Tensor.full [ 4; width ] 0.5);
     let x = List.hd (Runtime.upload_inputs rt ~batched:true [ Tensor.full [ 1; 4 ] 1.0 ]) in
@@ -1112,7 +1043,57 @@ let test_site_plans_follow_weights () =
     | _ -> Alcotest.fail "a tensor output expected"
   in
   Alcotest.(check (list int)) "one runtime, first weight: (1, 8)" [ 1; 8 ] (out_shape 8);
-  Alcotest.(check (list int)) "one runtime, weight set again: (1, 16)" [ 1; 16 ] (out_shape 16)
+  let nodes () = (Runtime.profiler rt).P.nodes_created in
+  let built = nodes () in
+  (match out_shape 16 with
+  | _ -> Alcotest.fail "a (4, 16) weight under (4, 8) plans must be rejected"
+  | exception Value.Runtime_error m ->
+    List.iter
+      (fun fragment ->
+        check_true (Fmt.str "the error %S names %s" m fragment) (T_util.contains m fragment))
+      [ "kernel " ^ kernel.Kernel.name; "(4, 16)"; "(4, 8)" ]);
+  check_int "no node built" built (nodes ())
+
+(* A staged program's call sites keep the plans their first nodes found,
+   for every later run: after a first batch of every tiny model, later
+   batches (on a second device, computing values, under fibers where the
+   model has tensor-dependent control flow, and after a VM batch of the
+   same program) add no plan to the program's table and leave every
+   site's kept plan physically in place. *)
+let test_site_plans_kept_across_batches () =
+  let with_fibers = ref 0 in
+  List.iter
+    (fun id ->
+      let model = Models.tiny id in
+      let c = compile ~inputs:model.Model.inputs model.Model.source in
+      let weights = model.Model.gen_weights 1 in
+      let st = Lazy.force c.staged in
+      if st.Aot.fibers then incr with_fibers;
+      let table = c.lprog.Lowered.registry.Kernel.plan_table in
+      let devices = [| Device.create (); Device.create () |] in
+      let instances seed = gen_batch model ~batch:4 ~seed in
+      ignore (run_batch ~device:devices.(0) c ~weights ~instances:(instances 4) ());
+      let plans = Array.copy table.Kernel.by_kernel and sites = Array.copy st.Aot.sites in
+      check_true (id ^ ": the first batch kept site plans") (Array.exists Option.is_some sites);
+      let unchanged what =
+        check_true (Fmt.str "%s: %s added no plan" id what)
+          (Array.length plans = Array.length table.Kernel.by_kernel
+          && Array.for_all2 ( == ) plans table.Kernel.by_kernel);
+        check_true (Fmt.str "%s: %s kept every site's plan" id what)
+          (Array.length sites = Array.length st.Aot.sites
+          && Array.for_all2 ( == ) sites st.Aot.sites)
+      in
+      ignore
+        (run_batch ~compute_values:true ~device:devices.(1) c ~weights ~instances:(instances 9) ());
+      unchanged "a value batch on a second device";
+      ignore
+        (Driver.run_batch ~device:devices.(0) ~mode:Driver.Vm_mode ~policy:c.policy
+           ~quality:c.quality ~lprog:c.lprog ~weights ~instances:(instances 5) ());
+      unchanged "a VM batch";
+      ignore (run_batch ~device:devices.(1) c ~weights ~instances:(instances 11) ());
+      unchanged "an AOT batch after the VM")
+    Models.tiny_ids;
+  check_true "some model runs under fibers" (!with_fibers > 0)
 
 (* Element counts come from plans, not from dividing shapes: after a run of
    every catalog model, each plan's [out_elems] counts its [out_shapes],
@@ -1322,9 +1303,8 @@ let suite =
         test_aot_operands_match_vm;
       Alcotest.test_case "aot operands: ill-formed operands raise runtime errors" `Quick
         test_operand_errors;
-      Alcotest.test_case "forwarded: aot matches vm and full staging" `Quick
+      Alcotest.test_case "forwarded: aot matches the vm" `Quick
         test_aot_forwarded_match_vm;
-      Alcotest.test_case "forwarded: stale masks are ignored" `Quick test_aot_stale_masks;
       Alcotest.test_case "staged once: batches match fresh staging" `Quick
         test_staged_once_matches_fresh;
       Alcotest.test_case "staged once: no runtime outlives its run" `Quick
@@ -1334,8 +1314,10 @@ let suite =
         test_dynet_policy_reusable;
       Alcotest.test_case "staged once: outputs outlive the reused store" `Quick
         test_outputs_outlive_the_store;
-      Alcotest.test_case "site plans: a new weight shape is replanned" `Quick
-        test_site_plans_follow_weights;
+      Alcotest.test_case "site plans: a reshaped weight is an error" `Quick
+        test_site_plans_reject_new_weight_shapes;
+      Alcotest.test_case "site plans: kept across runs and engines" `Quick
+        test_site_plans_kept_across_batches;
       Alcotest.test_case "element counts: plans and slots match shapes" `Quick
         test_element_counts_match_shapes;
       Alcotest.test_case "boundary: every model's traffic passes, a reshape is named" `Quick
