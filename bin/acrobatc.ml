@@ -159,8 +159,24 @@ let check_cmd =
 
 (* --- lower --- *)
 
+(* A block's batched argument as written: a variable or a field of one. *)
+let rec pp_operand ppf = function
+  | L.Lvar x -> Fmt.pf ppf "%%%s" x
+  | L.Lproj (a, k) -> Fmt.pf ppf "%a.%d" pp_operand a k
+  | _ -> Fmt.string ppf "_"
+
+(* [once] marks a block whose node is built once per run and phase. *)
+let pp_block ppf (b : L.block) =
+  Fmt.pf ppf "block k%d(%a)%s -> %a" b.L.kernel.Kernel.id
+    Fmt.(list ~sep:(any ", ") pp_operand)
+    b.L.batched_args
+    (if L.runs_once b then " once" else "")
+    Fmt.(list ~sep:(any ", ") (fmt "%%%s"))
+    b.L.outs
+
 let print_lowered (lp : L.t) =
   Fmt.pr "specializations (parameters; those the AOT engine drops as forwarded-only):@.";
+  Fmt.pr "  each with its blocks (once: the node is built once per run and phase)@.";
   let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) lp.L.defs []) in
   let dropped_of = Forwarded.dropped lp in
   List.iter
@@ -168,7 +184,8 @@ let print_lowered (lp : L.t) =
       let d = L.find_def lp name in
       let dropped = dropped_of name in
       Fmt.pr "  %s(%s)%s@." name (String.concat ", " d.L.lparams)
-        (if dropped = [] then "" else "  drops: " ^ String.concat ", " dropped))
+        (if dropped = [] then "" else "  drops: " ^ String.concat ", " dropped);
+      List.iter (Fmt.pr "    %a@." pp_block) (L.blocks d.L.lbody))
     names;
   Fmt.pr "kernels:@.";
   List.iter (fun k -> Fmt.pr "  %a@." Kernel.pp k) (Kernel.all_kernels lp.L.registry);

@@ -58,6 +58,12 @@ let arg t ~batched ~shared pos =
   | Batched -> batched.(t.slots.(pos))
   | Shared -> shared.(t.slots.(pos))
 
+(** Some op of [t] draws a random tensor: each instance draws its own. *)
+let draws_random t =
+  List.exists
+    (fun g -> List.exists (fun i -> match i.op with Op.Random _ -> true | _ -> false) g.instrs)
+    t.groups
+
 (** Number of device launches one batch of this kernel issues. *)
 let launches t = List.length t.groups
 

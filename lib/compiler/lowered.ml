@@ -9,7 +9,10 @@
 open Acrobat_ir
 
 type depth_spec =
-  | Static of int  (** Hoisted: compile-time depth (§B.1). *)
+  | Static of int
+      (** Hoisted: compile-time depth (§B.1). A block with this depth, no
+          batched argument and no random op runs once per run and
+          program phase ({!runs_once}). *)
   | Dynamic  (** Consumes the per-instance runtime depth counter. *)
 
 type block = {
@@ -84,6 +87,18 @@ type t = {
           PGO is unavailable. *)
 }
 
+(** [b] computes one value per run: it reads no batched argument (only
+    weights and constants, and a kernel names one binding of them per
+    run), its depth is [Static] (so the node is scheduled before any
+    consumer in its window), and none of its ops draws a random tensor
+    (each instance draws its own). Both engines build such a block's node
+    once per kernel and program phase in a run, and every later
+    evaluation reuses its outputs ([Runtime.once], DESIGN.md §35). *)
+let runs_once b =
+  Array.length b.kernel.Kernel.batched = 0
+  && (match b.depth with Static _ -> true | Dynamic -> false)
+  && not (Kernel.draws_random b.kernel)
+
 let find_def t name =
   match Hashtbl.find_opt t.defs name with
   | Some d -> d
@@ -91,17 +106,20 @@ let find_def t name =
 
 let entry_def t = find_def t t.entry
 
-(** Count the kernel-invocation sites (not dynamic invocations) in a
-    definition — a cheap size metric used in tests and reports. *)
-let rec count_blocks = function
-  | Lblock (_, cont) -> 1 + count_blocks cont
-  | Lvar _ | Lglobal _ | Lint _ | Lfloat _ | Lbool _ | Lnil | Lshared _ -> 0
-  | Llet (_, a, b) | Lcons (a, b) | Lnode (a, b) | Lmap (a, b) | Lbinop (_, a, b) ->
-    count_blocks a + count_blocks b
-  | Lif (a, b, c) -> count_blocks a + count_blocks b + count_blocks c
-  | Lcall (f, args) -> List.fold_left (fun acc e -> acc + count_blocks e) (count_blocks f) args
-  | Lfn (_, b) | Lleaf b | Lproj (b, _) | Lnot b | Lscalar b | Lchoice b | Lcoin b -> count_blocks b
-  | Lghost (_, b) | Lphase (_, b) -> count_blocks b
-  | Lmatch (s, cases) ->
-    List.fold_left (fun acc (_, e) -> acc + count_blocks e) (count_blocks s) cases
-  | Ltuple es | Lconcurrent es -> List.fold_left (fun acc e -> acc + count_blocks e) 0 es
+(** The kernel-invocation sites of a definition body (not dynamic
+    invocations), in evaluation order: what [acrobatc lower] lists, and
+    a cheap size metric used in tests. *)
+let blocks e =
+  let rec go acc = function
+    | Lblock (b, cont) -> go (b :: acc) cont
+    | Lvar _ | Lglobal _ | Lint _ | Lfloat _ | Lbool _ | Lnil | Lshared _ -> acc
+    | Llet (_, a, b) | Lcons (a, b) | Lnode (a, b) | Lmap (a, b) | Lbinop (_, a, b) ->
+      go (go acc a) b
+    | Lif (a, b, c) -> go (go (go acc a) b) c
+    | Lcall (f, args) -> List.fold_left go (go acc f) args
+    | Lfn (_, b) | Lleaf b | Lproj (b, _) | Lnot b | Lscalar b | Lchoice b | Lcoin b -> go acc b
+    | Lghost (_, b) | Lphase (_, b) -> go acc b
+    | Lmatch (s, cases) -> List.fold_left (fun acc (_, e) -> go acc e) (go acc s) cases
+    | Ltuple es | Lconcurrent es -> List.fold_left go acc es
+  in
+  List.rev (go [] e)

@@ -348,6 +348,36 @@ let handles (os : operand array) : value array -> ictx -> handle array =
       [| h0; h1; to_handle (read o2 env ictx) |]
   | _ -> read_array to_handle os
 
+(* The scheduling depth of a node of a block of depth [d]: a [Dynamic]
+   one takes the instance's counter and bumps it. *)
+let node_depth (d : L.depth_spec) ictx =
+  match d with
+  | L.Static d -> d
+  | L.Dynamic ->
+    let d = ictx.ictx_depth in
+    ictx.ictx_depth <- d + 1;
+    d
+
+(* One node of the [Lblock] site [site], of [bound]'s kernel, with
+   batched arguments [args]: its first output slot. *)
+let node st site rt policy bound args ictx depth =
+  let plan =
+    match st.sites.(site) with
+    | Some p -> p
+    | None ->
+      (* The site's first node: {!Runtime.plan_in} checks its shapes. *)
+      let p = Runtime.plan_in rt bound args in
+      st.sites.(site) <- Some p;
+      p
+  in
+  let sig_key = policy.Policy.sig_of rt plan args in
+  let first =
+    Runtime.invoke rt bound ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase
+      ~depth ~sig_key
+  in
+  if policy.Policy.eager then Runtime.flush rt;
+  first
+
 (* A compiled match case: the pattern's variables' slots and the body. *)
 type case = { pat : Ast.pat; slots : int array; body : value array -> ictx -> value }
 
@@ -389,40 +419,32 @@ let rec compile (st : t) (scope : scope) (e : L.lexpr) : value array -> ictx -> 
     let eval_args = handles (operands st scope b.batched_args) in
     let out_slots = Array.of_list (List.map (fresh_slot scope) b.outs) in
     let cont_f = compile st scope cont in
-    let kernel = b.kernel in
+    let kernel = b.kernel and depth = b.depth in
     let site = Array.length st.sites in
     st.sites <- Array.append st.sites [| None |];
-    fun env ictx ->
-      let args = eval_args env ictx in
-      let depth =
-        match b.depth with
-        | L.Static d -> d
-        | L.Dynamic ->
-          let d = ictx.ictx_depth in
-          ictx.ictx_depth <- d + 1;
-          d
+    if L.runs_once b then begin
+      let build ictx =
+        let { rt; policy } = binding st in
+        node st site rt policy (Runtime.bind rt kernel) [||] ictx (node_depth depth ictx)
       in
-      let { rt; policy } = binding st in
-      let b = Runtime.bind rt kernel in
-      let plan =
-        match st.sites.(site) with
-        | Some p -> p
-        | None ->
-          (* The site's first node: {!Runtime.plan_in} checks its shapes. *)
-          let p = Runtime.plan_in rt b args in
-          st.sites.(site) <- Some p;
-          p
-      in
-      let sig_key = policy.Policy.sig_of rt plan args in
-      let first =
-        Runtime.invoke rt b ~plan ~args ~instance:ictx.ictx_instance
-          ~phase:ictx.ictx_phase ~depth ~sig_key
-      in
-      if policy.Policy.eager then Runtime.flush rt;
-      for k = 0 to Array.length out_slots - 1 do
-        env.(out_slots.(k)) <- Vtensor (Runtime.output rt first k)
-      done;
-      cont_f env ictx
+      fun env ictx ->
+        let rt = (binding st).rt in
+        let outs = Runtime.once rt (Runtime.bind rt kernel) ictx build in
+        for k = 0 to Array.length out_slots - 1 do
+          env.(out_slots.(k)) <- outs.(k)
+        done;
+        cont_f env ictx
+    end
+    else
+      fun env ictx ->
+        let args = eval_args env ictx in
+        let d = node_depth depth ictx in
+        let { rt; policy } = binding st in
+        let first = node st site rt policy (Runtime.bind rt kernel) args ictx d in
+        for k = 0 to Array.length out_slots - 1 do
+          env.(out_slots.(k)) <- Vtensor (Runtime.output rt first k)
+        done;
+        cont_f env ictx
   | L.Lcall (L.Lglobal g, args) when direct_call st g args ->
     (* A direct call: the callee's frame is allocated at its final size
        and the arguments, read left to right, go straight into its

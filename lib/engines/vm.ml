@@ -55,27 +55,26 @@ let rec eval (st : t) (env : env) (ictx : ictx) (e : L.lexpr) : value =
        node keeps the batched ones. *)
     let all = Array.of_list (List.map (fun a -> to_handle (eval st env ictx a)) b.args) in
     let args = Array.map (fun pos -> all.(pos)) b.kernel.Kernel.batched in
-    let depth =
-      match b.depth with
-      | L.Static d -> d
-      | L.Dynamic ->
-        let d = ictx.ictx_depth in
-        ictx.ictx_depth <- d + 1;
-        d
-    in
+    let depth = Aot.node_depth b.depth ictx in
     let bound = Runtime.bind st.rt b.kernel in
-    let plan = Runtime.plan_in st.rt bound args in
-    let sig_key = st.policy.Policy.sig_of st.rt plan args in
-    let first =
-      Runtime.invoke st.rt bound ~plan ~args ~instance:ictx.ictx_instance ~phase:ictx.ictx_phase
-        ~depth ~sig_key
+    let node ictx =
+      let plan = Runtime.plan_in st.rt bound args in
+      let sig_key = st.policy.Policy.sig_of st.rt plan args in
+      let first =
+        Runtime.invoke st.rt bound ~plan ~args ~instance:ictx.ictx_instance
+          ~phase:ictx.ictx_phase ~depth ~sig_key
+      in
+      if st.policy.Policy.eager then Runtime.flush st.rt;
+      first
     in
-    if st.policy.Policy.eager then Runtime.flush st.rt;
+    let outs =
+      if L.runs_once b then Runtime.once st.rt bound ictx node
+      else
+        let first = node ictx in
+        Array.init (List.length b.outs) (fun k -> Vtensor (Runtime.output st.rt first k))
+    in
     let env' =
-      List.fold_left2
-        (fun acc name i -> (name, Vtensor (Runtime.output st.rt first i)) :: acc)
-        env b.outs
-        (List.init (List.length b.outs) Fun.id)
+      List.fold_left2 (fun acc name v -> (name, v) :: acc) env b.outs (Array.to_list outs)
     in
     eval st env' ictx cont
   | L.Lcall (f, args) ->

@@ -37,6 +37,9 @@ and binding = {
   shared : handle array;  (** [kernel]'s shared arguments, in [shared_binds] order. *)
   shared_slots : int array;
       (** Their slots: every node of the kernel points at this one array. *)
+  mutable once : (int * value array) list;
+      (** Per program phase, the outputs of the node built for blocks of
+          [kernel] that run once ({!once}). *)
 }
 
 type t = {
@@ -214,7 +217,9 @@ let bind t (kernel : Kernel.t) =
       Array.of_list (List.map (fun (_, bind) -> shared_handle t bind) kernel.shared_binds)
     in
     check_shared t kernel shared;
-    let b = { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared } in
+    let b =
+      { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared; once = [] }
+    in
     e.bound <- Some b;
     b
 
@@ -304,6 +309,26 @@ let invoke t (b : binding) ~(plan : Kernel.plan) ~(args : handle array) ~instanc
 (** Output [k] of the node whose first output slot is [first]: the handle
     its value will arrive in. Call it before the next node is invoked. *)
 let output t first k = Store.handle t.store (first + k)
+
+let rec once_from t b ictx node = function
+  | (p, outs) :: rest -> if p = ictx.ictx_phase then outs else once_from t b ictx node rest
+  | [] ->
+    let first = node ictx in
+    let outs = Array.init (Kernel.out_arity b.kernel) (fun k -> Vtensor (output t first k)) in
+    b.once <- (ictx.ictx_phase, outs) :: b.once;
+    outs
+
+(** The outputs of a block of [b]'s kernel that runs once
+    ({!Lowered.runs_once}), evaluated by [ictx] in its program phase. The
+    first evaluation per binding and phase calls [node ictx], which
+    builds the node ({!invoke}) and returns its first output slot; every
+    later one reuses that node's output handles, so nothing rebuilds,
+    reschedules or recomputes it. The handles are kept, not their slots:
+    once a window has executed, {!Store.handle} gives a slot a handle
+    without its value. Keyed by phase, so a node never feeds a consumer
+    of an earlier phase in its window; a new binding ({!set_weight},
+    {!share_plans}) starts afresh (DESIGN.md §35). *)
+let once t (b : binding) ictx (node : ictx -> int) : value array = once_from t b ictx node b.once
 
 (** Schedule and execute everything pending. *)
 let flush t =

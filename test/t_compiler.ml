@@ -260,7 +260,7 @@ let test_coarsening_block_counts () =
       m.Model.source
   in
   let n lp =
-    Hashtbl.fold (fun _ (d : L.ldef) acc -> acc + L.count_blocks d.L.lbody) lp.L.defs 0
+    Hashtbl.fold (fun _ (d : L.ldef) acc -> acc + List.length (L.blocks d.L.lbody)) lp.L.defs 0
   in
   check_true "coarsening reduces scheduling blocks" (n coarse < n fine)
 

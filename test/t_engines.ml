@@ -1166,6 +1166,192 @@ let test_element_counts_match_shapes () =
         lprog.Lowered.registry.Kernel.plan_table.Kernel.by_kernel)
     Models.tiny_ids
 
+(* --- Blocks that run once per run (DESIGN.md §35) --- *)
+
+(* A run of [lprog] with values, counting the nodes built per kernel id
+   (every node built is signed once). *)
+let counted_run ?instance_keys ~mode ~(c : compiled) ~lprog ~weights instances =
+  let counts = Hashtbl.create 8 in
+  let policy =
+    {
+      Policy.acrobat_policy with
+      sig_of =
+        (fun rt plan args ->
+          let k = plan.Kernel.kernel.Kernel.id in
+          Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k));
+          Policy.acrobat_policy.sig_of rt plan args);
+    }
+  in
+  let r =
+    Driver.run_batch ~compute_values:true ?instance_keys ~mode ~policy ~quality:c.quality ~lprog
+      ~weights ~instances ()
+  in
+  r, fun k -> Option.value ~default:0 (Hashtbl.find_opt counts k)
+
+let all_blocks (lprog : Lowered.t) =
+  Hashtbl.fold (fun _ (d : Lowered.ldef) acc -> Lowered.blocks d.Lowered.lbody @ acc)
+    lprog.Lowered.defs []
+
+let random_source =
+  {|
+def @step(%xs: List[Tensor[(1, 4)]], %h: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  match (%xs) {
+    Nil => %h,
+    Cons(%x, %rest) => {
+      let %r = random((1, 4));
+      @step(%rest, tanh(%h + %x + matmul(%r, %w)), %w)
+    }
+  }
+}
+
+def @main(%w: Tensor[(4, 4)], %h0: Tensor[(1, 4)], %xs: List[Tensor[(1, 4)]]) -> Tensor[(1, 4)] {
+  @step(%xs, %h0, %w)
+}
+|}
+
+(* A block that draws a random tensor reads no batched argument and is
+   hoisted to a static depth, yet it never runs once: every instance draws
+   its own tensor, at every step, from its own stream. Instances with the
+   same inputs get different outputs, and each instance's batched
+   fingerprint is that of its run alone, in both engines. *)
+let test_random_blocks_run_per_instance () =
+  let c = compile ~inputs:[ "h0"; "xs" ] random_source in
+  let lprog = c.lprog in
+  check_true "a static random block with no batched argument"
+    (List.exists
+       (fun (b : Lowered.block) ->
+         Array.length b.Lowered.kernel.Kernel.batched = 0
+         && (match b.Lowered.depth with Lowered.Static _ -> true | Lowered.Dynamic -> false)
+         && Kernel.draws_random b.Lowered.kernel)
+       (all_blocks lprog));
+  check_true "no block runs once" (not (List.exists Lowered.runs_once (all_blocks lprog)));
+  let rng = Rng.create 5 in
+  let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
+  let weights = [ "w", Tensor.random rng [ 4; 4 ] ] in
+  let same = [ "h0", tensor (); "xs", Driver.Hlist [ tensor (); tensor (); tensor () ] ] in
+  let instances = [ same; same; same ] in
+  let keys = [| 20; 21; 22 |] in
+  List.iter
+    (fun (label, mode) ->
+      let fps instance_keys instances =
+        Driver.fingerprints
+          (fst (counted_run ~instance_keys ~mode ~c ~lprog ~weights instances))
+      in
+      let batched = fps keys instances in
+      for i = 0 to 2 do
+        for j = i + 1 to 2 do
+          check_true (Fmt.str "%s: instances %d and %d draw different tensors" label i j)
+            (batched.(i) <> batched.(j))
+        done;
+        Alcotest.(check int64)
+          (Fmt.str "%s: instance %d batched = alone" label i)
+          batched.(i)
+          (fps [| keys.(i) |] [ same ]).(0)
+      done)
+    [ "aot", Driver.Aot_mode; "vm", Driver.Vm_mode ]
+
+let phases_source =
+  {|
+def @cell(%h: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  let %z = zeros((1, 4));
+  tanh(%h + matmul(%z, %w))
+}
+
+def @walk(%xs: List[Tensor[(1, 4)]], %h: Tensor[(1, 4)], %w: Tensor[(4, 4)]) -> Tensor[(1, 4)] {
+  match (%xs) {
+    Nil => %h,
+    Cons(%x, %rest) => {
+      let %pair = concurrent(@cell(%x, %w), @cell(%h, %w));
+      @walk(%rest, %pair.0 + %pair.1, %w)
+    }
+  }
+}
+
+def @main(%w: Tensor[(4, 4)], %h0: Tensor[(1, 4)], %xs: List[Tensor[(1, 4)]],
+          %ys: List[Tensor[(1, 4)]]) -> (Tensor[(1, 4)], Tensor[(1, 4)]) {
+  let %a = @walk(%xs, %h0, %w);
+  let %b = @walk(%ys, %a, %w);
+  (%a, %b)
+}
+|}
+
+(* @cell's [matmul(%z, %w)] reads a constant and a weight: with hoisting it
+   runs once, and it is reached in two program phases (@main's two walks)
+   and from both branches of a [concurrent]. Each run, in AOT and in the
+   VM, fibers off and on, builds one node of its kernel per phase, and
+   [matmul(%x, ...)] of the other cell one node per evaluation; without
+   hoisting every evaluation builds its matmul node. The first instance
+   reaches the block in phase 1 first. Fingerprints agree between the
+   engines, with and without hoisting, and with the eager reference;
+   virtual time agrees between the engines, the VM's dispatch aside. *)
+let test_once_blocks_per_phase () =
+  let inputs = [ "h0"; "xs"; "ys" ] in
+  let rng = Rng.create 9 in
+  let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
+  let list n = Driver.Hlist (List.init n (fun _ -> tensor ())) in
+  let weights = [ "w", Tensor.random rng [ 4; 4 ] ] in
+  let lens = [ 0, 2; 3, 1; 1, 0; 2, 2 ] in
+  let instances = List.map (fun (x, y) -> [ "h0", tensor (); "xs", list x; "ys", list y ]) lens in
+  let cells = List.fold_left (fun n (x, y) -> n + x + y) 0 lens in
+  let eager =
+    Driver.fingerprints
+      (run ~compute_values:true
+         (compile ~framework:Frameworks.Pytorch ~inputs phases_source)
+         ~weights ~instances ())
+  in
+  let vm_slot = P.activity_index P.Vm_overhead in
+  let without_vm (r : Driver.result) =
+    Array.mapi (fun i x -> if i = vm_slot then 0L else Int64.bits_of_float x)
+      r.Driver.stats.Driver.profiler.P.times_us
+  in
+  List.iter
+    (fun hoisting ->
+      let c =
+        compile ~framework:(Frameworks.Acrobat { Config.acrobat with Config.hoisting }) ~inputs
+          phases_source
+      in
+      let once = List.filter Lowered.runs_once (all_blocks c.lprog) in
+      check_int (Fmt.str "hoisting %b: blocks that run once" hoisting)
+        (if hoisting then 1 else 0)
+        (List.length once);
+      let matmuls =
+        List.filter_map
+          (fun (k : Kernel.t) ->
+            if
+              List.exists
+                (fun (g : Kernel.group) ->
+                  List.exists (fun (i : Kernel.instr) -> i.Kernel.op = Ir.Op.Matmul) g.Kernel.instrs)
+                k.Kernel.groups
+            then Some k.Kernel.id
+            else None)
+          (Kernel.all_kernels c.lprog.Lowered.registry)
+      in
+      List.iter
+        (fun fibers ->
+          let lprog = { c.lprog with Lowered.has_tdc = fibers } in
+          let label s = Fmt.str "hoisting %b, fibers %b: %s" hoisting fibers s in
+          let run mode = counted_run ~mode ~c ~lprog ~weights instances in
+          let aot, aot_nodes = run Driver.Aot_mode and vm, vm_nodes = run Driver.Vm_mode in
+          List.iter
+            (fun (engine, nodes) ->
+              let matmul_nodes = List.fold_left (fun n k -> n + nodes k) 0 matmuls in
+              match once with
+              | [ b ] ->
+                check_int (label (engine ^ ": one node per phase")) 2
+                  (nodes b.Lowered.kernel.Kernel.id);
+                check_int (label (engine ^ ": matmul nodes")) (cells + 2) matmul_nodes
+              | _ ->
+                check_int (label (engine ^ ": one matmul node per evaluation")) (2 * cells)
+                  matmul_nodes)
+            [ "aot", aot_nodes; "vm", vm_nodes ];
+          Alcotest.(check (array int64)) (label "aot = eager") eager (Driver.fingerprints aot);
+          Alcotest.(check (array int64)) (label "vm = eager") eager (Driver.fingerprints vm);
+          Alcotest.(check (array int64))
+            (label "virtual time of the VM, dispatch aside")
+            (without_vm vm) (without_vm aot))
+        [ false; true ])
+    [ true; false ]
+
 (* [t]'s shape with its last dimension one wider, and a value with its
    first tensor leaf widened ([None] without a tensor leaf). *)
 let widen t =
@@ -1324,4 +1510,8 @@ let suite =
         test_boundary_checks_every_model;
       Alcotest.test_case "boundary: inputs follow @main's parameter order" `Quick
         test_inputs_follow_parameter_order;
+      Alcotest.test_case "runs once: a random block draws per instance" `Quick
+        test_random_blocks_run_per_instance;
+      Alcotest.test_case "runs once: one node per kernel and phase in both engines" `Quick
+        test_once_blocks_per_phase;
     ]
