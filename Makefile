@@ -136,11 +136,11 @@ chaos-smoke: build
 # kernel plans or staging, to per-event boxing in the event loop or to
 # trace work on untraced devices fails it. The promoted bound proves the
 # live DFG is no longer promoted: a node graph of records outlives a
-# minor heap. Current readings per item: offline-treelstm ~2.30k minor
-# and 115 promoted words (~2.71k promoted with record nodes),
-# offline-stackrnn-values ~63.5k, serve-birnn ~6.05k and fleet-overload
-# ~873 per request. DESIGN.md §17-§35 record how each reading fell.
-ALLOC_GATES = offline-treelstm:2770:138 offline-stackrnn-values:76200 \
+# minor heap. Current readings per item: offline-treelstm ~2.18k minor
+# and 113 promoted words (~2.71k promoted with record nodes),
+# offline-stackrnn-values ~63.5k, serve-birnn ~6.0k and fleet-overload
+# ~865 per request. DESIGN.md §17-§36 record how each reading fell.
+ALLOC_GATES = offline-treelstm:2610:136 offline-stackrnn-values:76200 \
   serve-birnn:7260 fleet-overload:1050
 
 alloc-gate: build

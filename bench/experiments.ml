@@ -843,6 +843,23 @@ let scale_bench ?(sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 29) ()
 (* --- Net partition: goodput through a partition/heal cycle, naive
    resend vs exactly-once delivery (DESIGN.md §16) --- *)
 
+(** The fleet's capacity in requests per second: [replicas] devices
+    each running full batches back to back, at the virtual latency of
+    one full batch of [model] under the default serving policy (the
+    first [max_batch] payloads {!Acrobat.serve_cluster} draws from
+    [seed], compiled and tuned as it compiles them). *)
+let fleet_capacity_rps ~iters ~replicas ~seed (model : Model.t) =
+  let max_batch =
+    match Serve.Server.default_config.Serve.Server.policy with
+    | Serve.Batcher.Fixed { max_batch; _ } | Serve.Batcher.Adaptive { max_batch; _ } -> max_batch
+    | Serve.Batcher.Batch1 -> 1
+  in
+  let c, weights = compile_model ~iters model ~batch:8 ~seed in
+  let rng = Rng.create ((seed * 31) + 5) in
+  let batch = List.init max_batch (fun _ -> model.Model.gen_instance rng) in
+  let latency_us = (batch_executor ~seed c ~weights batch).Serve.Server.ex_latency_us in
+  float_of_int (replicas * max_batch) *. 1.0e6 /. latency_us
+
 (** The same loaded 3-replica cluster behind three transports: direct
     calls (no network), the lossy transport with exactly-once delivery
     (idempotency keys + per-replica dedup window), and the same lossy
@@ -854,28 +871,36 @@ let scale_bench ?(sizes = [ 1_000; 10_000; 100_000; 1_000_000 ]) ?(seed = 29) ()
     work and goodput drops strictly below the exactly-once row (gated
     in [bench partition]). Arrivals, seeds and the fault window are
     identical in all three rows; the only degree of freedom is the
-    delivery protocol. Per run: transport and the summary. The rate
-    must overload the fleet, or the naive rows shed nothing and the gate
-    has no ghost work to see. It is set just above the fleet's capacity
-    (at 30,000 req/s naive resend sheds nothing), so it moves when
-    TreeLSTM's serving cost does (DESIGN.md §35). *)
-let partition_bench ?(requests = 2400) ?(rate_per_s = 33000.0) ?(iters = 50) ?(seed = 17) ()
-    =
+    delivery protocol. Returns the fleet's capacity and the offered
+    rate (requests per second), and per run: transport and the summary.
+    The rate must overload the fleet once ghost work is added, or the
+    naive rows shed nothing and the gate has no ghost work to see; yet
+    not so far that exactly-once delivery itself sheds. It is [load]
+    times the fleet's full-batch capacity ({!fleet_capacity_rps}), so it
+    follows TreeLSTM's serving cost: 0.7 sits mid-way in the band of
+    loads (0.69-0.71) where every gate passed both before and after the
+    change of DESIGN.md §36. *)
+let partition_bench ?(requests = 2400) ?(load = 0.7) ?(iters = 50) ?(seed = 17) () =
+  let replicas = 3 in
   let model = Models.tiny "treelstm" in
+  let capacity_rps = fleet_capacity_rps ~iters ~replicas ~seed model in
+  let rate_per_s = load *. capacity_rps in
   let plan =
     Net.parse
       "seed=11,delay=150:50,drop=0.04,dup=0.3,partition=20000:50000:2,timeout=8000,resends=3"
   in
   let run ~label ?net () =
     let r =
-      serve_cluster ~iters ?net ~replicas:3 ~deadline_ms:15.0
+      serve_cluster ~iters ?net ~replicas ~deadline_ms:15.0
         ~process:(Serve.Traffic.Poisson { rate_per_s })
         ~requests ~seed model
     in
     label, r.cr_summary
   in
-  [
-    run ~label:"direct calls" ();
-    run ~label:"exactly-once" ~net:plan ();
-    run ~label:"naive resend" ~net:{ plan with Net.np_dedup = false } ();
-  ]
+  ( capacity_rps,
+    rate_per_s,
+    [
+      run ~label:"direct calls" ();
+      run ~label:"exactly-once" ~net:plan ();
+      run ~label:"naive resend" ~net:{ plan with Net.np_dedup = false } ();
+    ] )

@@ -717,7 +717,9 @@ let scale () =
 
 let partition () =
   hr "Net partition: goodput through a partition/heal cycle (3 replicas, lossy links)";
-  let rows = E.partition_bench () in
+  let capacity_rps, rate_per_s, rows = E.partition_bench () in
+  pf "offered %.0f req/s: %.2fx the fleet's capacity of %.0f req/s (3 replicas, full batches)\n"
+    rate_per_s (rate_per_s /. capacity_rps) capacity_rps;
   let json =
     table
       (List.map

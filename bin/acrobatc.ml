@@ -165,18 +165,28 @@ let rec pp_operand ppf = function
   | L.Lproj (a, k) -> Fmt.pf ppf "%a.%d" pp_operand a k
   | _ -> Fmt.string ppf "_"
 
-(* [once] marks a block whose node is built once per run and phase. *)
+(* [once] marks a block whose node is built once per run; [reads kN.I]
+   names output I of kernel N's once node, which the block reads as a
+   shared argument. *)
 let pp_block ppf (b : L.block) =
-  Fmt.pf ppf "block k%d(%a)%s -> %a" b.L.kernel.Kernel.id
+  let reads =
+    List.filter_map
+      (function
+        | L.Lshared (Kernel.Bonce { kernel; out }) -> Some (Fmt.str "k%d.%d" kernel out)
+        | _ -> None)
+      b.L.args
+  in
+  Fmt.pf ppf "block k%d(%a)%s%s -> %a" b.L.kernel.Kernel.id
     Fmt.(list ~sep:(any ", ") pp_operand)
     b.L.batched_args
     (if L.runs_once b then " once" else "")
+    (if reads = [] then "" else " reads " ^ String.concat ", " reads)
     Fmt.(list ~sep:(any ", ") (fmt "%%%s"))
     b.L.outs
 
 let print_lowered (lp : L.t) =
   Fmt.pr "specializations (parameters; those the AOT engine drops as forwarded-only):@.";
-  Fmt.pr "  each with its blocks (once: the node is built once per run and phase)@.";
+  Fmt.pr "  each with its blocks (once: built once per run; reads kN.I: output I of kN's once node)@.";
   let names = List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) lp.L.defs []) in
   let dropped_of = Forwarded.dropped lp in
   List.iter

@@ -22,6 +22,10 @@ type role = Shared | Batched
 type shared_bind =
   | Bparam of string  (** A @main weight parameter. *)
   | Bconst of { shape : Shape.t; value : float }  (** A constant tensor. *)
+  | Bonce of { kernel : int; out : int }
+      (** Output [out] of the node of kernel [kernel] (by id) that a block
+          running once per run builds ([Lowered.runs_once]): a node's
+          output, the same tensor at every evaluation of the run. *)
 
 type src = Arg of int | Tmp of int
 
@@ -43,6 +47,10 @@ type t = {
       (** Per argument index, its position among the node's batched
           arguments or among the shared ones (in [shared_binds] order),
           as its role says. *)
+  produced : int array;
+      (** The indices of the [Shared] arguments a node produces ([Bonce]),
+          ascending: the only shared arguments a scheduler must order a
+          node after, and that may be pending at launch. *)
   groups : group list;
   ntmps : int;
   out_tmps : int array;
@@ -317,6 +325,10 @@ let canonical_key ~roles ~shared_binds ~outs instrs =
   let bind_str = function
     | i, Bparam p -> Fmt.str "%d=p:%s" i p
     | i, Bconst { shape; value } -> Fmt.str "%d=c:%a:%Lx" i Shape.pp shape (bits value)
+    | i, Bonce { kernel; out } ->
+      (* Concatenated, not [Fmt.str]: a formatter per bind raised each
+         TreeLSTM compile's promoted words by a fifth (DESIGN.md §36). *)
+      String.concat "" [ string_of_int i; "=o:"; string_of_int kernel; "."; string_of_int out ]
   in
   Fmt.str "%a|%a|%a|%a"
     Fmt.(list ~sep:(any ";") string)
@@ -363,6 +375,10 @@ let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
     let slots = Array.make nargs 0 in
     Array.iteri (fun j i -> slots.(i) <- j) batched;
     Array.iteri (fun j i -> slots.(i) <- j) shared;
+    let produced =
+      Array.of_list
+        (List.filter_map (function i, Bonce _ -> Some i | _ -> None) shared_binds)
+    in
     let groups =
       vertical_groups ~fusion instrs
       |> horizontal_merge ~horizontal
@@ -377,6 +393,7 @@ let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
         shared_binds;
         batched;
         slots;
+        produced;
         groups;
         ntmps = b.next_tmp;
         out_tmps;

@@ -131,10 +131,12 @@ let run_avals st ~ctx (run : run_op list) =
   idx_of_var, out_avals, arg_aval
 
 (* Lower a run of tensor ops into scheduling blocks, returning a function
-   that wraps a continuation lexpr. [lower] lowers argument expressions.
-   [ctx] is the current context. *)
-let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
-    (cont_free : SSet.t) : (L.lexpr -> L.lexpr) * string list =
+   that wraps a continuation lexpr, and the blocks. [lower] lowers argument
+   expressions. [ctx] is the current context. [once] maps a variable an
+   earlier block that runs once bound to its [Bonce] binding: the run
+   reads it as a shared argument. *)
+let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) ~once (run : run_op list)
+    (cont_free : SSet.t) : (L.lexpr -> L.lexpr) * L.block list =
   let idx_of_var, out_avals, arg_aval = run_avals st ~ctx run in
   (* Global (run-level) instruction list, with externs keyed for dedup. *)
   let externs : (ext_key, int) Hashtbl.t = Hashtbl.create 8 in
@@ -249,25 +251,27 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
           |> List.split
         in
         let arg_avals = List.rev !arg_avals and arg_exprs = List.rev !arg_exprs in
-        let roles =
-          Array.of_list
-            (List.map
-               (fun av ->
-                 match single_of_aval av with Some _ -> Kernel.Shared | None -> Kernel.Batched)
-               arg_avals)
-        in
-        let shared_binds =
-          arg_avals
-          |> List.mapi (fun i av -> i, single_of_aval av)
-          |> List.filter_map (function i, Some s -> Some (i, bind_of_single s) | _, None -> None)
-        in
-        let args =
+        let binds =
           List.map2
             (fun av lex ->
-              match single_of_aval av with
-              | Some s -> L.Lshared (bind_of_single s)
-              | None -> lex)
+              match single_of_aval av, lex with
+              | Some s, _ -> Some (bind_of_single s)
+              | None, L.Lvar x -> List.assoc_opt x once
+              | None, _ -> None)
             arg_avals arg_exprs
+        in
+        let roles =
+          Array.of_list
+            (List.map (function Some _ -> Kernel.Shared | None -> Kernel.Batched) binds)
+        in
+        let shared_binds =
+          binds
+          |> List.mapi (fun i b -> i, b)
+          |> List.filter_map (function i, Some b -> Some (i, b) | _, None -> None)
+        in
+        let args =
+          List.map2 (fun bind lex -> match bind with Some b -> L.Lshared b | None -> lex) binds
+            arg_exprs
         in
         let name =
           String.concat "_" (List.map (fun (i : Kernel.instr) -> Op.name i.op) piece)
@@ -311,8 +315,7 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) (run : run_op list)
         { L.kernel; args; batched_args; depth; outs; site })
       pieces
   in
-  let outs_all = List.concat_map (fun b -> b.L.outs) blocks in
-  (fun cont -> List.fold_right (fun b acc -> L.Lblock (b, acc)) blocks cont), outs_all
+  (fun cont -> List.fold_right (fun b acc -> L.Lblock (b, acc)) blocks cont), blocks
 
 (* Classify each op of a run as hoistable (static depth) or dynamic, using
    the same abstract values as {!lower_run}. *)
@@ -424,9 +427,11 @@ and lower_prim_run st ~defname ~ctx e =
   (* The free set for liveness must include variables consumed by later
      sub-runs; using the whole original expression's continuation plus all
      run variables referenced across sub-runs is achieved by adding every
-     later sub-run's argument variables. *)
+     later sub-run's argument variables. A later sub-run reads the outputs
+     of a static block that runs once as shared arguments: the same tensor
+     at every evaluation, never gathered (DESIGN.md §36). *)
   let wraps =
-    let rec build = function
+    let rec build once = function
       | [] -> []
       | sub :: rest ->
         let later_vars =
@@ -438,10 +443,15 @@ and lower_prim_run st ~defname ~ctx e =
             SSet.empty (List.concat rest)
         in
         let free = SSet.union cont_free later_vars in
-        let wrap, _ = lower_run st ~ctx ~lower:(lower_expr st ~defname ~ctx) sub free in
-        wrap :: build rest
+        let wrap, blocks = lower_run st ~ctx ~lower:(lower_expr st ~defname ~ctx) ~once sub free in
+        let once_outs (b : L.block) =
+          if L.runs_once b then
+            List.mapi (fun out x -> x, Kernel.Bonce { kernel = b.kernel.Kernel.id; out }) b.outs
+          else []
+        in
+        wrap :: build (List.concat_map once_outs blocks @ once) rest
     in
-    build sub_runs
+    build [] sub_runs
   in
   let body = List.fold_right (fun w acc -> w acc) wraps lowered_cont in
   List.fold_right

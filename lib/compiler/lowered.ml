@@ -11,8 +11,8 @@ open Acrobat_ir
 type depth_spec =
   | Static of int
       (** Hoisted: compile-time depth (§B.1). A block with this depth, no
-          batched argument and no random op runs once per run and
-          program phase ({!runs_once}). *)
+          batched argument and no random op runs once per run
+          ({!runs_once}). *)
   | Dynamic  (** Consumes the per-instance runtime depth counter. *)
 
 type block = {
@@ -92,8 +92,10 @@ type t = {
     run), its depth is [Static] (so the node is scheduled before any
     consumer in its window), and none of its ops draws a random tensor
     (each instance draws its own). Both engines build such a block's node
-    once per kernel and program phase in a run, and every later
-    evaluation reuses its outputs ([Runtime.once], DESIGN.md §35). *)
+    once per kernel in a run, in program phase 0, and every later
+    evaluation reuses its outputs ([Runtime.once], DESIGN.md §35, §36).
+    A block after it in the same straight-line run reads those outputs
+    as shared arguments ([Kernel.Bonce]). *)
 let runs_once b =
   Array.length b.kernel.Kernel.batched = 0
   && (match b.depth with Static _ -> true | Dynamic -> false)

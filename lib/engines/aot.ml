@@ -322,7 +322,7 @@ let read_array conv (os : operand array) env ictx =
   end
 
 (* The operands [os] read into a fresh array: up to two (a tuple's
-   fields) or three (a kernel's batched arguments, as tensors) allocated
+   fields) or four (a kernel's batched arguments, as tensors) allocated
    inline, as {!frame_alloc} does frames, and more through
    [read_array]. Chosen at staging. *)
 let values (os : operand array) : value array -> ictx -> value array =
@@ -346,6 +346,12 @@ let handles (os : operand array) : value array -> ictx -> handle array =
       let h0 = to_handle (read o0 env ictx) in
       let h1 = to_handle (read o1 env ictx) in
       [| h0; h1; to_handle (read o2 env ictx) |]
+  | [| o0; o1; o2; o3 |] ->
+    fun env ictx ->
+      let h0 = to_handle (read o0 env ictx) in
+      let h1 = to_handle (read o1 env ictx) in
+      let h2 = to_handle (read o2 env ictx) in
+      [| h0; h1; h2; to_handle (read o3 env ictx) |]
   | _ -> read_array to_handle os
 
 (* The scheduling depth of a node of a block of depth [d]: a [Dynamic]

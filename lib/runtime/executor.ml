@@ -70,6 +70,16 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
      argument only under that policy); a static system has already
      compiled the decision. *)
   let nargs = kernel.Kernel.nargs in
+  (* A shared argument a node produces ([Kernel.produced]: an output of a
+     block that runs once) is read once per batch like any shared one,
+     but its producer must have executed. Every node of the batch reads
+     the slots of its kernel's one binding, so the first node's are
+     checked. *)
+  let produced = kernel.Kernel.produced in
+  for r = 0 to Array.length produced - 1 do
+    let pos = produced.(r) in
+    ignore (arg_addr s ids.(lo) pos (Store.arg_slot s ids.(lo) pos))
+  done;
   let batched = kernel.Kernel.batched in
   let nb = Array.length batched in
   let same = if policy.detect_dynamic_sharing then Array.make nb false else [||] in
@@ -148,7 +158,10 @@ let exec_batch (device : Device.t) (policy : policy) ~(rand_for : int -> Rng.t)
       ~bytes:!bytes
   done;
   Device.note_batch device;
-  if n = 1 then Device.note_unbatched device;
+  (* A node built once per run is a batch of one by design, not work that
+     failed to batch; it has no batched argument, so other batches skip
+     the search. *)
+  if n = 1 && not (nb = 0 && List.mem ids.(lo) s.once_nodes) then Device.note_unbatched device;
   (* Allocate outputs: one contiguous slab per output slot. *)
   let out_arity = Kernel.out_arity kernel in
   for slot = 0 to out_arity - 1 do

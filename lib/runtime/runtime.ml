@@ -37,9 +37,9 @@ and binding = {
   shared : handle array;  (** [kernel]'s shared arguments, in [shared_binds] order. *)
   shared_slots : int array;
       (** Their slots: every node of the kernel points at this one array. *)
-  mutable once : (int * value array) list;
-      (** Per program phase, the outputs of the node built for blocks of
-          [kernel] that run once ({!once}). *)
+  mutable once : value array option;
+      (** The outputs of the node built for blocks of [kernel] that run
+          once ({!once}), when built. *)
 }
 
 type t = {
@@ -142,9 +142,19 @@ let const_handle t ~shape ~value =
     Hashtbl.replace t.consts key h;
     h
 
+(* Output [out] of kernel [kernel]'s once node, from its binding's memo
+   ({!once}): lowering puts a block that runs once before every block
+   reading its outputs, so the memo is set when a reader binds. *)
+let once_output t ~kernel ~out =
+  match if kernel < Array.length t.kernels then t.kernels.(kernel).bound else None with
+  | Some { once = Some outs; _ } -> to_handle outs.(out)
+  | Some { once = None; _ } | None ->
+    fail "output %d of kernel %d's once node is read before the node is built" out kernel
+
 let shared_handle t : Kernel.shared_bind -> handle = function
   | Kernel.Bparam p -> weight t p
   | Kernel.Bconst { shape; value } -> const_handle t ~shape ~value
+  | Kernel.Bonce { kernel; out } -> once_output t ~kernel ~out
 
 (** Upload per-instance input tensors. [batched] models ACROBAT's batched
     memory transfers (§D.3: one host->device call); DyNet pays one call per
@@ -218,7 +228,7 @@ let bind t (kernel : Kernel.t) =
     in
     check_shared t kernel shared;
     let b =
-      { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared; once = [] }
+      { kernel; entry = e; shared; shared_slots = Array.map (fun h -> h.slot) shared; once = None }
     in
     e.bound <- Some b;
     b
@@ -310,25 +320,27 @@ let invoke t (b : binding) ~(plan : Kernel.plan) ~(args : handle array) ~instanc
     its value will arrive in. Call it before the next node is invoked. *)
 let output t first k = Store.handle t.store (first + k)
 
-let rec once_from t b ictx node = function
-  | (p, outs) :: rest -> if p = ictx.ictx_phase then outs else once_from t b ictx node rest
-  | [] ->
-    let first = node ictx in
-    let outs = Array.init (Kernel.out_arity b.kernel) (fun k -> Vtensor (output t first k)) in
-    b.once <- (ictx.ictx_phase, outs) :: b.once;
-    outs
-
 (** The outputs of a block of [b]'s kernel that runs once
-    ({!Lowered.runs_once}), evaluated by [ictx] in its program phase. The
-    first evaluation per binding and phase calls [node ictx], which
-    builds the node ({!invoke}) and returns its first output slot; every
-    later one reuses that node's output handles, so nothing rebuilds,
-    reschedules or recomputes it. The handles are kept, not their slots:
+    ({!Lowered.runs_once}). The first evaluation per binding calls [node]
+    with [ictx] moved to phase 0, the lowest: [node] builds the node
+    ({!invoke}) and returns its first output slot. Every later evaluation,
+    in any phase, reuses that node's output handles, so nothing rebuilds,
+    reschedules or recomputes it. The node reads no node output, so in
+    phase 0 at its static depth it leads any window it is built in, before
+    every consumer (DESIGN.md §36). The handles are kept, not their slots:
     once a window has executed, {!Store.handle} gives a slot a handle
-    without its value. Keyed by phase, so a node never feeds a consumer
-    of an earlier phase in its window; a new binding ({!set_weight},
-    {!share_plans}) starts afresh (DESIGN.md §35). *)
-let once t (b : binding) ictx (node : ictx -> int) : value array = once_from t b ictx node b.once
+    without its value. A new binding ({!set_weight}, {!share_plans})
+    starts afresh (DESIGN.md §35). *)
+let once t (b : binding) ictx (node : ictx -> int) : value array =
+  match b.once with
+  | Some outs -> outs
+  | None ->
+    let first = node (if ictx.ictx_phase = 0 then ictx else { ictx with ictx_phase = 0 }) in
+    let s = t.store in
+    s.Store.once_nodes <- s.Store.owner.(first) :: s.Store.once_nodes;
+    let outs = Array.init (Kernel.out_arity b.kernel) (fun k -> Vtensor (output t first k)) in
+    b.once <- Some outs;
+    outs
 
 (** Schedule and execute everything pending. *)
 let flush t =

@@ -142,6 +142,19 @@ let inline_depth (_device : Device.t) s lo hi =
      charged the O(1) bucket push per node. *)
   group s lo hi s.depth 0
 
+(* The number of value slots node [id] of [kernel] may depend on, and the
+   [j]-th of them: its batched arguments in order, then the shared
+   arguments a node produces ([Kernel.produced]; none but for a kernel
+   reading a block that runs once). Every other shared argument is a
+   weight or constant, materialized before any node. *)
+let ndeps (kernel : Kernel.t) =
+  Array.length kernel.Kernel.batched + Array.length kernel.Kernel.produced
+
+let dep_slot s id (kernel : Kernel.t) j =
+  let nb = Array.length kernel.Kernel.batched in
+  if j < nb then s.args.(s.arg_lo.(id) + j)
+  else s.shared.(id).(kernel.Kernel.slots.(kernel.Kernel.produced.(j - nb)))
+
 (* Topological depths over the window, into [s.rdepth] (indexed by id
    minus [lo]). Nodes arrive in insertion order, which is a valid
    dependency order (obs. O.1), so one forward pass suffices — but the
@@ -158,10 +171,9 @@ let topo_depths (device : Device.t) s lo hi =
     for _ = 1 to kernel.Kernel.nargs do
       Device.charge_scheduling device 0.02
     done;
-    let a0 = s.arg_lo.(id) in
     let depth = ref 0 in
-    for j = 0 to Array.length kernel.Kernel.batched - 1 do
-      let m = s.owner.(s.args.(a0 + j)) in
+    for j = 0 to ndeps kernel - 1 do
+      let m = s.owner.(dep_slot s id kernel j) in
       if m >= lo then begin
         let dm = 1 + d.(m - lo) in
         if dm > !depth then depth := dm
@@ -174,11 +186,10 @@ let runtime_depth (device : Device.t) s lo hi =
   topo_depths device s lo hi;
   group s lo hi s.rdepth lo
 
-(* Whether argument [j] of node [id] comes from the same in-window node as
-   an earlier argument of it. *)
-let repeated s id j m =
-  let a0 = s.arg_lo.(id) in
-  let rec go i = i < j && (s.owner.(s.args.(a0 + i)) = m || go (i + 1)) in
+(* Whether dependency [j] of node [id] of [kernel] comes from the same
+   in-window node as an earlier dependency of it. *)
+let repeated s id kernel j m =
+  let rec go i = i < j && (s.owner.(dep_slot s id kernel i) = m || go (i + 1)) in
   go 0
 
 (* The agenda's ready nodes of one signature. *)
@@ -219,10 +230,10 @@ let agenda (device : Device.t) s lo hi =
   let indegree = Array.make n 0 and first = Array.make (n + 1) 0 in
   let each_dep f =
     for id = lo to hi - 1 do
-      let a0 = s.arg_lo.(id) in
-      for j = 0 to Array.length s.plan.(id).Kernel.kernel.Kernel.batched - 1 do
-        let m = s.owner.(s.args.(a0 + j)) in
-        if m >= lo && not (repeated s id j m) then f id m
+      let kernel = s.plan.(id).Kernel.kernel in
+      for j = 0 to ndeps kernel - 1 do
+        let m = s.owner.(dep_slot s id kernel j) in
+        if m >= lo && not (repeated s id kernel j m) then f id m
       done
     done
   in

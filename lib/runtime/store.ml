@@ -53,6 +53,9 @@ type t = {
       (** The kernel's shared arguments as value slots, in [shared_binds]
           order: one array per kernel and run, which every node of the
           kernel points at. *)
+  mutable once_nodes : int list;
+      (** The nodes built once per run ([Runtime.once]): each is a batch
+          of one by design, not work that failed to batch. *)
   mutable args : int array;
   mutable nargs : int;  (** Used prefix of [args]. *)
   (* Values, indexed by slot. *)
@@ -102,6 +105,7 @@ let create () =
     arg_lo = [||];
     out_lo = [||];
     shared = [||];
+    once_nodes = [];
     args = [||];
     nargs = 0;
     values = 0;
@@ -133,6 +137,7 @@ let release_holders s =
 let reset s =
   release_holders s;
   s.nodes <- 0;
+  s.once_nodes <- [];
   s.nargs <- 0;
   s.values <- 0;
   s.interned <- 0;

@@ -64,7 +64,10 @@ let run_case id (framework, mode) ~compute_values =
    with a change that means to change simulated time, and says so: the
    TreeLSTM ACROBAT rows (AOT, VM, agenda) moved when a block that runs
    once per run stopped building a node per evaluation (DESIGN.md §35;
-   224 -> 153 nodes, one more width-1 batch). *)
+   224 -> 153 nodes, one more width-1 batch), and again when its outputs
+   became shared arguments of their consumer (DESIGN.md §36: the five
+   outputs' bytes are read once per batch, so kernel time falls, and the
+   once node no longer counts as an unbatched op). *)
 let pins : ((string * string * string) * string) list =
   [
     ("rnn", "acrobat-aot", "acct"),
@@ -88,13 +91,13 @@ let pins : ((string * string * string) * string) list =
     ("rnn", "pytorch", "values"),
     "t=406128f5c28f5c14,407927ae147ae179,405dd1eb851eb84a,4095aeab0e87f2bd,4095f80000000000,408d9e66666667d8,0 c=624,0,0,79,624,624,624,0 f=624 p=b12f2b373ee8";
     ("treelstm", "acrobat-aot", "acct"),
-    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,407050c5b1aa7891,406a000000000000,0,0 c=102,0,0,2,153,13,4,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,4070500b92e7801e,406a000000000000,0,0 c=102,0,0,2,153,13,3,0 f=1 p=5f098e4e55e5";
     ("treelstm", "acrobat-aot", "values"),
-    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,407050c5b1aa7891,406a000000000000,0,0 c=102,0,0,2,153,13,4,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,4070500b92e7801e,406a000000000000,0,0 c=102,0,0,2,153,13,3,0 f=1 p=5f098e4e55e5";
     ("treelstm", "acrobat-vm", "acct"),
-    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,407050c5b1aa7891,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,153,13,4,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,4070500b92e7801e,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,153,13,3,0 f=1 p=5f098e4e55e5";
     ("treelstm", "acrobat-vm", "values"),
-    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,407050c5b1aa7891,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,153,13,4,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,401e999999999984,400a7ae147ae147b,4070500b92e7801e,406a000000000000,40b29acccccccc8d,0 c=102,0,0,2,153,13,3,0 f=1 p=5f098e4e55e5";
     ("treelstm", "dynet", "acct"),
     "t=408055c28f5c2a0e,40a71f851eb84626,405cf3d70a3d70ad,408cb13c81c3afbf,408fb00000000000,0,0 c=430,177,91648,77,2376,253,157,0 f=1 p=a39ba12c1676";
     ("treelstm", "dynet", "values"),
@@ -292,13 +295,13 @@ let pins : ((string * string * string) * string) list =
     ("treelstm", "acrobat-baseline-vm", "values"),
     "t=409568a3d70a3fcb,408e951eb851e78a,400a7ae147ae147b,40a2d2945e59951a,4095b00000000000,40c2873333333d9e,0 c=692,250,178400,2,6228,442,181,0 f=1 p=9ee188b0a428";
     ("treelstm", "acrobat-agenda-aot", "acct"),
-    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7f5d4a4c70e0,4069800000000000,0,0 c=100,0,0,2,153,12,3,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7de90cc67ffa,4069800000000000,0,0 c=100,0,0,2,153,12,2,0 f=1 p=5f098e4e55e5";
     ("treelstm", "acrobat-agenda-aot", "values"),
-    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7f5d4a4c70e0,4069800000000000,0,0 c=100,0,0,2,153,12,3,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7de90cc67ffa,4069800000000000,0,0 c=100,0,0,2,153,12,2,0 f=1 p=5f098e4e55e5";
     ("treelstm", "acrobat-agenda-vm", "acct"),
-    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7f5d4a4c70e0,4069800000000000,40b29acccccccc8d,0 c=100,0,0,2,153,12,3,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7de90cc67ffa,4069800000000000,40b29acccccccc8d,0 c=100,0,0,2,153,12,2,0 f=1 p=5f098e4e55e5";
     ("treelstm", "acrobat-agenda-vm", "values"),
-    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7f5d4a4c70e0,4069800000000000,40b29acccccccc8d,0 c=100,0,0,2,153,12,3,0 f=1 p=5f098e4e55e5";
+    "t=4040d47ae147ae0b,4062b6147ae147af,400a7ae147ae147b,406f7de90cc67ffa,4069800000000000,40b29acccccccc8d,0 c=100,0,0,2,153,12,2,0 f=1 p=5f098e4e55e5";
     ("mvrnn", "acrobat-baseline-aot", "acct"),
     "t=40602b851eb851d8,405723d70a3d70a9,4016f7ced916872c,407205218b62e2c2,406e000000000000,0,0 c=118,48,81472,2,588,70,15,0 f=1 p=4817149911cf";
     ("mvrnn", "acrobat-baseline-aot", "values"),

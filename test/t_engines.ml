@@ -1276,15 +1276,20 @@ def @main(%w: Tensor[(4, 4)], %h0: Tensor[(1, 4)], %xs: List[Tensor[(1, 4)]],
 |}
 
 (* @cell's [matmul(%z, %w)] reads a constant and a weight: with hoisting it
-   runs once, and it is reached in two program phases (@main's two walks)
-   and from both branches of a [concurrent]. Each run, in AOT and in the
-   VM, fibers off and on, builds one node of its kernel per phase, and
+   runs once, and @cell's [tanh(%h + ...)] reads its output as a shared
+   argument. The block is reached in two program phases (@main's two
+   walks) and from both branches of a [concurrent]. Each run, in AOT and
+   in the VM, fibers off and on, under each scheduler, builds one node of
+   its kernel, in phase 0 whatever phase first reaches it, and
    [matmul(%x, ...)] of the other cell one node per evaluation; without
    hoisting every evaluation builds its matmul node. The first instance
-   reaches the block in phase 1 first. Fingerprints agree between the
-   engines, with and without hoisting, and with the eager reference;
-   virtual time agrees between the engines, the VM's dispatch aside. *)
-let test_once_blocks_per_phase () =
+   reaches the block in phase 1 first, and some consumers read only
+   materialized inputs besides it: a phase-1 node, or a scheduler blind to
+   the shared argument, would launch them first. Fingerprints agree
+   between the engines, with and without hoisting, and with the eager
+   reference; virtual time agrees between the engines, the VM's dispatch
+   aside. *)
+let test_once_blocks_across_phases () =
   let inputs = [ "h0"; "xs"; "ys" ] in
   let rng = Rng.create 9 in
   let tensor () = Driver.Htensor (Tensor.random rng [ 1; 4 ]) in
@@ -1305,15 +1310,23 @@ let test_once_blocks_per_phase () =
       r.Driver.stats.Driver.profiler.P.times_us
   in
   List.iter
-    (fun hoisting ->
+    (fun (hoisting, scheduler) ->
       let c =
-        compile ~framework:(Frameworks.Acrobat { Config.acrobat with Config.hoisting }) ~inputs
-          phases_source
+        compile
+          ~framework:(Frameworks.Acrobat { Config.acrobat with Config.hoisting; scheduler })
+          ~inputs phases_source
       in
       let once = List.filter Lowered.runs_once (all_blocks c.lprog) in
-      check_int (Fmt.str "hoisting %b: blocks that run once" hoisting)
+      let sched = Config.scheduler_name scheduler in
+      check_int (Fmt.str "hoisting %b, %s: blocks that run once" hoisting sched)
         (if hoisting then 1 else 0)
         (List.length once);
+      check_int (Fmt.str "hoisting %b, %s: kernels reading a once output" hoisting sched)
+        (if hoisting then 1 else 0)
+        (List.length
+           (List.filter
+              (fun (k : Kernel.t) -> Array.length k.Kernel.produced > 0)
+              (Kernel.all_kernels c.lprog.Lowered.registry)));
       let matmuls =
         List.filter_map
           (fun (k : Kernel.t) ->
@@ -1329,7 +1342,7 @@ let test_once_blocks_per_phase () =
       List.iter
         (fun fibers ->
           let lprog = { c.lprog with Lowered.has_tdc = fibers } in
-          let label s = Fmt.str "hoisting %b, fibers %b: %s" hoisting fibers s in
+          let label s = Fmt.str "hoisting %b, %s, fibers %b: %s" hoisting sched fibers s in
           let run mode = counted_run ~mode ~c ~lprog ~weights instances in
           let aot, aot_nodes = run Driver.Aot_mode and vm, vm_nodes = run Driver.Vm_mode in
           List.iter
@@ -1337,9 +1350,9 @@ let test_once_blocks_per_phase () =
               let matmul_nodes = List.fold_left (fun n k -> n + nodes k) 0 matmuls in
               match once with
               | [ b ] ->
-                check_int (label (engine ^ ": one node per phase")) 2
+                check_int (label (engine ^ ": one node per run")) 1
                   (nodes b.Lowered.kernel.Kernel.id);
-                check_int (label (engine ^ ": matmul nodes")) (cells + 2) matmul_nodes
+                check_int (label (engine ^ ": matmul nodes")) (cells + 1) matmul_nodes
               | _ ->
                 check_int (label (engine ^ ": one matmul node per evaluation")) (2 * cells)
                   matmul_nodes)
@@ -1350,7 +1363,60 @@ let test_once_blocks_per_phase () =
             (label "virtual time of the VM, dispatch aside")
             (without_vm vm) (without_vm aot))
         [ false; true ])
-    [ true; false ]
+    (List.concat_map
+       (fun hoisting ->
+         List.map (fun s -> hoisting, s) [ Config.Inline_depth; Config.Agenda; Config.Runtime_depth ])
+       [ true; false ])
+
+(* TreeLSTM's internal cell reads the five outputs of its once block
+   ([matmul(%zx, ...)] per gate) as shared arguments: its block carries the four
+   child states alone. With values, under AOT and the VM and each
+   scheduler, every instance's fingerprint equals the eager PyTorch
+   reference's, and virtual time agrees between the engines, the VM's
+   dispatch aside. *)
+let test_treelstm_once_outputs_shared () =
+  let model = Models.tiny "treelstm" in
+  let inputs = model.Model.inputs in
+  let weights = model.Model.gen_weights 1 in
+  let instances = gen_batch model ~batch:4 ~seed:3 in
+  let eager =
+    Driver.fingerprints
+      (run ~compute_values:true (compile ~framework:Frameworks.Pytorch ~inputs model.Model.source)
+         ~weights ~instances ())
+  in
+  let vm_slot = P.activity_index P.Vm_overhead in
+  let without_vm (r : Driver.result) =
+    Array.mapi (fun i x -> if i = vm_slot then 0L else Int64.bits_of_float x)
+      r.Driver.stats.Driver.profiler.P.times_us
+  in
+  List.iter
+    (fun scheduler ->
+      let sched = Config.scheduler_name scheduler in
+      let framework = Frameworks.Acrobat { Config.acrobat with Config.scheduler } in
+      let c = compile ~framework ~inputs model.Model.source in
+      let readers =
+        List.filter
+          (fun (b : Lowered.block) -> Array.length b.Lowered.kernel.Kernel.produced > 0)
+          (all_blocks c.lprog)
+      in
+      check_true (sched ^ ": the internal cell reads once outputs") (readers <> []);
+      List.iter
+        (fun (b : Lowered.block) ->
+          check_int (sched ^ ": four batched arguments") 4 (List.length b.Lowered.batched_args);
+          check_int (sched ^ ": five once outputs shared") 5
+            (Array.length b.Lowered.kernel.Kernel.produced))
+        readers;
+      let run mode =
+        Driver.run_batch ~compute_values:true ~mode ~policy:(Frameworks.policy framework)
+          ~quality:c.quality ~lprog:c.lprog ~weights ~instances ()
+      in
+      let aot = run Driver.Aot_mode and vm = run Driver.Vm_mode in
+      Alcotest.(check (array int64)) (sched ^ ": aot = eager") eager (Driver.fingerprints aot);
+      Alcotest.(check (array int64)) (sched ^ ": vm = eager") eager (Driver.fingerprints vm);
+      Alcotest.(check (array int64))
+        (sched ^ ": virtual time of the VM, dispatch aside")
+        (without_vm vm) (without_vm aot))
+    [ Config.Inline_depth; Config.Agenda; Config.Runtime_depth ]
 
 (* [t]'s shape with its last dimension one wider, and a value with its
    first tensor leaf widened ([None] without a tensor leaf). *)
@@ -1512,6 +1578,8 @@ let suite =
         test_inputs_follow_parameter_order;
       Alcotest.test_case "runs once: a random block draws per instance" `Quick
         test_random_blocks_run_per_instance;
-      Alcotest.test_case "runs once: one node per kernel and phase in both engines" `Quick
-        test_once_blocks_per_phase;
+      Alcotest.test_case "runs once: one node per kernel and phases share it, in both engines" `Quick
+        test_once_blocks_across_phases;
+      Alcotest.test_case "runs once: TreeLSTM's cell shares its once outputs under every scheduler"
+        `Quick test_treelstm_once_outputs_shared;
     ]

@@ -125,6 +125,44 @@ let test_executor_reports_dependency_violation () =
   let _ = invoke sig_k [| Runtime.output rt producer 0 |] ~depth:0 in
   expect_runtime_error "not materialized" (fun () -> Runtime.flush rt)
 
+(* A node reading a once node's output as a shared argument ([Bonce])
+   recorded below that node: the executor checks the shared argument is
+   materialized at launch, as it does a batched one. *)
+let test_executor_reports_pending_once_output () =
+  let device = Device.create () in
+  let policy =
+    { Executor.gather_fusion = true; quality = (fun _ -> 0.8); compute_values = false;
+      detect_dynamic_sharing = false }
+  in
+  let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:1 in
+  let reg = Kernel.registry () in
+  let src_k =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b (Acrobat_ir.Op.Constant { shape = [ 1; 2 ]; value = 1.0 }) [] in
+    Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
+      ~fusion:true ~horizontal:false
+  in
+  let add_k =
+    let b = Kernel.builder () in
+    let t = Kernel.add_instr b Acrobat_ir.Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
+    Kernel.finish reg b ~name:"add" ~nargs:2 ~roles:[| Kernel.Shared; Kernel.Batched |]
+      ~shared_binds:[ 0, Kernel.Bonce { kernel = src_k.Kernel.id; out = 0 } ]
+      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  in
+  let invoke kernel args ~depth ictx =
+    let bound = Runtime.bind rt kernel in
+    let plan = Runtime.plan_in rt bound args in
+    Runtime.invoke rt bound ~plan ~args ~instance:0 ~phase:ictx.Value.ictx_phase ~depth
+      ~sig_key:plan.id
+  in
+  let ictx = { Value.ictx_instance = 0; ictx_depth = 0; ictx_phase = 0 } in
+  (* Producer recorded at depth 5, its reader at depth 0: inverted. *)
+  ignore (Runtime.once rt (Runtime.bind rt src_k) ictx (invoke src_k [||] ~depth:5));
+  let x = List.hd (Runtime.upload_inputs rt ~batched:true [ Tensor.zeros [ 1; 2 ] ]) in
+  ignore (invoke add_k [| x |] ~depth:0 ictx);
+  expect_runtime_error "argument 0 of node 1 (phase 0 depth 0) not materialized (scheduling bug"
+    (fun () -> Runtime.flush rt)
+
 let test_closure_arity_mismatch () =
   let src =
     {|
@@ -176,6 +214,8 @@ let suite =
     Alcotest.test_case "match failure at runtime" `Quick test_interp_match_failure;
     Alcotest.test_case "executor catches inverted depths" `Quick
       test_executor_reports_dependency_violation;
+    Alcotest.test_case "executor reports a pending once output" `Quick
+      test_executor_reports_pending_once_output;
     Alcotest.test_case "closures through function params" `Quick test_closure_arity_mismatch;
     Alcotest.test_case "scalar() in accounting mode" `Quick test_scalar_accounting_mode_is_zero;
     Alcotest.test_case "parameter errors in order" `Quick test_parameter_errors_in_order;

@@ -279,6 +279,45 @@ let test_agenda_ties_lowest_id_first () =
     [ [ 0; 4 ]; [ 1; 5 ]; [ 2; 6 ]; [ 3; 7 ] ]
     (batch_ids (Scheduler.schedule Config.Agenda device (List.rev rt.Runtime.pending)))
 
+(* Reads the output of [source_kernel]'s once node as a shared argument,
+   beside a batched one. *)
+let once_reader_kernel =
+  let b = Kernel.builder () in
+  let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
+  Kernel.finish reg b ~name:"reader" ~nargs:2 ~roles:[| Kernel.Shared; Kernel.Batched |]
+    ~shared_binds:[ 0, Kernel.Bonce { kernel = source_kernel.Kernel.id; out = 0 } ]
+    ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+
+(* A shared argument a node produces is a dependency of its readers: a
+   reader whose batched argument is materialized sits one above the once
+   node, with a reader of an in-window node, so the runtime-depth and
+   agenda schedulers launch the two readers as one batch after both
+   producers. *)
+let test_once_output_is_a_dependency () =
+  List.iter
+    (fun scheduler ->
+      let device = Device.create () in
+      let policy =
+        { Executor.gather_fusion = true; quality = (fun _ -> 0.8); compute_values = false;
+          detect_dynamic_sharing = false }
+      in
+      let rt = Runtime.create ~device ~scheduler ~policy ~seed:1 ~instances:2 in
+      let ictx = { Value.ictx_instance = 0; ictx_depth = 0; ictx_phase = 0 } in
+      let build ictx =
+        (invoke rt ~kernel:source_kernel ~args:[||] ~instance:0 ~phase:ictx.Value.ictx_phase
+           ~depth:0).(0).Value.slot
+      in
+      ignore (Runtime.once rt (Runtime.bind rt source_kernel) ictx build);
+      let x = input rt [ 1; 2 ] in
+      let n = invoke rt ~kernel:unit_kernel ~args:[| x |] ~instance:1 ~phase:0 ~depth:0 in
+      ignore (invoke rt ~kernel:once_reader_kernel ~args:[| x |] ~instance:0 ~phase:0 ~depth:1);
+      ignore (invoke rt ~kernel:once_reader_kernel ~args:n ~instance:1 ~phase:0 ~depth:1);
+      Alcotest.(check (list (list int)))
+        (Config.scheduler_name scheduler ^ ": readers batch after both producers")
+        [ [ 0 ]; [ 1 ]; [ 2; 3 ] ]
+        (batch_ids (Scheduler.schedule scheduler device (List.rev rt.Runtime.pending))))
+    [ Config.Runtime_depth; Config.Agenda ]
+
 let test_inline_depth_batches_by_depth () =
   let device = Device.create () in
   let policy =
@@ -682,7 +721,8 @@ let reference_plan (k : Kernel.t) (arg_shapes : Shape.t array) =
 (* Every node of a catalog model's batch — read from the store of the run
    (the VM's own, which outlives the run) — has the plan a fresh
    computation gives its arguments' shapes, its plan's signature, its
-   batched arguments only, and its kernel's materialized shared ones. *)
+   batched arguments only, and its kernel's shared ones: weights and
+   constants materialized, a once node's outputs that node's. *)
 let test_plans_match_fresh_computation () =
   List.iter
     (fun id ->
@@ -728,9 +768,19 @@ let test_plans_match_fresh_computation () =
         check_int (what ^ ": one shared slot per binding") (List.length k.shared_binds)
           (Array.length s.shared.(n));
         List.iter
-          (fun (pos, _) ->
-            check_true (what ^ ": shared arguments are materialized")
-              (k.roles.(pos) = Kernel.Shared && s.owner.(Store.arg_slot s n pos) = -1))
+          (fun (pos, bind) ->
+            let v = Store.arg_slot s n pos in
+            let owner = s.owner.(v) in
+            check_true (what ^ ": shared arguments are shared") (k.roles.(pos) = Kernel.Shared);
+            match bind with
+            | Kernel.Bonce { kernel; out } ->
+              check_true (what ^ ": a once output is its once node's")
+                (owner >= 0 && owner < n
+                && s.plan.(owner).kernel.id = kernel
+                && Array.length s.plan.(owner).kernel.batched = 0
+                && s.out_lo.(owner) + out = v)
+            | Kernel.Bparam _ | Kernel.Bconst _ ->
+              check_true (what ^ ": weights and constants are materialized") (owner = -1))
           k.shared_binds
       done)
     Models.tiny_ids
@@ -988,6 +1038,8 @@ let suite =
       test_kernels_of_two_registries_never_batch;
     Alcotest.test_case "scheduler: agenda ties launch lowest id first" `Quick
       test_agenda_ties_lowest_id_first;
+    Alcotest.test_case "scheduler: a once output is a dependency of its readers" `Quick
+      test_once_output_is_a_dependency;
     Alcotest.test_case "executor: one-plan and two-plan launch sums match the reference" `Quick
       test_executor_plan_uniform_sums;
   ]
