@@ -338,7 +338,18 @@ let serve_cmd =
     (* The zero-delivered-corruption assertion: at --audit 1 every delivery
        is fingerprint-checked, so a corrupted result reaching a client is a
        hard failure, not a statistic. *)
-    let corruption_gate (summary : Serve.Stats.summary) rc =
+    (* The exit code of a serve run: 1 if its goodput is below
+       --min-goodput or it delivered corrupted results despite --audit 1,
+       each reported on stderr in that order. *)
+    let exit_code (summary : Serve.Stats.summary) =
+      let rc =
+        match min_goodput with
+        | Some frac when Serve.Stats.goodput summary < frac ->
+          Fmt.epr "error: goodput %.4f below --min-goodput %.4f@." (Serve.Stats.goodput summary)
+            frac;
+          1
+        | _ -> 0
+      in
       if audit >= 1.0 && summary.Serve.Stats.s_corrupted_delivered > 0 then begin
         Fmt.epr "error: %d corrupted results delivered despite --audit 1@."
           summary.Serve.Stats.s_corrupted_delivered;
@@ -432,13 +443,7 @@ let serve_cmd =
           Fmt.pr "wrote %s@." path)
         json_path;
       write_trace tracer trace_path;
-      corruption_gate summary
-        (match min_goodput with
-        | Some frac when Serve.Stats.goodput summary < frac ->
-          Fmt.epr "error: goodput %.4f below --min-goodput %.4f@."
-            (Serve.Stats.goodput summary) frac;
-          1
-        | _ -> 0)
+      exit_code summary
     end
     else begin
     let model = resolve model_id in
@@ -515,13 +520,7 @@ let serve_cmd =
       end
     in
     write_trace tracer trace_path;
-    corruption_gate summary
-      (match min_goodput with
-      | Some frac when Serve.Stats.goodput summary < frac ->
-        Fmt.epr "error: goodput %.4f below --min-goodput %.4f@."
-          (Serve.Stats.goodput summary) frac;
-        1
-      | _ -> 0)
+    exit_code summary
     end
   in
   let model_arg =

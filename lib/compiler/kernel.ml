@@ -1,10 +1,10 @@
 (** Batched-kernel descriptors.
 
     A kernel is the unit the runtime batches over: the tensor ops of one
-    static block (one op when grain coarsening is off), partitioned into
-    {e groups} — each group is one device launch (the partition is what
-    standard + horizontal kernel fusion decide). Each argument carries a
-    role from the taint analysis: [Shared] arguments are a single tensor
+    static block (one launch group when grain coarsening is off),
+    partitioned into {e groups} — each group is one device launch (the
+    partition {!Lower} chose by standard + horizontal kernel fusion).
+    Each argument carries a role from the taint analysis: [Shared] arguments are a single tensor
     (model parameter / constant) reused by every instance in a batch;
     [Batched] arguments differ per instance and may need a memory gather.
 
@@ -77,18 +77,6 @@ let launches t = List.length t.groups
 
 (* --- Shape/flops propagation (once per kernel and argument shapes: a plan) --- *)
 
-(** Shapes of all temporaries given argument shapes. *)
-let tmp_shapes t (arg_shapes : Shape.t array) : Shape.t array =
-  let tmps = Array.make t.ntmps [] in
-  let shape_of = function Arg i -> arg_shapes.(i) | Tmp j -> tmps.(j) in
-  List.iter
-    (fun g ->
-      List.iter
-        (fun i -> tmps.(i.dst) <- Op.out_shape i.op (List.map shape_of i.srcs))
-        g.instrs)
-    t.groups;
-  tmps
-
 (** Everything one invocation of a kernel produces and costs that follows
     from its argument shapes alone. The runtime shares one plan between
     every DFG node with the same kernel and argument shapes, so the
@@ -104,6 +92,7 @@ type plan = {
   batched_shapes : Shape.t array;
       (** The shapes of the [Batched] arguments, in [kernel.batched] order:
           what a node's own arguments must match to use this plan. *)
+  tmp_shapes : Shape.t array;  (** Every temporary's shape, by index. *)
   out_shapes : Shape.t array;
   out_elems : int array;
       (** Element count of each of [out_shapes]: the store sizes a node's
@@ -167,6 +156,7 @@ let plan t (arg_shapes : Shape.t array) : plan =
     arg_shapes = Array.copy arg_shapes;
     arg_elems = Array.map Shape.numel arg_shapes;
     batched_shapes = Array.map (fun i -> arg_shapes.(i)) t.batched;
+    tmp_shapes = tmps;
     out_shapes = Array.map (fun i -> tmps.(i)) t.out_tmps;
     out_elems = Array.map (fun i -> Shape.numel tmps.(i)) t.out_tmps;
     group_flops;
@@ -226,91 +216,11 @@ let execute ?rand t (args : Tensor.t array) : Tensor.t array =
 
 (* --- Construction --- *)
 
-type builder = { mutable instrs : instr list; mutable next_tmp : int }
-
-let builder () = { instrs = []; next_tmp = 0 }
-
-let add_instr b op srcs =
-  let dst = b.next_tmp in
-  b.next_tmp <- b.next_tmp + 1;
-  b.instrs <- { op; srcs; dst } :: b.instrs;
-  dst
-
-(* Vertical (standard) fusion: partition instructions into launch groups.
-   Non-elementwise ops anchor a new group; an elementwise op joins the
-   group of its latest temporary operand (the producer's group), which is
-   exactly "fuse elementwise consumers into their producers". *)
-let vertical_groups ~fusion instrs =
-  if not fusion then List.map (fun i -> [ i ]) instrs
-  else begin
-    (* Group k holds a reversed instruction list; [group_of_tmp] maps each
-       temporary to the index of the group that produces it. *)
-    let groups : instr list ref array ref = ref [||] in
-    let group_of_tmp = Hashtbl.create 16 in
-    let new_group i =
-      let idx = Array.length !groups in
-      groups := Array.append !groups [| ref [ i ] |];
-      idx
-    in
-    List.iter
-      (fun i ->
-        let producer_groups =
-          List.filter_map
-            (function Tmp j -> Hashtbl.find_opt group_of_tmp j | Arg _ -> None)
-            i.srcs
-        in
-        let idx =
-          (* Fusing into the *latest* producer group is always legal: all of
-             the instruction's dependencies live in that group or earlier
-             ones, and groups launch in creation order. *)
-          if Op.is_elementwise i.op && producer_groups <> [] then begin
-            let g = List.fold_left max 0 producer_groups in
-            !groups.(g) := i :: !(!groups.(g));
-            g
-          end
-          else new_group i
-        in
-        Hashtbl.replace group_of_tmp i.dst idx)
-      instrs;
-    Array.to_list (Array.map (fun g -> List.rev !g) !groups)
-  end
-
-(* Horizontal fusion: merge adjacent groups anchored by matmuls that share
-   their first operand (e.g. the four gate projections of an LSTM cell all
-   multiplying the same input), when the later group does not consume any
-   temporary of the earlier one. *)
-let horizontal_merge ~horizontal groups =
-  if not horizontal then groups
-  else begin
-    let anchor_src g =
-      match g with
-      | { op = Op.Matmul; srcs = s0 :: _; _ } :: _ -> Some s0
-      | _ -> None
-    in
-    let produces g = List.map (fun i -> i.dst) g in
-    let consumes g =
-      List.concat_map (fun i -> List.filter_map (function Tmp j -> Some j | Arg _ -> None) i.srcs) g
-    in
-    let rec merge = function
-      | [] -> []
-      | g :: rest -> begin
-        match rest with
-        | g2 :: rest2
-          when (match anchor_src g, anchor_src g2 with
-               | Some (Arg a), Some (Arg b) -> a = b
-               | _ -> false)
-               && not (List.exists (fun d -> List.mem d (consumes g2)) (produces g)) ->
-          merge ((g @ g2) :: rest2)
-        | _ -> g :: merge rest
-      end
-    in
-    merge groups
-  end
-
-(* Structural key for deduplication. Constants are keyed on their exact
-   bits and shapes: [Op.name] rounds values to 6 significant digits, which
-   would merge kernels computing different results. *)
-let canonical_key ~roles ~shared_binds ~outs instrs =
+(* Structural key for deduplication, launch groups included. Constants are
+   keyed on their exact bits and shapes: [Op.name] rounds values to 6
+   significant digits, which would merge kernels computing different
+   results. *)
+let canonical_key ~roles ~shared_binds ~outs groups =
   let src_str = function Arg i -> Fmt.str "a%d" i | Tmp j -> Fmt.str "t%d" j in
   let bits = Int64.bits_of_float in
   let op_str = function
@@ -331,8 +241,8 @@ let canonical_key ~roles ~shared_binds ~outs instrs =
       String.concat "" [ string_of_int i; "=o:"; string_of_int kernel; "."; string_of_int out ]
   in
   Fmt.str "%a|%a|%a|%a"
-    Fmt.(list ~sep:(any ";") string)
-    (List.map instr_str instrs)
+    Fmt.(list ~sep:(any "/") (list ~sep:(any ";") string))
+    (List.map (List.map instr_str) groups)
     Fmt.(array ~sep:(any ",") (fmt "%s"))
     (Array.map (function Shared -> "S" | Batched -> "B") roles)
     Fmt.(list ~sep:(any ",") string)
@@ -352,37 +262,38 @@ let registry () = { table = Hashtbl.create 64; next_id = 0; plan_table = plan_ta
 
 let all_kernels r = Hashtbl.fold (fun _ k acc -> k :: acc) r.table [] |> List.sort compare
 
-(** Finalize a builder into a (deduplicated) kernel. *)
-let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
-    ~(roles : role array) ~(shared_binds : (int * shared_bind) list)
-    ~(out_tmps : int array) ~(fusion : bool) ~(horizontal : bool) : t =
-  let instrs = List.rev b.instrs in
-  let key =
-    Fmt.str "%s#f%b#h%b" (canonical_key ~roles ~shared_binds ~outs:out_tmps instrs) fusion
-      horizontal
-  in
+(** The (deduplicated) kernel of [groups]: its launch groups in launch
+    order, as lowering partitioned them, with temporaries numbered from 0
+    in that order. [roles] has one role per argument. *)
+let finish (r : registry) ~(name : string) ~(roles : role array)
+    ~(shared_binds : (int * shared_bind) list) ~(out_tmps : int array) (groups : instr list list)
+    : t =
+  let key = canonical_key ~roles ~shared_binds ~outs:out_tmps groups in
   match Hashtbl.find_opt r.table key with
   | Some k -> k
   | None ->
+    let nargs = Array.length roles in
     let positions role =
       List.filter (fun i -> roles.(i) = role) (List.init nargs Fun.id) |> Array.of_list
     in
     let batched = positions Batched and shared = positions Shared in
-    if Array.length roles <> nargs || Array.to_list shared <> List.map fst shared_binds then
+    if Array.to_list shared <> List.map fst shared_binds then
       invalid_arg
         (Fmt.str "Kernel.finish %s: shared_binds must bind exactly the Shared arguments, in order"
            name);
+    let instrs = List.concat groups in
+    List.iteri
+      (fun j i ->
+        if i.dst <> j then
+          invalid_arg
+            (Fmt.str "Kernel.finish %s: temporaries must be numbered in launch order" name))
+      instrs;
     let slots = Array.make nargs 0 in
     Array.iteri (fun j i -> slots.(i) <- j) batched;
     Array.iteri (fun j i -> slots.(i) <- j) shared;
     let produced =
       Array.of_list
         (List.filter_map (function i, Bonce _ -> Some i | _ -> None) shared_binds)
-    in
-    let groups =
-      vertical_groups ~fusion instrs
-      |> horizontal_merge ~horizontal
-      |> List.map (fun instrs -> { instrs })
     in
     let k =
       {
@@ -394,8 +305,8 @@ let finish (r : registry) (b : builder) ~(name : string) ~(nargs : int)
         batched;
         slots;
         produced;
-        groups;
-        ntmps = b.next_tmp;
+        groups = List.map (fun instrs -> { instrs }) groups;
+        ntmps = List.length instrs;
         out_tmps;
       }
     in

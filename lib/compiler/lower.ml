@@ -92,9 +92,66 @@ let request ?(bonus = 0) st name ctx =
 (* One tensor op of a straight-line run. *)
 type run_op = { var : string; op : Op.t; args : Ast.expr list; site : int }
 
-(* An argument source feeding a run: either an in-run temporary or an
-   external value. External keys dedup repeated uses of the same variable. *)
-type ext_key = Kvar of string | Kexpr of int
+(* --- Partitioning a run into launches (fusion) --- *)
+
+(* Vertical (standard) fusion: partition a run's instructions, temporary
+   [i] at index [i], into launch groups. Non-elementwise ops anchor a new
+   group; an elementwise op joins the group of its latest temporary
+   operand (the producer's group), which is exactly "fuse elementwise
+   consumers into their producers". Fusing into the latest producer group
+   is always legal: all of the instruction's dependencies live in that
+   group or earlier ones, and groups launch in creation order. *)
+let vertical_groups ~fusion (instrs : Kernel.instr array) =
+  if not fusion then Array.to_list (Array.map (fun i -> [ i ]) instrs)
+  else begin
+    let n = Array.length instrs in
+    let group_of_tmp = Array.make n (-1) and members = Array.make n [] and count = ref 0 in
+    Array.iter
+      (fun (i : Kernel.instr) ->
+        let latest =
+          List.fold_left
+            (fun acc -> function Kernel.Tmp j -> max acc group_of_tmp.(j) | Kernel.Arg _ -> acc)
+            (-1) i.srcs
+        in
+        let g =
+          if Op.is_elementwise i.op && latest >= 0 then latest
+          else begin
+            incr count;
+            !count - 1
+          end
+        in
+        members.(g) <- i :: members.(g);
+        group_of_tmp.(i.dst) <- g)
+      instrs;
+    List.init !count (fun g -> List.rev members.(g))
+  end
+
+(* Horizontal fusion: merge adjacent groups anchored by matmuls that share
+   their first operand (e.g. the four gate projections of an LSTM cell all
+   multiplying the same input), when the later group does not consume any
+   temporary of the earlier one. *)
+let horizontal_merge ~horizontal groups =
+  if not horizontal then groups
+  else begin
+    let anchor_src = function
+      | { Kernel.op = Op.Matmul; srcs = s0 :: _; _ } :: _ -> Some s0
+      | _ -> None
+    in
+    let consumes g2 d =
+      List.exists (fun (i : Kernel.instr) -> List.mem (Kernel.Tmp d) i.srcs) g2
+    in
+    let rec merge = function
+      | g :: g2 :: rest
+        when (match anchor_src g, anchor_src g2 with
+             | Some (Kernel.Arg a), Some (Kernel.Arg b) -> a = b
+             | _ -> false)
+             && not (List.exists (fun (i : Kernel.instr) -> consumes g2 i.dst) g) ->
+        merge ((g @ g2) :: rest)
+      | g :: rest -> g :: merge rest
+      | [] -> []
+    in
+    merge groups
+  end
 
 (* --- Building kernels & blocks from a straight-line run of ops --- *)
 
@@ -106,151 +163,143 @@ let bind_of_single = function
   | Taint.Sparam p -> Kernel.Bparam p
   | Taint.Sconst { shape; value } -> Kernel.Bconst { shape; value }
 
-(* Abstract values over a straight-line run: externs from the taint
-   analysis, run outputs recomputed locally in run order. Returns the map
-   from run variables to run indices, each op's output value, and the
-   value of argument [pos] of op [r]. *)
-let run_avals st ~ctx (run : run_op list) =
-  let idx_of_var = Hashtbl.create 8 in
-  List.iteri (fun i r -> Hashtbl.replace idx_of_var r.var i) run;
-  let out_avals = Array.make (List.length run) Taint.Atop in
-  let arg_aval r pos arg =
-    match arg with
-    | Ast.Var x when Hashtbl.mem idx_of_var x -> out_avals.(Hashtbl.find idx_of_var x)
-    | _ -> List.nth (prim_avals st ~site:r.site ~ctx ~arity:(List.length r.args)) pos
+(* Abstract values over a straight-line run, by the analysis' own
+   transfer function ({!Taint.op_result}) in run order. Returns each op's
+   output value and, per op and argument, the run index of the op that
+   produces it (-1 for a value from outside the run) and its value: a run
+   output's as recomputed here, an external's from the taint analysis. *)
+let run_avals st ~ctx (run : run_op array) =
+  let producer = Hashtbl.create 8 in
+  let out_avals = Array.make (Array.length run) Taint.Atop in
+  let args =
+    Array.mapi
+      (fun i r ->
+        let args =
+          List.map2
+            (fun arg aval ->
+              match arg with
+              | Ast.Var x when Hashtbl.mem producer x ->
+                let j = Hashtbl.find producer x in
+                j, out_avals.(j)
+              | _ -> -1, aval)
+            r.args
+            (prim_avals st ~site:r.site ~ctx ~arity:(List.length r.args))
+        in
+        out_avals.(i) <- Taint.op_result r.op (List.map snd args);
+        Hashtbl.replace producer r.var i;
+        args)
+      run
   in
-  List.iteri
-    (fun i r ->
-      let avals = List.mapi (fun pos a -> arg_aval r pos a) r.args in
-      out_avals.(i) <-
-        (match r.op with
-        | Op.Constant { shape; value } -> Taint.tensor_const ~shape ~value
-        | Op.Random _ -> Taint.tensor_derived ~sdepth:(Dstatic 0)
-        | _ -> Taint.tensor_derived ~sdepth:(Taint.out_sdepth avals)))
-    run;
-  idx_of_var, out_avals, arg_aval
+  out_avals, args
 
 (* Lower a run of tensor ops into scheduling blocks, returning a function
-   that wraps a continuation lexpr, and the blocks. [lower] lowers argument
-   expressions. [ctx] is the current context. [once] maps a variable an
-   earlier block that runs once bound to its [Bonce] binding: the run
-   reads it as a shared argument. *)
-let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) ~once (run : run_op list)
+   that wraps a continuation lexpr, and the blocks. The run is partitioned
+   into launch groups once, here (fusion); coarsening keeps them all in
+   one block, and without it each group is its own block. [lower] lowers
+   argument expressions. [ctx] is the current context. [once] maps a
+   variable an earlier block that runs once bound to its [Bonce] binding:
+   the run reads it as a shared argument. *)
+let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) ~once (run : run_op array)
     (cont_free : SSet.t) : (L.lexpr -> L.lexpr) * L.block list =
-  let idx_of_var, out_avals, arg_aval = run_avals st ~ctx run in
-  (* Global (run-level) instruction list, with externs keyed for dedup. *)
-  let externs : (ext_key, int) Hashtbl.t = Hashtbl.create 8 in
-  let extern_info : (int * L.lexpr * Taint.aval) list ref = ref [] in
-  let next_ext = ref 0 in
-  let extern_id key lexpr aval =
-    match Hashtbl.find_opt externs key with
-    | Some i -> i
-    | None ->
-      let i = !next_ext in
-      incr next_ext;
-      Hashtbl.replace externs key i;
-      extern_info := (i, lexpr, aval) :: !extern_info;
-      i
+  let n = Array.length run in
+  let out_avals, arg_info = run_avals st ~ctx run in
+  (* The run's external arguments, a variable once however often it is
+     read: its expression and abstract value per extern index. *)
+  let extern_of_var = Hashtbl.create 8 and externs = ref [] and n_externs = ref 0 in
+  let extern lexpr aval =
+    externs := (lexpr, aval) :: !externs;
+    incr n_externs;
+    !n_externs - 1
   in
-  let kexpr_counter = ref 0 in
   let instrs =
-    List.mapi
+    Array.mapi
       (fun i r ->
         let srcs =
-          List.mapi
-            (fun pos arg ->
-              match arg with
-              | Ast.Var x when Hashtbl.mem idx_of_var x ->
-                Kernel.Tmp (Hashtbl.find idx_of_var x)
-              | Ast.Var x ->
-                Kernel.Arg (extern_id (Kvar x) (L.Lvar x) (arg_aval r pos arg))
-              | other ->
-                incr kexpr_counter;
-                Kernel.Arg (extern_id (Kexpr !kexpr_counter) (lower other) (arg_aval r pos arg)))
-            r.args
+          List.map2
+            (fun arg (producer, aval) ->
+              if producer >= 0 then Kernel.Tmp producer
+              else
+                match arg with
+                | Ast.Var x -> (
+                  match Hashtbl.find_opt extern_of_var x with
+                  | Some e -> Kernel.Arg e
+                  | None ->
+                    let e = extern (L.Lvar x) aval in
+                    Hashtbl.replace extern_of_var x e;
+                    Kernel.Arg e)
+                | other -> Kernel.Arg (extern (lower other) aval))
+            r.args arg_info.(i)
         in
         { Kernel.op = r.op; srcs; dst = i })
       run
   in
-  (* Partition into launch groups (fusion), then into scheduling blocks
-     (coarsening keeps the whole run as one block). *)
+  let externs = Array.of_list (List.rev !externs) in
   let groups =
-    Kernel.vertical_groups ~fusion:st.cfg.kernel_fusion instrs
-    |> Kernel.horizontal_merge ~horizontal:st.cfg.horizontal_fusion
+    vertical_groups ~fusion:st.cfg.kernel_fusion instrs
+    |> horizontal_merge ~horizontal:st.cfg.horizontal_fusion
   in
-  let pieces = if st.cfg.grain_coarsening then [ List.concat groups ] else groups in
-  let run_arr = Array.of_list run in
-  let extern_info = List.rev !extern_info in
-  (* Which run tmps are needed outside their own piece (or by the cont)? *)
-  let piece_of_tmp = Hashtbl.create 8 in
+  let pieces = if st.cfg.grain_coarsening then [ groups ] else List.map (fun g -> [ g ]) groups in
+  let piece_of_tmp = Array.make n 0 in
   List.iteri
-    (fun pi piece -> List.iter (fun (i : Kernel.instr) -> Hashtbl.replace piece_of_tmp i.dst pi) piece)
+    (fun p piece ->
+      List.iter (List.iter (fun (i : Kernel.instr) -> piece_of_tmp.(i.dst) <- p)) piece)
     pieces;
-  let cross_piece_or_live tmp =
-    let v = run_arr.(tmp).var in
-    SSet.mem v cont_free
-    || List.exists
-         (fun (i : Kernel.instr) ->
-           Hashtbl.find piece_of_tmp i.dst <> Hashtbl.find piece_of_tmp tmp
-           && List.exists (function Kernel.Tmp j -> j = tmp | Kernel.Arg _ -> false) i.srcs)
-         instrs
-  in
-  (* Build one block per piece. *)
+  (* A run tmp is a block output when the continuation or another piece
+     reads it. *)
+  let is_out = Array.map (fun r -> SSet.mem r.var cont_free) run in
+  Array.iter
+    (fun (i : Kernel.instr) ->
+      List.iter
+        (function
+          | Kernel.Tmp j when piece_of_tmp.(j) <> piece_of_tmp.(i.dst) -> is_out.(j) <- true
+          | Kernel.Tmp _ | Kernel.Arg _ -> ())
+        i.srcs)
+    instrs;
+  (* Build one block per piece, renumbering its arguments and tmps. *)
+  let local_tmp = Array.make n (-1) in
   let blocks =
-    List.map
-      (fun piece ->
-        let b = Kernel.builder () in
-        (* Local remapping: args and tmps local to the piece. *)
-        let local_args : (string, int) Hashtbl.t = Hashtbl.create 8 in
-        let arg_exprs = ref [] and arg_avals = ref [] in
-        let next_arg = ref 0 in
-        let local_arg key lexpr aval =
-          let k = Fmt.str "%s" key in
-          match Hashtbl.find_opt local_args k with
-          | Some i -> i
-          | None ->
-            let i = !next_arg in
-            incr next_arg;
-            Hashtbl.replace local_args k i;
-            arg_exprs := lexpr :: !arg_exprs;
-            arg_avals := aval :: !arg_avals;
-            i
+    List.mapi
+      (fun p piece ->
+        let args = ref [] and nargs = ref 0 in
+        let arg_of_extern = Array.make (Array.length externs) (-1)
+        and arg_of_tmp = Array.make n (-1) in
+        let local_arg table k (lexpr, aval) =
+          if table.(k) < 0 then begin
+            table.(k) <- !nargs;
+            incr nargs;
+            args := (lexpr, aval) :: !args
+          end;
+          Kernel.Arg table.(k)
         in
-        let local_tmp = Hashtbl.create 8 in
-        let my_piece = Hashtbl.find piece_of_tmp (List.hd piece : Kernel.instr).dst in
-        List.iter
-          (fun (i : Kernel.instr) ->
-            let srcs =
-              List.map
-                (function
-                  | Kernel.Arg e ->
-                    let _, lex, av = List.nth extern_info e in
-                    Kernel.Arg (local_arg (Fmt.str "e%d" e) lex av)
-                  | Kernel.Tmp j ->
-                    if Hashtbl.find piece_of_tmp j = my_piece then
-                      Kernel.Tmp (Hashtbl.find local_tmp j)
-                    else
-                      (* Produced by an earlier block: becomes a batched
-                         input, referenced through its bound variable. *)
-                      Kernel.Arg
-                        (local_arg (Fmt.str "t%d" j)
-                           (L.Lvar run_arr.(j).var)
-                           out_avals.(j)))
-                i.srcs
-            in
-            let dst = Kernel.add_instr b i.op srcs in
-            Hashtbl.replace local_tmp i.dst dst)
-          piece;
+        let next_tmp = ref 0 in
+        let local_groups =
+          List.map
+            (List.map (fun (i : Kernel.instr) ->
+                 let srcs =
+                   List.map
+                     (function
+                       | Kernel.Arg e -> local_arg arg_of_extern e externs.(e)
+                       | Kernel.Tmp j when piece_of_tmp.(j) = p -> Kernel.Tmp local_tmp.(j)
+                       | Kernel.Tmp j ->
+                         (* Produced by an earlier block: becomes a batched
+                            input, referenced through its bound variable. *)
+                         local_arg arg_of_tmp j (L.Lvar run.(j).var, out_avals.(j)))
+                     i.srcs
+                 in
+                 local_tmp.(i.dst) <- !next_tmp;
+                 incr next_tmp;
+                 { i with srcs; dst = local_tmp.(i.dst) }))
+            piece
+        in
+        let piece_instrs = List.concat piece in
         let out_tmps, outs =
           List.filter_map
             (fun (i : Kernel.instr) ->
-              if cross_piece_or_live i.dst then
-                Some (Hashtbl.find local_tmp i.dst, run_arr.(i.dst).var)
-              else None)
-            piece
+              if is_out.(i.dst) then Some (local_tmp.(i.dst), run.(i.dst).var) else None)
+            piece_instrs
           |> List.split
         in
-        let arg_avals = List.rev !arg_avals and arg_exprs = List.rev !arg_exprs in
+        let arg_exprs, arg_avals = List.split (List.rev !args) in
         let binds =
           List.map2
             (fun av lex ->
@@ -274,34 +323,21 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) ~once (run : run_op list)
             arg_exprs
         in
         let name =
-          String.concat "_" (List.map (fun (i : Kernel.instr) -> Op.name i.op) piece)
+          String.concat "_" (List.map (fun (i : Kernel.instr) -> Op.name i.op) piece_instrs)
         in
         let kernel =
-          Kernel.finish st.registry b ~name ~nargs:(List.length args) ~roles ~shared_binds
-            ~out_tmps:(Array.of_list out_tmps) ~fusion:st.cfg.kernel_fusion
-            ~horizontal:st.cfg.horizontal_fusion
+          Kernel.finish st.registry ~name ~roles ~shared_binds ~out_tmps:(Array.of_list out_tmps)
+            local_groups
         in
+        (* Hoisting: a block whose arguments all have static depths gets
+           the static depth an op reading them would. *)
         let depth =
-          if not st.cfg.hoisting then L.Dynamic
-          else begin
-            let sdepths = List.map Taint.sdepth_of arg_avals in
-            let all_static =
-              List.for_all (function Taint.Dstatic _ -> true | Taint.Ddyn -> false) sdepths
-            in
-            if all_static then begin
-              let d =
-                List.fold_left
-                  (fun acc -> function Taint.Dstatic k -> max acc k | Taint.Ddyn -> acc)
-                  (-1) sdepths
-                + 1
-              in
-              if d > st.max_static then st.max_static <- d;
-              L.Static d
-            end
-            else L.Dynamic
-          end
+          match Taint.out_sdepth arg_avals with
+          | Taint.Dstatic d when st.cfg.hoisting ->
+            if d > st.max_static then st.max_static <- d;
+            L.Static d
+          | Taint.Dstatic _ | Taint.Ddyn -> L.Dynamic
         in
-        let site = (List.hd run).site in
         (* The static frequency heuristic is deliberately coarse ("how
            deeply nested in the recursion", §D.1): it knows recursion
            multiplies invocations but not by how much, so any nesting gets
@@ -312,19 +348,10 @@ let lower_run st ~ctx ~(lower : Ast.expr -> L.lexpr) ~once (run : run_op list)
         | Some w when w >= weight -> ()
         | _ -> Hashtbl.replace st.hints kernel.Kernel.id weight);
         let batched_args = List.filteri (fun i _ -> roles.(i) = Kernel.Batched) args in
-        { L.kernel; args; batched_args; depth; outs; site })
+        { L.kernel; args; batched_args; depth; outs; site = run.(0).site })
       pieces
   in
   (fun cont -> List.fold_right (fun b acc -> L.Lblock (b, acc)) blocks cont), blocks
-
-(* Classify each op of a run as hoistable (static depth) or dynamic, using
-   the same abstract values as {!lower_run}. *)
-let classify_run st ~ctx (run : run_op list) : (run_op * bool) list =
-  let _, out_avals, _ = run_avals st ~ctx run in
-  List.mapi
-    (fun i r ->
-      r, (match Taint.sdepth_of out_avals.(i) with Taint.Dstatic _ -> true | Taint.Ddyn -> false))
-    run
 
 (* --- Expression lowering --- *)
 
@@ -339,8 +366,6 @@ let rec lower_expr st ~defname ~ctx (e : Ast.expr) : L.lexpr =
   | Ast.Int_lit n -> L.Lint n
   | Ast.Float_lit f -> L.Lfloat f
   | Ast.Bool_lit b -> L.Lbool b
-  | Ast.Let (v, Ast.Prim (Op.Constant { shape; value }, []), cont) when st.cfg.constant_reuse ->
-    L.Llet (v, L.Lshared (Kernel.Bconst { shape; value }), recur cont)
   | Ast.Let (_, Ast.Prim _, _) -> lower_prim_run st ~defname ~ctx e
   | Ast.Let (v, rhs, cont) -> L.Llet (v, recur rhs, recur cont)
   | Ast.If (c, a, b) ->
@@ -395,20 +420,35 @@ let rec lower_expr st ~defname ~ctx (e : Ast.expr) : L.lexpr =
   | Ast.Choice a -> L.Lchoice (recur a)
   | Ast.Coin a -> L.Lcoin (recur a)
 
-(* Gather the maximal straight-line run of tensor-op lets starting at [e]. *)
+(* Gather the maximal straight-line run of tensor-op lets starting at [e].
+   With constant reuse, its constant lets become shared bindings, the one
+   place constants are lowered. A binding the run binds again later gets
+   a name no identifier spells ([y'3]: the lexer takes no quote), and its
+   readers read that name: blocks and constants are bound apart from the
+   run's order, and a reader must name the binding in its scope. *)
 and lower_prim_run st ~defname ~ctx e =
-  let rec gather acc consts e =
+  let rec gather acc consts scope e =
     match e with
-    | Ast.Let (v, Ast.Prim (Op.Constant { shape; value }, []), cont) when st.cfg.constant_reuse ->
-      gather acc ((v, shape, value) :: consts) cont
-    | Ast.Let (v, Ast.Prim (op, args), cont) ->
-      gather ({ var = v; op; args; site = Sites.id st.sites (find_prim e) } :: acc) consts cont
+    | Ast.Let (v, (Ast.Prim (op, args) as prim), cont) ->
+      let name = if rebound v cont then Fmt.str "%s'%d" v (List.length scope) else v in
+      let args =
+        List.map
+          (function
+            | Ast.Var x -> Ast.Var (Option.value ~default:x (List.assoc_opt x scope)) | a -> a)
+          args
+      in
+      let scope = (v, name) :: scope in
+      (match op, args with
+      | Op.Constant { shape; value }, [] when st.cfg.constant_reuse ->
+        gather acc ((name, shape, value) :: consts) scope cont
+      | _ ->
+        gather ({ var = name; op; args; site = Sites.id st.sites prim } :: acc) consts scope cont)
     | _ -> List.rev acc, List.rev consts, e
-  and find_prim = function
-    | Ast.Let (_, (Ast.Prim _ as p), _) -> p
-    | _ -> assert false
+  and rebound v = function
+    | Ast.Let (w, Ast.Prim _, cont) -> w = v || rebound v cont
+    | _ -> false
   in
-  let run, consts, cont = gather [] [] e in
+  let run, consts, cont = gather [] [] [] e in
   let cont_free = free_vars cont in
   let lowered_cont = lower_expr st ~defname ~ctx cont in
   (* Hoisting splits the run into a static (hoistable) prefix and a dynamic
@@ -416,13 +456,15 @@ and lower_prim_run st ~defname ~ctx e =
      a dynamic op's output, so emitting all static ops first is safe and is
      exactly the paper's operator hoisting (Listing 2's bias_dense). *)
   let sub_runs =
-    if not st.cfg.hoisting then [ run ]
-    else begin
-      let statics, dyns =
-        List.partition (fun (r, sd) -> ignore r; sd) (classify_run st ~ctx run)
-      in
-      List.filter (( <> ) []) [ List.map fst statics; List.map fst dyns ]
-    end
+    List.filter (( <> ) [])
+      (if not st.cfg.hoisting then [ run ]
+       else begin
+         let out_avals, _ = run_avals st ~ctx (Array.of_list run) in
+         let static i =
+           match Taint.sdepth_of out_avals.(i) with Taint.Dstatic _ -> true | Taint.Ddyn -> false
+         in
+         [ List.filteri (fun i _ -> static i) run; List.filteri (fun i _ -> not (static i)) run ]
+       end)
   in
   (* The free set for liveness must include variables consumed by later
      sub-runs; using the whole original expression's continuation plus all
@@ -443,7 +485,9 @@ and lower_prim_run st ~defname ~ctx e =
             SSet.empty (List.concat rest)
         in
         let free = SSet.union cont_free later_vars in
-        let wrap, blocks = lower_run st ~ctx ~lower:(lower_expr st ~defname ~ctx) ~once sub free in
+        let wrap, blocks =
+          lower_run st ~ctx ~lower:(lower_expr st ~defname ~ctx) ~once (Array.of_list sub) free
+        in
         let once_outs (b : L.block) =
           if L.runs_once b then
             List.mapi (fun out x -> x, Kernel.Bonce { kernel = b.kernel.Kernel.id; out }) b.outs

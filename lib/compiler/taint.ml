@@ -87,6 +87,15 @@ let out_sdepth avals =
   | Dstatic d -> Dstatic (d + 1)
   | Ddyn -> Ddyn
 
+(** The abstract value of an [op] output from its arguments' values: the
+    transfer function of the analysis, which lowering reapplies over each
+    straight-line run. *)
+let op_result (op : Op.t) avals =
+  match op with
+  | Op.Constant { shape; value } -> tensor_const ~shape ~value
+  | Op.Random _ -> tensor_derived ~sdepth:(Dstatic 0)
+  | _ -> tensor_derived ~sdepth:(out_sdepth avals)
+
 let rec join a b =
   match a, b with
   | Abot, x | x, Abot -> x
@@ -194,10 +203,7 @@ let rec eval t defname ctx env (e : Ast.expr) : aval =
   | Ast.Prim (op, args) -> begin
     let avals = List.map (eval t defname ctx env) args in
     record_prim t (Sites.id t.sites e) ctx avals;
-    match op with
-    | Op.Constant { shape; value } -> tensor_const ~shape ~value
-    | Op.Random _ -> tensor_derived ~sdepth:(Dstatic 0)
-    | _ -> tensor_derived ~sdepth:(out_sdepth avals)
+    op_result op avals
   end
   | Ast.Call (callee, args) -> begin
     let fv = eval t defname ctx env callee in

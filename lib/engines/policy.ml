@@ -47,11 +47,12 @@ type dynet_class =
           kernel's matrix multiplication) is the same tensor. *)
   | Dunbatchable  (** No batched vendor kernel: executes one-by-one. *)
 
-let classify_for_dynet ~improved_matmul (kernel : Kernel.t)
-    (arg_shapes : Acrobat_tensor.Shape.t array) : dynet_class =
-  let instrs = List.concat_map (fun (g : Kernel.group) -> g.instrs) kernel.groups in
-  let tmp_shapes = Kernel.tmp_shapes kernel arg_shapes in
-  let shape_of = function Kernel.Arg i -> arg_shapes.(i) | Kernel.Tmp j -> tmp_shapes.(j) in
+let classify_for_dynet ~improved_matmul (plan : Kernel.plan) : dynet_class =
+  let instrs = List.concat_map (fun (g : Kernel.group) -> g.instrs) plan.kernel.groups in
+  let shape_of = function
+    | Kernel.Arg i -> plan.arg_shapes.(i)
+    | Kernel.Tmp j -> plan.tmp_shapes.(j)
+  in
   let is_broadcast_mul (i : Kernel.instr) =
     match i.op, i.srcs with
     | Op.Mul, [ a; b ] -> not (Acrobat_tensor.Shape.equal (shape_of a) (shape_of b))
@@ -103,7 +104,7 @@ let dynet_sig ?(improved_matmul = false) () =
       match Hashtbl.find_opt classes plan.id with
       | Some c -> c
       | None ->
-        let c = classify_for_dynet ~improved_matmul plan.kernel plan.arg_shapes in
+        let c = classify_for_dynet ~improved_matmul plan in
         Hashtbl.replace classes plan.id c;
         c
     in

@@ -14,17 +14,17 @@
 
 type t = {
   target_us : float;  (** Queue-delay setpoint. *)
-  mutable limit : float;
-  min_limit : float;
-  max_limit : float;
+  mutable limit : float;  (** Within [min_limit, max_limit]. *)
   mutable decreases : int;  (** Multiplicative backoffs taken (telemetry). *)
 }
 
+let initial_limit = 8.0
+let min_limit = 1.0
+let max_limit = 1024.0
 let additive_step = 1.0
 let backoff_factor = 0.7
 
-let create ~target_us ?(initial = 8.0) ?(min_limit = 1.0) ?(max_limit = 1024.0) () =
-  { target_us; limit = initial; min_limit; max_limit; decreases = 0 }
+let create ~target_us = { target_us; limit = initial_limit; decreases = 0 }
 
 let limit t = t.limit
 let target_us t = t.target_us
@@ -37,7 +37,7 @@ let admits t ~queued = float_of_int queued < t.limit
     launch) into the AIMD loop. *)
 let observe t ~delay_us =
   if delay_us > t.target_us then begin
-    t.limit <- Float.max t.min_limit (t.limit *. backoff_factor);
+    t.limit <- Float.max min_limit (t.limit *. backoff_factor);
     t.decreases <- t.decreases + 1
   end
-  else t.limit <- Float.min t.max_limit (t.limit +. additive_step)
+  else t.limit <- Float.min max_limit (t.limit +. additive_step)

@@ -201,7 +201,7 @@ let create_device ?pid ?auditor ~id ~loop ~tracer (config : config) ~execute =
     budget = Option.map (fun frac -> Budget.create ~frac) rs.Resilience.rs_retry_budget;
     limiter =
       Option.map
-        (fun target_us -> Limiter.create ~target_us ())
+        (fun target_us -> Limiter.create ~target_us)
         rs.Resilience.rs_target_delay_us;
     brownout = Option.map Brownout.create rs.Resilience.rs_brownout;
   }

@@ -808,7 +808,7 @@ let simulate ?(tracer = Trace.null) ?snapshot_every_us ?arrivals ?auditor (cfg :
                 Option.map (fun frac -> Budget.create ~frac) rs.Resilience.rs_retry_budget;
               ts_limiter =
                 Option.map
-                  (fun target_us -> Limiter.create ~target_us ())
+                  (fun target_us -> Limiter.create ~target_us)
                   rs.Resilience.rs_target_delay_us;
               ts_breaker = Server.Closed;
               ts_consec_failures = 0;

@@ -54,6 +54,58 @@ let test_anf_preserves_semantics () =
       List.iter (fun (d : Ast.def) -> check_true (id ^ " anf ok") (prims_are_let_bound d.Ast.body ~tail_ok:true)) p.Ast.defs)
     Models.tiny_ids
 
+(* The outputs of [src], whose @main takes an input [x] of shape
+   [1; 4] and a weight [w] of shape [4; 4], on three seeded instances. *)
+let program_values ?(framework = acrobat_kind) src =
+  let c = compile ~framework ~inputs:[ "x" ] src in
+  let rng = Rng.create 5 in
+  let weights = [ "w", Tensor.random rng [ 4; 4 ] ] in
+  let instances = List.init 3 (fun _ -> [ "x", Driver.Htensor (Tensor.random rng [ 1; 4 ]) ]) in
+  output_values (run ~compute_values:true c ~weights ~instances ())
+
+(* A source variable named like an ANF temporary must not collide with
+   one: each program gets temporaries that none of its identifiers use. *)
+let test_anf_temporaries_avoid_source_names () =
+  let program x =
+    Fmt.str
+      "def @main(%%x: Tensor[(1, 4)], %%w: Tensor[(4, 4)]) -> Tensor[(1, 4)] { let %%%s = %%x; \
+       let %%y = sigmoid(add(matmul(%%%s, %%w), %%x)); add(%%y, %%%s) }"
+      x x x
+  in
+  (* The name a temporary numbered on from a probe's would take second
+     in the next program: where a counter shared across programs
+     collides. *)
+  let next_second =
+    match parse_anf "def @main(%x: Tensor[(1, 4)]) -> Tensor[(1, 4)] { sigmoid(%x) }" with
+    | { Ast.defs = [ { Ast.body = Ast.Let (v, _, _); _ } ] } ->
+      Fmt.str "_t%d" (int_of_string (String.sub v 2 (String.length v - 2)) + 2)
+    | _ -> Alcotest.fail "probe is not one let"
+  in
+  let colliding = program_values (program next_second) in
+  let expected = program_values (program "a") in
+  check_int "twin computes" 12 (List.length expected);
+  Alcotest.(check (list (float 0.0))) "same values as the renamed twin" expected colliding;
+  Alcotest.(check (list (float 0.0))) "_t2 too" expected (program_values (program "_t2"))
+
+(* A straight-line run that rebinds a name reads, at each use, the
+   binding in scope there: the same values as with distinct names. With
+   fusion and no coarsening (DyNet's config) the rebinding fuses into the
+   first binding's block, which a later block reads. *)
+let test_run_rebinding_a_name () =
+  let program y2 =
+    Fmt.str
+      "def @main(%%x: Tensor[(1, 4)], %%w: Tensor[(4, 4)]) -> Tensor[(1, 4)] { \
+       let %%y = matmul(%%x, %%w); let %%r = matmul(%%y, %%w); let %%%s = tanh(%%y); \
+       add(%%r, %%%s) }"
+      y2 y2
+  in
+  List.iter
+    (fun framework ->
+      Alcotest.(check (list (float 0.0))) "rebound = renamed"
+        (program_values ~framework (program "q"))
+        (program_values ~framework (program "y")))
+    [ acrobat_kind; dynet_kind ]
+
 (* --- Call graph --- *)
 
 let cg_src =
@@ -346,18 +398,13 @@ let test_kernel_dedup () =
 let test_kernel_dedup_exact_constants () =
   let reg = Kernel.registry () in
   let source op =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b op [] in
-    Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
-      ~fusion:true ~horizontal:false
+    op_kernel reg ~name:"src" ~roles:[||] ~shared_binds:[] op []
   in
   let const shape value = source (Op.Constant { shape; value }) in
   let bound value =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
-    Kernel.finish reg b ~name:"bias" ~nargs:2 ~roles:[| Kernel.Batched; Kernel.Shared |]
+    op_kernel reg ~name:"bias" ~roles:[| Kernel.Batched; Kernel.Shared |]
       ~shared_binds:[ 1, Kernel.Bconst { shape = [ 1; 4 ]; value } ]
-      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+      Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ]
   in
   check_true "equal constants dedup" (const [ 1; 4 ] 1.0 == const [ 1; 4 ] 1.0);
   check_true "close constant values" (const [ 1; 4 ] 1.0000001 != const [ 1; 4 ] 1.0000003);
@@ -370,15 +417,18 @@ let test_kernel_execute_matches_ops () =
   (* Build a fused kernel x @ w + b |> sigmoid by hand and compare with
      direct evaluation. *)
   let reg = Kernel.registry () in
-  let b = Kernel.builder () in
-  let t0 = Kernel.add_instr b Op.Matmul [ Kernel.Arg 0; Kernel.Arg 1 ] in
-  let t1 = Kernel.add_instr b Op.Add [ Kernel.Tmp t0; Kernel.Arg 2 ] in
-  let t2 = Kernel.add_instr b Op.Sigmoid [ Kernel.Tmp t1 ] in
   let k =
-    Kernel.finish reg b ~name:"dense_sigmoid" ~nargs:3
+    make_kernel reg ~name:"dense_sigmoid"
       ~roles:[| Kernel.Batched; Kernel.Shared; Kernel.Shared |]
       ~shared_binds:[ 1, Kernel.Bparam "w"; 2, Kernel.Bparam "b" ]
-      ~out_tmps:[| t2 |] ~fusion:true ~horizontal:false
+      ~out_tmps:[| 2 |]
+      [
+        [
+          Op.Matmul, [ Kernel.Arg 0; Kernel.Arg 1 ];
+          Op.Add, [ Kernel.Tmp 0; Kernel.Arg 2 ];
+          Op.Sigmoid, [ Kernel.Tmp 1 ];
+        ];
+      ]
   in
   let rng = Rng.create 3 in
   let x = Tensor.random rng [ 1; 4 ]
@@ -424,10 +474,9 @@ let test_autosched_cap_regimes () =
 let test_autosched_tune_prioritizes () =
   let reg = Kernel.registry () in
   let mk name =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b (Op.Constant { shape = [ 1; String.length name ]; value = 1.0 }) [] in
-    Kernel.finish reg b ~name ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
-      ~fusion:true ~horizontal:false
+    op_kernel reg ~name ~roles:[||] ~shared_binds:[]
+      (Op.Constant { shape = [ 1; String.length name ]; value = 1.0 })
+      []
   in
   let hot = mk "hot" and cold = mk "colder" in
   let table =
@@ -592,10 +641,152 @@ let test_forwarded_mutual_recursion () =
   Alcotest.(check (list string)) "even2" [] (dropped "even2");
   Alcotest.(check (list string)) "odd2" [] (dropped "odd2")
 
+(* --- Lowering golden ---
+
+   One digest over every catalog model's lowered program, at tiny and
+   small sizes, under each Fig 5 ablation rung and the DyNet, DN++ and
+   PyTorch configurations. Per kernel: its id, name, roles, shared
+   bindings, launch groups (each instruction's op, exact constant bits,
+   sources and destination) and outputs, which together are its canonical
+   key. Per specialization, each block: its kernel, depth, once flag,
+   arguments and outputs. ANF temporaries are renamed in order of first
+   appearance, so the digest does not depend on how they are numbered.
+   Regenerate only for a deliberate change of what lowering produces. *)
+
+let golden_lowering = "22353765ed65946bf5e5ca3a28647d94"
+
+let lowering_configs =
+  let base =
+    {
+      Config.acrobat with
+      kernel_fusion = false;
+      horizontal_fusion = false;
+      grain_coarsening = false;
+      scheduler = Config.Runtime_depth;
+      ghost_ops = false;
+      program_phases = false;
+      gather_fusion = false;
+      hoisting = false;
+    }
+  in
+  let fusion = { base with kernel_fusion = true; horizontal_fusion = true } in
+  let coarsening = { fusion with grain_coarsening = true } in
+  let inline = { coarsening with scheduler = Config.Inline_depth; hoisting = true } in
+  let phases = { inline with program_phases = true; ghost_ops = true } in
+  [
+    base;
+    fusion;
+    coarsening;
+    inline;
+    phases;
+    { phases with gather_fusion = true };
+    Frameworks.dynet_config ();
+    Frameworks.dynet_config ~improved:true ();
+    Frameworks.pytorch_config;
+  ]
+
+let lowering_listing (lp : L.t) =
+  let buf = Buffer.create 4096 in
+  let add fmt = Fmt.kstr (Buffer.add_string buf) fmt in
+  let temps = Hashtbl.create 64 in
+  let var x =
+    let is_temp =
+      String.length x > 2
+      && String.sub x 0 2 = "_t"
+      && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub x 2 (String.length x - 2))
+    in
+    if not is_temp then x
+    else
+      match Hashtbl.find_opt temps x with
+      | Some y -> y
+      | None ->
+        let y = Fmt.str "_T%d" (Hashtbl.length temps) in
+        Hashtbl.replace temps x y;
+        y
+  in
+  let bits = Int64.bits_of_float in
+  let bind = function
+    | Kernel.Bparam p -> Fmt.str "p:%s" p
+    | Kernel.Bconst { shape; value } -> Fmt.str "c:%a:%Lx" Shape.pp shape (bits value)
+    | Kernel.Bonce { kernel; out } -> Fmt.str "o:%d.%d" kernel out
+  in
+  let op = function
+    | Op.Constant { shape; value } -> Fmt.str "const:%a:%Lx" Shape.pp shape (bits value)
+    | Op.Random { shape } -> Fmt.str "random:%a" Shape.pp shape
+    | o -> Op.name o
+  in
+  let src = function Kernel.Arg i -> Fmt.str "a%d" i | Kernel.Tmp j -> Fmt.str "t%d" j in
+  List.iter
+    (fun (k : Kernel.t) ->
+      add "kernel %d %s roles=%s binds=%s outs=%s\n" k.Kernel.id k.Kernel.name
+        (String.concat ""
+           (Array.to_list
+              (Array.map (function Kernel.Shared -> "S" | Kernel.Batched -> "B") k.roles)))
+        (String.concat "," (List.map (fun (i, b) -> Fmt.str "%d=%s" i (bind b)) k.shared_binds))
+        (String.concat "," (Array.to_list (Array.map string_of_int k.out_tmps)));
+      List.iter
+        (fun (g : Kernel.group) ->
+          add "  group %s\n"
+            (String.concat ";"
+               (List.map
+                  (fun (i : Kernel.instr) ->
+                    Fmt.str "%s(%s)>%d" (op i.op) (String.concat "," (List.map src i.srcs)) i.dst)
+                  g.instrs)))
+        k.groups)
+    (Kernel.all_kernels lp.L.registry);
+  let rec arg = function
+    | L.Lvar x -> "%" ^ var x
+    | L.Lshared b -> bind b
+    | L.Lint n -> string_of_int n
+    | L.Lfloat f -> Fmt.str "%Lx" (bits f)
+    | L.Lbool b -> string_of_bool b
+    | L.Lproj (a, k) -> Fmt.str "%s.%d" (arg a) k
+    | _ -> "?"
+  in
+  Hashtbl.fold (fun name d acc -> (name, d) :: acc) lp.L.defs []
+  |> List.sort compare
+  |> List.iter (fun (name, (d : L.ldef)) ->
+         add "def %s(%s)\n" name (String.concat "," (List.map var d.L.lparams));
+         List.iter
+           (fun (b : L.block) ->
+             add "  block k%d %s%s (%s) -> %s\n" b.L.kernel.Kernel.id
+               (match b.L.depth with L.Static d -> Fmt.str "static %d" d | L.Dynamic -> "dynamic")
+               (if L.runs_once b then " once" else "")
+               (String.concat "," (List.map arg b.L.args))
+               (String.concat "," (List.map var b.L.outs)))
+           (L.blocks d.L.lbody));
+  add "max static %d\n" lp.L.max_static_depth;
+  Buffer.contents buf
+
+let lowering_digest () =
+  let models =
+    List.map (fun id -> "tiny " ^ id, Models.tiny id) Models.tiny_ids
+    @ List.map
+        (fun (e : Models.entry) -> "small " ^ e.Models.id, e.Models.make Model.Small)
+        (Models.all @ Models.extras)
+  in
+  let digests =
+    List.concat_map
+      (fun (label, (m : Model.t)) ->
+        List.mapi
+          (fun i config ->
+            let lp = lower ~config ~inputs:m.Model.inputs m.Model.source in
+            Digest.string (Fmt.str "%s config %d\n%s" label i (lowering_listing lp)))
+          lowering_configs)
+      models
+  in
+  Digest.to_hex (Digest.string (String.concat "" digests))
+
+let test_golden_lowering () =
+  Alcotest.(check string) "lowering digest" golden_lowering (lowering_digest ())
+
 let suite =
   [
     Alcotest.test_case "anf: flattens prims" `Quick test_anf_flattens;
     Alcotest.test_case "anf: all models" `Quick test_anf_preserves_semantics;
+    Alcotest.test_case "anf: temporaries avoid source names" `Quick
+      test_anf_temporaries_avoid_source_names;
+    Alcotest.test_case "lower: a run rebinding a name" `Quick test_run_rebinding_a_name;
     Alcotest.test_case "callgraph: sccs" `Quick test_call_graph;
     Alcotest.test_case "lower: RNN hoisting (Listing 2)" `Quick test_rnn_hoisting;
     Alcotest.test_case "lower: RNN shared roles" `Quick test_rnn_shared_roles;
@@ -622,4 +813,5 @@ let suite =
     Alcotest.test_case "forwarded: TreeLSTM weights" `Quick test_forwarded_treelstm;
     Alcotest.test_case "forwarded: live cases" `Quick test_forwarded_live_cases;
     Alcotest.test_case "forwarded: mutual recursion" `Quick test_forwarded_mutual_recursion;
+    Alcotest.test_case "lower: golden listing of every catalog model" `Quick test_golden_lowering;
   ]

@@ -176,10 +176,8 @@ def @main() -> Tensor[(1, 4)] {
 let test_dynet_signatures_pinned () =
   let reg = Kernel.registry () in
   let kernel name op =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b op [ Kernel.Arg 0; Kernel.Arg 1 ] in
-    Kernel.finish reg b ~name ~nargs:2 ~roles:[| Kernel.Batched; Kernel.Batched |]
-      ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    op_kernel reg ~name ~roles:[| Kernel.Batched; Kernel.Batched |] ~shared_binds:[]
+      op [ Kernel.Arg 0; Kernel.Arg 1 ]
   in
   let add = kernel "add" Ir.Op.Add and matmul = kernel "matmul" Ir.Op.Matmul in
   let device = Device.create () in
@@ -220,10 +218,8 @@ let test_dynet_signatures_pinned () =
   check_int "the same pending weight, the same id" pending_id
     (snd (sign matmul [| mat 16 [ 1; 1 ]; out |]));
   let argmax =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b Ir.Op.Argmax [ Kernel.Arg 0 ] in
-    Kernel.finish reg b ~name:"argmax" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
-      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    op_kernel reg ~name:"argmax" ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      Ir.Op.Argmax [ Kernel.Arg 0 ]
   in
   let x = [| mat 0 [ 1; 4 ] |] in
   let lone = List.map (fun _ -> snd (sign argmax x)) [ 1; 2; 3 ] in

@@ -104,16 +104,12 @@ let test_executor_reports_dependency_violation () =
   let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:1 in
   let reg = Kernel.registry () in
   let src_k =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b (Acrobat_ir.Op.Constant { shape = [ 1; 2 ]; value = 1.0 }) [] in
-    Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
-      ~fusion:true ~horizontal:false
+    op_kernel reg ~name:"src" ~roles:[||] ~shared_binds:[]
+      (Acrobat_ir.Op.Constant { shape = [ 1; 2 ]; value = 1.0 }) []
   in
   let sig_k =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b Acrobat_ir.Op.Sigmoid [ Kernel.Arg 0 ] in
-    Kernel.finish reg b ~name:"sig" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
-      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    op_kernel reg ~name:"sig" ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      Acrobat_ir.Op.Sigmoid [ Kernel.Arg 0 ]
   in
   (* Producer recorded at depth 5, consumer at depth 0: inverted. *)
   let invoke kernel args ~depth =
@@ -137,17 +133,13 @@ let test_executor_reports_pending_once_output () =
   let rt = Runtime.create ~device ~scheduler:Config.Inline_depth ~policy ~seed:1 ~instances:1 in
   let reg = Kernel.registry () in
   let src_k =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b (Acrobat_ir.Op.Constant { shape = [ 1; 2 ]; value = 1.0 }) [] in
-    Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
-      ~fusion:true ~horizontal:false
+    op_kernel reg ~name:"src" ~roles:[||] ~shared_binds:[]
+      (Acrobat_ir.Op.Constant { shape = [ 1; 2 ]; value = 1.0 }) []
   in
   let add_k =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b Acrobat_ir.Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
-    Kernel.finish reg b ~name:"add" ~nargs:2 ~roles:[| Kernel.Shared; Kernel.Batched |]
+    op_kernel reg ~name:"add" ~roles:[| Kernel.Shared; Kernel.Batched |]
       ~shared_binds:[ 0, Kernel.Bonce { kernel = src_k.Kernel.id; out = 0 } ]
-      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+      Acrobat_ir.Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ]
   in
   let invoke kernel args ~depth ictx =
     let bound = Runtime.bind rt kernel in

@@ -105,40 +105,30 @@ let input rt shape =
   Store.handle s (Store.add_value s ~addr:0 ~shape ~numel:(Shape.numel shape))
 
 let unit_kernel =
-  let b = Kernel.builder () in
-  let t = Kernel.add_instr b Op.Sigmoid [ Kernel.Arg 0 ] in
-  Kernel.finish reg b ~name:"sig" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
-    ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  op_kernel reg ~name:"sig" ~roles:[| Kernel.Batched |] ~shared_binds:[] Op.Sigmoid
+    [ Kernel.Arg 0 ]
 
 let source_kernel =
-  let b = Kernel.builder () in
-  let t = Kernel.add_instr b (Op.Constant { shape = [ 1; 2 ]; value = 0.5 }) [] in
-  Kernel.finish reg b ~name:"src" ~nargs:0 ~roles:[||] ~shared_binds:[] ~out_tmps:[| t |]
-    ~fusion:true ~horizontal:false
+  op_kernel reg ~name:"src" ~roles:[||] ~shared_binds:[]
+    (Op.Constant { shape = [ 1; 2 ]; value = 0.5 })
+    []
 
 (* Two batched arguments, possibly one node's two outputs. *)
 let pair_kernel =
-  let b = Kernel.builder () in
-  let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
-  Kernel.finish reg b ~name:"pair" ~nargs:2 ~roles:[| Kernel.Batched; Kernel.Batched |]
-    ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+  op_kernel reg ~name:"pair" ~roles:[| Kernel.Batched; Kernel.Batched |] ~shared_binds:[]
+    Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ]
 
 (* A shared argument (a constant every node of the kernel reads) before a
    batched one. *)
 let shared_kernel =
-  let b = Kernel.builder () in
-  let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
-  Kernel.finish reg b ~name:"bias" ~nargs:2 ~roles:[| Kernel.Shared; Kernel.Batched |]
+  op_kernel reg ~name:"bias" ~roles:[| Kernel.Shared; Kernel.Batched |]
     ~shared_binds:[ 0, Kernel.Bconst { shape = [ 1; 2 ]; value = 0.25 } ]
-    ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ]
 
 (* Two outputs. *)
 let split_kernel =
-  let b = Kernel.builder () in
-  let t1 = Kernel.add_instr b Op.Sigmoid [ Kernel.Arg 0 ] in
-  let t2 = Kernel.add_instr b Op.Tanh [ Kernel.Arg 0 ] in
-  Kernel.finish reg b ~name:"split" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
-    ~out_tmps:[| t1; t2 |] ~fusion:true ~horizontal:false
+  make_kernel reg ~name:"split" ~roles:[| Kernel.Batched |] ~shared_binds:[] ~out_tmps:[| 0; 1 |]
+    [ [ Op.Sigmoid, [ Kernel.Arg 0 ] ]; [ Op.Tanh, [ Kernel.Arg 0 ] ] ]
 
 (* Build a random DAG of [n] nodes through a Runtime the way engines do;
    returns the runtime and every output handle. Dependencies only point
@@ -251,12 +241,9 @@ let prop_scheduler_matches_reference scheduler name =
 (* Four source kernels of one output shape: four signatures. *)
 let tie_kernels =
   Array.init 4 (fun i ->
-      let b = Kernel.builder () in
-      let t =
-        Kernel.add_instr b (Op.Constant { shape = [ 1; 2 ]; value = float_of_int i }) []
-      in
-      Kernel.finish reg b ~name:(Fmt.str "tie%d" i) ~nargs:0 ~roles:[||] ~shared_binds:[]
-        ~out_tmps:[| t |] ~fusion:true ~horizontal:false)
+      op_kernel reg ~name:(Fmt.str "tie%d" i) ~roles:[||] ~shared_binds:[]
+        (Op.Constant { shape = [ 1; 2 ]; value = float_of_int i })
+        [])
 
 (* Ready classes that tie on average depth and size launch in the order
    of their lowest node ids, whatever their signatures hash to: node [i]
@@ -282,11 +269,9 @@ let test_agenda_ties_lowest_id_first () =
 (* Reads the output of [source_kernel]'s once node as a shared argument,
    beside a batched one. *)
 let once_reader_kernel =
-  let b = Kernel.builder () in
-  let t = Kernel.add_instr b Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ] in
-  Kernel.finish reg b ~name:"reader" ~nargs:2 ~roles:[| Kernel.Shared; Kernel.Batched |]
+  op_kernel reg ~name:"reader" ~roles:[| Kernel.Shared; Kernel.Batched |]
     ~shared_binds:[ 0, Kernel.Bonce { kernel = source_kernel.Kernel.id; out = 0 } ]
-    ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    Op.Add [ Kernel.Arg 0; Kernel.Arg 1 ]
 
 (* A shared argument a node produces is a dependency of its readers: a
    reader whose batched argument is materialized sits one above the once
@@ -420,19 +405,19 @@ let random_exec_batch seed =
   let rs = Random.State.make [| seed |] in
   let int n = Random.State.int rs n and bool () = Random.State.bool rs in
   let nargs = 1 + int 3 in
-  let b = Kernel.builder () in
   let arg () = Kernel.Arg (int nargs) in
-  let last = ref None in
-  for _ = 0 to int 5 do
+  let instrs = ref [] in
+  for dst = 0 to int 5 do
     let srcs =
-      match !last with
-      | Some t when bool () -> [ Kernel.Tmp t; arg () ]
+      match !instrs with
+      | _ :: _ when bool () -> [ Kernel.Tmp (dst - 1); arg () ]
       | _ -> if bool () then [ arg () ] else [ arg (); arg () ]
     in
     let op = if List.length srcs = 1 then Op.Sigmoid else Op.Add in
-    last := Some (Kernel.add_instr b op srcs)
+    instrs := { Kernel.op; srcs; dst } :: !instrs
   done;
-  let last = Option.get !last in
+  let instrs = Array.of_list (List.rev !instrs) in
+  let last = Array.length instrs - 1 in
   let all_shared = int 4 = 0 in
   let roles =
     Array.init nargs (fun _ -> if all_shared || int 3 = 0 then Kernel.Shared else Kernel.Batched)
@@ -445,10 +430,11 @@ let random_exec_batch seed =
         else None)
       (List.init nargs Fun.id)
   in
+  let fusion = bool () in
+  let out_tmps = if bool () then [| last |] else [| last; 0 |] in
   let kernel =
-    Kernel.finish reg b ~name:"oracle" ~nargs ~roles ~shared_binds
-      ~out_tmps:(if bool () then [| last |] else [| last; 0 |])
-      ~fusion:(bool ()) ~horizontal:false
+    Kernel.finish reg ~name:"oracle" ~roles ~shared_binds ~out_tmps
+      (Lower.vertical_groups ~fusion instrs)
   in
   let n = 1 + int 6 and w = 2 + int 3 in
   let shape () = [ 2; (if bool () then w else 1) ] in
@@ -686,12 +672,18 @@ let test_upload_accounting () =
 
 (* --- Node plans --- *)
 
-(* Reference for [Kernel.plan]'s single pass: output shapes, per-group
+(* Reference for [Kernel.plan]'s single pass: temporary shapes, per-group
    FLOPs and per-group internal traffic, each from its own walk over the
    instructions, summed in the same order. *)
 let reference_plan (k : Kernel.t) (arg_shapes : Shape.t array) =
-  let tmps = Kernel.tmp_shapes k arg_shapes in
+  let tmps = Array.make k.ntmps [] in
   let shape_of = function Kernel.Arg i -> arg_shapes.(i) | Kernel.Tmp j -> tmps.(j) in
+  List.iter
+    (fun (g : Kernel.group) ->
+      List.iter
+        (fun (i : Kernel.instr) -> tmps.(i.dst) <- Op.out_shape i.op (List.map shape_of i.srcs))
+        g.instrs)
+    k.groups;
   let group_of = Hashtbl.create 16 in
   List.iteri
     (fun gi (g : Kernel.group) ->
@@ -716,7 +708,7 @@ let reference_plan (k : Kernel.t) (arg_shapes : Shape.t array) =
         in
         4.0 *. float_of_int (reads + Shape.numel tmps.(i.dst)))
   in
-  Array.map (fun i -> tmps.(i)) k.out_tmps, flops, bytes
+  tmps, flops, bytes
 
 (* Every node of a catalog model's batch — read from the store of the run
    (the VM's own, which outlives the run) — has the plan a fresh
@@ -749,12 +741,14 @@ let test_plans_match_fresh_computation () =
         let k = plan.kernel in
         let shapes = Array.init k.nargs (fun pos -> s.shape.(Store.arg_slot s n pos)) in
         let fresh = Kernel.plan k shapes in
-        let outs, flops, bytes = reference_plan k shapes in
+        let tmps, flops, bytes = reference_plan k shapes in
         let what = Fmt.str "%s node %d" id n in
         let same field planned fresh reference =
           check_true (what ^ ": " ^ field) (planned = fresh && fresh = reference)
         in
-        same "out_shapes" plan.out_shapes fresh.out_shapes outs;
+        same "tmp_shapes" plan.tmp_shapes fresh.tmp_shapes tmps;
+        same "out_shapes" plan.out_shapes fresh.out_shapes
+          (Array.map (fun i -> tmps.(i)) k.out_tmps);
         same "group_flops" plan.group_flops fresh.group_flops flops;
         same "group_bytes" plan.group_bytes fresh.group_bytes bytes;
         same "group_arg_reads" plan.group_arg_reads fresh.group_arg_reads
@@ -822,10 +816,9 @@ let test_plans_per_shape () =
 let test_plan_shape_error_every_time () =
   let rt = accounting_runtime ~instances:1 in
   let slice =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b (Op.Slice { lo = 0; hi = 4 }) [ Kernel.Arg 0 ] in
-    Kernel.finish reg b ~name:"slice" ~nargs:1 ~roles:[| Kernel.Batched |] ~shared_binds:[]
-      ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    op_kernel reg ~name:"slice" ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      (Op.Slice { lo = 0; hi = 4 })
+      [ Kernel.Arg 0 ]
   in
   let slice_of shape =
     invoke rt ~kernel:slice ~args:[| input rt shape |] ~instance:0 ~phase:0 ~depth:0
@@ -896,11 +889,10 @@ let test_plan_table_skips_shape_errors () =
   let rt = accounting_runtime ~instances:1 in
   let table = Kernel.plan_table () in
   Runtime.share_plans rt table;
-  let b = Kernel.builder () in
-  let t = Kernel.add_instr b (Op.Slice { lo = 0; hi = 4 }) [ Kernel.Arg 0 ] in
   let slice =
-    Kernel.finish (Kernel.registry ()) b ~name:"slice" ~nargs:1 ~roles:[| Kernel.Batched |]
-      ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    op_kernel (Kernel.registry ()) ~name:"slice" ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      (Op.Slice { lo = 0; hi = 4 })
+      [ Kernel.Arg 0 ]
   in
   let plan args = Runtime.plan_in rt (Runtime.bind rt slice) args in
   for attempt = 1 to 2 do
@@ -919,10 +911,8 @@ let test_plan_table_skips_shape_errors () =
    plan tables, so nodes of the two kernels never batch together. *)
 let test_kernels_of_two_registries_never_batch () =
   let unary op =
-    let b = Kernel.builder () in
-    let t = Kernel.add_instr b op [ Kernel.Arg 0 ] in
-    Kernel.finish (Kernel.registry ()) b ~name:"unary" ~nargs:1 ~roles:[| Kernel.Batched |]
-      ~shared_binds:[] ~out_tmps:[| t |] ~fusion:true ~horizontal:false
+    op_kernel (Kernel.registry ()) ~name:"unary" ~roles:[| Kernel.Batched |] ~shared_binds:[]
+      op [ Kernel.Arg 0 ]
   in
   let sigmoid = unary Op.Sigmoid and tanh = unary Op.Tanh in
   check_int "one kernel id" sigmoid.id tanh.id;

@@ -409,7 +409,7 @@ let test_budget_tokens () =
   check_float "a denied spend leaves the tokens untouched" 1.5 (Server.Budget.tokens b)
 
 let test_limiter_aimd () =
-  let l = Server.Limiter.create ~target_us:1_000.0 () in
+  let l = Server.Limiter.create ~target_us:1_000.0 in
   check_float "initial limit" 8.0 (Server.Limiter.limit l);
   check_true "admits below the limit" (Server.Limiter.admits l ~queued:7);
   check_true "refuses at the limit" (not (Server.Limiter.admits l ~queued:8));

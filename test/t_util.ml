@@ -55,3 +55,18 @@ let contains (s : string) (sub : string) : bool =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
+
+(** A hand-built kernel: [groups] of [(op, srcs)] instructions, each group
+    one launch, temporaries numbered in order. *)
+let make_kernel reg ~name ~roles ~shared_binds ~out_tmps groups =
+  let next = ref (-1) in
+  Kernel.finish reg ~name ~roles ~shared_binds ~out_tmps
+    (List.map
+       (List.map (fun (op, srcs) ->
+            incr next;
+            { Kernel.op; srcs; dst = !next }))
+       groups)
+
+(** A kernel of the one instruction [op srcs]. *)
+let op_kernel reg ~name ~roles ~shared_binds op srcs =
+  make_kernel reg ~name ~roles ~shared_binds ~out_tmps:[| 0 |] [ [ op, srcs ] ]
